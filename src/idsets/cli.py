@@ -1,7 +1,7 @@
 """Command-line interface: one subcommand per solver/verifier/generator.
 
 Results go to stdout as JSON (deterministic: sorted keys, no timestamps);
-diagnostics including the run report go to stderr. Exit codes: 0 success,
+diagnostics including a one-line run summary go to stderr. Exit codes: 0 success,
 1 infeasible-or-false, 2 usage error, 3 cap exceeded.
 """
 
@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import explicit as explicit_mod
@@ -36,16 +35,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAPS = 3
-
-
-@dataclass
-class RunReport:
-    subcommand: str
-    instance_digest: str
-    payload: dict
-    wall_time: float
-    caps: Caps
-    caps_hit: list[str] = field(default_factory=list)
 
 
 def _digest(paths_: list[str]) -> str:
@@ -249,13 +238,12 @@ def _cmd_path_approx(args, caps: Caps) -> tuple[int, dict, list[str]]:
 
 def _cmd_path_gap(args, caps: Caps) -> tuple[int, dict, list[str]]:
     g, st, _ = parse_instance(load_json(args.instance))
-    ratio = paths.gap_ratio(g, st, caps)
     unit = WeightedGroundSet.uniform(g.arc_count)
     exact = paths.exact_min_path_identifying(g, st, unit, caps)
     approx = paths.approx_min_path_identifying_dag(g, st, unit)
     opt = len(exact.identifying_set)
     payload = {
-        "ratio": fraction_to_json(ratio),
+        "ratio": fraction_to_json(paths.size_ratio(exact, approx)),
         "exact_size": opt,
         "approx_size": len(approx.identifying_set),
         "gap_bound": fraction_to_json(Fraction((opt + 1) * opt, 2)),
@@ -476,14 +464,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FALSE
     elapsed = time.monotonic() - started
     digest = _digest(input_files) if input_files else ""
-    report = RunReport(subcommand=args.command, instance_digest=digest,
-                       payload=payload, wall_time=elapsed, caps=caps)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    print(
-        f"# {report.subcommand} digest={report.instance_digest[:16]} "
-        f"time={report.wall_time:.3f}s caps={report.caps}",
-        file=sys.stderr,
-    )
+    print(f"# {args.command} digest={digest[:16]} time={elapsed:.3f}s caps={caps}",
+          file=sys.stderr)
     return code
 
 

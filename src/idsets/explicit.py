@@ -1,8 +1,11 @@
 """Identifying sets for an explicit list of binary solution vectors.
 
 Separating every pair of distinct vectors is a set-cover problem over the
-pair universe; the weighted greedy gives the standard logarithmic guarantee
-and a best-first subset search provides the exact optimum at desk scale.
+pair universe. The weighted greedy gives the standard logarithmic guarantee
+without listing the pairs: it refines the partition of the vectors into
+classes not yet separated, and counts an element's new pairs per class as
+|ones| * |zeros|. A best-first subset search provides the exact optimum at
+desk scale.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance, SubsetExplosion
-from .graphs import WeightedGroundSet
+from .graphs import WeightedGroundSet, validate_ids
 from .search import min_weight_hitting_set
-
-BITSET_PAIR_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,7 @@ def verify_explicit_identifying(
     x: SolutionList, s: Iterable[int]
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Pairwise separation via projection hashing; a collision is the witness."""
-    cols = sorted(set(s))
-    for e in cols:
-        if not (0 <= e < x.dimension):
-            raise InvalidInstance(f"element id {e} out of range")
+    cols = sorted(validate_ids(x.dimension, s))
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for vec in x.vectors:
         proj = tuple(vec[e] for e in cols)
@@ -85,26 +83,43 @@ class GreedyCoverResult:
     trace: tuple[tuple[int, int], ...]
 
 
-def _pair_list(x: SolutionList) -> list[tuple[int, int]]:
-    n = len(x.vectors)
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def greedy_identifying(x: SolutionList,
                        w: WeightedGroundSet | None = None) -> GreedyCoverResult:
-    """Weighted set-cover greedy over the pair universe.
+    """Weighted set-cover greedy over the pair universe, by partition refinement.
 
-    Each round picks the element maximizing newly-separated-pairs per weight
-    (exact cross-multiplied comparison; zero weight with positive gain counts
-    as infinite), ties to the smaller id. Elements separating nothing are
-    never chosen.
+    The vectors not yet separated by the chosen elements fall into classes;
+    element e separates |ones| * |zeros| new pairs in each class. Each round
+    picks the element maximizing newly-separated-pairs per weight (exact
+    cross-multiplied comparison; zero weight with positive gain counts as
+    infinite), ties to the smaller id, and splits every class on it.
+    Elements separating nothing are never chosen.
     """
     if w is None:
         w = WeightedGroundSet.uniform(x.dimension)
-    pairs = _pair_list(x)
-    if len(pairs) <= BITSET_PAIR_LIMIT:
-        return _greedy_bitset(x, w, pairs)
-    return _greedy_streaming(x, w)
+    classes = [x.vectors] if len(x.vectors) > 1 else []
+    chosen: list[int] = []
+    trace: list[tuple[int, int]] = []
+    while classes:
+        gains = [0] * x.dimension
+        for members in classes:
+            for e, ones in enumerate(map(sum, zip(*members))):
+                gains[e] += ones * (len(members) - ones)
+        best_e = -1
+        for e, gain in enumerate(gains):
+            if gain and (best_e == -1 or _better(gain, w[e], gains[best_e], w[best_e])):
+                best_e = e
+        chosen.append(best_e)
+        trace.append((best_e, gains[best_e]))
+        refined = []
+        for members in classes:
+            halves: tuple[list, list] = ([], [])
+            for vec in members:
+                halves[vec[best_e]].append(vec)
+            refined.extend(half for half in halves if len(half) > 1)
+        classes = refined
+    s = frozenset(chosen)
+    return GreedyCoverResult(identifying_set=s, total_weight=w.total(s),
+                             trace=tuple(trace))
 
 
 def _better(gain_a: int, w_a: Fraction, gain_b: int, w_b: Fraction) -> bool:
@@ -112,68 +127,6 @@ def _better(gain_a: int, w_a: Fraction, gain_b: int, w_b: Fraction) -> bool:
     if w_a == 0 and w_b == 0:
         return False  # both infinite: a tie, resolved by id order
     return gain_a * w_b > gain_b * w_a
-
-
-def _greedy_bitset(x: SolutionList, w: WeightedGroundSet,
-                   pairs: list[tuple[int, int]]) -> GreedyCoverResult:
-    masks = []
-    for e in range(x.dimension):
-        mask = 0
-        for p, (i, j) in enumerate(pairs):
-            if x.vectors[i][e] != x.vectors[j][e]:
-                mask |= 1 << p
-        masks.append(mask)
-    target = (1 << len(pairs)) - 1
-    covered = 0
-    chosen: list[int] = []
-    trace: list[tuple[int, int]] = []
-    while covered != target:
-        best_e, best_gain = -1, 0
-        for e in range(x.dimension):
-            if e in chosen:
-                continue
-            gain = (masks[e] & ~covered).bit_count()
-            if gain == 0:
-                continue
-            if best_e == -1 or _better(gain, w[e], best_gain, w[best_e]):
-                best_e, best_gain = e, gain
-        if best_e == -1:
-            raise AssertionError("uncovered pair with no separating element")
-        chosen.append(best_e)
-        trace.append((best_e, best_gain))
-        covered |= masks[best_e]
-    s = frozenset(chosen)
-    return GreedyCoverResult(identifying_set=s, total_weight=w.total(s),
-                             trace=tuple(trace))
-
-
-def _greedy_streaming(x: SolutionList, w: WeightedGroundSet) -> GreedyCoverResult:
-    """Per-round recount without materializing pair masks (large |X|)."""
-    uncovered = _pair_list(x)
-    chosen: list[int] = []
-    trace: list[tuple[int, int]] = []
-    while uncovered:
-        gains = [0] * x.dimension
-        for i, j in uncovered:
-            vi, vj = x.vectors[i], x.vectors[j]
-            for e in range(x.dimension):
-                if e not in chosen and vi[e] != vj[e]:
-                    gains[e] += 1
-        best_e = -1
-        for e in range(x.dimension):
-            if e in chosen or gains[e] == 0:
-                continue
-            if best_e == -1 or _better(gains[e], w[e], gains[best_e], w[best_e]):
-                best_e = e
-        if best_e == -1:
-            raise AssertionError("uncovered pair with no separating element")
-        chosen.append(best_e)
-        trace.append((best_e, gains[best_e]))
-        uncovered = [(i, j) for i, j in uncovered
-                     if x.vectors[i][best_e] == x.vectors[j][best_e]]
-    s = frozenset(chosen)
-    return GreedyCoverResult(identifying_set=s, total_weight=w.total(s),
-                             trace=tuple(trace))
 
 
 def exact_identifying(x: SolutionList, w: WeightedGroundSet | None = None,

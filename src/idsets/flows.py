@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InvalidInstance, NoStPath
 from .graphs import (
@@ -23,6 +24,7 @@ from .graphs import (
     shortest_arc_path,
     spanning_forest_max_weight,
     strongly_connected_components,
+    validate_ids,
 )
 
 FlowVector = tuple[Fraction, ...]
@@ -90,7 +92,7 @@ def min_weight_flow_identifying(g: Digraph, st: StPair,
 
 
 def verify_flow_identifying(g: Digraph, st: StPair,
-                            s: frozenset[int] | set[int]) -> tuple[bool, FlowWitness | None]:
+                            s: Iterable[int]) -> tuple[bool, FlowWitness | None]:
     """True iff E' minus S is undirected-acyclic.
 
     On failure returns an undirected cycle in E' \\ S together with two
@@ -98,8 +100,9 @@ def verify_flow_identifying(g: Digraph, st: StPair,
     the uniform mixture of per-arc supporting flows and its augmentation
     along the cycle.
     """
+    s_set = validate_ids(g.arc_count, s)
     e_prime = relevant_arcs(g, st)
-    remaining = sorted(e_prime - set(s))
+    remaining = sorted(e_prime - s_set)
     cycle = _find_undirected_cycle(g, remaining)
     if cycle is None:
         return True, None

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NoStPath, PathExplosion
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -83,14 +81,14 @@ class StPair:
 class WeightedGroundSet:
     """Nonnegative rational weight per element id, exact arithmetic throughout."""
 
-    def __init__(self, weights: Sequence[Rational | int | str]):
+    def __init__(self, weights: Sequence[Fraction | int | str]):
         self.weights: tuple[Fraction, ...] = tuple(Fraction(w) for w in weights)
         for i, w in enumerate(self.weights):
             if w < 0:
                 raise InvalidInstance(f"negative weight at element {i}")
 
     @classmethod
-    def uniform(cls, size: int, value: Rational | int = 1) -> "WeightedGroundSet":
+    def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
         return cls([Fraction(value)] * size)
 
     @property
@@ -102,6 +100,24 @@ class WeightedGroundSet:
 
     def total(self, elements: Iterable[int]) -> Fraction:
         return sum((self.weights[e] for e in elements), Fraction(0))
+
+
+def validate_ids(size: int, ids: Iterable[int]) -> frozenset[int]:
+    """The element ids as a set; InvalidInstance for any id outside 0..size-1."""
+    out = frozenset(int(e) for e in ids)
+    for e in out:
+        if not (0 <= e < size):
+            raise InvalidInstance(f"element id {e} out of range")
+    return out
+
+
+def drop_heaviest_per_part(parts: Iterable[frozenset[int]],
+                           w: WeightedGroundSet) -> frozenset[int]:
+    """Every element except the heaviest of its part (ties: smallest id)."""
+    s: set[int] = set()
+    for part in parts:
+        s |= part - {min(part, key=lambda e: (-w[e], e))}
+    return frozenset(s)
 
 
 class UnionFind:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NotIdentifying
-from .explicit import SolutionList
 from .graphs import Digraph, StPair
 from .paths import verify_path_identifying_dag
 
@@ -21,7 +20,6 @@ class GeneratedInstance:
     graph: Digraph | None
     st: StPair | None
     metadata: dict = field(default_factory=dict)
-    solutions: SolutionList | None = None
 
 
 def gen_tight_gap_family(k: int) -> GeneratedInstance:

@@ -50,10 +50,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(pivots)
 
 
-def vectors_independent(vectors: Sequence[Vector]) -> bool:
-    return matrix_rank(list(vectors)) == len(vectors)
-
-
 def dependency(vectors: Sequence[Vector]) -> Vector | None:
     """Coefficients of a nontrivial vanishing combination, or None if independent.
 
@@ -101,13 +97,5 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def unit_vector(dim: int, index: int) -> Vector:
-    return tuple(Fraction(1) if i == index else Fraction(0) for i in range(dim))

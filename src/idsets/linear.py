@@ -1,9 +1,11 @@
 """Identifying sets for a convex set given by an affine basis.
 
-The complements of identifying sets form a linear matroid: F is independent
-when the difference vectors of the basis together with the unit vectors of F
-are linearly independent. Minimum-weight identifying sets are complements of
-maximum-weight independent sets, found by the matroid greedy.
+Let D be the k x n matrix whose rows are the differences x_i - x_0 of the
+basis points. A set S is identifying exactly when the columns of D indexed by
+S have rank k, so a minimum-weight identifying set is a minimum-weight column
+basis of D: the pivot columns of one exact elimination with the columns in
+ascending weight order. When S falls short, a left-null combination y of the
+rows of D[:, S] gives the witness direction y^T D.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance
-from .graphs import WeightedGroundSet
+from .graphs import WeightedGroundSet, validate_ids
 from .linalg import (
     Vector,
     as_vector,
     dependency,
     matrix_rank,
+    rref,
     solve_linear,
-    unit_vector,
     vec_sub,
-    vectors_independent,
 )
 
 
@@ -39,6 +40,7 @@ class AffineBasis:
         if len({len(p) for p in pts}) != 1:
             raise InvalidInstance("basis points must share one dimension")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_differences", tuple(vec_sub(p, pts[0]) for p in pts[1:]))
         if matrix_rank(self.differences()) != self.hull_dimension:
             raise InvalidInstance("basis points are not affinely independent")
 
@@ -51,9 +53,9 @@ class AffineBasis:
         """Dimension k of the affine hull."""
         return len(self.points) - 1
 
-    def differences(self) -> list[Vector]:
-        x0 = self.points[0]
-        return [vec_sub(p, x0) for p in self.points[1:]]
+    def differences(self) -> tuple[Vector, ...]:
+        """The rows x_i - x0 of the difference matrix D, computed once."""
+        return self._differences
 
     def affine_coefficients(self, target: Sequence) -> Vector | None:
         """Coefficients lambda with target = x0 + sum(lambda_i * (x_i - x0)), or None."""
@@ -68,57 +70,49 @@ class AffineBasis:
         return solve_linear(a, b)
 
 
+def _columns(basis: AffineBasis, cols: Sequence[int]) -> list[list[Fraction]]:
+    """D restricted to the given columns, in that order."""
+    return [[row[e] for e in cols] for row in basis.differences()]
+
+
 def ax_independent(basis: AffineBasis, f: Iterable[int]) -> bool:
-    """Exact rank test: difference vectors plus the unit vectors of F."""
-    f_set = sorted(set(f))
-    for e in f_set:
-        if not (0 <= e < basis.ground_size):
-            raise InvalidInstance(f"element id {e} out of range")
-    vectors = basis.differences() + [unit_vector(basis.ground_size, e) for e in f_set]
-    return vectors_independent(vectors)
+    """F is independent in the dual matroid: D without the columns of F keeps rank k."""
+    f_set = validate_ids(basis.ground_size, f)
+    rest = [e for e in range(basis.ground_size) if e not in f_set]
+    return matrix_rank(_columns(basis, rest)) == basis.hull_dimension
 
 
 def min_weight_identifying_from_basis(basis: AffineBasis,
                                       w: WeightedGroundSet | None = None) -> frozenset[int]:
-    """Matroid greedy: grow a maximum-weight independent complement F.
+    """Minimum-weight column basis of D: the pivots of one elimination.
 
-    Elements are scanned heaviest first (ties: smaller id), so S = E - F is a
-    minimum-weight basis of the dual matroid and always has size k.
+    Columns go lightest first, ties to the larger id: the exact reverse of
+    the heaviest-first (ties: smaller id) greedy over the dual matroid, so S
+    is the complement of that greedy's independent set and has size k.
     """
     n = basis.ground_size
     if w is None:
         w = WeightedGroundSet.uniform(n)
-    kept: list[int] = []
-    vectors = basis.differences()
-    for e in sorted(range(n), key=lambda e: (-w[e], e)):
-        candidate = vectors + [unit_vector(n, e)]
-        if vectors_independent(candidate):
-            vectors = candidate
-            kept.append(e)
-    return frozenset(set(range(n)) - set(kept))
+    order = sorted(range(n), key=lambda e: (w[e], -e))
+    _, pivots = rref(_columns(basis, order))
+    return frozenset(order[c] for c in pivots)
 
 
 def verify_identifying_from_basis(basis: AffineBasis,
                                   s: Iterable[int]) -> tuple[bool, Vector | None]:
-    """True iff the complement of S is independent in the basis matroid.
+    """True iff the columns of D indexed by S have rank k.
 
     On failure returns a nonzero direction in the span of the difference
     vectors that vanishes on S: moving inside X along it changes no
     coordinate of S, so two points of X agree on S.
     """
-    s_set = set(s)
-    for e in s_set:
-        if not (0 <= e < basis.ground_size):
-            raise InvalidInstance(f"element id {e} out of range")
-    complement = sorted(set(range(basis.ground_size)) - s_set)
-    diffs = basis.differences()
-    vectors = diffs + [unit_vector(basis.ground_size, e) for e in complement]
-    coeffs = dependency(vectors)
+    s_set = validate_ids(basis.ground_size, s)
+    coeffs = dependency(_columns(basis, sorted(s_set)))
     if coeffs is None:
         return True, None
-    k = len(diffs)
+    diffs = basis.differences()
     delta = tuple(
-        sum((coeffs[i] * diffs[i][j] for i in range(k)), Fraction(0))
+        sum((y * row[j] for y, row in zip(coeffs, diffs)), Fraction(0))
         for j in range(basis.ground_size)
     )
     assert any(value != 0 for value in delta)

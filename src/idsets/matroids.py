@@ -15,7 +15,13 @@ from typing import Callable, Iterable
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import ElementInBasis, EnumerationExplosion, InvalidInstance, NotABasis
-from .graphs import Digraph, UnionFind, WeightedGroundSet
+from .graphs import (
+    Digraph,
+    UnionFind,
+    WeightedGroundSet,
+    drop_heaviest_per_part,
+    validate_ids,
+)
 
 
 class MatroidOracle:
@@ -194,17 +200,11 @@ def matroid_components(m: MatroidOracle) -> MatroidComponents:
 def min_weight_matroid_identifying(
     m: MatroidOracle, w: WeightedGroundSet | None = None
 ) -> tuple[frozenset[int], MatroidComponents]:
-    """Drop the heaviest element (ties: smallest id) of each non-singleton component."""
+    """Drop the heaviest element (ties: smallest id) of each component."""
     if w is None:
         w = WeightedGroundSet.uniform(m.ground_size)
     components = matroid_components(m)
-    s: set[int] = set()
-    for part in components.partition:
-        if len(part) < 2:
-            continue
-        keep = max(sorted(part), key=lambda e: (w[e], -e))
-        s |= part - {keep}
-    return frozenset(s), components
+    return drop_heaviest_per_part(components.partition, w), components
 
 
 def enumerate_circuits(m: MatroidOracle, caps: Caps = DEFAULT_CAPS) -> list[frozenset[int]]:
@@ -231,7 +231,7 @@ def verify_matroid_identifying(
     A violated circuit yields two bases exchanging two of its non-S elements,
     hence indistinguishable on S.
     """
-    s_set = frozenset(s)
+    s_set = validate_ids(m.ground_size, s)
     for circuit in enumerate_circuits(m, caps):
         if len(circuit & s_set) >= len(circuit) - 1:
             continue

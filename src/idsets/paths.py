@@ -24,6 +24,7 @@ from .graphs import (
     reverse_reachable_to,
     shortest_arc_path,
     topological_order,
+    validate_ids,
 )
 from .search import min_weight_hitting_set
 
@@ -42,14 +43,6 @@ class PathWitness:
 
     path_a: frozenset[int]
     path_b: frozenset[int]
-
-
-def _validate_arc_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
-    out = frozenset(int(a) for a in s)
-    for a in out:
-        if not (0 <= a < g.arc_count):
-            raise InvalidInstance(f"arc id {a} out of range")
-    return out
 
 
 def _require_dag(g: Digraph) -> None:
@@ -83,7 +76,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
     _require_dag(g)
-    s_set = _validate_arc_set(g, s)
+    s_set = validate_ids(g.arc_count, s)
     keep_nodes, keep_arcs = _prune_to_st(g, st)
     allowed = sorted(keep_arcs - s_set)
     out: list[list[int]] = [[] for _ in range(g.node_count)]
@@ -129,7 +122,7 @@ def verify_path_identifying_general(g: Digraph, st: StPair, s: Iterable[int],
                                     cap: int = DEFAULT_CAPS.max_paths
                                     ) -> tuple[bool, PathWitness | None]:
     """Brute-force verification by full path enumeration (exact on small instances)."""
-    s_set = _validate_arc_set(g, s)
+    s_set = validate_ids(g.arc_count, s)
     paths = enumerate_st_paths(g, st, cap)
     seen: dict[frozenset[int], frozenset[int]] = {}
     for path in paths:
@@ -195,11 +188,15 @@ def gap_ratio(g: Digraph, st: StPair, caps: Caps = DEFAULT_CAPS) -> Fraction:
     """|flow-based set| / |path optimum| under the size objective.
 
     Both sets are empty exactly when the instance has a unique path; the
-    ratio is 1 by convention in that case.
+    ratio is 1 by convention in that case (see size_ratio).
     """
     unit = WeightedGroundSet.uniform(g.arc_count)
-    exact = exact_min_path_identifying(g, st, unit, caps)
-    approx = approx_min_path_identifying_dag(g, st, unit)
+    return size_ratio(exact_min_path_identifying(g, st, unit, caps),
+                      approx_min_path_identifying_dag(g, st, unit))
+
+
+def size_ratio(exact: PathIdentifyResult, approx: PathIdentifyResult) -> Fraction:
+    """|approx set| / |exact set|; 1 when both are empty (a unique path)."""
     opt = len(exact.identifying_set)
     got = len(approx.identifying_set)
     if opt == 0 and got == 0:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import EnumerationExplosion, InvalidInstance, NotABase
-from .graphs import WeightedGroundSet
+from .graphs import WeightedGroundSet, drop_heaviest_per_part, validate_ids
 from .linalg import Vector, as_vector
 from .matroids import MatroidOracle
 
@@ -283,11 +283,7 @@ def min_weight_polymatroid_identifying(
     if w is None:
         w = WeightedGroundSet.uniform(f.ground_size)
     components = polymatroid_components(f, caps)
-    s: set[int] = set()
-    for part in components.partition:
-        keep = max(sorted(part), key=lambda el: (w[el], -el))
-        s |= part - {keep}
-    return frozenset(s), components
+    return drop_heaviest_per_part(components.partition, w), components
 
 
 def verify_polymatroid_identifying(
@@ -300,7 +296,7 @@ def verify_polymatroid_identifying(
     between two missed elements of the violated component. Strictness of the
     exchange budget is re-verified, not assumed.
     """
-    s_set = frozenset(s)
+    s_set = validate_ids(f.ground_size, s)
     components = polymatroid_components(f, caps)
     for part in components.partition:
         if len(part & s_set) >= len(part) - 1:

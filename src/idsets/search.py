@@ -70,27 +70,3 @@ def _mask(elements: Iterable[int]) -> int:
         m |= 1 << e
     return m
 
-
-def subsets_in_weight_order(
-    n: int, w: WeightedGroundSet, max_states: int = 2**24
-) -> Iterable[tuple[Fraction, tuple[int, ...]]]:
-    """All subsets of range(n) in (weight, lexicographic) order.
-
-    Useful for brute-force optimality oracles in tests.
-    """
-    heap: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(0), ())]
-    visited = 0
-    while heap:
-        weight, elems = heapq.heappop(heap)
-        visited += 1
-        if visited > max_states:
-            raise SubsetExplosion(f"subset enumeration exceeded {max_states} states")
-        yield weight, elems
-        start = elems[-1] + 1 if elems else 0
-        for e in range(start, n):
-            heapq.heappush(heap, (weight + w[e], elems + (e,)))
-
-
-def powerset_masks(n: int) -> Iterable[int]:
-    """All 2^n bitmasks, ascending; callers guard n via Caps.max_ground."""
-    return range(1 << n)

@@ -7,13 +7,15 @@ networkx, and identifying checks are direct pairwise definitions.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
 
-from idsets.graphs import Digraph, StPair
+from idsets.errors import SubsetExplosion
+from idsets.graphs import Digraph, StPair, WeightedGroundSet
 
 
 def oracle_enumerate_paths(g: Digraph, st: StPair) -> set[frozenset[int]]:
@@ -148,3 +150,77 @@ def min_vertex_cover_size(n: int, edges: list[tuple[int, int]]) -> int:
             if all(a in chosen or b in chosen for a, b in edges):
                 return size
     raise AssertionError("unreachable")
+
+
+def subsets_in_weight_order(n: int, w: WeightedGroundSet, max_states: int = 2**24):
+    """All subsets of range(n) in (weight, lexicographic) order."""
+    heap: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(0), ())]
+    visited = 0
+    while heap:
+        weight, elems = heapq.heappop(heap)
+        visited += 1
+        if visited > max_states:
+            raise SubsetExplosion(f"subset enumeration exceeded {max_states} states")
+        yield weight, elems
+        start = elems[-1] + 1 if elems else 0
+        for e in range(start, n):
+            heapq.heappush(heap, (weight + w[e], elems + (e,)))
+
+
+def oracle_greedy_pairs(vectors, dimension: int, w: WeightedGroundSet):
+    """Reference weighted set-cover greedy that recounts every uncovered pair.
+
+    Same rule as the library: the best ratio of new pairs to weight wins by
+    exact cross-multiplication, zero weight with a positive gain beats any
+    positive weight, and ties go to the smaller id. Returns (set, trace).
+    """
+    uncovered = [(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:]]
+    chosen: list[int] = []
+    trace: list[tuple[int, int]] = []
+    while uncovered:
+        gains = [sum(a[e] != b[e] for a, b in uncovered) for e in range(dimension)]
+        best = -1
+        for e in range(dimension):
+            if gains[e] == 0:
+                continue
+            if best == -1 or (not (w[e] == 0 and w[best] == 0)
+                              and gains[e] * w[best] > gains[best] * w[e]):
+                best = e
+        assert best != -1, "uncovered pair with no separating element"
+        chosen.append(best)
+        trace.append((best, gains[best]))
+        uncovered = [(a, b) for a, b in uncovered if a[best] == b[best]]
+    return frozenset(chosen), tuple(trace)
+
+
+def oracle_rank(rows) -> int:
+    """Rank of a rational matrix by plain Gaussian elimination on a copy."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][c] / mat[rank][c]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_linear_greedy(diffs, n: int, w: WeightedGroundSet) -> frozenset[int]:
+    """Element-by-element matroid greedy over complements of identifying sets.
+
+    F is independent when the difference vectors plus the unit vectors of F
+    are linearly independent; elements are scanned heaviest first (ties:
+    smaller id) and S is the complement of the greedy F.
+    """
+    rows = [list(d) for d in diffs]
+    kept: list[int] = []
+    for e in sorted(range(n), key=lambda e: (-w[e], e)):
+        unit = [Fraction(int(i == e)) for i in range(n)]
+        if oracle_rank(rows + [unit]) == len(rows) + 1:
+            rows.append(unit)
+            kept.append(e)
+    return frozenset(range(n)) - frozenset(kept)

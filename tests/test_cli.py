@@ -45,6 +45,11 @@ class TestFlowIdentify:
         assert out["identifying"] is False
         assert "cycle" in out
 
+    @pytest.mark.parametrize("ids", ["0,99", "-1"])
+    def test_verify_out_of_range_is_usage_error(self, tight_k3, capsys, ids):
+        assert main(["flow-identify", tight_k3, "--verify", ids]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestPathCommands:
     def test_verify_marked_arcs_true(self, tight_k3, capsys):

@@ -14,16 +14,13 @@ from idsets.caps import Caps
 from idsets.errors import InvalidInstance, SubsetExplosion
 from idsets.explicit import (
     SolutionList,
-    _greedy_bitset,
-    _greedy_streaming,
-    _pair_list,
     exact_identifying,
     greedy_identifying,
     verify_explicit_identifying,
 )
 from idsets.graphs import WeightedGroundSet
 
-from .helpers import all_subsets
+from .helpers import all_subsets, oracle_greedy_pairs
 
 
 def random_solution_list(rng: random.Random, dim: int, count: int) -> SolutionList:
@@ -117,18 +114,16 @@ class TestGreedy:
         for _ in range(40):
             x = random_solution_list(rng, 5, 8)
             result = greedy_identifying(x)
-            assert sum(n for _, n in result.trace) == len(_pair_list(x))
+            assert sum(n for _, n in result.trace) == len(x) * (len(x) - 1) // 2
 
-    def test_streaming_matches_bitset(self):
+    def test_matches_pairwise_oracle(self):
         rng = random.Random(59)
         for _ in range(40):
             x = random_solution_list(rng, rng.randint(1, 7), rng.randint(2, 10))
             w = WeightedGroundSet([rng.randint(0, 5) for _ in range(x.dimension)])
-            pairs = _pair_list(x)
-            a = _greedy_bitset(x, w, pairs)
-            b = _greedy_streaming(x, w)
-            assert a.identifying_set == b.identifying_set
-            assert a.trace == b.trace
+            result = greedy_identifying(x, w)
+            assert (result.identifying_set, result.trace) == oracle_greedy_pairs(
+                x.vectors, x.dimension, w)
 
 
 class TestExact:

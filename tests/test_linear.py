@@ -21,13 +21,28 @@ from idsets.linear import (
 
 from .helpers import (
     all_simple_digraphs,
+    all_subsets,
     has_st_path,
     oracle_directed_cycles,
+    oracle_linear_greedy,
+    oracle_rank,
     random_weights,
     seeded_multigraphs,
 )
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])
+
+
+def random_basis(rng: random.Random, dim: int, ground: int, low: int = -3,
+                 high: int = 3) -> AffineBasis:
+    """dim + 1 affinely independent integer points drawn from [low, high]^ground."""
+    points = [tuple(Fraction(rng.randint(low, high)) for _ in range(ground))]
+    while len(points) < dim + 1:
+        cand = tuple(Fraction(rng.randint(low, high)) for _ in range(ground))
+        diffs = [vec_sub(p, points[0]) for p in points[1:]] + [vec_sub(cand, points[0])]
+        if matrix_rank(diffs) == len(diffs):
+            points.append(cand)
+    return AffineBasis(points)
 
 
 def flow_polytope_basis(g: Digraph, st: StPair) -> AffineBasis:
@@ -96,18 +111,23 @@ class TestMinWeight:
         for _ in range(25):
             dim = rng.randint(1, 4)
             ground = rng.randint(dim, dim + 3)
-            points = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(ground))]
-            while len(points) < dim + 1:
-                cand = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ground))
-                diffs = [vec_sub(p, points[0]) for p in points[1:]] + [vec_sub(cand, points[0])]
-                if matrix_rank(diffs) == len(diffs):
-                    points.append(cand)
-            basis = AffineBasis(points)
+            basis = random_basis(rng, dim, ground)
             w = WeightedGroundSet(random_weights(rng, ground))
             s = min_weight_identifying_from_basis(basis, w)
             assert len(s) == dim
             ok, _ = verify_identifying_from_basis(basis, s)
             assert ok
+
+    def test_same_set_as_element_greedy(self):
+        # Entries in {0, 1} give zero and parallel columns; weights in 0..3 tie.
+        rng = random.Random(71)
+        for trial in range(200):
+            dim = rng.randint(0, 4)
+            ground = rng.randint(max(dim, 1), dim + 4)
+            basis = random_basis(rng, dim, ground, low=0, high=1 if trial % 2 else 3)
+            w = WeightedGroundSet([rng.randint(0, 3) for _ in range(ground)])
+            assert min_weight_identifying_from_basis(basis, w) == oracle_linear_greedy(
+                basis.differences(), ground, w)
 
 
 class TestVerify:
@@ -133,6 +153,34 @@ class TestVerify:
             assert basis.affine_coefficients(moved) is not None
             assert all(delta[e] == 0 for e in {1})
             assert any(v != 0 for v in delta)
+
+    def test_every_subset_matches_rank_of_columns(self):
+        rng = random.Random(73)
+        for trial in range(40):
+            dim = rng.randint(0, 3)
+            ground = rng.randint(max(dim, 1), dim + 3)
+            basis = random_basis(rng, dim, ground, low=0, high=1 if trial % 2 else 2)
+            diffs = basis.differences()
+            for s in all_subsets(range(ground)):
+                ok, delta = verify_identifying_from_basis(basis, s)
+                assert ok == (oracle_rank([[d[e] for e in sorted(s)] for d in diffs]) == dim)
+                rest = [e for e in range(ground) if e not in s]
+                units = [[int(e == f) for e in range(ground)] for f in rest]
+                assert ax_independent(basis, rest) == (
+                    oracle_rank(list(diffs) + units) == dim + len(rest))
+                if ok:
+                    assert delta is None
+                    continue
+                assert any(v != 0 for v in delta)
+                assert all(delta[e] == 0 for e in s)
+                assert oracle_rank(list(diffs) + [delta]) == dim
+
+    def test_rejects_out_of_range_ids(self):
+        for s in ({2}, {-1}):
+            with pytest.raises(InvalidInstance):
+                verify_identifying_from_basis(PARALLEL, s)
+            with pytest.raises(InvalidInstance):
+                ax_independent(PARALLEL, s)
 
 
 class TestFlowConsistency:

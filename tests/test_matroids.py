@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from idsets.errors import ElementInBasis, EnumerationExplosion, NotABasis
+from idsets.errors import ElementInBasis, EnumerationExplosion, InvalidInstance, NotABasis
 from idsets.caps import Caps
 from idsets.graphs import Digraph, WeightedGroundSet
 from idsets.matroids import (
@@ -177,6 +177,11 @@ class TestVerify:
         for m in (triangle(), uniform_matroid(2, 4), free_matroid(2)):
             ok, _ = verify_matroid_identifying(m, set(range(m.ground_size)))
             assert ok
+
+    def test_rejects_out_of_range_ids(self):
+        for s in ({0, 1, 99}, {-1}):
+            with pytest.raises(InvalidInstance):
+                verify_matroid_identifying(uniform_matroid(1, 3), s)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationExplosion):

@@ -266,6 +266,11 @@ class TestVerify:
             ok, _ = verify_polymatroid_identifying(f, set(range(f.ground_size)))
             assert ok
 
+    def test_rejects_out_of_range_ids(self):
+        for s in ({0, 1, 99}, {-1}):
+            with pytest.raises(InvalidInstance):
+                verify_polymatroid_identifying(truncation(3, 1), s)
+
     def test_witness_validity_everywhere(self):
         for f in table_fixtures():
             if f.ground_size > 5:

@@ -20,7 +20,9 @@ from idsets.io import (
     parse_solution_list,
     solution_list_to_json,
 )
-from idsets.search import min_weight_hitting_set, subsets_in_weight_order
+from idsets.search import min_weight_hitting_set
+
+from .helpers import subsets_in_weight_order
 
 
 class TestHittingSet:
