@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate path vs flow identifying-set optima on the tight gap family.
 
-The path optimum is brute-forced (only feasible for small k); the flow
-optimum comes from the spanning-forest characterization and is printed for
-larger k as well, where it follows the k(k+1)/2 formula.
+The path optimum comes from the exact branch-and-bound search (feasible up to
+about k = 7; its time grows steeply with k); the flow optimum
+comes from the spanning-forest characterization and is printed for larger k
+as well, where it follows the k(k+1)/2 formula.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from idsets.paths import exact_min_path_identifying
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-exact-k", type=int, default=4,
-                        help="largest k for the brute-forced path optimum")
+    parser.add_argument("--max-exact-k", type=int, default=6,
+                        help="largest k for the exact path optimum")
     parser.add_argument("--max-flow-k", type=int, default=50,
                         help="largest k for the flow-side formula check")
     args = parser.parse_args()

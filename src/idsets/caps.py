@@ -18,7 +18,8 @@ class Caps:
     """Resource limits for the enumeration-based solvers.
 
     max_paths      limit on enumerated simple s-t paths
-    max_subsets    limit on states visited by subset searches
+    max_subsets    limit on nodes visited by the exact hitting-set search
+                   (explicit lists also refuse dimensions with 2^dim above it)
     max_ground     ground-set size limit for 2^|E| subset loops
     max_fm_vars    variable limit for Fourier-Motzkin elimination
     """

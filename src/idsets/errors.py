@@ -37,7 +37,11 @@ class PathExplosion(CapExceeded):
 
 
 class SubsetExplosion(CapExceeded):
-    """Subset search exceeded its state budget."""
+    """Subset search exceeded the max_subsets cap; `reached` says how far it got."""
+
+    def __init__(self, cap: int, reached: str):
+        super().__init__(
+            f"max_subsets = {cap} (IDSETS_MAX_SUBSETS / --max-subsets): {reached}")
 
 
 class EnumerationExplosion(CapExceeded):

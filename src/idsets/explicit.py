@@ -4,8 +4,8 @@ Separating every pair of distinct vectors is a set-cover problem over the
 pair universe. The weighted greedy gives the standard logarithmic guarantee
 without listing the pairs: it refines the partition of the vectors into
 classes not yet separated, and counts an element's new pairs per class as
-|ones| * |zeros|. A best-first subset search provides the exact optimum at
-desk scale.
+|ones| * |zeros|. The exact optimum comes from the branch-and-bound
+hitting-set search over the pair demands, at desk scale.
 """
 
 from __future__ import annotations
@@ -131,12 +131,11 @@ def _better(gain_a: int, w_a: Fraction, gain_b: int, w_b: Fraction) -> bool:
 
 def exact_identifying(x: SolutionList, w: WeightedGroundSet | None = None,
                       caps: Caps = DEFAULT_CAPS) -> tuple[frozenset[int], Fraction]:
-    """Minimum-weight separating set by best-first subset search."""
+    """Minimum-weight separating set by exact branch and bound (idsets.search)."""
     if w is None:
         w = WeightedGroundSet.uniform(x.dimension)
     if 1 << min(x.dimension, 63) > caps.max_subsets:
-        raise SubsetExplosion(
-            f"2^{x.dimension} subsets exceed the cap {caps.max_subsets}")
+        raise SubsetExplosion(caps.max_subsets, f"2^{x.dimension} subsets")
     demands = []
     for i in range(len(x.vectors)):
         for j in range(i + 1, len(x.vectors)):

@@ -1,8 +1,9 @@
 """Identifying sets for the simple s-t paths of a digraph.
 
 Verification is polynomial on DAGs (arborescence criterion) and brute force
-in general; minimization is brute force (the decision problem is hard), with
-the flow-based set as the guaranteed sqrt(m)-approximation on DAGs.
+in general; minimization is an exact branch and bound over path-pair demands
+(the decision problem is hard), with the flow-based set as the guaranteed
+sqrt(m)-approximation on DAGs.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def verify_path_identifying_general(g: Digraph, st: StPair, s: Iterable[int],
 def exact_min_path_identifying(g: Digraph, st: StPair,
                                w: WeightedGroundSet | None = None,
                                caps: Caps = DEFAULT_CAPS) -> PathIdentifyResult:
-    """Minimum-weight identifying set by best-first subset search.
+    """Minimum-weight identifying set by exact branch and bound (idsets.search).
 
     Every pair of distinct paths demands one arc of its symmetric difference,
     so this is an exact minimum-weight hitting set over those demands.

@@ -160,7 +160,7 @@ def subsets_in_weight_order(n: int, w: WeightedGroundSet, max_states: int = 2**2
         weight, elems = heapq.heappop(heap)
         visited += 1
         if visited > max_states:
-            raise SubsetExplosion(f"subset enumeration exceeded {max_states} states")
+            raise SubsetExplosion(max_states, f"subset enumeration visited {visited} states")
         yield weight, elems
         start = elems[-1] + 1 if elems else 0
         for e in range(start, n):

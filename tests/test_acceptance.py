@@ -67,7 +67,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_tight_gap_family():
     failures = []
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5, 6):
         inst = gen_tight_gap_family(k)
         path_opt = len(exact_min_path_identifying(inst.graph, inst.st).identifying_set)
         flow_opt = len(min_weight_flow_identifying(inst.graph, inst.st).identifying_set)
@@ -75,7 +75,7 @@ def test_criterion_01_tight_gap_family():
             failures.append((k, path_opt, flow_opt))
         if k == 3 and (path_opt, flow_opt) != (3, 6):
             failures.append(("k3-figure", path_opt, flow_opt))
-    report(1, not failures, f"gap family k=1..4 path/flow optima exact; {failures or 'ok'}")
+    report(1, not failures, f"gap family k=1..6 path/flow optima exact; {failures or 'ok'}")
     assert not failures
 
 
@@ -341,8 +341,6 @@ def test_criterion_11_vertex_cover_reduction():
     for name, n, edges in graphs:
         tau = min_vertex_cover_size(n, edges)
         for ell in (1, 2):
-            if ell == 2 and len(edges) > 2:
-                continue  # exact search beyond reach; family kept desk-scale
             inst = gen_vertex_cover_dag(n, edges, ell)
             s = exact_min_path_identifying(inst.graph, inst.st).identifying_set
             result = extract_vertex_cover(inst, s)

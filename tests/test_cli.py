@@ -83,6 +83,12 @@ class TestPathCommands:
         code = main(["path-exact", tight_k3, "--max-subsets", "4"])
         assert code == 3
 
+    def test_subset_cap_names_cap_and_count(self, tight_k3, capsys):
+        code = main(["path-exact", tight_k3, "--max-subsets", "5"])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert "max_subsets = 5" in out.err and "visited 6 nodes" in out.err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

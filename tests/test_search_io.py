@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,32 @@ class TestHittingSet:
         w = WeightedGroundSet([1] * 10)
         with pytest.raises(SubsetExplosion):
             min_weight_hitting_set(10, w, [frozenset({9})], max_states=3)
+
+    def test_zero_weight_tie_break(self):
+        # {0, 1} is not inclusion-minimal, but it ties {1} on weight and comes
+        # first lexicographically.
+        w = WeightedGroundSet([0, 1])
+        got = min_weight_hitting_set(2, w, [frozenset({0, 1}), frozenset({1})])
+        assert got == (Fraction(1), (0, 1))
+
+    def test_matches_weight_order_oracle(self):
+        rng = random.Random(303)
+        values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+        for _ in range(600):
+            n = rng.randint(1, 10)
+            w = WeightedGroundSet([rng.choice(values) for _ in range(n)])
+            demands: list[frozenset[int]] = []
+            for _ in range(rng.randint(0, 12)):
+                roll = rng.random()
+                if demands and roll < 0.2:
+                    demands.append(rng.choice(demands))
+                elif demands and roll < 0.4:
+                    demands.append(rng.choice(demands) | {rng.randrange(n)})
+                else:
+                    demands.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
+            want = next((weight, elems) for weight, elems in subsets_in_weight_order(n, w)
+                        if all(d.intersection(elems) for d in demands))
+            assert min_weight_hitting_set(n, w, demands) == want, (w.weights, demands)
 
     def test_weight_order_enumeration(self):
         w = WeightedGroundSet([2, 1])
