@@ -5,12 +5,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import InvalidInstance
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInstance(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -20,7 +25,10 @@ class Caps:
     max_paths      limit on enumerated simple s-t paths
     max_subsets    limit on nodes visited by the exact hitting-set search
                    (explicit lists also refuse dimensions with 2^dim above it)
-    max_ground     ground-set size limit for 2^|E| subset loops
+    max_ground     ground-set size limit for the 2^|E| subset loops: the
+                   matroid witness scan (after the components say "not
+                   identifying") and the polymatroid components, membership
+                   and exchange loops
     max_fm_vars    variable limit for Fourier-Motzkin elimination
     """
 

@@ -448,10 +448,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    caps = _caps(args)
     handler = _HANDLERS[args.command]
     started = time.monotonic()
     try:
+        caps = _caps(args)
         code, payload, input_files = handler(args, caps)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -21,7 +21,10 @@ def fraction_from_json(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise InvalidInstance("booleans are not rationals")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInstance(f"cannot parse rational from {value!r}") from exc
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
@@ -37,6 +40,8 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
         st = StPair(int(data["s"]), int(data["t"]))
     except KeyError as exc:
         raise InvalidInstance(f"missing instance key: {exc}") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise InvalidInstance(f"malformed instance: {exc}") from exc
     st.validate(g)
     if "weights" in data and data["weights"] is not None:
         raw = data["weights"]

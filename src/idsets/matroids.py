@@ -2,8 +2,11 @@
 
 A set S is identifying for the bases exactly when every circuit C satisfies
 |S ∩ C| >= |C| - 1, equivalently S misses at most one element per connected
-component. The minimum-weight identifying set therefore drops the heaviest
-element of each non-singleton component.
+component. The components come from the fundamental graph of one basis in
+polynomial time, so they decide verification and give the minimum-weight
+identifying set (drop the heaviest element of each non-singleton component).
+Only a negative verdict scans subsets, for the first violated circuit that
+the witness bases are built from.
 """
 
 from __future__ import annotations
@@ -172,6 +175,12 @@ def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> froze
     extended = b | {e}
     if m.is_independent(extended):
         raise NotABasis("basis + e is independent; not a basis")
+    return _circuit_of(m, extended)
+
+
+def _circuit_of(m: MatroidOracle, extended: frozenset[int]) -> frozenset[int]:
+    """The circuit of a dependent basis + e: the elements whose deletion
+    restores independence."""
     return frozenset(f for f in extended if m.is_independent(extended - {f}))
 
 
@@ -188,7 +197,7 @@ def matroid_components(m: MatroidOracle) -> MatroidComponents:
     for j in range(m.ground_size):
         if j in basis:
             continue
-        for i in fundamental_circuit(m, basis, j) - {j}:
+        for i in _circuit_of(m, basis | {j}) - {j}:
             uf.union(i, j)
     groups: dict[int, set[int]] = {}
     for e in range(m.ground_size):
@@ -207,41 +216,46 @@ def min_weight_matroid_identifying(
     return drop_heaviest_per_part(components.partition, w), components
 
 
-def enumerate_circuits(m: MatroidOracle, caps: Caps = DEFAULT_CAPS) -> list[frozenset[int]]:
-    """All circuits (minimal dependent sets) by exhaustive subset scan."""
-    n = m.ground_size
-    if n > caps.max_ground:
-        raise EnumerationExplosion(f"ground size {n} exceeds cap {caps.max_ground}")
-    circuits: list[frozenset[int]] = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            t = frozenset(combo)
-            if m.is_independent(t):
-                continue
-            if all(m.is_independent(t - {x}) for x in t):
-                circuits.append(t)
-    return circuits
-
-
 def verify_matroid_identifying(
     m: MatroidOracle, s: Iterable[int], caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, MatroidWitness | None]:
-    """Check |S ∩ C| >= |C| - 1 for every circuit C.
+    """Check that S misses at most one element of every component.
 
-    A violated circuit yields two bases exchanging two of its non-S elements,
-    hence indistinguishable on S.
+    The components decide the verdict in polynomial time. When S fails, a
+    subset scan finds the first violated circuit C (|S ∩ C| < |C| - 1); two
+    bases exchanging two of its non-S elements are indistinguishable on S.
+    `caps.max_ground` bounds only that witness scan.
     """
     s_set = validate_ids(m.ground_size, s)
-    for circuit in enumerate_circuits(m, caps):
-        if len(circuit & s_set) >= len(circuit) - 1:
-            continue
-        e, f = sorted(circuit - s_set)[:2]
-        base = set(circuit - {f})
-        for g_elem in range(m.ground_size):
-            if g_elem not in base and g_elem != f and m.is_independent(base | {g_elem}):
-                base.add(g_elem)
-        basis_a = frozenset(base)
-        basis_b = (basis_a | {f}) - {e}
-        assert m.is_independent(basis_b)
-        return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
-    return True, None
+    partition = matroid_components(m).partition
+    if all(len(part & s_set) >= len(part) - 1 for part in partition):
+        return True, None
+    circuit = _first_violated_circuit(m, s_set, caps)
+    if circuit is None:
+        return True, None
+    e, f = sorted(circuit - s_set)[:2]
+    base = set(circuit - {f})
+    for g_elem in range(m.ground_size):
+        if g_elem not in base and g_elem != f and m.is_independent(base | {g_elem}):
+            base.add(g_elem)
+    basis_a = frozenset(base)
+    basis_b = (basis_a | {f}) - {e}
+    assert m.is_independent(basis_b)
+    return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
+
+
+def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
+                            caps: Caps) -> frozenset[int] | None:
+    """The first circuit with two or more elements outside S, scanning subsets
+    by size and then lexicographically."""
+    n = m.ground_size
+    if n > caps.max_ground:
+        raise EnumerationExplosion(f"ground size {n} exceeds cap {caps.max_ground}")
+    for size in range(2, n + 1):
+        for combo in combinations(range(n), size):
+            if sum(e not in s_set for e in combo) < 2:
+                continue
+            t = frozenset(combo)
+            if not m.is_independent(t) and all(m.is_independent(t - {x}) for x in t):
+                return t
+    return None

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
@@ -27,8 +27,9 @@ EXHAUSTIVE_CHECK_LIMIT = 12
 class PolymatroidOracle:
     """Memoized value oracle for a normalized monotone submodular function.
 
-    The three axioms are verified exhaustively on construction up to ground
-    size 12 (via the local submodularity characterization) and sampled beyond.
+    The three axioms are verified on construction: up to ground size 12
+    exhaustively, on one table of all 2^n values scaled to integers (via the
+    local monotonicity and submodularity inequalities), and sampled beyond.
     """
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
@@ -49,12 +50,10 @@ class PolymatroidOracle:
     def _validate(self) -> None:
         if self.value(frozenset()) != 0:
             raise InvalidInstance("polymatroid rank must be normalized: f({}) = 0")
-        n = self.ground_size
-        if n <= EXHAUSTIVE_CHECK_LIMIT:
-            checks = self._axiom_triples_exhaustive()
-        else:
-            checks = self._axiom_triples_sampled()
-        for t, e, f in checks:
+        if self.ground_size <= EXHAUSTIVE_CHECK_LIMIT:
+            self._check_axioms_exhaustive()
+            return
+        for t, e, f in self._axiom_triples_sampled():
             te = t | {e}
             if self.value(te) < self.value(t):
                 raise InvalidInstance("polymatroid rank must be monotone")
@@ -64,16 +63,27 @@ class PolymatroidOracle:
             if self.value(te) + self.value(tf) < self.value(tef) + self.value(t):
                 raise InvalidInstance("polymatroid rank must be submodular")
 
-    def _axiom_triples_exhaustive(self):
+    def _check_axioms_exhaustive(self) -> None:
+        """f(T+e) >= f(T) and f(T+e) + f(T+f) >= f(T+e+f) + f(T) for every T
+        (by size, then lexicographically) and e < f outside T, on the values
+        scaled by the lcm of their denominators and indexed by bitmask."""
         n = self.ground_size
+        values = [self.value(frozenset(e for e in range(n) if mask >> e & 1))
+                  for mask in range(1 << n)]
+        scale = lcm(*(v.denominator for v in values))
+        table = [v.numerator * (scale // v.denominator) for v in values]
         for size in range(n):
             for combo in combinations(range(n), size):
-                t = frozenset(combo)
-                rest = [e for e in range(n) if e not in t]
+                t = sum(1 << e for e in combo)
+                ft = table[t]
+                rest = [1 << e for e in range(n) if not t >> e & 1]
                 for i, e in enumerate(rest):
-                    yield t, e, None
+                    fte = table[t | e]
+                    if fte < ft:
+                        raise InvalidInstance("polymatroid rank must be monotone")
                     for f in rest[i + 1:]:
-                        yield t, e, f
+                        if fte + table[t | f] < table[t | e | f] + ft:
+                            raise InvalidInstance("polymatroid rank must be submodular")
 
     def _axiom_triples_sampled(self, samples: int = 500):
         rng = random.Random(0)

@@ -224,3 +224,58 @@ def oracle_linear_greedy(diffs, n: int, w: WeightedGroundSet) -> frozenset[int]:
             rows.append(unit)
             kept.append(e)
     return frozenset(range(n)) - frozenset(kept)
+
+
+def enumerate_circuits(m) -> list[frozenset[int]]:
+    """All circuits (minimal dependent sets) of a matroid oracle, by size and
+    then lexicographically, from an exhaustive subset scan."""
+    n = m.ground_size
+    circuits: list[frozenset[int]] = []
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            t = frozenset(combo)
+            if m.is_independent(t):
+                continue
+            if all(m.is_independent(t - {x}) for x in t):
+                circuits.append(t)
+    return circuits
+
+
+def oracle_matroid_witness(m, s: frozenset[int], circuits: list[frozenset[int]]):
+    """Circuit-by-circuit verification: None when every circuit C has
+    |S ∩ C| >= |C| - 1, else (C, A, B) for the first violated C, where A
+    extends C minus its second non-S element f greedily to a basis and
+    B = A + f - e for its first non-S element e."""
+    for circuit in circuits:
+        if len(circuit & s) >= len(circuit) - 1:
+            continue
+        e, f = sorted(circuit - s)[:2]
+        base = set(circuit - {f})
+        for g in range(m.ground_size):
+            if g not in base and g != f and m.is_independent(base | {g}):
+                base.add(g)
+        basis_a = frozenset(base)
+        return circuit, basis_a, (basis_a | {f}) - {e}
+    return None
+
+
+def oracle_polymatroid_axioms(f) -> str | None:
+    """The first violated polymatroid axiom of an oracle, as the library's
+    message, or None: f({}) = 0, then for every T (by size, then
+    lexicographically) and e < f' outside T, f(T+e) >= f(T) and
+    f(T+e) + f(T+f') >= f(T+e+f') + f(T), all in Fractions."""
+    n = f.ground_size
+    if f.value(frozenset()) != 0:
+        return "polymatroid rank must be normalized: f({}) = 0"
+    for size in range(n):
+        for combo in combinations(range(n), size):
+            t = frozenset(combo)
+            rest = [e for e in range(n) if e not in t]
+            for i, e in enumerate(rest):
+                te = t | {e}
+                if f.value(te) < f.value(t):
+                    return "polymatroid rank must be monotone"
+                for g in rest[i + 1:]:
+                    if f.value(te) + f.value(t | {g}) < f.value(te | {g}) + f.value(t):
+                        return "polymatroid rank must be submodular"
+    return None

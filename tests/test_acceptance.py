@@ -46,6 +46,7 @@ from idsets.tolls import (
 from .helpers import (
     all_simple_digraphs,
     all_subsets,
+    enumerate_circuits,
     has_st_path,
     min_vertex_cover_size,
     oracle_identifying_for_paths,
@@ -164,7 +165,7 @@ def test_criterion_05_matroid_theorem_equivalence():
     mismatch = []
     for m in fixtures:
         bases = all_bases(m)
-        from idsets.matroids import enumerate_circuits, min_weight_matroid_identifying
+        from idsets.matroids import min_weight_matroid_identifying
 
         circuits = enumerate_circuits(m)
         parts = matroid_components(m).partition

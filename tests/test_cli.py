@@ -107,6 +107,26 @@ class TestUsageErrors:
         bad.write_text("{not json")
         assert main(["flow-identify", str(bad)]) == 2
 
+    @pytest.mark.parametrize("instance", [
+        {"nodes": 2, "arcs": 5, "s": 0, "t": 1},
+        {"nodes": 2, "arcs": [[0]], "s": 0, "t": 1},
+        {"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "weights": ["1/0"]},
+    ], ids=["arcs-not-a-list", "short-arc", "zero-denominator"])
+    def test_malformed_instance_is_usage_error(self, tmp_path, capsys, instance):
+        path = tmp_path / "instance.json"
+        dump_json(str(path), instance)
+        assert main(["flow-identify", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid input:")
+
+    def test_malformed_cap_variable_is_usage_error(self, tight_k3, capsys, monkeypatch):
+        monkeypatch.setenv("IDSETS_MAX_PATHS", "abc")
+        assert main(["flow-identify", tight_k3]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid input: IDSETS_MAX_PATHS")
+
 
 class TestPayloadReVerifies:
     def test_flow_result_round_trips_through_verify(self, tight_k3, capsys):

@@ -12,7 +12,6 @@ from idsets.caps import Caps
 from idsets.graphs import Digraph, WeightedGroundSet
 from idsets.matroids import (
     MatroidOracle,
-    enumerate_circuits,
     free_matroid,
     fundamental_circuit,
     graphic_matroid,
@@ -23,7 +22,7 @@ from idsets.matroids import (
     verify_matroid_identifying,
 )
 
-from .helpers import all_subsets, random_weights
+from .helpers import all_subsets, enumerate_circuits, oracle_matroid_witness, random_weights
 
 
 def triangle() -> MatroidOracle:
@@ -187,6 +186,31 @@ class TestVerify:
         with pytest.raises(EnumerationExplosion):
             verify_matroid_identifying(uniform_matroid(2, 5), set(),
                                        caps=Caps(max_ground=4))
+
+    def test_components_decide_beyond_enumeration_cap(self):
+        m = uniform_matroid(20, 24)
+        assert m.ground_size > Caps().max_ground
+        assert verify_matroid_identifying(m, set(range(1, 24))) == (True, None)
+        with pytest.raises(EnumerationExplosion):
+            verify_matroid_identifying(m, set(range(2, 24)))
+
+    def test_witness_matches_circuit_oracle(self):
+        rng = random.Random(2024)
+        matroids = fixture_matroids()
+        for _ in range(24):
+            n = rng.randint(3, 5)
+            pairs = list(combinations(range(n), 2))
+            arcs = [rng.choice(pairs) for _ in range(rng.randint(3, 8))]
+            matroids.append(graphic_matroid(Digraph(n, arcs)))
+        for m in matroids:
+            circuits = enumerate_circuits(m)
+            for s in all_subsets(range(m.ground_size)):
+                ok, witness = verify_matroid_identifying(m, s)
+                expected = oracle_matroid_witness(m, s, circuits)
+                assert ok == (expected is None), (m.name, sorted(s))
+                if not ok:
+                    got = (witness.circuit, witness.basis_a, witness.basis_b)
+                    assert got == expected, (m.name, sorted(s))
 
     def test_witness_bases_valid(self):
         for m in fixture_matroids()[:60]:

@@ -30,7 +30,7 @@ from idsets.polymatroids import (
     verify_polymatroid_identifying,
 )
 
-from .helpers import all_subsets, random_weights
+from .helpers import all_subsets, oracle_polymatroid_axioms, random_weights
 
 
 def truncation(n: int, k: int) -> PolymatroidOracle:
@@ -87,6 +87,28 @@ class TestOracleValidation:
     def test_rejects_non_submodular(self):
         with pytest.raises(InvalidInstance):
             PolymatroidOracle(2, lambda t: Fraction(len(t) ** 2))
+
+    def test_matches_axiom_oracle(self):
+        rng = random.Random(606)
+        outcomes = {}
+        for _ in range(320):
+            n = rng.randint(1, 6)
+            gains = random_weights(rng, n, max_num=6)
+            cap = Fraction(rng.randint(0, 12), rng.randint(1, 3))
+            table = {t: min(cap, sum(gains[e] for e in t)) for t in all_subsets(range(n))}
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                t = rng.choice(list(table))
+                table[t] += Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 4))
+            expected = oracle_polymatroid_axioms(
+                PolymatroidOracle(n, table.__getitem__, validate=False))
+            try:
+                PolymatroidOracle.from_table(n, table)
+                got = None
+            except InvalidInstance as exc:
+                got = str(exc)
+            assert got == expected, table
+            outcomes[expected] = outcomes.get(expected, 0) + 1
+        assert len(outcomes) == 4, outcomes
 
     def test_table_roundtrip(self):
         table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1),
