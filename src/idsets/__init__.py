@@ -38,7 +38,6 @@ from .linear import (
 )
 from .matroids import (
     MatroidOracle,
-    builtin_matroid,
     fundamental_circuit,
     matroid_components,
     min_weight_matroid_identifying,
@@ -48,14 +47,11 @@ from .paths import (
     PathIdentifyResult,
     approx_min_path_identifying_dag,
     exact_min_path_identifying,
-    gap_ratio,
     verify_path_identifying_dag,
     verify_path_identifying_general,
 )
 from .polymatroids import (
     PolymatroidOracle,
-    base_membership,
-    dependence_function,
     min_weight_polymatroid_identifying,
     polymatroid_components,
     verify_polymatroid_identifying,

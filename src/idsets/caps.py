@@ -29,7 +29,8 @@ class Caps:
                    matroid witness scan (after the components say "not
                    identifying") and the polymatroid components, membership
                    and exchange loops
-    max_fm_vars    variable limit for Fourier-Motzkin elimination
+    max_fm_vars    variable limit for Fourier-Motzkin elimination; no
+                   subcommand eliminates, so only library callers set it
     """
 
     max_paths: int = 100_000
@@ -43,7 +44,6 @@ class Caps:
             max_paths=_env_int("IDSETS_MAX_PATHS", cls.max_paths),
             max_subsets=_env_int("IDSETS_MAX_SUBSETS", cls.max_subsets),
             max_ground=_env_int("IDSETS_MAX_GROUND", cls.max_ground),
-            max_fm_vars=_env_int("IDSETS_MAX_FM_VARS", cls.max_fm_vars),
         )
 
 

@@ -2,12 +2,14 @@
 
 Results go to stdout as JSON (deterministic: sorted keys, no timestamps);
 diagnostics including a one-line run summary go to stderr. Exit codes: 0 success,
-1 infeasible-or-false, 2 usage error, 3 cap exceeded.
+1 infeasible-or-false, 2 usage error, 3 cap exceeded. Files and flag values
+are turned into domain objects by `idsets.io` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -15,21 +17,10 @@ import time
 from fractions import Fraction
 
 from . import explicit as explicit_mod
-from . import flows, instances, linear, matroids, paths, polymatroids, tolls
+from . import flows, instances, io, linear, matroids, paths, polymatroids, tolls
 from .caps import Caps
 from .errors import CapExceeded, IdsetsError, InvalidInstance
-from .graphs import Digraph, WeightedGroundSet
-from .io import (
-    dump_json,
-    fraction_to_json,
-    instance_to_json,
-    load_json,
-    parse_affine_basis,
-    parse_instance,
-    parse_polymatroid_table,
-    parse_solution_list,
-    parse_weights,
-)
+from .graphs import WeightedGroundSet
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -45,32 +36,8 @@ def _digest(paths_: list[str]) -> str:
     return h.hexdigest()
 
 
-def _parse_ids(raw: str) -> list[int]:
-    if raw.strip() == "":
-        return []
-    return [int(part) for part in raw.split(",")]
-
-
 def _sorted_ids(s) -> list[int]:
     return sorted(int(e) for e in s)
-
-
-def _parse_cost(spec: str, dim: int) -> tolls.CostOracle:
-    if spec == "zero":
-        return tolls.linear_cost([0] * dim)
-    kind, _, rest = spec.partition(":")
-    values = [Fraction(v) for v in rest.split(",")] if rest else []
-    if len(values) != dim:
-        raise InvalidInstance(f"cost needs {dim} coefficients")
-    if kind == "linear":
-        return tolls.linear_cost(values)
-    if kind == "quadratic":
-        return tolls.quadratic_cost(values)
-    raise InvalidInstance(f"unknown cost spec {spec!r}")
-
-
-def _parse_target_vector(raw: str) -> list[Fraction]:
-    return [Fraction(v) for v in raw.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,29 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("path-exact", "path-gap"):
             p.add_argument("--max-subsets", type=int, default=None)
 
-    p = sub.add_parser("matroid-identify")
-    p.add_argument("--kind", required=True,
-                   choices=["uniform", "graphic", "partition", "free"])
-    p.add_argument("--graph", help="instance JSON for the graphic kind")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--blocks", help='semicolon-separated comma lists, e.g. "0,1;2"')
-    p.add_argument("--capacities", help="comma-separated block capacities")
-    p.add_argument("--weights", help="weights JSON file")
-
-    p = sub.add_parser("polymatroid-identify")
-    p.add_argument("--table", help="explicit value table JSON")
-    p.add_argument("--family", choices=["matroid-rank", "coverage", "budget-additive"])
-    p.add_argument("--kind", choices=["uniform", "graphic", "partition", "free"])
-    p.add_argument("--graph")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--blocks")
-    p.add_argument("--capacities")
-    p.add_argument("--sets", help='coverage: semicolon-separated comma lists')
-    p.add_argument("--cap", help="budget-additive cap (rational)")
-    p.add_argument("--gains", help="budget-additive per-element gains")
-    p.add_argument("--weights")
+    for name in ("matroid-identify", "polymatroid-identify"):
+        p = sub.add_parser(name)
+        p.add_argument("--kind", required=name == "matroid-identify",
+                       choices=["uniform", "graphic", "partition", "free"])
+        p.add_argument("--graph", help="instance JSON for the graphic kind")
+        p.add_argument("--k", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--blocks", help='semicolon-separated comma lists, e.g. "0,1;2"')
+        p.add_argument("--capacities", help="comma-separated block capacities")
+        p.add_argument("--weights", help="weights JSON file")
+        if name == "polymatroid-identify":
+            p.add_argument("--table", help="explicit value table JSON")
+            p.add_argument("--family",
+                           choices=["matroid-rank", "coverage", "budget-additive"])
+            p.add_argument("--sets", help='coverage: semicolon-separated comma lists')
+            p.add_argument("--cap", help="budget-additive cap (rational)")
+            p.add_argument("--gains", help="budget-additive per-element gains")
 
     p = sub.add_parser("linear-identify")
     p.add_argument("--basis", required=True, help='{"points": [[rationals...]]}')
@@ -158,50 +119,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args: argparse.Namespace) -> Caps:
-    caps = Caps.from_env()
-    max_paths = getattr(args, "max_paths", None)
-    max_subsets = getattr(args, "max_subsets", None)
-    if max_paths is not None or max_subsets is not None:
-        caps = Caps(
-            max_paths=max_paths if max_paths is not None else caps.max_paths,
-            max_subsets=max_subsets if max_subsets is not None else caps.max_subsets,
-            max_ground=caps.max_ground,
-            max_fm_vars=caps.max_fm_vars,
-        )
-    return caps
+    flags = {name: getattr(args, name, None) for name in ("max_paths", "max_subsets")}
+    return dataclasses.replace(Caps.from_env(),
+                               **{name: v for name, v in flags.items() if v is not None})
 
 
-def _load_arc_set(raw: str) -> list[int]:
-    if raw.endswith(".json"):
-        data = load_json(raw)
-        return [int(a) for a in (data["S"] if isinstance(data, dict) else data)]
-    return _parse_ids(raw)
+def _weights(args, size: int, files: list[str]) -> WeightedGroundSet:
+    """The --weights file (recorded in `files`), or unit weights without one."""
+    if not args.weights:
+        return WeightedGroundSet.uniform(size)
+    files.append(args.weights)
+    return io.parse_weights(io.load_json(args.weights), size)
 
 
 def _cmd_flow_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    g, st, w = parse_instance(load_json(args.instance))
+    g, st, w = io.parse_instance(io.load_json(args.instance))
     if args.verify is not None:
-        s = _load_arc_set(args.verify)
+        s = io.read_id_set(args.verify)
         ok, witness = flows.verify_flow_identifying(g, st, s)
         payload = {"identifying": ok, "S": _sorted_ids(s)}
         if witness is not None:
             payload["cycle"] = _sorted_ids(witness.cycle)
-            payload["flow_a"] = [fraction_to_json(v) for v in witness.flow_a]
-            payload["flow_b"] = [fraction_to_json(v) for v in witness.flow_b]
+            payload["flow_a"] = [io.fraction_to_json(v) for v in witness.flow_a]
+            payload["flow_b"] = [io.fraction_to_json(v) for v in witness.flow_b]
         return (EXIT_OK if ok else EXIT_FALSE), payload, [args.instance]
     result = flows.min_weight_flow_identifying(g, st, w)
     payload = {
         "S": _sorted_ids(result.identifying_set),
         "E_prime": _sorted_ids(result.relevant_arcs),
         "forest": _sorted_ids(result.forest_certificate),
-        "weight": fraction_to_json(result.total_weight),
+        "weight": io.fraction_to_json(result.total_weight),
     }
     return EXIT_OK, payload, [args.instance]
 
 
 def _cmd_path_verify(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    g, st, _ = parse_instance(load_json(args.instance))
-    s = _load_arc_set(args.S)
+    g, st, _ = io.parse_instance(io.load_json(args.instance))
+    s = io.read_id_set(args.S)
     if args.general:
         ok, witness = paths.verify_path_identifying_general(g, st, s, caps.max_paths)
     else:
@@ -214,151 +168,129 @@ def _cmd_path_verify(args, caps: Caps) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_path_exact(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    g, st, w = parse_instance(load_json(args.instance))
+    g, st, w = io.parse_instance(io.load_json(args.instance))
     result = paths.exact_min_path_identifying(g, st, w, caps)
     payload = {
         "S": _sorted_ids(result.identifying_set),
-        "weight": fraction_to_json(result.total_weight),
+        "weight": io.fraction_to_json(result.total_weight),
         "method": result.method,
     }
     return EXIT_OK, payload, [args.instance]
 
 
 def _cmd_path_approx(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    g, st, w = parse_instance(load_json(args.instance))
+    g, st, w = io.parse_instance(io.load_json(args.instance))
     result = paths.approx_min_path_identifying_dag(g, st, w)
     payload = {
         "S": _sorted_ids(result.identifying_set),
-        "weight": fraction_to_json(result.total_weight),
+        "weight": io.fraction_to_json(result.total_weight),
         "method": result.method,
-        "approx_bound": fraction_to_json(result.approx_bound),
+        "approx_bound": io.fraction_to_json(result.approx_bound),
     }
     return EXIT_OK, payload, [args.instance]
 
 
 def _cmd_path_gap(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    g, st, _ = parse_instance(load_json(args.instance))
+    g, st, _ = io.parse_instance(io.load_json(args.instance))
     unit = WeightedGroundSet.uniform(g.arc_count)
     exact = paths.exact_min_path_identifying(g, st, unit, caps)
     approx = paths.approx_min_path_identifying_dag(g, st, unit)
     opt = len(exact.identifying_set)
     payload = {
-        "ratio": fraction_to_json(paths.size_ratio(exact, approx)),
+        "ratio": io.fraction_to_json(paths.size_ratio(exact, approx)),
         "exact_size": opt,
         "approx_size": len(approx.identifying_set),
-        "gap_bound": fraction_to_json(Fraction((opt + 1) * opt, 2)),
+        "gap_bound": io.fraction_to_json(Fraction((opt + 1) * opt, 2)),
     }
     return EXIT_OK, payload, [args.instance]
 
 
 def _build_matroid(args) -> tuple[matroids.MatroidOracle, list[str]]:
-    files = []
     if args.kind == "graphic":
         if not args.graph:
             raise InvalidInstance("--graph required for the graphic kind")
-        data = load_json(args.graph)
-        g = Digraph(int(data["nodes"]), [(a[0], a[1]) for a in data["arcs"]])
-        files.append(args.graph)
-        return matroids.graphic_matroid(g), files
+        return matroids.graphic_matroid(io.parse_graph(io.load_json(args.graph))), [args.graph]
     if args.kind == "uniform":
         if args.k is None or args.n is None:
             raise InvalidInstance("--k and --n required for the uniform kind")
-        return matroids.uniform_matroid(args.k, args.n), files
+        return matroids.uniform_matroid(args.k, args.n), []
     if args.kind == "free":
         if args.n is None:
             raise InvalidInstance("--n required for the free kind")
-        return matroids.free_matroid(args.n), files
+        return matroids.free_matroid(args.n), []
     if not args.blocks or not args.capacities:
         raise InvalidInstance("--blocks and --capacities required for partition")
-    blocks = [_parse_ids(b) for b in args.blocks.split(";")]
-    capacities = _parse_ids(args.capacities)
-    return matroids.partition_matroid(blocks, capacities), files
+    return matroids.partition_matroid(io.parse_id_lists(args.blocks),
+                                      io.parse_ids(args.capacities)), []
+
+
+def _components_payload(s, w: WeightedGroundSet, components) -> dict:
+    return {
+        "S": _sorted_ids(s),
+        "weight": io.fraction_to_json(w.total(s)),
+        "components": [_sorted_ids(p) for p in components.partition],
+    }
 
 
 def _cmd_matroid_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     oracle, files = _build_matroid(args)
-    w = None
-    if args.weights:
-        w = parse_weights(load_json(args.weights), oracle.ground_size)
-        files.append(args.weights)
+    w = _weights(args, oracle.ground_size, files)
     s, components = matroids.min_weight_matroid_identifying(oracle, w)
-    weights = w or WeightedGroundSet.uniform(oracle.ground_size)
-    payload = {
-        "S": _sorted_ids(s),
-        "weight": fraction_to_json(weights.total(s)),
-        "components": [_sorted_ids(p) for p in components.partition],
-    }
-    return EXIT_OK, payload, files
+    return EXIT_OK, _components_payload(s, w, components), files
 
 
 def _build_polymatroid(args) -> tuple[polymatroids.PolymatroidOracle, list[str]]:
     if args.table:
-        return parse_polymatroid_table(load_json(args.table)), [args.table]
+        return io.parse_polymatroid_table(io.load_json(args.table)), [args.table]
     if args.family == "matroid-rank":
         oracle, files = _build_matroid(args)
         return polymatroids.PolymatroidOracle.from_matroid(oracle), files
     if args.family == "coverage":
         if not args.sets:
             raise InvalidInstance("--sets required for coverage")
-        sets = [_parse_ids(s) for s in args.sets.split(";")]
+        sets = io.parse_id_lists(args.sets)
         return polymatroids.PolymatroidOracle.coverage(len(sets), sets), []
     if args.family == "budget-additive":
         if args.cap is None or not args.gains:
             raise InvalidInstance("--cap and --gains required for budget-additive")
-        gains = [Fraction(v) for v in args.gains.split(",")]
-        return polymatroids.PolymatroidOracle.budget_additive(Fraction(args.cap), gains), []
+        return polymatroids.PolymatroidOracle.budget_additive(
+            io.fraction_from_json(args.cap), io.parse_rationals(args.gains)), []
     raise InvalidInstance("provide --table or --family")
 
 
 def _cmd_polymatroid_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     oracle, files = _build_polymatroid(args)
-    w = None
-    if args.weights:
-        w = parse_weights(load_json(args.weights), oracle.ground_size)
-        files.append(args.weights)
+    w = _weights(args, oracle.ground_size, files)
     s, components = polymatroids.min_weight_polymatroid_identifying(oracle, w, caps)
-    weights = w or WeightedGroundSet.uniform(oracle.ground_size)
-    payload = {
-        "S": _sorted_ids(s),
-        "weight": fraction_to_json(weights.total(s)),
-        "components": [_sorted_ids(p) for p in components.partition],
-    }
-    return EXIT_OK, payload, files
+    return EXIT_OK, _components_payload(s, w, components), files
 
 
 def _cmd_linear_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    basis = parse_affine_basis(load_json(args.basis))
+    basis = io.parse_affine_basis(io.load_json(args.basis))
     files = [args.basis]
-    w = None
-    if args.weights:
-        w = parse_weights(load_json(args.weights), basis.ground_size)
-        files.append(args.weights)
+    w = _weights(args, basis.ground_size, files)
     s = linear.min_weight_identifying_from_basis(basis, w)
-    weights = w or WeightedGroundSet.uniform(basis.ground_size)
     payload = {
         "S": _sorted_ids(s),
-        "weight": fraction_to_json(weights.total(s)),
+        "weight": io.fraction_to_json(w.total(s)),
         "dimension": basis.hull_dimension,
     }
     return EXIT_OK, payload, files
 
 
 def _cmd_explicit_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    x = parse_solution_list(load_json(args.solutions))
+    x = io.parse_solution_list(io.load_json(args.solutions))
     files = [args.solutions]
-    w = None
-    if args.weights:
-        w = parse_weights(load_json(args.weights), x.dimension)
-        files.append(args.weights)
+    w = _weights(args, x.dimension, files)
     if args.exact:
         s, weight = explicit_mod.exact_identifying(x, w, caps)
-        payload = {"S": _sorted_ids(s), "weight": fraction_to_json(weight),
+        payload = {"S": _sorted_ids(s), "weight": io.fraction_to_json(weight),
                    "method": "exact"}
     else:
         result = explicit_mod.greedy_identifying(x, w)
         payload = {
             "S": _sorted_ids(result.identifying_set),
-            "weight": fraction_to_json(result.total_weight),
+            "weight": io.fraction_to_json(result.total_weight),
             "method": "greedy",
             "trace": [[e, n] for e, n in result.trace],
         }
@@ -366,24 +298,24 @@ def _cmd_explicit_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_tolls(args, caps: Caps) -> tuple[int, dict, list[str]]:
-    s = _load_arc_set(args.S)
+    s = io.read_id_set(args.S)
     if args.mode == "discrete":
         if not args.solutions:
             raise InvalidInstance("--solutions required in discrete mode")
-        x = parse_solution_list(load_json(args.solutions))
-        target = tuple(int(ch) for ch in args.target)
-        cost = _parse_cost(args.cost, x.dimension)
-        toll = tolls.discrete_tolls(x, s, cost, target, Fraction(args.margin))
+        x = io.parse_solution_list(io.load_json(args.solutions))
+        target = io.parse_bits(args.target)
+        cost = io.parse_cost(args.cost, x.dimension)
+        toll = tolls.discrete_tolls(x, s, cost, target, io.fraction_from_json(args.margin))
         files = [args.solutions]
     else:
         if not args.basis:
             raise InvalidInstance("--basis required in convex mode")
-        basis = parse_affine_basis(load_json(args.basis))
-        target = _parse_target_vector(args.target)
-        cost = _parse_cost(args.cost, basis.ground_size)
+        basis = io.parse_affine_basis(io.load_json(args.basis))
+        target = io.parse_rationals(args.target)
+        cost = io.parse_cost(args.cost, basis.ground_size)
         toll = tolls.convex_tolls(basis, s, cost, target)
         files = [args.basis]
-    payload = {"gamma": {str(e): fraction_to_json(v) for e, v in sorted(toll.gamma.items())}}
+    payload = {"gamma": {str(e): io.fraction_to_json(v) for e, v in sorted(toll.gamma.items())}}
     if args.nonnegative and any(v < 0 for v in toll.gamma.values()):
         payload["nonnegative_violation"] = True
         return EXIT_FALSE, payload, files
@@ -399,15 +331,12 @@ def _cmd_gen(args, caps: Caps) -> tuple[int, dict, list[str]]:
     elif args.family == "vc-dag":
         if args.vc_vertices is None or not args.vc_edges:
             raise InvalidInstance("--vc-vertices and --vc-edges required for vc-dag")
-        edges = []
-        for part in args.vc_edges.split(","):
-            a, _, b = part.partition("-")
-            edges.append((int(a), int(b)))
-        inst = instances.gen_vertex_cover_dag(args.vc_vertices, edges, args.ell)
+        inst = instances.gen_vertex_cover_dag(args.vc_vertices, io.parse_edges(args.vc_edges),
+                                              args.ell)
     elif args.family == "bundle":
         if not args.instance or args.arc is None or args.size is None:
             raise InvalidInstance("--instance, --arc, --size required for bundle")
-        g, st, _ = parse_instance(load_json(args.instance))
+        g, st, _ = io.parse_instance(io.load_json(args.instance))
         files.append(args.instance)
         inst = instances.gen_bundle_instance(g, st, args.arc, args.size)
     elif args.family == "random-dag":
@@ -420,9 +349,9 @@ def _cmd_gen(args, caps: Caps) -> tuple[int, dict, list[str]]:
         inst = instances.gen_random_digraph(args.nodes, args.arc_prob, args.seed)
     meta = {k: v for k, v in inst.metadata.items()
             if isinstance(v, (str, int, float, list))}
-    payload = instance_to_json(inst.graph, inst.st, metadata=meta)
+    payload = io.instance_to_json(inst.graph, inst.st, metadata=meta)
     if args.out:
-        dump_json(args.out, payload)
+        io.dump_json(args.out, payload)
         return EXIT_OK, {"written": args.out}, files
     return EXIT_OK, payload, files
 
@@ -456,10 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except (InvalidInstance, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except InvalidInstance as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IdsetsError, FileNotFoundError) as exc:
+    except IdsetsError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FALSE
     elapsed = time.monotonic() - started

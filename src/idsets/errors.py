@@ -29,27 +29,40 @@ class NotAcyclic(IdsetsError):
 
 
 class CapExceeded(IdsetsError):
-    """Base class for brute-force budget violations."""
+    """Base class for brute-force budget violations.
+
+    The message names the cap, where it is set and the count reached, e.g.
+    "max_subsets = 5 (IDSETS_MAX_SUBSETS / --max-subsets): visited 6 nodes".
+    """
+
+    def __init__(self, cap: str, value: int, knobs: str, reached: str):
+        super().__init__(f"{cap} = {value} ({knobs}): {reached}")
 
 
 class PathExplosion(CapExceeded):
-    """More simple s-t paths than the enumeration cap."""
+    """More simple s-t paths than the max_paths cap."""
+
+    def __init__(self, cap: int, reached: str):
+        super().__init__("max_paths", cap, "IDSETS_MAX_PATHS / --max-paths", reached)
 
 
 class SubsetExplosion(CapExceeded):
     """Subset search exceeded the max_subsets cap; `reached` says how far it got."""
 
     def __init__(self, cap: int, reached: str):
-        super().__init__(
-            f"max_subsets = {cap} (IDSETS_MAX_SUBSETS / --max-subsets): {reached}")
+        super().__init__("max_subsets", cap, "IDSETS_MAX_SUBSETS / --max-subsets", reached)
 
 
 class EnumerationExplosion(CapExceeded):
-    """Ground set too large for exhaustive subset enumeration."""
+    """Ground set too large for the max_ground cap on exhaustive subset loops."""
+
+    def __init__(self, cap: int, reached: str):
+        super().__init__("max_ground", cap, "IDSETS_MAX_GROUND", reached)
 
 
 class EliminationExplosion(CapExceeded):
-    """Fourier-Motzkin elimination exceeded its variable/row budget."""
+    """Fourier-Motzkin elimination exceeded its variable or row budget; both
+    are library arguments only (`Caps.max_fm_vars`, `max_rows`)."""
 
 
 class NotIdentifying(IdsetsError):

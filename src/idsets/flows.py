@@ -226,18 +226,3 @@ def _augment_along_cycle(g: Digraph, flow: FlowVector, cycle: list[int]) -> Flow
     for a in backward:
         out[a] -= eps
     return tuple(out)
-
-
-def flow_conservation_ok(g: Digraph, st: StPair, flow: FlowVector) -> bool:
-    """Feasibility check for a unit s-t flow (used by tests and the CLI verifier)."""
-    if any(value < 0 for value in flow):
-        return False
-    balance = [Fraction(0)] * g.node_count
-    for aid, (tail, head) in enumerate(g.arcs):
-        balance[tail] -= flow[aid]
-        balance[head] += flow[aid]
-    for v in range(g.node_count):
-        expected = Fraction(-1) if v == st.source else Fraction(1) if v == st.sink else Fraction(0)
-        if balance[v] != expected:
-            return False
-    return True

@@ -370,7 +370,7 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     def visit(v: int) -> None:
         if v == st.sink:
             if len(paths) >= cap:
-                raise PathExplosion(f"more than {cap} s-t paths")
+                raise PathExplosion(cap, f"found {cap + 1} s-t paths")
             paths.append(tuple(arc_stack))
             return
         for aid in out[v]:

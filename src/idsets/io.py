@@ -1,15 +1,20 @@
-"""JSON (de)serialization for instances, weights, bases, and solution lists.
+"""The input boundary: every file and flag value becomes a domain object here.
 
-Rationals travel as strings "p/q" (plain "n" for integers) so exactness
-survives the wire; arc order in a file defines the arc ids.
+Each parser reads one format and raises InvalidInstance for any shape it
+does not expect; only the raw access runs under `_reading`, so the domain
+constructors it then calls keep their own errors. Rationals travel as
+strings "p/q" (plain "n" for integers) so exactness survives the wire; arc
+order in a file defines the arc ids.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
+from . import tolls
 from .errors import InvalidInstance
 from .explicit import SolutionList
 from .graphs import Digraph, StPair, WeightedGroundSet
@@ -17,14 +22,24 @@ from .linear import AffineBasis
 from .polymatroids import PolymatroidOracle
 
 
+@contextmanager
+def _reading(what: str):
+    """Report a wrongly shaped `what` as InvalidInstance."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidInstance(f"missing {what} key: {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidInstance(f"malformed {what}: {exc}") from exc
+
+
 def fraction_from_json(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise InvalidInstance("booleans are not rationals")
-    if isinstance(value, (int, str)):
+    """A rational from an integer or a "p/q" string; never a bool or float."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInstance(f"cannot parse rational from {value!r}") from exc
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
@@ -32,25 +47,72 @@ def fraction_to_json(value: Fraction) -> str:
     return str(value)
 
 
+def parse_rationals(raw: str) -> list[Fraction]:
+    """Comma rationals, e.g. "3/4,1/4"."""
+    return [fraction_from_json(v) for v in raw.split(",")]
+
+
+def parse_ids(raw: str) -> list[int]:
+    """Comma element ids, e.g. "0,2,5"; blank means none."""
+    if raw.strip() == "":
+        return []
+    with _reading("id list"):
+        return [int(part) for part in raw.split(",")]
+
+
+def parse_id_lists(raw: str) -> list[list[int]]:
+    """Semicolon-separated id lists, e.g. "0,1;2"."""
+    return [parse_ids(part) for part in raw.split(";")]
+
+
+def parse_bits(raw: str) -> tuple[int, ...]:
+    """A 0/1 string such as "010"."""
+    with _reading("0/1 string"):
+        return tuple(int(ch) for ch in raw)
+
+
+def parse_edges(raw: str) -> list[tuple[int, int]]:
+    """Comma list of "a-b" pairs, e.g. "0-1,1-2"."""
+    with _reading("edge list"):
+        return [(int(a), int(b)) for a, _, b in (p.partition("-") for p in raw.split(","))]
+
+
+def parse_cost(spec: str, dim: int) -> tolls.CostOracle:
+    """zero | linear:c0,c1,... | quadratic:r0,r1,... with one rational per element."""
+    if spec == "zero":
+        return tolls.linear_cost([0] * dim)
+    kind, _, rest = spec.partition(":")
+    if kind not in ("linear", "quadratic"):
+        raise InvalidInstance(f"unknown cost spec {spec!r}")
+    values = parse_rationals(rest) if rest else []
+    if len(values) != dim:
+        raise InvalidInstance(f"cost needs {dim} coefficients")
+    return tolls.linear_cost(values) if kind == "linear" else tolls.quadratic_cost(values)
+
+
+def parse_graph(data: dict) -> Digraph:
+    """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored)."""
+    with _reading("graph"):
+        nodes = int(data["nodes"])
+        arcs = [(int(a[0]), int(a[1])) for a in data["arcs"]]
+    return Digraph(nodes, arcs)
+
+
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     """Instance format: {"nodes": n, "arcs": [[t,h],...], "s": id, "t": id,
     "weights": ["p/q", ...] (optional, default all 1)}."""
-    try:
-        g = Digraph(int(data["nodes"]), [(a[0], a[1]) for a in data["arcs"]])
-        st = StPair(int(data["s"]), int(data["t"]))
-    except KeyError as exc:
-        raise InvalidInstance(f"missing instance key: {exc}") from exc
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidInstance(f"malformed instance: {exc}") from exc
+    g = parse_graph(data)
+    with _reading("instance"):
+        source, sink = int(data["s"]), int(data["t"])
+        raw = data.get("weights")
+        weights = None if raw is None else [fraction_from_json(v) for v in raw]
+    st = StPair(source, sink)
     st.validate(g)
-    if "weights" in data and data["weights"] is not None:
-        raw = data["weights"]
-        if len(raw) != g.arc_count:
-            raise InvalidInstance("one weight per arc required")
-        w = WeightedGroundSet([fraction_from_json(v) for v in raw])
-    else:
-        w = WeightedGroundSet.uniform(g.arc_count)
-    return g, st, w
+    if weights is None:
+        return g, st, WeightedGroundSet.uniform(g.arc_count)
+    if len(weights) != g.arc_count:
+        raise InvalidInstance("one weight per arc required")
+    return g, st, WeightedGroundSet(weights)
 
 
 def instance_to_json(g: Digraph, st: StPair,
@@ -71,25 +133,28 @@ def instance_to_json(g: Digraph, st: StPair,
 
 def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
-    raw = data["weights"] if isinstance(data, dict) else data
-    if len(raw) != size:
-        raise InvalidInstance(f"expected {size} weights, got {len(raw)}")
-    return WeightedGroundSet([fraction_from_json(v) for v in raw])
+    with _reading("weights"):
+        raw = data["weights"] if isinstance(data, dict) else data
+        weights = [fraction_from_json(v) for v in raw]
+    if len(weights) != size:
+        raise InvalidInstance(f"expected {size} weights, got {len(weights)}")
+    return WeightedGroundSet(weights)
+
+
+def read_id_set(raw: str) -> list[int]:
+    """Comma ids inline, or a .json file holding {"S": [ids]} or a bare list."""
+    if not raw.endswith(".json"):
+        return parse_ids(raw)
+    data = load_json(raw)
+    with _reading("id set"):
+        return [int(a) for a in (data["S"] if isinstance(data, dict) else data)]
 
 
 def parse_solution_list(data: dict) -> SolutionList:
-    """Format: {"dim": n, "vectors": ["0101", ...]}."""
-    try:
+    """Format: {"dim": n, "vectors": ["0101", ...]}; a vector may also be a list."""
+    with _reading("solution list"):
         dim = int(data["dim"])
-        vectors = data["vectors"]
-    except KeyError as exc:
-        raise InvalidInstance(f"missing solution-list key: {exc}") from exc
-    rows = []
-    for vec in vectors:
-        if isinstance(vec, str):
-            rows.append(tuple(int(ch) for ch in vec))
-        else:
-            rows.append(tuple(int(v) for v in vec))
+        rows = [tuple(int(v) for v in vec) for vec in data["vectors"]]
     return SolutionList(dim, rows)
 
 
@@ -100,11 +165,9 @@ def solution_list_to_json(x: SolutionList) -> dict:
 
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
-    try:
-        points = data["points"]
-    except KeyError as exc:
-        raise InvalidInstance(f"missing basis key: {exc}") from exc
-    return AffineBasis([[fraction_from_json(v) for v in p] for p in points])
+    with _reading("basis"):
+        points = [[fraction_from_json(v) for v in p] for p in data["points"]]
+    return AffineBasis(points)
 
 
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
@@ -112,24 +175,27 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
 
     Keys are comma-joined sorted element ids; every subset must be present.
     """
-    try:
+    with _reading("table"):
         size = int(data["size"])
-        values = data["values"]
-    except KeyError as exc:
-        raise InvalidInstance(f"missing table key: {exc}") from exc
-    table: dict[frozenset[int], Fraction] = {}
-    for key, value in values.items():
-        ids = frozenset(int(p) for p in key.split(",") if p != "")
-        table[ids] = fraction_from_json(value)
+        table = {frozenset(parse_ids(key)): fraction_from_json(value)
+                 for key, value in data["values"].items()}
     return PolymatroidOracle.from_table(size, table)
 
 
-def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path: str) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInstance(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidInstance(f"{path} is not JSON: {exc}") from exc
 
 
 def dump_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidInstance(f"cannot write {path}: {exc.strerror}") from exc

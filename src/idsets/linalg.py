@@ -93,9 +93,5 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))

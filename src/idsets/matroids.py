@@ -123,18 +123,6 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     return m
 
 
-def builtin_matroid(kind: str, **params) -> MatroidOracle:
-    if kind == "uniform":
-        return uniform_matroid(params["k"], params["n"])
-    if kind == "free":
-        return free_matroid(params["n"])
-    if kind == "graphic":
-        return graphic_matroid(params["graph"])
-    if kind == "partition":
-        return partition_matroid(params["blocks"], params["capacities"])
-    raise InvalidInstance(f"unknown matroid kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class MatroidComponents:
     partition: tuple[frozenset[int], ...]
@@ -250,7 +238,7 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     by size and then lexicographically."""
     n = m.ground_size
     if n > caps.max_ground:
-        raise EnumerationExplosion(f"ground size {n} exceeds cap {caps.max_ground}")
+        raise EnumerationExplosion(caps.max_ground, f"ground size {n}")
     for size in range(2, n + 1):
         for combo in combinations(range(n), size):
             if sum(e not in s_set for e in combo) < 2:

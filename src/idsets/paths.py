@@ -185,17 +185,6 @@ def approx_min_path_identifying_dag(g: Digraph, st: StPair,
     )
 
 
-def gap_ratio(g: Digraph, st: StPair, caps: Caps = DEFAULT_CAPS) -> Fraction:
-    """|flow-based set| / |path optimum| under the size objective.
-
-    Both sets are empty exactly when the instance has a unique path; the
-    ratio is 1 by convention in that case (see size_ratio).
-    """
-    unit = WeightedGroundSet.uniform(g.arc_count)
-    return size_ratio(exact_min_path_identifying(g, st, unit, caps),
-                      approx_min_path_identifying_dag(g, st, unit))
-
-
 def size_ratio(exact: PathIdentifyResult, approx: PathIdentifyResult) -> Fraction:
     """|approx set| / |exact set|; 1 when both are empty (a unique path)."""
     opt = len(exact.identifying_set)

@@ -16,9 +16,9 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import EnumerationExplosion, InvalidInstance, NotABase
+from .errors import EnumerationExplosion, InvalidInstance
 from .graphs import WeightedGroundSet, drop_heaviest_per_part, validate_ids
-from .linalg import Vector, as_vector
+from .linalg import Vector
 from .matroids import MatroidOracle
 
 EXHAUSTIVE_CHECK_LIMIT = 12
@@ -101,8 +101,12 @@ class PolymatroidOracle:
     def from_table(cls, ground_size: int,
                    table: Mapping[frozenset[int], Fraction]) -> "PolymatroidOracle":
         data = {frozenset(k): Fraction(v) for k, v in table.items()}
-        if len(data) != 1 << ground_size:
+        if not 0 <= ground_size < 64 or len(data) != 1 << ground_size:
             raise InvalidInstance("table must define every subset")
+        # 2^n distinct keys inside the ground set are exactly its subsets.
+        ground = frozenset(range(ground_size))
+        if not all(key <= ground for key in data):
+            raise InvalidInstance("table keys must be subsets of 0..size-1")
         return cls(ground_size, lambda t: data[t], name="table")
 
     @classmethod
@@ -154,39 +158,7 @@ class PolymatroidWitness:
 
 def _check_ground(f: PolymatroidOracle, caps: Caps) -> None:
     if f.ground_size > caps.max_ground:
-        raise EnumerationExplosion(
-            f"ground size {f.ground_size} exceeds cap {caps.max_ground}")
-
-
-def base_membership(f: PolymatroidOracle, x: Sequence,
-                    caps: Caps = DEFAULT_CAPS) -> tuple[bool, frozenset[int] | None]:
-    """Exhaustive membership test for the base polyhedron.
-
-    Returns (True, None) or (False, violated set): the subset maximizing
-    x(T) - f(T) when one is positive, a negative coordinate as a singleton,
-    or the full ground set when only the total-value equality fails.
-    """
-    _check_ground(f, caps)
-    vec = as_vector(x)
-    if len(vec) != f.ground_size:
-        raise InvalidInstance("vector has the wrong dimension")
-    negative = next((e for e, value in enumerate(vec) if value < 0), None)
-    if negative is not None:
-        return False, frozenset({negative})
-    worst: frozenset[int] | None = None
-    worst_gap = Fraction(0)
-    for size in range(1, f.ground_size + 1):
-        for combo in combinations(range(f.ground_size), size):
-            t = frozenset(combo)
-            gap = sum((vec[e] for e in t), Fraction(0)) - f.value(t)
-            if gap > worst_gap:
-                worst_gap, worst = gap, t
-    if worst is not None:
-        return False, worst
-    full = frozenset(range(f.ground_size))
-    if sum(vec, Fraction(0)) != f.value(full):
-        return False, full
-    return True, None
+        raise EnumerationExplosion(caps.max_ground, f"ground size {f.ground_size}")
 
 
 def polymatroid_components(f: PolymatroidOracle,
@@ -199,7 +171,7 @@ def polymatroid_components(f: PolymatroidOracle,
     _check_ground(f, caps)
     certificates: list[tuple[frozenset[int], frozenset[int]]] = []
     final: list[frozenset[int]] = []
-    stack = [frozenset(range(f.ground_size))]
+    stack = [frozenset(range(f.ground_size))] if f.ground_size else []
     while stack:
         ground = stack.pop()
         split = _find_split(f, ground)
@@ -249,41 +221,6 @@ def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
                 t = frozenset(combo)
                 coords[e] += weight * (f.value(t | {e}) - f.value(t))
     return tuple(coords)
-
-
-def greedy_base(f: PolymatroidOracle, ordering: Sequence[int]) -> Vector:
-    """Vertex of the base polyhedron for one element ordering."""
-    coords = [Fraction(0)] * f.ground_size
-    prefix: frozenset[int] = frozenset()
-    for e in ordering:
-        coords[e] = f.value(prefix | {e}) - f.value(prefix)
-        prefix = prefix | {e}
-    return tuple(coords)
-
-
-def dependence_function(f: PolymatroidOracle, x: Sequence, e: int,
-                        caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
-    """Elements e' admitting a feasible shift x + eps*(chi_e - chi_{e'}).
-
-    Exactly: e' = e, or x_{e'} > 0 and every x-tight set containing e also
-    contains e', decided by checking all subsets.
-    """
-    _check_ground(f, caps)
-    ok, violated = base_membership(f, x, caps)
-    if not ok:
-        raise NotABase(f"vector violates the base polyhedron on {sorted(violated or ())}")
-    vec = as_vector(x)
-    if not (0 <= e < f.ground_size):
-        raise InvalidInstance(f"element id {e} out of range")
-    meet = set(range(f.ground_size))
-    for size in range(1, f.ground_size + 1):
-        for combo in combinations(range(f.ground_size), size):
-            t = frozenset(combo)
-            if e not in t:
-                continue
-            if sum((vec[g] for g in t), Fraction(0)) == f.value(t):
-                meet &= t
-    return frozenset({e} | {g for g in meet if g != e and vec[g] > 0})
 
 
 def min_weight_polymatroid_identifying(

@@ -146,8 +146,8 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     vectors = [as_vector(state) for state in states]
     cols = sorted(frozenset(s))
     if len(cols) > caps.max_fm_vars:
-        raise EliminationExplosion(
-            f"|S| = {len(cols)} exceeds the elimination cap {caps.max_fm_vars}")
+        raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, "Caps.max_fm_vars",
+                                   f"|S| = {len(cols)} variables")
     for ci, cost in enumerate(costs):
         values = [cost.evaluate(vec) for vec in vectors]
         for ti, target in enumerate(vectors):
@@ -196,7 +196,8 @@ def fourier_motzkin_feasible(
                 combined.add(_normalize_row(coeffs, rhs))
         current = list(combined)
         if len(current) > max_rows:
-            raise EliminationExplosion(f"elimination exceeded {max_rows} rows")
+            raise EliminationExplosion("max_rows", max_rows, "fourier_motzkin_feasible",
+                                       f"{len(current)} rows")
     for coeffs, rhs in current:
         if rhs > 0:
             return False, rhs

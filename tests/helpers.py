@@ -14,8 +14,12 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from idsets.errors import SubsetExplosion
+from idsets.caps import DEFAULT_CAPS, Caps
+from idsets.errors import InvalidInstance, NotABase, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
+from idsets.linalg import Vector, as_vector
+from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying, size_ratio
+from idsets.polymatroids import _check_ground
 
 
 def oracle_enumerate_paths(g: Digraph, st: StPair) -> set[frozenset[int]]:
@@ -279,3 +283,97 @@ def oracle_polymatroid_axioms(f) -> str | None:
                     if f.value(te) + f.value(t | {g}) < f.value(te | {g}) + f.value(t):
                         return "polymatroid rank must be submodular"
     return None
+
+
+def vec_add(a: Vector, b: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def gap_ratio(g: Digraph, st: StPair, caps: Caps = DEFAULT_CAPS) -> Fraction:
+    """|flow-based set| / |path optimum| under the size objective.
+
+    Both sets are empty exactly when the instance has a unique path; the
+    ratio is 1 by convention in that case (see size_ratio).
+    """
+    unit = WeightedGroundSet.uniform(g.arc_count)
+    return size_ratio(exact_min_path_identifying(g, st, unit, caps),
+                      approx_min_path_identifying_dag(g, st, unit))
+
+
+def flow_conservation_ok(g: Digraph, st: StPair, flow) -> bool:
+    """Feasibility check for a unit s-t flow."""
+    if any(value < 0 for value in flow):
+        return False
+    balance = [Fraction(0)] * g.node_count
+    for aid, (tail, head) in enumerate(g.arcs):
+        balance[tail] -= flow[aid]
+        balance[head] += flow[aid]
+    for v in range(g.node_count):
+        expected = Fraction(-1) if v == st.source else Fraction(1) if v == st.sink else Fraction(0)
+        if balance[v] != expected:
+            return False
+    return True
+
+
+def base_membership(f, x, caps: Caps = DEFAULT_CAPS) -> tuple[bool, frozenset[int] | None]:
+    """Exhaustive membership test for the base polyhedron.
+
+    Returns (True, None) or (False, violated set): the subset maximizing
+    x(T) - f(T) when one is positive, a negative coordinate as a singleton,
+    or the full ground set when only the total-value equality fails.
+    """
+    _check_ground(f, caps)
+    vec = as_vector(x)
+    if len(vec) != f.ground_size:
+        raise InvalidInstance("vector has the wrong dimension")
+    negative = next((e for e, value in enumerate(vec) if value < 0), None)
+    if negative is not None:
+        return False, frozenset({negative})
+    worst: frozenset[int] | None = None
+    worst_gap = Fraction(0)
+    for size in range(1, f.ground_size + 1):
+        for combo in combinations(range(f.ground_size), size):
+            t = frozenset(combo)
+            gap = sum((vec[e] for e in t), Fraction(0)) - f.value(t)
+            if gap > worst_gap:
+                worst_gap, worst = gap, t
+    if worst is not None:
+        return False, worst
+    full = frozenset(range(f.ground_size))
+    if sum(vec, Fraction(0)) != f.value(full):
+        return False, full
+    return True, None
+
+
+def greedy_base(f, ordering) -> Vector:
+    """Vertex of the base polyhedron for one element ordering."""
+    coords = [Fraction(0)] * f.ground_size
+    prefix: frozenset[int] = frozenset()
+    for e in ordering:
+        coords[e] = f.value(prefix | {e}) - f.value(prefix)
+        prefix = prefix | {e}
+    return tuple(coords)
+
+
+def dependence_function(f, x, e: int, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
+    """Elements e' admitting a feasible shift x + eps*(chi_e - chi_{e'}).
+
+    Exactly: e' = e, or x_{e'} > 0 and every x-tight set containing e also
+    contains e', decided by checking all subsets.
+    """
+    _check_ground(f, caps)
+    ok, violated = base_membership(f, x, caps)
+    if not ok:
+        raise NotABase(f"vector violates the base polyhedron on {sorted(violated or ())}")
+    vec = as_vector(x)
+    if not (0 <= e < f.ground_size):
+        raise InvalidInstance(f"element id {e} out of range")
+    meet = set(range(f.ground_size))
+    for size in range(1, f.ground_size + 1):
+        for combo in combinations(range(f.ground_size), size):
+            t = frozenset(combo)
+            if e not in t:
+                continue
+            if sum((vec[g] for g in t), Fraction(0)) == f.value(t):
+                meet &= t
+    return frozenset({e} | {g for g in meet if g != e and vec[g] > 0})

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from idsets.explicit import SolutionList, exact_identifying, greedy_identifying
 from idsets.flows import (
-    flow_conservation_ok,
     min_weight_flow_identifying,
     relevant_arcs,
     verify_flow_identifying,
@@ -47,6 +46,7 @@ from .helpers import (
     all_simple_digraphs,
     all_subsets,
     enumerate_circuits,
+    flow_conservation_ok,
     has_st_path,
     min_vertex_cover_size,
     oracle_identifying_for_paths,

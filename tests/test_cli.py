@@ -2,14 +2,59 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from idsets.cli import main
 from idsets.io import dump_json
+
+
+TRIANGLE = {"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "s": 0, "t": 2}
+BASIS = {"points": [["1", "0"], ["0", "1"]]}
+X2 = {"dim": 2, "vectors": ["10", "01"]}
+CONVEX = ["tolls", "--mode", "convex", "--basis", "{b}", "--S", "0"]
+DISCRETE = ["tolls", "--mode", "discrete", "--solutions", "{x}", "--S", "0", "--target", "01"]
+
+# (id, JSON files by name, argv with {name} for each file's path, stderr substring)
+MALFORMED = [
+    ("table-values", {"t": {"size": 2, "values": 5}},
+     ["polymatroid-identify", "--table", "{t}"], "malformed table"),
+    ("table-key-range", {"t": {"size": 2, "values": {"": "0", "0": "1", "5": "1", "0,1": "1"}}},
+     ["polymatroid-identify", "--table", "{t}"], "table keys"),
+    ("solutions-vectors", {"x": {"dim": 2, "vectors": 5}},
+     ["explicit-identify", "--solutions", "{x}"], "malformed solution list"),
+    ("solutions-bare-list", {"x": ["01", "10"]},
+     ["explicit-identify", "--solutions", "{x}"], "malformed solution list"),
+    ("basis-points", {"b": {"points": 5}},
+     ["linear-identify", "--basis", "{b}"], "malformed basis"),
+    ("graph-arcs", {"g": {"nodes": 3, "arcs": 5}},
+     ["matroid-identify", "--kind", "graphic", "--graph", "{g}"], "malformed graph"),
+    ("weights-value", {"w": {"weights": 5}},
+     ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
+     "malformed weights"),
+    ("verify-file", {"i": TRIANGLE, "s": {"S": 5}},
+     ["flow-identify", "{i}", "--verify", "{s}"], "malformed id set"),
+    ("cap-rational", {},
+     ["polymatroid-identify", "--family", "budget-additive", "--cap", "1/0", "--gains", "1,2"],
+     "'1/0'"),
+    ("target-rational", {"b": BASIS}, CONVEX + ["--target", "1/0,1"], "'1/0'"),
+    ("cost-rational", {"b": BASIS}, CONVEX + ["--target", "1,0", "--cost", "linear:1,1/0"],
+     "'1/0'"),
+    ("margin-rational", {"x": X2}, DISCRETE + ["--margin", "1/0"], "'1/0'"),
+    ("tolls-solutions", {"x": {"dim": 2, "vectors": 5}}, DISCRETE, "malformed solution list"),
+    ("vc-edges", {}, ["gen", "--family", "vc-dag", "--vc-vertices", "2", "--vc-edges", "0-x"],
+     "malformed edge list"),
+]
 
 
 def run_cli(args: list[str]) -> tuple[int, str]:
@@ -90,6 +135,27 @@ class TestPathCommands:
         assert "max_subsets = 5" in out.err and "visited 6 nodes" in out.err
 
 
+class TestCapMessages:
+    @pytest.mark.parametrize("env, argv, line", [
+        ({}, ["path-verify", "{i}", "--S", "10,11,12", "--general", "--max-paths", "1"],
+         "max_paths = 1 (IDSETS_MAX_PATHS / --max-paths): found 2 s-t paths"),
+        ({}, ["path-exact", "{i}", "--max-subsets", "5"],
+         "max_subsets = 5 (IDSETS_MAX_SUBSETS / --max-subsets): "
+         "the exact hitting-set search visited 6 nodes"),
+        ({"IDSETS_MAX_GROUND": "1"},
+         ["polymatroid-identify", "--family", "budget-additive", "--cap", "5/2",
+          "--gains", "1,2,1/2"],
+         "max_ground = 1 (IDSETS_MAX_GROUND): ground size 3"),
+    ], ids=["max_paths", "max_subsets", "max_ground"])
+    def test_line_names_cap_knobs_and_count(self, tight_k3, capsys, monkeypatch,
+                                             env, argv, line):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([arg.format(i=tight_k3) for arg in argv]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"cap exceeded: {line}\n"
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         code, _ = run_cli(["flow-identify", "--bogus"])
@@ -99,8 +165,10 @@ class TestUsageErrors:
         code, _ = run_cli(["fly-identify"])
         assert code == 2
 
-    def test_missing_file_is_infeasible(self):
-        assert main(["flow-identify", "/nonexistent.json"]) == 1
+    def test_missing_file_is_usage_error(self, capsys):
+        assert main(["flow-identify", "/nonexistent.json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("invalid input:")
 
     def test_malformed_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -119,6 +187,19 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("files, argv, message",
+                             [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, files, argv, message):
+        paths = {}
+        for name, data in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            dump_json(paths[name], data)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid input:") and message in out.err
 
     def test_malformed_cap_variable_is_usage_error(self, tight_k3, capsys, monkeypatch):
         monkeypatch.setenv("IDSETS_MAX_PATHS", "abc")
@@ -275,3 +356,120 @@ class TestOtherSolvers:
         code = main(["tolls", "--mode", "discrete", "--solutions", str(x),
                      "--S", "0", "--target", "00"])
         assert code == 1
+
+
+# ---------------------------------------------------------------- fuzzing
+
+TABLE = {"size": 2, "values": {"": "0", "0": "1", "1": "1", "0,1": "1"}}
+JSON_KEYS = ["", "0", "0,1", "S", "arcs", "dim", "nodes", "points", "s", "size", "t",
+             "values", "vectors", "weights"]
+JSON_VALUES = st_.recursive(
+    st_.one_of(st_.none(), st_.booleans(), st_.integers(-2, 5),
+               st_.sampled_from(["", "0", "1", "-1", "1/2", "1/0", "x", "01", "0,1", "0,5"])),
+    lambda inner: st_.one_of(st_.lists(inner, max_size=4),
+                             st_.dictionaries(st_.sampled_from(JSON_KEYS), inner, max_size=4)),
+    max_leaves=8)
+
+
+@st_.composite
+def files(draw, valid: dict):
+    """("file", JSON) for a file holding `valid`, `valid` with one field
+    replaced or dropped, or any JSON value; or the name of a missing file."""
+    how = draw(st_.sampled_from(["keep", "keep", "replace", "replace", "drop", "random",
+                                 "missing"]))
+    if how == "missing":
+        return "missing.json"
+    if how == "random":
+        return "file", draw(JSON_VALUES)
+    doc = dict(valid)
+    key = draw(st_.sampled_from(sorted(doc)))
+    if how == "replace":
+        doc[key] = draw(JSON_VALUES)
+    elif how == "drop":
+        del doc[key]
+    return "file", doc
+
+
+INSTANCE = files(TRIANGLE)
+WEIGHTS = files({"weights": ["1", "2", "3"]})
+ID_SETS = st_.one_of(st_.sampled_from(["", "0", "0,1", "2,1,0", "-1", "9", "x", "0,,1"]),
+                     files({"S": [0, 1]}))
+IDS = st_.sampled_from(["", "0", "0,1", "2,1,0", "1,1", "-1", "x", "1/2"])
+ID_LISTS = st_.sampled_from(["0;1", "0,1;2", "0;0", "", "x;1", "0,1,2", "1;0", "0,1;1,2"])
+RATIONALS = st_.sampled_from(["0", "1", "5/2", "-1", "1/0", "x", "", "1,2", "1,2,1/2",
+                              "3/4,1/4", "1,1/0"])
+INTS = st_.sampled_from(["-1", "0", "1", "2", "3", "x"])
+CAP_VALUES = st_.sampled_from(["-1", "0", "1", "7", "100000", "x", ""])
+KINDS = st_.sampled_from(["uniform", "graphic", "partition", "free"])
+MATROID_FLAGS = [("--graph", INSTANCE), ("--k", INTS), ("--n", INTS),
+                 ("--blocks", ID_LISTS), ("--capacities", IDS), ("--weights", WEIGHTS)]
+# Per subcommand, (flag, strategy for its value or None for a switch); a
+# flag is always given when it is argparse-required or positional (a
+# bracketed name), otherwise drawn present or absent.
+COMMANDS = {
+    "flow-identify": [("[instance]", INSTANCE), ("--verify", ID_SETS)],
+    "path-verify": [("[instance]", INSTANCE), ("[--S]", ID_SETS), ("--general", None),
+                    ("--max-paths", CAP_VALUES)],
+    "path-exact": [("[instance]", INSTANCE), ("--max-paths", CAP_VALUES),
+                   ("--max-subsets", CAP_VALUES)],
+    "path-approx": [("[instance]", INSTANCE)],
+    "path-gap": [("[instance]", INSTANCE), ("--max-paths", CAP_VALUES),
+                 ("--max-subsets", CAP_VALUES)],
+    "matroid-identify": [("[--kind]", KINDS)] + MATROID_FLAGS,
+    "polymatroid-identify": [
+        ("--table", files(TABLE)), ("--kind", KINDS),
+        ("--family", st_.sampled_from(["matroid-rank", "coverage", "budget-additive"])),
+        ("--sets", ID_LISTS), ("--cap", RATIONALS), ("--gains", RATIONALS),
+    ] + MATROID_FLAGS,
+    "linear-identify": [("[--basis]", files(BASIS)), ("--weights", WEIGHTS)],
+    "explicit-identify": [("[--solutions]", files(X2)), ("--exact", None),
+                          ("--weights", WEIGHTS), ("--max-subsets", CAP_VALUES)],
+    "tolls": [
+        ("[--mode]", st_.sampled_from(["discrete", "convex"])), ("--solutions", files(X2)),
+        ("--basis", files(BASIS)), ("[--S]", ID_SETS),
+        ("[--target]", st_.sampled_from(["01", "10", "012", "x", "", "1/0,1", "3/4,1/4",
+                                         "1,0"])),
+        ("--cost", st_.sampled_from(["zero", "linear:1,2", "quadratic:1,1", "linear:1",
+                                     "cubic:1,1", "linear:", "linear:1,1/0"])),
+        ("--margin", RATIONALS), ("--nonnegative", None),
+    ],
+    "gen": [
+        ("[--family]", st_.sampled_from(["tight-gap", "vc-dag", "bundle", "random-dag",
+                                         "random-digraph"])),
+        ("--k", INTS), ("--vc-vertices", INTS),
+        ("--vc-edges", st_.sampled_from(["0-1", "0-1,1-2", "0-x", "1-1", "0-5", "01", ""])),
+        ("--ell", INTS), ("--instance", INSTANCE), ("--arc", INTS), ("--size", INTS),
+        ("--nodes", INTS), ("--arc-prob", st_.sampled_from(["0", "0.5", "1", "2", "nan"])),
+        ("--out", st_.sampled_from(["out.json", "no/such/dir/out.json"])),
+    ],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st_.data())
+def test_main_returns_a_documented_exit_code(data):
+    command = data.draw(st_.sampled_from(sorted(COMMANDS)), label="command")
+    env = data.draw(st_.dictionaries(
+        st_.sampled_from(["IDSETS_MAX_PATHS", "IDSETS_MAX_SUBSETS", "IDSETS_MAX_GROUND"]),
+        CAP_VALUES, max_size=1), label="env")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, values in COMMANDS[command]:
+            given_always = flag.startswith("[")
+            if not given_always and not data.draw(st_.booleans(), label=flag):
+                continue
+            value = None if values is None else data.draw(values, label=flag)
+            if isinstance(value, tuple):
+                value, content = os.path.join(tmp, f"input{len(argv)}.json"), value[1]
+                dump_json(value, content)
+            elif value is not None and value.endswith(".json"):
+                value = os.path.join(tmp, value)
+            name = flag.strip("[]")
+            argv += [a for a in (None if name == "instance" else name, value) if a is not None]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == "", argv

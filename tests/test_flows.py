@@ -9,7 +9,6 @@ import pytest
 
 from idsets.errors import NoStPath
 from idsets.flows import (
-    flow_conservation_ok,
     min_weight_flow_identifying,
     relevant_arcs,
     verify_flow_identifying,
@@ -20,6 +19,7 @@ from idsets.instances import gen_tight_gap_family
 from .helpers import (
     all_simple_digraphs,
     all_subsets,
+    flow_conservation_ok,
     has_st_path,
     oracle_undirected_acyclic,
     random_weights,

@@ -11,7 +11,7 @@ from idsets.errors import InvalidInstance
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import matrix_rank, vec_add, vec_sub
+from idsets.linalg import matrix_rank, vec_sub
 from idsets.linear import (
     AffineBasis,
     ax_independent,
@@ -28,6 +28,7 @@ from .helpers import (
     oracle_rank,
     random_weights,
     seeded_multigraphs,
+    vec_add,
 )
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])

@@ -18,13 +18,13 @@ from idsets.instances import (
 from idsets.paths import (
     approx_min_path_identifying_dag,
     exact_min_path_identifying,
-    gap_ratio,
     verify_path_identifying_dag,
     verify_path_identifying_general,
 )
 
 from .helpers import (
     all_subsets,
+    gap_ratio,
     has_st_path,
     oracle_enumerate_paths,
     oracle_identifying_for_paths,

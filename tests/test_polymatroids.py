@@ -21,16 +21,20 @@ from idsets.matroids import (
 )
 from idsets.polymatroids import (
     PolymatroidOracle,
-    base_membership,
-    dependence_function,
-    greedy_base,
     interior_base,
     min_weight_polymatroid_identifying,
     polymatroid_components,
     verify_polymatroid_identifying,
 )
 
-from .helpers import all_subsets, oracle_polymatroid_axioms, random_weights
+from .helpers import (
+    all_subsets,
+    base_membership,
+    dependence_function,
+    greedy_base,
+    oracle_polymatroid_axioms,
+    random_weights,
+)
 
 
 def truncation(n: int, k: int) -> PolymatroidOracle:
@@ -116,6 +120,11 @@ class TestOracleValidation:
         f = PolymatroidOracle.from_table(2, table)
         assert f.value({0, 1}) == 1
 
+    def test_table_keys_outside_ground_rejected(self):
+        table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
+        with pytest.raises(InvalidInstance, match="subsets of 0..size-1"):
+            PolymatroidOracle.from_table(2, table)
+
 
 class TestBaseMembership:
     def test_split_point_in(self):
@@ -157,6 +166,9 @@ class TestComponents:
     def test_truncation_connected(self):
         comps = polymatroid_components(truncation(3, 2))
         assert comps.partition == (frozenset({0, 1, 2}),)
+
+    def test_empty_ground_has_no_components(self):
+        assert polymatroid_components(PolymatroidOracle(0, lambda t: Fraction(0))).partition == ()
 
     def test_free_all_singletons(self):
         f = PolymatroidOracle(3, lambda t: Fraction(len(t)), name="free")

@@ -1,0 +1,25 @@
+"""The runtime imports nothing outside the standard library."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "idsets").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_are_relative_or_stdlib(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"

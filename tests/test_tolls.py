@@ -279,10 +279,11 @@ class TestCounterexampleCheck:
 
     def test_elimination_cap(self):
         states = [(0,) * 8, (1,) * 8]
-        with pytest.raises(EliminationExplosion):
+        with pytest.raises(EliminationExplosion) as exc:
             controlling_counterexample_check(states, set(range(8)),
                                              [linear_cost([0] * 8)],
                                              caps=Caps(max_fm_vars=3))
+        assert str(exc.value) == "max_fm_vars = 3 (Caps.max_fm_vars): |S| = 8 variables"
 
 
 class TestFourierMotzkin:
