@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import InvalidInstance
+from .errors import CAP_KNOBS, InvalidInstance
 
 
 def _env_int(name: str, default: int) -> int:
@@ -31,12 +31,22 @@ class Caps:
                    and exchange loops
     max_fm_vars    variable limit for Fourier-Motzkin elimination; no
                    subcommand eliminates, so only library callers set it
+
+    Every cap must be at least 1; a smaller one is InvalidInstance, whether
+    it comes from the environment, a flag or a library caller.
     """
 
     max_paths: int = 100_000
     max_subsets: int = 2**24
     max_ground: int = 20
     max_fm_vars: int = 6
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value < 1:
+                raise InvalidInstance(
+                    f"{cap.name} = {value} ({CAP_KNOBS[cap.name]}): must be >= 1")
 
     @classmethod
     def from_env(cls) -> "Caps":

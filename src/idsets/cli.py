@@ -303,7 +303,7 @@ def _cmd_tolls(args, caps: Caps) -> tuple[int, dict, list[str]]:
         if not args.solutions:
             raise InvalidInstance("--solutions required in discrete mode")
         x = io.parse_solution_list(io.load_json(args.solutions))
-        target = io.parse_bits(args.target)
+        target = io.parse_bits(args.target, x.dimension)
         cost = io.parse_cost(args.cost, x.dimension)
         toll = tolls.discrete_tolls(x, s, cost, target, io.fraction_from_json(args.margin))
         files = [args.solutions]

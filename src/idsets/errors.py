@@ -28,6 +28,16 @@ class NotAcyclic(IdsetsError):
         self.cycle = cycle
 
 
+# Where each cap is set: its environment variable and flag, or, for a cap no
+# subcommand uses, the library field.
+CAP_KNOBS = {
+    "max_paths": "IDSETS_MAX_PATHS / --max-paths",
+    "max_subsets": "IDSETS_MAX_SUBSETS / --max-subsets",
+    "max_ground": "IDSETS_MAX_GROUND",
+    "max_fm_vars": "Caps.max_fm_vars",
+}
+
+
 class CapExceeded(IdsetsError):
     """Base class for brute-force budget violations.
 
@@ -43,21 +53,21 @@ class PathExplosion(CapExceeded):
     """More simple s-t paths than the max_paths cap."""
 
     def __init__(self, cap: int, reached: str):
-        super().__init__("max_paths", cap, "IDSETS_MAX_PATHS / --max-paths", reached)
+        super().__init__("max_paths", cap, CAP_KNOBS["max_paths"], reached)
 
 
 class SubsetExplosion(CapExceeded):
     """Subset search exceeded the max_subsets cap; `reached` says how far it got."""
 
     def __init__(self, cap: int, reached: str):
-        super().__init__("max_subsets", cap, "IDSETS_MAX_SUBSETS / --max-subsets", reached)
+        super().__init__("max_subsets", cap, CAP_KNOBS["max_subsets"], reached)
 
 
 class EnumerationExplosion(CapExceeded):
     """Ground set too large for the max_ground cap on exhaustive subset loops."""
 
     def __init__(self, cap: int, reached: str):
-        super().__init__("max_ground", cap, "IDSETS_MAX_GROUND", reached)
+        super().__init__("max_ground", cap, CAP_KNOBS["max_ground"], reached)
 
 
 class EliminationExplosion(CapExceeded):

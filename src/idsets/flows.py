@@ -19,11 +19,12 @@ from .graphs import (
     StPair,
     UnionFind,
     WeightedGroundSet,
+    bfs_tree,
     reachable_from,
     reverse_reachable_to,
-    shortest_arc_path,
     spanning_forest_max_weight,
     strongly_connected_components,
+    tree_path,
     validate_ids,
 )
 
@@ -119,74 +120,33 @@ def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
         tail, head = g.arcs[aid]
         if tail == head:
             return [aid]
-        if uf.union(tail, head):
-            added.append(aid)
-            continue
-        # aid closes a cycle: recover the tree path between its endpoints.
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for b in added:
-            t2, h2 = g.arcs[b]
-            adj.setdefault(t2, []).append((h2, b))
-            adj.setdefault(h2, []).append((t2, b))
-        parent: dict[int, tuple[int, int]] = {tail: (-1, -1)}
-        queue = [tail]
-        while queue:
-            v = queue.pop(0)
-            if v == head:
-                break
-            for nxt, b in adj.get(v, []):
-                if nxt not in parent:
-                    parent[nxt] = (v, b)
-                    queue.append(nxt)
-        path_arcs: list[int] = []
-        v = head
-        while v != tail:
-            v, b = parent[v]
-            path_arcs.append(b)
-        return [aid] + path_arcs
+        if not uf.union(tail, head):
+            # aid closes a cycle with the unique forest path from head to tail.
+            return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both"), tail)
+        added.append(aid)
     return None
 
 
-def _supporting_flow(g: Digraph, st: StPair, arc: int) -> FlowVector:
-    """A feasible unit s-t flow with positive value on `arc`.
-
-    Cycle arcs get any s-t path plus a circulation around a directed cycle
-    through the arc; other relevant arcs lie on a simple s-t path directly.
-    """
-    m = g.arc_count
-    flow = [Fraction(0)] * m
-    comp = strongly_connected_components(g)
-    tail, head = g.arcs[arc]
-    base_path = shortest_arc_path(g, st.source, st.sink)
-    if base_path is None:
-        raise NoStPath(f"no path from {st.source} to {st.sink}")
-    if comp[tail] == comp[head]:
-        same_comp_arcs = [a for a in range(m)
-                          if comp[g.tail(a)] == comp[tail] and comp[g.head(a)] == comp[tail]]
-        back = shortest_arc_path(g, head, tail, same_comp_arcs)
-        assert back is not None
-        for a in base_path:
-            flow[a] += 1
-        for a in [arc] + back:
-            flow[a] += 1
-    else:
-        to_tail = shortest_arc_path(g, st.source, tail)
-        from_head = shortest_arc_path(g, head, st.sink)
-        assert to_tail is not None and from_head is not None
-        for a in to_tail + [arc] + from_head:
-            flow[a] += 1
-    return tuple(flow)
-
-
 def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVector:
-    """Average of one supporting flow per cycle arc; positive on every cycle arc."""
-    k = len(cycle)
-    total = [Fraction(0)] * g.arc_count
+    """Average of one unit s-t flow per cycle arc, each positive on its arc.
+
+    A cycle arc whose head reaches its tail rides the shortest s-t path plus
+    the directed cycle it closes; any other relevant arc lies on the s-t path
+    through the shortest paths s -> tail and head -> t. All paths are BFS
+    paths, so the flows are integer arc counts divided by the cycle length.
+    """
+    from_s = bfs_tree(g, st.source)
+    counts = [0] * g.arc_count
     for arc in cycle:
-        supp = _supporting_flow(g, st, arc)
-        for i, value in enumerate(supp):
-            total[i] += value
-    return tuple(value / k for value in total)
+        tail, head = g.arcs[arc]
+        from_head = bfs_tree(g, head)
+        if tail in from_head:
+            walk = tree_path(g, from_s, st.sink) + tree_path(g, from_head, tail)
+        else:
+            walk = tree_path(g, from_s, tail) + tree_path(g, from_head, st.sink)
+        for a in walk + [arc]:
+            counts[a] += 1
+    return tuple(Fraction(c, len(cycle)) for c in counts)
 
 
 def _orient_cycle(g: Digraph, cycle: list[int]) -> tuple[list[int], list[int]]:

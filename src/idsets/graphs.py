@@ -3,16 +3,23 @@
 Arc ids are dense indices 0..m-1, fixed by construction order; they are the
 join key across all modules, so every operation reports arcs by id. All
 tie-breaking is by smallest arc id to keep outputs deterministic.
+
+A `Digraph` builds its out- and in-arc lists once, at construction, and they
+are immutable tuples. One breadth-first search, `bfs_tree`, walks them for
+reachability, reverse reachability, shortest arc paths and forest paths.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NoStPath, PathExplosion
+
+Adjacency = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -26,15 +33,23 @@ class Digraph:
 
     node_count: int
     arcs: tuple[tuple[int, int], ...]
+    _out: Adjacency = field(init=False, repr=False, compare=False)
+    _in: Adjacency = field(init=False, repr=False, compare=False)
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in arcs))
         if node_count < 0:
             raise InvalidInstance("node_count must be nonnegative")
+        out: list[list[int]] = [[] for _ in range(node_count)]
+        inc: list[list[int]] = [[] for _ in range(node_count)]
         for aid, (tail, head) in enumerate(self.arcs):
             if not (0 <= tail < node_count and 0 <= head < node_count):
                 raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+            out[tail].append(aid)
+            inc[head].append(aid)
+        object.__setattr__(self, "_out", tuple(map(tuple, out)))
+        object.__setattr__(self, "_in", tuple(map(tuple, inc)))
 
     @property
     def arc_count(self) -> int:
@@ -49,18 +64,13 @@ class Digraph:
     def has_self_loop(self) -> bool:
         return any(t == h for t, h in self.arcs)
 
-    def out_arcs(self) -> list[list[int]]:
-        """Adjacency by arc id: out_arcs()[v] lists arcs with tail v, ascending."""
-        out: list[list[int]] = [[] for _ in range(self.node_count)]
-        for aid, (tail, _) in enumerate(self.arcs):
-            out[tail].append(aid)
-        return out
+    def out_arcs(self) -> Adjacency:
+        """out_arcs()[v]: the arc ids with tail v, ascending."""
+        return self._out
 
-    def in_arcs(self) -> list[list[int]]:
-        inc: list[list[int]] = [[] for _ in range(self.node_count)]
-        for aid, (_, head) in enumerate(self.arcs):
-            inc[head].append(aid)
-        return inc
+    def in_arcs(self) -> Adjacency:
+        """in_arcs()[v]: the arc ids with head v, ascending."""
+        return self._in
 
 
 @dataclass(frozen=True)
@@ -241,20 +251,15 @@ def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
     """A directed cycle among the nodes Kahn's algorithm never released.
 
     Every unreleased node keeps an unreleased predecessor, so walking
-    backwards along in-arcs must revisit a node.
+    backwards along the smallest such in-arc must revisit a node.
     """
-    remaining = {v for v in range(g.node_count) if rank[v] == -1}
-    inc: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid, (tail, head) in enumerate(g.arcs):
-        if tail in remaining and head in remaining:
-            inc[head].append(aid)
-    start = min(remaining)
+    inc = g.in_arcs()
     seen_at: dict[int, int] = {}
     walk: list[int] = []
-    v = start
+    v = rank.index(-1)
     while v not in seen_at:
         seen_at[v] = len(walk)
-        aid = min(inc[v])
+        aid = next(a for a in inc[v] if rank[g.tail(a)] == -1)
         walk.append(aid)
         v = g.tail(aid)
     cycle = walk[seen_at[v]:]
@@ -262,72 +267,68 @@ def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
     return cycle
 
 
+def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
+             follow: str = "out") -> dict[int, int]:
+    """Breadth-first tree from `start` over the allowed arc ids (all when None).
+
+    `follow` is "out" (tail to head), "in" (head to tail) or "both". Each
+    node's arcs are tried in ascending id order, so a node's tree arc is the
+    smallest-id arc from the first-queued node that reaches it. Returns
+    node -> tree arc for every node reached, with start -> -1.
+    """
+    if allowed is not None and not isinstance(allowed, (set, frozenset)):
+        allowed = frozenset(allowed)
+    out, inc, arcs = g.out_arcs(), g.in_arcs(), g.arcs
+    tree = {start: -1}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        if follow == "out":
+            steps = out[v]
+        elif follow == "in":
+            steps = inc[v]
+        else:
+            steps = heapq.merge(out[v], inc[v])
+        for aid in steps:
+            if allowed is not None and aid not in allowed:
+                continue
+            tail, head = arcs[aid]
+            w = head if tail == v else tail
+            if w not in tree:
+                tree[w] = aid
+                queue.append(w)
+    return tree
+
+
+def tree_path(g: Digraph, tree: dict[int, int], goal: int) -> list[int] | None:
+    """Arc ids from the root of a `bfs_tree` to `goal`, or None if it is not reached."""
+    if goal not in tree:
+        return None
+    path: list[int] = []
+    v = goal
+    while tree[v] != -1:
+        aid = tree[v]
+        path.append(aid)
+        tail, head = g.arcs[aid]
+        v = tail if head == v else head
+    path.reverse()
+    return path
+
+
 def reachable_from(g: Digraph, start: int, allowed: Iterable[int] | None = None) -> set[int]:
     """Forward-reachability set of `start` using only the allowed arc ids."""
-    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
-    out: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid in allowed_set:
-        out[g.tail(aid)].append(aid)
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for aid in out[v]:
-            w = g.head(aid)
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+    return set(bfs_tree(g, start, allowed))
 
 
 def reverse_reachable_to(g: Digraph, goal: int, allowed: Iterable[int] | None = None) -> set[int]:
     """Nodes that can reach `goal` using only the allowed arc ids."""
-    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
-    inc: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid in allowed_set:
-        inc[g.head(aid)].append(aid)
-    seen = {goal}
-    todo = [goal]
-    while todo:
-        v = todo.pop()
-        for aid in inc[v]:
-            w = g.tail(aid)
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+    return set(bfs_tree(g, goal, allowed, follow="in"))
 
 
 def shortest_arc_path(g: Digraph, start: int, goal: int,
                       allowed: Iterable[int] | None = None) -> list[int] | None:
     """BFS path start->goal as an arc-id list, or None. Prefers smaller arc ids."""
-    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
-    out: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid in sorted(allowed_set):
-        out[g.tail(aid)].append(aid)
-    prev_arc: dict[int, int] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier and goal not in seen:
-        nxt = []
-        for v in frontier:
-            for aid in out[v]:
-                w = g.head(aid)
-                if w not in seen:
-                    seen.add(w)
-                    prev_arc[w] = aid
-                    nxt.append(w)
-        frontier = nxt
-    if goal not in seen:
-        return None
-    path: list[int] = []
-    v = goal
-    while v != start:
-        aid = prev_arc[v]
-        path.append(aid)
-        v = g.tail(aid)
-    path.reverse()
-    return path
+    return tree_path(g, bfs_tree(g, start, allowed), goal)
 
 
 def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],

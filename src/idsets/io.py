@@ -65,10 +65,11 @@ def parse_id_lists(raw: str) -> list[list[int]]:
     return [parse_ids(part) for part in raw.split(";")]
 
 
-def parse_bits(raw: str) -> tuple[int, ...]:
-    """A 0/1 string such as "010"."""
-    with _reading("0/1 string"):
-        return tuple(int(ch) for ch in raw)
+def parse_bits(raw: str, dim: int) -> tuple[int, ...]:
+    """A 0/1 string of length `dim`, such as "010"."""
+    if len(raw) != dim or not set(raw) <= {"0", "1"}:
+        raise InvalidInstance(f"expected a 0/1 string of length {dim}, got {raw!r}")
+    return tuple(int(ch) for ch in raw)
 
 
 def parse_edges(raw: str) -> list[tuple[int, int]]:

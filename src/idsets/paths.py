@@ -14,15 +14,14 @@ from math import isqrt
 from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance, NoStPath, NotAcyclic
-from .flows import min_weight_flow_identifying
+from .errors import InvalidInstance, NotAcyclic
+from .flows import min_weight_flow_identifying, relevant_arcs
 from .graphs import (
     Digraph,
     StPair,
     WeightedGroundSet,
     enumerate_st_paths,
     reachable_from,
-    reverse_reachable_to,
     shortest_arc_path,
     topological_order,
     validate_ids,
@@ -52,24 +51,11 @@ def _require_dag(g: Digraph) -> None:
         raise NotAcyclic(list(topo.cycle))
 
 
-def _prune_to_st(g: Digraph, st: StPair) -> tuple[set[int], set[int]]:
-    """Nodes/arcs on some s-t path. In a DAG an arc qualifies iff its tail is
-    reachable from s and its head reaches t."""
-    st.validate(g)
-    from_s = reachable_from(g, st.source)
-    if st.sink not in from_s:
-        raise NoStPath(f"no path from {st.source} to {st.sink}")
-    to_t = reverse_reachable_to(g, st.sink)
-    keep_nodes = from_s & to_t
-    keep_arcs = {a for a, (t, h) in enumerate(g.arcs) if t in keep_nodes and h in keep_nodes}
-    return keep_nodes, keep_arcs
-
-
 def verify_path_identifying_dag(g: Digraph, st: StPair,
                                 s: Iterable[int]) -> tuple[bool, PathWitness | None]:
     """DAG-only polynomial verification.
 
-    After pruning to nodes on s-t paths, S is identifying iff for every node v
+    After pruning to arcs on s-t paths, S is identifying iff for every node v
     the non-S arcs whose tail is reachable from v form an arborescence rooted
     at v, i.e. no node acquires in-degree two within that arc set. A violation
     yields two v-w paths avoiding S, extended to full s-t paths that agree on S.
@@ -78,35 +64,29 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
         raise InvalidInstance("self-loops are not allowed in path settings")
     _require_dag(g)
     s_set = validate_ids(g.arc_count, s)
-    keep_nodes, keep_arcs = _prune_to_st(g, st)
+    # A DAG has no directed cycles, so its relevant arcs are those on s-t paths.
+    keep_arcs = relevant_arcs(g, st)
     allowed = sorted(keep_arcs - s_set)
-    out: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid in allowed:
-        out[g.tail(aid)].append(aid)
+    allowed_set = frozenset(allowed)
 
-    for v in sorted(keep_nodes):
-        reach = reachable_from(g, v, allowed)
-        indeg: dict[int, int] = {}
+    # Only a node with an allowed out-arc can reach two in-arcs of one node.
+    for v in sorted({g.tail(aid) for aid in allowed}):
+        reach = reachable_from(g, v, allowed_set)
         first_in: dict[int, int] = {}
-        offending: tuple[int, int, int] | None = None
         for aid in allowed:
             tail, head = g.arcs[aid]
             if tail not in reach:
                 continue
-            indeg[head] = indeg.get(head, 0) + 1
-            if indeg[head] == 1:
-                first_in[head] = aid
-            elif offending is None:
-                offending = (head, first_in[head], aid)
-        if offending is not None:
-            w_node, arc_a, arc_b = offending
-            witness = _build_dag_witness(g, st, allowed, keep_arcs, v, w_node, arc_a, arc_b)
-            return False, witness
+            if head in first_in:
+                return False, _build_dag_witness(g, st, allowed_set, keep_arcs, v, head,
+                                                 first_in[head], aid)
+            first_in[head] = aid
     return True, None
 
 
-def _build_dag_witness(g: Digraph, st: StPair, allowed: list[int], keep_arcs: set[int],
-                       v: int, w: int, arc_a: int, arc_b: int) -> PathWitness:
+def _build_dag_witness(g: Digraph, st: StPair, allowed: frozenset[int],
+                       keep_arcs: frozenset[int], v: int, w: int,
+                       arc_a: int, arc_b: int) -> PathWitness:
     """Assemble two s-t paths differing only between v and w, off the set S."""
     prefix = shortest_arc_path(g, st.source, v, keep_arcs)
     suffix = shortest_arc_path(g, w, st.sink, keep_arcs)

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
+    CAP_KNOBS,
     EliminationExplosion,
     NoSubgradient,
     NotIdentifying,
@@ -146,7 +147,7 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     vectors = [as_vector(state) for state in states]
     cols = sorted(frozenset(s))
     if len(cols) > caps.max_fm_vars:
-        raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, "Caps.max_fm_vars",
+        raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
                                    f"|S| = {len(cols)} variables")
     for ci, cost in enumerate(costs):
         values = [cost.evaluate(vec) for vec in vectors]

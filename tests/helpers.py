@@ -80,6 +80,73 @@ def oracle_directed_cycles(g: Digraph) -> list[list[int]]:
     return cycles
 
 
+def oracle_reachable_from(g: Digraph, start: int, allowed=None) -> set[int]:
+    """Reference forward reach: DFS over adjacency rebuilt from `allowed`."""
+    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
+    out: list[list[int]] = [[] for _ in range(g.node_count)]
+    for aid in allowed_set:
+        out[g.tail(aid)].append(aid)
+    seen = {start}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for aid in out[v]:
+            w = g.head(aid)
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def oracle_reverse_reachable_to(g: Digraph, goal: int, allowed=None) -> set[int]:
+    """Reference reverse reach: DFS over in-arcs rebuilt from `allowed`."""
+    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
+    inc: list[list[int]] = [[] for _ in range(g.node_count)]
+    for aid in allowed_set:
+        inc[g.head(aid)].append(aid)
+    seen = {goal}
+    todo = [goal]
+    while todo:
+        v = todo.pop()
+        for aid in inc[v]:
+            w = g.tail(aid)
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def oracle_shortest_arc_path(g: Digraph, start: int, goal: int, allowed=None):
+    """Reference BFS path, level by level over sorted allowed arcs, or None."""
+    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
+    out: list[list[int]] = [[] for _ in range(g.node_count)]
+    for aid in sorted(allowed_set):
+        out[g.tail(aid)].append(aid)
+    prev_arc: dict[int, int] = {}
+    seen = {start}
+    frontier = [start]
+    while frontier and goal not in seen:
+        nxt = []
+        for v in frontier:
+            for aid in out[v]:
+                w = g.head(aid)
+                if w not in seen:
+                    seen.add(w)
+                    prev_arc[w] = aid
+                    nxt.append(w)
+        frontier = nxt
+    if goal not in seen:
+        return None
+    path: list[int] = []
+    v = goal
+    while v != start:
+        aid = prev_arc[v]
+        path.append(aid)
+        v = g.tail(aid)
+    path.reverse()
+    return path
+
+
 def all_simple_digraphs(n: int):
     """Every simple digraph on n labeled nodes (no self-loops)."""
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from idsets import cli
 from idsets.cli import main
 from idsets.io import dump_json
 
@@ -54,6 +57,22 @@ MALFORMED = [
     ("tolls-solutions", {"x": {"dim": 2, "vectors": 5}}, DISCRETE, "malformed solution list"),
     ("vc-edges", {}, ["gen", "--family", "vc-dag", "--vc-vertices", "2", "--vc-edges", "0-x"],
      "malformed edge list"),
+    ("target-not-bits", {"x": X2}, DISCRETE + ["--target", "02"],
+     "expected a 0/1 string of length 2, got '02'"),
+    ("target-length", {"x": X2}, DISCRETE + ["--target", "011"],
+     "expected a 0/1 string of length 2, got '011'"),
+    ("target-digits", {"x": X2}, DISCRETE + ["--target", "012"],
+     "expected a 0/1 string of length 2, got '012'"),
+]
+# (id, environment, argv with {i} for an instance path, stderr line)
+CAPS_BELOW_ONE = [
+    ("max-subsets-flag", {}, ["path-exact", "{i}", "--max-subsets", "-1"],
+     "max_subsets = -1 (IDSETS_MAX_SUBSETS / --max-subsets): must be >= 1"),
+    ("max-paths-flag", {}, ["path-exact", "{i}", "--max-paths", "0"],
+     "max_paths = 0 (IDSETS_MAX_PATHS / --max-paths): must be >= 1"),
+    ("max-ground-variable", {"IDSETS_MAX_GROUND": "-5"},
+     ["polymatroid-identify", "--family", "coverage", "--sets", "0,1;1,2"],
+     "max_ground = -5 (IDSETS_MAX_GROUND): must be >= 1"),
 ]
 
 
@@ -201,6 +220,15 @@ class TestUsageErrors:
         assert out.out == ""
         assert out.err.startswith("invalid input:") and message in out.err
 
+    @pytest.mark.parametrize("env, argv, line", [case[1:] for case in CAPS_BELOW_ONE],
+                             ids=[case[0] for case in CAPS_BELOW_ONE])
+    def test_cap_below_one_is_usage_error(self, tight_k3, capsys, monkeypatch, env, argv, line):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([arg.format(i=tight_k3) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"invalid input: {line}\n"
+
     def test_malformed_cap_variable_is_usage_error(self, tight_k3, capsys, monkeypatch):
         monkeypatch.setenv("IDSETS_MAX_PATHS", "abc")
         assert main(["flow-identify", tight_k3]) == 2
@@ -238,6 +266,52 @@ class TestDeterminism:
         main(["gen", "--family", "random-dag", "--nodes", "6", "--seed", "7",
               "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def witness_instances(count: int = 40):
+    """Seeded digraphs (odd seeds) and DAGs (even seeds) on 3-9 nodes with two
+    repeated arcs, weights on every third, plus three random id sets each."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        arcs = []
+        for _ in range(rng.randint(n, min(2 * n, 14))):
+            a, b = rng.sample(range(n), 2)
+            arcs.append([min(a, b), max(a, b)] if seed % 2 == 0 else [a, b])
+        arcs += [list(a) for a in rng.sample(arcs, 2)]
+        instance = {"nodes": n, "arcs": arcs, "s": 0, "t": n - 1}
+        if seed % 3 == 0:
+            instance["weights"] = [f"{rng.randint(1, 5)}/{rng.randint(1, 3)}" for _ in arcs]
+        subsets = [",".join(map(str, sorted(rng.sample(range(len(arcs)),
+                                                       rng.randint(0, len(arcs))))))
+                   for _ in range(3)]
+        yield instance, subsets
+
+
+class TestWitnessBytes:
+    # sha256 of every exit code and stdout below, recorded before adjacency
+    # caching and the shared BFS replaced the per-call traversals.
+    DIGEST = "694674f257fe533a0cfb3526da78e4daf915118268bb4060cc934716ca730a9a"
+
+    def test_flow_and_path_witnesses_are_pinned(self, tmp_path):
+        path = str(tmp_path / "instance.json")
+        digest = hashlib.sha256()
+        parser = cli.build_parser()
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            for instance, subsets in witness_instances():
+                dump_json(path, instance)
+                argvs = [["flow-identify", path], ["path-approx", path], ["path-exact", path]]
+                for s in subsets:
+                    argvs += [["flow-identify", path, "--verify", s],
+                              ["path-verify", path, "--S", s],
+                              ["path-verify", path, "--S", s, "--general"]]
+                for argv in argvs:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(argv)
+                    digest.update(f"{argv[0]} {code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestGenRoundTrip:

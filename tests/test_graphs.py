@@ -17,13 +17,21 @@ from idsets.graphs import (
     WeightedGroundSet,
     enumerate_st_paths,
     reachable_from,
+    reverse_reachable_to,
+    shortest_arc_path,
     spanning_forest_max_weight,
     strongly_connected_components,
     topological_order,
 )
 from idsets.instances import gen_tight_gap_family
 
-from .helpers import oracle_enumerate_paths, seeded_multigraphs
+from .helpers import (
+    oracle_enumerate_paths,
+    oracle_reachable_from,
+    oracle_reverse_reachable_to,
+    oracle_shortest_arc_path,
+    seeded_multigraphs,
+)
 
 
 def test_digraph_validates_arc_ids():
@@ -121,6 +129,38 @@ class TestReachability:
             allowed = {a for a in range(g.arc_count) if rng.random() < 0.6}
             start = rng.randrange(g.node_count)
             assert reachable_from(g, start, allowed) <= reachable_from(g, start)
+
+
+class TestTraversalOracles:
+    GRAPHS = seeded_multigraphs(300, seed=11, min_nodes=2, max_nodes=7, max_arcs=14,
+                                allow_self_loops=True)
+
+    def test_family_has_parallel_arcs_and_self_loops(self):
+        assert sum(len(set(g.arcs)) < g.arc_count for g, _ in self.GRAPHS) > 100
+        assert sum(g.has_self_loop() for g, _ in self.GRAPHS) > 100
+
+    def test_adjacency_is_ascending_tuples(self):
+        for g, _ in self.GRAPHS:
+            for lists, end in ((g.out_arcs(), 0), (g.in_arcs(), 1)):
+                assert isinstance(lists, tuple) and len(lists) == g.node_count
+                for v, arc_ids in enumerate(lists):
+                    assert isinstance(arc_ids, tuple)
+                    assert list(arc_ids) == [a for a in range(g.arc_count)
+                                             if g.arcs[a][end] == v]
+
+    def test_traversals_match_per_call_adjacency(self):
+        rng = random.Random(5)
+        for g, _ in self.GRAPHS:
+            for _ in range(3):
+                allowed = (None if rng.random() < 0.3 else
+                           {a for a in range(g.arc_count) if rng.random() < 0.6})
+                start, goal = rng.randrange(g.node_count), rng.randrange(g.node_count)
+                assert (reachable_from(g, start, allowed)
+                        == oracle_reachable_from(g, start, allowed))
+                assert (reverse_reachable_to(g, goal, allowed)
+                        == oracle_reverse_reachable_to(g, goal, allowed))
+                assert (shortest_arc_path(g, start, goal, allowed)
+                        == oracle_shortest_arc_path(g, start, goal, allowed))
 
 
 class TestSpanningForest:
