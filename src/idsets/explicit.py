@@ -31,11 +31,13 @@ class SolutionList:
         seen: set[tuple[int, ...]] = set()
         unique: list[tuple[int, ...]] = []
         for vec in vectors:
-            tup = tuple(int(v) for v in vec)
+            tup = tuple(vec)
             if len(tup) != dimension:
                 raise InvalidInstance("vector length does not match dimension")
+            # Compare values, never truncate: int(1/2) would read as 0.
             if any(v not in (0, 1) for v in tup):
                 raise InvalidInstance("vectors must be binary")
+            tup = tuple(int(v) for v in tup)
             if tup not in seen:
                 seen.add(tup)
                 unique.append(tup)

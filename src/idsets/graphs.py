@@ -366,24 +366,27 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     paths: list[tuple[int, ...]] = []
     on_path = [False] * g.node_count
     on_path[st.source] = True
+    # Depth-first with an explicit stack, so path length is not bounded by
+    # the recursion limit: one out-arc iterator per node on the current path.
     arc_stack: list[int] = []
-
-    def visit(v: int) -> None:
-        if v == st.sink:
+    frames = [iter(out[st.source])]
+    while frames:
+        aid = next(frames[-1], None)
+        if aid is None:
+            frames.pop()
+            if arc_stack:
+                on_path[g.head(arc_stack.pop())] = False
+            continue
+        w_node = g.head(aid)
+        if on_path[w_node] or w_node not in can_reach_t:
+            continue
+        if w_node == st.sink:
             if len(paths) >= cap:
                 raise PathExplosion(cap, f"found {cap + 1} s-t paths")
-            paths.append(tuple(arc_stack))
-            return
-        for aid in out[v]:
-            w_node = g.head(aid)
-            if on_path[w_node] or w_node not in can_reach_t:
-                continue
-            on_path[w_node] = True
-            arc_stack.append(aid)
-            visit(w_node)
-            arc_stack.pop()
-            on_path[w_node] = False
-
-    visit(st.source)
+            paths.append((*arc_stack, aid))
+            continue
+        on_path[w_node] = True
+        arc_stack.append(aid)
+        frames.append(iter(out[w_node]))
     paths.sort(key=lambda p: tuple(sorted(p)))
     return [frozenset(p) for p in paths]

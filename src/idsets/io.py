@@ -152,11 +152,19 @@ def read_id_set(raw: str) -> list[int]:
 
 
 def parse_solution_list(data: dict) -> SolutionList:
-    """Format: {"dim": n, "vectors": ["0101", ...]}; a vector may also be a list."""
+    """Format: {"dim": n, "vectors": ["0101", ...]}; a vector may also be a list
+    of 0/1 integers or "0"/"1" strings."""
     with _reading("solution list"):
         dim = int(data["dim"])
-        rows = [tuple(int(v) for v in vec) for vec in data["vectors"]]
+        rows = [tuple(_bit(v) for v in vec) for vec in data["vectors"]]
     return SolutionList(dim, rows)
+
+
+def _bit(value: Any) -> int:
+    """0 or 1 from the integer or the one-character string; never a float or bool."""
+    if value in ("0", "1") or (type(value) is int and value in (0, 1)):
+        return int(value)
+    raise InvalidInstance(f"solution coordinates must be 0 or 1, got {value!r}")
 
 
 def solution_list_to_json(x: SolutionList) -> dict:

@@ -5,8 +5,10 @@ A set S is identifying for the bases exactly when every circuit C satisfies
 component. The components come from the fundamental graph of one basis in
 polynomial time, so they decide verification and give the minimum-weight
 identifying set (drop the heaviest element of each non-singleton component).
-Only a negative verdict scans subsets, for the first violated circuit that
-the witness bases are built from.
+A fundamental circuit costs |B| + 1 independence queries in general; a
+graphic matroid reads it from its spanning forest instead (the arc plus the
+forest path between its ends). Only a negative verdict scans subsets, for
+the first violated circuit that the witness bases are built from.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .graphs import (
     Digraph,
     UnionFind,
     WeightedGroundSet,
+    bfs_tree,
     drop_heaviest_per_part,
+    tree_path,
     validate_ids,
 )
 
@@ -32,13 +36,16 @@ class MatroidOracle:
 
     User-supplied callables are trusted modulo cheap sanity checks; the
     built-in constructors below are exact by construction and spot-checked
-    probabilistically once.
+    probabilistically once. `circuit(basis, e)`, when given, returns the
+    fundamental circuit of e over a basis without independence queries.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
-                 name: str = "custom"):
+                 name: str = "custom",
+                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None):
         self.ground_size = ground_size
         self.name = name
+        self.circuit = circuit
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -88,7 +95,11 @@ def free_matroid(n: int) -> MatroidOracle:
 
 
 def graphic_matroid(g: Digraph) -> MatroidOracle:
-    """Edges independent iff they form a forest (directions ignored)."""
+    """Edges independent iff they form a forest (directions ignored).
+
+    The fundamental circuit of a non-forest arc is the arc plus the forest
+    path between its ends (the arc alone for a self-loop).
+    """
 
     def independent(subset: frozenset[int]) -> bool:
         uf = UnionFind(g.node_count)
@@ -98,7 +109,14 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
                 return False
         return True
 
-    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})")
+    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
+        tail, head = g.arcs[e]
+        if tail == head:
+            return frozenset({e})
+        return frozenset(tree_path(g, bfs_tree(g, tail, basis, follow="both"), head)) | {e}
+
+    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
+                      circuit=circuit)
     spot_check(m)
     return m
 
@@ -160,15 +178,17 @@ def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> froze
     for f in range(m.ground_size):
         if f not in b and f != e and m.is_independent(b | {f}):
             raise NotABasis(f"the given set is not maximal (can add {f})")
-    extended = b | {e}
-    if m.is_independent(extended):
+    if m.is_independent(b | {e}):
         raise NotABasis("basis + e is independent; not a basis")
-    return _circuit_of(m, extended)
+    return _circuit_of(m, b, e)
 
 
-def _circuit_of(m: MatroidOracle, extended: frozenset[int]) -> frozenset[int]:
-    """The circuit of a dependent basis + e: the elements whose deletion
-    restores independence."""
+def _circuit_of(m: MatroidOracle, basis: frozenset[int], e: int) -> frozenset[int]:
+    """The circuit in basis + e: from the oracle's circuit hook when it has
+    one, else the elements whose deletion restores independence."""
+    if m.circuit is not None:
+        return m.circuit(basis, e)
+    extended = basis | {e}
     return frozenset(f for f in extended if m.is_independent(extended - {f}))
 
 
@@ -185,7 +205,7 @@ def matroid_components(m: MatroidOracle) -> MatroidComponents:
     for j in range(m.ground_size):
         if j in basis:
             continue
-        for i in _circuit_of(m, basis | {j}) - {j}:
+        for i in _circuit_of(m, basis, j) - {j}:
             uf.union(i, j)
     groups: dict[int, set[int]] = {}
     for e in range(m.ground_size):

@@ -4,9 +4,12 @@ Discrete case: with an identifying set S and a binary solution list, pushing
 each S-coordinate of the target with a large-enough bonus/penalty M makes the
 target a minimizer of any cost. Convex case: a subgradient at the target is
 cancelled exactly on the affine hull by solving a linear system supported on
-S. The integer-lattice counterexample check decides, per linear cost, whether
-any toll vector supported on S enforces each target, by exact
-Fourier-Motzkin elimination.
+S. The controlling check decides, per cost, whether some toll vector
+supported on S enforces each target. On a binary list with an identifying S
+the big-M construction answers yes, so no elimination runs; integer or
+fractional lists, and an S that is not identifying, go through exact
+Fourier-Motzkin elimination, which can expose an identifying set that does
+not control.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from .caps import Caps, DEFAULT_CAPS
 from .errors import (
     CAP_KNOBS,
     EliminationExplosion,
+    InvalidInstance,
     NoSubgradient,
     NotIdentifying,
     TargetNotInX,
     TargetOutsideAffineHull,
 )
 from .explicit import SolutionList, verify_explicit_identifying
+from .graphs import validate_ids
 from .linalg import Vector, as_vector, solve_linear, vec_dot
 from .linear import AffineBasis, verify_identifying_from_basis
 
@@ -140,15 +145,24 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     """Decide, per cost and target, feasibility of the argmin inequality system.
 
     The system over gamma in R^S reads, for every other state x,
-    sum_e gamma_e (x_e - x*_e) >= c(x*) - c(x); exact Fourier-Motzkin
-    elimination decides it. The first infeasible (target, cost) pair is the
-    verdict witness.
+    sum_e gamma_e (x_e - x*_e) >= c(x*) - c(x). When every state is 0/1 and
+    S is identifying, the big-M tolls of `discrete_tolls` solve it for any
+    cost and target, so the answer is yes without elimination. Otherwise
+    exact Fourier-Motzkin elimination decides it, and the first infeasible
+    (target, cost) pair is the verdict witness.
     """
     vectors = [as_vector(state) for state in states]
     cols = sorted(frozenset(s))
     if len(cols) > caps.max_fm_vars:
         raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
                                    f"|S| = {len(cols)} variables")
+    dim = len(vectors[0]) if vectors else 0
+    if any(len(vec) != dim for vec in vectors):
+        raise InvalidInstance("states must share one dimension")
+    cols = sorted(validate_ids(dim, cols))
+    if (all(v in (0, 1) for vec in vectors for v in vec)
+            and verify_explicit_identifying(SolutionList(dim, vectors), cols)[0]):
+        return ControllingVerdict(controlling=True)
     for ci, cost in enumerate(costs):
         values = [cost.evaluate(vec) for vec in vectors]
         for ti, target in enumerate(vectors):

@@ -20,6 +20,7 @@ from idsets.graphs import Digraph, StPair, WeightedGroundSet
 from idsets.linalg import Vector, as_vector
 from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying, size_ratio
 from idsets.polymatroids import _check_ground
+from idsets.tolls import ControllingVerdict, fourier_motzkin_feasible
 
 
 def oracle_enumerate_paths(g: Digraph, st: StPair) -> set[frozenset[int]]:
@@ -328,6 +329,24 @@ def oracle_matroid_witness(m, s: frozenset[int], circuits: list[frozenset[int]])
         basis_a = frozenset(base)
         return circuit, basis_a, (basis_a | {f}) - {e}
     return None
+
+
+def oracle_controlling_fm(states, s, costs):
+    """The controlling check by Fourier-Motzkin on every (cost, target) pair,
+    with no binary shortcut: for each target x*, the tolls gamma on S must
+    satisfy sum_e gamma_e (x_e - x*_e) >= c(x*) - c(x) for every other x."""
+    vectors = [as_vector(state) for state in states]
+    cols = sorted(frozenset(s))
+    for ci, cost in enumerate(costs):
+        values = [cost.evaluate(vec) for vec in vectors]
+        for ti, target in enumerate(vectors):
+            rows = [(tuple(other[e] - target[e] for e in cols), values[ti] - values[xi])
+                    for xi, other in enumerate(vectors) if xi != ti]
+            feasible, contradiction = fourier_motzkin_feasible(rows, len(cols))
+            if not feasible:
+                return ControllingVerdict(controlling=False, failing_target=target,
+                                          failing_cost=ci, contradiction_rhs=contradiction)
+    return ControllingVerdict(controlling=True)
 
 
 def oracle_polymatroid_axioms(f) -> str | None:

@@ -63,6 +63,12 @@ MALFORMED = [
      "expected a 0/1 string of length 2, got '011'"),
     ("target-digits", {"x": X2}, DISCRETE + ["--target", "012"],
      "expected a 0/1 string of length 2, got '012'"),
+    ("solutions-half", {"x": {"dim": 2, "vectors": [[0.5, 1], [1, 0]]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got 0.5"),
+    ("solutions-three-halves", {"x": {"dim": 2, "vectors": [["3/2", "0"], ["1", "0"]]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got '3/2'"),
 ]
 # (id, environment, argv with {i} for an instance path, stderr line)
 CAPS_BELOW_ONE = [
@@ -152,6 +158,21 @@ class TestPathCommands:
         out = capsys.readouterr()
         assert code == 3 and out.out == ""
         assert "max_subsets = 5" in out.err and "visited 6 nodes" in out.err
+
+
+class TestLongPaths:
+    @pytest.mark.parametrize("flags, key, value", [
+        ([], "S", []),
+        (["--S", "", "--general"], "identifying", True),
+    ], ids=["path-exact", "path-verify-general"])
+    def test_chain_of_1500_nodes(self, tmp_path, capsys, flags, key, value):
+        # One s-t path of 1,499 arcs, longer than the default recursion limit.
+        path = str(tmp_path / "chain.json")
+        dump_json(path, {"nodes": 1500, "arcs": [[v, v + 1] for v in range(1499)],
+                         "s": 0, "t": 1499})
+        command = "path-exact" if key == "S" else "path-verify"
+        assert main([command, path, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == value
 
 
 class TestCapMessages:
@@ -311,6 +332,44 @@ class TestWitnessBytes:
                             contextlib.redirect_stderr(io.StringIO()):
                         code = main(argv)
                     digest.update(f"{argv[0]} {code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def graphic_instances(count: int = 30):
+    """Seeded undirected multigraphs on 1-9 nodes for `matroid-identify --kind
+    graphic`: repeated arcs, some self-loops, often an isolated node, and
+    weights on every other graph."""
+    for seed in range(count):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(1, 9)
+        arcs = [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(0, 2 * n + 2))]
+        arcs += [list(a) for a in rng.sample(arcs, min(2, len(arcs)))]
+        weights = None
+        if seed % 2:
+            weights = [f"{rng.randint(1, 6)}/{rng.randint(1, 2)}" for _ in arcs]
+        yield {"nodes": n + rng.randint(0, 1), "arcs": arcs}, weights
+
+
+class TestGraphicComponentBytes:
+    # sha256 of every exit code and stdout below, recorded before graphic
+    # matroids read their fundamental circuits from a spanning forest.
+    DIGEST = "ba719e3428ce2b129d8ffd49ffd1c1b122afa69ed619a02a0c9c6b3b5ef58761"
+
+    def test_graphic_components_are_pinned(self, tmp_path):
+        graph, wfile = str(tmp_path / "graph.json"), str(tmp_path / "w.json")
+        digest = hashlib.sha256()
+        parser = cli.build_parser()
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            for instance, weights in graphic_instances():
+                dump_json(graph, instance)
+                argv = ["matroid-identify", "--kind", "graphic", "--graph", graph]
+                if weights is not None:
+                    dump_json(wfile, {"weights": weights})
+                    argv += ["--weights", wfile]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -37,6 +37,12 @@ class TestSolutionList:
         with pytest.raises(InvalidInstance):
             SolutionList(2, [(0, 2)])
 
+    def test_rejects_fractional_coordinates(self):
+        for row in ((Fraction(3, 2), 0), (Fraction(1, 2), 1), ("1", 0)):
+            with pytest.raises(InvalidInstance):
+                SolutionList(2, [row])
+        assert SolutionList(2, [(Fraction(1), 0)]).vectors == ((1, 0),)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInstance):
             SolutionList(2, [(0, 1, 1)])

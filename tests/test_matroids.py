@@ -12,6 +12,7 @@ from idsets.caps import Caps
 from idsets.graphs import Digraph, WeightedGroundSet
 from idsets.matroids import (
     MatroidOracle,
+    find_basis,
     free_matroid,
     fundamental_circuit,
     graphic_matroid,
@@ -144,6 +145,34 @@ class TestComponents:
                 expected.setdefault(uf.find(e), set()).add(e)
             got = matroid_components(m).partition
             assert set(got) == {frozenset(v) for v in expected.values()}
+
+
+def seeded_graphic_matroids(count: int, seed: int):
+    """Graphic matroids of random multigraphs: repeated arcs, self-loops and,
+    in about half of them, isolated nodes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        arcs += rng.sample(arcs, min(len(arcs), rng.randint(0, 2)))
+        yield graphic_matroid(Digraph(n + rng.randint(0, 2), arcs))
+
+
+class TestGraphicCircuitHook:
+    def test_hook_equals_delete_one_circuits(self):
+        for m in seeded_graphic_matroids(300, 61):
+            assert m.circuit is not None
+            plain = MatroidOracle(m.ground_size, m.is_independent)
+            assert plain.circuit is None
+            basis = find_basis(plain)
+            for e in set(range(m.ground_size)) - basis:
+                assert fundamental_circuit(m, basis, e) == fundamental_circuit(plain, basis, e)
+            assert matroid_components(m) == matroid_components(plain), m.name
+
+    def test_self_loop_and_parallel_arc(self):
+        m = graphic_matroid(Digraph(3, [(0, 1), (1, 1), (1, 0), (1, 2)]))
+        assert m.circuit(frozenset({0, 3}), 1) == {1}
+        assert m.circuit(frozenset({0, 3}), 2) == {0, 2}
 
 
 class TestMinWeight:

@@ -10,16 +10,18 @@ import pytest
 from idsets.caps import Caps
 from idsets.errors import (
     EliminationExplosion,
+    InvalidInstance,
     NoSubgradient,
     NotIdentifying,
     TargetNotInX,
     TargetOutsideAffineHull,
 )
-from idsets.explicit import SolutionList, exact_identifying
+from idsets.explicit import SolutionList, exact_identifying, verify_explicit_identifying
 from idsets.graphs import Digraph, StPair, enumerate_st_paths
 from idsets.linalg import as_vector, vec_dot
 from idsets.linear import AffineBasis
 from idsets.tolls import (
+    ControllingVerdict,
     CostOracle,
     controlling_counterexample_check,
     convex_tolls,
@@ -29,6 +31,7 @@ from idsets.tolls import (
     quadratic_cost,
 )
 
+from .helpers import oracle_controlling_fm
 from .test_linear import flow_polytope_basis
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])
@@ -259,6 +262,8 @@ class TestCounterexampleCheck:
         assert verdict.contradiction_rhs > 0
 
     def test_binary_identifying_always_controlling(self):
+        # The theorem, checked by elimination: on binary X an identifying S
+        # admits tolls enforcing every target under every cost.
         rng = random.Random(89)
         for _ in range(25):
             dim = rng.randint(1, 4)
@@ -268,9 +273,67 @@ class TestCounterexampleCheck:
             s, _ = exact_identifying(x)
             costs = [linear_cost([rng.randint(-3, 3) for _ in range(dim)])
                      for _ in range(3)]
-            verdict = controlling_counterexample_check(
-                [tuple(v) for v in x.vectors], s, costs)
-            assert verdict.controlling
+            assert oracle_controlling_fm(x.vectors, s, costs).controlling
+
+    def test_verdicts_match_elimination_oracle(self):
+        rng = random.Random(97)
+        seen, compared = set(), 0
+        for case in range(450):
+            kind = ("identifying", "not-identifying", "non-binary")[case % 3]
+            dim = rng.randint(1, 4)
+            values = (0, 1) if kind != "non-binary" else (0, 1, 2, -1, Fraction(1, 2))
+            states = [tuple(rng.choice(values) for _ in range(dim))
+                      for _ in range(rng.randint(1, 6))]
+            states += [rng.choice(states) for _ in range(rng.randint(0, 2))]
+            if kind == "non-binary":
+                states[0] = (Fraction(1, 2),) + states[0][1:]
+            s = frozenset(e for e in range(dim) if rng.random() < 0.5)
+            if kind != "non-binary":
+                x = SolutionList(dim, states)
+                if kind == "identifying":
+                    s |= exact_identifying(x)[0]
+                if verify_explicit_identifying(x, s)[0] != (kind == "identifying"):
+                    continue
+            costs = [linear_cost([rng.randint(-3, 3) for _ in range(dim)])
+                     for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                costs.append(quadratic_cost([rng.randint(0, 3) for _ in range(dim)]))
+            verdict = controlling_counterexample_check(states, s, costs)
+            assert verdict == oracle_controlling_fm(states, s, costs)
+            compared += 1
+            seen.add((kind, verdict.controlling, not s, len(set(states)) < len(states)))
+        assert compared >= 300
+        assert {k[:2] for k in seen} >= {("identifying", True), ("not-identifying", False),
+                                          ("non-binary", True), ("non-binary", False)}
+        assert any(k[2] for k in seen) and any(k[3] for k in seen)
+
+    def test_binary_identifying_skips_elimination(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Fourier-Motzkin ran")
+
+        monkeypatch.setattr("idsets.tolls.fourier_motzkin_feasible", fail)
+        states = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)]
+        verdict = controlling_counterexample_check(states, {0, 1},
+                                                   [linear_cost([4, -7, 2])])
+        assert verdict == ControllingVerdict(controlling=True)
+
+    def test_half_is_not_read_as_zero(self):
+        # int() would turn (1/2, 1) into (0, 1), a duplicate, and S = {} would
+        # look identifying; elimination decides the fractional list instead.
+        states = [(Fraction(1, 2), 1), (0, 1)]
+        costs = [linear_cost([-1, 0])]
+        verdict = controlling_counterexample_check(states, set(), costs)
+        assert verdict == oracle_controlling_fm(states, set(), costs)
+        assert not verdict.controlling
+
+    @pytest.mark.parametrize("states, s, message", [
+        ([(0, 0), (0, 1), (1, 1)], {-1}, "element id -1 out of range"),
+        ([(0, 0), (0, 1)], {5}, "element id 5 out of range"),
+        ([(0, 1), (1,)], {0}, "states must share one dimension"),
+    ], ids=["negative-id", "id-past-dimension", "unequal-lengths"])
+    def test_rejects_malformed_input(self, states, s, message):
+        with pytest.raises(InvalidInstance, match=message):
+            controlling_counterexample_check(states, s, [linear_cost([1, 1])])
 
     def test_single_state_controlling(self):
         verdict = controlling_counterexample_check([(1, 1)], set(),
