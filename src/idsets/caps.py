@@ -24,7 +24,6 @@ class Caps:
 
     max_paths      limit on enumerated simple s-t paths
     max_subsets    limit on nodes visited by the exact hitting-set search
-                   (explicit lists also refuse dimensions with 2^dim above it)
     max_ground     ground-set size limit for the 2^|E| subset loops: the
                    matroid witness scan (after the components say "not
                    identifying") and the polymatroid components, membership

@@ -36,10 +36,6 @@ def _digest(paths_: list[str]) -> str:
     return h.hexdigest()
 
 
-def _sorted_ids(s) -> list[int]:
-    return sorted(int(e) for e in s)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idsets")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,17 +133,17 @@ def _cmd_flow_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     if args.verify is not None:
         s = io.read_id_set(args.verify)
         ok, witness = flows.verify_flow_identifying(g, st, s)
-        payload = {"identifying": ok, "S": _sorted_ids(s)}
+        payload = {"identifying": ok, "S": sorted(s)}
         if witness is not None:
-            payload["cycle"] = _sorted_ids(witness.cycle)
+            payload["cycle"] = sorted(witness.cycle)
             payload["flow_a"] = [io.fraction_to_json(v) for v in witness.flow_a]
             payload["flow_b"] = [io.fraction_to_json(v) for v in witness.flow_b]
         return (EXIT_OK if ok else EXIT_FALSE), payload, [args.instance]
     result = flows.min_weight_flow_identifying(g, st, w)
     payload = {
-        "S": _sorted_ids(result.identifying_set),
-        "E_prime": _sorted_ids(result.relevant_arcs),
-        "forest": _sorted_ids(result.forest_certificate),
+        "S": sorted(result.identifying_set),
+        "E_prime": sorted(result.relevant_arcs),
+        "forest": sorted(result.forest_certificate),
         "weight": io.fraction_to_json(result.total_weight),
     }
     return EXIT_OK, payload, [args.instance]
@@ -160,10 +156,10 @@ def _cmd_path_verify(args, caps: Caps) -> tuple[int, dict, list[str]]:
         ok, witness = paths.verify_path_identifying_general(g, st, s, caps.max_paths)
     else:
         ok, witness = paths.verify_path_identifying_dag(g, st, s)
-    payload = {"identifying": ok, "S": _sorted_ids(s)}
+    payload = {"identifying": ok, "S": sorted(s)}
     if witness is not None:
-        payload["path_a"] = _sorted_ids(witness.path_a)
-        payload["path_b"] = _sorted_ids(witness.path_b)
+        payload["path_a"] = sorted(witness.path_a)
+        payload["path_b"] = sorted(witness.path_b)
     return (EXIT_OK if ok else EXIT_FALSE), payload, [args.instance]
 
 
@@ -171,7 +167,7 @@ def _cmd_path_exact(args, caps: Caps) -> tuple[int, dict, list[str]]:
     g, st, w = io.parse_instance(io.load_json(args.instance))
     result = paths.exact_min_path_identifying(g, st, w, caps)
     payload = {
-        "S": _sorted_ids(result.identifying_set),
+        "S": sorted(result.identifying_set),
         "weight": io.fraction_to_json(result.total_weight),
         "method": result.method,
     }
@@ -182,7 +178,7 @@ def _cmd_path_approx(args, caps: Caps) -> tuple[int, dict, list[str]]:
     g, st, w = io.parse_instance(io.load_json(args.instance))
     result = paths.approx_min_path_identifying_dag(g, st, w)
     payload = {
-        "S": _sorted_ids(result.identifying_set),
+        "S": sorted(result.identifying_set),
         "weight": io.fraction_to_json(result.total_weight),
         "method": result.method,
         "approx_bound": io.fraction_to_json(result.approx_bound),
@@ -226,9 +222,9 @@ def _build_matroid(args) -> tuple[matroids.MatroidOracle, list[str]]:
 
 def _components_payload(s, w: WeightedGroundSet, components) -> dict:
     return {
-        "S": _sorted_ids(s),
+        "S": sorted(s),
         "weight": io.fraction_to_json(w.total(s)),
-        "components": [_sorted_ids(p) for p in components.partition],
+        "components": [sorted(p) for p in components.partition],
     }
 
 
@@ -271,7 +267,7 @@ def _cmd_linear_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     w = _weights(args, basis.ground_size, files)
     s = linear.min_weight_identifying_from_basis(basis, w)
     payload = {
-        "S": _sorted_ids(s),
+        "S": sorted(s),
         "weight": io.fraction_to_json(w.total(s)),
         "dimension": basis.hull_dimension,
     }
@@ -284,12 +280,12 @@ def _cmd_explicit_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     w = _weights(args, x.dimension, files)
     if args.exact:
         s, weight = explicit_mod.exact_identifying(x, w, caps)
-        payload = {"S": _sorted_ids(s), "weight": io.fraction_to_json(weight),
+        payload = {"S": sorted(s), "weight": io.fraction_to_json(weight),
                    "method": "exact"}
     else:
         result = explicit_mod.greedy_identifying(x, w)
         payload = {
-            "S": _sorted_ids(result.identifying_set),
+            "S": sorted(result.identifying_set),
             "weight": io.fraction_to_json(result.total_weight),
             "method": "greedy",
             "trace": [[e, n] for e, n in result.trace],

@@ -4,8 +4,9 @@ Separating every pair of distinct vectors is a set-cover problem over the
 pair universe. The weighted greedy gives the standard logarithmic guarantee
 without listing the pairs: it refines the partition of the vectors into
 classes not yet separated, and counts an element's new pairs per class as
-|ones| * |zeros|. The exact optimum comes from the branch-and-bound
-hitting-set search over the pair demands, at desk scale.
+|ones| * |zeros|. Verification and the exact optimum pass the vectors as
+bitmask rows to idsets.search: the first collision on S, and the
+branch-and-bound hitting-set search over the pair demands, at desk scale.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance, SubsetExplosion
+from .errors import InvalidInstance
 from .graphs import WeightedGroundSet, validate_ids
-from .search import min_weight_hitting_set
+from .search import first_collision, min_weight_hitting_set, pair_demands
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class SolutionList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
-        seen: set[tuple[int, ...]] = set()
-        unique: list[tuple[int, ...]] = []
+        vecs: list[tuple[int, ...]] = []
         for vec in vectors:
             tup = tuple(vec)
             if len(tup) != dimension:
@@ -37,12 +37,9 @@ class SolutionList:
             # Compare values, never truncate: int(1/2) would read as 0.
             if any(v not in (0, 1) for v in tup):
                 raise InvalidInstance("vectors must be binary")
-            tup = tuple(int(v) for v in tup)
-            if tup not in seen:
-                seen.add(tup)
-                unique.append(tup)
+            vecs.append(tuple(int(v) for v in tup))
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "vectors", tuple(unique))
+        object.__setattr__(self, "vectors", tuple(dict.fromkeys(vecs)))
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "SolutionList":
@@ -62,19 +59,20 @@ class SolutionList:
     def __len__(self) -> int:
         return len(self.vectors)
 
+    def rows(self) -> list[int]:
+        """Each vector as an int with bit e set when coordinate e is 1."""
+        return [sum(1 << e for e, v in enumerate(vec) if v) for vec in self.vectors]
+
 
 def verify_explicit_identifying(
     x: SolutionList, s: Iterable[int]
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Pairwise separation via projection hashing; a collision is the witness."""
-    cols = sorted(validate_ids(x.dimension, s))
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for vec in x.vectors:
-        proj = tuple(vec[e] for e in cols)
-        if proj in seen:
-            return False, (seen[proj], vec)
-        seen[proj] = vec
-    return True, None
+    """S separates every pair iff no two vectors agree on S; a collision is the witness."""
+    s_mask = sum(1 << e for e in validate_ids(x.dimension, s))
+    hit = first_collision(x.rows(), s_mask)
+    if hit is None:
+        return True, None
+    return False, (x.vectors[hit[0]], x.vectors[hit[1]])
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,6 @@ def exact_identifying(x: SolutionList, w: WeightedGroundSet | None = None,
     """Minimum-weight separating set by exact branch and bound (idsets.search)."""
     if w is None:
         w = WeightedGroundSet.uniform(x.dimension)
-    if 1 << min(x.dimension, 63) > caps.max_subsets:
-        raise SubsetExplosion(caps.max_subsets, f"2^{x.dimension} subsets")
-    demands = []
-    for i in range(len(x.vectors)):
-        for j in range(i + 1, len(x.vectors)):
-            vi, vj = x.vectors[i], x.vectors[j]
-            demands.append(frozenset(e for e in range(x.dimension) if vi[e] != vj[e]))
-    weight, elems = min_weight_hitting_set(x.dimension, w, demands, caps.max_subsets)
+    weight, elems = min_weight_hitting_set(x.dimension, w, pair_demands(x.rows()),
+                                           caps.max_subsets)
     return frozenset(elems), weight

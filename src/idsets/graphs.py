@@ -12,6 +12,7 @@ reachability, reverse reachability, shortest arc paths and forest paths.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,8 +38,13 @@ class Digraph:
     _in: Adjacency = field(init=False, repr=False, compare=False)
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
+        try:
+            node_count = operator.index(node_count)
+            arcs = tuple((operator.index(t), operator.index(h)) for t, h in arcs)
+        except TypeError as exc:
+            raise InvalidInstance(f"nodes and arc endpoints must be integers: {exc}") from exc
         object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in arcs))
+        object.__setattr__(self, "arcs", arcs)
         if node_count < 0:
             raise InvalidInstance("node_count must be nonnegative")
         out: list[list[int]] = [[] for _ in range(node_count)]
@@ -114,7 +120,10 @@ class WeightedGroundSet:
 
 def validate_ids(size: int, ids: Iterable[int]) -> frozenset[int]:
     """The element ids as a set; InvalidInstance for any id outside 0..size-1."""
-    out = frozenset(int(e) for e in ids)
+    try:
+        out = frozenset(map(operator.index, ids))
+    except TypeError as exc:
+        raise InvalidInstance(f"element ids must be integers: {exc}") from exc
     for e in out:
         if not (0 <= e < size):
             raise InvalidInstance(f"element id {e} out of range")

@@ -43,6 +43,13 @@ def fraction_from_json(value: Any) -> Fraction:
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
+def int_from_json(value: Any) -> int:
+    """An integer from a JSON integer; never a bool, float or string."""
+    if type(value) is int:
+        return value
+    raise InvalidInstance(f"expected an integer, got {value!r}")
+
+
 def fraction_to_json(value: Fraction) -> str:
     return str(value)
 
@@ -94,8 +101,8 @@ def parse_cost(spec: str, dim: int) -> tolls.CostOracle:
 def parse_graph(data: dict) -> Digraph:
     """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored)."""
     with _reading("graph"):
-        nodes = int(data["nodes"])
-        arcs = [(int(a[0]), int(a[1])) for a in data["arcs"]]
+        nodes = int_from_json(data["nodes"])
+        arcs = [(int_from_json(a[0]), int_from_json(a[1])) for a in data["arcs"]]
     return Digraph(nodes, arcs)
 
 
@@ -104,7 +111,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     "weights": ["p/q", ...] (optional, default all 1)}."""
     g = parse_graph(data)
     with _reading("instance"):
-        source, sink = int(data["s"]), int(data["t"])
+        source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
         weights = None if raw is None else [fraction_from_json(v) for v in raw]
     st = StPair(source, sink)
@@ -148,14 +155,14 @@ def read_id_set(raw: str) -> list[int]:
         return parse_ids(raw)
     data = load_json(raw)
     with _reading("id set"):
-        return [int(a) for a in (data["S"] if isinstance(data, dict) else data)]
+        return [int_from_json(a) for a in (data["S"] if isinstance(data, dict) else data)]
 
 
 def parse_solution_list(data: dict) -> SolutionList:
     """Format: {"dim": n, "vectors": ["0101", ...]}; a vector may also be a list
     of 0/1 integers or "0"/"1" strings."""
     with _reading("solution list"):
-        dim = int(data["dim"])
+        dim = int_from_json(data["dim"])
         rows = [tuple(_bit(v) for v in vec) for vec in data["vectors"]]
     return SolutionList(dim, rows)
 
@@ -185,7 +192,7 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     Keys are comma-joined sorted element ids; every subset must be present.
     """
     with _reading("table"):
-        size = int(data["size"])
+        size = int_from_json(data["size"])
         table = {frozenset(parse_ids(key)): fraction_from_json(value)
                  for key, value in data["values"].items()}
     return PolymatroidOracle.from_table(size, table)

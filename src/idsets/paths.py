@@ -3,7 +3,8 @@
 Verification is polynomial on DAGs (arborescence criterion) and brute force
 in general; minimization is an exact branch and bound over path-pair demands
 (the decision problem is hard), with the flow-based set as the guaranteed
-sqrt(m)-approximation on DAGs.
+sqrt(m)-approximation on DAGs. The brute-force routines enumerate the paths
+once, as arc bitmasks, and hand them to the 0/1-row core of idsets.search.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graphs import (
     topological_order,
     validate_ids,
 )
-from .search import min_weight_hitting_set
+from .search import first_collision, min_weight_hitting_set, pair_demands
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,13 @@ def _build_dag_witness(g: Digraph, st: StPair, allowed: frozenset[int],
 def verify_path_identifying_general(g: Digraph, st: StPair, s: Iterable[int],
                                     cap: int = DEFAULT_CAPS.max_paths
                                     ) -> tuple[bool, PathWitness | None]:
-    """Brute-force verification by full path enumeration (exact on small instances)."""
-    s_set = validate_ids(g.arc_count, s)
+    """Brute-force verification: S identifies the paths iff no two agree on S."""
+    s_mask = sum(1 << a for a in validate_ids(g.arc_count, s))
     paths = enumerate_st_paths(g, st, cap)
-    seen: dict[frozenset[int], frozenset[int]] = {}
-    for path in paths:
-        trace = path & s_set
-        if trace in seen:
-            return False, PathWitness(path_a=seen[trace], path_b=path)
-        seen[trace] = path
-    return True, None
+    hit = first_collision(_arc_masks(paths), s_mask)
+    if hit is None:
+        return True, None
+    return False, PathWitness(path_a=paths[hit[0]], path_b=paths[hit[1]])
 
 
 def exact_min_path_identifying(g: Digraph, st: StPair,
@@ -124,18 +122,18 @@ def exact_min_path_identifying(g: Digraph, st: StPair,
     """
     if w is None:
         w = WeightedGroundSet.uniform(g.arc_count)
-    paths = enumerate_st_paths(g, st, caps.max_paths)
-    demands = [
-        frozenset(paths[i] ^ paths[j])
-        for i in range(len(paths))
-        for j in range(i + 1, len(paths))
-    ]
+    demands = pair_demands(_arc_masks(enumerate_st_paths(g, st, caps.max_paths)))
     weight, elems = min_weight_hitting_set(g.arc_count, w, demands, caps.max_subsets)
     return PathIdentifyResult(
         identifying_set=frozenset(elems),
         total_weight=weight,
         method="exact-bruteforce",
     )
+
+
+def _arc_masks(paths: list[frozenset[int]]) -> list[int]:
+    """Each path as an int with bit a set for every arc a on it."""
+    return [sum(1 << a for a in path) for path in paths]
 
 
 def _rational_sqrt_upper(m: int, denom: int = 10**6) -> Fraction:

@@ -1,10 +1,11 @@
 """Exact minimum-weight hitting sets by lexicographic branch and bound.
 
-Several exact solvers reduce to the same question: find the cheapest subset
-S of element ids that intersects every demand set (pairwise symmetric
-differences of paths, of solution vectors, ...). The answer is the hitting
-set that is smallest in (weight, sorted id tuple) order, so ties break
-lexicographically and deterministically.
+Rows and demands are int bitmasks over element ids. Distinct 0/1 rows (the
+s-t paths of a digraph, an explicit solution list) are identified by S when
+no two agree on S: `first_collision` finds the first pair that does, and
+`pair_demands` gives the masks `a ^ b` that every identifying set must hit.
+The minimizer returns the hitting set that is smallest in (weight, sorted id
+tuple) order, so ties break lexicographically and deterministically.
 
 The search is depth first over element ids in ascending order, trying
 "include e" before "exclude e". It therefore meets hitting sets in
@@ -23,6 +24,10 @@ id is always included (adding it to any hitting set below keeps the weight
 and makes the tuple smaller), and a positive-weight id that no unhit demand
 contains is never included (dropping it is strictly lighter).
 
+Demands are deduplicated and taken in numeric order; supersets of other
+demands stay in, because the quadratic scan that dropped them cost more than
+the whole search on the tight-gap family (2.4 s of 5.7 s at k = 8).
+
 Weights are scaled to integers by the common denominator, which keeps the
 arithmetic exact and the comparisons cheap.
 """
@@ -31,30 +36,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import SubsetExplosion
 from .graphs import WeightedGroundSet
 
 
-def min_weight_hitting_set(
-    n: int,
-    w: WeightedGroundSet,
-    demands: Iterable[frozenset[int]],
-    max_states: int = 2**24,
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Cheapest S hitting every demand set; ties break lexicographically.
+def pair_demands(rows: Sequence[int]) -> set[int]:
+    """Every `a ^ b` over pairs of rows; rows must be distinct, so none is 0."""
+    return {a ^ b for i, a in enumerate(rows) for b in rows[i + 1:]}
 
-    Demand sets must be nonempty subsets of range(n). Raises SubsetExplosion
+
+def first_collision(rows: Sequence[int], s_mask: int) -> tuple[int, int] | None:
+    """(i, j) for the first row j equal on s_mask to an earlier row i, else None."""
+    first: dict[int, int] = {}
+    for j, row in enumerate(rows):
+        i = first.setdefault(row & s_mask, j)
+        if i != j:
+            return i, j
+    return None
+
+
+def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
+                           max_states: int = 2**24) -> tuple[Fraction, tuple[int, ...]]:
+    """Cheapest S hitting every demand mask; ties break lexicographically.
+
+    Demands must be nonzero masks over range(n). Raises SubsetExplosion
     when the search would visit more than max_states nodes.
     """
-    masks = _demand_masks(demands)
+    masks = sorted(set(demands))
     if not masks:
         return Fraction(0), ()
+    if masks[0] < 1 or masks[-1] >> n:
+        raise ValueError("demands must be nonzero masks over range(n)")
     full = (1 << n) - 1
-    if any(mask & full != mask or mask == 0 for mask in masks):
-        raise ValueError("demand sets must be nonempty subsets of range(n)")
-
     scale = lcm(*(w[e].denominator for e in range(n)))
     iw = [int(w[e] * scale) for e in range(n)]
     # (weight, ids of that weight) lightest first: the lightest id of a mask
@@ -89,8 +104,6 @@ def min_weight_hitting_set(
         if not iw[e] or any(d & bit for d in unhit):
             stack.append((e + 1, chosen | bit, weight + iw[e],
                           [d for d in unhit if not d & bit]))
-    if best_weight is None:
-        raise ValueError("demands cannot all be hit (empty demand set?)")
     elems = tuple(e for e in range(n) if best_mask >> e & 1)
     return Fraction(best_weight, scale), elems
 
@@ -115,20 +128,3 @@ def _packing_bound(unhit: list[int], allowed: int,
                     bound += cw
                     break
     return bound
-
-
-def _demand_masks(demands: Iterable[frozenset[int]]) -> list[int]:
-    """Deduplicated, minimal demand bitmasks (supersets of others are redundant)."""
-    masks = sorted({_mask(d) for d in demands}, key=lambda m: bin(m).count("1"))
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
-def _mask(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m

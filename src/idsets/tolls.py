@@ -92,7 +92,8 @@ def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
     ok, witness = verify_explicit_identifying(x, s_set)
     if not ok:
         raise NotIdentifying(witness)
-    target_vec = tuple(int(v) for v in target)
+    # Validated like a solution: 0/1 by value (1/2 is not 0), of the list's length.
+    target_vec = SolutionList(x.dimension, [target]).vectors[0]
     if target_vec not in x.vectors:
         raise TargetNotInX(f"target {target_vec} not among the solutions")
     peak = max(abs(c.evaluate(as_vector(vec))) for vec in x.vectors)

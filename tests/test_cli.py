@@ -25,6 +25,7 @@ from idsets.io import dump_json
 TRIANGLE = {"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "s": 0, "t": 2}
 BASIS = {"points": [["1", "0"], ["0", "1"]]}
 X2 = {"dim": 2, "vectors": ["10", "01"]}
+TABLE = {"size": 2, "values": {"": "0", "0": "1", "1": "1", "0,1": "1"}}
 CONVEX = ["tolls", "--mode", "convex", "--basis", "{b}", "--S", "0"]
 DISCRETE = ["tolls", "--mode", "discrete", "--solutions", "{x}", "--S", "0", "--target", "01"]
 
@@ -69,6 +70,20 @@ MALFORMED = [
     ("solutions-three-halves", {"x": {"dim": 2, "vectors": [["3/2", "0"], ["1", "0"]]}},
      ["explicit-identify", "--solutions", "{x}"],
      "solution coordinates must be 0 or 1, got '3/2'"),
+    ("arc-endpoint-float", {"i": {"nodes": 3, "arcs": [[0, 1.9], [1, 2]], "s": 0, "t": 2}},
+     ["flow-identify", "{i}"], "expected an integer, got 1.9"),
+    ("arc-endpoint-bool", {"i": {"nodes": 3, "arcs": [[0, True], [1, 2]], "s": 0, "t": 2}},
+     ["flow-identify", "{i}"], "expected an integer, got True"),
+    ("nodes-float", {"i": dict(TRIANGLE, nodes=3.5)},
+     ["flow-identify", "{i}"], "expected an integer, got 3.5"),
+    ("source-float", {"i": dict(TRIANGLE, s=0.5)},
+     ["flow-identify", "{i}"], "expected an integer, got 0.5"),
+    ("id-set-float", {"i": TRIANGLE, "s": {"S": [1.7]}},
+     ["path-verify", "{i}", "--S", "{s}"], "expected an integer, got 1.7"),
+    ("dim-float", {"x": dict(X2, dim=2.0)},
+     ["explicit-identify", "--solutions", "{x}"], "expected an integer, got 2.0"),
+    ("size-float", {"t": dict(TABLE, size=2.0)},
+     ["polymatroid-identify", "--table", "{t}"], "expected an integer, got 2.0"),
 ]
 # (id, environment, argv with {i} for an instance path, stderr line)
 CAPS_BELOW_ONE = [
@@ -373,6 +388,45 @@ class TestGraphicComponentBytes:
         assert digest.hexdigest() == self.DIGEST
 
 
+def explicit_lists(count: int = 48):
+    """Seeded 0/1 lists in dimension 1-16 with 1-24 vectors (duplicates
+    possible) for `explicit-identify`, weights on every third list."""
+    for seed in range(count):
+        rng = random.Random(2000 + seed)
+        dim = rng.randint(1, 16)
+        vectors = ["".join(rng.choice("01") for _ in range(dim))
+                   for _ in range(rng.randint(1, 24))]
+        weights = None
+        if seed % 3 == 0:
+            weights = [f"{rng.randint(0, 6)}/{rng.randint(1, 3)}" for _ in range(dim)]
+        yield {"dim": dim, "vectors": vectors}, weights
+
+
+class TestExplicitBytes:
+    # sha256 of every exit code and stdout below, recorded before explicit
+    # lists and general paths moved onto one bitmask core in idsets.search.
+    DIGEST = "fb6651cbff299f73b21ae6564804c09d66f5635defbc70677f8903dbc3bf0b19"
+
+    def test_greedy_and_exact_are_pinned(self, tmp_path):
+        xfile, wfile = str(tmp_path / "x.json"), str(tmp_path / "w.json")
+        digest = hashlib.sha256()
+        parser = cli.build_parser()
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            for solutions, weights in explicit_lists():
+                dump_json(xfile, solutions)
+                argv = ["explicit-identify", "--solutions", xfile]
+                if weights is not None:
+                    dump_json(wfile, {"weights": weights})
+                    argv += ["--weights", wfile]
+                for flags in ([], ["--exact"]):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(argv + flags)
+                    digest.update(f"{code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestGenRoundTrip:
     def test_every_family_feeds_solvers(self, tmp_path, capsys):
         specs = [
@@ -457,6 +511,14 @@ class TestOtherSolvers:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["weight"] == "2"
 
+    def test_explicit_exact_in_dimension_thirty(self, tmp_path, capsys):
+        x = tmp_path / "x.json"
+        dump_json(str(x), {"dim": 30, "vectors": ["1" + "0" * 29, "0" * 29 + "1",
+                                                 "0" * 5 + "1" + "0" * 23 + "1"]})
+        code = main(["explicit-identify", "--solutions", str(x), "--exact"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["S"] == [0, 5] and out["weight"] == "2"
+
     def test_tolls_discrete(self, tmp_path, capsys):
         x = tmp_path / "x.json"
         dump_json(str(x), {"dim": 2, "vectors": ["10", "01"]})
@@ -493,7 +555,6 @@ class TestOtherSolvers:
 
 # ---------------------------------------------------------------- fuzzing
 
-TABLE = {"size": 2, "values": {"": "0", "0": "1", "1": "1", "0,1": "1"}}
 JSON_KEYS = ["", "0", "0,1", "S", "arcs", "dim", "nodes", "points", "s", "size", "t",
              "values", "vectors", "weights"]
 JSON_VALUES = st_.recursive(

@@ -149,9 +149,11 @@ class TestExact:
         assert s == {2} and weight == 2
 
     def test_cap(self):
-        x = SolutionList.from_strings(["0101"])
-        with pytest.raises(SubsetExplosion):
-            exact_identifying(x, caps=Caps(max_subsets=8))
+        # The search visits 5 nodes in all, one past a cap of 4.
+        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        with pytest.raises(SubsetExplosion, match="visited 5 nodes"):
+            exact_identifying(x, caps=Caps(max_subsets=4))
+        assert exact_identifying(x, caps=Caps(max_subsets=5)) == ({0, 1}, 2)
 
     def test_matches_subset_scan(self):
         rng = random.Random(61)

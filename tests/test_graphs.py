@@ -22,6 +22,7 @@ from idsets.graphs import (
     spanning_forest_max_weight,
     strongly_connected_components,
     topological_order,
+    validate_ids,
 )
 from idsets.instances import gen_tight_gap_family
 
@@ -40,6 +41,20 @@ def test_digraph_validates_arc_ids():
     g = Digraph(3, [(0, 1), (1, 2), (2, 2)])
     assert g.arc_count == 3
     assert g.has_self_loop()
+
+
+def test_digraph_rejects_non_integer_ids():
+    # int() would read 1.9 as 1 and 2.0 as 2.
+    for nodes, arcs in ((3, [(0, 1.9)]), (3, [(0, "1")]), (2.0, [(0, 1)])):
+        with pytest.raises(InvalidInstance):
+            Digraph(nodes, arcs)
+
+
+def test_validate_ids_rejects_non_integers():
+    assert validate_ids(3, [2, 0, 2]) == {0, 2}
+    for ids in ([1.5], [1.0], ["1"]):
+        with pytest.raises(InvalidInstance):
+            validate_ids(3, ids)
 
 
 def test_st_pair_rejects_equal_endpoints():

@@ -152,6 +152,15 @@ class TestExactMinimum:
                                                 result.identifying_set)
             assert ok
 
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_gap_family_optimum_at_larger_k(self, k):
+        # 128 / 256 paths and 4,216 / 14,955 distinct pair demands at k = 7 / 8.
+        inst = gen_tight_gap_family(k)
+        result = exact_min_path_identifying(inst.graph, inst.st)
+        assert len(result.identifying_set) == k
+        ok, _ = verify_path_identifying_dag(inst.graph, inst.st, result.identifying_set)
+        assert ok
+
     def test_vc_dag_small_instance_optimum(self):
         # path graph on 3 vertices, one copy: brute-force optimum has 2 arcs
         inst = gen_vertex_cover_dag(3, [(0, 1), (1, 2)], 1)

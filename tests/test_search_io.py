@@ -15,6 +15,7 @@ from idsets.io import (
     fraction_from_json,
     fraction_to_json,
     instance_to_json,
+    int_from_json,
     parse_affine_basis,
     parse_instance,
     parse_polymatroid_table,
@@ -29,18 +30,18 @@ from .helpers import subsets_in_weight_order
 class TestHittingSet:
     def test_prefers_lighter(self):
         w = WeightedGroundSet([3, 1])
-        weight, elems = min_weight_hitting_set(2, w, [frozenset({0, 1})])
+        weight, elems = min_weight_hitting_set(2, w, [0b11])
         assert elems == (1,) and weight == 1
 
     def test_lexicographic_ties(self):
         w = WeightedGroundSet([1, 1, 1])
-        _, elems = min_weight_hitting_set(3, w, [frozenset({1, 2}), frozenset({0, 1})])
+        _, elems = min_weight_hitting_set(3, w, [0b110, 0b011])
         assert elems == (1,)
 
     def test_multi_demand(self):
         w = WeightedGroundSet([1, 1, 1, 1])
         weight, elems = min_weight_hitting_set(
-            4, w, [frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})])
+            4, w, [0b0011, 0b1100, 0b0110])
         assert weight == 2
         assert elems == (0, 2)  # the lexicographically first optimum
 
@@ -51,13 +52,13 @@ class TestHittingSet:
     def test_state_cap(self):
         w = WeightedGroundSet([1] * 10)
         with pytest.raises(SubsetExplosion):
-            min_weight_hitting_set(10, w, [frozenset({9})], max_states=3)
+            min_weight_hitting_set(10, w, [1 << 9], max_states=3)
 
     def test_zero_weight_tie_break(self):
         # {0, 1} is not inclusion-minimal, but it ties {1} on weight and comes
         # first lexicographically.
         w = WeightedGroundSet([0, 1])
-        got = min_weight_hitting_set(2, w, [frozenset({0, 1}), frozenset({1})])
+        got = min_weight_hitting_set(2, w, [0b11, 0b10])
         assert got == (Fraction(1), (0, 1))
 
     def test_matches_weight_order_oracle(self):
@@ -77,7 +78,13 @@ class TestHittingSet:
                     demands.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
             want = next((weight, elems) for weight, elems in subsets_in_weight_order(n, w)
                         if all(d.intersection(elems) for d in demands))
-            assert min_weight_hitting_set(n, w, demands) == want, (w.weights, demands)
+            masks = [sum(1 << e for e in d) for d in demands]
+            assert min_weight_hitting_set(n, w, masks) == want, (w.weights, demands)
+
+    @pytest.mark.parametrize("demands", [[0b01, 0], [0b100]], ids=["zero-mask", "bit-n"])
+    def test_rejects_masks_outside_range(self, demands):
+        with pytest.raises(ValueError):
+            min_weight_hitting_set(2, WeightedGroundSet([1, 1]), demands)
 
     def test_weight_order_enumeration(self):
         w = WeightedGroundSet([2, 1])
@@ -100,6 +107,16 @@ class TestRationalJson:
             fraction_from_json(True)
         with pytest.raises(InvalidInstance):
             fraction_from_json(1.5)
+
+
+class TestIntegerJson:
+    def test_plain_integer(self):
+        assert int_from_json(3) == 3 and int_from_json(-1) == -1
+
+    @pytest.mark.parametrize("value", [True, 1.0, 1.9, "1", None])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(InvalidInstance):
+            int_from_json(value)
 
 
 class TestInstanceRoundTrip:

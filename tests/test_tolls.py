@@ -100,6 +100,13 @@ class TestDiscreteTolls:
         with pytest.raises(TargetNotInX):
             discrete_tolls(x, {1}, linear_cost([0, 0]), (1, 1))
 
+    def test_fractional_target_rejected(self):
+        # int(1/2) would read the target as 01, which is a solution.
+        x = SolutionList.from_strings(["10", "01"])
+        for target in ((Fraction(1, 2), 1), (0, "1"), (0, 2)):
+            with pytest.raises(InvalidInstance):
+                discrete_tolls(x, {0}, linear_cost([0, 0]), target)
+
     def test_margin_makes_target_unique(self):
         x = SolutionList.from_strings(["10", "01"])
         c = linear_cost([0, 0])
