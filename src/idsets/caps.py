@@ -26,8 +26,9 @@ class Caps:
     max_subsets    limit on nodes visited by the exact hitting-set search
     max_ground     ground-set size limit for the 2^|E| subset loops: the
                    matroid witness scan (after the components say "not
-                   identifying") and the polymatroid components, membership
-                   and exchange loops
+                   identifying"; it bounds the elements of the violated
+                   components, not the ground set) and the polymatroid
+                   components, membership and exchange loops
     max_fm_vars    variable limit for Fourier-Motzkin elimination; no
                    subcommand eliminates, so only library callers set it
 

@@ -11,6 +11,7 @@ branch-and-bound hitting-set search over the pair demands, at desk scale.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,6 +30,12 @@ class SolutionList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
+        try:
+            dimension = operator.index(dimension)
+        except TypeError:
+            raise InvalidInstance(f"dimension must be an integer, got {dimension!r}") from None
+        if dimension < 0:
+            raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
         vecs: list[tuple[int, ...]] = []
         for vec in vectors:
             tup = tuple(vec)
@@ -43,7 +50,11 @@ class SolutionList:
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "SolutionList":
-        rows = [tuple(int(ch) for ch in s) for s in strings]
+        rows = []
+        for s in strings:
+            if not set(s) <= {"0", "1"}:
+                raise InvalidInstance(f"expected a 0/1 string, got {s!r}")
+            rows.append(tuple(int(ch) for ch in s))
         if not rows:
             raise InvalidInstance("need at least one vector")
         return cls(len(rows[0]), rows)

@@ -4,7 +4,8 @@ A set S is identifying for the flow polytope exactly when removing S from the
 relevant arcs E' (arcs on some s-t path or directed cycle) leaves no
 undirected cycle. Minimal identifying sets are therefore complements of
 spanning forests of (V, E'), and a maximum-weight forest yields the
-minimum-weight identifying set.
+minimum-weight identifying set. A failed verification pushes flow around the
+first cycle it finds, walked in the order it was found.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def verify_flow_identifying(g: Digraph, st: StPair,
 
 
 def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
-    """First undirected cycle formed while adding arcs in ascending id order."""
+    """First undirected cycle formed while adding arcs in ascending id order:
+    the closing arc, then the forest path from its head back to its tail."""
     uf = UnionFind(g.node_count)
     added: list[int] = []
     for aid in arcs:
@@ -121,7 +123,6 @@ def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
         if tail == head:
             return [aid]
         if not uf.union(tail, head):
-            # aid closes a cycle with the unique forest path from head to tail.
             return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both"), tail)
         added.append(aid)
     return None
@@ -149,36 +150,24 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
     return tuple(Fraction(c, len(cycle)) for c in counts)
 
 
-def _orient_cycle(g: Digraph, cycle: list[int]) -> tuple[list[int], list[int]]:
-    """Split an undirected cycle into forward/backward arcs along one traversal."""
-    if len(cycle) == 1:
-        return list(cycle), []
-    first = cycle[0]
-    start, current = g.arcs[first]
-    forward, backward = [first], []
-    remaining = list(cycle[1:])
-    while current != start:
-        for i, aid in enumerate(remaining):
-            tail, head = g.arcs[aid]
-            if tail == current:
-                forward.append(aid)
-                current = head
-                del remaining[i]
-                break
-            if head == current:
-                backward.append(aid)
-                current = tail
-                del remaining[i]
-                break
-        else:
-            raise AssertionError("arc set is not a single undirected cycle")
-    return forward, backward
-
-
 def _augment_along_cycle(g: Digraph, flow: FlowVector, cycle: list[int]) -> FlowVector:
     """Push flow around the cycle: +eps forward, -eps backward, eps capped at
-    the smallest backward value (any positive eps if the cycle is directed)."""
-    forward, backward = _orient_cycle(g, cycle)
+    the smallest backward value (any positive eps if the cycle is directed).
+
+    The cycle is walked as `_find_undirected_cycle` lists it: the closing arc
+    tail to head, then the forest path back, each arc forward when it leaves
+    the current node by its tail.
+    """
+    node = g.head(cycle[0])
+    forward, backward = [cycle[0]], []
+    for a in cycle[1:]:
+        tail, head = g.arcs[a]
+        if tail == node:
+            forward.append(a)
+            node = head
+        else:
+            backward.append(a)
+            node = tail
     eps = min((flow[a] for a in backward), default=Fraction(1))
     out = list(flow)
     for a in forward:

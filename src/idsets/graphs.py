@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NoStPath, PathExplosion
+from .linalg import exact
 
 Adjacency = tuple[tuple[int, ...], ...]
 
@@ -98,14 +99,14 @@ class WeightedGroundSet:
     """Nonnegative rational weight per element id, exact arithmetic throughout."""
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        self.weights: tuple[Fraction, ...] = tuple(Fraction(w) for w in weights)
+        self.weights: tuple[Fraction, ...] = tuple(exact(w) for w in weights)
         for i, w in enumerate(self.weights):
             if w < 0:
                 raise InvalidInstance(f"negative weight at element {i}")
 
     @classmethod
     def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
-        return cls([Fraction(value)] * size)
+        return cls([exact(value)] * size)
 
     @property
     def size(self) -> int:

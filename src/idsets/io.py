@@ -60,11 +60,16 @@ def parse_rationals(raw: str) -> list[Fraction]:
 
 
 def parse_ids(raw: str) -> list[int]:
-    """Comma element ids, e.g. "0,2,5"; blank means none."""
+    """Comma element ids, e.g. "0,2,5"; blank means none. Each id is ASCII
+    decimal digits, spaces around it allowed: no sign, underscore or other
+    digit script, all of which int() would accept."""
     if raw.strip() == "":
         return []
-    with _reading("id list"):
-        return [int(part) for part in raw.split(",")]
+    parts = [part.strip() for part in raw.split(",")]
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise InvalidInstance(f"malformed id list {raw!r}: {part!r} is not a decimal id")
+    return [int(part) for part in parts]
 
 
 def parse_id_lists(raw: str) -> list[list[int]]:

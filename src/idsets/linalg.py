@@ -8,13 +8,24 @@ need tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
+
+from .errors import InvalidInstance
 
 Vector = tuple[Fraction, ...]
 
 
+def exact(value: Any) -> Fraction:
+    """Fraction(value), refusing a float: 0.1 would become the binary
+    rational 3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(value, float):
+        raise InvalidInstance(f"floats are not exact, got {value!r}; pass an int, "
+                              "Fraction or 'p/q' string")
+    return Fraction(value)
+
+
 def as_vector(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(exact(v) for v in values)
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -7,8 +7,8 @@ polynomial time, so they decide verification and give the minimum-weight
 identifying set (drop the heaviest element of each non-singleton component).
 A fundamental circuit costs |B| + 1 independence queries in general; a
 graphic matroid reads it from its spanning forest instead (the arc plus the
-forest path between its ends). Only a negative verdict scans subsets, for
-the first violated circuit that the witness bases are built from.
+forest path between its ends). Only a negative verdict scans subsets, inside
+the violated components, for the first violated circuit of the witness.
 """
 
 from __future__ import annotations
@@ -57,11 +57,17 @@ class MatroidOracle:
 
     def rank(self, subset: Iterable[int]) -> int:
         """Greedy rank computation; exact for matroids."""
-        current: set[int] = set()
-        for e in sorted(set(subset)):
-            if self.is_independent(current | {e}):
-                current.add(e)
-        return len(current)
+        return len(_greedy_extend(self, (), sorted(set(subset))))
+
+
+def _greedy_extend(m: MatroidOracle, start: Iterable[int],
+                   candidates: Iterable[int]) -> set[int]:
+    """`start` plus each candidate, in order, that keeps the set independent."""
+    current = set(start)
+    for e in candidates:
+        if e not in current and m.is_independent(current | {e}):
+            current.add(e)
+    return current
 
 
 def spot_check(m: MatroidOracle, seed: int = 0, samples: int = 40) -> None:
@@ -157,11 +163,7 @@ class MatroidWitness:
 
 def find_basis(m: MatroidOracle) -> frozenset[int]:
     """Lexicographically first basis (greedy over ascending element ids)."""
-    current: set[int] = set()
-    for e in range(m.ground_size):
-        if m.is_independent(current | {e}):
-            current.add(e)
-    return frozenset(current)
+    return frozenset(_greedy_extend(m, (), range(m.ground_size)))
 
 
 def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> frozenset[int]:
@@ -230,37 +232,37 @@ def verify_matroid_identifying(
     """Check that S misses at most one element of every component.
 
     The components decide the verdict in polynomial time. When S fails, a
-    subset scan finds the first violated circuit C (|S ∩ C| < |C| - 1); two
-    bases exchanging two of its non-S elements are indistinguishable on S.
-    `caps.max_ground` bounds only that witness scan.
+    subset scan of the violated components finds the first violated circuit
+    C (|S ∩ C| < |C| - 1); two bases exchanging two of its non-S elements are
+    indistinguishable on S. `caps.max_ground` bounds only that witness scan.
     """
     s_set = validate_ids(m.ground_size, s)
-    partition = matroid_components(m).partition
-    if all(len(part & s_set) >= len(part) - 1 for part in partition):
+    violated = [e for part in matroid_components(m).partition
+                if len(part - s_set) >= 2 for e in part]
+    if not violated:
         return True, None
-    circuit = _first_violated_circuit(m, s_set, caps)
+    circuit = _first_violated_circuit(m, s_set, sorted(violated), caps)
     if circuit is None:
         return True, None
     e, f = sorted(circuit - s_set)[:2]
-    base = set(circuit - {f})
-    for g_elem in range(m.ground_size):
-        if g_elem not in base and g_elem != f and m.is_independent(base | {g_elem}):
-            base.add(g_elem)
-    basis_a = frozenset(base)
+    basis_a = frozenset(_greedy_extend(m, circuit - {f},
+                                       (g for g in range(m.ground_size) if g != f)))
     basis_b = (basis_a | {f}) - {e}
     assert m.is_independent(basis_b)
     return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
 
 
 def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
-                            caps: Caps) -> frozenset[int] | None:
+                            elements: list[int], caps: Caps) -> frozenset[int] | None:
     """The first circuit with two or more elements outside S, scanning subsets
-    by size and then lexicographically."""
-    n = m.ground_size
+    of the ascending violated-component `elements` by size, then
+    lexicographically. Such a circuit lies in one violated component, so the
+    scan meets the circuit that a scan of the whole ground set meets first."""
+    n = len(elements)
     if n > caps.max_ground:
-        raise EnumerationExplosion(caps.max_ground, f"ground size {n}")
+        raise EnumerationExplosion(caps.max_ground, f"violated components hold {n} elements")
     for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
+        for combo in combinations(elements, size):
             if sum(e not in s_set for e in combo) < 2:
                 continue
             t = frozenset(combo)

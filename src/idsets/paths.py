@@ -1,6 +1,7 @@
 """Identifying sets for the simple s-t paths of a digraph.
 
-Verification is polynomial on DAGs (arborescence criterion) and brute force
+Verification is polynomial on DAGs (arborescence criterion, with witness
+paths read from the search tree that found the violation) and brute force
 in general; minimization is an exact branch and bound over path-pair demands
 (the decision problem is hard), with the flow-based set as the guaranteed
 sqrt(m)-approximation on DAGs. The brute-force routines enumerate the paths
@@ -21,10 +22,11 @@ from .graphs import (
     Digraph,
     StPair,
     WeightedGroundSet,
+    bfs_tree,
     enumerate_st_paths,
-    reachable_from,
     shortest_arc_path,
     topological_order,
+    tree_path,
     validate_ids,
 )
 from .search import first_collision, min_weight_hitting_set, pair_demands
@@ -59,7 +61,8 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     After pruning to arcs on s-t paths, S is identifying iff for every node v
     the non-S arcs whose tail is reachable from v form an arborescence rooted
     at v, i.e. no node acquires in-degree two within that arc set. A violation
-    yields two v-w paths avoiding S, extended to full s-t paths that agree on S.
+    yields two v-w paths avoiding S, read from the BFS tree of v that found
+    it and extended to full s-t paths that agree on S.
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
@@ -72,29 +75,29 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
 
     # Only a node with an allowed out-arc can reach two in-arcs of one node.
     for v in sorted({g.tail(aid) for aid in allowed}):
-        reach = reachable_from(g, v, allowed_set)
+        tree = bfs_tree(g, v, allowed_set)
         first_in: dict[int, int] = {}
         for aid in allowed:
             tail, head = g.arcs[aid]
-            if tail not in reach:
+            if tail not in tree:
                 continue
             if head in first_in:
-                return False, _build_dag_witness(g, st, allowed_set, keep_arcs, v, head,
+                return False, _build_dag_witness(g, st, keep_arcs, tree, v, head,
                                                  first_in[head], aid)
             first_in[head] = aid
     return True, None
 
 
-def _build_dag_witness(g: Digraph, st: StPair, allowed: frozenset[int],
-                       keep_arcs: frozenset[int], v: int, w: int,
+def _build_dag_witness(g: Digraph, st: StPair, keep_arcs: frozenset[int],
+                       tree: dict[int, int], v: int, w: int,
                        arc_a: int, arc_b: int) -> PathWitness:
-    """Assemble two s-t paths differing only between v and w, off the set S."""
+    """Assemble two s-t paths differing only between v and w, off the set S;
+    `tree`, the BFS tree of v over the non-S arcs, holds both middle paths."""
     prefix = shortest_arc_path(g, st.source, v, keep_arcs)
     suffix = shortest_arc_path(g, w, st.sink, keep_arcs)
     assert prefix is not None and suffix is not None
-    mid_a = shortest_arc_path(g, v, g.tail(arc_a), allowed)
-    mid_b = shortest_arc_path(g, v, g.tail(arc_b), allowed)
-    assert mid_a is not None and mid_b is not None
+    mid_a = tree_path(g, tree, g.tail(arc_a))
+    mid_b = tree_path(g, tree, g.tail(arc_b))
     path_a = frozenset(prefix + mid_a + [arc_a] + suffix)
     path_b = frozenset(prefix + mid_b + [arc_b] + suffix)
     return PathWitness(path_a=path_a, path_b=path_b)

@@ -2,8 +2,9 @@
 
 The ground set splits uniquely into connected components (no proper nonempty
 T with f(T) + f(E \\ T) = f(E) inside a component); a set is identifying for
-the base polyhedron exactly when it misses at most one element per component.
-All arithmetic is exact: tightness x(T) = f(T) is an equality test.
+the base polyhedron exactly when it misses at most one element per component,
+and a witness exchange stays inside a violated component. All arithmetic is
+exact: tightness x(T) = f(T) is an equality test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .caps import Caps, DEFAULT_CAPS
 from .errors import EnumerationExplosion, InvalidInstance
 from .graphs import WeightedGroundSet, drop_heaviest_per_part, validate_ids
-from .linalg import Vector
+from .linalg import Vector, exact
 from .matroids import MatroidOracle
 
 EXHAUSTIVE_CHECK_LIMIT = 12
@@ -44,7 +45,7 @@ class PolymatroidOracle:
     def value(self, subset: Iterable[int]) -> Fraction:
         key = frozenset(subset)
         if key not in self._cache:
-            self._cache[key] = Fraction(self._fn(key))
+            self._cache[key] = exact(self._fn(key))
         return self._cache[key]
 
     def _validate(self) -> None:
@@ -100,7 +101,7 @@ class PolymatroidOracle:
     @classmethod
     def from_table(cls, ground_size: int,
                    table: Mapping[frozenset[int], Fraction]) -> "PolymatroidOracle":
-        data = {frozenset(k): Fraction(v) for k, v in table.items()}
+        data = {frozenset(k): exact(v) for k, v in table.items()}
         if not 0 <= ground_size < 64 or len(data) != 1 << ground_size:
             raise InvalidInstance("table must define every subset")
         # 2^n distinct keys inside the ground set are exactly its subsets.
@@ -131,8 +132,8 @@ class PolymatroidOracle:
     @classmethod
     def budget_additive(cls, cap: Fraction | int,
                         gains: Sequence[Fraction | int]) -> "PolymatroidOracle":
-        cap_f = Fraction(cap)
-        gain_f = [Fraction(a) for a in gains]
+        cap_f = exact(cap)
+        gain_f = [exact(a) for a in gains]
         if cap_f < 0 or any(a < 0 for a in gain_f):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
         return cls(len(gain_f), lambda t: min(cap_f, sum((gain_f[e] for e in t), Fraction(0))),
@@ -240,8 +241,10 @@ def verify_polymatroid_identifying(
 
     On a violation, builds an explicit pair of distinct base points agreeing
     on S: the all-orderings average base shifted by a small exact exchange
-    between two missed elements of the violated component. Strictness of the
-    exchange budget is re-verified, not assumed.
+    between two missed elements e, e' of the violated component P. Strictness
+    of the exchange budget is re-verified, not assumed. The budget is the least
+    slack f(T) - x(T) over T inside P holding e' but not e: f - x is submodular,
+    nonnegative, and 0 on the separator P, so slack(T ∩ P) <= slack(T).
     """
     s_set = validate_ids(f.ground_size, s)
     components = polymatroid_components(f, caps)
@@ -251,13 +254,11 @@ def verify_polymatroid_identifying(
         e, e_prime = sorted(part - s_set)[:2]
         x = interior_base(f, caps)
         eps = x[e]
-        vec = list(x)
-        for size in range(1, f.ground_size + 1):
-            for combo in combinations(range(f.ground_size), size):
-                t = frozenset(combo)
-                if e_prime in t and e not in t:
-                    slack = f.value(t) - sum((vec[g] for g in t), Fraction(0))
-                    eps = min(eps, slack)
+        rest = sorted(part - {e, e_prime})
+        for size in range(len(rest) + 1):
+            for combo in combinations(rest, size):
+                t = frozenset(combo + (e_prime,))
+                eps = min(eps, f.value(t) - sum((x[g] for g in t), Fraction(0)))
         assert eps > 0, "average base is not strictly interior on this component"
         y = list(x)
         y[e] -= eps

@@ -84,6 +84,16 @@ MALFORMED = [
      ["explicit-identify", "--solutions", "{x}"], "expected an integer, got 2.0"),
     ("size-float", {"t": dict(TABLE, size=2.0)},
      ["polymatroid-identify", "--table", "{t}"], "expected an integer, got 2.0"),
+    ("ids-underscore-sign", {"i": TRIANGLE}, ["path-verify", "{i}", "--S", "+0,0_1,2"],
+     "'+0' is not a decimal id"),
+    ("capacities-sign-underscore", {},
+     ["matroid-identify", "--kind", "partition", "--blocks", "0,1;2", "--capacities", "+1,0_1"],
+     "'+1' is not a decimal id"),
+    ("blocks-underscore", {},
+     ["matroid-identify", "--kind", "partition", "--blocks", "0,1;0_2", "--capacities", "1,1"],
+     "'0_2' is not a decimal id"),
+    ("table-key-sign", {"t": {"size": 2, "values": {"": "0", "+0": "1", "1": "1", "0,1": "1"}}},
+     ["polymatroid-identify", "--table", "{t}"], "'+0' is not a decimal id"),
 ]
 # (id, environment, argv with {i} for an instance path, stderr line)
 CAPS_BELOW_ONE = [

@@ -47,6 +47,17 @@ class TestSolutionList:
         with pytest.raises(InvalidInstance):
             SolutionList(2, [(0, 1, 1)])
 
+    def test_rejects_non_integer_or_negative_dimension(self):
+        for dimension in (2.0, Fraction(2), "2", -1):
+            with pytest.raises(InvalidInstance, match="dimension must be"):
+                SolutionList(dimension, [(0, 1)] if dimension != -1 else [])
+        assert SolutionList(0, [()]).vectors == ((),)
+
+    def test_from_strings_rejects_non_binary_characters(self):
+        for strings in (["0a"], ["01", "2 "], ["1.0"]):
+            with pytest.raises(InvalidInstance, match="expected a 0/1 string"):
+                SolutionList.from_strings(strings)
+
     def test_from_sets(self):
         x = SolutionList.from_sets(3, [{0}, {1, 2}])
         assert x.vectors == ((1, 0, 0), (0, 1, 1))

@@ -67,6 +67,14 @@ def test_weights_reject_negative():
         WeightedGroundSet([1, "-1/2"])
 
 
+def test_weights_reject_floats():
+    # Fraction(0.1) is a binary rational, not 1/10; no float enters an answer.
+    with pytest.raises(InvalidInstance, match="floats are not exact"):
+        WeightedGroundSet([0.1, 1])
+    with pytest.raises(InvalidInstance, match="floats are not exact"):
+        WeightedGroundSet.uniform(3, 0.5)
+
+
 class TestStronglyConnectedComponents:
     def test_mutual_reachability_merges(self):
         comp = strongly_connected_components(Digraph(2, [(0, 1), (1, 0)]))

@@ -11,7 +11,7 @@ from idsets.errors import InvalidInstance
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import matrix_rank, vec_sub
+from idsets.linalg import as_vector, matrix_rank, vec_sub
 from idsets.linear import (
     AffineBasis,
     ax_independent,
@@ -74,6 +74,14 @@ class TestAffineBasis:
 
     def test_single_point_dimension_zero(self):
         assert AffineBasis([[3, 4, 5]]).hull_dimension == 0
+
+    def test_rejects_float_coordinates(self):
+        with pytest.raises(InvalidInstance, match="floats are not exact"):
+            as_vector([0.1])
+        with pytest.raises(InvalidInstance, match="floats are not exact"):
+            AffineBasis([[1, 0], [0.5, 0.5]])
+        with pytest.raises(InvalidInstance, match="floats are not exact"):
+            PARALLEL.affine_coefficients([0.75, 0.25])
 
     def test_affine_coefficients(self):
         coeffs = PARALLEL.affine_coefficients([Fraction(3, 4), Fraction(1, 4)])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,6 +26,7 @@ from idsets.matroids import (
     uniform_matroid,
     verify_matroid_identifying,
 )
+from idsets.polymatroids import PolymatroidOracle, verify_polymatroid_identifying
 
 from .helpers import all_subsets, enumerate_circuits, oracle_matroid_witness, random_weights
 
@@ -223,6 +228,18 @@ class TestVerify:
         with pytest.raises(EnumerationExplosion):
             verify_matroid_identifying(m, set(range(2, 24)))
 
+    def test_witness_scan_covers_only_violated_components(self):
+        # n = 26 exceeds max_ground, but S misses two elements of one
+        # 5-element block, so the scan runs over that block alone.
+        blocks = [range(0, 5), range(5, 10), range(10, 15), range(15, 20), range(20, 26)]
+        m = partition_matroid(blocks, [2] * 5)
+        assert m.ground_size > Caps().max_ground
+        ok, witness = verify_matroid_identifying(m, set(range(26)) - {1, 3})
+        assert not ok
+        assert witness.circuit == {0, 1, 3}
+        assert witness.basis_a == {0, 1, 5, 6, 10, 11, 15, 16, 20, 21}
+        assert witness.basis_b == {0, 3, 5, 6, 10, 11, 15, 16, 20, 21}
+
     def test_witness_matches_circuit_oracle(self):
         rng = random.Random(2024)
         matroids = fixture_matroids()
@@ -277,3 +294,70 @@ class TestTheoremEquivalence:
                 assert bases_distinct_on(bases, frozenset(s))
                 best = min(w.total(c) for c in subsets if bases_distinct_on(bases, c))
                 assert w.total(s) == best, (m.name,)
+
+
+def witness_cases():
+    """Seeded (verifier, oracle, S) triples, three random S per oracle:
+    uniform, partition (shuffled blocks, so two violated components often
+    hold circuits of different sizes) and graphic matroids, then
+    budget-additive and coverage polymatroids."""
+    rng = random.Random(3000)
+    oracles = []
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        oracles.append((verify_matroid_identifying, uniform_matroid(rng.randint(1, n - 1), n)))
+    for _ in range(50):
+        n = rng.randint(2, 14)
+        ids = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3))))
+        blocks = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        capacities = [rng.randint(0, len(b)) for b in blocks]
+        oracles.append((verify_matroid_identifying, partition_matroid(blocks, capacities)))
+    for m in seeded_graphic_matroids(50, 3001):
+        oracles.append((verify_matroid_identifying, m))
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        gains = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
+        cap = Fraction(rng.randint(1, 12), rng.randint(1, 2))
+        oracles.append((verify_polymatroid_identifying,
+                        PolymatroidOracle.budget_additive(cap, gains)))
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        items = range(rng.randint(1, 6))
+        sets = [rng.sample(items, rng.randint(0, len(items))) for _ in range(n)]
+        oracles.append((verify_polymatroid_identifying, PolymatroidOracle.coverage(n, sets)))
+    for verify, oracle in oracles:
+        for _ in range(3):
+            s = frozenset(e for e in range(oracle.ground_size) if rng.random() < 0.6)
+            yield verify, oracle, s
+
+
+def witness_line(s: frozenset[int], ok: bool, witness) -> str:
+    """Verdict and witness as one JSON line: sets sorted, numbers as strings."""
+    parts = []
+    for field in fields(witness) if witness is not None else ():
+        value = getattr(witness, field.name)
+        if isinstance(value, frozenset):
+            parts.append(sorted(value))
+        elif isinstance(value, tuple):
+            parts.append([str(v) for v in value])
+        else:
+            parts.append(str(value))
+    return json.dumps([sorted(s), ok, parts])
+
+
+class TestWitnessDigest:
+    # sha256 of the verdict and witness lines below, recorded before the
+    # witness searches were restricted to the violated components.
+    DIGEST = "8da0f1f90991d9614cbbbdef7788f37a21f5037875ee7c9ede39070c720fa6f4"
+
+    def test_matroid_and_polymatroid_witnesses_are_pinned(self):
+        digest = hashlib.sha256()
+        pairs = negative = 0
+        for verify, oracle, s in witness_cases():
+            ok, witness = verify(oracle, s)
+            digest.update(f"{witness_line(s, ok, witness)}\n".encode())
+            pairs += 1
+            negative += not ok
+        assert pairs >= 300 and negative >= 100
+        assert digest.hexdigest() == self.DIGEST

@@ -120,6 +120,18 @@ class TestOracleValidation:
         f = PolymatroidOracle.from_table(2, table)
         assert f.value({0, 1}) == 1
 
+    def test_rejects_floats(self):
+        # A float is a binary rational: 0.1 is not 1/10, so none enters an answer.
+        half = Fraction(1, 2)
+        for build in (
+            lambda: PolymatroidOracle.budget_additive(0.5, [half, half]),
+            lambda: PolymatroidOracle.budget_additive(1, [0.25, half]),
+            lambda: PolymatroidOracle.from_table(1, {frozenset(): 0, frozenset({0}): 0.5}),
+            lambda: PolymatroidOracle(2, lambda t: 0.5 * len(t)),
+        ):
+            with pytest.raises(InvalidInstance, match="floats are not exact"):
+                build()
+
     def test_table_keys_outside_ground_rejected(self):
         table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
         with pytest.raises(InvalidInstance, match="subsets of 0..size-1"):
