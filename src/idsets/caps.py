@@ -24,11 +24,11 @@ class Caps:
 
     max_paths      limit on enumerated simple s-t paths
     max_subsets    limit on nodes visited by the exact hitting-set search
-    max_ground     ground-set size limit for the 2^|E| subset loops: the
-                   matroid witness scan (after the components say "not
-                   identifying"; it bounds the elements of the violated
-                   components, not the ground set) and the polymatroid
-                   components, membership and exchange loops
+    max_ground     element limit for the subset loops that build a negative
+                   verdict's witness: the matroid circuit scan (the elements
+                   of the violated components) and the polymatroid average
+                   base (its largest component); no subcommand verifies
+                   either, so only library callers set it
     max_fm_vars    variable limit for Fourier-Motzkin elimination; no
                    subcommand eliminates, so only library callers set it
 
@@ -53,7 +53,6 @@ class Caps:
         return cls(
             max_paths=_env_int("IDSETS_MAX_PATHS", cls.max_paths),
             max_subsets=_env_int("IDSETS_MAX_SUBSETS", cls.max_subsets),
-            max_ground=_env_int("IDSETS_MAX_GROUND", cls.max_ground),
         )
 
 

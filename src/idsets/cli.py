@@ -257,7 +257,7 @@ def _build_polymatroid(args) -> tuple[polymatroids.PolymatroidOracle, list[str]]
 def _cmd_polymatroid_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     oracle, files = _build_polymatroid(args)
     w = _weights(args, oracle.ground_size, files)
-    s, components = polymatroids.min_weight_polymatroid_identifying(oracle, w, caps)
+    s, components = polymatroids.min_weight_polymatroid_identifying(oracle, w)
     return EXIT_OK, _components_payload(s, w, components), files
 
 

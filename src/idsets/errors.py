@@ -33,7 +33,7 @@ class NotAcyclic(IdsetsError):
 CAP_KNOBS = {
     "max_paths": "IDSETS_MAX_PATHS / --max-paths",
     "max_subsets": "IDSETS_MAX_SUBSETS / --max-subsets",
-    "max_ground": "IDSETS_MAX_GROUND",
+    "max_ground": "Caps.max_ground",
     "max_fm_vars": "Caps.max_fm_vars",
 }
 
@@ -64,7 +64,7 @@ class SubsetExplosion(CapExceeded):
 
 
 class EnumerationExplosion(CapExceeded):
-    """Ground set too large for the max_ground cap on exhaustive subset loops."""
+    """Too many elements for the max_ground cap on a witness's subset loop."""
 
     def __init__(self, cap: int, reached: str):
         super().__init__("max_ground", cap, CAP_KNOBS["max_ground"], reached)

@@ -165,6 +165,13 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         return True
 
+    def parts(self) -> tuple[frozenset[int], ...]:
+        """The classes, sorted by least element (the order they are first met)."""
+        groups: dict[int, set[int]] = {}
+        for e in range(len(self.parent)):
+            groups.setdefault(self.find(e), set()).add(e)
+        return tuple(map(frozenset, groups.values()))
+
 
 def strongly_connected_components(g: Digraph) -> list[int]:
     """Component id per node (Tarjan, iterative). Ids are 0..k-1 in discovery order."""

@@ -65,11 +65,14 @@ def parse_ids(raw: str) -> list[int]:
     digit script, all of which int() would accept."""
     if raw.strip() == "":
         return []
-    parts = [part.strip() for part in raw.split(",")]
-    for part in parts:
-        if not (part.isascii() and part.isdigit()):
-            raise InvalidInstance(f"malformed id list {raw!r}: {part!r} is not a decimal id")
-    return [int(part) for part in parts]
+    return [_decimal_id(part, f"id list {raw!r}") for part in raw.split(",")]
+
+
+def _decimal_id(token: str, where: str) -> int:
+    token = token.strip()
+    if not (token.isascii() and token.isdigit()):
+        raise InvalidInstance(f"malformed {where}: {token!r} is not a decimal id")
+    return int(token)
 
 
 def parse_id_lists(raw: str) -> list[list[int]]:
@@ -85,9 +88,10 @@ def parse_bits(raw: str, dim: int) -> tuple[int, ...]:
 
 
 def parse_edges(raw: str) -> list[tuple[int, int]]:
-    """Comma list of "a-b" pairs, e.g. "0-1,1-2"."""
-    with _reading("edge list"):
-        return [(int(a), int(b)) for a, _, b in (p.partition("-") for p in raw.split(","))]
+    """Comma list of "a-b" pairs, e.g. "0-1,1-2"; each end is an id as in `parse_ids`."""
+    where = f"edge list {raw!r}"
+    return [(_decimal_id(a, where), _decimal_id(b, where))
+            for a, _, b in (pair.partition("-") for pair in raw.split(","))]
 
 
 def parse_cost(spec: str, dim: int) -> tolls.CostOracle:

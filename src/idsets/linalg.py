@@ -54,7 +54,7 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, row)) for row in rows]
+    mat = [list(map(exact, row)) for row in rows]
     if not mat:
         return 0
     _, pivots = rref(mat)
@@ -90,7 +90,7 @@ def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vect
     if rows == 0:
         return ()
     cols = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a, b)]
+    aug = [list(map(exact, row)) + [exact(bi)] for row, bi in zip(a, b)]
     reduced, pivots = rref(aug)
     if cols in pivots:  # pivot in the rhs column: inconsistent system
         return None

@@ -209,11 +209,7 @@ def matroid_components(m: MatroidOracle) -> MatroidComponents:
             continue
         for i in _circuit_of(m, basis, j) - {j}:
             uf.union(i, j)
-    groups: dict[int, set[int]] = {}
-    for e in range(m.ground_size):
-        groups.setdefault(uf.find(e), set()).add(e)
-    parts = sorted((frozenset(group) for group in groups.values()), key=min)
-    return MatroidComponents(partition=tuple(parts))
+    return MatroidComponents(partition=uf.parts())
 
 
 def min_weight_matroid_identifying(

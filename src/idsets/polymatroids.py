@@ -3,8 +3,10 @@
 The ground set splits uniquely into connected components (no proper nonempty
 T with f(T) + f(E \\ T) = f(E) inside a component); a set is identifying for
 the base polyhedron exactly when it misses at most one element per component,
-and a witness exchange stays inside a violated component. All arithmetic is
-exact: tightness x(T) = f(T) is an equality test.
+and a witness exchange stays inside a violated component. The components come
+from one greedy base in n(n+1)/2 oracle calls; only a negative verdict's
+witness loops over subsets, one component at a time. All arithmetic is exact:
+tightness x(T) = f(T) is an equality test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import EnumerationExplosion, InvalidInstance
-from .graphs import WeightedGroundSet, drop_heaviest_per_part, validate_ids
+from .graphs import UnionFind, WeightedGroundSet, drop_heaviest_per_part, validate_ids
 from .linalg import Vector, exact
 from .matroids import MatroidOracle
 
@@ -28,9 +30,12 @@ EXHAUSTIVE_CHECK_LIMIT = 12
 class PolymatroidOracle:
     """Memoized value oracle for a normalized monotone submodular function.
 
-    The three axioms are verified on construction: up to ground size 12
-    exhaustively, on one table of all 2^n values scaled to integers (via the
-    local monotonicity and submodularity inequalities), and sampled beyond.
+    With `validate` (the default, for tables, matroid ranks and custom
+    callables) the three axioms are verified on construction: up to ground
+    size 12 exhaustively, on one table of all 2^n values scaled to integers
+    (via the local monotonicity and submodularity inequalities), and sampled
+    beyond. `coverage` and `budget_additive` skip it: once their inputs pass
+    their own checks they are polymatroids by theorem.
     """
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
@@ -127,7 +132,7 @@ class PolymatroidOracle:
                 union |= covered[e]
             return Fraction(len(union))
 
-        return cls(ground_size, value, name="coverage")
+        return cls(ground_size, value, name="coverage", validate=False)
 
     @classmethod
     def budget_additive(cls, cap: Fraction | int,
@@ -137,13 +142,14 @@ class PolymatroidOracle:
         if cap_f < 0 or any(a < 0 for a in gain_f):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
         return cls(len(gain_f), lambda t: min(cap_f, sum((gain_f[e] for e in t), Fraction(0))),
-                   name="budget-additive")
+                   name="budget-additive", validate=False)
 
 
 @dataclass(frozen=True)
 class PolymatroidComponents:
     partition: tuple[frozenset[int], ...]
-    # (T, ground) pairs actually used to split: f(T) + f(ground - T) = f(ground).
+    # (part, ground) per part when there are two or more:
+    # f(part) + f(ground - part) = f(ground).
     separability_certificates: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
@@ -157,50 +163,33 @@ class PolymatroidWitness:
     epsilon: Fraction
 
 
-def _check_ground(f: PolymatroidOracle, caps: Caps) -> None:
-    if f.ground_size > caps.max_ground:
-        raise EnumerationExplosion(caps.max_ground, f"ground size {f.ground_size}")
+def polymatroid_components(f: PolymatroidOracle) -> PolymatroidComponents:
+    """Components as the weak components of k -> dep(k) at one greedy base.
 
-
-def polymatroid_components(f: PolymatroidOracle,
-                           caps: Caps = DEFAULT_CAPS) -> PolymatroidComponents:
-    """Finest partition by recursive separability splitting.
-
-    Any split order yields the same partition (it is unique); subsets are
-    scanned smallest-first holding the minimum element for determinism.
+    x is the greedy base for the order 0..n-1, so every prefix P_k = {0..k}
+    is tight, and dep(k), the least x-tight set holding k, lies in P_k: from
+    D = P_k, each j = k-1, ..., 0 leaves D when D - j is still tight. Every
+    separator is tight at x, hence a union of dep sets, and each weak
+    component is a separator (Bixby, Cunningham & Topkis 1985). Each part P
+    comes with the exact split (P, E) when there are two or more parts.
     """
-    _check_ground(f, caps)
-    certificates: list[tuple[frozenset[int], frozenset[int]]] = []
-    final: list[frozenset[int]] = []
-    stack = [frozenset(range(f.ground_size))] if f.ground_size else []
-    while stack:
-        ground = stack.pop()
-        split = _find_split(f, ground)
-        if split is None:
-            final.append(ground)
-            continue
-        certificates.append((split, ground))
-        stack.append(ground - split)
-        stack.append(split)
-    final.sort(key=min)
-    return PolymatroidComponents(partition=tuple(final),
-                                 separability_certificates=tuple(certificates))
-
-
-def _find_split(f: PolymatroidOracle, ground: frozenset[int]) -> frozenset[int] | None:
-    if len(ground) <= 1:
-        return None
-    elements = sorted(ground)
-    anchor, rest = elements[0], elements[1:]
-    total = f.value(ground)
-    for size in range(0, len(rest)):
-        for combo in combinations(rest, size):
-            t = frozenset((anchor,) + combo)
-            if t == ground:
-                continue
-            if f.value(t) + f.value(ground - t) == total:
-                return t
-    return None
+    n = f.ground_size
+    uf = UnionFind(n)
+    x: list[Fraction] = []
+    for k in range(n):
+        dep_x = f.value(range(k + 1))
+        x.append(dep_x - f.value(range(k)))
+        dep = set(range(k + 1))
+        for j in range(k - 1, -1, -1):
+            if f.value(dep - {j}) == dep_x - x[j]:
+                dep.discard(j)
+                dep_x -= x[j]
+        for j in dep:
+            uf.union(k, j)
+    parts = uf.parts()
+    ground = frozenset(range(n))
+    certificates = tuple((part, ground) for part in parts) if len(parts) > 1 else ()
+    return PolymatroidComponents(partition=parts, separability_certificates=certificates)
 
 
 def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
@@ -209,28 +198,33 @@ def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
     Computed in closed form (ordering-count weights per prefix), this point
     is a convex combination of vertices, hence feasible, and is strictly
     inside every tightness constraint that crosses a connected component.
+    The average over a direct sum concatenates its parts' averages, so each
+    component is averaged alone and `caps.max_ground` bounds the largest.
     """
-    _check_ground(f, caps)
-    n = f.ground_size
-    n_fact = factorial(n)
-    coords = [Fraction(0)] * n
-    for e in range(n):
-        others = [g for g in range(n) if g != e]
-        for size in range(n):
-            weight = Fraction(factorial(size) * factorial(n - 1 - size), n_fact)
-            for combo in combinations(others, size):
-                t = frozenset(combo)
-                coords[e] += weight * (f.value(t | {e}) - f.value(t))
+    parts = polymatroid_components(f).partition
+    largest = max(map(len, parts), default=0)
+    if largest > caps.max_ground:
+        raise EnumerationExplosion(caps.max_ground,
+                                   f"largest component holds {largest} elements")
+    coords = [Fraction(0)] * f.ground_size
+    for part in parts:
+        size = len(part)
+        for e in part:
+            for t_size in range(size):
+                weight = Fraction(factorial(t_size) * factorial(size - 1 - t_size),
+                                  factorial(size))
+                for t in combinations(sorted(part - {e}), t_size):
+                    coords[e] += weight * (f.value(t + (e,)) - f.value(t))
     return tuple(coords)
 
 
 def min_weight_polymatroid_identifying(
-    f: PolymatroidOracle, w: WeightedGroundSet | None = None, caps: Caps = DEFAULT_CAPS
+    f: PolymatroidOracle, w: WeightedGroundSet | None = None
 ) -> tuple[frozenset[int], PolymatroidComponents]:
     """Drop the heaviest element (ties: smallest id) of every component."""
     if w is None:
         w = WeightedGroundSet.uniform(f.ground_size)
-    components = polymatroid_components(f, caps)
+    components = polymatroid_components(f)
     return drop_heaviest_per_part(components.partition, w), components
 
 
@@ -247,8 +241,7 @@ def verify_polymatroid_identifying(
     nonnegative, and 0 on the separator P, so slack(T ∩ P) <= slack(T).
     """
     s_set = validate_ids(f.ground_size, s)
-    components = polymatroid_components(f, caps)
-    for part in components.partition:
+    for part in polymatroid_components(f).partition:
         if len(part & s_set) >= len(part) - 1:
             continue
         e, e_prime = sorted(part - s_set)[:2]

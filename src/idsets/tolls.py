@@ -30,7 +30,7 @@ from .errors import (
 )
 from .explicit import SolutionList, verify_explicit_identifying
 from .graphs import validate_ids
-from .linalg import Vector, as_vector, solve_linear, vec_dot
+from .linalg import Vector, as_vector, exact, solve_linear, vec_dot
 from .linear import AffineBasis, verify_identifying_from_basis
 
 
@@ -44,7 +44,7 @@ class CostOracle:
 
 def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOracle:
     coeffs = as_vector(coefficients)
-    const = Fraction(constant)
+    const = exact(constant)
     return CostOracle(
         evaluate=lambda x: vec_dot(coeffs, as_vector(x)) + const,
         subgradient=lambda x: coeffs,
@@ -97,7 +97,7 @@ def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
     if target_vec not in x.vectors:
         raise TargetNotInX(f"target {target_vec} not among the solutions")
     peak = max(abs(c.evaluate(as_vector(vec))) for vec in x.vectors)
-    m = max(Fraction(1), 2 * peak) + Fraction(margin)
+    m = max(Fraction(1), 2 * peak) + exact(margin)
     gamma = {e: (-m if target_vec[e] == 1 else m) for e in sorted(s_set)}
     return TollVector(size=x.dimension, gamma=gamma, support=s_set)
 
@@ -191,8 +191,7 @@ def fourier_motzkin_feasible(
     0 >= rhs with rhs > 0 is the contradiction. Rows are normalized and
     deduplicated to slow the quadratic blowup.
     """
-    current = [_normalize_row(tuple(Fraction(v) for v in coeffs), Fraction(rhs))
-               for coeffs, rhs in rows]
+    current = [_normalize_row(as_vector(coeffs), exact(rhs)) for coeffs, rhs in rows]
     for var in range(nvars):
         positive, negative, rest = [], [], []
         for coeffs, rhs in current:

@@ -15,11 +15,10 @@ from itertools import combinations, product
 import networkx as nx
 
 from idsets.caps import DEFAULT_CAPS, Caps
-from idsets.errors import InvalidInstance, NotABase, SubsetExplosion
+from idsets.errors import EnumerationExplosion, InvalidInstance, NotABase, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
 from idsets.linalg import Vector, as_vector
 from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying, size_ratio
-from idsets.polymatroids import _check_ground
 from idsets.tolls import ControllingVerdict, fourier_motzkin_feasible
 
 
@@ -371,6 +370,26 @@ def oracle_polymatroid_axioms(f) -> str | None:
     return None
 
 
+def oracle_polymatroid_components(f) -> tuple[frozenset[int], ...]:
+    """The finest separability partition by recursive splitting, sorted by
+    least element: a part splits at the first T holding its least element,
+    scanned by size and then lexicographically, with f(T) + f(part - T) =
+    f(part); a part with no such proper T is a component."""
+    final = []
+    stack = [frozenset(range(f.ground_size))] if f.ground_size else []
+    while stack:
+        ground = stack.pop()
+        anchor, *rest = sorted(ground)
+        split = next((t for size in range(len(rest))
+                      for t in (frozenset((anchor, *combo)) for combo in combinations(rest, size))
+                      if f.value(t) + f.value(ground - t) == f.value(ground)), None)
+        if split is None:
+            final.append(ground)
+        else:
+            stack += [ground - split, split]
+    return tuple(sorted(final, key=min))
+
+
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -399,6 +418,11 @@ def flow_conservation_ok(g: Digraph, st: StPair, flow) -> bool:
         if balance[v] != expected:
             return False
     return True
+
+
+def _check_ground(f, caps: Caps) -> None:
+    if f.ground_size > caps.max_ground:
+        raise EnumerationExplosion(caps.max_ground, f"ground size {f.ground_size}")
 
 
 def base_membership(f, x, caps: Caps = DEFAULT_CAPS) -> tuple[bool, frozenset[int] | None]:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
@@ -94,6 +95,9 @@ MALFORMED = [
      "'0_2' is not a decimal id"),
     ("table-key-sign", {"t": {"size": 2, "values": {"": "0", "+0": "1", "1": "1", "0,1": "1"}}},
      ["polymatroid-identify", "--table", "{t}"], "'+0' is not a decimal id"),
+    ("vc-edges-sign-underscore", {},
+     ["gen", "--family", "vc-dag", "--vc-vertices", "3", "--vc-edges", "+0-1,0_1-2"],
+     "'+0' is not a decimal id"),
 ]
 # (id, environment, argv with {i} for an instance path, stderr line)
 CAPS_BELOW_ONE = [
@@ -101,9 +105,9 @@ CAPS_BELOW_ONE = [
      "max_subsets = -1 (IDSETS_MAX_SUBSETS / --max-subsets): must be >= 1"),
     ("max-paths-flag", {}, ["path-exact", "{i}", "--max-paths", "0"],
      "max_paths = 0 (IDSETS_MAX_PATHS / --max-paths): must be >= 1"),
-    ("max-ground-variable", {"IDSETS_MAX_GROUND": "-5"},
+    ("max-subsets-variable", {"IDSETS_MAX_SUBSETS": "-5"},
      ["polymatroid-identify", "--family", "coverage", "--sets", "0,1;1,2"],
-     "max_ground = -5 (IDSETS_MAX_GROUND): must be >= 1"),
+     "max_subsets = -5 (IDSETS_MAX_SUBSETS / --max-subsets): must be >= 1"),
 ]
 
 
@@ -207,11 +211,7 @@ class TestCapMessages:
         ({}, ["path-exact", "{i}", "--max-subsets", "5"],
          "max_subsets = 5 (IDSETS_MAX_SUBSETS / --max-subsets): "
          "the exact hitting-set search visited 6 nodes"),
-        ({"IDSETS_MAX_GROUND": "1"},
-         ["polymatroid-identify", "--family", "budget-additive", "--cap", "5/2",
-          "--gains", "1,2,1/2"],
-         "max_ground = 1 (IDSETS_MAX_GROUND): ground size 3"),
-    ], ids=["max_paths", "max_subsets", "max_ground"])
+    ], ids=["max_paths", "max_subsets"])
     def test_line_names_cap_knobs_and_count(self, tight_k3, capsys, monkeypatch,
                                              env, argv, line):
         for name, value in env.items():
@@ -500,6 +500,22 @@ class TestOtherSolvers:
                      "--cap", "5/2", "--gains", "1,2,1/2"])
         assert code == 0
         capsys.readouterr()
+
+    def test_coverage_of_25_elements(self, capsys):
+        # More elements than Caps().max_ground: the components are the
+        # overlap classes of the sets, found without a subset loop.
+        rng = random.Random(25)
+        sets = [rng.sample(range(40), rng.randint(0, 3)) for _ in range(25)]
+        code = main(["polymatroid-identify", "--family", "coverage",
+                     "--sets", ";".join(",".join(map(str, s)) for s in sets)])
+        out = json.loads(capsys.readouterr().out)
+        overlaps = nx.Graph()
+        overlaps.add_nodes_from(range(25))
+        overlaps.add_edges_from((e, ("item", i)) for e, s in enumerate(sets) for i in s)
+        classes = sorted(sorted(v for v in c if isinstance(v, int))
+                         for c in nx.connected_components(overlaps))
+        assert code == 0 and out["components"] == classes
+        assert max(map(len, classes)) > 1 and len(classes) > 1
 
     def test_linear_identify(self, tmp_path, capsys):
         basis = tmp_path / "basis.json"

@@ -8,16 +8,18 @@ from fractions import Fraction
 import pytest
 
 from idsets.errors import InvalidInstance
+from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import as_vector, matrix_rank, vec_sub
+from idsets.linalg import as_vector, matrix_rank, solve_linear, vec_sub
 from idsets.linear import (
     AffineBasis,
     ax_independent,
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
+from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost
 
 from .helpers import (
     all_simple_digraphs,
@@ -82,6 +84,19 @@ class TestAffineBasis:
             AffineBasis([[1, 0], [0.5, 0.5]])
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             PARALLEL.affine_coefficients([0.75, 0.25])
+        # 0.1 would add 3602879701896397/36028797018963968, not 1/10.
+        for call in (
+            lambda: linear_cost([1, 2], 0.1),
+            lambda: solve_linear([[1, 0.5]], [1]),
+            lambda: solve_linear([[1, 2]], [0.5]),
+            lambda: matrix_rank([[1, 0.5]]),
+            lambda: fourier_motzkin_feasible([((0.5,), 1)], 1),
+            lambda: fourier_motzkin_feasible([((1,), 0.1)], 1),
+            lambda: discrete_tolls(SolutionList.from_strings(["10", "01"]), {0},
+                                   linear_cost([0, 0]), (0, 1), margin=0.5),
+        ):
+            with pytest.raises(InvalidInstance, match="floats are not exact"):
+                call()
 
     def test_affine_coefficients(self):
         coeffs = PARALLEL.affine_coefficients([Fraction(3, 4), Fraction(1, 4)])

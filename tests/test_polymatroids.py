@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -33,6 +35,7 @@ from .helpers import (
     dependence_function,
     greedy_base,
     oracle_polymatroid_axioms,
+    oracle_polymatroid_components,
     random_weights,
 )
 
@@ -60,6 +63,69 @@ def table_fixtures() -> list[PolymatroidOracle]:
         PolymatroidOracle.coverage(6, [{0}, {0, 1}, {2}, {3}, {3, 4}, {5}]),
     ]
     return fixtures
+
+
+def random_closed_form(rng: random.Random, n: int) -> PolymatroidOracle:
+    """A coverage function (sets of up to 3 items out of 2n + 1) or a
+    budget-additive function on n elements, zero gains and empty sets
+    included."""
+    if rng.random() < 0.5:
+        items = range(2 * n + 1)
+        return PolymatroidOracle.coverage(n, [rng.sample(items, rng.randint(0, 3))
+                                              for _ in range(n)])
+    gains = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
+    return PolymatroidOracle.budget_additive(Fraction(rng.randint(0, 4 * n), rng.randint(1, 2)),
+                                             gains)
+
+
+def seeded_polymatroids(count: int, seed: int):
+    """Seeded polymatroids on 1-9 elements, cycling through five kinds:
+    coverage or budget-additive, the sum of two of those, a direct sum of two
+    on shuffled element ids, a matroid rank (graphic multigraph, uniform or
+    partition), and a table of a sum of capped modular terms."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 8)
+        kind = i % 5
+        if kind == 0:
+            yield random_closed_form(rng, n)
+        elif kind == 1:
+            a, b = random_closed_form(rng, n), random_closed_form(rng, n)
+            yield PolymatroidOracle(n, lambda t, a=a, b=b: a.value(t) + b.value(t), name="sum")
+        elif kind == 2:
+            ids = rng.sample(range(n + 1), n + 1)
+            cut = rng.randint(1, n)
+            blocks = (ids[:cut], ids[cut:])
+            a, b = (random_closed_form(rng, len(block)) for block in blocks)
+
+            def value(t, a=a, b=b, blocks=blocks):
+                return sum((g.value(i for i, e in enumerate(block) if e in t)
+                            for g, block in zip((a, b), blocks)), Fraction(0))
+
+            yield PolymatroidOracle(n + 1, value, name="direct-sum")
+        elif kind == 3:
+            choice = rng.randrange(3)
+            if choice == 0:
+                nodes = rng.randint(1, 5)
+                m = graphic_matroid(Digraph(nodes, [(rng.randrange(nodes), rng.randrange(nodes))
+                                                    for _ in range(n)]))
+            elif choice == 1:
+                m = uniform_matroid(rng.randint(0, n), n)
+            else:
+                ids = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+                blocks = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+                m = partition_matroid(blocks, [rng.randint(0, len(b)) for b in blocks])
+            yield PolymatroidOracle.from_matroid(m)
+        else:
+            terms = [(Fraction(rng.randint(0, 3 * n), rng.randint(1, 2)),
+                      [Fraction(rng.randint(0, 3), rng.randint(1, 2)) if rng.random() < 0.6
+                       else Fraction(0) for _ in range(n)])
+                     for _ in range(rng.randint(1, 3))]
+            yield PolymatroidOracle.from_table(n, {
+                t: sum((min(cap, sum((gains[e] for e in t), Fraction(0)))
+                        for cap, gains in terms), Fraction(0))
+                for t in all_subsets(range(n))})
 
 
 def polytope_vertices(f: PolymatroidOracle) -> list[tuple[Fraction, ...]]:
@@ -237,6 +303,45 @@ class TestComponents:
             assert polymatroid_components(f).partition == matroid_components(m).partition
 
 
+class TestComponentsFromOneBase:
+    # sha256 of the partitions below, one JSON line each, recorded with the
+    # recursive split scan that the greedy-base components replaced.
+    DIGEST = "6abdc18020342fd542ac7306c8e719b65c82999e6db99b0fba6a6da7c5e1c8da"
+
+    def test_matches_split_oracle(self):
+        for f in seeded_polymatroids(600, 1100):
+            components = polymatroid_components(f)
+            assert components.partition == oracle_polymatroid_components(f), f.name
+            for part, ground in components.separability_certificates:
+                assert f.value(part) + f.value(ground - part) == f.value(ground)
+
+    def test_partitions_are_pinned(self):
+        digest = hashlib.sha256()
+        for f in seeded_polymatroids(600, 1100):
+            parts = polymatroid_components(f).partition
+            digest.update(f"{json.dumps([sorted(p) for p in parts])}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_quadratic_oracle_calls(self):
+        n, asked = 30, set()
+
+        def value(t: frozenset[int]) -> Fraction:
+            asked.add(t)
+            return Fraction(min(len(t & {0, 1, 2}), 2) + len(t - {0, 1, 2}))
+
+        f = PolymatroidOracle(n, value, validate=False)
+        assert polymatroid_components(f).partition == (
+            (frozenset({0, 1, 2}),) + tuple(frozenset({e}) for e in range(3, n)))
+        assert len(asked) <= n * (n + 1) // 2 + 1
+
+    def test_closed_form_families_are_polymatroids(self):
+        # They skip the axiom sweep on construction; the theorem is checked here.
+        rng = random.Random(1200)
+        for _ in range(300):
+            f = random_closed_form(rng, rng.randint(1, 8))
+            assert oracle_polymatroid_axioms(f) is None, f.name
+
+
 class TestDependence:
     def test_symmetric_pair(self):
         f = truncation(2, 1)
@@ -268,11 +373,7 @@ class TestDependence:
             for e in range(f.ground_size):
                 for e2 in dependence_function(f, x, e):
                     uf.union(e, e2)
-            groups: dict[int, set[int]] = {}
-            for e in range(f.ground_size):
-                groups.setdefault(uf.find(e), set()).add(e)
-            got = {frozenset(v) for v in groups.values()}
-            assert got == set(polymatroid_components(f).partition)
+            assert uf.parts() == polymatroid_components(f).partition
 
 
 class TestMinWeight:
@@ -311,6 +412,30 @@ class TestVerify:
         for f in table_fixtures():
             ok, _ = verify_polymatroid_identifying(f, set(range(f.ground_size)))
             assert ok
+
+    def test_max_ground_caps_the_witness_only(self):
+        # The components decide the verdict; only a negative verdict's average
+        # base loops over subsets, of one component at a time.
+        f = PolymatroidOracle.budget_additive(Fraction(5, 2), [1, 2, Fraction(1, 2)])
+        assert verify_polymatroid_identifying(f, {0, 1}, Caps(max_ground=1)) == (True, None)
+        with pytest.raises(EnumerationExplosion) as exc:
+            verify_polymatroid_identifying(f, {0}, Caps(max_ground=1))
+        assert str(exc.value) == ("max_ground = 1 (Caps.max_ground): "
+                                  "largest component holds 3 elements")
+
+    def test_max_ground_below_one_is_invalid(self):
+        with pytest.raises(InvalidInstance) as exc:
+            Caps(max_ground=-5)
+        assert str(exc.value) == "max_ground = -5 (Caps.max_ground): must be >= 1"
+
+    def test_witness_beyond_max_ground(self):
+        # 26 elements, largest component {0, 1}: the average base is per component.
+        f = PolymatroidOracle.coverage(26, [{0}, {0}] + [{e} for e in range(1, 25)])
+        assert f.ground_size > Caps().max_ground
+        ok, witness = verify_polymatroid_identifying(f, set(range(2, 26)))
+        assert not ok and witness.component == {0, 1}
+        assert witness.base_a[:3] == (Fraction(1, 2), Fraction(1, 2), 1)
+        assert witness.base_b[:3] == (0, 1, 1) and witness.epsilon == Fraction(1, 2)
 
     def test_rejects_out_of_range_ids(self):
         for s in ({0, 1, 99}, {-1}):
