@@ -390,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.monotonic() - started
     digest = _digest(input_files) if input_files else ""
     print(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"# {args.command} digest={digest[:16]} time={elapsed:.3f}s caps={caps}",
-          file=sys.stderr)
+    print(f"# {args.command} digest={digest[:16]} time={elapsed:.3f}s "
+          f"max_paths={caps.max_paths} max_subsets={caps.max_subsets}", file=sys.stderr)
     return code
 
 

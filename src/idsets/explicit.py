@@ -107,6 +107,7 @@ def greedy_identifying(x: SolutionList,
     """
     if w is None:
         w = WeightedGroundSet.uniform(x.dimension)
+    scaled = w.scaled
     classes = [x.vectors] if len(x.vectors) > 1 else []
     chosen: list[int] = []
     trace: list[tuple[int, int]] = []
@@ -117,7 +118,7 @@ def greedy_identifying(x: SolutionList,
                 gains[e] += ones * (len(members) - ones)
         best_e = -1
         for e, gain in enumerate(gains):
-            if gain and (best_e == -1 or _better(gain, w[e], gains[best_e], w[best_e])):
+            if gain and (best_e == -1 or _better(gain, scaled[e], gains[best_e], scaled[best_e])):
                 best_e = e
         chosen.append(best_e)
         trace.append((best_e, gains[best_e]))
@@ -133,8 +134,9 @@ def greedy_identifying(x: SolutionList,
                              trace=tuple(trace))
 
 
-def _better(gain_a: int, w_a: Fraction, gain_b: int, w_b: Fraction) -> bool:
-    """True when ratio gain_a/w_a beats gain_b/w_b (0-weight = infinite)."""
+def _better(gain_a: int, w_a: int, gain_b: int, w_b: int) -> bool:
+    """True when ratio gain_a/w_a beats gain_b/w_b (0-weight = infinite);
+    the weights are scaled by one common factor, which cancels."""
     if w_a == 0 and w_b == 0:
         return False  # both infinite: a tie, resolved by id order
     return gain_a * w_b > gain_b * w_a

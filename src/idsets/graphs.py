@@ -16,6 +16,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NoStPath, PathExplosion
@@ -96,17 +97,29 @@ class StPair:
 
 
 class WeightedGroundSet:
-    """Nonnegative rational weight per element id, exact arithmetic throughout."""
+    """Nonnegative rational weight per element id, kept twice: `weights`
+    holds the Fractions as given, and `scaled` one int per element, the
+    weight times `scale`, the lcm of the denominators. Solvers compare and
+    add the ints; a Fraction is built again only for a reported total.
+    """
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        self.weights: tuple[Fraction, ...] = tuple(exact(w) for w in weights)
+        self.weights: tuple[Fraction, ...] = tuple(map(exact, weights))
         for i, w in enumerate(self.weights):
-            if w < 0:
+            if w.numerator < 0:
                 raise InvalidInstance(f"negative weight at element {i}")
+        self.scale: int = lcm(*{w.denominator for w in self.weights})
+        self.scaled: tuple[int, ...] = tuple(
+            w.numerator * (self.scale // w.denominator) for w in self.weights)
 
     @classmethod
     def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
-        return cls([exact(value)] * size)
+        """`size` copies of one weight, validated once."""
+        one = cls([value])
+        out = cls.__new__(cls)
+        out.weights, out.scaled = one.weights * size, one.scaled * size
+        out.scale = one.scale if size else 1
+        return out
 
     @property
     def size(self) -> int:
@@ -116,7 +129,8 @@ class WeightedGroundSet:
         return self.weights[element]
 
     def total(self, elements: Iterable[int]) -> Fraction:
-        return sum((self.weights[e] for e in elements), Fraction(0))
+        scaled = self.scaled
+        return Fraction(sum(scaled[e] for e in elements), self.scale)
 
 
 def validate_ids(size: int, ids: Iterable[int]) -> frozenset[int]:
@@ -134,9 +148,10 @@ def validate_ids(size: int, ids: Iterable[int]) -> frozenset[int]:
 def drop_heaviest_per_part(parts: Iterable[frozenset[int]],
                            w: WeightedGroundSet) -> frozenset[int]:
     """Every element except the heaviest of its part (ties: smallest id)."""
+    scaled = w.scaled
     s: set[int] = set()
     for part in parts:
-        s |= part - {min(part, key=lambda e: (-w[e], e))}
+        s |= part - {min(part, key=lambda e: (-scaled[e], e))}
     return frozenset(s)
 
 
@@ -355,9 +370,10 @@ def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
     Kruskal over arcs sorted by (weight desc, arc id asc); self-loops are
     never forest arcs. Per connected component the result is a spanning tree.
     """
+    scaled = w.scaled
     uf = UnionFind(g.node_count)
     forest: set[int] = set()
-    for aid in sorted(restrict, key=lambda a: (-w[a], a)):
+    for aid in sorted(restrict, key=lambda a: (-scaled[a], a)):
         tail, head = g.arcs[aid]
         if tail != head and uf.union(tail, head):
             forest.add(aid)

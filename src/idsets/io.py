@@ -34,9 +34,13 @@ def _reading(what: str):
 
 
 def fraction_from_json(value: Any) -> Fraction:
-    """A rational from an integer or a "p/q" string; never a bool or float."""
+    """A rational from an integer or a "p/q" string; never a bool or float.
+    A string of ASCII digits skips Fraction's pattern match and goes through
+    int(), which keeps its limit on the number of digits."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and value.isascii() and value.isdigit():
+                return Fraction(int(value))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass

@@ -93,7 +93,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     n = basis.ground_size
     if w is None:
         w = WeightedGroundSet.uniform(n)
-    order = sorted(range(n), key=lambda e: (w[e], -e))
+    order = sorted(range(n), key=lambda e: (w.scaled[e], -e))
     _, pivots = rref(_columns(basis, order))
     return frozenset(order[c] for c in pivots)
 

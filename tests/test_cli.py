@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import networkx as nx
@@ -21,6 +22,8 @@ from hypothesis import strategies as st_
 from idsets import cli
 from idsets.cli import main
 from idsets.io import dump_json
+
+from .helpers import oracle_rank
 
 
 TRIANGLE = {"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "s": 0, "t": 2}
@@ -219,6 +222,16 @@ class TestCapMessages:
         assert main([arg.format(i=tight_k3) for arg in argv]) == 3
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"cap exceeded: {line}\n"
+
+    def test_summary_line_shows_only_the_caps_the_cli_reads(self, tight_k3, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("IDSETS_MAX_PATHS", "7")
+        assert main(["flow-identify", tight_k3, "--verify", "10,11,12"]) == 1
+        err = capsys.readouterr().err
+        summary, = err.splitlines()
+        assert summary.startswith("# flow-identify digest=")
+        assert summary.endswith(f" max_paths=7 max_subsets={2**24}")
+        assert "max_ground" not in err and "max_fm_vars" not in err
 
 
 class TestUsageErrors:
@@ -434,6 +447,96 @@ class TestExplicitBytes:
                             contextlib.redirect_stderr(io.StringIO()):
                         code = main(argv + flags)
                     digest.update(f"{code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+# Zeros, one value spelled three ways, leading-zero integers and coprime
+# denominators up to 7: every tie that a weight comparison can break.
+WEIGHT_TOKENS = ("0", "00", "0/5", "1/2", "2/4", "3/6", "007", "7", "1", "01", "1/3",
+                 "2/6", "1/5", "2/7", "3/4", "5/6", "6/7", "12/7", "4/1", "3/2")
+
+
+def weighted_commands(count: int = 24):
+    """Seeded (files by name, argv with {name} per file) for every subcommand
+    that reads weights: flow-identify and path-approx on a weighted DAG,
+    linear-identify, matroid-identify (uniform, partition),
+    polymatroid-identify (budget-additive) and explicit-identify (greedy,
+    exact). Weight files alternate between a bare list and {"weights": [...]}."""
+    for seed in range(count):
+        rng = random.Random(3000 + seed)
+
+        def weights(size: int):
+            tokens = [rng.choice(WEIGHT_TOKENS) for _ in range(size)]
+            return tokens if seed % 2 else {"weights": tokens}
+
+        n = rng.randint(2, 8)
+        spine = [0, *sorted(rng.sample(range(1, n - 1), rng.randint(0, n - 2))), n - 1]
+        arcs = [list(a) for a in zip(spine, spine[1:])]
+        arcs += [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        rng.shuffle(arcs)
+        dag = {"nodes": n, "arcs": arcs, "s": 0, "t": n - 1,
+               "weights": [rng.choice(WEIGHT_TOKENS) for _ in arcs]}
+        yield {"i": dag}, ["flow-identify", "{i}"]
+        yield {"i": dag}, ["path-approx", "{i}"]
+
+        dim, k = rng.randint(1, 7), rng.randint(0, 4)
+        points = [[rng.choice(["0", "1", "-1", "2", "1/2"]) for _ in range(dim)]
+                  for _ in range(min(k, dim) + 1)]
+        while oracle_rank([[Fraction(a) - Fraction(b) for a, b in zip(p, points[0])]
+                           for p in points[1:]]) < len(points) - 1:
+            points.pop()
+        yield ({"b": {"points": points}, "w": weights(dim)},
+               ["linear-identify", "--basis", "{b}", "--weights", "{w}"])
+
+        n = rng.randint(1, 9)
+        yield ({"w": weights(n)},
+               ["matroid-identify", "--kind", "uniform", "--k", str(rng.randint(0, n)),
+                "--n", str(n), "--weights", "{w}"])
+        ids = list(range(n))
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        blocks = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        yield ({"w": weights(n)},
+               ["matroid-identify", "--kind", "partition",
+                "--blocks", ";".join(",".join(map(str, b)) for b in blocks),
+                "--capacities", ",".join(str(rng.randint(0, len(b))) for b in blocks),
+                "--weights", "{w}"])
+        yield ({"w": weights(n)},
+               ["polymatroid-identify", "--family", "budget-additive",
+                "--cap", rng.choice(WEIGHT_TOKENS),
+                "--gains", ",".join(rng.choice(WEIGHT_TOKENS) for _ in range(n)),
+                "--weights", "{w}"])
+
+        dim = rng.randint(1, 10)
+        x = {"dim": dim, "vectors": ["".join(rng.choice("01") for _ in range(dim))
+                                     for _ in range(rng.randint(1, 16))]}
+        w = weights(dim)
+        yield {"x": x, "w": w}, ["explicit-identify", "--solutions", "{x}", "--weights", "{w}"]
+        yield ({"x": x, "w": w},
+               ["explicit-identify", "--solutions", "{x}", "--weights", "{w}", "--exact"])
+
+
+class TestWeightBytes:
+    # sha256 of every argv, exit code and stdout below, recorded before
+    # WeightedGroundSet kept one integer vector over the lcm of its
+    # denominators and the solvers compared those integers.
+    DIGEST = "027f4d08d8da6f6e6fc356960063242e581b4c801526dc502f17ffba23396591"
+
+    def test_weighted_answers_are_pinned(self, tmp_path):
+        digest = hashlib.sha256()
+        parser = cli.build_parser()
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            for files, argv in weighted_commands():
+                paths_ = {name: str(tmp_path / f"{name}.json") for name in files}
+                for name, data in files.items():
+                    with open(paths_[name], "w", encoding="utf-8") as fh:
+                        json.dump(data, fh)
+                argv = [a.format(**paths_) if a.startswith("{") else a for a in argv]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                shown = " ".join(a for a in argv if not a.endswith(".json"))
+                digest.update(f"{shown} {code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -31,6 +32,7 @@ from .helpers import (
     oracle_reachable_from,
     oracle_reverse_reachable_to,
     oracle_shortest_arc_path,
+    random_weights,
     seeded_multigraphs,
 )
 
@@ -63,16 +65,55 @@ def test_st_pair_rejects_equal_endpoints():
 
 
 def test_weights_reject_negative():
-    with pytest.raises(InvalidInstance):
-        WeightedGroundSet([1, "-1/2"])
+    with pytest.raises(InvalidInstance, match="^negative weight at element 2$"):
+        WeightedGroundSet([1, 0, "-1/2", Fraction(1, 7)])
+    # uniform checks its one value, even when it makes no copy of it.
+    for size in (0, 3):
+        with pytest.raises(InvalidInstance, match="^negative weight at element 0$"):
+            WeightedGroundSet.uniform(size, Fraction(-1, 3))
 
 
 def test_weights_reject_floats():
     # Fraction(0.1) is a binary rational, not 1/10; no float enters an answer.
     with pytest.raises(InvalidInstance, match="floats are not exact"):
         WeightedGroundSet([0.1, 1])
-    with pytest.raises(InvalidInstance, match="floats are not exact"):
-        WeightedGroundSet.uniform(3, 0.5)
+    for size in (0, 3):
+        with pytest.raises(InvalidInstance, match="floats are not exact"):
+            WeightedGroundSet.uniform(size, 0.5)
+
+
+class TestWeightRepresentation:
+    """`weights` keeps the Fractions; `scaled` is one int per element over
+    `scale`, the lcm of the denominators, and sums and compares exactly."""
+
+    def test_scale_and_scaled_on_mixed_input(self):
+        w = WeightedGroundSet([2, "3/4", Fraction(5, 6), "0", "007", "2/4"])
+        assert w.weights == (2, Fraction(3, 4), Fraction(5, 6), 0, 7, Fraction(1, 2))
+        assert all(type(v) is Fraction for v in w.weights)
+        assert w.scale == 12
+        assert w.scaled == (24, 9, 10, 0, 84, 6)
+        assert all(type(v) is int for v in w.scaled)
+
+    def test_fraction_input_is_kept_as_is(self):
+        half = Fraction(1, 2)
+        assert WeightedGroundSet([half]).weights[0] is half
+
+    def test_total_is_the_fraction_sum(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            size = rng.randint(0, 12)
+            values = random_weights(rng, size, max_num=20, max_den=7)
+            w = WeightedGroundSet(values)
+            subset = [e for e in range(size) if rng.random() < 0.5]
+            total = w.total(subset)
+            assert type(total) is Fraction
+            assert total == sum((values[e] for e in subset), Fraction(0))
+
+    @pytest.mark.parametrize("value", [0, 1, "007", "3/7", Fraction(5, 2), "4/6"])
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_uniform_equals_repeated_list(self, size, value):
+        u, w = WeightedGroundSet.uniform(size, value), WeightedGroundSet([value] * size)
+        assert (u.weights, u.scale, u.scaled) == (w.weights, w.scale, w.scaled)
 
 
 class TestStronglyConnectedComponents:

@@ -108,6 +108,23 @@ class TestRationalJson:
         with pytest.raises(InvalidInstance):
             fraction_from_json(1.5)
 
+    # Plain ASCII digits take a shortcut through int(); everything else,
+    # signs, spaces, underscores and other digit scripts included, must read
+    # exactly as Fraction reads it, and fail exactly where Fraction fails.
+    @pytest.mark.parametrize("token", [
+        "0", "00", "007", "1" * 30, "-3", "+3", " 3", "3 ", "1_0", "\u0663", "3/4",
+        "1e3", "", "5" * 5000,
+    ], ids=lambda t: repr(t)[:12])
+    def test_string_reads_as_fraction_does(self, token):
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InvalidInstance, match="cannot parse rational"):
+                fraction_from_json(token)
+            return
+        got = fraction_from_json(token)
+        assert type(got) is Fraction and got == expected
+
 
 class TestIntegerJson:
     def test_plain_integer(self):
