@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -36,7 +37,11 @@ def _digest(paths_: list[str]) -> str:
     return h.hexdigest()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it:
+    `parse_args` keeps no state between calls, so in-process callers of
+    `main` pay for the tree once."""
     parser = argparse.ArgumentParser(prog="idsets")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,7 +138,7 @@ def _cmd_flow_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
     if args.verify is not None:
         s = io.read_id_set(args.verify)
         ok, witness = flows.verify_flow_identifying(g, st, s)
-        payload = {"identifying": ok, "S": sorted(s)}
+        payload = {"identifying": ok, "S": sorted(set(s))}
         if witness is not None:
             payload["cycle"] = sorted(witness.cycle)
             payload["flow_a"] = [io.fraction_to_json(v) for v in witness.flow_a]
@@ -156,7 +161,7 @@ def _cmd_path_verify(args, caps: Caps) -> tuple[int, dict, list[str]]:
         ok, witness = paths.verify_path_identifying_general(g, st, s, caps.max_paths)
     else:
         ok, witness = paths.verify_path_identifying_dag(g, st, s)
-    payload = {"identifying": ok, "S": sorted(s)}
+    payload = {"identifying": ok, "S": sorted(set(s))}
     if witness is not None:
         payload["path_a"] = sorted(witness.path_a)
         payload["path_b"] = sorted(witness.path_b)

@@ -41,10 +41,13 @@ class SolutionList:
             tup = tuple(vec)
             if len(tup) != dimension:
                 raise InvalidInstance("vector length does not match dimension")
-            # Compare values, never truncate: int(1/2) would read as 0.
-            if any(v not in (0, 1) for v in tup):
-                raise InvalidInstance("vectors must be binary")
-            vecs.append(tuple(int(v) for v in tup))
+            # Exact ints 0/1 are kept as they are; anything else is compared
+            # by value, never truncated: int(1/2) would read as 0.
+            if not (set(map(type, tup)) <= {int} and set(tup) <= {0, 1}):
+                if any(v not in (0, 1) for v in tup):
+                    raise InvalidInstance("vectors must be binary")
+                tup = tuple(map(int, tup))
+            vecs.append(tup)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", tuple(dict.fromkeys(vecs)))
 

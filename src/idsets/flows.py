@@ -55,26 +55,29 @@ def _check_flow_instance(g: Digraph, st: StPair) -> None:
         raise InvalidInstance("self-loops are not allowed in flow settings")
 
 
-def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
-    """Arcs on some directed cycle or some s-t path (the support union of all flows).
-
-    An arc is on a directed cycle iff its endpoints share a strongly connected
-    component; a non-cycle arc (v, w) is on an s-t path iff s reaches v and w
-    reaches t.
-    """
-    _check_flow_instance(g, st)
+def st_walk_arcs(g: Digraph, st: StPair) -> frozenset[int]:
+    """Arcs (v, w) with v reachable from s and t reachable from w: the arcs
+    of s-t walks. In a DAG every walk is a path, so these are exactly the
+    arcs on some s-t path. Raises NoStPath when s does not reach t."""
+    st.validate(g)
     from_s = reachable_from(g, st.source)
     if st.sink not in from_s:
         raise NoStPath(f"no path from {st.source} to {st.sink}")
     to_t = reverse_reachable_to(g, st.sink)
+    return frozenset(aid for aid, (tail, head) in enumerate(g.arcs)
+                     if tail in from_s and head in to_t)
+
+
+def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
+    """Arcs on some directed cycle or some s-t path (the support union of all flows).
+
+    An arc is on a directed cycle iff its endpoints share a strongly connected
+    component; any other arc on an s-t walk is on an s-t path.
+    """
+    _check_flow_instance(g, st)
+    walk = st_walk_arcs(g, st)
     comp = strongly_connected_components(g)
-    relevant = set()
-    for aid, (tail, head) in enumerate(g.arcs):
-        if comp[tail] == comp[head]:
-            relevant.add(aid)
-        elif tail in from_s and head in to_t:
-            relevant.add(aid)
-    return frozenset(relevant)
+    return walk | {aid for aid, (tail, head) in enumerate(g.arcs) if comp[tail] == comp[head]}
 
 
 def min_weight_flow_identifying(g: Digraph, st: StPair,
@@ -134,7 +137,8 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
     A cycle arc whose head reaches its tail rides the shortest s-t path plus
     the directed cycle it closes; any other relevant arc lies on the s-t path
     through the shortest paths s -> tail and head -> t. All paths are BFS
-    paths, so the flows are integer arc counts divided by the cycle length.
+    paths, so the flows are integer arc counts divided by the cycle length,
+    one Fraction per distinct count.
     """
     from_s = bfs_tree(g, st.source)
     counts = [0] * g.arc_count
@@ -147,7 +151,8 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
             walk = tree_path(g, from_s, tail) + tree_path(g, from_head, st.sink)
         for a in walk + [arc]:
             counts[a] += 1
-    return tuple(Fraction(c, len(cycle)) for c in counts)
+    shares = {c: Fraction(c, len(cycle)) for c in set(counts)}
+    return tuple(map(shares.__getitem__, counts))
 
 
 def _augment_along_cycle(g: Digraph, flow: FlowVector, cycle: list[int]) -> FlowVector:

@@ -40,22 +40,24 @@ class Digraph:
     _in: Adjacency = field(init=False, repr=False, compare=False)
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        try:
-            node_count = operator.index(node_count)
-            arcs = tuple((operator.index(t), operator.index(h)) for t, h in arcs)
-        except TypeError as exc:
-            raise InvalidInstance(f"nodes and arc endpoints must be integers: {exc}") from exc
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "arcs", arcs)
+        node_count = _integer(node_count)
         if node_count < 0:
             raise InvalidInstance("node_count must be nonnegative")
+        # One pass converts, range-checks and files each arc. Exact ints,
+        # all that io.parse_graph hands over, skip operator.index.
+        checked: list[tuple[int, int]] = []
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
-        for aid, (tail, head) in enumerate(self.arcs):
+        for aid, (tail, head) in enumerate(arcs):
+            if type(tail) is not int or type(head) is not int:
+                tail, head = _integer(tail), _integer(head)
             if not (0 <= tail < node_count and 0 <= head < node_count):
                 raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
             out[tail].append(aid)
             inc[head].append(aid)
+            checked.append((tail, head))
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "arcs", tuple(checked))
         object.__setattr__(self, "_out", tuple(map(tuple, out)))
         object.__setattr__(self, "_in", tuple(map(tuple, inc)))
 
@@ -79,6 +81,14 @@ class Digraph:
     def in_arcs(self) -> Adjacency:
         """in_arcs()[v]: the arc ids with head v, ascending."""
         return self._in
+
+
+def _integer(value) -> int:
+    """`operator.index(value)`, raising InvalidInstance for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidInstance(f"nodes and arc endpoints must be integers: {exc}") from exc
 
 
 @dataclass(frozen=True)

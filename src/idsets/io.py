@@ -54,6 +54,16 @@ def int_from_json(value: Any) -> int:
     raise InvalidInstance(f"expected an integer, got {value!r}")
 
 
+def _check_ints(*columns: list) -> None:
+    """`int_from_json` on every value of the equal-length columns, as one pass
+    over their types; only a failure walks them, row by row, to name the
+    first offender."""
+    if not set().union(*(map(type, column) for column in columns)) <= {int}:
+        for row in zip(*columns):
+            for value in row:
+                int_from_json(value)
+
+
 def fraction_to_json(value: Fraction) -> str:
     return str(value)
 
@@ -115,8 +125,10 @@ def parse_graph(data: dict) -> Digraph:
     """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored)."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
-        arcs = [(int_from_json(a[0]), int_from_json(a[1])) for a in data["arcs"]]
-    return Digraph(nodes, arcs)
+        arcs = data["arcs"]
+        tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]
+    _check_ints(tails, heads)
+    return Digraph(nodes, zip(tails, heads))
 
 
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
@@ -168,7 +180,9 @@ def read_id_set(raw: str) -> list[int]:
         return parse_ids(raw)
     data = load_json(raw)
     with _reading("id set"):
-        return [int_from_json(a) for a in (data["S"] if isinstance(data, dict) else data)]
+        ids = list(data["S"] if isinstance(data, dict) else data)
+    _check_ints(ids)
+    return ids
 
 
 def parse_solution_list(data: dict) -> SolutionList:
@@ -176,8 +190,24 @@ def parse_solution_list(data: dict) -> SolutionList:
     of 0/1 integers or "0"/"1" strings."""
     with _reading("solution list"):
         dim = int_from_json(data["dim"])
-        rows = [tuple(_bit(v) for v in vec) for vec in data["vectors"]]
+        rows = [_bits(vec) for vec in data["vectors"]]
     return SolutionList(dim, rows)
+
+
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+def _bits(vec: Any) -> tuple[int, ...]:
+    """A 0/1 vector from a string, or from a list of 0/1 integers and "0"/"1"
+    strings. One dict lookup per coordinate checks and converts it; a bool
+    or float would hash like the int it equals, so a list of other types,
+    or a failed lookup, goes through `_bit`, which names the bad coordinate."""
+    if type(vec) is str or set(map(type, vec)) <= {int, str}:
+        try:
+            return tuple(map(_BITS.__getitem__, vec))
+        except KeyError:
+            pass
+    return tuple(_bit(v) for v in vec)
 
 
 def _bit(value: Any) -> int:

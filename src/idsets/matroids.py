@@ -24,9 +24,7 @@ from .graphs import (
     Digraph,
     UnionFind,
     WeightedGroundSet,
-    bfs_tree,
     drop_heaviest_per_part,
-    tree_path,
     validate_ids,
 )
 
@@ -104,7 +102,10 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
     """Edges independent iff they form a forest (directions ignored).
 
     The fundamental circuit of a non-forest arc is the arc plus the forest
-    path between its ends (the arc alone for a self-loop).
+    path between its ends (the arc alone for a self-loop). The basis forest
+    is rooted once, with a parent arc and a depth per node, and rooted again
+    only when a different basis is passed; each path climbs from both ends
+    to their meeting node.
     """
 
     def independent(subset: frozenset[int]) -> bool:
@@ -115,16 +116,59 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
                 return False
         return True
 
+    rooted_basis: frozenset[int] | None = None
+    parent: list[int] = []
+    depth: list[int] = []
+
     def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
+        nonlocal rooted_basis, parent, depth
         tail, head = g.arcs[e]
         if tail == head:
             return frozenset({e})
-        return frozenset(tree_path(g, bfs_tree(g, tail, basis, follow="both"), head)) | {e}
+        if basis is not rooted_basis and basis != rooted_basis:
+            rooted_basis = basis
+            parent, depth = _rooted_forest(g, basis)
+        out = {e}
+        while tail != head:
+            if depth[tail] < depth[head]:
+                tail, head = head, tail
+            aid = parent[tail]
+            if aid == -1:
+                raise NotABasis(f"basis + {e} is independent; not a basis")
+            out.add(aid)
+            a, b = g.arcs[aid]
+            tail = a if b == tail else b
+        return frozenset(out)
 
     m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
                       circuit=circuit)
     spot_check(m)
     return m
+
+
+def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Parent arc (-1 at a root) and depth per node in the undirected forest
+    on the given arcs, each tree rooted at its least node."""
+    incident: list[list[int]] = [[] for _ in range(g.node_count)]
+    for aid in forest:
+        tail, head = g.arcs[aid]
+        incident[tail].append(aid)
+        incident[head].append(aid)
+    parent = [-1] * g.node_count
+    depth = [-1] * g.node_count
+    for root in range(g.node_count):
+        if depth[root] != -1:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            for aid in incident[v]:
+                tail, head = g.arcs[aid]
+                w = head if tail == v else tail
+                if depth[w] == -1:
+                    depth[w], parent[w] = depth[v] + 1, aid
+                    queue.append(w)
+    return parent, depth
 
 
 def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> MatroidOracle:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance, NotAcyclic
-from .flows import min_weight_flow_identifying, relevant_arcs
+from .flows import min_weight_flow_identifying, st_walk_arcs
 from .graphs import (
     Digraph,
     StPair,
@@ -68,8 +68,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
         raise InvalidInstance("self-loops are not allowed in path settings")
     _require_dag(g)
     s_set = validate_ids(g.arc_count, s)
-    # A DAG has no directed cycles, so its relevant arcs are those on s-t paths.
-    keep_arcs = relevant_arcs(g, st)
+    keep_arcs = st_walk_arcs(g, st)
     allowed = sorted(keep_arcs - s_set)
     allowed_set = frozenset(allowed)
 

@@ -74,6 +74,21 @@ MALFORMED = [
     ("solutions-three-halves", {"x": {"dim": 2, "vectors": [["3/2", "0"], ["1", "0"]]}},
      ["explicit-identify", "--solutions", "{x}"],
      "solution coordinates must be 0 or 1, got '3/2'"),
+    ("solutions-string-two", {"x": {"dim": 2, "vectors": ["10", "02"]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got '2'"),
+    ("solutions-string-space", {"x": {"dim": 2, "vectors": ["1 ", "01"]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got ' '"),
+    ("solutions-list-true", {"x": {"dim": 2, "vectors": [[0, True], [1, 0]]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got True"),
+    ("solutions-list-float-one", {"x": {"dim": 2, "vectors": [[0, 1], [1.0, 0]]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got 1.0"),
+    ("solutions-list-string-two", {"x": {"dim": 2, "vectors": [["1", "0"], ["0", "2"]]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "solution coordinates must be 0 or 1, got '2'"),
     ("arc-endpoint-float", {"i": {"nodes": 3, "arcs": [[0, 1.9], [1, 2]], "s": 0, "t": 2}},
      ["flow-identify", "{i}"], "expected an integer, got 1.9"),
     ("arc-endpoint-bool", {"i": {"nodes": 3, "arcs": [[0, True], [1, 2]], "s": 0, "t": 2}},
@@ -151,6 +166,74 @@ class TestFlowIdentify:
     def test_verify_out_of_range_is_usage_error(self, tight_k3, capsys, ids):
         assert main(["flow-identify", tight_k3, "--verify", ids]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestEchoedSet:
+    # A verifier echoes S as the set it checked: sorted, each id once.
+    @pytest.mark.parametrize("argv", [
+        ["path-verify", "{i}", "--S", "12,10,12,11,10"],
+        ["path-verify", "{i}", "--S", "12,10,12,11,10", "--general"],
+        ["flow-identify", "{i}", "--verify", "12,10,12,11,10"],
+    ], ids=["path-verify", "path-verify-general", "flow-identify"])
+    def test_repeated_ids_are_echoed_once(self, tight_k3, capsys, argv):
+        main([a.format(i=tight_k3) for a in argv])
+        assert json.loads(capsys.readouterr().out)["S"] == [10, 11, 12]
+
+    def test_repeated_ids_from_a_file(self, tight_k3, tmp_path, capsys):
+        sfile = str(tmp_path / "s.json")
+        dump_json(sfile, {"S": [0, 0]})
+        assert main(["path-verify", tight_k3, "--S", sfile]) == 1
+        assert json.loads(capsys.readouterr().out)["S"] == [0]
+
+
+class TestParserReuse:
+    def argvs(self, tmp_path, instance):
+        paths_ = {}
+        for name, data in (("x", X2), ("b", BASIS), ("t", TABLE)):
+            paths_[name] = str(tmp_path / f"{name}.json")
+            dump_json(paths_[name], data)
+        x, b, t = paths_["x"], paths_["b"], paths_["t"]
+        return [
+            ["flow-identify", instance, "--verify", "10,11,12"],
+            ["flow-identify", instance],
+            ["path-verify", instance, "--S", "10,11,12", "--general", "--max-paths", "5"],
+            ["path-verify", instance, "--S", "10,11,12"],
+            ["path-exact", instance, "--max-paths", "5"],
+            ["path-exact", instance],
+            ["path-approx", instance],
+            ["path-gap", instance],
+            ["matroid-identify", "--kind", "partition", "--blocks", "0,1;2",
+             "--capacities", "1,1"],
+            ["matroid-identify", "--kind", "uniform", "--k", "1", "--n", "3"],
+            ["polymatroid-identify", "--table", t],
+            ["linear-identify", "--basis", b],
+            ["explicit-identify", "--solutions", x, "--exact", "--max-subsets", "9"],
+            ["explicit-identify", "--solutions", x],
+            ["tolls", "--mode", "discrete", "--solutions", x, "--S", "0,1",
+             "--target", "01", "--nonnegative"],
+            ["tolls", "--mode", "convex", "--basis", b, "--S", "0", "--target", "1,0"],
+            ["gen", "--family", "tight-gap", "--k", "2"],
+            ["path-verify", instance],
+            ["path-exact", "--help"],
+            ["--help"],
+        ]
+
+    def test_shared_parser_answers_like_a_fresh_one(self, tight_k3, tmp_path, capsys):
+        argvs = self.argvs(tmp_path, tight_k3)
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr().out))
+        assert {code for code, _ in fresh} == {0, 1, 2, 3}
+        cli.build_parser.cache_clear()
+        shared = [(main(argv), capsys.readouterr().out) for argv in argvs + argvs]
+        assert shared == fresh + fresh
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        code = ("import idsets.cli as c, sys; "
+                "sys.exit(c.build_parser.cache_info().currsize)")
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 class TestPathCommands:
@@ -355,21 +438,19 @@ class TestWitnessBytes:
     def test_flow_and_path_witnesses_are_pinned(self, tmp_path):
         path = str(tmp_path / "instance.json")
         digest = hashlib.sha256()
-        parser = cli.build_parser()
-        with mock.patch.object(cli, "build_parser", lambda: parser):
-            for instance, subsets in witness_instances():
-                dump_json(path, instance)
-                argvs = [["flow-identify", path], ["path-approx", path], ["path-exact", path]]
-                for s in subsets:
-                    argvs += [["flow-identify", path, "--verify", s],
-                              ["path-verify", path, "--S", s],
-                              ["path-verify", path, "--S", s, "--general"]]
-                for argv in argvs:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        code = main(argv)
-                    digest.update(f"{argv[0]} {code}\n{out.getvalue()}".encode())
+        for instance, subsets in witness_instances():
+            dump_json(path, instance)
+            argvs = [["flow-identify", path], ["path-approx", path], ["path-exact", path]]
+            for s in subsets:
+                argvs += [["flow-identify", path, "--verify", s],
+                          ["path-verify", path, "--S", s],
+                          ["path-verify", path, "--S", s, "--general"]]
+            for argv in argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                digest.update(f"{argv[0]} {code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -396,18 +477,16 @@ class TestGraphicComponentBytes:
     def test_graphic_components_are_pinned(self, tmp_path):
         graph, wfile = str(tmp_path / "graph.json"), str(tmp_path / "w.json")
         digest = hashlib.sha256()
-        parser = cli.build_parser()
-        with mock.patch.object(cli, "build_parser", lambda: parser):
-            for instance, weights in graphic_instances():
-                dump_json(graph, instance)
-                argv = ["matroid-identify", "--kind", "graphic", "--graph", graph]
-                if weights is not None:
-                    dump_json(wfile, {"weights": weights})
-                    argv += ["--weights", wfile]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
-                digest.update(f"{code}\n{out.getvalue()}".encode())
+        for instance, weights in graphic_instances():
+            dump_json(graph, instance)
+            argv = ["matroid-identify", "--kind", "graphic", "--graph", graph]
+            if weights is not None:
+                dump_json(wfile, {"weights": weights})
+                argv += ["--weights", wfile]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -433,20 +512,18 @@ class TestExplicitBytes:
     def test_greedy_and_exact_are_pinned(self, tmp_path):
         xfile, wfile = str(tmp_path / "x.json"), str(tmp_path / "w.json")
         digest = hashlib.sha256()
-        parser = cli.build_parser()
-        with mock.patch.object(cli, "build_parser", lambda: parser):
-            for solutions, weights in explicit_lists():
-                dump_json(xfile, solutions)
-                argv = ["explicit-identify", "--solutions", xfile]
-                if weights is not None:
-                    dump_json(wfile, {"weights": weights})
-                    argv += ["--weights", wfile]
-                for flags in ([], ["--exact"]):
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        code = main(argv + flags)
-                    digest.update(f"{code}\n{out.getvalue()}".encode())
+        for solutions, weights in explicit_lists():
+            dump_json(xfile, solutions)
+            argv = ["explicit-identify", "--solutions", xfile]
+            if weights is not None:
+                dump_json(wfile, {"weights": weights})
+                argv += ["--weights", wfile]
+            for flags in ([], ["--exact"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv + flags)
+                digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -524,19 +601,17 @@ class TestWeightBytes:
 
     def test_weighted_answers_are_pinned(self, tmp_path):
         digest = hashlib.sha256()
-        parser = cli.build_parser()
-        with mock.patch.object(cli, "build_parser", lambda: parser):
-            for files, argv in weighted_commands():
-                paths_ = {name: str(tmp_path / f"{name}.json") for name in files}
-                for name, data in files.items():
-                    with open(paths_[name], "w", encoding="utf-8") as fh:
-                        json.dump(data, fh)
-                argv = [a.format(**paths_) if a.startswith("{") else a for a in argv]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
-                shown = " ".join(a for a in argv if not a.endswith(".json"))
-                digest.update(f"{shown} {code}\n{out.getvalue()}".encode())
+        for files, argv in weighted_commands():
+            paths_ = {name: str(tmp_path / f"{name}.json") for name in files}
+            for name, data in files.items():
+                with open(paths_[name], "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+            argv = [a.format(**paths_) if a.startswith("{") else a for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            shown = " ".join(a for a in argv if not a.endswith(".json"))
+            digest.update(f"{shown} {code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -52,6 +52,16 @@ def test_digraph_rejects_non_integer_ids():
             Digraph(nodes, arcs)
 
 
+def test_digraph_reads_endpoints_with_operator_index():
+    # The library rule: a bool is an int subclass and reads as 0 or 1; the
+    # JSON boundary refuses `true` before a Digraph is built.
+    g = Digraph(3, [(0, True)])
+    assert g.arcs == ((0, 1),) and type(g.arcs[0][1]) is int
+    assert g.out_arcs() == ((0,), (), ()) and g.in_arcs() == ((), (0,), ())
+    with pytest.raises(InvalidInstance):
+        Digraph(3, [(0, 1.0)])
+
+
 def test_validate_ids_rejects_non_integers():
     assert validate_ids(3, [2, 0, 2]) == {0, 2}
     for ids in ([1.5], [1.0], ["1"]):

@@ -163,6 +163,14 @@ def seeded_graphic_matroids(count: int, seed: int):
         yield graphic_matroid(Digraph(n + rng.randint(0, 2), arcs))
 
 
+def _greedy_basis(m: MatroidOracle, order) -> set[int]:
+    basis: set[int] = set()
+    for e in order:
+        if m.is_independent(basis | {e}):
+            basis.add(e)
+    return basis
+
+
 class TestGraphicCircuitHook:
     def test_hook_equals_delete_one_circuits(self):
         for m in seeded_graphic_matroids(300, 61):
@@ -173,6 +181,19 @@ class TestGraphicCircuitHook:
             for e in set(range(m.ground_size)) - basis:
                 assert fundamental_circuit(m, basis, e) == fundamental_circuit(plain, basis, e)
             assert matroid_components(m) == matroid_components(plain), m.name
+
+    def test_alternating_bases(self):
+        # The hook roots one forest per basis; a call with another basis,
+        # equal or not, must not read the forest of the previous one.
+        for m in seeded_graphic_matroids(200, 67):
+            plain = MatroidOracle(m.ground_size, m.is_independent)
+            first = find_basis(plain)
+            last = frozenset(_greedy_basis(plain, reversed(range(m.ground_size))))
+            for e in range(m.ground_size):
+                for basis in (first, last, set(first), set(last)):
+                    if e not in basis:
+                        assert (fundamental_circuit(m, basis, e)
+                                == fundamental_circuit(plain, basis, e)), (m.name, e)
 
     def test_self_loop_and_parallel_arc(self):
         m = graphic_matroid(Digraph(3, [(0, 1), (1, 1), (1, 0), (1, 2)]))

@@ -17,6 +17,7 @@ from idsets.io import (
     instance_to_json,
     int_from_json,
     parse_affine_basis,
+    parse_graph,
     parse_instance,
     parse_polymatroid_table,
     parse_solution_list,
@@ -134,6 +135,41 @@ class TestIntegerJson:
     def test_rejects_everything_else(self, value):
         with pytest.raises(InvalidInstance):
             int_from_json(value)
+
+
+class TestBoundaryParsers:
+    """Seeded files through the parsers that check each value once, against
+    values built here from the raw JSON."""
+
+    def test_graph_arcs_and_adjacency(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            arcs = [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(0, 40))]
+            g = parse_graph(json.loads(json.dumps({"nodes": n, "arcs": arcs})))
+            assert g.node_count == n
+            assert g.arcs == tuple((t, h) for t, h in arcs)
+            assert {type(v) for arc in g.arcs for v in arc} <= {int}
+            assert g.out_arcs() == tuple(tuple(i for i, a in enumerate(arcs) if a[0] == v)
+                                         for v in range(n))
+            assert g.in_arcs() == tuple(tuple(i for i, a in enumerate(arcs) if a[1] == v)
+                                        for v in range(n))
+
+    def test_solution_vectors_and_rows(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            dim = rng.randint(0, 10)
+            bits = [[rng.randint(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 12))]
+            bits += rng.sample(bits, min(2, len(bits)))
+            spellings = [lambda b: "".join(map(str, b)), list,
+                         lambda b: [str(v) for v in b],
+                         lambda b: [v if i % 2 else str(v) for i, v in enumerate(b)]]
+            vectors = [rng.choice(spellings)(b) for b in bits]
+            x = parse_solution_list(json.loads(json.dumps({"dim": dim, "vectors": vectors})))
+            expected = list(dict.fromkeys(tuple(b) for b in bits))
+            assert x.dimension == dim and x.vectors == tuple(expected)
+            assert {type(v) for vec in x.vectors for v in vec} <= {int}
+            assert x.rows() == [sum(v << e for e, v in enumerate(b)) for b in expected]
 
 
 class TestInstanceRoundTrip:
