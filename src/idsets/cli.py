@@ -141,8 +141,8 @@ def _cmd_flow_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
         payload = {"identifying": ok, "S": sorted(set(s))}
         if witness is not None:
             payload["cycle"] = sorted(witness.cycle)
-            payload["flow_a"] = [io.fraction_to_json(v) for v in witness.flow_a]
-            payload["flow_b"] = [io.fraction_to_json(v) for v in witness.flow_b]
+            payload["flow_a"] = io.fractions_to_json(witness.flow_a)
+            payload["flow_b"] = io.fractions_to_json(witness.flow_b)
         return (EXIT_OK if ok else EXIT_FALSE), payload, [args.instance]
     result = flows.min_weight_flow_identifying(g, st, w)
     payload = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import tolls
 from .errors import InvalidInstance
@@ -47,6 +47,25 @@ def fraction_from_json(value: Any) -> Fraction:
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
+def _fraction_parser() -> Callable[[Any], Fraction]:
+    """`fraction_from_json` that parses each distinct token once per parser.
+    The memo key holds the token's type, so a JSON true never reuses the
+    Fraction of 1; an unhashable token goes straight to the refusal."""
+    parsed: dict[tuple[type, Any], Fraction] = {}
+
+    def parse(value: Any) -> Fraction:
+        key = (type(value), value)
+        try:
+            fraction = parsed.get(key)
+        except TypeError:
+            return fraction_from_json(value)
+        if fraction is None:
+            fraction = parsed[key] = fraction_from_json(value)
+        return fraction
+
+    return parse
+
+
 def int_from_json(value: Any) -> int:
     """An integer from a JSON integer; never a bool, float or string."""
     if type(value) is int:
@@ -68,9 +87,23 @@ def fraction_to_json(value: Fraction) -> str:
     return str(value)
 
 
+def fractions_to_json(values: Iterable[Fraction]) -> list[str]:
+    """`fraction_to_json` of each value, once per distinct object. Keyed by
+    id, since hashing a Fraction costs more than printing it; a flow witness
+    shares one Fraction per arc count, so its few objects print once."""
+    texts: dict[int, str] = {}
+    out = []
+    for value in values:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = fraction_to_json(value)
+        out.append(text)
+    return out
+
+
 def parse_rationals(raw: str) -> list[Fraction]:
     """Comma rationals, e.g. "3/4,1/4"."""
-    return [fraction_from_json(v) for v in raw.split(",")]
+    return list(map(_fraction_parser(), raw.split(",")))
 
 
 def parse_ids(raw: str) -> list[int]:
@@ -138,7 +171,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     with _reading("instance"):
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
-        weights = None if raw is None else [fraction_from_json(v) for v in raw]
+        weights = None if raw is None else list(map(_fraction_parser(), raw))
     st = StPair(source, sink)
     st.validate(g)
     if weights is None:
@@ -168,7 +201,7 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = data["weights"] if isinstance(data, dict) else data
-        weights = [fraction_from_json(v) for v in raw]
+        weights = list(map(_fraction_parser(), raw))
     if len(weights) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(weights)}")
     return WeightedGroundSet(weights)
@@ -225,7 +258,8 @@ def solution_list_to_json(x: SolutionList) -> dict:
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
     with _reading("basis"):
-        points = [[fraction_from_json(v) for v in p] for p in data["points"]]
+        parse = _fraction_parser()
+        points = [list(map(parse, p)) for p in data["points"]]
     return AffineBasis(points)
 
 

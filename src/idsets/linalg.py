@@ -8,6 +8,7 @@ need tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Sequence
 
 from .errors import InvalidInstance
@@ -32,28 +33,54 @@ def as_vector(values: Sequence) -> Vector:
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in a copy) and the list of pivot columns."""
-    m = [row[:] for row in matrix]
+    """Reduced row echelon form (in a copy) and the list of pivot columns.
+
+    Entries are integers or Fractions. Each row is scaled to integers by the
+    lcm of its denominators, and Gauss-Jordan eliminates by integer
+    cross-multiplication, each new row divided by the gcd of its entries;
+    only the returned pivot rows become Fractions, divided by their pivots.
+    Row scaling keeps the RREF, and the RREF is unique, so the result is
+    that of elimination over the rationals.
+    """
+    m = [_integer_row(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [value * inv for value in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            q = m[i][c]
+            if i != r and q:
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], top)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    reduced = [[Fraction(v, row[c]) if v else zero for v in row]
+               for row, c in zip(m, pivots)]
+    reduced += [[zero] * cols for _ in range(rows - r)]
+    return reduced, pivots
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, as primitive integers."""
+    scale = lcm(*(v.denominator for v in row))
+    return _primitive([v.numerator * (scale // v.denominator) for v in row])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries; an all-zero row as it is."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

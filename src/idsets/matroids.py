@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .caps import Caps, DEFAULT_CAPS
@@ -275,6 +274,8 @@ def verify_matroid_identifying(
     subset scan of the violated components finds the first violated circuit
     C (|S ∩ C| < |C| - 1); two bases exchanging two of its non-S elements are
     indistinguishable on S. `caps.max_ground` bounds only that witness scan.
+    An oracle that is not a matroid can contradict its own components or
+    bases there, which raises InvalidInstance.
     """
     s_set = validate_ids(m.ground_size, s)
     violated = [e for part in matroid_components(m).partition
@@ -283,12 +284,15 @@ def verify_matroid_identifying(
         return True, None
     circuit = _first_violated_circuit(m, s_set, sorted(violated), caps)
     if circuit is None:
-        return True, None
+        raise InvalidInstance("inconsistent oracle: a component holds two elements "
+                              "outside S but no circuit does")
     e, f = sorted(circuit - s_set)[:2]
     basis_a = frozenset(_greedy_extend(m, circuit - {f},
                                        (g for g in range(m.ground_size) if g != f)))
     basis_b = (basis_a | {f}) - {e}
-    assert m.is_independent(basis_b)
+    if not m.is_independent(basis_b):
+        raise InvalidInstance(f"inconsistent oracle: basis exchange {sorted(basis_b)} "
+                              "is dependent")
     return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
 
 
@@ -297,15 +301,49 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     """The first circuit with two or more elements outside S, scanning subsets
     of the ascending violated-component `elements` by size, then
     lexicographically. Such a circuit lies in one violated component, so the
-    scan meets the circuit that a scan of the whole ground set meets first."""
+    scan meets the circuit that a scan of the whole ground set meets first.
+
+    Each size is a depth-first walk over positions in `combinations` order
+    that only enters a branch which can still take two elements outside S:
+    `left[j]` counts them from position j on, so once a position cannot, no
+    later one can either. Every subset it tests is tested in the same order
+    by a scan of all combinations that skips those with fewer than two.
+    """
     n = len(elements)
     if n > caps.max_ground:
         raise EnumerationExplosion(caps.max_ground, f"violated components hold {n} elements")
+    outside = [e not in s_set for e in elements]
+    left = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        left[j] = left[j + 1] + outside[j]
     for size in range(2, n + 1):
-        for combo in combinations(elements, size):
-            if sum(e not in s_set for e in combo) < 2:
-                continue
-            t = frozenset(combo)
+        found = _circuit_walk(m, elements, outside, left, [], 0, size, 0)
+        if found is not None:
+            return found
+    return None
+
+
+def _circuit_walk(m: MatroidOracle, elements: list[int], outside: list[bool],
+                  left: list[int], chosen: list[int], start: int, slots: int,
+                  out: int) -> frozenset[int] | None:
+    """The first circuit that adds `slots` elements from position `start` on
+    to `chosen`, which holds `out` elements outside S, and ends with two or
+    more outside S. Positions go in `combinations` order."""
+    need = 2 - out
+    if slots < need:
+        return None
+    for j in range(start, len(elements) - slots + 1):
+        if left[j] < need:
+            break
+        if slots > 1:
+            chosen.append(elements[j])
+            found = _circuit_walk(m, elements, outside, left, chosen, j + 1, slots - 1,
+                                  out + outside[j])
+            chosen.pop()
+            if found is not None:
+                return found
+        elif outside[j] >= need:
+            t = frozenset((*chosen, elements[j]))
             if not m.is_independent(t) and all(m.is_independent(t - {x}) for x in t):
                 return t
     return None

@@ -280,6 +280,32 @@ def oracle_rank(rows) -> int:
     return rank
 
 
+def oracle_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reference reduced row echelon form by Gauss-Jordan over Fractions
+    (in a copy), with the list of pivot columns."""
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [value * inv for value in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def oracle_linear_greedy(diffs, n: int, w: WeightedGroundSet) -> frozenset[int]:
     """Element-by-element matroid greedy over complements of identifying sets.
 
@@ -310,6 +336,22 @@ def enumerate_circuits(m) -> list[frozenset[int]]:
             if all(m.is_independent(t - {x}) for x in t):
                 circuits.append(t)
     return circuits
+
+
+def oracle_first_violated_circuit(m, s_set: frozenset[int],
+                                  elements: list[int]) -> frozenset[int] | None:
+    """Reference witness scan: every combination of the ascending `elements`
+    by size, then lexicographically, skipping those with fewer than two
+    elements outside S; the first circuit among the rest."""
+    n = len(elements)
+    for size in range(2, n + 1):
+        for combo in combinations(elements, size):
+            if sum(e not in s_set for e in combo) < 2:
+                continue
+            t = frozenset(combo)
+            if not m.is_independent(t) and all(m.is_independent(t - {x}) for x in t):
+                return t
+    return None
 
 
 def oracle_matroid_witness(m, s: frozenset[int], circuits: list[frozenset[int]]):

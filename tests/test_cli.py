@@ -50,6 +50,12 @@ MALFORMED = [
     ("weights-value", {"w": {"weights": 5}},
      ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
      "malformed weights"),
+    ("weights-string-one-then-true", {"w": {"weights": ["1", True]}},
+     ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
+     "cannot parse rational from True"),
+    ("weights-one-then-float-one", {"w": {"weights": [1, 1.0]}},
+     ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
+     "cannot parse rational from 1.0"),
     ("verify-file", {"i": TRIANGLE, "s": {"S": 5}},
      ["flow-identify", "{i}", "--verify", "{s}"], "malformed id set"),
     ("cap-rational", {},

@@ -12,7 +12,7 @@ from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import as_vector, matrix_rank, solve_linear, vec_sub
+from idsets.linalg import as_vector, matrix_rank, rref, solve_linear, vec_sub
 from idsets.linear import (
     AffineBasis,
     ax_independent,
@@ -28,6 +28,7 @@ from .helpers import (
     oracle_directed_cycles,
     oracle_linear_greedy,
     oracle_rank,
+    oracle_rref,
     random_weights,
     seeded_multigraphs,
     vec_add,
@@ -67,6 +68,54 @@ def flow_polytope_basis(g: Digraph, st: StPair) -> AffineBasis:
         if matrix_rank(diffs) == len(diffs):
             chosen.append(point)
     return AffineBasis(chosen)
+
+
+def seeded_matrices(count: int, seed: int):
+    """Rational matrices of 0-8 rows and 1-32 columns, wide and tall, with
+    entries in [-9, 9] over denominators up to 9, sparse rows and columns,
+    zero, duplicated and dependent rows, and some rows of plain ints."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(0, 8), rng.randint(1, 32)
+        if rng.random() < 0.3:
+            rows, cols = rng.randint(rows, 3 * rows + 1), rng.randint(1, 4)
+        density = rng.choice([0.15, 0.5, 1.0])
+        zero_cols = set(rng.sample(range(cols), rng.randint(0, cols // 3)))
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                   if c not in zero_cols and rng.random() < density else Fraction(0)
+                   for c in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            kind = rng.random()
+            if i and kind < 0.15:
+                matrix[i] = list(rng.choice(matrix[:i]))
+            elif i > 1 and kind < 0.3:
+                a, b = rng.sample(matrix[:i], 2)
+                p, q = Fraction(rng.randint(-4, 4), rng.randint(1, 5)), rng.randint(-3, 3)
+                matrix[i] = [p * x + q * y for x, y in zip(a, b)]
+            elif kind < 0.4:
+                matrix[i] = [Fraction(0)] * cols
+            elif kind < 0.5:
+                matrix[i] = [rng.randint(-9, 9) for _ in range(cols)]
+        yield matrix
+
+
+class TestRref:
+    def test_matches_fraction_elimination(self):
+        count = 0
+        for matrix in seeded_matrices(1200, 41):
+            copy = [row[:] for row in matrix]
+            reduced, pivots = rref(matrix)
+            assert (reduced, pivots) == oracle_rref(matrix)
+            assert all(type(v) is Fraction for row in reduced for v in row)
+            assert matrix == copy
+            count += bool(matrix)
+        assert count >= 1000
+
+    def test_shapes(self):
+        assert rref([]) == ([], [])
+        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+        assert rref([[Fraction(2, 3), Fraction(4, 9)], [-6, -4]]) == (
+            [[1, Fraction(2, 3)], [0, 0]], [0])
 
 
 class TestAffineBasis:

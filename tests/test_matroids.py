@@ -14,8 +14,10 @@ import pytest
 from idsets.errors import ElementInBasis, EnumerationExplosion, InvalidInstance, NotABasis
 from idsets.caps import Caps
 from idsets.graphs import Digraph, WeightedGroundSet
+from idsets.linear import AffineBasis, ax_independent
 from idsets.matroids import (
     MatroidOracle,
+    _first_violated_circuit,
     find_basis,
     free_matroid,
     fundamental_circuit,
@@ -28,7 +30,13 @@ from idsets.matroids import (
 )
 from idsets.polymatroids import PolymatroidOracle, verify_polymatroid_identifying
 
-from .helpers import all_subsets, enumerate_circuits, oracle_matroid_witness, random_weights
+from .helpers import (
+    all_subsets,
+    enumerate_circuits,
+    oracle_first_violated_circuit,
+    oracle_matroid_witness,
+    random_weights,
+)
 
 
 def triangle() -> MatroidOracle:
@@ -288,6 +296,115 @@ class TestVerify:
                 assert m.is_independent(witness.basis_a)
                 assert m.is_independent(witness.basis_b)
                 assert witness.basis_a & s == witness.basis_b & s
+
+
+    def test_oracle_without_the_violated_circuit_is_refused(self):
+        # Components [[0], [1, 2]] put 1 and 2 outside S = {} in one
+        # component, yet no subset of {1, 2} is a circuit.
+        family = {frozenset(t) for t in [(), (0,), (0, 1), (0, 2)]}
+        m = MatroidOracle(3, lambda t: t in family)
+        assert matroid_components(m).partition == (frozenset({0}), frozenset({1, 2}))
+        with pytest.raises(InvalidInstance, match="inconsistent oracle"):
+            verify_matroid_identifying(m, set())
+
+    def test_oracle_with_a_dependent_exchanged_basis_is_refused(self):
+        # Circuit {1, 2} extends to basis {0, 1}, but the exchange {0, 2}
+        # is dependent.
+        family = {frozenset(t) for t in [(), (1,), (2,), (0, 1)]}
+        m = MatroidOracle(3, lambda t: t in family)
+        with pytest.raises(InvalidInstance, match="inconsistent oracle"):
+            verify_matroid_identifying(m, set())
+
+
+def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
+    """Rank over GF(q), q prime, by elimination on a copy."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % q), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, q)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] * inv
+            rows[i] = [(a - factor * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def scan_oracles():
+    """Seeded (independence callable, ground size) pairs: uniform, partition,
+    graphic, GF(q)-linear and the dual matroid of an affine basis."""
+    rng = random.Random(7100)
+    for _ in range(55):
+        n = rng.randint(2, 9)
+        yield uniform_matroid(rng.randint(0, n - 1), n).is_independent, n
+    for _ in range(55):
+        n = rng.randint(2, 10)
+        ids = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3))))
+        blocks = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        m = partition_matroid(blocks, [rng.randint(0, len(b)) for b in blocks])
+        yield m.is_independent, n
+    for m in seeded_graphic_matroids(55, 7101):
+        yield m.is_independent, m.ground_size
+    for _ in range(55):
+        q, n, dim = rng.choice([2, 3, 5]), rng.randint(2, 8), rng.randint(1, 4)
+        columns = [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(n)]
+        yield (lambda t, columns=columns, q=q:
+               gf_rank([columns[e] for e in t], q) == len(t)), n
+    for _ in range(40):
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        try:
+            basis = AffineBasis([[rng.randint(-2, 2) for _ in range(n)] for _ in range(k + 1)])
+        except InvalidInstance:
+            continue
+        yield (lambda t, basis=basis: ax_independent(basis, t)), n
+
+
+def recorded_scan(scan, independent, n: int, s: frozenset[int], elements: list[int]):
+    """The scan's result and the distinct subsets it asked the oracle about."""
+    queried: set[frozenset[int]] = set()
+
+    def recording(t: frozenset[int]) -> bool:
+        queried.add(t)
+        return independent(t)
+
+    return scan(MatroidOracle(n, recording), s, elements), queried
+
+
+class TestFirstViolatedCircuit:
+    """The pruned scan against the scan of every combination: the same
+    circuit from the same distinct oracle queries."""
+
+    @staticmethod
+    def pruned(m: MatroidOracle, s: frozenset[int], elements: list[int]):
+        return _first_violated_circuit(m, s, elements, Caps())
+
+    def test_same_circuit_and_queries_as_every_combination(self):
+        rng = random.Random(7102)
+        pairs = found = 0
+        for independent, n in scan_oracles():
+            parts = matroid_components(MatroidOracle(n, independent)).partition
+            for _ in range(5):
+                s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.3, 0.7]))
+                elements = sorted(e for part in parts if len(part - s) >= 2 for e in part)
+                elements = elements or list(range(n))
+                got = recorded_scan(self.pruned, independent, n, s, elements)
+                want = recorded_scan(oracle_first_violated_circuit, independent, n, s, elements)
+                assert got == want, (n, sorted(s), elements)
+                pairs += 1
+                found += got[0] is not None
+        assert pairs >= 1000 and found >= 300
+
+    def test_uniform_8_16_with_two_elements_outside_s(self):
+        s = frozenset(range(2, 16))
+        got = recorded_scan(self.pruned, lambda t: len(t) <= 8, 16, s, list(range(16)))
+        want = recorded_scan(oracle_first_violated_circuit, lambda t: len(t) <= 8, 16, s,
+                             list(range(16)))
+        assert got[0] == frozenset(range(9))
+        assert got == want and len(got[1]) > 6000
 
 
 class TestTheoremEquivalence:

@@ -14,13 +14,16 @@ from idsets.graphs import Digraph, StPair, WeightedGroundSet
 from idsets.io import (
     fraction_from_json,
     fraction_to_json,
+    fractions_to_json,
     instance_to_json,
     int_from_json,
     parse_affine_basis,
     parse_graph,
     parse_instance,
     parse_polymatroid_table,
+    parse_rationals,
     parse_solution_list,
+    parse_weights,
     solution_list_to_json,
 )
 from idsets.search import min_weight_hitting_set
@@ -170,6 +173,44 @@ class TestBoundaryParsers:
             assert x.dimension == dim and x.vectors == tuple(expected)
             assert {type(v) for vec in x.vectors for v in vec} <= {int}
             assert x.rows() == [sum(v << e for e, v in enumerate(b)) for b in expected]
+
+
+    GOOD = [0, 1, 7, "0", "1", "3/4", "5/9", "06", " 2", "10/4"]
+    BAD = [True, False, 1.0, 0.5, None, [1], "x", "1/0"]
+
+    def test_rationals_parse_once_per_token(self):
+        # Each distinct token is parsed once per call. The values, and the
+        # first refusal with its message, are those of one
+        # fraction_from_json per token: a bool or float never reuses the
+        # Fraction of the int it equals.
+        for seed in range(200):
+            rng = random.Random(seed)
+            raw = [rng.choice(self.GOOD) for _ in range(rng.randint(1, 30))]
+            if seed % 2:
+                raw.insert(rng.randint(0, len(raw)), rng.choice(self.BAD))
+            instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1,
+                        "weights": raw}
+            parsers = [lambda: parse_weights(raw, len(raw)).weights,
+                       lambda: parse_instance(instance)[2].weights,
+                       lambda: parse_affine_basis({"points": [raw]}).points[0]]
+            try:
+                expected = tuple(fraction_from_json(v) for v in raw)
+            except InvalidInstance as exc:
+                for parse in parsers:
+                    with pytest.raises(InvalidInstance) as got:
+                        parse()
+                    assert str(got.value) == str(exc)
+                continue
+            for parse in parsers:
+                assert parse() == expected
+            text = [str(v) for v in raw]
+            assert parse_rationals(",".join(text)) == [fraction_from_json(v) for v in text]
+
+    def test_flow_texts_once_per_object(self):
+        shared = [Fraction(k, 7) for k in range(4)]
+        values = [shared[k % 4] for k in range(50)] + [Fraction(2, 7), Fraction(3)]
+        assert fractions_to_json(values) == [fraction_to_json(v) for v in values]
+        assert fractions_to_json(()) == []
 
 
 class TestInstanceRoundTrip:
