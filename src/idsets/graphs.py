@@ -114,13 +114,23 @@ class WeightedGroundSet:
     """
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        self.weights: tuple[Fraction, ...] = tuple(map(exact, weights))
-        for i, w in enumerate(self.weights):
-            if w.numerator < 0:
+        # One pass converts, sign-checks and splits each weight. A Fraction,
+        # all that the parsers hand over, skips the call to `exact`.
+        fractions: list[Fraction] = []
+        numerators: list[int] = []
+        denominators: set[int] = set()
+        for i, value in enumerate(weights):
+            w = value if type(value) is Fraction else exact(value)
+            num, den = w.as_integer_ratio()
+            if num < 0:
                 raise InvalidInstance(f"negative weight at element {i}")
-        self.scale: int = lcm(*{w.denominator for w in self.weights})
-        self.scaled: tuple[int, ...] = tuple(
-            w.numerator * (self.scale // w.denominator) for w in self.weights)
+            fractions.append(w)
+            numerators.append(num)
+            denominators.add(den)
+        self.weights: tuple[Fraction, ...] = tuple(fractions)
+        self.scale: int = lcm(*denominators)
+        self.scaled: tuple[int, ...] = tuple(numerators) if self.scale == 1 else tuple(
+            num * (self.scale // w.denominator) for num, w in zip(numerators, fractions))
 
     @classmethod
     def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
@@ -201,7 +211,7 @@ class UnionFind:
 def strongly_connected_components(g: Digraph) -> list[int]:
     """Component id per node (Tarjan, iterative). Ids are 0..k-1 in discovery order."""
     n = g.node_count
-    out = g.out_arcs()
+    out, arcs = g.out_arcs(), g.arcs
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -224,7 +234,7 @@ def strongly_connected_components(g: Digraph) -> list[int]:
                 on_stack[v] = True
             advanced = False
             while i < len(out[v]):
-                w = g.head(out[v][i])
+                w = arcs[out[v][i]][1]
                 i += 1
                 if index[w] == -1:
                     work.append((v, i))
@@ -267,8 +277,9 @@ def topological_order(g: Digraph) -> TopologicalOrder:
     Smallest-id nodes are dequeued first so the ranks are deterministic.
     """
     n = g.node_count
+    arcs = g.arcs
     indeg = [0] * n
-    for _, head in g.arcs:
+    for _, head in arcs:
         indeg[head] += 1
     out = g.out_arcs()
     ready = [v for v in range(n) if indeg[v] == 0]
@@ -280,7 +291,7 @@ def topological_order(g: Digraph) -> TopologicalOrder:
         rank[v] = next_rank
         next_rank += 1
         for aid in out[v]:
-            w = g.head(aid)
+            w = arcs[aid][1]
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
@@ -295,15 +306,15 @@ def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
     Every unreleased node keeps an unreleased predecessor, so walking
     backwards along the smallest such in-arc must revisit a node.
     """
-    inc = g.in_arcs()
+    inc, arcs = g.in_arcs(), g.arcs
     seen_at: dict[int, int] = {}
     walk: list[int] = []
     v = rank.index(-1)
     while v not in seen_at:
         seen_at[v] = len(walk)
-        aid = next(a for a in inc[v] if rank[g.tail(a)] == -1)
+        aid = next(a for a in inc[v] if rank[arcs[a][0]] == -1)
         walk.append(aid)
-        v = g.tail(aid)
+        v = arcs[aid][0]
     cycle = walk[seen_at[v]:]
     cycle.reverse()
     return cycle
@@ -401,7 +412,7 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     st.validate(g)
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
-    out = g.out_arcs()
+    out, arcs = g.out_arcs(), g.arcs
     # Prune to nodes that can still reach t; cuts hopeless branches early.
     can_reach_t = reverse_reachable_to(g, st.sink)
     if st.source not in can_reach_t:
@@ -418,9 +429,9 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
         if aid is None:
             frames.pop()
             if arc_stack:
-                on_path[g.head(arc_stack.pop())] = False
+                on_path[arcs[arc_stack.pop()][1]] = False
             continue
-        w_node = g.head(aid)
+        w_node = arcs[aid][1]
         if on_path[w_node] or w_node not in can_reach_t:
             continue
         if w_node == st.sink:

@@ -7,8 +7,10 @@ polynomial time, so they decide verification and give the minimum-weight
 identifying set (drop the heaviest element of each non-singleton component).
 A fundamental circuit costs |B| + 1 independence queries in general; a
 graphic matroid reads it from its spanning forest instead (the arc plus the
-forest path between its ends). Only a negative verdict scans subsets, inside
-the violated components, for the first violated circuit of the witness.
+forest path between its ends), and a partition matroid from its blocks (the
+element plus the basis elements of its block). Only a negative verdict scans
+subsets, inside the violated components, for the first violated circuit of
+the witness.
 """
 
 from __future__ import annotations
@@ -171,6 +173,13 @@ def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[i
 
 
 def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> MatroidOracle:
+    """A set is independent when it holds at most capacities[k] elements of
+    each block k.
+
+    A basis fills every block up to its capacity, so the fundamental circuit
+    of a non-basis element is the element plus the basis elements of its
+    block: the element alone when the block's capacity is 0 (a loop).
+    """
     block_list = [frozenset(b) for b in blocks]
     if len(block_list) != len(capacities):
         raise InvalidInstance("one capacity per block required")
@@ -185,7 +194,16 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     def independent(subset: frozenset[int]) -> bool:
         return all(len(subset & b) <= c for b, c in zip(block_list, capacities))
 
-    m = MatroidOracle(len(seen), independent, name="partition")
+    block_of = {e: k for k, b in enumerate(block_list) for e in b}
+
+    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
+        k = block_of[e]
+        members = block_list[k] & basis
+        if len(members) < capacities[k]:
+            raise NotABasis(f"basis + {e} is independent; not a basis")
+        return members | {e}
+
+    m = MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
     spot_check(m)
     return m
 

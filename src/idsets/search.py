@@ -28,6 +28,22 @@ Demands are deduplicated and taken in numeric order; supersets of other
 demands stay in, because the quadratic scan that dropped them cost more than
 the whole search on the tight-gap family (2.4 s of 5.7 s at k = 8).
 
+The walk runs on the transpose of the demand list. Demand i (in that order)
+is bit i, `cover[e]` holds the demands that contain id e, and a node's unhit
+demands are one int: including e leaves `unhit & ~cover[e]`, some unhit
+demand holds e when `unhit & cover[e]` is nonzero, the node is dead when an
+unhit demand lies outside the demands live at e (the OR of `cover[f]` over
+f >= e), and it is a leaf when `unhit` is 0. The bound takes the unhit bits
+from the lowest; for each packed demand i at depth e it clears the demands
+sharing one of its allowed ids (its conflict mask, the OR of `cover[f]` over
+its ids f >= e) and adds its lightest allowed weight. Both are computed the
+first time demand i is packed at depth e and kept for the rest of the call.
+This packs the same demands in the same order as a walk over the demand
+list. The sum stops once it reaches the incumbent's weight and is skipped
+while there is no incumbent, which changes no decision, so every pruning
+decision and the nodes visited, counted against `max_states`, are those of
+that walk node for node.
+
 The search adds and compares the integer weights `WeightedGroundSet.scaled`
 and divides by its `scale` once, for the reported weight.
 """
@@ -68,19 +84,23 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
         return Fraction(0), ()
     if masks[0] < 1 or masks[-1] >> n:
         raise ValueError("demands must be nonzero masks over range(n)")
-    full = (1 << n) - 1
     iw = w.scaled
-    # (weight, ids of that weight) lightest first: the lightest id of a mask
-    # is found by testing a few class masks instead of every bit.
-    classes: dict[int, int] = {}
-    for e, we in enumerate(iw):
-        classes[we] = classes.get(we, 0) | (1 << e)
-    by_weight = sorted(classes.items())
+    cover = _cover_masks(masks, n)
+    # dead[e]: the demands holding no id >= e (all of them at e = n).
+    dead = [0] * (n + 1)
+    dead[n] = ~0
+    live = 0
+    for e in range(n - 1, -1, -1):
+        live |= cover[e]
+        dead[e] = ~live
+    # packs[e][i]: (conflict, lightest) of demand i on the ids >= e, built
+    # when the bound first packs demand i at depth e.
+    packs: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
 
     best_weight: int | None = None
     best_mask = 0
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
-    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, masks)]
+    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, (1 << len(masks)) - 1)]
     visited = 0
     while stack:
         e, chosen, weight, unhit = stack.pop()
@@ -92,37 +112,52 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
             if best_weight is None or weight < best_weight:
                 best_weight, best_mask = weight, chosen
             continue
-        bound = _packing_bound(unhit, full >> e << e, by_weight)
-        if bound is None or best_weight is not None and weight + bound >= best_weight:
+        if unhit & dead[e]:
             continue
-        bit = 1 << e
+        if best_weight is not None:
+            # Prune when the packing bound reaches the incumbent's weight.
+            budget = best_weight - weight
+            pack = packs[e]
+            cand = unhit
+            while cand and budget > 0:
+                i = (cand & -cand).bit_length() - 1
+                entry = pack.get(i)
+                if entry is None:
+                    entry = pack[i] = _pack_entry(masks[i] >> e << e, cover, iw)
+                cand &= ~entry[0]
+                budget -= entry[1]
+            if budget <= 0:
+                continue
         # Pushed exclude first, so that include is explored first.
         if iw[e]:
             stack.append((e + 1, chosen, weight, unhit))
-        if not iw[e] or any(d & bit for d in unhit):
-            stack.append((e + 1, chosen | bit, weight + iw[e],
-                          [d for d in unhit if not d & bit]))
+        if not iw[e] or unhit & cover[e]:
+            stack.append((e + 1, chosen | 1 << e, weight + iw[e], unhit & ~cover[e]))
     elems = tuple(e for e in range(n) if best_mask >> e & 1)
     return Fraction(best_weight, w.scale), elems
 
 
-def _packing_bound(unhit: list[int], allowed: int,
-                   by_weight: list[tuple[int, int]]) -> int | None:
-    """Lower bound on the weight still needed; None when a demand is dead.
+def _cover_masks(masks: list[int], n: int) -> list[int]:
+    """cover[e]: the int with bit i set when demand i holds id e.
 
-    Greedily packs unhit demands that are disjoint on the allowed ids and sums
-    the weight of each packed demand's lightest allowed id.
+    The demands, last first, are written as n-digit binary strings and
+    transposed by zip: column j holds id n - 1 - j of every demand.
     """
-    bound = 0
-    packed = 0
-    for d in unhit:
-        d &= allowed
-        if not d:
-            return None
-        if not d & packed:
-            packed |= d
-            for cw, cm in by_weight:
-                if d & cm:
-                    bound += cw
-                    break
-    return bound
+    width = f"0{n}b"
+    columns = zip(*[format(d, width) for d in reversed(masks)])
+    return [int("".join(column), 2) for column in columns][::-1]
+
+
+def _pack_entry(d: int, cover: list[int], iw: Sequence[int]) -> tuple[int, int]:
+    """(conflict, lightest) for a demand restricted to its allowed ids `d`:
+    the demands sharing one of those ids, and the least weight among them."""
+    conflict = 0
+    lightest = None
+    while d:
+        low = d & -d
+        f = low.bit_length() - 1
+        conflict |= cover[f]
+        if lightest is None or iw[f] < lightest:
+            lightest = iw[f]
+        d ^= low
+    return conflict, lightest

@@ -11,6 +11,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterable
 
 import networkx as nx
 
@@ -236,6 +237,82 @@ def subsets_in_weight_order(n: int, w: WeightedGroundSet, max_states: int = 2**2
         start = elems[-1] + 1 if elems else 0
         for e in range(start, n):
             heapq.heappush(heap, (weight + w[e], elems + (e,)))
+
+
+def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
+                                  max_states: int = 2**24) -> tuple[Fraction, tuple[int, ...]]:
+    """Cheapest S hitting every demand mask; ties break lexicographically.
+
+    Reference walk for `idsets.search.min_weight_hitting_set`: each node
+    filters and packs a list of demand masks, where the engine works on cover
+    masks. Both must give the same answer after the same visited nodes.
+
+    Demands must be nonzero masks over range(n). Raises SubsetExplosion
+    when the search would visit more than max_states nodes.
+    """
+    masks = sorted(set(demands))
+    if not masks:
+        return Fraction(0), ()
+    if masks[0] < 1 or masks[-1] >> n:
+        raise ValueError("demands must be nonzero masks over range(n)")
+    full = (1 << n) - 1
+    iw = w.scaled
+    # (weight, ids of that weight) lightest first: the lightest id of a mask
+    # is found by testing a few class masks instead of every bit.
+    classes: dict[int, int] = {}
+    for e, we in enumerate(iw):
+        classes[we] = classes.get(we, 0) | (1 << e)
+    by_weight = sorted(classes.items())
+
+    best_weight: int | None = None
+    best_mask = 0
+    # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
+    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, masks)]
+    visited = 0
+    while stack:
+        e, chosen, weight, unhit = stack.pop()
+        visited += 1
+        if visited > max_states:
+            raise SubsetExplosion(
+                max_states, f"the exact hitting-set search visited {visited} nodes")
+        if not unhit:
+            if best_weight is None or weight < best_weight:
+                best_weight, best_mask = weight, chosen
+            continue
+        bound = _packing_bound(unhit, full >> e << e, by_weight)
+        if bound is None or best_weight is not None and weight + bound >= best_weight:
+            continue
+        bit = 1 << e
+        # Pushed exclude first, so that include is explored first.
+        if iw[e]:
+            stack.append((e + 1, chosen, weight, unhit))
+        if not iw[e] or any(d & bit for d in unhit):
+            stack.append((e + 1, chosen | bit, weight + iw[e],
+                          [d for d in unhit if not d & bit]))
+    elems = tuple(e for e in range(n) if best_mask >> e & 1)
+    return Fraction(best_weight, w.scale), elems
+
+
+def _packing_bound(unhit: list[int], allowed: int,
+                   by_weight: list[tuple[int, int]]) -> int | None:
+    """Lower bound on the weight still needed; None when a demand is dead.
+
+    Greedily packs unhit demands that are disjoint on the allowed ids and sums
+    the weight of each packed demand's lightest allowed id.
+    """
+    bound = 0
+    packed = 0
+    for d in unhit:
+        d &= allowed
+        if not d:
+            return None
+        if not d & packed:
+            packed |= d
+            for cw, cm in by_weight:
+                if d & cm:
+                    bound += cw
+                    break
+    return bound
 
 
 def oracle_greedy_pairs(vectors, dimension: int, w: WeightedGroundSet):

@@ -108,6 +108,16 @@ class TestWeightRepresentation:
         half = Fraction(1, 2)
         assert WeightedGroundSet([half]).weights[0] is half
 
+    def test_integer_weights_keep_their_numerators(self):
+        w = WeightedGroundSet(iter([3, Fraction(0), "5", Fraction(8, 4)]))
+        assert w.scale == 1
+        assert w.scaled == (3, 0, 5, 2)
+        assert all(type(v) is int for v in w.scaled)
+
+    def test_first_negative_index_is_named(self):
+        with pytest.raises(InvalidInstance, match="^negative weight at element 1$"):
+            WeightedGroundSet([Fraction(1, 3), Fraction(-1), "-2/3", 0.5])
+
     def test_total_is_the_fraction_sum(self):
         rng = random.Random(12)
         for _ in range(200):

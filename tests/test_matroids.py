@@ -17,6 +17,7 @@ from idsets.graphs import Digraph, WeightedGroundSet
 from idsets.linear import AffineBasis, ax_independent
 from idsets.matroids import (
     MatroidOracle,
+    _circuit_of,
     _first_violated_circuit,
     find_basis,
     free_matroid,
@@ -207,6 +208,60 @@ class TestGraphicCircuitHook:
         m = graphic_matroid(Digraph(3, [(0, 1), (1, 1), (1, 0), (1, 2)]))
         assert m.circuit(frozenset({0, 3}), 1) == {1}
         assert m.circuit(frozenset({0, 3}), 2) == {0, 2}
+
+
+def seeded_partition_matroids(count: int, seed: int):
+    """Partition matroids of shuffled ids into up to 5 blocks, capacities
+    from 0 to the block size (zero capacities make loops)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 4))))
+        blocks = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        yield partition_matroid(blocks, [rng.randint(0, len(b)) for b in blocks])
+
+
+def _witness_bytes(witness) -> bytes:
+    return json.dumps(None if witness is None else
+                      [sorted(witness.circuit), sorted(witness.basis_a),
+                       sorted(witness.basis_b)]).encode()
+
+
+class TestPartitionCircuitHook:
+    def test_hook_equals_delete_one_circuits(self):
+        rng = random.Random(73)
+        for m in seeded_partition_matroids(300, 71):
+            assert m.circuit is not None
+            plain = MatroidOracle(m.ground_size, m.is_independent)
+            first = find_basis(plain)
+            last = frozenset(_greedy_basis(plain, reversed(range(m.ground_size))))
+            for basis in (first, last):
+                for e in set(range(m.ground_size)) - basis:
+                    assert _circuit_of(m, basis, e) == _circuit_of(plain, basis, e)
+            assert matroid_components(m) == matroid_components(plain)
+            for _ in range(8):
+                s = frozenset(e for e in range(m.ground_size) if rng.random() < 0.5)
+                got = verify_matroid_identifying(m, s)
+                want = verify_matroid_identifying(plain, s)
+                assert got[0] == want[0]
+                assert _witness_bytes(got[1]) == _witness_bytes(want[1])
+
+    def test_loop_and_non_basis(self):
+        m = partition_matroid([[0, 1], [2, 3]], [0, 1])
+        assert m.circuit(frozenset({2}), 0) == {0}
+        assert m.circuit(frozenset({2}), 3) == {2, 3}
+        with pytest.raises(NotABasis):
+            m.circuit(frozenset(), 3)
+
+    def test_components_ask_no_delete_one_queries(self):
+        # One query per element finds the basis; the blocks give the circuits.
+        m = partition_matroid([range(0, 8), range(8, 16)], [3, 5])
+        m._cache.clear()
+        assert matroid_components(m).partition == (frozenset(range(8)),
+                                                   frozenset(range(8, 16)))
+        assert len(m._cache) <= m.ground_size + 1
 
 
 class TestMinWeight:

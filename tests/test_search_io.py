@@ -10,7 +10,7 @@ import pytest
 
 from idsets.caps import Caps
 from idsets.errors import InvalidInstance, SubsetExplosion
-from idsets.graphs import Digraph, StPair, WeightedGroundSet
+from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.io import (
     fraction_from_json,
     fraction_to_json,
@@ -26,9 +26,10 @@ from idsets.io import (
     parse_weights,
     solution_list_to_json,
 )
-from idsets.search import min_weight_hitting_set
+from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
+from idsets.search import min_weight_hitting_set, pair_demands
 
-from .helpers import subsets_in_weight_order
+from .helpers import oracle_min_weight_hitting_set, subsets_in_weight_order
 
 
 class TestHittingSet:
@@ -96,6 +97,70 @@ class TestHittingSet:
         weights = [float(x) for x, _ in seen]
         assert weights == sorted(weights)
         assert len(seen) == 4
+
+
+def visited_nodes(engine, n: int, w: WeightedGroundSet, demands) -> int:
+    """The least max_states under which `engine` does not raise SubsetExplosion:
+    the number of nodes its search visits."""
+    low, high = 1, 1
+    while True:
+        try:
+            engine(n, w, demands, high)
+            break
+        except SubsetExplosion:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            engine(n, w, demands, mid)
+            high = mid
+        except SubsetExplosion:
+            low = mid + 1
+    return low
+
+
+def _path_demands(inst) -> set[int]:
+    paths = enumerate_st_paths(inst.graph, inst.st)
+    return pair_demands([sum(1 << a for a in p) for p in paths])
+
+
+class TestEngineMatchesListWalk:
+    """The cover-mask engine walks the nodes of the demand-list walk it
+    replaced: the same answer, and the same count against `max_states`."""
+
+    def assert_same_walk(self, n, w, demands):
+        assert (min_weight_hitting_set(n, w, demands)
+                == oracle_min_weight_hitting_set(n, w, demands)), (w.weights, demands)
+        visited = visited_nodes(oracle_min_weight_hitting_set, n, w, demands)
+        min_weight_hitting_set(n, w, demands, visited)
+        if visited > 1:
+            with pytest.raises(SubsetExplosion, match=f"visited {visited} nodes"):
+                min_weight_hitting_set(n, w, demands, visited - 1)
+
+    def test_seeded_demand_sets(self):
+        rng = random.Random(1515)
+        values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+        for _ in range(1000):
+            n = rng.randint(1, 14)
+            w = WeightedGroundSet([rng.choice(values) for _ in range(n)])
+            demands: list[int] = []
+            for _ in range(rng.randint(0, 24)):
+                roll = rng.random()
+                if demands and roll < 0.2:
+                    demands.append(rng.choice(demands))
+                elif demands and roll < 0.4:
+                    demands.append(rng.choice(demands) | 1 << rng.randrange(n))
+                else:
+                    demands.append(sum(1 << e for e in rng.sample(range(n), rng.randint(1, n))))
+            self.assert_same_walk(n, w, demands)
+
+    @pytest.mark.parametrize("inst", [
+        gen_tight_gap_family(6),
+        gen_vertex_cover_dag(3, [(0, 1), (1, 2), (0, 2)], 2),
+    ], ids=["tight-gap-k6", "vc-dag-triangle-ell2"])
+    def test_path_families(self, inst):
+        n = inst.graph.arc_count
+        self.assert_same_walk(n, WeightedGroundSet.uniform(n), _path_demands(inst))
 
 
 class TestRationalJson:
