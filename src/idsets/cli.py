@@ -229,7 +229,7 @@ def _components_payload(s, w: WeightedGroundSet, components) -> dict:
     return {
         "S": sorted(s),
         "weight": io.fraction_to_json(w.total(s)),
-        "components": [sorted(p) for p in components.partition],
+        "components": [sorted(p) for p in components],
     }
 
 

@@ -11,14 +11,13 @@ branch-and-bound hitting-set search over the pair demands, at desk scale.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance
-from .graphs import WeightedGroundSet, validate_ids
+from .graphs import WeightedGroundSet, _integer, validate_ids
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
 
@@ -30,10 +29,7 @@ class SolutionList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
-        try:
-            dimension = operator.index(dimension)
-        except TypeError:
-            raise InvalidInstance(f"dimension must be an integer, got {dimension!r}") from None
+        dimension = _integer(dimension, "dimension")
         if dimension < 0:
             raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
         vecs: list[tuple[int, ...]] = []
@@ -64,9 +60,10 @@ class SolutionList:
 
     @classmethod
     def from_sets(cls, dimension: int, sets: Iterable[Iterable[int]]) -> "SolutionList":
+        dimension = _integer(dimension, "dimension")
         rows = []
         for s in sets:
-            s = set(s)
+            s = validate_ids(dimension, s)
             rows.append(tuple(1 if e in s else 0 for e in range(dimension)))
         return cls(dimension, rows)
 

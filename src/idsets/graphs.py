@@ -40,7 +40,7 @@ class Digraph:
     _in: Adjacency = field(init=False, repr=False, compare=False)
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        node_count = _integer(node_count)
+        node_count = _integer(node_count, "node_count")
         if node_count < 0:
             raise InvalidInstance("node_count must be nonnegative")
         # One pass converts, range-checks and files each arc. Exact ints,
@@ -50,7 +50,8 @@ class Digraph:
         inc: list[list[int]] = [[] for _ in range(node_count)]
         for aid, (tail, head) in enumerate(arcs):
             if type(tail) is not int or type(head) is not int:
-                tail, head = _integer(tail), _integer(head)
+                tail = _integer(tail, f"arc {aid} tail")
+                head = _integer(head, f"arc {aid} head")
             if not (0 <= tail < node_count and 0 <= head < node_count):
                 raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
             out[tail].append(aid)
@@ -83,12 +84,14 @@ class Digraph:
         return self._in
 
 
-def _integer(value) -> int:
-    """`operator.index(value)`, raising InvalidInstance for a non-integer."""
+def _integer(value, what: str) -> int:
+    """`operator.index(value)`: the library's rule for ids and counts. A bool
+    reads as 0 or 1; a float, Fraction or string raises InvalidInstance
+    naming `what`, and is never truncated."""
     try:
         return operator.index(value)
-    except TypeError as exc:
-        raise InvalidInstance(f"nodes and arc endpoints must be integers: {exc}") from exc
+    except TypeError:
+        raise InvalidInstance(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class StPair:
     sink: int
 
     def __post_init__(self):
+        object.__setattr__(self, "source", _integer(self.source, "source"))
+        object.__setattr__(self, "sink", _integer(self.sink, "sink"))
         if self.source == self.sink:
             raise InvalidInstance("source and sink must differ")
 
@@ -274,7 +279,9 @@ class TopologicalOrder:
 def topological_order(g: Digraph) -> TopologicalOrder:
     """Kahn's algorithm; on failure extracts a directed cycle as a witness.
 
-    Smallest-id nodes are dequeued first so the ranks are deterministic.
+    The released nodes form a plain queue, seeded with the in-degree-0 nodes
+    in id order and read front to back, so the ranks are deterministic. The
+    set of released nodes, and so the cycle, does not depend on that order.
     """
     n = g.node_count
     arcs = g.arcs
@@ -282,20 +289,17 @@ def topological_order(g: Digraph) -> TopologicalOrder:
     for _, head in arcs:
         indeg[head] += 1
     out = g.out_arcs()
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    rank = [-1] * n
-    next_rank = 0
-    while ready:
-        v = heapq.heappop(ready)
-        rank[v] = next_rank
-        next_rank += 1
+    released = [v for v in range(n) if indeg[v] == 0]
+    for v in released:
         for aid in out[v]:
             w = arcs[aid][1]
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if next_rank == n:
+                released.append(w)
+    rank = [-1] * n
+    for r, v in enumerate(released):
+        rank[v] = r
+    if len(released) == n:
         return TopologicalOrder(order=tuple(rank), cycle=None)
     return TopologicalOrder(order=None, cycle=tuple(_find_directed_cycle(g, rank)))
 

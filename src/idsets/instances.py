@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance, NotIdentifying
-from .graphs import Digraph, StPair
+from .graphs import Digraph, StPair, _integer, validate_ids
 from .paths import verify_path_identifying_dag
 
 
@@ -29,6 +29,7 @@ def gen_tight_gap_family(k: int) -> GeneratedInstance:
     for 0 <= i <= j <= k, then the k marked arcs e_i = (v_{2i-1}, v_{2i}).
     Path optimum is the k marked arcs; flow optimum has size k(k+1)/2.
     """
+    k = _integer(k, "k")
     if k < 1:
         raise InvalidInstance("k must be >= 1")
     arcs: list[tuple[int, int]] = []
@@ -52,7 +53,9 @@ def gen_vertex_cover_dag(vc_vertices: int, vc_edges: Sequence[tuple[int, int]],
     Arc blocks in id order: E_s (one arc per edge), E' (per edge, per endpoint,
     per copy), then for each copy i the block E_i (one arc per vertex).
     """
-    edges = [tuple(sorted((int(a), int(b)))) for a, b in vc_edges]
+    vc_vertices, ell = _integer(vc_vertices, "vc_vertices"), _integer(ell, "ell")
+    edges = [tuple(sorted((_integer(a, "edge endpoint"), _integer(b, "edge endpoint"))))
+             for a, b in vc_edges]
     if not edges:
         raise InvalidInstance("the vertex-cover graph needs at least one edge")
     if ell < 1:
@@ -118,6 +121,7 @@ def extract_vertex_cover(inst: GeneratedInstance, s: Iterable[int]) -> Extracted
         raise InvalidInstance("instance is not a vc-dag construction")
     g, st = inst.graph, inst.st
     assert g is not None and st is not None
+    s = validate_ids(g.arc_count, s)
     ok, witness = verify_path_identifying_dag(g, st, s)
     if not ok:
         raise NotIdentifying(witness)
@@ -131,7 +135,7 @@ def extract_vertex_cover(inst: GeneratedInstance, s: Iterable[int]) -> Extracted
     incident = {v: [ei for ei, e in enumerate(edges) if v in e]
                 for v in range(meta["vc_vertices"])}
 
-    current = set(int(a) for a in s)
+    current = set(s)
     mid_id_set = set(mid_ids)
     while True:
         mids_present = sorted(a for a in current if a in mid_id_set)
@@ -170,6 +174,7 @@ def gen_bundle_instance(g: Digraph, st: StPair, arc: int,
     The original arc id becomes the first bundle member; the remaining
     bundle_size - 1 copies are appended at the end.
     """
+    arc, bundle_size = _integer(arc, "arc"), _integer(bundle_size, "bundle_size")
     if bundle_size < 2:
         raise InvalidInstance("bundle_size must be >= 2")
     if not (0 <= arc < g.arc_count):
@@ -183,6 +188,7 @@ def gen_bundle_instance(g: Digraph, st: StPair, arc: int,
 
 def gen_random_dag(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
     """Seeded random DAG: arcs follow a random permutation; s/t are its endpoints."""
+    nodes = _integer(nodes, "nodes")
     if nodes < 2 or not (0.0 <= arc_prob <= 1.0):
         raise InvalidInstance("need nodes >= 2 and arc_prob in [0, 1]")
     rng = random.Random(seed)
@@ -201,6 +207,7 @@ def gen_random_dag(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
 
 def gen_random_digraph(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
     """Seeded random digraph over all ordered pairs; s = 0, t = nodes - 1."""
+    nodes = _integer(nodes, "nodes")
     if nodes < 2 or not (0.0 <= arc_prob <= 1.0):
         raise InvalidInstance("need nodes >= 2 and arc_prob in [0, 1]")
     rng = random.Random(seed)

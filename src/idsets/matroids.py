@@ -15,7 +15,6 @@ the witness.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -25,6 +24,7 @@ from .graphs import (
     Digraph,
     UnionFind,
     WeightedGroundSet,
+    _integer,
     drop_heaviest_per_part,
     validate_ids,
 )
@@ -33,10 +33,12 @@ from .graphs import (
 class MatroidOracle:
     """Independence oracle with memoized queries.
 
-    User-supplied callables are trusted modulo cheap sanity checks; the
-    built-in constructors below are exact by construction and spot-checked
-    probabilistically once. `circuit(basis, e)`, when given, returns the
-    fundamental circuit of e over a basis without independence queries.
+    The built-in constructors below are matroids by construction and ask
+    the oracle nothing; a user-supplied callable is trusted modulo the
+    cheap sanity checks of `matroid_components` (empty set independent)
+    and `verify_matroid_identifying` (its bases agree with its circuits).
+    `circuit(basis, e)`, when given, returns the fundamental circuit of e
+    over a basis without independence queries.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
@@ -69,30 +71,11 @@ def _greedy_extend(m: MatroidOracle, start: Iterable[int],
     return current
 
 
-def spot_check(m: MatroidOracle, seed: int = 0, samples: int = 40) -> None:
-    """Cheap probabilistic axioms check: heredity and exchange on random sets."""
-    if not m.is_independent(frozenset()):
-        raise InvalidInstance("empty set must be independent")
-    rng = random.Random(seed)
-    ground = list(range(m.ground_size))
-    for _ in range(samples):
-        a = frozenset(e for e in ground if rng.random() < 0.5)
-        if m.is_independent(a) and a:
-            drop = rng.choice(sorted(a))
-            if not m.is_independent(a - {drop}):
-                raise InvalidInstance("heredity violated")
-        b = frozenset(e for e in ground if rng.random() < 0.5)
-        if m.is_independent(a) and m.is_independent(b) and len(a) < len(b):
-            if not any(m.is_independent(a | {e}) for e in b - a):
-                raise InvalidInstance("exchange property violated")
-
-
 def uniform_matroid(k: int, n: int) -> MatroidOracle:
+    k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
-    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
-    spot_check(m)
-    return m
+    return MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
 
 
 def free_matroid(n: int) -> MatroidOracle:
@@ -141,10 +124,8 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
             tail = a if b == tail else b
         return frozenset(out)
 
-    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
-                      circuit=circuit)
-    spot_check(m)
-    return m
+    return MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
+                         circuit=circuit)
 
 
 def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -180,7 +161,8 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     of a non-basis element is the element plus the basis elements of its
     block: the element alone when the block's capacity is 0 (a loop).
     """
-    block_list = [frozenset(b) for b in blocks]
+    block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
+    capacities = [_integer(c, "capacity") for c in capacities]
     if len(block_list) != len(capacities):
         raise InvalidInstance("one capacity per block required")
     seen: set[int] = set()
@@ -203,14 +185,7 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
             raise NotABasis(f"basis + {e} is independent; not a basis")
         return members | {e}
 
-    m = MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
-    spot_check(m)
-    return m
-
-
-@dataclass(frozen=True)
-class MatroidComponents:
-    partition: tuple[frozenset[int], ...]
+    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
 
 
 @dataclass(frozen=True)
@@ -231,9 +206,10 @@ def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> froze
     """The unique circuit inside basis + e.
 
     An element belongs to the circuit exactly when deleting it from basis + e
-    restores independence.
+    restores independence. InvalidInstance for an id outside the ground set.
     """
-    b = frozenset(basis)
+    b = validate_ids(m.ground_size, basis)
+    (e,) = validate_ids(m.ground_size, (e,))
     if e in b:
         raise ElementInBasis(f"element {e} already in the basis")
     if not m.is_independent(b):
@@ -255,11 +231,12 @@ def _circuit_of(m: MatroidOracle, basis: frozenset[int], e: int) -> frozenset[in
     return frozenset(f for f in extended if m.is_independent(extended - {f}))
 
 
-def matroid_components(m: MatroidOracle) -> MatroidComponents:
+def matroid_components(m: MatroidOracle) -> tuple[frozenset[int], ...]:
     """Connected components via the fundamental graph of an arbitrary basis.
 
     Elements i in the basis and j outside are joined when i lies on the
-    fundamental circuit of j; loops and coloops end up as singletons.
+    fundamental circuit of j; loops and coloops end up as singletons. The
+    parts come sorted by least element.
     """
     if not m.is_independent(frozenset()):
         raise InvalidInstance("inconsistent oracle: empty set dependent")
@@ -270,17 +247,17 @@ def matroid_components(m: MatroidOracle) -> MatroidComponents:
             continue
         for i in _circuit_of(m, basis, j) - {j}:
             uf.union(i, j)
-    return MatroidComponents(partition=uf.parts())
+    return uf.parts()
 
 
 def min_weight_matroid_identifying(
     m: MatroidOracle, w: WeightedGroundSet | None = None
-) -> tuple[frozenset[int], MatroidComponents]:
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Drop the heaviest element (ties: smallest id) of each component."""
     if w is None:
         w = WeightedGroundSet.uniform(m.ground_size)
     components = matroid_components(m)
-    return drop_heaviest_per_part(components.partition, w), components
+    return drop_heaviest_per_part(components, w), components
 
 
 def verify_matroid_identifying(
@@ -296,7 +273,7 @@ def verify_matroid_identifying(
     bases there, which raises InvalidInstance.
     """
     s_set = validate_ids(m.ground_size, s)
-    violated = [e for part in matroid_components(m).partition
+    violated = [e for part in matroid_components(m)
                 if len(part - s_set) >= 2 for e in part]
     if not violated:
         return True, None

@@ -146,14 +146,6 @@ class PolymatroidOracle:
 
 
 @dataclass(frozen=True)
-class PolymatroidComponents:
-    partition: tuple[frozenset[int], ...]
-    # (part, ground) per part when there are two or more:
-    # f(part) + f(ground - part) = f(ground).
-    separability_certificates: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-
-@dataclass(frozen=True)
 class PolymatroidWitness:
     """Two base points agreeing on the queried set, from a feasible exchange."""
 
@@ -163,15 +155,15 @@ class PolymatroidWitness:
     epsilon: Fraction
 
 
-def polymatroid_components(f: PolymatroidOracle) -> PolymatroidComponents:
+def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
     """Components as the weak components of k -> dep(k) at one greedy base.
 
     x is the greedy base for the order 0..n-1, so every prefix P_k = {0..k}
     is tight, and dep(k), the least x-tight set holding k, lies in P_k: from
     D = P_k, each j = k-1, ..., 0 leaves D when D - j is still tight. Every
     separator is tight at x, hence a union of dep sets, and each weak
-    component is a separator (Bixby, Cunningham & Topkis 1985). Each part P
-    comes with the exact split (P, E) when there are two or more parts.
+    component is a separator (Bixby, Cunningham & Topkis 1985): each part P
+    has f(P) + f(E - P) = f(E).
     """
     n = f.ground_size
     uf = UnionFind(n)
@@ -186,10 +178,7 @@ def polymatroid_components(f: PolymatroidOracle) -> PolymatroidComponents:
                 dep_x -= x[j]
         for j in dep:
             uf.union(k, j)
-    parts = uf.parts()
-    ground = frozenset(range(n))
-    certificates = tuple((part, ground) for part in parts) if len(parts) > 1 else ()
-    return PolymatroidComponents(partition=parts, separability_certificates=certificates)
+    return uf.parts()
 
 
 def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
@@ -201,7 +190,7 @@ def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
     The average over a direct sum concatenates its parts' averages, so each
     component is averaged alone and `caps.max_ground` bounds the largest.
     """
-    parts = polymatroid_components(f).partition
+    parts = polymatroid_components(f)
     largest = max(map(len, parts), default=0)
     if largest > caps.max_ground:
         raise EnumerationExplosion(caps.max_ground,
@@ -220,12 +209,12 @@ def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
 
 def min_weight_polymatroid_identifying(
     f: PolymatroidOracle, w: WeightedGroundSet | None = None
-) -> tuple[frozenset[int], PolymatroidComponents]:
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Drop the heaviest element (ties: smallest id) of every component."""
     if w is None:
         w = WeightedGroundSet.uniform(f.ground_size)
     components = polymatroid_components(f)
-    return drop_heaviest_per_part(components.partition, w), components
+    return drop_heaviest_per_part(components, w), components
 
 
 def verify_polymatroid_identifying(
@@ -241,7 +230,7 @@ def verify_polymatroid_identifying(
     nonnegative, and 0 on the separator P, so slack(T ∩ P) <= slack(T).
     """
     s_set = validate_ids(f.ground_size, s)
-    for part in polymatroid_components(f).partition:
+    for part in polymatroid_components(f):
         if len(part & s_set) >= len(part) - 1:
             continue
         e, e_prime = sorted(part - s_set)[:2]

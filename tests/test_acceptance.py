@@ -168,7 +168,7 @@ def test_criterion_05_matroid_theorem_equivalence():
         from idsets.matroids import min_weight_matroid_identifying
 
         circuits = enumerate_circuits(m)
-        parts = matroid_components(m).partition
+        parts = matroid_components(m)
         for s in all_subsets(range(m.ground_size)):
             ident = bases_distinct_on(bases, s)
             circ = all(len(s & c) >= len(c) - 1 for c in circuits)
@@ -192,7 +192,7 @@ def test_criterion_06_polymatroid_theorem_equivalence():
     for f in table_fixtures():
         if f.ground_size > 6:
             continue
-        parts = polymatroid_components(f).partition
+        parts = polymatroid_components(f)
         basis = affine_basis_of_polytope(f)
         for s in all_subsets(range(f.ground_size)):
             condition = all(len(s & p) >= len(p) - 1 for p in parts)
@@ -211,7 +211,7 @@ def test_criterion_06_polymatroid_theorem_equivalence():
     ]
     for m in rank_fixtures:
         f = PolymatroidOracle.from_matroid(m)
-        if polymatroid_components(f).partition != matroid_components(m).partition:
+        if polymatroid_components(f) != matroid_components(m):
             mismatch.append((m.name, "components"))
     report(6, not mismatch, f"polymatroid equivalence; {mismatch or 'ok'}")
     assert not mismatch

@@ -62,6 +62,12 @@ class TestSolutionList:
         x = SolutionList.from_sets(3, [{0}, {1, 2}])
         assert x.vectors == ((1, 0, 0), (0, 1, 1))
 
+    def test_from_sets_rejects_bad_ids(self):
+        # An id outside the dimension was silently dropped.
+        for dimension, sets in ((2, [{5}]), (2, [{-1}]), (2, [{0.0}]), (2.0, [{0}])):
+            with pytest.raises(InvalidInstance):
+                SolutionList.from_sets(dimension, sets)
+
 
 class TestVerify:
     def test_collision(self):

@@ -74,6 +74,15 @@ def test_st_pair_rejects_equal_endpoints():
         StPair(1, 1)
 
 
+def test_st_pair_rejects_non_integer_endpoints():
+    # 0.0 would pass `validate` and fail later inside the solvers.
+    for source, sink in ((0.0, 2), (0, "2"), (Fraction(1), 2)):
+        with pytest.raises(InvalidInstance, match="must be an integer"):
+            StPair(source, sink)
+    st = StPair(True, 2)
+    assert (st.source, st.sink) == (1, 2) and type(st.source) is int
+
+
 def test_weights_reject_negative():
     with pytest.raises(InvalidInstance, match="^negative weight at element 2$"):
         WeightedGroundSet([1, 0, "-1/2", Fraction(1, 7)])

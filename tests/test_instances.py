@@ -186,6 +186,33 @@ class TestBundle:
             gen_bundle_instance(g, st, 1, 1)
 
 
+class TestNoTruncation:
+    """Generators read ids and counts by the library's integer rule: a
+    float or string is rejected, never truncated by int()."""
+
+    @pytest.mark.parametrize("build, args", [
+        (gen_tight_gap_family, (2.0,)),
+        (gen_vertex_cover_dag, (3, [(0, 1.9)], 1)),
+        (gen_vertex_cover_dag, (3, [("0", 1)], 1)),
+        (gen_vertex_cover_dag, (3.0, [(0, 1)], 1)),
+        (gen_vertex_cover_dag, (3, [(0, 1)], 1.5)),
+        (gen_random_dag, (3.0, 0.5, 0)),
+        (gen_random_digraph, (3.0, 0.5, 0)),
+        (gen_bundle_instance, (*TestBundle().base(), 1.0, 2)),
+        (gen_bundle_instance, (*TestBundle().base(), 1, 2.0)),
+    ], ids=["tight-gap-k", "vc-float-endpoint", "vc-str-endpoint", "vc-vertices",
+            "vc-ell", "random-dag-nodes", "random-digraph-nodes", "bundle-arc",
+            "bundle-size"])
+    def test_rejected(self, build, args):
+        with pytest.raises(InvalidInstance, match="must be an integer"):
+            build(*args)
+
+    def test_extract_reads_a_one_shot_iterable(self):
+        inst = gen_vertex_cover_dag(3, [(0, 1), (1, 2)], 1)
+        s = frozenset(inst.metadata["E_s"]) | {a for _, _, a in inst.metadata["tail_arcs"]}
+        assert extract_vertex_cover(inst, iter(sorted(s))) == extract_vertex_cover(inst, s)
+
+
 class TestRandomGenerators:
     def test_complete_dag(self):
         inst = gen_random_dag(4, 1.0, seed=5)

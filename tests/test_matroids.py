@@ -92,6 +92,24 @@ class TestBuiltins:
         m = graphic_matroid(Digraph(2, [(0, 1), (1, 1)]))
         assert not m.is_independent({1})
 
+    @pytest.mark.parametrize("build, args", [
+        (uniform_matroid, (1.5, 3)),
+        (uniform_matroid, (1, 3.0)),
+        (partition_matroid, ([[0, 1.0]], [1])),
+        (partition_matroid, ([[0, 1]], [1.5])),
+        (partition_matroid, ([[0, "1"]], [1])),
+    ], ids=["uniform-k", "uniform-n", "partition-id", "partition-capacity", "partition-str"])
+    def test_non_integer_ids_and_counts_rejected(self, build, args):
+        with pytest.raises(InvalidInstance, match="must be an integer"):
+            build(*args)
+
+    def test_construction_asks_the_oracle_nothing(self):
+        # Built-in matroids are exact by construction: no axiom sampling.
+        g = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+        for m in (uniform_matroid(8, 16), graphic_matroid(g),
+                  partition_matroid([[0, 1, 2], [3, 4], [5]], [2, 1, 0])):
+            assert m._cache == {}, m.name
+
 
 class TestFundamentalCircuit:
     def test_triangle(self):
@@ -115,6 +133,12 @@ class TestFundamentalCircuit:
             fundamental_circuit(m, {0}, 1)  # not maximal
         with pytest.raises(NotABasis):
             fundamental_circuit(uniform_matroid(1, 3), {0, 1}, 2)  # dependent
+        with pytest.raises(InvalidInstance):
+            fundamental_circuit(uniform_matroid(2, 4), {0, 1}, 9)
+        with pytest.raises(InvalidInstance):
+            fundamental_circuit(m, {0, 1}, 7)
+        with pytest.raises(InvalidInstance):
+            fundamental_circuit(m, {0, 9}, 2)
 
     def test_output_is_a_circuit(self):
         for m in fixture_matroids()[:40]:
@@ -133,15 +157,15 @@ class TestComponents:
     def test_triangle_plus_bridge(self):
         g = Digraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         comps = matroid_components(graphic_matroid(g))
-        assert comps.partition == (frozenset({0, 1, 2}), frozenset({3}))
+        assert comps == (frozenset({0, 1, 2}), frozenset({3}))
 
     def test_uniform_single_component(self):
         comps = matroid_components(uniform_matroid(2, 3))
-        assert comps.partition == (frozenset({0, 1, 2}),)
+        assert comps == (frozenset({0, 1, 2}),)
 
     def test_free_all_singletons(self):
         comps = matroid_components(free_matroid(3))
-        assert comps.partition == (frozenset({0}), frozenset({1}), frozenset({2}))
+        assert comps == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_components_match_circuit_relation(self):
         # components = equivalence classes of "share a circuit", by definition
@@ -157,7 +181,7 @@ class TestComponents:
             expected: dict[int, set[int]] = {}
             for e in range(m.ground_size):
                 expected.setdefault(uf.find(e), set()).add(e)
-            got = matroid_components(m).partition
+            got = matroid_components(m)
             assert set(got) == {frozenset(v) for v in expected.values()}
 
 
@@ -259,7 +283,7 @@ class TestPartitionCircuitHook:
         # One query per element finds the basis; the blocks give the circuits.
         m = partition_matroid([range(0, 8), range(8, 16)], [3, 5])
         m._cache.clear()
-        assert matroid_components(m).partition == (frozenset(range(8)),
+        assert matroid_components(m) == (frozenset(range(8)),
                                                    frozenset(range(8, 16)))
         assert len(m._cache) <= m.ground_size + 1
 
@@ -358,7 +382,7 @@ class TestVerify:
         # component, yet no subset of {1, 2} is a circuit.
         family = {frozenset(t) for t in [(), (0,), (0, 1), (0, 2)]}
         m = MatroidOracle(3, lambda t: t in family)
-        assert matroid_components(m).partition == (frozenset({0}), frozenset({1, 2}))
+        assert matroid_components(m) == (frozenset({0}), frozenset({1, 2}))
         with pytest.raises(InvalidInstance, match="inconsistent oracle"):
             verify_matroid_identifying(m, set())
 
@@ -441,7 +465,7 @@ class TestFirstViolatedCircuit:
         rng = random.Random(7102)
         pairs = found = 0
         for independent, n in scan_oracles():
-            parts = matroid_components(MatroidOracle(n, independent)).partition
+            parts = matroid_components(MatroidOracle(n, independent))
             for _ in range(5):
                 s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.3, 0.7]))
                 elements = sorted(e for part in parts if len(part - s) >= 2 for e in part)
@@ -469,7 +493,7 @@ class TestTheoremEquivalence:
         for m in fixtures:
             bases = all_bases(m)
             circuits = enumerate_circuits(m)
-            parts = matroid_components(m).partition
+            parts = matroid_components(m)
             for s in all_subsets(range(m.ground_size)):
                 ident = bases_distinct_on(bases, s)
                 circ = all(len(s & c) >= len(c) - 1 for c in circuits)

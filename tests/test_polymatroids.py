@@ -238,25 +238,27 @@ class TestComponents:
         f = PolymatroidOracle(3, lambda t: Fraction(min(len(t & {0, 1}), 1) + min(len(t & {2}), 1)),
                               name="sep")
         comps = polymatroid_components(f)
-        assert comps.partition == (frozenset({0, 1}), frozenset({2}))
-        assert comps.separability_certificates
+        assert comps == (frozenset({0, 1}), frozenset({2}))
+        ground = frozenset(range(3))
+        for part in comps:
+            assert f.value(part) + f.value(ground - part) == f.value(ground)
 
     def test_truncation_connected(self):
         comps = polymatroid_components(truncation(3, 2))
-        assert comps.partition == (frozenset({0, 1, 2}),)
+        assert comps == (frozenset({0, 1, 2}),)
 
     def test_empty_ground_has_no_components(self):
-        assert polymatroid_components(PolymatroidOracle(0, lambda t: Fraction(0))).partition == ()
+        assert polymatroid_components(PolymatroidOracle(0, lambda t: Fraction(0))) == ()
 
     def test_free_all_singletons(self):
         f = PolymatroidOracle(3, lambda t: Fraction(len(t)), name="free")
         comps = polymatroid_components(f)
-        assert len(comps.partition) == 3
+        assert len(comps) == 3
 
     def test_certificates_are_exact_splits(self):
         for f in table_fixtures():
-            comps = polymatroid_components(f)
-            for part, ground in comps.separability_certificates:
+            ground = frozenset(range(f.ground_size))
+            for part in polymatroid_components(f):
                 assert f.value(part) + f.value(ground - part) == f.value(ground)
 
     def test_split_order_does_not_matter(self):
@@ -278,12 +280,12 @@ class TestComponents:
             return final
 
         for f in table_fixtures():
-            expected = set(polymatroid_components(f).partition)
+            expected = set(polymatroid_components(f))
             assert components_last_split(f) == expected
 
     def test_additivity_over_components(self):
         for f in table_fixtures():
-            parts = polymatroid_components(f).partition
+            parts = polymatroid_components(f)
             for t in all_subsets(range(f.ground_size)):
                 assert f.value(t) == sum(
                     (f.value(t & p) for p in parts), Fraction(0))
@@ -300,7 +302,7 @@ class TestComponents:
         ]
         for m in matroid_list:
             f = PolymatroidOracle.from_matroid(m)
-            assert polymatroid_components(f).partition == matroid_components(m).partition
+            assert polymatroid_components(f) == matroid_components(m)
 
 
 class TestComponentsFromOneBase:
@@ -311,14 +313,15 @@ class TestComponentsFromOneBase:
     def test_matches_split_oracle(self):
         for f in seeded_polymatroids(600, 1100):
             components = polymatroid_components(f)
-            assert components.partition == oracle_polymatroid_components(f), f.name
-            for part, ground in components.separability_certificates:
+            assert components == oracle_polymatroid_components(f), f.name
+            ground = frozenset(range(f.ground_size))
+            for part in components:
                 assert f.value(part) + f.value(ground - part) == f.value(ground)
 
     def test_partitions_are_pinned(self):
         digest = hashlib.sha256()
         for f in seeded_polymatroids(600, 1100):
-            parts = polymatroid_components(f).partition
+            parts = polymatroid_components(f)
             digest.update(f"{json.dumps([sorted(p) for p in parts])}\n".encode())
         assert digest.hexdigest() == self.DIGEST
 
@@ -330,7 +333,7 @@ class TestComponentsFromOneBase:
             return Fraction(min(len(t & {0, 1, 2}), 2) + len(t - {0, 1, 2}))
 
         f = PolymatroidOracle(n, value, validate=False)
-        assert polymatroid_components(f).partition == (
+        assert polymatroid_components(f) == (
             (frozenset({0, 1, 2}),) + tuple(frozenset({e}) for e in range(3, n)))
         assert len(asked) <= n * (n + 1) // 2 + 1
 
@@ -373,7 +376,7 @@ class TestDependence:
             for e in range(f.ground_size):
                 for e2 in dependence_function(f, x, e):
                     uf.union(e, e2)
-            assert uf.parts() == polymatroid_components(f).partition
+            assert uf.parts() == polymatroid_components(f)
 
 
 class TestMinWeight:
@@ -465,7 +468,7 @@ class TestTheoremEquivalence:
         for f in table_fixtures():
             if f.ground_size > 5:
                 continue
-            parts = polymatroid_components(f).partition
+            parts = polymatroid_components(f)
             basis = affine_basis_of_polytope(f)
             vertices = polytope_vertices(f)
             for s in all_subsets(range(f.ground_size)):
@@ -483,7 +486,7 @@ class TestTheoremEquivalence:
         for f in table_fixtures():
             if f.ground_size > 5:
                 continue
-            parts = polymatroid_components(f).partition
+            parts = polymatroid_components(f)
             for _ in range(10):
                 w = WeightedGroundSet(random_weights(rng, f.ground_size))
                 s, _ = min_weight_polymatroid_identifying(f, w)
