@@ -6,6 +6,7 @@ so tests can assert construction-level facts instead of re-deriving them.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -186,11 +187,20 @@ def gen_bundle_instance(g: Digraph, st: StPair, arc: int,
     return GeneratedInstance(graph=Digraph(g.node_count, arcs), st=st, metadata=meta)
 
 
+def _random_graph_args(nodes: int, arc_prob: float, seed: int) -> tuple[int, int]:
+    """`nodes` and `seed` by the integer rule; `arc_prob` a real number (not a
+    bool) in [0, 1]. InvalidInstance otherwise."""
+    nodes, seed = _integer(nodes, "nodes"), _integer(seed, "seed")
+    if isinstance(arc_prob, bool) or not isinstance(arc_prob, numbers.Real):
+        raise InvalidInstance(f"arc_prob must be a real number, got {arc_prob!r}")
+    if nodes < 2 or not (0 <= arc_prob <= 1):
+        raise InvalidInstance("need nodes >= 2 and arc_prob in [0, 1]")
+    return nodes, seed
+
+
 def gen_random_dag(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
     """Seeded random DAG: arcs follow a random permutation; s/t are its endpoints."""
-    nodes = _integer(nodes, "nodes")
-    if nodes < 2 or not (0.0 <= arc_prob <= 1.0):
-        raise InvalidInstance("need nodes >= 2 and arc_prob in [0, 1]")
+    nodes, seed = _random_graph_args(nodes, arc_prob, seed)
     rng = random.Random(seed)
     perm = list(range(nodes))
     rng.shuffle(perm)
@@ -207,9 +217,7 @@ def gen_random_dag(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
 
 def gen_random_digraph(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
     """Seeded random digraph over all ordered pairs; s = 0, t = nodes - 1."""
-    nodes = _integer(nodes, "nodes")
-    if nodes < 2 or not (0.0 <= arc_prob <= 1.0):
-        raise InvalidInstance("need nodes >= 2 and arc_prob in [0, 1]")
+    nodes, seed = _random_graph_args(nodes, arc_prob, seed)
     rng = random.Random(seed)
     arcs = [(u, v) for u in range(nodes) for v in range(nodes)
             if u != v and rng.random() < arc_prob]

@@ -8,9 +8,15 @@ identifying set (drop the heaviest element of each non-singleton component).
 A fundamental circuit costs |B| + 1 independence queries in general; a
 graphic matroid reads it from its spanning forest instead (the arc plus the
 forest path between its ends), and a partition matroid from its blocks (the
-element plus the basis elements of its block). Only a negative verdict scans
-subsets, inside the violated components, for the first violated circuit of
-the witness.
+element plus the basis elements of its block). A graphic matroid finds its
+first basis by one Kruskal pass over the arcs in ascending id.
+
+Only a negative verdict looks for the first violated circuit of the witness,
+and only inside the violated components. Uniform and partition matroids
+pick it in closed form (their circuits are the (k+1)-subsets, or c+1
+elements of one block of capacity c); graphic and custom oracles scan
+subsets. `Caps.max_ground` is checked before either path, so whether a call
+raises depends only on sizes and caps.
 """
 
 from __future__ import annotations
@@ -37,16 +43,24 @@ class MatroidOracle:
     the oracle nothing; a user-supplied callable is trusted modulo the
     cheap sanity checks of `matroid_components` (empty set independent)
     and `verify_matroid_identifying` (its bases agree with its circuits).
-    `circuit(basis, e)`, when given, returns the fundamental circuit of e
-    over a basis without independence queries.
+    Three optional hooks answer from a built-in's structure without
+    independence queries: `circuit(basis, e)` returns the fundamental
+    circuit of e over a basis, `first_circuit(s_set, elements)` the circuit
+    that the scan of `_first_violated_circuit` would find, and `basis()` the
+    lexicographically first basis.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
                  name: str = "custom",
-                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None):
+                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None,
+                 first_circuit: Callable[[frozenset[int], list[int]],
+                                         frozenset[int] | None] | None = None,
+                 basis: Callable[[], frozenset[int]] | None = None):
         self.ground_size = ground_size
         self.name = name
         self.circuit = circuit
+        self.first_circuit = first_circuit
+        self.basis = basis
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -75,7 +89,10 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
-    return MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
+    # The circuits are exactly the (k+1)-subsets.
+    return MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})",
+                         first_circuit=lambda s_set, elements:
+                         _first_violating_subset(s_set, elements, k + 1))
 
 
 def free_matroid(n: int) -> MatroidOracle:
@@ -85,11 +102,13 @@ def free_matroid(n: int) -> MatroidOracle:
 def graphic_matroid(g: Digraph) -> MatroidOracle:
     """Edges independent iff they form a forest (directions ignored).
 
-    The fundamental circuit of a non-forest arc is the arc plus the forest
-    path between its ends (the arc alone for a self-loop). The basis forest
-    is rooted once, with a parent arc and a depth per node, and rooted again
-    only when a different basis is passed; each path climbs from both ends
-    to their meeting node.
+    The first basis is Kruskal's forest over the arcs in ascending id: an arc
+    joins it when it links two trees (a self-loop never does), which is the
+    decision the greedy independence scan makes. The fundamental circuit of a
+    non-forest arc is the arc plus the forest path between its ends (the arc
+    alone for a self-loop). The basis forest is rooted once, with a parent
+    arc and a depth per node, and rooted again only when a different basis
+    is passed; each path climbs from both ends to their meeting node.
     """
 
     def independent(subset: frozenset[int]) -> bool:
@@ -99,6 +118,11 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
             if tail == head or not uf.union(tail, head):
                 return False
         return True
+
+    def first_basis() -> frozenset[int]:
+        uf = UnionFind(g.node_count)
+        return frozenset(aid for aid, (tail, head) in enumerate(g.arcs)
+                         if uf.union(tail, head))
 
     rooted_basis: frozenset[int] | None = None
     parent: list[int] = []
@@ -125,7 +149,7 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
         return frozenset(out)
 
     return MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
-                         circuit=circuit)
+                         circuit=circuit, basis=first_basis)
 
 
 def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -159,7 +183,10 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
 
     A basis fills every block up to its capacity, so the fundamental circuit
     of a non-basis element is the element plus the basis elements of its
-    block: the element alone when the block's capacity is 0 (a loop).
+    block: the element alone when the block's capacity is 0 (a loop). Every
+    circuit is c + 1 elements of one block of capacity c, so the first
+    violated one is the least, by size and then sorted tuple, of the first
+    such subset of each block.
     """
     block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
     capacities = [_integer(c, "capacity") for c in capacities]
@@ -185,7 +212,39 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
             raise NotABasis(f"basis + {e} is independent; not a basis")
         return members | {e}
 
-    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
+    def first_circuit(s_set: frozenset[int], elements: list[int]) -> frozenset[int] | None:
+        members: dict[int, list[int]] = {}
+        for e in elements:
+            members.setdefault(block_of[e], []).append(e)
+        found = [c for k, block in members.items()
+                 if (c := _first_violating_subset(s_set, block, capacities[k] + 1))]
+        return min(found, key=lambda c: (len(c), sorted(c)), default=None)
+
+    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit,
+                         first_circuit=first_circuit)
+
+
+def _first_violating_subset(s_set: frozenset[int], elements: list[int],
+                            size: int) -> frozenset[int] | None:
+    """The lexicographically first `size`-subset of the ascending `elements`
+    with two or more elements outside S, or None.
+
+    One greedy pass takes each element unless the slots left after it could
+    not hold the elements outside S still needed. While some such subset
+    extends the chosen prefix, that is the only way taking an element can
+    fail, and skipping it then keeps one; a pass that fills every slot has
+    met the test at its last element, so it holds two outside S.
+    """
+    chosen: list[int] = []
+    out = 0
+    for e in elements:
+        e_out = e not in s_set
+        if 2 - out - e_out <= size - len(chosen) - 1:
+            chosen.append(e)
+            out += e_out
+            if len(chosen) == size:
+                return frozenset(chosen)
+    return None
 
 
 @dataclass(frozen=True)
@@ -198,7 +257,10 @@ class MatroidWitness:
 
 
 def find_basis(m: MatroidOracle) -> frozenset[int]:
-    """Lexicographically first basis (greedy over ascending element ids)."""
+    """Lexicographically first basis (greedy over ascending element ids), from
+    the oracle's basis hook when it has one."""
+    if m.basis is not None:
+        return m.basis()
     return frozenset(_greedy_extend(m, (), range(m.ground_size)))
 
 
@@ -265,10 +327,11 @@ def verify_matroid_identifying(
 ) -> tuple[bool, MatroidWitness | None]:
     """Check that S misses at most one element of every component.
 
-    The components decide the verdict in polynomial time. When S fails, a
-    subset scan of the violated components finds the first violated circuit
-    C (|S ∩ C| < |C| - 1); two bases exchanging two of its non-S elements are
-    indistinguishable on S. `caps.max_ground` bounds only that witness scan.
+    The components decide the verdict in polynomial time. When S fails, the
+    oracle's first_circuit hook or a subset scan of the violated components
+    finds the first violated circuit C (|S ∩ C| < |C| - 1); two bases
+    exchanging two of its non-S elements are indistinguishable on S.
+    `caps.max_ground` bounds only that witness search, hook or scan.
     An oracle that is not a matroid can contradict its own components or
     bases there, which raises InvalidInstance.
     """
@@ -297,6 +360,8 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     of the ascending violated-component `elements` by size, then
     lexicographically. Such a circuit lies in one violated component, so the
     scan meets the circuit that a scan of the whole ground set meets first.
+    The cap is checked first; then an oracle with a first_circuit hook
+    answers from its structure instead of the scan.
 
     Each size is a depth-first walk over positions in `combinations` order
     that only enters a branch which can still take two elements outside S:
@@ -307,6 +372,8 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     n = len(elements)
     if n > caps.max_ground:
         raise EnumerationExplosion(caps.max_ground, f"violated components hold {n} elements")
+    if m.first_circuit is not None:
+        return m.first_circuit(s_set, elements)
     outside = [e not in s_set for e in elements]
     left = [0] * (n + 1)
     for j in range(n - 1, -1, -1):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from idsets.errors import InvalidInstance, NoStPath, NotIdentifying
@@ -232,6 +234,26 @@ class TestRandomGenerators:
         c = gen_random_digraph(6, 0.4, seed=9)
         d = gen_random_digraph(6, 0.4, seed=9)
         assert c.graph.arcs == d.graph.arcs
+
+    @pytest.mark.parametrize("build", [gen_random_dag, gen_random_digraph])
+    @pytest.mark.parametrize("args, match", [
+        ((3, "0.5", 0), "arc_prob must be a real number"),
+        ((3, None, 0), "arc_prob must be a real number"),
+        ((3, True, 0), "arc_prob must be a real number"),
+        ((3, 1.5, 0), r"arc_prob in \[0, 1\]"),
+        ((3, float("nan"), 0), r"arc_prob in \[0, 1\]"),
+        ((3, 0.5, 0.5), "seed must be an integer"),
+        ((3, 0.5, "0"), "seed must be an integer"),
+    ], ids=["str-prob", "none-prob", "bool-prob", "prob-above-one", "nan-prob",
+            "float-seed", "str-seed"])
+    def test_bad_arguments_are_invalid_instance(self, build, args, match):
+        with pytest.raises(InvalidInstance, match=match):
+            build(*args)
+
+    @pytest.mark.parametrize("build", [gen_random_dag, gen_random_digraph])
+    def test_exact_probabilities_accepted(self, build):
+        assert build(5, Fraction(1, 2), 3).graph.arcs == build(5, 0.5, 3).graph.arcs
+        assert build(4, 1, 3).graph.arc_count == build(4, 1.0, 3).graph.arc_count
 
     def test_dags_always_acyclic(self):
         for seed in range(25):

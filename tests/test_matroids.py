@@ -486,6 +486,97 @@ class TestFirstViolatedCircuit:
         assert got == want and len(got[1]) > 6000
 
 
+class TestFirstCircuitHook:
+    """The closed-form first circuits of uniform and partition matroids
+    against the scan of the same oracle without hooks."""
+
+    @staticmethod
+    def seeded_cases(count: int, seed: int):
+        """(matroid, S, elements): half uniform, half partition with zero and
+        full capacities; elements are the violated components' elements or,
+        one time in four, any ascending subset of the ground set."""
+        rng = random.Random(seed)
+        partitions = seeded_partition_matroids(count, seed + 1)
+        for i in range(count):
+            if i % 2:
+                m = next(partitions)
+            else:
+                n = rng.randint(1, 11)
+                m = uniform_matroid(rng.randint(0, n), n)
+            n = m.ground_size
+            s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.2, 0.5, 0.8]))
+            if rng.random() < 0.25:
+                elements = sorted(rng.sample(range(n), rng.randint(0, n)))
+            else:
+                elements = sorted(e for part in matroid_components(m)
+                                  if len(part - s) >= 2 for e in part)
+            yield m, s, elements
+
+    def test_hook_equals_scan(self):
+        # Zero capacities make loops and full capacities make coloops.
+        cases = found = loops = coloops = 0
+        for m, s, elements in self.seeded_cases(1200, 1701):
+            assert m.first_circuit is not None
+            plain = MatroidOracle(m.ground_size, m._fn)
+            got = _first_violated_circuit(m, s, elements, Caps())
+            assert got == _first_violated_circuit(plain, s, elements, Caps()), \
+                (m.name, sorted(s), elements)
+            cases += 1
+            found += got is not None
+            ground = set(range(m.ground_size))
+            loops += any(not plain.is_independent({e}) for e in ground)
+            coloops += any(plain.rank(ground - {e}) < plain.rank(ground) for e in ground)
+        assert cases >= 1000 and found >= 300 and loops >= 100 and coloops >= 100
+
+    def test_partition_capacities_at_the_edges(self):
+        # A zero-capacity block holds only loops and a full one only coloops,
+        # so neither has a violated circuit; the capacity-1 block has {4, 6}.
+        m = partition_matroid([[0, 1], [2, 3], [4, 5, 6]], [0, 2, 1])
+        assert m.first_circuit(frozenset(), [0, 1, 2, 3]) is None
+        assert m.first_circuit(frozenset({5}), list(range(7))) == {4, 6}
+
+    def test_cap_is_checked_before_the_hook(self):
+        m = uniform_matroid(2, 5)
+        with pytest.raises(EnumerationExplosion):
+            _first_violated_circuit(m, frozenset(), list(range(5)), Caps(max_ground=4))
+        assert m._cache == {}
+
+
+class TestGraphicBasisHook:
+    def test_kruskal_basis_equals_greedy(self):
+        rng = random.Random(1703)
+        loops = parallel = 0
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+            m = graphic_matroid(Digraph(n + rng.randint(0, 2), arcs))
+            assert m.basis is not None
+            assert find_basis(m) == find_basis(MatroidOracle(m.ground_size, m._fn)), arcs
+            loops += sum(a == b for a, b in arcs)
+            parallel += len(arcs) - len({frozenset(a) for a in arcs})
+        assert loops >= 100 and parallel >= 100
+
+    def test_parallel_arcs_and_self_loops(self):
+        m = graphic_matroid(Digraph(3, [(1, 1), (0, 1), (1, 0), (0, 1), (2, 2), (1, 2)]))
+        assert find_basis(m) == {1, 5}
+
+
+class TestOracleQueryCounts:
+    """Deterministic guards on the number of distinct oracle queries the
+    built-ins make; they count memo entries, not time."""
+
+    def test_uniform_witness_asks_few_queries(self):
+        m = uniform_matroid(8, 16)
+        ok, witness = verify_matroid_identifying(m, set(range(2, 16)))
+        assert not ok and witness.circuit == frozenset(range(9))
+        assert len(m._cache) < 200
+
+    def test_graphic_components_ask_only_the_empty_set(self):
+        for m in seeded_graphic_matroids(50, 1707):
+            matroid_components(m)
+            assert m._cache == {frozenset(): True}, m.name
+
+
 class TestTheoremEquivalence:
     def test_three_conditions_coincide_subset_by_subset(self):
         fixtures = fixture_matroids()
