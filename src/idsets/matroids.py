@@ -12,11 +12,10 @@ element plus the basis elements of its block). A graphic matroid finds its
 first basis by one Kruskal pass over the arcs in ascending id.
 
 Only a negative verdict looks for the first violated circuit of the witness,
-and only inside the violated components. Uniform and partition matroids
-pick it in closed form (their circuits are the (k+1)-subsets, or c+1
-elements of one block of capacity c); graphic and custom oracles scan
-subsets. `Caps.max_ground` is checked before either path, so whether a call
-raises depends only on sizes and caps.
+and only inside the violated components. A uniform matroid picks it in
+closed form (its circuits are the (k+1)-subsets); partition, graphic and
+custom oracles scan subsets. `Caps.max_ground` is checked before either
+path, so whether a call raises depends only on sizes and caps.
 """
 
 from __future__ import annotations
@@ -43,24 +42,23 @@ class MatroidOracle:
     the oracle nothing; a user-supplied callable is trusted modulo the
     cheap sanity checks of `matroid_components` (empty set independent)
     and `verify_matroid_identifying` (its bases agree with its circuits).
-    Three optional hooks answer from a built-in's structure without
-    independence queries: `circuit(basis, e)` returns the fundamental
-    circuit of e over a basis, `first_circuit(s_set, elements)` the circuit
-    that the scan of `_first_violated_circuit` would find, and `basis()` the
-    lexicographically first basis.
+    The optional `circuit(basis, e)` hook returns the fundamental circuit
+    of e over a basis without independence queries; a caller that passes
+    one is trusted, and nothing checks its answers. Two more hooks are set
+    only by the built-in constructors: `_first_circuit(s_set, elements)`,
+    the circuit that the scan of `_first_violated_circuit` would find, and
+    `_basis()`, the lexicographically first basis.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
                  name: str = "custom",
-                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None,
-                 first_circuit: Callable[[frozenset[int], list[int]],
-                                         frozenset[int] | None] | None = None,
-                 basis: Callable[[], frozenset[int]] | None = None):
+                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None):
         self.ground_size = ground_size
         self.name = name
         self.circuit = circuit
-        self.first_circuit = first_circuit
-        self.basis = basis
+        self._first_circuit: Callable[[frozenset[int], list[int]],
+                                      frozenset[int] | None] | None = None
+        self._basis: Callable[[], frozenset[int]] | None = None
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -89,10 +87,10 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
+    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
     # The circuits are exactly the (k+1)-subsets.
-    return MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})",
-                         first_circuit=lambda s_set, elements:
-                         _first_violating_subset(s_set, elements, k + 1))
+    m._first_circuit = lambda s_set, elements: _first_violating_subset(s_set, elements, k + 1)
+    return m
 
 
 def free_matroid(n: int) -> MatroidOracle:
@@ -148,8 +146,10 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
             tail = a if b == tail else b
         return frozenset(out)
 
-    return MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
-                         circuit=circuit, basis=first_basis)
+    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
+                      circuit=circuit)
+    m._basis = first_basis
+    return m
 
 
 def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -183,10 +183,7 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
 
     A basis fills every block up to its capacity, so the fundamental circuit
     of a non-basis element is the element plus the basis elements of its
-    block: the element alone when the block's capacity is 0 (a loop). Every
-    circuit is c + 1 elements of one block of capacity c, so the first
-    violated one is the least, by size and then sorted tuple, of the first
-    such subset of each block.
+    block: the element alone when the block's capacity is 0 (a loop).
     """
     block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
     capacities = [_integer(c, "capacity") for c in capacities]
@@ -212,16 +209,7 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
             raise NotABasis(f"basis + {e} is independent; not a basis")
         return members | {e}
 
-    def first_circuit(s_set: frozenset[int], elements: list[int]) -> frozenset[int] | None:
-        members: dict[int, list[int]] = {}
-        for e in elements:
-            members.setdefault(block_of[e], []).append(e)
-        found = [c for k, block in members.items()
-                 if (c := _first_violating_subset(s_set, block, capacities[k] + 1))]
-        return min(found, key=lambda c: (len(c), sorted(c)), default=None)
-
-    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit,
-                         first_circuit=first_circuit)
+    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
 
 
 def _first_violating_subset(s_set: frozenset[int], elements: list[int],
@@ -259,8 +247,8 @@ class MatroidWitness:
 def find_basis(m: MatroidOracle) -> frozenset[int]:
     """Lexicographically first basis (greedy over ascending element ids), from
     the oracle's basis hook when it has one."""
-    if m.basis is not None:
-        return m.basis()
+    if m._basis is not None:
+        return m._basis()
     return frozenset(_greedy_extend(m, (), range(m.ground_size)))
 
 
@@ -328,7 +316,7 @@ def verify_matroid_identifying(
     """Check that S misses at most one element of every component.
 
     The components decide the verdict in polynomial time. When S fails, the
-    oracle's first_circuit hook or a subset scan of the violated components
+    oracle's `_first_circuit` hook or a subset scan of the violated components
     finds the first violated circuit C (|S ∩ C| < |C| - 1); two bases
     exchanging two of its non-S elements are indistinguishable on S.
     `caps.max_ground` bounds only that witness search, hook or scan.
@@ -360,7 +348,7 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     of the ascending violated-component `elements` by size, then
     lexicographically. Such a circuit lies in one violated component, so the
     scan meets the circuit that a scan of the whole ground set meets first.
-    The cap is checked first; then an oracle with a first_circuit hook
+    The cap is checked first; then an oracle with a `_first_circuit` hook
     answers from its structure instead of the scan.
 
     Each size is a depth-first walk over positions in `combinations` order
@@ -372,8 +360,8 @@ def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
     n = len(elements)
     if n > caps.max_ground:
         raise EnumerationExplosion(caps.max_ground, f"violated components hold {n} elements")
-    if m.first_circuit is not None:
-        return m.first_circuit(s_set, elements)
+    if m._first_circuit is not None:
+        return m._first_circuit(s_set, elements)
     outside = [e not in s_set for e in elements]
     left = [0] * (n + 1)
     for j in range(n - 1, -1, -1):

@@ -487,23 +487,18 @@ class TestFirstViolatedCircuit:
 
 
 class TestFirstCircuitHook:
-    """The closed-form first circuits of uniform and partition matroids
-    against the scan of the same oracle without hooks."""
+    """The closed-form first circuit of uniform matroids against the scan of
+    the same oracle without hooks."""
 
     @staticmethod
     def seeded_cases(count: int, seed: int):
-        """(matroid, S, elements): half uniform, half partition with zero and
-        full capacities; elements are the violated components' elements or,
-        one time in four, any ascending subset of the ground set."""
+        """(matroid, S, elements) for uniform(k, n) with every 0 <= k <= n;
+        elements are the violated components' elements or, one time in
+        four, any ascending subset of the ground set."""
         rng = random.Random(seed)
-        partitions = seeded_partition_matroids(count, seed + 1)
-        for i in range(count):
-            if i % 2:
-                m = next(partitions)
-            else:
-                n = rng.randint(1, 11)
-                m = uniform_matroid(rng.randint(0, n), n)
-            n = m.ground_size
+        for _ in range(count):
+            n = rng.randint(1, 11)
+            m = uniform_matroid(rng.randint(0, n), n)
             s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.2, 0.5, 0.8]))
             if rng.random() < 0.25:
                 elements = sorted(rng.sample(range(n), rng.randint(0, n)))
@@ -513,10 +508,10 @@ class TestFirstCircuitHook:
             yield m, s, elements
 
     def test_hook_equals_scan(self):
-        # Zero capacities make loops and full capacities make coloops.
+        # k = 0 makes every element a loop and k = n every element a coloop.
         cases = found = loops = coloops = 0
         for m, s, elements in self.seeded_cases(1200, 1701):
-            assert m.first_circuit is not None
+            assert m._first_circuit is not None
             plain = MatroidOracle(m.ground_size, m._fn)
             got = _first_violated_circuit(m, s, elements, Caps())
             assert got == _first_violated_circuit(plain, s, elements, Caps()), \
@@ -528,12 +523,13 @@ class TestFirstCircuitHook:
             coloops += any(plain.rank(ground - {e}) < plain.rank(ground) for e in ground)
         assert cases >= 1000 and found >= 300 and loops >= 100 and coloops >= 100
 
-    def test_partition_capacities_at_the_edges(self):
-        # A zero-capacity block holds only loops and a full one only coloops,
-        # so neither has a violated circuit; the capacity-1 block has {4, 6}.
-        m = partition_matroid([[0, 1], [2, 3], [4, 5, 6]], [0, 2, 1])
-        assert m.first_circuit(frozenset(), [0, 1, 2, 3]) is None
-        assert m.first_circuit(frozenset({5}), list(range(7))) == {4, 6}
+    def test_ranks_at_the_edges(self):
+        # Rank 0 has only one-element circuits and full rank none, so
+        # neither has a violated circuit.
+        assert uniform_matroid(0, 4)._first_circuit(frozenset(), [0, 1, 2, 3]) is None
+        assert uniform_matroid(4, 4)._first_circuit(frozenset(), [0, 1, 2, 3]) is None
+        m = uniform_matroid(2, 5)
+        assert m._first_circuit(frozenset({0, 1}), list(range(5))) == {0, 2, 3}
 
     def test_cap_is_checked_before_the_hook(self):
         m = uniform_matroid(2, 5)
@@ -550,7 +546,7 @@ class TestGraphicBasisHook:
             n = rng.randint(1, 7)
             arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
             m = graphic_matroid(Digraph(n + rng.randint(0, 2), arcs))
-            assert m.basis is not None
+            assert m._basis is not None
             assert find_basis(m) == find_basis(MatroidOracle(m.ground_size, m._fn)), arcs
             loops += sum(a == b for a, b in arcs)
             parallel += len(arcs) - len({frozenset(a) for a in arcs})
