@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help='discrete: bit string "010"; convex: comma rationals')
     p.add_argument("--cost", default="zero", help="zero | linear:c0,.. | quadratic:r0,..")
-    p.add_argument("--margin", default="0", help="extra margin for a unique minimizer")
+    p.add_argument("--margin", default="0", help="discrete: margin >= 0 for a unique minimizer")
     p.add_argument("--nonnegative", action="store_true",
                    help="fail (exit 1) if any synthesized toll is negative")
 
@@ -300,13 +300,14 @@ def _cmd_explicit_identify(args, caps: Caps) -> tuple[int, dict, list[str]]:
 
 def _cmd_tolls(args, caps: Caps) -> tuple[int, dict, list[str]]:
     s = io.read_id_set(args.S)
+    margin = io.fraction_from_json(args.margin)
     if args.mode == "discrete":
         if not args.solutions:
             raise InvalidInstance("--solutions required in discrete mode")
         x = io.parse_solution_list(io.load_json(args.solutions))
         target = io.parse_bits(args.target, x.dimension)
         cost = io.parse_cost(args.cost, x.dimension)
-        toll = tolls.discrete_tolls(x, s, cost, target, io.fraction_from_json(args.margin))
+        toll = tolls.discrete_tolls(x, s, cost, target, margin)
         files = [args.solutions]
     else:
         if not args.basis:

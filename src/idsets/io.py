@@ -35,12 +35,15 @@ def _reading(what: str):
 
 def fraction_from_json(value: Any) -> Fraction:
     """A rational from an integer or a "p/q" string; never a bool or float.
-    A string of ASCII digits skips Fraction's pattern match and goes through
-    int(), which keeps its limit on the number of digits."""
+    An ASCII "n" or "n/d" (digits, n may lead with "-") skips Fraction's
+    pattern match: each part goes through int(), which keeps its limit on
+    the number of digits. Any other string goes through Fraction(str)."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            if isinstance(value, str) and value.isascii() and value.isdigit():
-                return Fraction(int(value))
+            if isinstance(value, str) and value.isascii():
+                num, slash, den = value.partition("/")
+                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass

@@ -1,8 +1,8 @@
-"""Small exact linear algebra over Fractions: rank, solving, dependencies.
+"""Small exact linear algebra: rank, pivots, solving, dependencies.
 
 Independence of rational vectors is an exact property; everything here avoids
 floating point so downstream equality tests (tightness, rank counts) never
-need tolerances.
+need tolerances. Elimination runs on integers (`echelon`).
 """
 
 from __future__ import annotations
@@ -32,29 +32,23 @@ def as_vector(values: Sequence) -> Vector:
     return tuple(exact(v) for v in values)
 
 
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in a copy) and the list of pivot columns.
-
-    Entries are integers or Fractions. Each row is scaled to integers by the
-    lcm of its denominators, and Gauss-Jordan eliminates by integer
-    cross-multiplication, each new row divided by the gcd of its entries;
-    only the returned pivot rows become Fractions, divided by their pivots.
-    Row scaling keeps the RREF, and the RREF is unique, so the result is
-    that of elimination over the rationals.
-    """
-    m = [_integer_row(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over the integers, in a copy: the nonzero
+    rows of the reduced form, each divided by the gcd of its entries, and
+    their pivot columns. Rows combine by integer cross-multiplication, so no
+    Fraction is built; each row divided by its pivot is a row of the RREF."""
+    m = [_primitive(list(row)) for row in rows]
+    count = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, count) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         p = top[c]
-        for i in range(rows):
+        for i in range(count):
             q = m[i][c]
             if i != r and q:
                 g = gcd(p, q)
@@ -62,19 +56,28 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
                 m[i] = _primitive([a * x - b * y for x, y in zip(m[i], top)])
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == count:
             break
+    return m[:r], pivots
+
+
+def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (in a copy) and the list of pivot columns:
+    `echelon` of the rows scaled to integers (scaling keeps the unique RREF),
+    each returned row divided by its pivot as Fractions."""
+    rows, pivots = echelon([integer_row(row)[0] for row in matrix])
+    cols = len(matrix[0]) if matrix else 0
     zero = Fraction(0)
     reduced = [[Fraction(v, row[c]) if v else zero for v in row]
-               for row, c in zip(m, pivots)]
-    reduced += [[zero] * cols for _ in range(rows - r)]
+               for row, c in zip(rows, pivots)]
+    reduced += [[zero] * cols for _ in range(len(matrix) - len(rows))]
     return reduced, pivots
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators, as primitive integers."""
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, scale) with row[i] == ints[i] / scale, scale the lcm of the denominators."""
     scale = lcm(*(v.denominator for v in row))
-    return _primitive([v.numerator * (scale // v.denominator) for v in row])
+    return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -84,11 +87,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(exact, row)) for row in rows]
-    if not mat:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+    return len(echelon([integer_row(as_vector(row))[0] for row in rows])[1])
 
 
 def dependency(vectors: Sequence[Vector]) -> Vector | None:

@@ -20,8 +20,8 @@ from .linalg import (
     Vector,
     as_vector,
     dependency,
-    matrix_rank,
-    rref,
+    echelon,
+    integer_row,
     solve_linear,
     vec_sub,
 )
@@ -29,7 +29,9 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class AffineBasis:
-    """Affinely independent points x0..xk spanning the affine hull of X."""
+    """Affinely independent points x0..xk spanning the affine hull of X. Rank,
+    pivots and hull membership use `integer_rows`: each row of D times a
+    positive integer."""
 
     points: tuple[Vector, ...]
 
@@ -40,8 +42,11 @@ class AffineBasis:
         if len({len(p) for p in pts}) != 1:
             raise InvalidInstance("basis points must share one dimension")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_differences", tuple(vec_sub(p, pts[0]) for p in pts[1:]))
-        if matrix_rank(self.differences()) != self.hull_dimension:
+        (x0, s0), *others = [integer_row(p) for p in pts]
+        rows = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
+        object.__setattr__(self, "integer_rows", rows)
+        object.__setattr__(self, "_echelon", echelon(rows)[0])
+        if len(self._echelon) != self.hull_dimension:
             raise InvalidInstance("basis points are not affinely independent")
 
     @property
@@ -54,8 +59,18 @@ class AffineBasis:
         return len(self.points) - 1
 
     def differences(self) -> tuple[Vector, ...]:
-        """The rows x_i - x0 of the difference matrix D, computed once."""
-        return self._differences
+        """The rows x_i - x0 of the difference matrix D, as Fractions."""
+        return tuple(vec_sub(p, self.points[0]) for p in self.points[1:])
+
+    def contains(self, target: Sequence) -> bool:
+        """True iff the target lies in the affine hull: target - x0, scaled to
+        integers, adds no pivot to the stored echelon rows of D."""
+        tgt = as_vector(target)
+        if len(tgt) != self.ground_size:
+            raise InvalidInstance("target has the wrong dimension")
+        (t, t_scale), (x0, x0_scale) = integer_row(tgt), integer_row(self.points[0])
+        shift = [a * x0_scale - b * t_scale for a, b in zip(t, x0)]
+        return len(echelon([*self._echelon, shift])[1]) == self.hull_dimension
 
     def affine_coefficients(self, target: Sequence) -> Vector | None:
         """Coefficients lambda with target = x0 + sum(lambda_i * (x_i - x0)), or None."""
@@ -70,16 +85,16 @@ class AffineBasis:
         return solve_linear(a, b)
 
 
-def _columns(basis: AffineBasis, cols: Sequence[int]) -> list[list[Fraction]]:
-    """D restricted to the given columns, in that order."""
-    return [[row[e] for e in cols] for row in basis.differences()]
+def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
+    """The rows restricted to the given columns, in that order."""
+    return [[row[e] for e in cols] for row in rows]
 
 
 def ax_independent(basis: AffineBasis, f: Iterable[int]) -> bool:
     """F is independent in the dual matroid: D without the columns of F keeps rank k."""
     f_set = validate_ids(basis.ground_size, f)
     rest = [e for e in range(basis.ground_size) if e not in f_set]
-    return matrix_rank(_columns(basis, rest)) == basis.hull_dimension
+    return len(echelon(_columns(basis.integer_rows, rest))[1]) == basis.hull_dimension
 
 
 def min_weight_identifying_from_basis(basis: AffineBasis,
@@ -94,7 +109,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     if w is None:
         w = WeightedGroundSet.uniform(n)
     order = sorted(range(n), key=lambda e: (w.scaled[e], -e))
-    _, pivots = rref(_columns(basis, order))
+    _, pivots = echelon(_columns(basis.integer_rows, order))
     return frozenset(order[c] for c in pivots)
 
 
@@ -107,10 +122,11 @@ def verify_identifying_from_basis(basis: AffineBasis,
     coordinate of S, so two points of X agree on S.
     """
     s_set = validate_ids(basis.ground_size, s)
-    coeffs = dependency(_columns(basis, sorted(s_set)))
-    if coeffs is None:
+    cols = sorted(s_set)
+    if len(echelon(_columns(basis.integer_rows, cols))[1]) == basis.hull_dimension:
         return True, None
     diffs = basis.differences()
+    coeffs = dependency(_columns(diffs, cols))
     delta = tuple(
         sum((y * row[j] for y, row in zip(coeffs, diffs)), Fraction(0))
         for j in range(basis.ground_size)

@@ -7,9 +7,9 @@ polynomial time, so they decide verification and give the minimum-weight
 identifying set (drop the heaviest element of each non-singleton component).
 A fundamental circuit costs |B| + 1 independence queries in general; a
 graphic matroid reads it from its spanning forest instead (the arc plus the
-forest path between its ends), and a partition matroid from its blocks (the
-element plus the basis elements of its block). A graphic matroid finds its
-first basis by one Kruskal pass over the arcs in ascending id.
+forest path between its ends), a partition matroid from its blocks (the
+element plus its block's basis elements) and a uniform matroid as basis + e.
+A graphic matroid finds its first basis by one Kruskal pass in arc order.
 
 Only a negative verdict looks for the first violated circuit of the witness,
 and only inside the violated components. A uniform matroid picks it in
@@ -87,7 +87,12 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
-    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
+    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
+        if len(basis) < k:
+            raise NotABasis(f"basis + {e} is independent; not a basis")
+        return basis | {e}
+
+    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})", circuit=circuit)
     # The circuits are exactly the (k+1)-subsets.
     m._first_circuit = lambda s_set, elements: _first_violating_subset(s_set, elements, k + 1)
     return m

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .explicit import SolutionList, verify_explicit_identifying
 from .graphs import validate_ids
-from .linalg import Vector, as_vector, exact, solve_linear, vec_dot
+from .linalg import Vector, as_vector, echelon, exact, integer_row, vec_dot
 from .linear import AffineBasis, verify_identifying_from_basis
 
 
@@ -86,8 +87,11 @@ def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
 
     M = max(1, 2 * max |c|) guarantees the target attains the tolled minimum
     (the textbook 2*max|c| degenerates to 0 for a zero cost, hence the floor).
-    A positive margin makes the target the unique minimizer.
+    A positive margin makes the target the unique minimizer; a negative one raises.
     """
+    margin = exact(margin)
+    if margin < 0:
+        raise InvalidInstance(f"margin must be >= 0, got {margin}")
     s_set = frozenset(s)
     ok, witness = verify_explicit_identifying(x, s_set)
     if not ok:
@@ -97,7 +101,7 @@ def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
     if target_vec not in x.vectors:
         raise TargetNotInX(f"target {target_vec} not among the solutions")
     peak = max(abs(c.evaluate(as_vector(vec))) for vec in x.vectors)
-    m = max(Fraction(1), 2 * peak) + exact(margin)
+    m = max(Fraction(1), 2 * peak) + margin
     gamma = {e: (-m if target_vec[e] == 1 else m) for e in sorted(s_set)}
     return TollVector(size=x.dimension, gamma=gamma, support=s_set)
 
@@ -109,24 +113,25 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     d is a subgradient of c at the target; the system is solvable because the
     complement of S is independent in the basis matroid, and the resulting
     zero subgradient of the tolled cost certifies the target as a minimizer.
+    It is solved on integer rows, positive multiples of the rational ones.
     """
     s_set = frozenset(s)
     ok, delta = verify_identifying_from_basis(basis, s_set)
     if not ok:
         raise NotIdentifying(delta)
     target_vec = as_vector(target)
-    if basis.affine_coefficients(target_vec) is None:
+    if not basis.contains(target_vec):
         raise TargetOutsideAffineHull("target is not in the affine hull of the basis")
     if c.subgradient is None:
         raise NoSubgradient("cost oracle has no subgradient map")
-    d = as_vector(c.subgradient(target_vec))
+    d, d_scale = integer_row(as_vector(c.subgradient(target_vec)))
     cols = sorted(s_set)
-    diffs = basis.differences()
-    a = [[diff[e] for e in cols] for diff in diffs]
-    b = [-vec_dot(d, diff) for diff in diffs]
-    solution = solve_linear(a, b)
-    assert solution is not None, "system must be solvable for an identifying S"
-    gamma = {e: value for e, value in zip(cols, solution)}
+    rows, pivots = echelon([[d_scale * diff[e] for e in cols] + [-sum(map(mul, d, diff))]
+                            for diff in basis.integer_rows])
+    assert len(cols) not in pivots, "system must be solvable for an identifying S"
+    gamma = dict.fromkeys(cols if basis.hull_dimension else (), Fraction(0))
+    for row, p in zip(rows, pivots):
+        gamma[cols[p]] = Fraction(row[-1], row[p])
     return TollVector(size=basis.ground_size, gamma=gamma, support=s_set)
 
 

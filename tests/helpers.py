@@ -383,6 +383,37 @@ def oracle_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return m, pivots
 
 
+def oracle_convex_tolls(basis, s, c, target):
+    """What `convex_tolls` answers, by Gauss-Jordan over Fractions on the
+    Fraction differences: ("not identifying", delta), ("outside", None) or
+    ("gamma", {e: toll}). The first free column of the transpose of D[:, S]
+    gives the row combination behind delta; the hull test and the toll solve
+    each reduce an augmented matrix and read its last column."""
+    x0 = basis.points[0]
+    diffs = [[p - q for p, q in zip(point, x0)] for point in basis.points[1:]]
+    k, cols = len(diffs), sorted(s)
+    reduced, pivots = oracle_rref([[row[e] for row in diffs] for e in cols])
+    free = next((j for j in range(k) if j not in pivots), None)
+    if free is not None:
+        coeffs = [Fraction(0)] * k
+        coeffs[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            coeffs[pc] = -reduced[r][free]
+        return "not identifying", tuple(sum((y * row[j] for y, row in zip(coeffs, diffs)),
+                                            Fraction(0)) for j in range(len(x0)))
+    target = as_vector(target)
+    hull = [[row[i] for row in diffs] + [target[i] - x0[i]] for i in range(len(x0))]
+    if k in oracle_rref(hull)[1]:
+        return "outside", None
+    d = as_vector(c.subgradient(target))
+    system = [[row[e] for e in cols] + [-sum(a * b for a, b in zip(d, row))] for row in diffs]
+    reduced, pivots = oracle_rref(system)
+    gamma = {e: Fraction(0) for e in cols} if k else {}
+    for r, pc in enumerate(pivots):
+        gamma[cols[pc]] = reduced[r][-1]
+    return "gamma", gamma
+
+
 def oracle_linear_greedy(diffs, n: int, w: WeightedGroundSet) -> frozenset[int]:
     """Element-by-element matroid greedy over complements of identifying sets.
 

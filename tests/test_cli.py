@@ -65,6 +65,13 @@ MALFORMED = [
     ("cost-rational", {"b": BASIS}, CONVEX + ["--target", "1,0", "--cost", "linear:1,1/0"],
      "'1/0'"),
     ("margin-rational", {"x": X2}, DISCRETE + ["--margin", "1/0"], "'1/0'"),
+    # Convex mode does not use the margin, but it is parsed before the mode split.
+    ("margin-rational-convex", {"b": BASIS}, CONVEX + ["--target", "1,0", "--margin", "1/0"],
+     "'1/0'"),
+    # With margin -5, state 001 would cost -4 and the target 010 cost 4.
+    ("margin-negative", {"x": {"dim": 3, "vectors": ["010", "110", "001"]}},
+     ["tolls", "--mode", "discrete", "--solutions", "{x}", "--S", "0,1,2", "--target", "010",
+      "--margin=-5"], "margin must be >= 0, got -5"),
     ("tolls-solutions", {"x": {"dim": 2, "vectors": 5}}, DISCRETE, "malformed solution list"),
     ("vc-edges", {}, ["gen", "--family", "vc-dag", "--vc-vertices", "2", "--vc-edges", "0-x"],
      "malformed edge list"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,16 @@ from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import as_vector, matrix_rank, rref, solve_linear, vec_sub
+from idsets import linalg
+from idsets.linalg import (
+    as_vector,
+    echelon,
+    integer_row,
+    matrix_rank,
+    rref,
+    solve_linear,
+    vec_sub,
+)
 from idsets.linear import (
     AffineBasis,
     ax_independent,
@@ -116,6 +126,102 @@ class TestRref:
         assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
         assert rref([[Fraction(2, 3), Fraction(4, 9)], [-6, -4]]) == (
             [[1, Fraction(2, 3)], [0, 0]], [0])
+
+
+def seeded_bases(count: int, seed: int):
+    """(basis, rng) for affine bases of Q^n with 0 <= k <= min(n, 5), n <= 8:
+    rational points over denominators up to 4, with some zero and some
+    repeated columns; a dependent draw is redrawn."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n = rng.randint(1, 8)
+        k = rng.randint(0, min(n, 5))
+        points = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                  for _ in range(k + 1)]
+        for e in rng.sample(range(n), rng.randint(0, n // 3)):
+            source = rng.randrange(n)
+            for p in points:
+                p[e] = p[source] if rng.random() < 0.5 else Fraction(0)
+        if oracle_rank([vec_sub(p, points[0]) for p in points[1:]]) == k:
+            made += 1
+            yield AffineBasis(points), rng
+
+
+def hull_point(basis: AffineBasis, rng: random.Random) -> tuple[Fraction, ...]:
+    """x0 plus a random rational combination of the difference rows."""
+    lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in basis.differences()]
+    return tuple(x + sum((l * d[e] for l, d in zip(lam, basis.differences())), Fraction(0))
+                 for e, x in enumerate(basis.points[0]))
+
+
+class TestEchelon:
+    def test_pivots_match_fraction_elimination(self):
+        count = 0
+        for matrix in seeded_matrices(1200, 43):
+            ints = [integer_row(row)[0] for row in matrix]
+            rows, pivots = echelon(ints)
+            want, want_pivots = oracle_rref(matrix)
+            assert pivots == want_pivots
+            assert len(rows) == len(pivots)
+            for row, c, reduced in zip(rows, pivots, want):
+                assert math.gcd(*row) == 1
+                assert [Fraction(v, row[c]) for v in row] == reduced
+            count += bool(matrix)
+        assert count >= 1000
+
+    def test_matrix_rank_matches_oracle(self):
+        for matrix in seeded_matrices(300, 47):
+            assert matrix_rank(matrix) == oracle_rank(matrix)
+
+
+class TestIntegerRows:
+    def test_rows_are_a_positive_multiple_of_d(self):
+        for basis, _ in seeded_bases(300, 53):
+            for ints, diff in zip(basis.integer_rows, basis.differences()):
+                nonzero = [(a, b) for a, b in zip(ints, diff) if b]
+                assert all(a == 0 for a, b in zip(ints, diff) if not b)
+                if nonzero:
+                    scale = Fraction(nonzero[0][0]) / nonzero[0][1]
+                    assert scale > 0 and all(a == scale * b for a, b in nonzero)
+
+    def test_contains_matches_affine_coefficients(self):
+        inside = outside = zero_dim = 0
+        for basis, rng in seeded_bases(600, 59):
+            point = hull_point(basis, rng)
+            if rng.random() < 0.5:
+                e = rng.randrange(basis.ground_size)
+                point = tuple(v + (Fraction(1, rng.randint(1, 3)) if i == e else 0)
+                              for i, v in enumerate(point))
+            want = basis.affine_coefficients(point) is not None
+            assert basis.contains(point) == want
+            inside += want
+            outside += not want
+            zero_dim += basis.hull_dimension == 0
+        assert inside >= 200 and outside >= 200 and zero_dim >= 50
+
+    def test_contains_checks_dimension_and_floats(self):
+        with pytest.raises(InvalidInstance, match="wrong dimension"):
+            PARALLEL.contains([1])
+        with pytest.raises(InvalidInstance, match="floats are not exact"):
+            PARALLEL.contains([0.5, 0.5])
+
+    def test_no_fraction_elimination_on_the_integer_paths(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("rref called")
+
+        monkeypatch.setattr(linalg, "rref", refuse)
+        for basis, rng in seeded_bases(100, 61):
+            rebuilt = AffineBasis(basis.points)
+            n = rebuilt.ground_size
+            w = WeightedGroundSet([rng.randint(1, 4) for _ in range(n)])
+            s = min_weight_identifying_from_basis(rebuilt, w)
+            assert verify_identifying_from_basis(rebuilt, s) == (True, None)
+            assert ax_independent(rebuilt, set(range(n)) - s)
+            assert rebuilt.contains(hull_point(rebuilt, rng))
+            assert matrix_rank(rebuilt.differences()) == rebuilt.hull_dimension
+        with pytest.raises(AssertionError, match="rref called"):
+            verify_identifying_from_basis(PARALLEL, set())
 
 
 class TestAffineBasis:

@@ -253,6 +253,26 @@ def _witness_bytes(witness) -> bytes:
                        sorted(witness.basis_b)]).encode()
 
 
+class TestUniformCircuitHook:
+    def test_hook_equals_delete_one_circuits(self):
+        cases = 0
+        for n in range(8):
+            for k in range(n + 1):
+                m = uniform_matroid(k, n)
+                assert m.circuit is not None
+                plain = MatroidOracle(n, m._fn)
+                for basis in map(frozenset, combinations(range(n), k)):
+                    for e in set(range(n)) - basis:
+                        assert _circuit_of(m, basis, e) == _circuit_of(plain, basis, e)
+                        cases += 1
+                assert matroid_components(m) == matroid_components(plain)
+        assert cases == sum(n * 2 ** (n - 1) for n in range(8))
+
+    def test_short_set_is_not_a_basis(self):
+        with pytest.raises(NotABasis):
+            uniform_matroid(2, 4).circuit(frozenset({0}), 1)
+
+
 class TestPartitionCircuitHook:
     def test_hook_equals_delete_one_circuits(self):
         rng = random.Random(73)
@@ -566,6 +586,15 @@ class TestOracleQueryCounts:
         ok, witness = verify_matroid_identifying(m, set(range(2, 16)))
         assert not ok and witness.circuit == frozenset(range(9))
         assert len(m._cache) < 200
+
+    def test_uniform_components_ask_only_the_greedy_basis(self):
+        # 9 growing prefixes and 8 one-too-many sets find the basis; the
+        # circuit hook asks nothing more, and the witness adds 8 queries.
+        m = uniform_matroid(8, 16)
+        matroid_components(m)
+        assert len(m._cache) == 17
+        verify_matroid_identifying(m, set(range(2, 16)))
+        assert len(m._cache) == 25
 
     def test_graphic_components_ask_only_the_empty_set(self):
         for m in seeded_graphic_matroids(50, 1707):

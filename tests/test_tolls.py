@@ -19,7 +19,7 @@ from idsets.errors import (
 from idsets.explicit import SolutionList, exact_identifying, verify_explicit_identifying
 from idsets.graphs import Digraph, StPair, enumerate_st_paths
 from idsets.linalg import as_vector, vec_dot
-from idsets.linear import AffineBasis
+from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.tolls import (
     ControllingVerdict,
     CostOracle,
@@ -31,8 +31,8 @@ from idsets.tolls import (
     quadratic_cost,
 )
 
-from .helpers import oracle_controlling_fm
-from .test_linear import flow_polytope_basis
+from .helpers import oracle_controlling_fm, oracle_convex_tolls
+from .test_linear import flow_polytope_basis, hull_point, seeded_bases
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])
 
@@ -114,8 +114,17 @@ class TestDiscreteTolls:
         other = toll.tolled_cost(c, (1, 0))
         assert toll.tolled_cost(c, (0, 1)) < other
 
+    def test_negative_margin_rejected(self):
+        # Under margin -5 the tolls would be {0: -4, 1: 4, 2: -4}: 001 would
+        # cost -4 and the target 010 cost 4.
+        x = SolutionList.from_strings(["010", "110", "001"])
+        for margin in (-5, Fraction(-1, 2)):
+            with pytest.raises(InvalidInstance, match="margin must be >= 0"):
+                discrete_tolls(x, {0, 1, 2}, linear_cost([0, 0, 0]), (0, 1, 0), margin=margin)
+
     def test_exhaustive_soundness_random_fixtures(self):
         rng = random.Random(79)
+        margins = [0, Fraction(1, 2), 3]
         for _ in range(60):
             dim = rng.randint(1, 6)
             rows = {tuple(rng.randint(0, 1) for _ in range(dim))
@@ -125,9 +134,12 @@ class TestDiscreteTolls:
             cost = linear_cost([rng.randint(-4, 4) for _ in range(dim)],
                                constant=rng.randint(-2, 2))
             for target in x.vectors:
-                toll = discrete_tolls(x, s, cost, target)
-                best = min(toll.tolled_cost(cost, v) for v in x.vectors)
-                assert toll.tolled_cost(cost, target) == best
+                margin = rng.choice(margins)
+                toll = discrete_tolls(x, s, cost, target, margin)
+                values = [toll.tolled_cost(cost, v) for v in x.vectors if v != target]
+                value = toll.tolled_cost(cost, target)
+                assert all(value <= other if margin == 0 else value < other
+                           for other in values)
 
 
 class TestConvexTolls:
@@ -188,6 +200,43 @@ class TestConvexTolls:
                 sum((m if a in p else Fraction(0)) for m, p in zip(mix, paths))
                 for a in range(g.arc_count))
             assert toll.tolled_cost(cost, point) >= target_value
+
+
+class TestConvexTollsOnIntegerRows:
+    def test_matches_fraction_elimination(self):
+        # Identifying and random S, targets in and off the hull, k = 0 included.
+        outcomes = {"gamma": 0, "not identifying": 0, "outside": 0}
+        for basis, rng in seeded_bases(400, 89):
+            n = basis.ground_size
+            if rng.random() < 0.6:
+                s = set(min_weight_identifying_from_basis(basis))
+                s |= {e for e in range(n) if rng.random() < 0.2}
+            else:
+                s = {e for e in range(n) if rng.random() < 0.5}
+            target = hull_point(basis, rng)
+            if rng.random() < 0.2:
+                target = tuple(v + Fraction(1, 2) for v in target)
+            cost = (quadratic_cost if rng.random() < 0.5 else linear_cost)(
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
+            kind, want = oracle_convex_tolls(basis, s, cost, target)
+            outcomes[kind] += 1
+            if kind == "not identifying":
+                with pytest.raises(NotIdentifying) as err:
+                    convex_tolls(basis, s, cost, target)
+                assert err.value.witness == want
+            elif kind == "outside":
+                with pytest.raises(TargetOutsideAffineHull):
+                    convex_tolls(basis, s, cost, target)
+            else:
+                toll = convex_tolls(basis, s, cost, target)
+                assert toll.gamma == want and list(toll.gamma) == list(want)
+                assert all(type(v) is Fraction for v in toll.gamma.values())
+        assert outcomes["gamma"] >= 150 and min(outcomes.values()) >= 40, outcomes
+
+    def test_zero_dimensional_basis_has_no_tolls(self):
+        basis = AffineBasis([[1, 2, 3]])
+        toll = convex_tolls(basis, {0, 2}, quadratic_cost([1, 1, 1]), [1, 2, 3])
+        assert toll.gamma == {} and toll.support == {0, 2}
 
 
 def _projected_gradient(basis: AffineBasis, cost, toll, start, steps=5_000):
