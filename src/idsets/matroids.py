@@ -87,6 +87,7 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
+
     def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
         if len(basis) < k:
             raise NotABasis(f"basis + {e} is independent; not a basis")

@@ -113,7 +113,7 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     d is a subgradient of c at the target; the system is solvable because the
     complement of S is independent in the basis matroid, and the resulting
     zero subgradient of the tolled cost certifies the target as a minimizer.
-    It is solved on integer rows, positive multiples of the rational ones.
+    The system is solved on integer rows, positive multiples of the rational ones.
     """
     s_set = frozenset(s)
     ok, delta = verify_identifying_from_basis(basis, s_set)

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from idsets import linalg
 from idsets.errors import InvalidInstance
 from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets import linalg
 from idsets.linalg import (
     as_vector,
     echelon,
@@ -29,7 +29,7 @@ from idsets.linear import (
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
-from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost
+from idsets.tolls import convex_tolls, discrete_tolls, fourier_motzkin_feasible, linear_cost
 
 from .helpers import (
     all_simple_digraphs,
@@ -218,7 +218,9 @@ class TestIntegerRows:
             s = min_weight_identifying_from_basis(rebuilt, w)
             assert verify_identifying_from_basis(rebuilt, s) == (True, None)
             assert ax_independent(rebuilt, set(range(n)) - s)
-            assert rebuilt.contains(hull_point(rebuilt, rng))
+            target = hull_point(rebuilt, rng)
+            assert rebuilt.contains(target)
+            convex_tolls(rebuilt, s, linear_cost([rng.randint(-3, 3) for _ in range(n)]), target)
             assert matrix_rank(rebuilt.differences()) == rebuilt.hull_dimension
         with pytest.raises(AssertionError, match="rref called"):
             verify_identifying_from_basis(PARALLEL, set())
