@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import sys
 import time
 from fractions import Fraction
@@ -395,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FALSE
     elapsed = time.monotonic() - started
     digest = _digest(input_files) if input_files else ""
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(io.to_json(payload))
     print(f"# {args.command} digest={digest[:16]} time={elapsed:.3f}s "
           f"max_paths={caps.max_paths} max_subsets={caps.max_subsets}", file=sys.stderr)
     return code

@@ -21,8 +21,7 @@ from .graphs import (
     UnionFind,
     WeightedGroundSet,
     bfs_tree,
-    reachable_from,
-    reverse_reachable_to,
+    reach_marks,
     spanning_forest_max_weight,
     strongly_connected_components,
     tree_path,
@@ -60,12 +59,12 @@ def st_walk_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     of s-t walks. In a DAG every walk is a path, so these are exactly the
     arcs on some s-t path. Raises NoStPath when s does not reach t."""
     st.validate(g)
-    from_s = reachable_from(g, st.source)
-    if st.sink not in from_s:
+    from_s = reach_marks(g, st.source)
+    if not from_s[st.sink]:
         raise NoStPath(f"no path from {st.source} to {st.sink}")
-    to_t = reverse_reachable_to(g, st.sink)
+    to_t = reach_marks(g, st.sink, follow="in")
     return frozenset(aid for aid, (tail, head) in enumerate(g.arcs)
-                     if tail in from_s and head in to_t)
+                     if from_s[tail] and to_t[head])
 
 
 def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:

@@ -6,7 +6,9 @@ tie-breaking is by smallest arc id to keep outputs deterministic.
 
 A `Digraph` builds its out- and in-arc lists once, at construction, and they
 are immutable tuples. One breadth-first search, `bfs_tree`, walks them for
-reachability, reverse reachability, shortest arc paths and forest paths.
+reachability, reverse reachability, shortest arc paths and forest paths;
+`reach_marks` answers the membership-only reachability of the s-t solvers
+with one flat mark per node.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ class Digraph:
         checked: list[tuple[int, int]] = []
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
-        for aid, (tail, head) in enumerate(arcs):
+        for aid, arc in enumerate(arcs):
+            try:
+                tail, head = arc
+            except (TypeError, ValueError):
+                raise InvalidInstance(
+                    f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
             if type(tail) is not int or type(head) is not int:
                 tail = _integer(tail, f"arc {aid} tail")
                 head = _integer(head, f"arc {aid} head")
@@ -372,6 +379,24 @@ def tree_path(g: Digraph, tree: dict[int, int], goal: int) -> list[int] | None:
     return path
 
 
+def reach_marks(g: Digraph, start: int, follow: str = "out") -> bytearray:
+    """marks[v] is 1 iff `start` reaches v along arcs ("out") or v reaches
+    `start` ("in"), over every arc. One stack walk with a flat mark per
+    node: no tree, order or set, for callers that only test membership."""
+    adjacency, end = (g.out_arcs(), 1) if follow == "out" else (g.in_arcs(), 0)
+    arcs = g.arcs
+    marks = bytearray(g.node_count)
+    marks[start] = 1
+    stack = [start]
+    while stack:
+        for aid in adjacency[stack.pop()]:
+            w = arcs[aid][end]
+            if not marks[w]:
+                marks[w] = 1
+                stack.append(w)
+    return marks
+
+
 def reachable_from(g: Digraph, start: int, allowed: Iterable[int] | None = None) -> set[int]:
     """Forward-reachability set of `start` using only the allowed arc ids."""
     return set(bfs_tree(g, start, allowed))
@@ -418,8 +443,8 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
         raise InvalidInstance("self-loops are not allowed in path settings")
     out, arcs = g.out_arcs(), g.arcs
     # Prune to nodes that can still reach t; cuts hopeless branches early.
-    can_reach_t = reverse_reachable_to(g, st.sink)
-    if st.source not in can_reach_t:
+    can_reach_t = reach_marks(g, st.sink, follow="in")
+    if not can_reach_t[st.source]:
         raise NoStPath(f"no path from {st.source} to {st.sink}")
     paths: list[tuple[int, ...]] = []
     on_path = [False] * g.node_count
@@ -436,7 +461,7 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
                 on_path[arcs[arc_stack.pop()][1]] = False
             continue
         w_node = arcs[aid][1]
-        if on_path[w_node] or w_node not in can_reach_t:
+        if on_path[w_node] or not can_reach_t[w_node]:
             continue
         if w_node == st.sink:
             if len(paths) >= cap:

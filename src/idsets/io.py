@@ -158,10 +158,16 @@ def parse_cost(spec: str, dim: int) -> tolls.CostOracle:
 
 
 def parse_graph(data: dict) -> Digraph:
-    """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored)."""
+    """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored); each
+    arc is a list of exactly two integers."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
         arcs = data["arcs"]
+        if not (set(map(type, arcs)) <= {list} and set(map(len, arcs)) <= {2}):
+            aid, arc = next((aid, arc) for aid, arc in enumerate(arcs)
+                            if type(arc) is not list or len(arc) != 2)
+            raise InvalidInstance(
+                f"malformed graph: arc {aid} is not a [tail, head] pair: {arc!r}")
         tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]
     _check_ints(tails, heads)
     return Digraph(nodes, zip(tails, heads))
@@ -288,10 +294,61 @@ def load_json(path: str) -> Any:
         raise InvalidInstance(f"{path} is not JSON: {exc}") from exc
 
 
+def to_json(value: Any) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`: the one
+    output format, for stdout and for files.
+
+    json takes its pure-Python encoder whenever it indents, one call per
+    item. Here dicts (keys sorted) and lists or tuples of containers are
+    walked in Python, but a list whose items are all exactly str or int
+    goes to the C encoder in one call, with the newline and indent as its
+    item separator; its brackets are then re-wrapped. Every other scalar
+    goes through `json.dumps`, so escapes and number formats are json's
+    own. A dict key that is not a str raises TypeError: json would print
+    the number or constant quoted, and no payload has one.
+    """
+    parts: list[str] = []
+    _write(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
+    """Append `value`'s text to `out`; `newline` ends a line and indents
+    the next to the level of `value` itself."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + json.dumps(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+        elif set(map(type, value)) <= {str, int}:
+            text = json.dumps(value, separators=("," + inner, ": "))
+            out("[" + inner + text[1:-1] + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out(newline + "]")
+    else:
+        out(json.dumps(value))
+
+
 def dump_json(path: str, data: dict) -> None:
+    text = to_json(data) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise InvalidInstance(f"cannot write {path}: {exc.strerror}") from exc

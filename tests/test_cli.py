@@ -106,6 +106,17 @@ MALFORMED = [
      ["flow-identify", "{i}"], "expected an integer, got 1.9"),
     ("arc-endpoint-bool", {"i": {"nodes": 3, "arcs": [[0, True], [1, 2]], "s": 0, "t": 2}},
      ["flow-identify", "{i}"], "expected an integer, got True"),
+    # [1, 2, 9] was once read as the arc 1 -> 2, its 9 dropped.
+    ("arc-triple", {"i": dict(TRIANGLE, arcs=[[0, 1], [1, 2, 9]])},
+     ["flow-identify", "{i}"], "malformed graph: arc 1 is not a [tail, head] pair: [1, 2, 9]"),
+    ("arc-single", {"i": dict(TRIANGLE, arcs=[[0, 1], [1]])},
+     ["path-exact", "{i}"], "malformed graph: arc 1 is not a [tail, head] pair: [1]"),
+    ("arc-integer", {"g": dict(TRIANGLE, arcs=[[0, 1], 5])},
+     ["matroid-identify", "--kind", "graphic", "--graph", "{g}"],
+     "malformed graph: arc 1 is not a [tail, head] pair: 5"),
+    ("arc-string", {"i": dict(TRIANGLE, arcs=[[0, 1], "12"])},
+     ["path-verify", "{i}", "--S", "0"],
+     "malformed graph: arc 1 is not a [tail, head] pair: '12'"),
     ("nodes-float", {"i": dict(TRIANGLE, nodes=3.5)},
      ["flow-identify", "{i}"], "expected an integer, got 3.5"),
     ("source-float", {"i": dict(TRIANGLE, s=0.5)},
@@ -658,6 +669,28 @@ class TestGenRoundTrip:
         code = main(["path-exact", str(out)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and len(payload["S"]) == 2
+
+
+class TestGenOut:
+    # --out writes the bytes that stdout would show: one writer, one format.
+    @pytest.mark.parametrize("spec", [
+        ["--family", "tight-gap", "--k", "3"],
+        ["--family", "vc-dag", "--vc-vertices", "3", "--vc-edges", "0-1,1-2", "--ell", "2"],
+        ["--family", "bundle", "--instance", "{base}", "--arc", "1", "--size", "3"],
+        ["--family", "random-dag", "--nodes", "7", "--seed", "4"],
+        ["--family", "random-digraph", "--nodes", "6", "--seed", "2", "--arc-prob", "0.3"],
+    ], ids=["tight-gap", "vc-dag", "bundle", "random-dag", "random-digraph"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, spec):
+        base = tmp_path / "base.json"
+        dump_json(str(base), {"nodes": 4, "arcs": [[0, 1], [1, 2], [2, 3]], "s": 0, "t": 3})
+        argv = ["gen"] + [arg.format(base=base) for arg in spec]
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(shown)["arcs"]
+        assert out.read_bytes() == shown.encode()
 
 
 class TestOtherSolvers:

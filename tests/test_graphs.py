@@ -17,6 +17,7 @@ from idsets.graphs import (
     UnionFind,
     WeightedGroundSet,
     enumerate_st_paths,
+    reach_marks,
     reachable_from,
     reverse_reachable_to,
     shortest_arc_path,
@@ -60,6 +61,13 @@ def test_digraph_reads_endpoints_with_operator_index():
     assert g.out_arcs() == ((0,), (), ()) and g.in_arcs() == ((), (0,), ())
     with pytest.raises(InvalidInstance):
         Digraph(3, [(0, 1.0)])
+
+
+@pytest.mark.parametrize("arc", [(0, 1, 9), (0,), 5], ids=["triple", "single", "int"])
+def test_digraph_rejects_arcs_that_are_not_pairs(arc):
+    # Unpacking alone would raise a bare ValueError or TypeError.
+    with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
+        Digraph(3, [(0, 1), arc])
 
 
 def test_validate_ids_rejects_non_integers():
@@ -254,6 +262,14 @@ class TestTraversalOracles:
                         == oracle_reverse_reachable_to(g, goal, allowed))
                 assert (shortest_arc_path(g, start, goal, allowed)
                         == oracle_shortest_arc_path(g, start, goal, allowed))
+
+    def test_reach_marks_match_the_oracles(self):
+        for g, _ in self.GRAPHS:
+            for v in range(g.node_count):
+                for marks, oracle in ((reach_marks(g, v), oracle_reachable_from),
+                                      (reach_marks(g, v, "in"), oracle_reverse_reachable_to)):
+                    assert isinstance(marks, bytearray) and len(marks) == g.node_count
+                    assert {w for w in range(g.node_count) if marks[w]} == oracle(g, v)
 
 
 class TestSpanningForest:

@@ -1,10 +1,12 @@
-"""Subset-search determinism and JSON round-trips."""
+"""Subset-search determinism, JSON round-trips and the JSON writer."""
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from idsets.io import (
     parse_solution_list,
     parse_weights,
     solution_list_to_json,
+    to_json,
 )
 from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
 from idsets.search import min_weight_hitting_set, pair_demands
@@ -308,6 +311,96 @@ class TestInstanceRoundTrip:
     def test_polymatroid_table_requires_all_subsets(self):
         with pytest.raises(InvalidInstance):
             parse_polymatroid_table({"size": 2, "values": {"": "0"}})
+
+
+# Characters a JSON string escapes, or ensure_ascii spells as \u escapes
+# (one outside the BMP, as a surrogate pair), among plain ones.
+_CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "€",
+          "\U0001f600", " ", "a", "Z", "0", ":", ","]
+_FLOATS = [0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_str(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_scalar(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _random_str(rng)
+    if kind == 1:  # small, 64-bit edge and far beyond 64 bits, either sign
+        return rng.choice([1, -1]) * rng.choice([rng.randrange(10), 2**63 + rng.randrange(3),
+                                                 rng.randrange(2**200)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(_FLOATS)
+    return rng.randrange(-3, 1000)
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    """A nested value: containers (often empty, often all str and int, so
+    that either list path runs) down to depth 4, then scalars."""
+    kind = rng.randrange(7) if depth < 4 else 6
+    size = rng.choice([0, 1, 2, 3, 5])
+    if kind in (0, 1):  # str and int only, maybe with one other scalar mixed in
+        items = [rng.choice([_random_str(rng), rng.randrange(-5, 2**70)]) for _ in range(size)]
+        if size and kind == 1:
+            items[rng.randrange(size)] = _random_scalar(rng)
+        return items if rng.random() < 0.7 else tuple(items)
+    if kind in (2, 3):
+        items = [_random_value(rng, depth + 1) for _ in range(size)]
+        return items if kind == 2 else tuple(items)
+    if kind in (4, 5):
+        return {_random_str(rng): _random_value(rng, depth + 1) for _ in range(size)}
+    return _random_scalar(rng)
+
+
+class TestJsonWriter:
+    """`to_json` is json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    @staticmethod
+    def assert_same(value):
+        assert to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_seeded_nested_values(self):
+        rng = random.Random(19)
+        for _ in range(2500):
+            self.assert_same(_random_value(rng))
+
+    @pytest.mark.parametrize("value", [
+        [1, True], [True, 1], [0, False, "x"], ["a", None], [1, 2.0], [[], {}], ([], ()),
+        {"b": [], "a": {}, "": [{}]}, [[1, True]], {"k": [2**64, -2**100]}, (), {},
+        "", 'q"\\\n\x00é\U0001f600', 2**80, -0.0, float("nan"), None, True,
+    ], ids=repr)
+    def test_edge_values(self, value):
+        self.assert_same(value)
+
+    def test_flow_witness_shape(self):
+        payload = {"S": list(range(0, 3000, 3)), "cycle": [4, 9, 2], "identifying": False,
+                   "flow_a": fractions_to_json([Fraction(k % 5, 3) for k in range(2000)]),
+                   "flow_b": fractions_to_json([Fraction(k % 7, 3) for k in range(2000)])}
+        self.assert_same(payload)
+
+    def test_no_other_indenting_writer(self):
+        # The output format lives in `to_json` alone; it passes no indent.
+        src = Path(__file__).resolve().parents[1] / "src" / "idsets"
+        calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("dump", "dumps")
+                 and any(k.arg == "indent" for k in node.keywords)]
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{2.5: "x"}], {True: 0}],
+                             ids=repr)
+    def test_keys_that_are_not_str_are_refused(self, value):
+        # json would print these keys quoted ("1", "null", "2.5", "true"); no
+        # payload has one, so the writer refuses them instead.
+        with pytest.raises(TypeError, match="keys must be str"):
+            to_json(value)
 
 
 class TestCapsFromEnv:
