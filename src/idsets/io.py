@@ -158,14 +158,15 @@ def parse_cost(spec: str, dim: int) -> tolls.CostOracle:
 
 
 def parse_graph(data: dict) -> Digraph:
-    """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored); each
-    arc is a list of exactly two integers."""
+    """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored); an arc
+    with more or fewer than two entries is refused, not truncated."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
         arcs = data["arcs"]
-        if not (set(map(type, arcs)) <= {list} and set(map(len, arcs)) <= {2}):
-            aid, arc = next((aid, arc) for aid, arc in enumerate(arcs)
-                            if type(arc) is not list or len(arc) != 2)
+        # One pass over the lengths. An arc without one (5) fails in len();
+        # a two-character string or two-key object fails further down.
+        if not set(map(len, arcs)) <= {2}:
+            aid, arc = next((aid, arc) for aid, arc in enumerate(arcs) if len(arc) != 2)
             raise InvalidInstance(
                 f"malformed graph: arc {aid} is not a [tail, head] pair: {arc!r}")
         tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]

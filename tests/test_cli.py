@@ -111,12 +111,13 @@ MALFORMED = [
      ["flow-identify", "{i}"], "malformed graph: arc 1 is not a [tail, head] pair: [1, 2, 9]"),
     ("arc-single", {"i": dict(TRIANGLE, arcs=[[0, 1], [1]])},
      ["path-exact", "{i}"], "malformed graph: arc 1 is not a [tail, head] pair: [1]"),
-    ("arc-integer", {"g": dict(TRIANGLE, arcs=[[0, 1], 5])},
+    ("arc-empty", {"g": dict(TRIANGLE, arcs=[[0, 1], []])},
      ["matroid-identify", "--kind", "graphic", "--graph", "{g}"],
-     "malformed graph: arc 1 is not a [tail, head] pair: 5"),
+     "malformed graph: arc 1 is not a [tail, head] pair: []"),
+    ("arc-integer", {"i": dict(TRIANGLE, arcs=[[0, 1], 5])},
+     ["path-verify", "{i}", "--S", "0"], "malformed graph"),
     ("arc-string", {"i": dict(TRIANGLE, arcs=[[0, 1], "12"])},
-     ["path-verify", "{i}", "--S", "0"],
-     "malformed graph: arc 1 is not a [tail, head] pair: '12'"),
+     ["flow-identify", "{i}"], "expected an integer, got '1'"),
     ("nodes-float", {"i": dict(TRIANGLE, nodes=3.5)},
      ["flow-identify", "{i}"], "expected an integer, got 3.5"),
     ("source-float", {"i": dict(TRIANGLE, s=0.5)},
