@@ -25,7 +25,6 @@ from .graphs import (
     StPair,
     WeightedGroundSet,
     enumerate_st_paths,
-    reachable_from,
     spanning_forest_max_weight,
     strongly_connected_components,
     topological_order,

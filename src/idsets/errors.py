@@ -101,7 +101,3 @@ class NotABasis(IdsetsError):
 
 class ElementInBasis(IdsetsError):
     """A fundamental-circuit query named an element already in the basis."""
-
-
-class NotABase(IdsetsError):
-    """The given vector is not a point of the base polyhedron."""

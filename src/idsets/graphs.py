@@ -6,9 +6,8 @@ tie-breaking is by smallest arc id to keep outputs deterministic.
 
 A `Digraph` builds its out- and in-arc lists once, at construction, and they
 are immutable tuples. One breadth-first search, `bfs_tree`, walks them for
-reachability, reverse reachability, shortest arc paths and forest paths;
-`reach_marks` answers the membership-only reachability of the s-t solvers
-with one flat mark per node.
+shortest arc paths and forest paths; `reach_marks` answers the
+membership-only reachability of the s-t solvers with one flat mark per node.
 """
 
 from __future__ import annotations
@@ -395,16 +394,6 @@ def reach_marks(g: Digraph, start: int, follow: str = "out") -> bytearray:
                 marks[w] = 1
                 stack.append(w)
     return marks
-
-
-def reachable_from(g: Digraph, start: int, allowed: Iterable[int] | None = None) -> set[int]:
-    """Forward-reachability set of `start` using only the allowed arc ids."""
-    return set(bfs_tree(g, start, allowed))
-
-
-def reverse_reachable_to(g: Digraph, goal: int, allowed: Iterable[int] | None = None) -> set[int]:
-    """Nodes that can reach `goal` using only the allowed arc ids."""
-    return set(bfs_tree(g, goal, allowed, follow="in"))
 
 
 def shortest_arc_path(g: Digraph, start: int, goal: int,

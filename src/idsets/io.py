@@ -164,12 +164,18 @@ def parse_graph(data: dict) -> Digraph:
         nodes = int_from_json(data["nodes"])
         arcs = data["arcs"]
         # One pass over the lengths. An arc without one (5) fails in len();
-        # a two-character string or two-key object fails further down.
+        # a two-character string fails further down, at its first end.
+        bad = None
         if not set(map(len, arcs)) <= {2}:
-            aid, arc = next((aid, arc) for aid, arc in enumerate(arcs) if len(arc) != 2)
+            bad = next(aid for aid, arc in enumerate(arcs) if len(arc) != 2)
+        else:
+            try:
+                tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]
+            except KeyError:  # a two-key object: JSON keys are strings, never 0
+                bad = next(aid for aid, arc in enumerate(arcs) if type(arc) is dict)
+        if bad is not None:
             raise InvalidInstance(
-                f"malformed graph: arc {aid} is not a [tail, head] pair: {arc!r}")
-        tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]
+                f"malformed graph: arc {bad} is not a [tail, head] pair: {arcs[bad]!r}")
     _check_ints(tails, heads)
     return Digraph(nodes, zip(tails, heads))
 

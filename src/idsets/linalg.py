@@ -1,8 +1,10 @@
-"""Small exact linear algebra: rank, pivots, solving, dependencies.
+"""Small exact linear algebra: one integer elimination and its helpers.
 
 Independence of rational vectors is an exact property; everything here avoids
 floating point so downstream equality tests (tightness, rank counts) never
-need tolerances. Elimination runs on integers (`echelon`).
+need tolerances. `echelon` is the only elimination: callers scale rational
+rows to integers with `integer_row` and read rank, pivots, hull membership
+and null vectors off its reduced rows.
 """
 
 from __future__ import annotations
@@ -61,19 +63,6 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     return m[:r], pivots
 
 
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in a copy) and the list of pivot columns:
-    `echelon` of the rows scaled to integers (scaling keeps the unique RREF),
-    each returned row divided by its pivot as Fractions."""
-    rows, pivots = echelon([integer_row(row)[0] for row in matrix])
-    cols = len(matrix[0]) if matrix else 0
-    zero = Fraction(0)
-    reduced = [[Fraction(v, row[c]) if v else zero for v in row]
-               for row, c in zip(rows, pivots)]
-    reduced += [[zero] * cols for _ in range(len(matrix) - len(rows))]
-    return reduced, pivots
-
-
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, scale) with row[i] == ints[i] / scale, scale the lcm of the denominators."""
     scale = lcm(*(v.denominator for v in row))
@@ -84,53 +73,6 @@ def _primitive(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries; an all-zero row as it is."""
     g = gcd(*row)
     return row if g <= 1 else [v // g for v in row]
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(echelon([integer_row(as_vector(row))[0] for row in rows])[1])
-
-
-def dependency(vectors: Sequence[Vector]) -> Vector | None:
-    """Coefficients of a nontrivial vanishing combination, or None if independent.
-
-    Returned c satisfies sum(c[i] * vectors[i]) == 0 with some c[i] == 1.
-    """
-    n = len(vectors)
-    if n == 0:
-        return None
-    dim = len(vectors[0])
-    # Columns are the vectors; a nullspace vector is a dependency.
-    mat = [[vectors[j][i] for j in range(n)] for i in range(dim)]
-    reduced, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = next((j for j in range(n) if j not in pivot_set), None)
-    if free is None:
-        return None
-    coeffs = [Fraction(0)] * n
-    coeffs[free] = Fraction(1)
-    for row, pc in enumerate(pivots):
-        coeffs[pc] = -reduced[row][free]
-    return tuple(coeffs)
-
-
-def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector | None:
-    """One exact solution of A x = b with free variables set to 0, or None."""
-    rows = len(a)
-    if rows == 0:
-        return ()
-    cols = len(a[0])
-    aug = [list(map(exact, row)) + [exact(bi)] for row, bi in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if cols in pivots:  # pivot in the rhs column: inconsistent system
-        return None
-    x = [Fraction(0)] * cols
-    for row, pc in enumerate(pivots):
-        x[pc] = reduced[row][cols]
-    return tuple(x)
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:

@@ -5,7 +5,8 @@ basis points. A set S is identifying exactly when the columns of D indexed by
 S have rank k, so a minimum-weight identifying set is a minimum-weight column
 basis of D: the pivot columns of one exact elimination with the columns in
 ascending weight order. When S falls short, a left-null combination y of the
-rows of D[:, S] gives the witness direction y^T D.
+rows of D[:, S], read off `echelon` of the transposed integer columns, gives
+the witness direction y^T D.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInstance
 from .graphs import WeightedGroundSet, validate_ids
-from .linalg import (
-    Vector,
-    as_vector,
-    dependency,
-    echelon,
-    integer_row,
-    solve_linear,
-    vec_sub,
-)
+from .linalg import Vector, as_vector, echelon, integer_row
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,6 @@ class AffineBasis:
         """Dimension k of the affine hull."""
         return len(self.points) - 1
 
-    def differences(self) -> tuple[Vector, ...]:
-        """The rows x_i - x0 of the difference matrix D, as Fractions."""
-        return tuple(vec_sub(p, self.points[0]) for p in self.points[1:])
-
     def contains(self, target: Sequence) -> bool:
         """True iff the target lies in the affine hull: target - x0, scaled to
         integers, adds no pivot to the stored echelon rows of D."""
@@ -71,18 +60,6 @@ class AffineBasis:
         (t, t_scale), (x0, x0_scale) = integer_row(tgt), integer_row(self.points[0])
         shift = [a * x0_scale - b * t_scale for a, b in zip(t, x0)]
         return len(echelon([*self._echelon, shift])[1]) == self.hull_dimension
-
-    def affine_coefficients(self, target: Sequence) -> Vector | None:
-        """Coefficients lambda with target = x0 + sum(lambda_i * (x_i - x0)), or None."""
-        tgt = as_vector(target)
-        if len(tgt) != self.ground_size:
-            raise InvalidInstance("target has the wrong dimension")
-        diffs = self.differences()
-        if not diffs:
-            return () if tgt == self.points[0] else None
-        a = [[diffs[j][i] for j in range(len(diffs))] for i in range(self.ground_size)]
-        b = list(vec_sub(tgt, self.points[0]))
-        return solve_linear(a, b)
 
 
 def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
@@ -125,12 +102,17 @@ def verify_identifying_from_basis(basis: AffineBasis,
     cols = sorted(s_set)
     if len(echelon(_columns(basis.integer_rows, cols))[1]) == basis.hull_dimension:
         return True, None
-    diffs = basis.differences()
-    coeffs = dependency(_columns(diffs, cols))
-    delta = tuple(
-        sum((y * row[j] for y, row in zip(coeffs, diffs)), Fraction(0))
-        for j in range(basis.ground_size)
-    )
+    # Integer row i is D_i times c_i = s_i * s_0, the scales of x_i and x_0,
+    # so a null vector y of the transposed integer columns with y_j = 1 is
+    # the Fraction one of D[:, S] with each y_i scaled by c_i / c_j.
+    ints = basis.integer_rows
+    rows, pivots = echelon([[row[e] for row in ints] for e in cols])
+    j = next(i for i in range(basis.hull_dimension) if i not in pivots)
+    y = {j: Fraction(1)}
+    y.update((p, Fraction(-row[j], row[p])) for row, p in zip(rows, pivots))
+    c_j = integer_row(basis.points[j + 1])[1] * integer_row(basis.points[0])[1]
+    delta = tuple(sum(v * ints[i][e] for i, v in y.items()) / c_j
+                  for e in range(basis.ground_size))
     assert any(value != 0 for value in delta)
     assert all(delta[e] == 0 for e in s_set)
     return False, delta

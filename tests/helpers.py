@@ -16,7 +16,7 @@ from typing import Iterable
 import networkx as nx
 
 from idsets.caps import DEFAULT_CAPS, Caps
-from idsets.errors import EnumerationExplosion, InvalidInstance, NotABase, SubsetExplosion
+from idsets.errors import EnumerationExplosion, IdsetsError, InvalidInstance, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
 from idsets.linalg import Vector, as_vector
 from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying, size_ratio
@@ -383,6 +383,21 @@ def oracle_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return m, pivots
 
 
+def differences(points) -> list[list[Fraction]]:
+    """The rows x_i - x_0 of the difference matrix D, as Fractions."""
+    x0 = points[0]
+    return [[p - q for p, q in zip(point, x0)] for point in points[1:]]
+
+
+def oracle_in_hull(points, target) -> bool:
+    """Whether target lies in the affine hull of the points: Gauss-Jordan over
+    Fractions on the transpose of D with target - x0 appended as a last
+    column finds no pivot in that column."""
+    diffs, target = differences(points), as_vector(target)
+    hull = [[row[i] for row in diffs] + [target[i] - points[0][i]] for i in range(len(target))]
+    return len(diffs) not in oracle_rref(hull)[1]
+
+
 def oracle_convex_tolls(basis, s, c, target):
     """What `convex_tolls` answers, by Gauss-Jordan over Fractions on the
     Fraction differences: ("not identifying", delta), ("outside", None) or
@@ -390,7 +405,7 @@ def oracle_convex_tolls(basis, s, c, target):
     gives the row combination behind delta; the hull test and the toll solve
     each reduce an augmented matrix and read its last column."""
     x0 = basis.points[0]
-    diffs = [[p - q for p, q in zip(point, x0)] for point in basis.points[1:]]
+    diffs = differences(basis.points)
     k, cols = len(diffs), sorted(s)
     reduced, pivots = oracle_rref([[row[e] for row in diffs] for e in cols])
     free = next((j for j in range(k) if j not in pivots), None)
@@ -401,10 +416,9 @@ def oracle_convex_tolls(basis, s, c, target):
             coeffs[pc] = -reduced[r][free]
         return "not identifying", tuple(sum((y * row[j] for y, row in zip(coeffs, diffs)),
                                             Fraction(0)) for j in range(len(x0)))
-    target = as_vector(target)
-    hull = [[row[i] for row in diffs] + [target[i] - x0[i]] for i in range(len(x0))]
-    if k in oracle_rref(hull)[1]:
+    if not oracle_in_hull(basis.points, target):
         return "outside", None
+    target = as_vector(target)
     d = as_vector(c.subgradient(target))
     system = [[row[e] for e in cols] + [-sum(a * b for a, b in zip(d, row))] for row in diffs]
     reduced, pivots = oracle_rref(system)
@@ -568,6 +582,10 @@ def flow_conservation_ok(g: Digraph, st: StPair, flow) -> bool:
         if balance[v] != expected:
             return False
     return True
+
+
+class NotABase(IdsetsError):
+    """The given vector is not a point of the base polyhedron."""
 
 
 def _check_ground(f, caps: Caps) -> None:

@@ -114,6 +114,13 @@ MALFORMED = [
     ("arc-empty", {"g": dict(TRIANGLE, arcs=[[0, 1], []])},
      ["matroid-identify", "--kind", "graphic", "--graph", "{g}"],
      "malformed graph: arc 1 is not a [tail, head] pair: []"),
+    # A two-key object once passed the length check and read as "missing graph key: 0".
+    ("arc-object", {"i": dict(TRIANGLE, arcs=[[0, 1], {"t": 1, "h": 2}])},
+     ["flow-identify", "{i}"],
+     "malformed graph: arc 1 is not a [tail, head] pair: {'h': 2, 't': 1}"),
+    ("arc-object-digit-keys", {"i": dict(TRIANGLE, arcs=[[0, 1], {"0": 1, "1": 2}])},
+     ["flow-identify", "{i}"],
+     "malformed graph: arc 1 is not a [tail, head] pair: {'0': 1, '1': 2}"),
     ("arc-integer", {"i": dict(TRIANGLE, arcs=[[0, 1], 5])},
      ["path-verify", "{i}", "--S", "0"], "malformed graph"),
     ("arc-string", {"i": dict(TRIANGLE, arcs=[[0, 1], "12"])},

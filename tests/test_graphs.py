@@ -16,10 +16,9 @@ from idsets.graphs import (
     StPair,
     UnionFind,
     WeightedGroundSet,
+    bfs_tree,
     enumerate_st_paths,
     reach_marks,
-    reachable_from,
-    reverse_reachable_to,
     shortest_arc_path,
     spanning_forest_max_weight,
     strongly_connected_components,
@@ -218,18 +217,18 @@ class TestTopologicalOrder:
 class TestReachability:
     def test_chain_full(self):
         g = Digraph(3, [(0, 1), (1, 2)])
-        assert reachable_from(g, 0) == {0, 1, 2}
+        assert set(bfs_tree(g, 0)) == {0, 1, 2}
 
     def test_chain_restricted(self):
         g = Digraph(3, [(0, 1), (1, 2)])
-        assert reachable_from(g, 0, {1}) == {0}
+        assert set(bfs_tree(g, 0, {1})) == {0}
 
     def test_restriction_subset_of_full(self):
         rng = random.Random(3)
         for g, _ in seeded_multigraphs(40, seed=7):
             allowed = {a for a in range(g.arc_count) if rng.random() < 0.6}
             start = rng.randrange(g.node_count)
-            assert reachable_from(g, start, allowed) <= reachable_from(g, start)
+            assert set(bfs_tree(g, start, allowed)) <= set(bfs_tree(g, start))
 
 
 class TestTraversalOracles:
@@ -256,9 +255,9 @@ class TestTraversalOracles:
                 allowed = (None if rng.random() < 0.3 else
                            {a for a in range(g.arc_count) if rng.random() < 0.6})
                 start, goal = rng.randrange(g.node_count), rng.randrange(g.node_count)
-                assert (reachable_from(g, start, allowed)
+                assert (set(bfs_tree(g, start, allowed))
                         == oracle_reachable_from(g, start, allowed))
-                assert (reverse_reachable_to(g, goal, allowed)
+                assert (set(bfs_tree(g, goal, allowed, follow="in"))
                         == oracle_reverse_reachable_to(g, goal, allowed))
                 assert (shortest_arc_path(g, start, goal, allowed)
                         == oracle_shortest_arc_path(g, start, goal, allowed))

@@ -2,40 +2,36 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from idsets import linalg
 from idsets.errors import InvalidInstance
 from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import (
-    as_vector,
-    echelon,
-    integer_row,
-    matrix_rank,
-    rref,
-    solve_linear,
-    vec_sub,
-)
+from idsets.linalg import as_vector, echelon, integer_row
 from idsets.linear import (
     AffineBasis,
     ax_independent,
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
-from idsets.tolls import convex_tolls, discrete_tolls, fourier_motzkin_feasible, linear_cost
+from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost
 
 from .helpers import (
     all_simple_digraphs,
     all_subsets,
+    differences,
     has_st_path,
+    oracle_convex_tolls,
     oracle_directed_cycles,
+    oracle_in_hull,
     oracle_linear_greedy,
     oracle_rank,
     oracle_rref,
@@ -53,8 +49,7 @@ def random_basis(rng: random.Random, dim: int, ground: int, low: int = -3,
     points = [tuple(Fraction(rng.randint(low, high)) for _ in range(ground))]
     while len(points) < dim + 1:
         cand = tuple(Fraction(rng.randint(low, high)) for _ in range(ground))
-        diffs = [vec_sub(p, points[0]) for p in points[1:]] + [vec_sub(cand, points[0])]
-        if matrix_rank(diffs) == len(diffs):
+        if oracle_rank(differences(points + [cand])) == len(points):
             points.append(cand)
     return AffineBasis(points)
 
@@ -74,8 +69,7 @@ def flow_polytope_basis(g: Digraph, st: StPair) -> AffineBasis:
         points.append(vec_add(p0, indicator(cycle)))
     chosen = [points[0]]
     for point in points[1:]:
-        diffs = [vec_sub(p, chosen[0]) for p in chosen[1:]] + [vec_sub(point, chosen[0])]
-        if matrix_rank(diffs) == len(diffs):
+        if oracle_rank(differences(chosen + [point])) == len(chosen):
             chosen.append(point)
     return AffineBasis(chosen)
 
@@ -109,25 +103,6 @@ def seeded_matrices(count: int, seed: int):
         yield matrix
 
 
-class TestRref:
-    def test_matches_fraction_elimination(self):
-        count = 0
-        for matrix in seeded_matrices(1200, 41):
-            copy = [row[:] for row in matrix]
-            reduced, pivots = rref(matrix)
-            assert (reduced, pivots) == oracle_rref(matrix)
-            assert all(type(v) is Fraction for row in reduced for v in row)
-            assert matrix == copy
-            count += bool(matrix)
-        assert count >= 1000
-
-    def test_shapes(self):
-        assert rref([]) == ([], [])
-        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
-        assert rref([[Fraction(2, 3), Fraction(4, 9)], [-6, -4]]) == (
-            [[1, Fraction(2, 3)], [0, 0]], [0])
-
-
 def seeded_bases(count: int, seed: int):
     """(basis, rng) for affine bases of Q^n with 0 <= k <= min(n, 5), n <= 8:
     rational points over denominators up to 4, with some zero and some
@@ -143,15 +118,16 @@ def seeded_bases(count: int, seed: int):
             source = rng.randrange(n)
             for p in points:
                 p[e] = p[source] if rng.random() < 0.5 else Fraction(0)
-        if oracle_rank([vec_sub(p, points[0]) for p in points[1:]]) == k:
+        if oracle_rank(differences(points)) == k:
             made += 1
             yield AffineBasis(points), rng
 
 
 def hull_point(basis: AffineBasis, rng: random.Random) -> tuple[Fraction, ...]:
     """x0 plus a random rational combination of the difference rows."""
-    lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in basis.differences()]
-    return tuple(x + sum((l * d[e] for l, d in zip(lam, basis.differences())), Fraction(0))
+    diffs = differences(basis.points)
+    lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in diffs]
+    return tuple(x + sum((l * d[e] for l, d in zip(lam, diffs)), Fraction(0))
                  for e, x in enumerate(basis.points[0]))
 
 
@@ -160,7 +136,9 @@ class TestEchelon:
         count = 0
         for matrix in seeded_matrices(1200, 43):
             ints = [integer_row(row)[0] for row in matrix]
+            copy = [row[:] for row in ints]
             rows, pivots = echelon(ints)
+            assert ints == copy
             want, want_pivots = oracle_rref(matrix)
             assert pivots == want_pivots
             assert len(rows) == len(pivots)
@@ -170,15 +148,11 @@ class TestEchelon:
             count += bool(matrix)
         assert count >= 1000
 
-    def test_matrix_rank_matches_oracle(self):
-        for matrix in seeded_matrices(300, 47):
-            assert matrix_rank(matrix) == oracle_rank(matrix)
-
 
 class TestIntegerRows:
     def test_rows_are_a_positive_multiple_of_d(self):
         for basis, _ in seeded_bases(300, 53):
-            for ints, diff in zip(basis.integer_rows, basis.differences()):
+            for ints, diff in zip(basis.integer_rows, differences(basis.points)):
                 nonzero = [(a, b) for a, b in zip(ints, diff) if b]
                 assert all(a == 0 for a, b in zip(ints, diff) if not b)
                 if nonzero:
@@ -193,7 +167,7 @@ class TestIntegerRows:
                 e = rng.randrange(basis.ground_size)
                 point = tuple(v + (Fraction(1, rng.randint(1, 3)) if i == e else 0)
                               for i, v in enumerate(point))
-            want = basis.affine_coefficients(point) is not None
+            want = oracle_in_hull(basis.points, point)
             assert basis.contains(point) == want
             inside += want
             outside += not want
@@ -206,24 +180,19 @@ class TestIntegerRows:
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             PARALLEL.contains([0.5, 0.5])
 
-    def test_no_fraction_elimination_on_the_integer_paths(self, monkeypatch):
-        def refuse(matrix):
-            raise AssertionError("rref called")
-
-        monkeypatch.setattr(linalg, "rref", refuse)
-        for basis, rng in seeded_bases(100, 61):
-            rebuilt = AffineBasis(basis.points)
-            n = rebuilt.ground_size
-            w = WeightedGroundSet([rng.randint(1, 4) for _ in range(n)])
-            s = min_weight_identifying_from_basis(rebuilt, w)
-            assert verify_identifying_from_basis(rebuilt, s) == (True, None)
-            assert ax_independent(rebuilt, set(range(n)) - s)
-            target = hull_point(rebuilt, rng)
-            assert rebuilt.contains(target)
-            convex_tolls(rebuilt, s, linear_cost([rng.randint(-3, 3) for _ in range(n)]), target)
-            assert matrix_rank(rebuilt.differences()) == rebuilt.hull_dimension
-        with pytest.raises(AssertionError, match="rref called"):
-            verify_identifying_from_basis(PARALLEL, set())
+    def test_no_fraction_elimination_on_the_integer_paths(self):
+        """`echelon` is the one elimination in the program: no module defines
+        a second Gauss-Jordan, and `linalg` defines nothing else."""
+        defined = {}
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "idsets").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined[path.stem] = {node.name for node in ast.walk(tree)
+                                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert len(defined) > 10
+        for module, names in defined.items():
+            assert not names & {"rref", "solve_linear", "dependency", "matrix_rank"}, module
+        assert defined["linalg"] == {"exact", "as_vector", "echelon", "integer_row",
+                                     "_primitive", "vec_dot"}
 
 
 class TestAffineBasis:
@@ -239,14 +208,9 @@ class TestAffineBasis:
             as_vector([0.1])
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             AffineBasis([[1, 0], [0.5, 0.5]])
-        with pytest.raises(InvalidInstance, match="floats are not exact"):
-            PARALLEL.affine_coefficients([0.75, 0.25])
         # 0.1 would add 3602879701896397/36028797018963968, not 1/10.
         for call in (
             lambda: linear_cost([1, 2], 0.1),
-            lambda: solve_linear([[1, 0.5]], [1]),
-            lambda: solve_linear([[1, 2]], [0.5]),
-            lambda: matrix_rank([[1, 0.5]]),
             lambda: fourier_motzkin_feasible([((0.5,), 1)], 1),
             lambda: fourier_motzkin_feasible([((1,), 0.1)], 1),
             lambda: discrete_tolls(SolutionList.from_strings(["10", "01"]), {0},
@@ -254,11 +218,6 @@ class TestAffineBasis:
         ):
             with pytest.raises(InvalidInstance, match="floats are not exact"):
                 call()
-
-    def test_affine_coefficients(self):
-        coeffs = PARALLEL.affine_coefficients([Fraction(3, 4), Fraction(1, 4)])
-        assert coeffs == (Fraction(1, 4),)
-        assert PARALLEL.affine_coefficients([1, 1]) is None
 
 
 class TestAxIndependent:
@@ -308,7 +267,7 @@ class TestMinWeight:
             basis = random_basis(rng, dim, ground, low=0, high=1 if trial % 2 else 3)
             w = WeightedGroundSet([rng.randint(0, 3) for _ in range(ground)])
             assert min_weight_identifying_from_basis(basis, w) == oracle_linear_greedy(
-                basis.differences(), ground, w)
+                differences(basis.points), ground, w)
 
 
 class TestVerify:
@@ -331,7 +290,7 @@ class TestVerify:
         ok, delta = verify_identifying_from_basis(basis, {1})
         if not ok:
             moved = vec_add(basis.points[0], delta)
-            assert basis.affine_coefficients(moved) is not None
+            assert oracle_in_hull(basis.points, moved)
             assert all(delta[e] == 0 for e in {1})
             assert any(v != 0 for v in delta)
 
@@ -341,7 +300,7 @@ class TestVerify:
             dim = rng.randint(0, 3)
             ground = rng.randint(max(dim, 1), dim + 3)
             basis = random_basis(rng, dim, ground, low=0, high=1 if trial % 2 else 2)
-            diffs = basis.differences()
+            diffs = differences(basis.points)
             for s in all_subsets(range(ground)):
                 ok, delta = verify_identifying_from_basis(basis, s)
                 assert ok == (oracle_rank([[d[e] for e in sorted(s)] for d in diffs]) == dim)
@@ -355,6 +314,27 @@ class TestVerify:
                 assert any(v != 0 for v in delta)
                 assert all(delta[e] == 0 for e in s)
                 assert oracle_rank(list(diffs) + [delta]) == dim
+
+    def test_witness_matches_the_fraction_oracle(self):
+        """A negative verdict's delta is the Fraction oracle's, exactly. Most
+        bases mix point denominators, so a wrong scale c_j shows; k = 0
+        bases are always identifying."""
+        negative = mixed = zero_dim = 0
+        for basis, rng in seeded_bases(3000, 79):
+            n = basis.ground_size
+            s = {e for e in range(n) if rng.random() < 0.4}
+            ok, delta = verify_identifying_from_basis(basis, s)
+            verdict, want = oracle_convex_tolls(basis, s, linear_cost([0] * n),
+                                                basis.points[0])
+            assert ok == (verdict != "not identifying")
+            if ok:
+                assert delta is None
+                zero_dim += basis.hull_dimension == 0
+                continue
+            assert delta == want and all(type(v) is Fraction for v in delta)
+            negative += 1
+            mixed += len({integer_row(p)[1] for p in basis.points}) > 1
+        assert negative >= 1000 and mixed >= 800 and zero_dim >= 100, (negative, mixed, zero_dim)
 
     def test_rejects_out_of_range_ids(self):
         for s in ({2}, {-1}):

@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 
 from idsets.caps import Caps
-from idsets.errors import EnumerationExplosion, InvalidInstance, NotABase
+from idsets.errors import EnumerationExplosion, InvalidInstance
 from idsets.graphs import Digraph, UnionFind, WeightedGroundSet
 from idsets.linear import AffineBasis, verify_identifying_from_basis
 from idsets.matroids import (
@@ -30,12 +30,14 @@ from idsets.polymatroids import (
 )
 
 from .helpers import (
+    NotABase,
     all_subsets,
     base_membership,
     dependence_function,
     greedy_base,
     oracle_polymatroid_axioms,
     oracle_polymatroid_components,
+    oracle_rank,
     random_weights,
 )
 
@@ -133,14 +135,12 @@ def polytope_vertices(f: PolymatroidOracle) -> list[tuple[Fraction, ...]]:
 
 
 def affine_basis_of_polytope(f: PolymatroidOracle) -> AffineBasis:
-    from idsets.linalg import matrix_rank, vec_sub
-
     vertices = polytope_vertices(f)
     chosen = [vertices[0]]
     for v in vertices[1:]:
         candidate = chosen + [v]
-        diffs = [vec_sub(p, candidate[0]) for p in candidate[1:]]
-        if matrix_rank(diffs) == len(diffs):
+        diffs = [[a - b for a, b in zip(p, candidate[0])] for p in candidate[1:]]
+        if oracle_rank(diffs) == len(diffs):
             chosen = candidate
     return AffineBasis(chosen)
 

@@ -31,7 +31,7 @@ from idsets.tolls import (
     quadratic_cost,
 )
 
-from .helpers import oracle_controlling_fm, oracle_convex_tolls
+from .helpers import differences, oracle_controlling_fm, oracle_convex_tolls
 from .test_linear import flow_polytope_basis, hull_point, seeded_bases
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])
@@ -241,7 +241,7 @@ class TestConvexTollsOnIntegerRows:
 
 def _projected_gradient(basis: AffineBasis, cost, toll, start, steps=5_000):
     """Gradient descent in the affine parametrization (floats)."""
-    diffs = [[float(v) for v in d] for d in basis.differences()]
+    diffs = [[float(v) for v in d] for d in differences(basis.points)]
     x0 = [float(v) for v in basis.points[0]]
     gamma = [float(v) for v in toll.as_vector()]
     lam = list(start)
