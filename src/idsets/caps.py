@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import CAP_KNOBS, InvalidInstance
+from .graphs import _integer
 
 
 def _env_int(name: str, default: int) -> int:
@@ -43,7 +44,7 @@ class Caps:
 
     def __post_init__(self):
         for cap in fields(self):
-            value = getattr(self, cap.name)
+            object.__setattr__(self, cap.name, value := _integer(getattr(self, cap.name), cap.name))
             if value < 1:
                 raise InvalidInstance(
                     f"{cap.name} = {value} ({CAP_KNOBS[cap.name]}): must be >= 1")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance
-from .graphs import WeightedGroundSet, _integer, validate_ids
+from .graphs import WeightedGroundSet, _integer, validate_ids, validate_weights
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
 
@@ -105,8 +105,7 @@ def greedy_identifying(x: SolutionList,
     infinite), ties to the smaller id, and splits every class on it.
     Elements separating nothing are never chosen.
     """
-    if w is None:
-        w = WeightedGroundSet.uniform(x.dimension)
+    w = validate_weights(x.dimension, w)
     scaled = w.scaled
     classes = [x.vectors] if len(x.vectors) > 1 else []
     chosen: list[int] = []
@@ -145,8 +144,7 @@ def _better(gain_a: int, w_a: int, gain_b: int, w_b: int) -> bool:
 def exact_identifying(x: SolutionList, w: WeightedGroundSet | None = None,
                       caps: Caps = DEFAULT_CAPS) -> tuple[frozenset[int], Fraction]:
     """Minimum-weight separating set by exact branch and bound (idsets.search)."""
-    if w is None:
-        w = WeightedGroundSet.uniform(x.dimension)
+    w = validate_weights(x.dimension, w)
     weight, elems = min_weight_hitting_set(x.dimension, w, pair_demands(x.rows()),
                                            caps.max_subsets)
     return frozenset(elems), weight

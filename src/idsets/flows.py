@@ -26,6 +26,7 @@ from .graphs import (
     strongly_connected_components,
     tree_path,
     validate_ids,
+    validate_weights,
 )
 
 FlowVector = tuple[Fraction, ...]
@@ -48,22 +49,21 @@ class FlowWitness:
     flow_b: FlowVector
 
 
-def _check_flow_instance(g: Digraph, st: StPair) -> None:
+def _st_marks(g: Digraph, st: StPair) -> tuple[bytearray, bytearray]:
+    """`reach_marks` from s and into t; NoStPath when s does not reach t."""
     st.validate(g)
-    if g.has_self_loop():
-        raise InvalidInstance("self-loops are not allowed in flow settings")
+    from_s = reach_marks(g, st.source)
+    if not from_s[st.sink]:
+        raise NoStPath(f"no path from {st.source} to {st.sink}")
+    return from_s, reach_marks(g, st.sink, follow="in")
 
 
 def st_walk_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     """Arcs (v, w) with v reachable from s and t reachable from w: the arcs
     of s-t walks. In a DAG every walk is a path, so these are exactly the
     arcs on some s-t path. Raises NoStPath when s does not reach t."""
-    st.validate(g)
-    from_s = reach_marks(g, st.source)
-    if not from_s[st.sink]:
-        raise NoStPath(f"no path from {st.source} to {st.sink}")
-    to_t = reach_marks(g, st.sink, follow="in")
-    return frozenset(aid for aid, (tail, head) in enumerate(g.arcs)
+    from_s, to_t = _st_marks(g, st)
+    return frozenset(aid for aid, (tail, head) in enumerate(zip(g.tails, g.heads))
                      if from_s[tail] and to_t[head])
 
 
@@ -73,17 +73,18 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     An arc is on a directed cycle iff its endpoints share a strongly connected
     component; any other arc on an s-t walk is on an s-t path.
     """
-    _check_flow_instance(g, st)
-    walk = st_walk_arcs(g, st)
+    if g.has_self_loop():
+        raise InvalidInstance("self-loops are not allowed in flow settings")
+    from_s, to_t = _st_marks(g, st)
     comp = strongly_connected_components(g)
-    return walk | {aid for aid, (tail, head) in enumerate(g.arcs) if comp[tail] == comp[head]}
+    return frozenset(aid for aid, (tail, head) in enumerate(zip(g.tails, g.heads))
+                     if from_s[tail] and to_t[head] or comp[tail] == comp[head])
 
 
 def min_weight_flow_identifying(g: Digraph, st: StPair,
                                 w: WeightedGroundSet | None = None) -> FlowIdentifyResult:
     """Minimum-weight identifying set: E' minus a maximum-weight spanning forest."""
-    if w is None:
-        w = WeightedGroundSet.uniform(g.arc_count)
+    w = validate_weights(g.arc_count, w)
     e_prime = relevant_arcs(g, st)
     forest = spanning_forest_max_weight(g, e_prime, w)
     s = frozenset(e_prime - forest)
@@ -121,7 +122,7 @@ def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
     uf = UnionFind(g.node_count)
     added: list[int] = []
     for aid in arcs:
-        tail, head = g.arcs[aid]
+        tail, head = g.tails[aid], g.heads[aid]
         if tail == head:
             return [aid]
         if not uf.union(tail, head):
@@ -142,7 +143,7 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
     from_s = bfs_tree(g, st.source)
     counts = [0] * g.arc_count
     for arc in cycle:
-        tail, head = g.arcs[arc]
+        tail, head = g.tails[arc], g.heads[arc]
         from_head = bfs_tree(g, head)
         if tail in from_head:
             walk = tree_path(g, from_s, st.sink) + tree_path(g, from_head, tail)
@@ -162,10 +163,10 @@ def _augment_along_cycle(g: Digraph, flow: FlowVector, cycle: list[int]) -> Flow
     tail to head, then the forest path back, each arc forward when it leaves
     the current node by its tail.
     """
-    node = g.head(cycle[0])
+    node = g.heads[cycle[0]]
     forward, backward = [cycle[0]], []
     for a in cycle[1:]:
-        tail, head = g.arcs[a]
+        tail, head = g.tails[a], g.heads[a]
         if tail == node:
             forward.append(a)
             node = head

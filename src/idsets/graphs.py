@@ -4,10 +4,11 @@ Arc ids are dense indices 0..m-1, fixed by construction order; they are the
 join key across all modules, so every operation reports arcs by id. All
 tie-breaking is by smallest arc id to keep outputs deterministic.
 
-A `Digraph` builds its out- and in-arc lists once, at construction, and they
-are immutable tuples. One breadth-first search, `bfs_tree`, walks them for
-shortest arc paths and forest paths; `reach_marks` answers the
-membership-only reachability of the s-t solvers with one flat mark per node.
+A `Digraph` is two int columns, `tails` and `heads`, indexed by arc id, plus
+out- and in-arc lists and a self-loop flag built once, at construction; `arcs`
+is a view of the pairs made on first use, for output and tests. `bfs_tree`
+walks the lists for shortest arc paths and forest paths; `reach_marks` answers
+the membership-only reachability of the s-t solvers with one flat mark per node.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -28,7 +30,7 @@ Adjacency = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable directed multigraph with dense integer arc ids.
+    """Immutable directed multigraph: arc id a runs from tails[a] to heads[a].
 
     Parallel arcs and self-loops are representable; path/flow entry points
     reject self-loops at ingestion (a self-loop is never on a simple path
@@ -36,50 +38,47 @@ class Digraph:
     """
 
     node_count: int
-    arcs: tuple[tuple[int, int], ...]
-    _out: Adjacency = field(init=False, repr=False, compare=False)
-    _in: Adjacency = field(init=False, repr=False, compare=False)
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        node_count = _integer(node_count, "node_count")
-        if node_count < 0:
-            raise InvalidInstance("node_count must be nonnegative")
-        # One pass converts, range-checks and files each arc. Exact ints,
-        # all that io.parse_graph hands over, skip operator.index.
-        checked: list[tuple[int, int]] = []
+        self._build(*_checked_columns(node_count, arcs))
+
+    @classmethod
+    def from_columns(cls, node_count: int, tails: Sequence[int],
+                     heads: Sequence[int]) -> "Digraph":
+        """`Digraph(node_count, zip(tails, heads))` without the pairs: one pass
+        over the types, then min and max; only a failure walks the arcs."""
+        ends = [*tails, *heads]
+        if not (type(node_count) is int and set(map(type, ends)) <= {int}
+                and 0 <= min(ends, default=0) and max(ends, default=-1) < node_count):
+            node_count, tails, heads = _checked_columns(node_count, zip(tails, heads))
+        return cls.__new__(cls)._build(node_count, tails, heads)
+
+    def _build(self, node_count: int, tails: Sequence[int], heads: Sequence[int]) -> Digraph:
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
-        for aid, arc in enumerate(arcs):
-            try:
-                tail, head = arc
-            except (TypeError, ValueError):
-                raise InvalidInstance(
-                    f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
-            if type(tail) is not int or type(head) is not int:
-                tail = _integer(tail, f"arc {aid} tail")
-                head = _integer(head, f"arc {aid} head")
-            if not (0 <= tail < node_count and 0 <= head < node_count):
-                raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+        for aid, tail in enumerate(tails):
             out[tail].append(aid)
+        for aid, head in enumerate(heads):
             inc[head].append(aid)
-            checked.append((tail, head))
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "arcs", tuple(checked))
-        object.__setattr__(self, "_out", tuple(map(tuple, out)))
-        object.__setattr__(self, "_in", tuple(map(tuple, inc)))
+        self.__dict__.update(  # frozen: set once, here; eq and repr read the three fields
+            node_count=node_count, tails=tuple(tails), heads=tuple(heads),
+            _out=tuple(map(tuple, out)), _in=tuple(map(tuple, inc)),
+            _self_loop=any(map(operator.eq, tails, heads)))
+        return self
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The (tail, head) pairs, for output and tests; solvers read the columns."""
+        return tuple(zip(self.tails, self.heads))
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
-
-    def tail(self, arc: int) -> int:
-        return self.arcs[arc][0]
-
-    def head(self, arc: int) -> int:
-        return self.arcs[arc][1]
+        return len(self.tails)
 
     def has_self_loop(self) -> bool:
-        return any(t == h for t, h in self.arcs)
+        return self._self_loop
 
     def out_arcs(self) -> Adjacency:
         """out_arcs()[v]: the arc ids with tail v, ascending."""
@@ -88,6 +87,26 @@ class Digraph:
     def in_arcs(self) -> Adjacency:
         """in_arcs()[v]: the arc ids with head v, ascending."""
         return self._in
+
+
+def _checked_columns(node_count, arcs: Iterable) -> tuple[int, list[int], list[int]]:
+    """node_count and the columns of `arcs`, one arc at a time: InvalidInstance
+    for a bad node_count, else for the first arc that is not a pair, has an end
+    that is not an integer (`_integer`) or leaves 0..node_count-1, in that order."""
+    node_count = _integer(node_count, "node_count")
+    if node_count < 0:
+        raise InvalidInstance("node_count must be nonnegative")
+    checked: list[tuple[int, int]] = []
+    for aid, arc in enumerate(arcs):
+        try:
+            tail, head = arc
+        except (TypeError, ValueError):
+            raise InvalidInstance(f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
+        tail, head = _integer(tail, f"arc {aid} tail"), _integer(head, f"arc {aid} head")
+        if not (0 <= tail < node_count and 0 <= head < node_count):
+            raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+        checked.append((tail, head))
+    return node_count, [t for t, _ in checked], [h for _, h in checked]
 
 
 def _integer(value, what: str) -> int:
@@ -176,6 +195,18 @@ def validate_ids(size: int, ids: Iterable[int]) -> frozenset[int]:
     return out
 
 
+def validate_weights(size: int, w: WeightedGroundSet | None) -> WeightedGroundSet:
+    """`w`, or unit weights when it is None; InvalidInstance unless it is a
+    WeightedGroundSet with one weight per element id 0..size-1."""
+    if w is None:
+        return WeightedGroundSet.uniform(size)
+    if not isinstance(w, WeightedGroundSet):
+        raise InvalidInstance(f"weights must be a WeightedGroundSet, got {type(w).__name__}")
+    if w.size != size:
+        raise InvalidInstance(f"{w.size} weights for {size} elements")
+    return w
+
+
 def drop_heaviest_per_part(parts: Iterable[frozenset[int]],
                            w: WeightedGroundSet) -> frozenset[int]:
     """Every element except the heaviest of its part (ties: smallest id)."""
@@ -222,7 +253,7 @@ class UnionFind:
 def strongly_connected_components(g: Digraph) -> list[int]:
     """Component id per node (Tarjan, iterative). Ids are 0..k-1 in discovery order."""
     n = g.node_count
-    out, arcs = g.out_arcs(), g.arcs
+    out, heads = g.out_arcs(), g.heads
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -245,7 +276,7 @@ def strongly_connected_components(g: Digraph) -> list[int]:
                 on_stack[v] = True
             advanced = False
             while i < len(out[v]):
-                w = arcs[out[v][i]][1]
+                w = heads[out[v][i]]
                 i += 1
                 if index[w] == -1:
                     work.append((v, i))
@@ -290,15 +321,12 @@ def topological_order(g: Digraph) -> TopologicalOrder:
     set of released nodes, and so the cycle, does not depend on that order.
     """
     n = g.node_count
-    arcs = g.arcs
-    indeg = [0] * n
-    for _, head in arcs:
-        indeg[head] += 1
-    out = g.out_arcs()
+    heads, out = g.heads, g.out_arcs()
+    indeg = list(map(len, g.in_arcs()))
     released = [v for v in range(n) if indeg[v] == 0]
     for v in released:
         for aid in out[v]:
-            w = arcs[aid][1]
+            w = heads[aid]
             indeg[w] -= 1
             if indeg[w] == 0:
                 released.append(w)
@@ -316,15 +344,15 @@ def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
     Every unreleased node keeps an unreleased predecessor, so walking
     backwards along the smallest such in-arc must revisit a node.
     """
-    inc, arcs = g.in_arcs(), g.arcs
+    inc, tails = g.in_arcs(), g.tails
     seen_at: dict[int, int] = {}
     walk: list[int] = []
     v = rank.index(-1)
     while v not in seen_at:
         seen_at[v] = len(walk)
-        aid = next(a for a in inc[v] if rank[arcs[a][0]] == -1)
+        aid = next(a for a in inc[v] if rank[tails[a]] == -1)
         walk.append(aid)
-        v = arcs[aid][0]
+        v = tails[aid]
     cycle = walk[seen_at[v]:]
     cycle.reverse()
     return cycle
@@ -334,29 +362,22 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
              follow: str = "out") -> dict[int, int]:
     """Breadth-first tree from `start` over the allowed arc ids (all when None).
 
-    `follow` is "out" (tail to head), "in" (head to tail) or "both". Each
+    `follow` is "out" (tail to head) or "both" (either way). Each
     node's arcs are tried in ascending id order, so a node's tree arc is the
     smallest-id arc from the first-queued node that reaches it. Returns
     node -> tree arc for every node reached, with start -> -1.
     """
     if allowed is not None and not isinstance(allowed, (set, frozenset)):
         allowed = frozenset(allowed)
-    out, inc, arcs = g.out_arcs(), g.in_arcs(), g.arcs
+    out, inc, tails, heads = g.out_arcs(), g.in_arcs(), g.tails, g.heads
     tree = {start: -1}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        if follow == "out":
-            steps = out[v]
-        elif follow == "in":
-            steps = inc[v]
-        else:
-            steps = heapq.merge(out[v], inc[v])
-        for aid in steps:
+        for aid in out[v] if follow == "out" else heapq.merge(out[v], inc[v]):
             if allowed is not None and aid not in allowed:
                 continue
-            tail, head = arcs[aid]
-            w = head if tail == v else tail
+            w = heads[aid] if tails[aid] == v else tails[aid]
             if w not in tree:
                 tree[w] = aid
                 queue.append(w)
@@ -372,8 +393,7 @@ def tree_path(g: Digraph, tree: dict[int, int], goal: int) -> list[int] | None:
     while tree[v] != -1:
         aid = tree[v]
         path.append(aid)
-        tail, head = g.arcs[aid]
-        v = tail if head == v else head
+        v = g.tails[aid] if g.heads[aid] == v else g.heads[aid]
     path.reverse()
     return path
 
@@ -382,14 +402,13 @@ def reach_marks(g: Digraph, start: int, follow: str = "out") -> bytearray:
     """marks[v] is 1 iff `start` reaches v along arcs ("out") or v reaches
     `start` ("in"), over every arc. One stack walk with a flat mark per
     node: no tree, order or set, for callers that only test membership."""
-    adjacency, end = (g.out_arcs(), 1) if follow == "out" else (g.in_arcs(), 0)
-    arcs = g.arcs
+    adjacency, ends = (g.out_arcs(), g.heads) if follow == "out" else (g.in_arcs(), g.tails)
     marks = bytearray(g.node_count)
     marks[start] = 1
     stack = [start]
     while stack:
         for aid in adjacency[stack.pop()]:
-            w = arcs[aid][end]
+            w = ends[aid]
             if not marks[w]:
                 marks[w] = 1
                 stack.append(w)
@@ -406,14 +425,15 @@ def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
                                w: WeightedGroundSet) -> set[int]:
     """Maximum-weight spanning forest of the undirected multigraph on `restrict`.
 
-    Kruskal over arcs sorted by (weight desc, arc id asc); self-loops are
-    never forest arcs. Per connected component the result is a spanning tree.
+    Kruskal over arcs sorted by (weight desc, arc id asc), a reversed stable sort
+    of the ascending ids; self-loops are never forest arcs. Per connected
+    component the result is a spanning tree.
     """
-    scaled = w.scaled
+    tails, heads = g.tails, g.heads
     uf = UnionFind(g.node_count)
     forest: set[int] = set()
-    for aid in sorted(restrict, key=lambda a: (-scaled[a], a)):
-        tail, head = g.arcs[aid]
+    for aid in sorted(sorted(restrict), key=w.scaled.__getitem__, reverse=True):
+        tail, head = tails[aid], heads[aid]
         if tail != head and uf.union(tail, head):
             forest.add(aid)
     return forest
@@ -425,12 +445,13 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     Raises PathExplosion when more than `cap` paths exist: the instance is too
     large for brute force.
     """
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise InvalidInstance("cap must be >= 1")
     st.validate(g)
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
-    out, arcs = g.out_arcs(), g.arcs
+    out, heads = g.out_arcs(), g.heads
     # Prune to nodes that can still reach t; cuts hopeless branches early.
     can_reach_t = reach_marks(g, st.sink, follow="in")
     if not can_reach_t[st.source]:
@@ -447,9 +468,9 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
         if aid is None:
             frames.pop()
             if arc_stack:
-                on_path[arcs[arc_stack.pop()][1]] = False
+                on_path[heads[arc_stack.pop()]] = False
             continue
-        w_node = arcs[aid][1]
+        w_node = heads[aid]
         if on_path[w_node] or not can_reach_t[w_node]:
             continue
         if w_node == st.sink:

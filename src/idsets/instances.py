@@ -180,7 +180,7 @@ def gen_bundle_instance(g: Digraph, st: StPair, arc: int,
         raise InvalidInstance("bundle_size must be >= 2")
     if not (0 <= arc < g.arc_count):
         raise InvalidInstance(f"arc id {arc} out of range")
-    tail, head = g.arcs[arc]
+    tail, head = g.tails[arc], g.heads[arc]
     arcs = list(g.arcs) + [(tail, head)] * (bundle_size - 1)
     bundle = [arc] + list(range(g.arc_count, g.arc_count + bundle_size - 1))
     meta = {"construction": "bundle", "bundle": bundle, "replaced_arc": arc}

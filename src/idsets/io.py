@@ -177,7 +177,7 @@ def parse_graph(data: dict) -> Digraph:
             raise InvalidInstance(
                 f"malformed graph: arc {bad} is not a [tail, head] pair: {arcs[bad]!r}")
     _check_ints(tails, heads)
-    return Digraph(nodes, zip(tails, heads))
+    return Digraph.from_columns(nodes, tails, heads)
 
 
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
@@ -202,7 +202,7 @@ def instance_to_json(g: Digraph, st: StPair,
                      metadata: dict | None = None) -> dict:
     data: dict[str, Any] = {
         "nodes": g.node_count,
-        "arcs": [[t, h] for t, h in g.arcs],
+        "arcs": list(map(list, g.arcs)),
         "s": st.source,
         "t": st.sink,
     }

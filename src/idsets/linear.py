@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance
-from .graphs import WeightedGroundSet, validate_ids
+from .graphs import WeightedGroundSet, validate_ids, validate_weights
 from .linalg import Vector, as_vector, echelon, integer_row
 
 
@@ -83,8 +83,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     is the complement of that greedy's independent set and has size k.
     """
     n = basis.ground_size
-    if w is None:
-        w = WeightedGroundSet.uniform(n)
+    w = validate_weights(n, w)
     order = sorted(range(n), key=lambda e: (w.scaled[e], -e))
     _, pivots = echelon(_columns(basis.integer_rows, order))
     return frozenset(order[c] for c in pivots)

@@ -21,6 +21,7 @@ path, so whether a call raises depends only on sizes and caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable
 
 from .caps import Caps, DEFAULT_CAPS
@@ -32,6 +33,7 @@ from .graphs import (
     _integer,
     drop_heaviest_per_part,
     validate_ids,
+    validate_weights,
 )
 
 
@@ -118,15 +120,14 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
     def independent(subset: frozenset[int]) -> bool:
         uf = UnionFind(g.node_count)
         for aid in subset:
-            tail, head = g.arcs[aid]
+            tail, head = g.tails[aid], g.heads[aid]
             if tail == head or not uf.union(tail, head):
                 return False
         return True
 
     def first_basis() -> frozenset[int]:
         uf = UnionFind(g.node_count)
-        return frozenset(aid for aid, (tail, head) in enumerate(g.arcs)
-                         if uf.union(tail, head))
+        return frozenset(compress(range(g.arc_count), map(uf.union, g.tails, g.heads)))
 
     rooted_basis: frozenset[int] | None = None
     parent: list[int] = []
@@ -134,7 +135,7 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
 
     def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
         nonlocal rooted_basis, parent, depth
-        tail, head = g.arcs[e]
+        tail, head = g.tails[e], g.heads[e]
         if tail == head:
             return frozenset({e})
         if basis is not rooted_basis and basis != rooted_basis:
@@ -148,8 +149,7 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
             if aid == -1:
                 raise NotABasis(f"basis + {e} is independent; not a basis")
             out.add(aid)
-            a, b = g.arcs[aid]
-            tail = a if b == tail else b
+            tail = g.tails[aid] if g.heads[aid] == tail else g.heads[aid]
         return frozenset(out)
 
     m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
@@ -161,11 +161,11 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
 def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
     """Parent arc (-1 at a root) and depth per node in the undirected forest
     on the given arcs, each tree rooted at its least node."""
+    tails, heads = g.tails, g.heads
     incident: list[list[int]] = [[] for _ in range(g.node_count)]
     for aid in forest:
-        tail, head = g.arcs[aid]
-        incident[tail].append(aid)
-        incident[head].append(aid)
+        incident[tails[aid]].append(aid)
+        incident[heads[aid]].append(aid)
     parent = [-1] * g.node_count
     depth = [-1] * g.node_count
     for root in range(g.node_count):
@@ -175,8 +175,7 @@ def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[i
         queue = [root]
         for v in queue:
             for aid in incident[v]:
-                tail, head = g.arcs[aid]
-                w = head if tail == v else tail
+                w = heads[aid] if tails[aid] == v else tails[aid]
                 if depth[w] == -1:
                     depth[w], parent[w] = depth[v] + 1, aid
                     queue.append(w)
@@ -310,8 +309,7 @@ def min_weight_matroid_identifying(
     m: MatroidOracle, w: WeightedGroundSet | None = None
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Drop the heaviest element (ties: smallest id) of each component."""
-    if w is None:
-        w = WeightedGroundSet.uniform(m.ground_size)
+    w = validate_weights(m.ground_size, w)
     components = matroid_components(m)
     return drop_heaviest_per_part(components, w), components
 

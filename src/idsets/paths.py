@@ -28,6 +28,7 @@ from .graphs import (
     topological_order,
     tree_path,
     validate_ids,
+    validate_weights,
 )
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
@@ -48,10 +49,11 @@ class PathWitness:
     path_b: frozenset[int]
 
 
-def _require_dag(g: Digraph) -> None:
+def _require_dag(g: Digraph) -> tuple[int, ...]:
     topo = topological_order(g)
     if not topo.is_acyclic:
         raise NotAcyclic(list(topo.cycle))
+    return topo.order
 
 
 def verify_path_identifying_dag(g: Digraph, st: StPair,
@@ -60,31 +62,37 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
 
     After pruning to arcs on s-t paths, S is identifying iff for every node v
     the non-S arcs whose tail is reachable from v form an arborescence rooted
-    at v, i.e. no node acquires in-degree two within that arc set. A violation
-    yields two v-w paths avoiding S, read from the BFS tree of v that found
-    it and extended to full s-t paths that agree on S.
+    at v, i.e. no node acquires in-degree two within that arc set. One sweep in
+    topological order decides every v: reach[w] is the bitmask of the nodes
+    reaching w over those arcs, and `bad` gets each v that reaches the tails of
+    two in-arcs of one node. The least such v yields two v-w paths avoiding S,
+    read from its BFS tree and extended to full s-t paths that agree on S.
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
-    _require_dag(g)
+    rank = _require_dag(g)
     s_set = validate_ids(g.arc_count, s)
     keep_arcs = st_walk_arcs(g, st)
-    allowed = sorted(keep_arcs - s_set)
-    allowed_set = frozenset(allowed)
-
-    # Only a node with an allowed out-arc can reach two in-arcs of one node.
-    for v in sorted({g.tail(aid) for aid in allowed}):
-        tree = bfs_tree(g, v, allowed_set)
-        first_in: dict[int, int] = {}
-        for aid in allowed:
-            tail, head = g.arcs[aid]
-            if tail not in tree:
-                continue
-            if head in first_in:
-                return False, _build_dag_witness(g, st, keep_arcs, tree, v, head,
-                                                 first_in[head], aid)
-            first_in[head] = aid
-    return True, None
+    allowed = keep_arcs - s_set
+    tails, inc = g.tails, g.in_arcs()
+    reach = [0] * g.node_count
+    bad = 0
+    for w in sorted(range(g.node_count), key=rank.__getitem__):
+        seen = 0
+        for aid in inc[w]:
+            if aid in allowed:
+                bad |= seen & reach[tails[aid]]
+                seen |= reach[tails[aid]]
+        reach[w] = seen | 1 << w
+    if not bad:
+        return True, None
+    v = (bad & -bad).bit_length() - 1
+    tree = bfs_tree(g, v, allowed)
+    first_in: dict[int, int] = {}
+    aid = next(a for a in sorted(allowed)
+               if tails[a] in tree and first_in.setdefault(g.heads[a], a) != a)
+    head = g.heads[aid]
+    return False, _build_dag_witness(g, st, keep_arcs, tree, v, head, first_in[head], aid)
 
 
 def _build_dag_witness(g: Digraph, st: StPair, keep_arcs: frozenset[int],
@@ -95,8 +103,8 @@ def _build_dag_witness(g: Digraph, st: StPair, keep_arcs: frozenset[int],
     prefix = shortest_arc_path(g, st.source, v, keep_arcs)
     suffix = shortest_arc_path(g, w, st.sink, keep_arcs)
     assert prefix is not None and suffix is not None
-    mid_a = tree_path(g, tree, g.tail(arc_a))
-    mid_b = tree_path(g, tree, g.tail(arc_b))
+    mid_a = tree_path(g, tree, g.tails[arc_a])
+    mid_b = tree_path(g, tree, g.tails[arc_b])
     path_a = frozenset(prefix + mid_a + [arc_a] + suffix)
     path_b = frozenset(prefix + mid_b + [arc_b] + suffix)
     return PathWitness(path_a=path_a, path_b=path_b)
@@ -122,8 +130,7 @@ def exact_min_path_identifying(g: Digraph, st: StPair,
     Every pair of distinct paths demands one arc of its symmetric difference,
     so this is an exact minimum-weight hitting set over those demands.
     """
-    if w is None:
-        w = WeightedGroundSet.uniform(g.arc_count)
+    w = validate_weights(g.arc_count, w)
     demands = pair_demands(_arc_masks(enumerate_st_paths(g, st, caps.max_paths)))
     weight, elems = min_weight_hitting_set(g.arc_count, w, demands, caps.max_subsets)
     return PathIdentifyResult(
@@ -156,7 +163,7 @@ def approx_min_path_identifying_dag(g: Digraph, st: StPair,
     for flows, but carries no weighted path guarantee.
     """
     _require_dag(g)
-    result = min_weight_flow_identifying(g, st, w)
+    result = min_weight_flow_identifying(g, st, validate_weights(g.arc_count, w))
     return PathIdentifyResult(
         identifying_set=result.identifying_set,
         total_weight=result.total_weight,

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import EnumerationExplosion, InvalidInstance
-from .graphs import UnionFind, WeightedGroundSet, drop_heaviest_per_part, validate_ids
+from .graphs import (UnionFind, WeightedGroundSet, drop_heaviest_per_part, validate_ids,
+                     validate_weights)
 from .linalg import Vector, exact
 from .matroids import MatroidOracle
 
@@ -211,8 +212,7 @@ def min_weight_polymatroid_identifying(
     f: PolymatroidOracle, w: WeightedGroundSet | None = None
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Drop the heaviest element (ties: smallest id) of every component."""
-    if w is None:
-        w = WeightedGroundSet.uniform(f.ground_size)
+    w = validate_weights(f.ground_size, w)
     components = polymatroid_components(f)
     return drop_heaviest_per_part(components, w), components
 

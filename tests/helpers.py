@@ -17,9 +17,16 @@ import networkx as nx
 
 from idsets.caps import DEFAULT_CAPS, Caps
 from idsets.errors import EnumerationExplosion, IdsetsError, InvalidInstance, SubsetExplosion
-from idsets.graphs import Digraph, StPair, WeightedGroundSet
+from idsets.flows import st_walk_arcs
+from idsets.graphs import Digraph, StPair, WeightedGroundSet, bfs_tree
 from idsets.linalg import Vector, as_vector
-from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying, size_ratio
+from idsets.paths import (
+    PathWitness,
+    _build_dag_witness,
+    approx_min_path_identifying_dag,
+    exact_min_path_identifying,
+    size_ratio,
+)
 from idsets.tolls import ControllingVerdict, fourier_motzkin_feasible
 
 
@@ -86,13 +93,13 @@ def oracle_reachable_from(g: Digraph, start: int, allowed=None) -> set[int]:
     allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
     out: list[list[int]] = [[] for _ in range(g.node_count)]
     for aid in allowed_set:
-        out[g.tail(aid)].append(aid)
+        out[g.tails[aid]].append(aid)
     seen = {start}
     todo = [start]
     while todo:
         v = todo.pop()
         for aid in out[v]:
-            w = g.head(aid)
+            w = g.heads[aid]
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -104,13 +111,13 @@ def oracle_reverse_reachable_to(g: Digraph, goal: int, allowed=None) -> set[int]
     allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
     inc: list[list[int]] = [[] for _ in range(g.node_count)]
     for aid in allowed_set:
-        inc[g.head(aid)].append(aid)
+        inc[g.heads[aid]].append(aid)
     seen = {goal}
     todo = [goal]
     while todo:
         v = todo.pop()
         for aid in inc[v]:
-            w = g.tail(aid)
+            w = g.tails[aid]
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -122,7 +129,7 @@ def oracle_shortest_arc_path(g: Digraph, start: int, goal: int, allowed=None):
     allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
     out: list[list[int]] = [[] for _ in range(g.node_count)]
     for aid in sorted(allowed_set):
-        out[g.tail(aid)].append(aid)
+        out[g.tails[aid]].append(aid)
     prev_arc: dict[int, int] = {}
     seen = {start}
     frontier = [start]
@@ -130,7 +137,7 @@ def oracle_shortest_arc_path(g: Digraph, start: int, goal: int, allowed=None):
         nxt = []
         for v in frontier:
             for aid in out[v]:
-                w = g.head(aid)
+                w = g.heads[aid]
                 if w not in seen:
                     seen.add(w)
                     prev_arc[w] = aid
@@ -143,9 +150,31 @@ def oracle_shortest_arc_path(g: Digraph, start: int, goal: int, allowed=None):
     while v != start:
         aid = prev_arc[v]
         path.append(aid)
-        v = g.tail(aid)
+        v = g.tails[aid]
     path.reverse()
     return path
+
+
+def oracle_verify_path_dag(g: Digraph, st: StPair, s) -> tuple[bool, PathWitness | None]:
+    """The DAG path verifier in its per-tail form: for each tail v of an
+    allowed arc (an s-t path arc outside S), ascending, one BFS tree of v over
+    the allowed arcs and one scan of them in id order; the first arc into a
+    node already entered from the tree gives the witness. O(n*m)."""
+    keep_arcs = st_walk_arcs(g, st)
+    allowed = sorted(keep_arcs - set(s))
+    allowed_set = frozenset(allowed)
+    for v in sorted({g.tails[aid] for aid in allowed}):
+        tree = bfs_tree(g, v, allowed_set)
+        first_in: dict[int, int] = {}
+        for aid in allowed:
+            tail, head = g.arcs[aid]
+            if tail not in tree:
+                continue
+            if head in first_in:
+                return False, _build_dag_witness(g, st, keep_arcs, tree, v, head,
+                                                 first_in[head], aid)
+            first_in[head] = aid
+    return True, None
 
 
 def all_simple_digraphs(n: int):

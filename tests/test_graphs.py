@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from idsets.caps import Caps
 from idsets.errors import InvalidInstance, NoStPath, PathExplosion
+from idsets.explicit import SolutionList, exact_identifying, greedy_identifying
+from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import (
     Digraph,
     StPair,
@@ -26,6 +29,11 @@ from idsets.graphs import (
     validate_ids,
 )
 from idsets.instances import gen_tight_gap_family
+from idsets.io import parse_graph
+from idsets.linear import AffineBasis, min_weight_identifying_from_basis
+from idsets.matroids import min_weight_matroid_identifying, uniform_matroid
+from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying
+from idsets.polymatroids import PolymatroidOracle, min_weight_polymatroid_identifying
 
 from .helpers import (
     oracle_enumerate_paths,
@@ -67,6 +75,129 @@ def test_digraph_rejects_arcs_that_are_not_pairs(arc):
     # Unpacking alone would raise a bare ValueError or TypeError.
     with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
         Digraph(3, [(0, 1), arc])
+
+
+class TestColumns:
+    """A Digraph is two int columns. `Digraph(n, pairs)` and
+    `Digraph.from_columns`, the builder io.parse_graph hands its columns to,
+    share one check: they build equal graphs and name the same first bad arc."""
+
+    def test_pairs_json_and_columns_build_equal_graphs(self):
+        for g, _ in seeded_multigraphs(200, seed=31, allow_self_loops=True):
+            assert type(g.tails) is tuple and type(g.heads) is tuple
+            assert g.arcs == tuple(zip(g.tails, g.heads))
+            assert g.has_self_loop() == any(t == h for t, h in g.arcs)
+            from_json = parse_graph({"nodes": g.node_count, "arcs": [list(a) for a in g.arcs]})
+            from_lists = Digraph.from_columns(g.node_count, list(g.tails), list(g.heads))
+            for other in (from_json, from_lists):
+                assert other == g and other.arcs == g.arcs
+                assert other.has_self_loop() == g.has_self_loop()
+                assert (other.out_arcs(), other.in_arcs()) == (g.out_arcs(), g.in_arcs())
+                assert type(other.tails) is tuple and type(other.heads) is tuple
+
+    @pytest.mark.parametrize("arcs, message", [
+        ([(0, 1), (2, 3)], r"^arc 1 = \(2,3\) out of range$"),
+        ([(0, 1), (-1, 2)], r"^arc 1 = \(-1,2\) out of range$"),
+        ([(0, 1), (0, 1.5)], r"^arc 1 head must be an integer, got 1\.5$"),
+        ([(0, 1), ("0", 1)], r"^arc 1 tail must be an integer, got '0'$"),
+        ([(0, 3), (0, 1.5)], r"^arc 0 = \(0,3\) out of range$"),
+        ([(0, 1.5), (0, 3)], r"^arc 0 head must be an integer, got 1\.5$"),
+    ], ids=["past-end", "negative", "float", "string", "float-after-range",
+            "range-after-float"])
+    def test_pairs_and_columns_name_the_same_first_offender(self, arcs, message):
+        with pytest.raises(InvalidInstance, match=message):
+            Digraph(3, arcs)
+        with pytest.raises(InvalidInstance, match=message):
+            Digraph.from_columns(3, [t for t, _ in arcs], [h for _, h in arcs])
+        if all(type(v) is int for arc in arcs for v in arc):
+            with pytest.raises(InvalidInstance, match=message):
+                parse_graph({"nodes": 3, "arcs": [list(a) for a in arcs]})
+
+    def test_a_non_pair_after_an_out_of_range_arc(self):
+        # Columns hold only pairs; the pairs path checks each arc in order.
+        with pytest.raises(InvalidInstance, match=r"^arc 0 = \(0,3\) out of range$"):
+            Digraph(3, [(0, 3), (0, 1, 2)])
+        with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
+            Digraph(3, [(0, 1), (0, 1, 2), (0, 3)])
+
+    def test_bools_read_as_ints_in_both(self):
+        for g in (Digraph(3, [(0, 1), (True, 2)]), Digraph.from_columns(3, [0, True], [1, 2])):
+            assert g.tails == (0, 1) and [type(t) for t in g.tails] == [int, int]
+            assert g.arcs == ((0, 1), (1, 2))
+
+    def test_node_count_is_checked_first(self):
+        for build in (lambda n, arcs: Digraph(n, arcs),
+                      lambda n, arcs: Digraph.from_columns(n, *zip(*arcs))):
+            with pytest.raises(InvalidInstance, match="^node_count must be an integer"):
+                build(2.0, [(0, 5)])
+            with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
+                build(-1, [(0, 5)])
+        assert Digraph.from_columns(0, [], []) == Digraph(0, [])
+
+
+class TestWeightsMatchTheGround:
+    """Every weighted solver takes a WeightedGroundSet of one weight per
+    element; a wrong length or a plain list is InvalidInstance."""
+
+    SOLVERS = [
+        (2, lambda w: greedy_identifying(
+            SolutionList.from_strings(["01", "10", "11"]), w)),
+        (2, lambda w: exact_identifying(
+            SolutionList.from_strings(["01", "10", "11"]), w)),
+        (3, lambda w: exact_min_path_identifying(
+            Digraph(3, [(0, 1), (1, 2), (0, 2)]), StPair(0, 2), w)),
+        (3, lambda w: approx_min_path_identifying_dag(
+            Digraph(3, [(0, 1), (1, 2), (0, 2)]), StPair(0, 2), w)),
+        (3, lambda w: min_weight_flow_identifying(
+            Digraph(3, [(0, 1), (1, 2), (0, 2)]), StPair(0, 2), w)),
+        (2, lambda w: min_weight_identifying_from_basis(
+            AffineBasis([[1, 0], [0, 1]]), w)),
+        (3, lambda w: min_weight_matroid_identifying(
+            uniform_matroid(2, 3), w)),
+        (3, lambda w: min_weight_polymatroid_identifying(
+            PolymatroidOracle(3, lambda t: Fraction(min(len(t), 2))), w)),
+    ]
+
+    def _refused_by_all(self, weights_for, message):
+        for size, solve in self.SOLVERS:
+            solve(WeightedGroundSet.uniform(size))
+            with pytest.raises(InvalidInstance, match=message(size)):
+                solve(weights_for(size))
+
+    def test_too_few_weights(self):
+        self._refused_by_all(lambda size: WeightedGroundSet([1] * (size - 1)),
+                             lambda size: rf"^{size - 1} weights for {size} elements$")
+
+    def test_too_many_weights(self):
+        # A longer vector used to pass: the flow solver on 3 arcs returned weight 1.
+        self._refused_by_all(lambda size: WeightedGroundSet([1] * (size + 2)),
+                             lambda size: rf"^{size + 2} weights for {size} elements$")
+
+    def test_a_plain_list(self):
+        self._refused_by_all(lambda size: [1] * size,
+                             lambda size: "^weights must be a WeightedGroundSet, got list$")
+
+
+class TestIntegerCaps:
+    def test_caps_refuse_a_fraction_of_a_path(self):
+        with pytest.raises(InvalidInstance, match=r"^max_paths must be an integer, got 1\.5$"):
+            Caps(max_paths=1.5)
+
+    def test_caps_refuse_a_string(self):
+        with pytest.raises(InvalidInstance, match="^max_paths must be an integer, got '3'$"):
+            Caps(max_paths="3")
+        assert Caps(max_paths=True).max_paths == 1 and type(Caps(max_paths=True).max_paths) is int
+        with pytest.raises(InvalidInstance, match=r"^max_paths = 0 \(.*\): must be >= 1$"):
+            Caps(max_paths=0)
+
+    def test_enumerate_refuses_a_fractional_cap(self):
+        g = Digraph(2, [(0, 1), (0, 1), (0, 1)])
+        with pytest.raises(InvalidInstance, match=r"^cap must be an integer, got 2\.5$"):
+            enumerate_st_paths(g, StPair(0, 1), 2.5)
+        with pytest.raises(InvalidInstance, match="^cap must be >= 1$"):
+            enumerate_st_paths(g, StPair(0, 1), 0)
+        with pytest.raises(PathExplosion):
+            enumerate_st_paths(g, StPair(0, 1), 2)
 
 
 def test_validate_ids_rejects_non_integers():
@@ -211,7 +342,7 @@ class TestTopologicalOrder:
             else:
                 cyc = list(topo.cycle)
                 for aid, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-                    assert g.head(aid) == g.tail(nxt)
+                    assert g.heads[aid] == g.tails[nxt]
 
 
 class TestReachability:
@@ -257,8 +388,6 @@ class TestTraversalOracles:
                 start, goal = rng.randrange(g.node_count), rng.randrange(g.node_count)
                 assert (set(bfs_tree(g, start, allowed))
                         == oracle_reachable_from(g, start, allowed))
-                assert (set(bfs_tree(g, goal, allowed, follow="in"))
-                        == oracle_reverse_reachable_to(g, goal, allowed))
                 assert (shortest_arc_path(g, start, goal, allowed)
                         == oracle_shortest_arc_path(g, start, goal, allowed))
 
@@ -395,8 +524,8 @@ class TestEnumerateStPaths:
             return
         for path in paths:
             # walk the arcs: each path is a connected s-t walk without repeats
-            heads = {g.head(a) for a in path}
-            tails = {g.tail(a) for a in path}
+            heads = {g.heads[a] for a in path}
+            tails = {g.tails[a] for a in path}
             assert st.source in tails and st.sink in heads
             assert len(heads) == len(path) and len(tails) == len(path)
             nodes = tails | heads

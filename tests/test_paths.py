@@ -28,6 +28,7 @@ from .helpers import (
     has_st_path,
     oracle_enumerate_paths,
     oracle_identifying_for_paths,
+    oracle_verify_path_dag,
     seeded_dags,
 )
 
@@ -83,6 +84,25 @@ class TestVerifyDag:
                 ok, _ = verify_path_identifying_dag(g, st, subset)
                 assert ok == oracle_identifying_for_paths(g, st, set(subset))
         assert count >= 400
+
+    def test_sweep_matches_the_per_tail_oracle(self):
+        # Arcs shuffled, some doubled, random S: the one topological sweep
+        # gives the per-tail loop's verdict and, when negative, its witness.
+        rng = random.Random(8)
+        verdicts = []
+        parallel = 0
+        for g, st in seeded_dags(1300, seed=83, max_nodes=8):
+            if not has_st_path(g, st):
+                continue
+            arcs = list(g.arcs) + [a for a in g.arcs if rng.random() < 0.25]
+            g = Digraph(g.node_count, rng.sample(arcs, len(arcs)))
+            parallel += len(set(g.arcs)) < g.arc_count
+            subset = frozenset(a for a in range(g.arc_count) if rng.random() < rng.random())
+            got = verify_path_identifying_dag(g, st, subset)
+            assert got == oracle_verify_path_dag(g, st, subset)
+            verdicts.append(got[0])
+        assert len(verdicts) >= 1000 and parallel >= 500
+        assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
 
     def test_monotone_under_supersets(self):
         rng = random.Random(3)

@@ -23,3 +23,24 @@ def test_imports_are_relative_or_stdlib(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+def _is_arcs(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "arcs"
+
+
+def test_no_loop_reads_the_arc_pairs():
+    # A Digraph is two int columns; `arcs` is a view of the pairs for output
+    # and tests. No module indexes it or iterates it, plain or enumerated.
+    reads = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and _is_arcs(node.value):
+                reads.append(f"{path.name}: {ast.unparse(node)}")
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                seq = node.iter
+                if isinstance(seq, ast.Call) and getattr(seq.func, "id", None) == "enumerate":
+                    seq = seq.args[0]
+                if _is_arcs(seq):
+                    reads.append(f"{path.name}: {ast.unparse(node.iter)}")
+    assert not reads, reads
