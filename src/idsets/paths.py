@@ -163,7 +163,7 @@ def approx_min_path_identifying_dag(g: Digraph, st: StPair,
     for flows, but carries no weighted path guarantee.
     """
     _require_dag(g)
-    result = min_weight_flow_identifying(g, st, validate_weights(g.arc_count, w))
+    result = min_weight_flow_identifying(g, st, w)  # checks w (validate_weights)
     return PathIdentifyResult(
         identifying_set=result.identifying_set,
         total_weight=result.total_weight,
