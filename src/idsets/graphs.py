@@ -42,20 +42,40 @@ class Digraph:
     heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        self._build(*_checked_columns(node_count, arcs))
+        arcs, tails, heads = list(arcs), None, None
+        if set(map(type, arcs)) <= {tuple, list} and set(map(len, arcs)) == {2}:
+            tails, heads = zip(*arcs)  # pairs unzip in C; any other arc is left to the walk
+            tails = tails if set(map(type, tails + heads)) <= {int} else None
+        self._build(node_count, tails, heads, arcs)
 
     @classmethod
-    def from_columns(cls, node_count: int, tails: Sequence[int],
-                     heads: Sequence[int]) -> "Digraph":
-        """`Digraph(node_count, zip(tails, heads))` without the pairs: one pass
-        over the types, then min and max; only a failure walks the arcs."""
-        ends = [*tails, *heads]
-        if not (type(node_count) is int and set(map(type, ends)) <= {int}
-                and 0 <= min(ends, default=0) and max(ends, default=-1) < node_count):
-            node_count, tails, heads = _checked_columns(node_count, zip(tails, heads))
-        return cls.__new__(cls)._build(node_count, tails, heads)
+    def _from_columns(cls, node_count: int, tails: list[int], heads: list[int]) -> Digraph:
+        """`Digraph(node_count, zip(tails, heads))` for io.parse_graph's checked int columns."""
+        return cls.__new__(cls)._build(node_count, tails, heads, zip(tails, heads))
 
-    def _build(self, node_count: int, tails: Sequence[int], heads: Sequence[int]) -> Digraph:
+    def _build(self, node_count, tails, heads, arcs: Iterable) -> Digraph:
+        """The graph on int columns whose min and max lie in 0..node_count-1. None
+        columns, or a failure, walk `arcs`: InvalidInstance for a bad node_count, else
+        for the first arc that is not a pair, has a non-`_integer` end or is out of range."""
+        if not (tails is not None and type(node_count) is int
+                and min(min(tails, default=0), min(heads, default=0)) >= 0
+                and max(max(tails, default=-1), max(heads, default=-1)) < node_count):
+            node_count, tails, heads = _integer(node_count, "node_count"), [], []
+            if node_count < 0:
+                raise InvalidInstance("node_count must be nonnegative")
+            for aid, arc in enumerate(arcs):
+                try:
+                    tail, head = arc
+                except (TypeError, ValueError):
+                    raise InvalidInstance(
+                        f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
+                if type(tail) is not int or type(head) is not int:
+                    tail = _integer(tail, f"arc {aid} tail")
+                    head = _integer(head, f"arc {aid} head")
+                if not (0 <= tail < node_count and 0 <= head < node_count):
+                    raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+                tails.append(tail)
+                heads.append(head)
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
         for aid, tail in enumerate(tails):
@@ -87,26 +107,6 @@ class Digraph:
     def in_arcs(self) -> Adjacency:
         """in_arcs()[v]: the arc ids with head v, ascending."""
         return self._in
-
-
-def _checked_columns(node_count, arcs: Iterable) -> tuple[int, list[int], list[int]]:
-    """node_count and the columns of `arcs`, one arc at a time: InvalidInstance
-    for a bad node_count, else for the first arc that is not a pair, has an end
-    that is not an integer (`_integer`) or leaves 0..node_count-1, in that order."""
-    node_count = _integer(node_count, "node_count")
-    if node_count < 0:
-        raise InvalidInstance("node_count must be nonnegative")
-    checked: list[tuple[int, int]] = []
-    for aid, arc in enumerate(arcs):
-        try:
-            tail, head = arc
-        except (TypeError, ValueError):
-            raise InvalidInstance(f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
-        tail, head = _integer(tail, f"arc {aid} tail"), _integer(head, f"arc {aid} head")
-        if not (0 <= tail < node_count and 0 <= head < node_count):
-            raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
-        checked.append((tail, head))
-    return node_count, [t for t, _ in checked], [h for _, h in checked]
 
 
 def _integer(value, what: str) -> int:
@@ -367,6 +367,8 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
     smallest-id arc from the first-queued node that reaches it. Returns
     node -> tree arc for every node reached, with start -> -1.
     """
+    if follow not in ("out", "both"):
+        raise ValueError(f"follow must be 'out' or 'both', got {follow!r}")
     if allowed is not None and not isinstance(allowed, (set, frozenset)):
         allowed = frozenset(allowed)
     out, inc, tails, heads = g.out_arcs(), g.in_arcs(), g.tails, g.heads

@@ -177,7 +177,7 @@ def parse_graph(data: dict) -> Digraph:
             raise InvalidInstance(
                 f"malformed graph: arc {bad} is not a [tail, head] pair: {arcs[bad]!r}")
     _check_ints(tails, heads)
-    return Digraph.from_columns(nodes, tails, heads)
+    return Digraph._from_columns(nodes, tails, heads)
 
 
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:

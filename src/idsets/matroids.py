@@ -166,8 +166,7 @@ def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[i
     for aid in forest:
         incident[tails[aid]].append(aid)
         incident[heads[aid]].append(aid)
-    parent = [-1] * g.node_count
-    depth = [-1] * g.node_count
+    parent, depth = [-1] * g.node_count, [-1] * g.node_count
     for root in range(g.node_count):
         if depth[root] != -1:
             continue

@@ -75,8 +75,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     keep_arcs = st_walk_arcs(g, st)
     allowed = keep_arcs - s_set
     tails, inc = g.tails, g.in_arcs()
-    reach = [0] * g.node_count
-    bad = 0
+    reach, bad = [0] * g.node_count, 0
     for w in sorted(range(g.node_count), key=rank.__getitem__):
         seen = 0
         for aid in inc[w]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -79,8 +80,9 @@ def test_digraph_rejects_arcs_that_are_not_pairs(arc):
 
 class TestColumns:
     """A Digraph is two int columns. `Digraph(n, pairs)` and
-    `Digraph.from_columns`, the builder io.parse_graph hands its columns to,
-    share one check: they build equal graphs and name the same first bad arc."""
+    `Digraph._from_columns`, the entry io.parse_graph hands its int-checked
+    columns to, share one check: they build equal graphs and name the same
+    first bad arc. Types are checked by the pairs path and by io alone."""
 
     def test_pairs_json_and_columns_build_equal_graphs(self):
         for g, _ in seeded_multigraphs(200, seed=31, allow_self_loops=True):
@@ -88,7 +90,7 @@ class TestColumns:
             assert g.arcs == tuple(zip(g.tails, g.heads))
             assert g.has_self_loop() == any(t == h for t, h in g.arcs)
             from_json = parse_graph({"nodes": g.node_count, "arcs": [list(a) for a in g.arcs]})
-            from_lists = Digraph.from_columns(g.node_count, list(g.tails), list(g.heads))
+            from_lists = Digraph._from_columns(g.node_count, list(g.tails), list(g.heads))
             for other in (from_json, from_lists):
                 assert other == g and other.arcs == g.arcs
                 assert other.has_self_loop() == g.has_self_loop()
@@ -108,8 +110,10 @@ class TestColumns:
         with pytest.raises(InvalidInstance, match=message):
             Digraph(3, arcs)
         with pytest.raises(InvalidInstance, match=message):
-            Digraph.from_columns(3, [t for t, _ in arcs], [h for _, h in arcs])
+            Digraph(3, [list(a) for a in arcs])
         if all(type(v) is int for arc in arcs for v in arc):
+            with pytest.raises(InvalidInstance, match=message):
+                Digraph._from_columns(3, [t for t, _ in arcs], [h for _, h in arcs])
             with pytest.raises(InvalidInstance, match=message):
                 parse_graph({"nodes": 3, "arcs": [list(a) for a in arcs]})
 
@@ -120,19 +124,35 @@ class TestColumns:
         with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
             Digraph(3, [(0, 1), (0, 1, 2), (0, 3)])
 
-    def test_bools_read_as_ints_in_both(self):
-        for g in (Digraph(3, [(0, 1), (True, 2)]), Digraph.from_columns(3, [0, True], [1, 2])):
-            assert g.tails == (0, 1) and [type(t) for t in g.tails] == [int, int]
-            assert g.arcs == ((0, 1), (1, 2))
+    def test_bools_read_as_ints(self):
+        for g in (Digraph(3, [(0, 1), (True, 2)]), Digraph(True, [[0, False]])):
+            assert [type(v) for v in (g.node_count, *g.tails, *g.heads)] == [int] * (
+                1 + 2 * g.arc_count)
+        assert Digraph(3, [(0, 1), (True, 2)]).arcs == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("make", [lambda: {0: "t", 2: "h"}, lambda: "01",
+                                      lambda: range(1, 3), lambda: iter((1, 2))],
+                             ids=["dict", "string", "range", "iterator"])
+    def test_other_two_element_arcs_unpack_as_before(self, make):
+        # Only tuples and lists of exact ints take the unzip; the walk unpacks
+        # any other arc as `tail, head = arc` did.
+        arc = make()
+        try:
+            expected = Digraph(3, [(0, 1), tuple(make())])
+        except InvalidInstance as exc:
+            with pytest.raises(InvalidInstance, match=f"^{re.escape(str(exc))}$"):
+                Digraph(3, [(0, 1), arc])
+        else:
+            assert Digraph(3, [(0, 1), arc]) == expected
 
     def test_node_count_is_checked_first(self):
         for build in (lambda n, arcs: Digraph(n, arcs),
-                      lambda n, arcs: Digraph.from_columns(n, *zip(*arcs))):
+                      lambda n, arcs: Digraph._from_columns(n, *map(list, zip(*arcs)))):
             with pytest.raises(InvalidInstance, match="^node_count must be an integer"):
                 build(2.0, [(0, 5)])
             with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
                 build(-1, [(0, 5)])
-        assert Digraph.from_columns(0, [], []) == Digraph(0, [])
+        assert Digraph._from_columns(0, [], []) == Digraph(0, [])
 
 
 class TestWeightsMatchTheGround:
@@ -398,6 +418,12 @@ class TestTraversalOracles:
                                       (reach_marks(g, v, "in"), oracle_reverse_reachable_to)):
                     assert isinstance(marks, bytearray) and len(marks) == g.node_count
                     assert {w for w in range(g.node_count) if marks[w]} == oracle(g, v)
+
+    @pytest.mark.parametrize("follow", ["in", "Out", None])
+    def test_bfs_tree_refuses_an_unknown_direction(self, follow):
+        # Reverse reach is reach_marks(g, v, "in"); bfs_tree walks out or both ways.
+        with pytest.raises(ValueError, match="^follow must be 'out' or 'both'"):
+            bfs_tree(Digraph(2, [(0, 1)]), 1, follow=follow)
 
 
 class TestSpanningForest:
