@@ -42,40 +42,36 @@ class Digraph:
     heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        arcs, tails, heads = list(arcs), None, None
-        if set(map(type, arcs)) <= {tuple, list} and set(map(len, arcs)) == {2}:
-            tails, heads = zip(*arcs)  # pairs unzip in C; any other arc is left to the walk
-            tails = tails if set(map(type, tails + heads)) <= {int} else None
-        self._build(node_count, tails, heads, arcs)
+        """One walk over `arcs`: InvalidInstance for a bad node_count, else for the
+        first arc that is not a pair, has a non-`_integer` end or is out of range."""
+        node_count, tails, heads = _count(node_count, "node_count"), [], []
+        for aid, arc in enumerate(arcs):
+            try:
+                tail, head = arc
+            except (TypeError, ValueError):
+                raise InvalidInstance(
+                    f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
+            if type(tail) is not int or type(head) is not int:
+                tail = _integer(tail, f"arc {aid} tail")
+                head = _integer(head, f"arc {aid} head")
+            if not (0 <= tail < node_count and 0 <= head < node_count):
+                raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+            tails.append(tail)
+            heads.append(head)
+        self._file(node_count, tails, heads)
 
     @classmethod
     def _from_columns(cls, node_count: int, tails: list[int], heads: list[int]) -> Digraph:
-        """`Digraph(node_count, zip(tails, heads))` for io.parse_graph's checked int columns."""
-        return cls.__new__(cls)._build(node_count, tails, heads, zip(tails, heads))
-
-    def _build(self, node_count, tails, heads, arcs: Iterable) -> Digraph:
-        """The graph on int columns whose min and max lie in 0..node_count-1. None
-        columns, or a failure, walk `arcs`: InvalidInstance for a bad node_count, else
-        for the first arc that is not a pair, has a non-`_integer` end or is out of range."""
-        if not (tails is not None and type(node_count) is int
+        """`Digraph(node_count, zip(tails, heads))` for io.parse_graph's int columns:
+        one min/max range check, and the walk only when it fails."""
+        if not (type(node_count) is int
                 and min(min(tails, default=0), min(heads, default=0)) >= 0
                 and max(max(tails, default=-1), max(heads, default=-1)) < node_count):
-            node_count, tails, heads = _integer(node_count, "node_count"), [], []
-            if node_count < 0:
-                raise InvalidInstance("node_count must be nonnegative")
-            for aid, arc in enumerate(arcs):
-                try:
-                    tail, head = arc
-                except (TypeError, ValueError):
-                    raise InvalidInstance(
-                        f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
-                if type(tail) is not int or type(head) is not int:
-                    tail = _integer(tail, f"arc {aid} tail")
-                    head = _integer(head, f"arc {aid} head")
-                if not (0 <= tail < node_count and 0 <= head < node_count):
-                    raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
-                tails.append(tail)
-                heads.append(head)
+            return cls(node_count, zip(tails, heads))
+        return cls.__new__(cls)._file(node_count, tails, heads)
+
+    def _file(self, node_count: int, tails: list[int], heads: list[int]) -> Digraph:
+        """Store the checked columns and file each arc id under its two ends."""
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
         for aid, tail in enumerate(tails):
@@ -117,6 +113,14 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInstance(f"{what} must be an integer, got {value!r}") from None
+
+
+def _count(value, what: str) -> int:
+    """`_integer(value, what)`, refusing a negative count."""
+    value = _integer(value, what)
+    if value < 0:
+        raise InvalidInstance(f"{what} must be nonnegative")
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Generators for the hardness-family and benchmark instances used in tests.
+"""Generators for the hardness-family and benchmark instances, shared by the
+CLI `gen` subcommand and the tests.
 
 Every generator records construction metadata (special arc sets, parameters)
 so tests can assert construction-level facts instead of re-deriving them.
@@ -9,11 +10,10 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import InvalidInstance, NotIdentifying
-from .graphs import Digraph, StPair, _integer, validate_ids
-from .paths import verify_path_identifying_dag
+from .errors import InvalidInstance
+from .graphs import Digraph, StPair, _integer
 
 
 @dataclass(frozen=True)
@@ -102,70 +102,6 @@ def gen_vertex_cover_dag(vc_vertices: int, vc_edges: Sequence[tuple[int, int]],
         "tail_arcs": tail_arcs,
     }
     return GeneratedInstance(graph=g, st=st, metadata=meta)
-
-
-@dataclass(frozen=True)
-class ExtractedCover:
-    normalized_set: frozenset[int]
-    covers: tuple[frozenset[int], ...]  # one vertex set per copy index
-
-
-def extract_vertex_cover(inst: GeneratedInstance, s: Iterable[int]) -> ExtractedCover:
-    """Rewrite an identifying set off the middle arcs and read off vertex covers.
-
-    Repeatedly replaces a middle arc (u_e, v_i) in S by tail/source arcs that
-    carry the same information; each rewrite preserves the identifying
-    property. Afterwards U_i = {v : (v_i, t) in S} covers every edge.
-    """
-    meta = inst.metadata
-    if meta.get("construction") != "vc-dag":
-        raise InvalidInstance("instance is not a vc-dag construction")
-    g, st = inst.graph, inst.st
-    assert g is not None and st is not None
-    s = validate_ids(g.arc_count, s)
-    ok, witness = verify_path_identifying_dag(g, st, s)
-    if not ok:
-        raise NotIdentifying(witness)
-    ell: int = meta["ell"]
-    edges: list[list[int]] = meta["vc_edges"]
-    e_s: list[int] = meta["E_s"]
-    mid_ids: list[int] = meta["E_prime"]
-    mid_info: list[tuple[int, int, int]] = meta["mid_info"]
-    arc_of_mid = {info: aid for aid, info in zip(mid_ids, mid_info)}
-    tail_arc = {(v, i): aid for v, i, aid in meta["tail_arcs"]}
-    incident = {v: [ei for ei, e in enumerate(edges) if v in e]
-                for v in range(meta["vc_vertices"])}
-
-    current = set(s)
-    mid_id_set = set(mid_ids)
-    while True:
-        mids_present = sorted(a for a in current if a in mid_id_set)
-        if not mids_present:
-            break
-        aid = mids_present[0]
-        ei, v, i = mid_info[mid_ids.index(aid)]
-        others = [ej for ej in incident[v] if ej != ei]
-        if e_s[ei] in current or all(e_s[ej] in current for ej in others):
-            current.discard(aid)
-            current.add(tail_arc[(v, i)])
-            continue
-        ej = min(ej for ej in others if e_s[ej] not in current)
-        for copy in range(1, ell + 1):
-            current.discard(arc_of_mid[(ei, v, copy)])
-            current.discard(arc_of_mid.get((ej, v, copy), -1))
-        current.add(e_s[ei])
-        current.add(e_s[ej])
-        for copy in range(1, ell + 1):
-            current.add(tail_arc[(v, copy)])
-
-    covers = []
-    for i in range(1, ell + 1):
-        cover = frozenset(v for v in range(meta["vc_vertices"])
-                          if tail_arc[(v, i)] in current)
-        for a, b in edges:
-            assert a in cover or b in cover, "rewritten set must induce vertex covers"
-        covers.append(cover)
-    return ExtractedCover(normalized_set=frozenset(current), covers=tuple(covers))
 
 
 def gen_bundle_instance(g: Digraph, st: StPair, arc: int,

@@ -266,11 +266,6 @@ def _bit(value: Any) -> int:
     raise InvalidInstance(f"solution coordinates must be 0 or 1, got {value!r}")
 
 
-def solution_list_to_json(x: SolutionList) -> dict:
-    return {"dim": x.dimension,
-            "vectors": ["".join(str(v) for v in vec) for vec in x.vectors]}
-
-
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
     with _reading("basis"):

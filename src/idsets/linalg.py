@@ -21,13 +21,16 @@ Vector = tuple[Fraction, ...]
 def exact(value: Any) -> Fraction:
     """Fraction(value), refusing a float: 0.1 would become the binary
     rational 3602879701896397/36028797018963968, not 1/10. A Fraction is
-    immutable, so one is returned as it is."""
+    returned as it is; anything Fraction() refuses raises InvalidInstance."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise InvalidInstance(f"floats are not exact, got {value!r}; pass an int, "
                               "Fraction or 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidInstance(f"not an exact rational: {value!r}") from None
 
 
 def as_vector(values: Sequence) -> Vector:

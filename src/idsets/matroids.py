@@ -30,6 +30,7 @@ from .graphs import (
     Digraph,
     UnionFind,
     WeightedGroundSet,
+    _count,
     _integer,
     drop_heaviest_per_part,
     validate_ids,
@@ -43,21 +44,20 @@ class MatroidOracle:
     The built-in constructors below are matroids by construction and ask
     the oracle nothing; a user-supplied callable is trusted modulo the
     cheap sanity checks of `matroid_components` (empty set independent)
-    and `verify_matroid_identifying` (its bases agree with its circuits).
-    The optional `circuit(basis, e)` hook returns the fundamental circuit
-    of e over a basis without independence queries; a caller that passes
-    one is trusted, and nothing checks its answers. Two more hooks are set
-    only by the built-in constructors: `_first_circuit(s_set, elements)`,
-    the circuit that the scan of `_first_violated_circuit` would find, and
-    `_basis()`, the lexicographically first basis.
+    and `verify_matroid_identifying` (its bases agree with its circuits),
+    and its circuits come from independence queries. Three hooks are set
+    only by the built-in constructors: `circuit(basis, e)`, the fundamental
+    circuit of e over a basis without independence queries;
+    `_first_circuit(s_set, elements)`, the circuit that the scan of
+    `_first_violated_circuit` would find; and `_basis()`, the
+    lexicographically first basis.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
-                 name: str = "custom",
-                 circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None):
-        self.ground_size = ground_size
+                 name: str = "custom"):
+        self.ground_size = _count(ground_size, "ground_size")
         self.name = name
-        self.circuit = circuit
+        self.circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None
         self._first_circuit: Callable[[frozenset[int], list[int]],
                                       frozenset[int] | None] | None = None
         self._basis: Callable[[], frozenset[int]] | None = None
@@ -95,7 +95,8 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
             raise NotABasis(f"basis + {e} is independent; not a basis")
         return basis | {e}
 
-    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})", circuit=circuit)
+    m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
+    m.circuit = circuit
     # The circuits are exactly the (k+1)-subsets.
     m._first_circuit = lambda s_set, elements: _first_violating_subset(s_set, elements, k + 1)
     return m
@@ -152,9 +153,8 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
             tail = g.tails[aid] if g.heads[aid] == tail else g.heads[aid]
         return frozenset(out)
 
-    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})",
-                      circuit=circuit)
-    m._basis = first_basis
+    m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})")
+    m.circuit, m._basis = circuit, first_basis
     return m
 
 
@@ -213,7 +213,9 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
             raise NotABasis(f"basis + {e} is independent; not a basis")
         return members | {e}
 
-    return MatroidOracle(len(seen), independent, name="partition", circuit=circuit)
+    m = MatroidOracle(len(seen), independent, name="partition")
+    m.circuit = circuit
+    return m
 
 
 def _first_violating_subset(s_set: frozenset[int], elements: list[int],

@@ -15,14 +15,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import EnumerationExplosion, InvalidInstance
-from .graphs import (UnionFind, WeightedGroundSet, drop_heaviest_per_part, validate_ids,
-                     validate_weights)
-from .linalg import Vector, exact
+from .graphs import (UnionFind, WeightedGroundSet, _count, _integer, drop_heaviest_per_part,
+                     validate_ids, validate_weights)
+from .linalg import Vector, exact, integer_row
 from .matroids import MatroidOracle
 
 EXHAUSTIVE_CHECK_LIMIT = 12
@@ -41,7 +41,7 @@ class PolymatroidOracle:
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
                  name: str = "custom", validate: bool = True):
-        self.ground_size = ground_size
+        self.ground_size = _count(ground_size, "ground_size")
         self.name = name
         self._fn = value
         self._cache: dict[frozenset[int], Fraction] = {}
@@ -77,8 +77,7 @@ class PolymatroidOracle:
         n = self.ground_size
         values = [self.value(frozenset(e for e in range(n) if mask >> e & 1))
                   for mask in range(1 << n)]
-        scale = lcm(*(v.denominator for v in values))
-        table = [v.numerator * (scale // v.denominator) for v in values]
+        table = integer_row(values)[0]
         for size in range(n):
             for combo in combinations(range(n), size):
                 t = sum(1 << e for e in combo)
@@ -107,6 +106,7 @@ class PolymatroidOracle:
     @classmethod
     def from_table(cls, ground_size: int,
                    table: Mapping[frozenset[int], Fraction]) -> "PolymatroidOracle":
+        ground_size = _integer(ground_size, "ground_size")
         data = {frozenset(k): exact(v) for k, v in table.items()}
         if not 0 <= ground_size < 64 or len(data) != 1 << ground_size:
             raise InvalidInstance("table must define every subset")

@@ -92,7 +92,7 @@ def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
     margin = exact(margin)
     if margin < 0:
         raise InvalidInstance(f"margin must be >= 0, got {margin}")
-    s_set = frozenset(s)
+    s_set = validate_ids(x.dimension, s)
     ok, witness = verify_explicit_identifying(x, s_set)
     if not ok:
         raise NotIdentifying(witness)
@@ -115,7 +115,7 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     zero subgradient of the tolled cost certifies the target as a minimizer.
     The system is solved on integer rows, positive multiples of the rational ones.
     """
-    s_set = frozenset(s)
+    s_set = validate_ids(basis.ground_size, s)
     ok, delta = verify_identifying_from_basis(basis, s_set)
     if not ok:
         raise NotIdentifying(delta)
@@ -158,14 +158,14 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     (target, cost) pair is the verdict witness.
     """
     vectors = [as_vector(state) for state in states]
-    cols = sorted(frozenset(s))
-    if len(cols) > caps.max_fm_vars:
+    s = frozenset(s)
+    if len(s) > caps.max_fm_vars:
         raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
-                                   f"|S| = {len(cols)} variables")
+                                   f"|S| = {len(s)} variables")
     dim = len(vectors[0]) if vectors else 0
     if any(len(vec) != dim for vec in vectors):
         raise InvalidInstance("states must share one dimension")
-    cols = sorted(validate_ids(dim, cols))
+    cols = sorted(validate_ids(dim, s))
     if (all(v in (0, 1) for vec in vectors for v in vec)
             and verify_explicit_identifying(SolutionList(dim, vectors), cols)[0]):
         return ControllingVerdict(controlling=True)

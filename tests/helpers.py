@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's own algorithms: path enumeration is a
 plain recursive walk over an adjacency matrix, acyclicity goes through
-networkx, and identifying checks are direct pairwise definitions.
+networkx, and identifying checks are direct pairwise definitions. Code that
+only tests run lives here too: the vertex-cover extraction of the reduction
+DAG and the solution-list writer.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable
@@ -16,9 +19,17 @@ from typing import Iterable
 import networkx as nx
 
 from idsets.caps import DEFAULT_CAPS, Caps
-from idsets.errors import EnumerationExplosion, IdsetsError, InvalidInstance, SubsetExplosion
+from idsets.errors import (
+    EnumerationExplosion,
+    IdsetsError,
+    InvalidInstance,
+    NotIdentifying,
+    SubsetExplosion,
+)
+from idsets.explicit import SolutionList
 from idsets.flows import st_walk_arcs
-from idsets.graphs import Digraph, StPair, WeightedGroundSet, bfs_tree
+from idsets.graphs import Digraph, StPair, WeightedGroundSet, bfs_tree, validate_ids
+from idsets.instances import GeneratedInstance
 from idsets.linalg import Vector, as_vector
 from idsets.paths import (
     PathWitness,
@@ -26,6 +37,7 @@ from idsets.paths import (
     approx_min_path_identifying_dag,
     exact_min_path_identifying,
     size_ratio,
+    verify_path_identifying_dag,
 )
 from idsets.tolls import ControllingVerdict, fourier_motzkin_feasible
 
@@ -684,3 +696,72 @@ def dependence_function(f, x, e: int, caps: Caps = DEFAULT_CAPS) -> frozenset[in
             if sum((vec[g] for g in t), Fraction(0)) == f.value(t):
                 meet &= t
     return frozenset({e} | {g for g in meet if g != e and vec[g] > 0})
+
+
+def solution_list_to_json(x: SolutionList) -> dict:
+    return {"dim": x.dimension,
+            "vectors": ["".join(str(v) for v in vec) for vec in x.vectors]}
+
+
+@dataclass(frozen=True)
+class ExtractedCover:
+    normalized_set: frozenset[int]
+    covers: tuple[frozenset[int], ...]  # one vertex set per copy index
+
+
+def extract_vertex_cover(inst: GeneratedInstance, s: Iterable[int]) -> ExtractedCover:
+    """Rewrite an identifying set off the middle arcs and read off vertex covers.
+
+    Repeatedly replaces a middle arc (u_e, v_i) in S by tail/source arcs that
+    carry the same information; each rewrite preserves the identifying
+    property. Afterwards U_i = {v : (v_i, t) in S} covers every edge.
+    """
+    meta = inst.metadata
+    if meta.get("construction") != "vc-dag":
+        raise InvalidInstance("instance is not a vc-dag construction")
+    g, st = inst.graph, inst.st
+    assert g is not None and st is not None
+    s = validate_ids(g.arc_count, s)
+    ok, witness = verify_path_identifying_dag(g, st, s)
+    if not ok:
+        raise NotIdentifying(witness)
+    ell: int = meta["ell"]
+    edges: list[list[int]] = meta["vc_edges"]
+    e_s: list[int] = meta["E_s"]
+    mid_ids: list[int] = meta["E_prime"]
+    mid_info: list[tuple[int, int, int]] = meta["mid_info"]
+    arc_of_mid = {info: aid for aid, info in zip(mid_ids, mid_info)}
+    tail_arc = {(v, i): aid for v, i, aid in meta["tail_arcs"]}
+    incident = {v: [ei for ei, e in enumerate(edges) if v in e]
+                for v in range(meta["vc_vertices"])}
+
+    current = set(s)
+    mid_id_set = set(mid_ids)
+    while True:
+        mids_present = sorted(a for a in current if a in mid_id_set)
+        if not mids_present:
+            break
+        aid = mids_present[0]
+        ei, v, i = mid_info[mid_ids.index(aid)]
+        others = [ej for ej in incident[v] if ej != ei]
+        if e_s[ei] in current or all(e_s[ej] in current for ej in others):
+            current.discard(aid)
+            current.add(tail_arc[(v, i)])
+            continue
+        ej = min(ej for ej in others if e_s[ej] not in current)
+        for copy in range(1, ell + 1):
+            current.discard(arc_of_mid[(ei, v, copy)])
+            current.discard(arc_of_mid.get((ej, v, copy), -1))
+        current.add(e_s[ei])
+        current.add(e_s[ej])
+        for copy in range(1, ell + 1):
+            current.add(tail_arc[(v, copy)])
+
+    covers = []
+    for i in range(1, ell + 1):
+        cover = frozenset(v for v in range(meta["vc_vertices"])
+                          if tail_arc[(v, i)] in current)
+        for a, b in edges:
+            assert a in cover or b in cover, "rewritten set must induce vertex covers"
+        covers.append(cover)
+    return ExtractedCover(normalized_set=frozenset(current), covers=tuple(covers))

@@ -17,11 +17,7 @@ from idsets.flows import (
     verify_flow_identifying,
 )
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
-from idsets.instances import (
-    extract_vertex_cover,
-    gen_tight_gap_family,
-    gen_vertex_cover_dag,
-)
+from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
 from idsets.linear import min_weight_identifying_from_basis, verify_identifying_from_basis
 from idsets.matroids import matroid_components
 from idsets.paths import (
@@ -46,6 +42,7 @@ from .helpers import (
     all_simple_digraphs,
     all_subsets,
     enumerate_circuits,
+    extract_vertex_cover,
     flow_conservation_ok,
     has_st_path,
     min_vertex_cover_size,

@@ -9,7 +9,6 @@ import pytest
 from idsets.errors import InvalidInstance, NoStPath, NotIdentifying
 from idsets.graphs import StPair, enumerate_st_paths, topological_order
 from idsets.instances import (
-    extract_vertex_cover,
     gen_bundle_instance,
     gen_random_dag,
     gen_random_digraph,
@@ -18,7 +17,7 @@ from idsets.instances import (
 )
 from idsets.paths import exact_min_path_identifying, verify_path_identifying_general
 
-from .helpers import min_vertex_cover_size
+from .helpers import extract_vertex_cover, min_vertex_cover_size
 
 
 class TestTightGapFamily:

@@ -15,14 +15,14 @@ from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
-from idsets.linalg import as_vector, echelon, integer_row
+from idsets.linalg import as_vector, echelon, exact, integer_row
 from idsets.linear import (
     AffineBasis,
     ax_independent,
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
-from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost
+from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost, quadratic_cost
 
 from .helpers import (
     all_simple_digraphs,
@@ -202,6 +202,17 @@ class TestAffineBasis:
 
     def test_single_point_dimension_zero(self):
         assert AffineBasis([[3, 4, 5]]).hull_dimension == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: quadratic_cost("ab"),
+        lambda: linear_cost(["1/0"]),
+        lambda: WeightedGroundSet(["x"]),
+        lambda: AffineBasis([["a"]]),
+        lambda: exact(None),
+    ], ids=["quadratic-str", "zero-denominator", "weight-str", "basis-str", "none"])
+    def test_what_fraction_refuses_is_invalid(self, call):
+        with pytest.raises(InvalidInstance, match="^not an exact rational"):
+            call()
 
     def test_rejects_float_coordinates(self):
         with pytest.raises(InvalidInstance, match="floats are not exact"):

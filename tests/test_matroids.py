@@ -103,6 +103,13 @@ class TestBuiltins:
         with pytest.raises(InvalidInstance, match="must be an integer"):
             build(*args)
 
+    @pytest.mark.parametrize("ground_size, message", [
+        (2.0, "must be an integer, got 2.0"), (-1, "must be nonnegative"),
+    ], ids=["float", "negative"])
+    def test_custom_ground_size_is_a_count(self, ground_size, message):
+        with pytest.raises(InvalidInstance, match=f"^ground_size {message}$"):
+            MatroidOracle(ground_size, lambda t: True)
+
     def test_construction_asks_the_oracle_nothing(self):
         # Built-in matroids are exact by construction: no axiom sampling.
         g = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])

@@ -198,6 +198,16 @@ class TestOracleValidation:
             with pytest.raises(InvalidInstance, match="floats are not exact"):
                 build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: PolymatroidOracle(2.0, lambda t: Fraction(len(t))),
+        lambda: PolymatroidOracle(-1, lambda t: Fraction(0)),
+        lambda: PolymatroidOracle.coverage(2.0, [[0], [1]]),
+        lambda: PolymatroidOracle.from_table(1.0, {frozenset(): 0, frozenset({0}): 1}),
+    ], ids=["float", "negative", "coverage-float", "table-float"])
+    def test_ground_size_is_a_count(self, build):
+        with pytest.raises(InvalidInstance, match="^ground_size must be"):
+            build()
+
     def test_table_keys_outside_ground_rejected(self):
         table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
         with pytest.raises(InvalidInstance, match="subsets of 0..size-1"):

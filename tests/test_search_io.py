@@ -26,13 +26,16 @@ from idsets.io import (
     parse_rationals,
     parse_solution_list,
     parse_weights,
-    solution_list_to_json,
     to_json,
 )
 from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
 from idsets.search import min_weight_hitting_set, pair_demands
 
-from .helpers import oracle_min_weight_hitting_set, subsets_in_weight_order
+from .helpers import (
+    oracle_min_weight_hitting_set,
+    solution_list_to_json,
+    subsets_in_weight_order,
+)
 
 
 class TestHittingSet:

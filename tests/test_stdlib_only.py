@@ -44,3 +44,14 @@ def test_no_loop_reads_the_arc_pairs():
                 if _is_arcs(seq):
                     reads.append(f"{path.name}: {ast.unparse(node.iter)}")
     assert not reads, reads
+
+
+def test_generators_import_only_errors_and_graphs():
+    # The instance generators build Digraphs and raise InvalidInstance; no
+    # solver, and none of the code that only tests run, is reached from them.
+    path = next(p for p in SOURCES if p.name == "instances.py")
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+    assert modules <= {"errors", "graphs"}, modules

@@ -122,6 +122,13 @@ class TestDiscreteTolls:
             with pytest.raises(InvalidInstance, match="margin must be >= 0"):
                 discrete_tolls(x, {0, 1, 2}, linear_cost([0, 0, 0]), (0, 1, 0), margin=margin)
 
+    def test_ids_read_through_validate_ids(self):
+        # True is the element id 1: the tolls and the support hold the int.
+        x = SolutionList.from_strings(["10", "01"])
+        toll = discrete_tolls(x, [True], linear_cost([0, 0]), (0, 1))
+        assert toll.gamma == {1: Fraction(-1)} and toll.support == {1}
+        assert {type(e) for e in (*toll.gamma, *toll.support)} == {int}
+
     def test_exhaustive_soundness_random_fixtures(self):
         rng = random.Random(79)
         margins = [0, Fraction(1, 2), 3]
@@ -164,6 +171,12 @@ class TestConvexTolls:
     def test_not_identifying_raises(self):
         with pytest.raises(NotIdentifying):
             convex_tolls(PARALLEL, set(), quadratic_cost([1, 1]), [1, 0])
+
+    def test_ids_read_through_validate_ids(self):
+        toll = convex_tolls(PARALLEL, [True], quadratic_cost([1, 1]),
+                            [Fraction(3, 4), Fraction(1, 4)])
+        assert toll.gamma == {1: Fraction(1, 2)} and toll.support == {1}
+        assert {type(e) for e in (*toll.gamma, *toll.support)} == {int}
 
     def test_target_outside_hull_raises(self):
         with pytest.raises(TargetOutsideAffineHull):
@@ -395,6 +408,11 @@ class TestCounterexampleCheck:
         verdict = controlling_counterexample_check([(1, 1)], set(),
                                                    [linear_cost([5, 5])])
         assert verdict.controlling
+
+    def test_non_integer_id_rejected(self):
+        with pytest.raises(InvalidInstance, match="^element ids must be integers"):
+            controlling_counterexample_check([[0, 1], [1, 0]], [0, "a"],
+                                             [linear_cost([0, 0])])
 
     def test_elimination_cap(self):
         states = [(0,) * 8, (1,) * 8]
