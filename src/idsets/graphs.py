@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstance, NoStPath, PathExplosion
+from .errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion
 from .linalg import exact
 
 Adjacency = tuple[tuple[int, ...], ...]
@@ -255,95 +255,66 @@ class UnionFind:
 
 
 def strongly_connected_components(g: Digraph) -> list[int]:
-    """Component id per node (Tarjan, iterative). Ids are 0..k-1 in discovery order."""
-    n = g.node_count
-    out, heads = g.out_arcs(), g.heads
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    comp_count = 0
-
-    for root in range(n):
-        if index[root] != -1:
+    """Component id per node (Kosaraju): one depth-first walk over the out-arcs
+    records finish order, then one walk over the in-arcs from each unassigned
+    node, latest finished first, collects its component. Ids are 0..k-1 in a
+    topological order of the components: comp[tail] <= comp[head] for every arc."""
+    out, inc, tails, heads = g.out_arcs(), g.in_arcs(), g.tails, g.heads
+    seen, finished = bytearray(g.node_count), []
+    for root in range(g.node_count):
+        if seen[root]:
             continue
-        # Explicit DFS stack of (node, iterator position over out arcs).
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while i < len(out[v]):
-                w = heads[out[v][i]]
-                i += 1
-                if index[w] == -1:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = 1
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, arcs = stack[-1]
+            for aid in arcs:
+                w = heads[aid]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append((w, iter(out[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                stack.pop()
+                finished.append(v)
+    comp, k = [-1] * g.node_count, 0
+    for root in reversed(finished):
+        if comp[root] == -1:
+            comp[root], stack = k, [root]
+            while stack:
+                for aid in inc[stack.pop()]:
+                    w = tails[aid]
+                    if comp[w] == -1:
+                        comp[w] = k
+                        stack.append(w)
+            k += 1
     return comp
 
 
-@dataclass(frozen=True)
-class TopologicalOrder:
-    """Either a rank per node (acyclic) or a directed cycle as arc ids."""
-
-    order: tuple[int, ...] | None
-    cycle: tuple[int, ...] | None
-
-    @property
-    def is_acyclic(self) -> bool:
-        return self.order is not None
-
-
-def topological_order(g: Digraph) -> TopologicalOrder:
-    """Kahn's algorithm; on failure extracts a directed cycle as a witness.
+def topological_order(g: Digraph) -> tuple[int, ...]:
+    """The nodes in Kahn's order, or NotAcyclic with a directed cycle.
 
     The released nodes form a plain queue, seeded with the in-degree-0 nodes
-    in id order and read front to back, so the ranks are deterministic. The
+    in id order and read front to back, so the order is deterministic. The
     set of released nodes, and so the cycle, does not depend on that order.
     """
-    n = g.node_count
     heads, out = g.heads, g.out_arcs()
     indeg = list(map(len, g.in_arcs()))
-    released = [v for v in range(n) if indeg[v] == 0]
+    released = [v for v in range(g.node_count) if indeg[v] == 0]
     for v in released:
         for aid in out[v]:
             w = heads[aid]
             indeg[w] -= 1
             if indeg[w] == 0:
                 released.append(w)
-    rank = [-1] * n
-    for r, v in enumerate(released):
-        rank[v] = r
-    if len(released) == n:
-        return TopologicalOrder(order=tuple(rank), cycle=None)
-    return TopologicalOrder(order=None, cycle=tuple(_find_directed_cycle(g, rank)))
+    if len(released) < g.node_count:
+        raise NotAcyclic(_find_directed_cycle(g, indeg))
+    return tuple(released)
 
 
-def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
-    """A directed cycle among the nodes Kahn's algorithm never released.
+def _find_directed_cycle(g: Digraph, indeg: list[int]) -> list[int]:
+    """A directed cycle among the nodes Kahn's algorithm never released, those
+    left with indeg > 0 (a node is released when its in-degree reaches 0).
 
     Every unreleased node keeps an unreleased predecessor, so walking
     backwards along the smallest such in-arc must revisit a node.
@@ -351,10 +322,10 @@ def _find_directed_cycle(g: Digraph, rank: list[int]) -> list[int]:
     inc, tails = g.in_arcs(), g.tails
     seen_at: dict[int, int] = {}
     walk: list[int] = []
-    v = rank.index(-1)
+    v = next(v for v, d in enumerate(indeg) if d)
     while v not in seen_at:
         seen_at[v] = len(walk)
-        aid = next(a for a in inc[v] if rank[tails[a]] == -1)
+        aid = next(a for a in inc[v] if indeg[tails[a]])
         walk.append(aid)
         v = tails[aid]
     cycle = walk[seen_at[v]:]

@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance, NotAcyclic
+from .errors import InvalidInstance
 from .flows import min_weight_flow_identifying, st_walk_arcs
 from .graphs import (
     Digraph,
@@ -49,13 +49,6 @@ class PathWitness:
     path_b: frozenset[int]
 
 
-def _require_dag(g: Digraph) -> tuple[int, ...]:
-    topo = topological_order(g)
-    if not topo.is_acyclic:
-        raise NotAcyclic(list(topo.cycle))
-    return topo.order
-
-
 def verify_path_identifying_dag(g: Digraph, st: StPair,
                                 s: Iterable[int]) -> tuple[bool, PathWitness | None]:
     """DAG-only polynomial verification.
@@ -70,13 +63,13 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in path settings")
-    rank = _require_dag(g)
+    order = topological_order(g)
     s_set = validate_ids(g.arc_count, s)
     keep_arcs = st_walk_arcs(g, st)
     allowed = keep_arcs - s_set
     tails, inc = g.tails, g.in_arcs()
     reach, bad = [0] * g.node_count, 0
-    for w in sorted(range(g.node_count), key=rank.__getitem__):
+    for w in order:
         seen = 0
         for aid in inc[w]:
             if aid in allowed:
@@ -161,7 +154,7 @@ def approx_min_path_identifying_dag(g: Digraph, st: StPair,
     objective; with weights the set is still identifying and weight-minimal
     for flows, but carries no weighted path guarantee.
     """
-    _require_dag(g)
+    topological_order(g)  # NotAcyclic on a cycle
     result = min_weight_flow_identifying(g, st, w)  # checks w (validate_weights)
     return PathIdentifyResult(
         identifying_set=result.identifying_set,

@@ -31,22 +31,20 @@ EXHAUSTIVE_CHECK_LIMIT = 12
 class PolymatroidOracle:
     """Memoized value oracle for a normalized monotone submodular function.
 
-    With `validate` (the default, for tables, matroid ranks and custom
-    callables) the three axioms are verified on construction: up to ground
-    size 12 exhaustively, on one table of all 2^n values scaled to integers
-    (via the local monotonicity and submodularity inequalities), and sampled
-    beyond. `coverage` and `budget_additive` skip it: once their inputs pass
-    their own checks they are polymatroids by theorem.
+    The three axioms are verified on construction: up to ground size 12
+    exhaustively, on one table of all 2^n values scaled to integers (via the
+    local monotonicity and submodularity inequalities), and sampled beyond.
+    Only `coverage` and `budget_additive` skip it, through `_Unchecked`: once
+    their inputs pass their own checks they are polymatroids by theorem.
     """
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
-                 name: str = "custom", validate: bool = True):
+                 name: str = "custom"):
         self.ground_size = _count(ground_size, "ground_size")
         self.name = name
         self._fn = value
         self._cache: dict[frozenset[int], Fraction] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def value(self, subset: Iterable[int]) -> Fraction:
         key = frozenset(subset)
@@ -133,7 +131,7 @@ class PolymatroidOracle:
                 union |= covered[e]
             return Fraction(len(union))
 
-        return cls(ground_size, value, name="coverage", validate=False)
+        return _Unchecked(ground_size, value, name="coverage")
 
     @classmethod
     def budget_additive(cls, cap: Fraction | int,
@@ -142,8 +140,15 @@ class PolymatroidOracle:
         gain_f = [exact(a) for a in gains]
         if cap_f < 0 or any(a < 0 for a in gain_f):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
-        return cls(len(gain_f), lambda t: min(cap_f, sum((gain_f[e] for e in t), Fraction(0))),
-                   name="budget-additive", validate=False)
+        return _Unchecked(len(gain_f), name="budget-additive",
+                          value=lambda t: min(cap_f, sum((gain_f[e] for e in t), Fraction(0))))
+
+
+class _Unchecked(PolymatroidOracle):
+    """An oracle built without the axiom sweep: the closed forms only."""
+
+    def _validate(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,10 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     exact Fourier-Motzkin elimination decides it, and the first infeasible
     (target, cost) pair is the verdict witness.
     """
-    vectors = [as_vector(state) for state in states]
-    s = frozenset(s)
+    try:
+        vectors, s = [as_vector(state) for state in states], frozenset(s)
+    except TypeError as exc:  # a state that is not a sequence, an unhashable id
+        raise InvalidInstance(f"malformed states or S: {exc}") from None
     if len(s) > caps.max_fm_vars:
         raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
                                    f"|S| = {len(s)} variables")

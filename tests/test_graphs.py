@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from idsets.caps import Caps
-from idsets.errors import InvalidInstance, NoStPath, PathExplosion
+from idsets.errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion
 from idsets.explicit import SolutionList, exact_identifying, greedy_identifying
-from idsets.flows import min_weight_flow_identifying
+from idsets.flows import min_weight_flow_identifying, relevant_arcs
 from idsets.graphs import (
     Digraph,
     StPair,
@@ -33,7 +34,8 @@ from idsets.instances import gen_tight_gap_family
 from idsets.io import parse_graph
 from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.matroids import min_weight_matroid_identifying, uniform_matroid
-from idsets.paths import approx_min_path_identifying_dag, exact_min_path_identifying
+from idsets.paths import (approx_min_path_identifying_dag, exact_min_path_identifying,
+                          verify_path_identifying_dag)
 from idsets.polymatroids import PolymatroidOracle, min_weight_polymatroid_identifying
 
 from .helpers import (
@@ -329,40 +331,88 @@ class TestStronglyConnectedComponents:
                 groups.setdefault(c, set()).add(v)
             assert {frozenset(c) for c in groups.values()} == expected
 
+    def test_ids_follow_the_arcs(self):
+        # Ids are 0..k-1 in a topological order of the components.
+        for g, _ in seeded_multigraphs(200, seed=29, allow_self_loops=True):
+            comp = strongly_connected_components(g)
+            assert set(comp) == set(range(max(comp) + 1))
+            assert all(comp[tail] <= comp[head] for tail, head in g.arcs)
+
 
 class TestTopologicalOrder:
     def test_chain(self):
-        topo = topological_order(Digraph(3, [(0, 1), (1, 2)]))
-        assert topo.order == (0, 1, 2)
+        assert topological_order(Digraph(3, [(0, 1), (1, 2)])) == (0, 1, 2)
 
     def test_two_cycle_witness(self):
-        topo = topological_order(Digraph(2, [(0, 1), (1, 0)]))
-        assert not topo.is_acyclic
-        assert sorted(topo.cycle) == [0, 1]
+        with pytest.raises(NotAcyclic) as exc:
+            topological_order(Digraph(2, [(0, 1), (1, 0)]))
+        assert sorted(exc.value.cycle) == [0, 1]
 
     def test_self_loop_is_a_cycle(self):
-        topo = topological_order(Digraph(1, [(0, 0)]))
-        assert topo.cycle == (0,)
+        with pytest.raises(NotAcyclic) as exc:
+            topological_order(Digraph(1, [(0, 0)]))
+        assert exc.value.cycle == [0]
 
     def test_gap_family_k1_order(self):
         inst = gen_tight_gap_family(1)
-        topo = topological_order(inst.graph)
-        ranks = topo.order
+        ranks = {v: r for r, v in enumerate(topological_order(inst.graph))}
         # chain s < v1 < v2 < t is one of the valid orders; ranks must respect arcs
         for tail, head in inst.graph.arcs:
             assert ranks[tail] < ranks[head]
 
     def test_cycle_witness_is_a_directed_cycle(self):
         for g, _ in seeded_multigraphs(80, seed=5, allow_self_loops=True):
-            topo = topological_order(g)
-            if topo.is_acyclic:
-                for tail, head in g.arcs:
-                    if tail != head:
-                        assert topo.order[tail] < topo.order[head]
-            else:
-                cyc = list(topo.cycle)
+            try:
+                order = topological_order(g)
+            except NotAcyclic as exc:
+                cyc = exc.cycle
                 for aid, nxt in zip(cyc, cyc[1:] + cyc[:1]):
                     assert g.heads[aid] == g.tails[nxt]
+            else:
+                assert sorted(order) == list(range(g.node_count))
+                ranks = {v: r for r, v in enumerate(order)}
+                for tail, head in g.arcs:
+                    if tail != head:
+                        assert ranks[tail] < ranks[head]
+
+    # sha256 of each graph's order, or its NotAcyclic message, one line
+    # each, recorded with the rank array that the returned order replaced.
+    DIGEST = "a306ab791343d2203f2b556f5da6709dd61b47d5815576e77206c855a882ea70"
+
+    def test_order_and_cycles_are_pinned(self):
+        digest = hashlib.sha256()
+        for g, _ in seeded_multigraphs(500, seed=23, min_nodes=2, max_nodes=8,
+                                       max_arcs=10, allow_self_loops=True):
+            try:
+                line = f"order {topological_order(g)}"
+            except NotAcyclic as exc:
+                line = f"cycle {exc}"
+            digest.update(f"{line}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestDeepGraphs:
+    # A 20,000-node path, open and closed into a cycle: every walk is
+    # iterative, so none of these reaches the recursion limit.
+    N = 20_000
+
+    def test_path(self):
+        n = self.N
+        g, st = Digraph(n, [(v, v + 1) for v in range(n - 1)]), StPair(0, n - 1)
+        assert strongly_connected_components(g) == list(range(n))
+        assert topological_order(g) == tuple(range(n))
+        assert relevant_arcs(g, st) == frozenset(range(n - 1))
+        assert verify_path_identifying_dag(g, st, []) == (True, None)
+
+    def test_cycle(self):
+        n = self.N
+        g, st = Digraph(n, [(v, (v + 1) % n) for v in range(n)]), StPair(0, n - 1)
+        assert strongly_connected_components(g) == [0] * n
+        for check in (topological_order, lambda g: verify_path_identifying_dag(g, st, [])):
+            with pytest.raises(NotAcyclic) as exc:
+                check(g)
+            assert exc.value.cycle == list(range(n))
+        assert relevant_arcs(g, st) == frozenset(range(n))
 
 
 class TestReachability:

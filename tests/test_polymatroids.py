@@ -23,6 +23,7 @@ from idsets.matroids import (
 )
 from idsets.polymatroids import (
     PolymatroidOracle,
+    _Unchecked,
     interior_base,
     min_weight_polymatroid_identifying,
     polymatroid_components,
@@ -158,6 +159,16 @@ class TestOracleValidation:
         with pytest.raises(InvalidInstance):
             PolymatroidOracle(2, lambda t: Fraction(len(t) ** 2))
 
+    def test_no_argument_skips_the_sweep(self):
+        with pytest.raises(TypeError, match="validate"):
+            PolymatroidOracle(2, lambda t: Fraction(len(t) ** 2), validate=False)
+
+    def test_closed_forms_skip_the_sweep(self):
+        # Polymatroids by theorem: construction asks the oracle nothing.
+        f = PolymatroidOracle.coverage(3, [{0}, {0, 1}, {2}])
+        g = PolymatroidOracle.budget_additive(2, [1, 1, 1])
+        assert (f._cache, g._cache) == ({}, {})
+
     def test_matches_axiom_oracle(self):
         rng = random.Random(606)
         outcomes = {}
@@ -169,8 +180,7 @@ class TestOracleValidation:
             for _ in range(rng.choice([0, 1, 1, 2])):
                 t = rng.choice(list(table))
                 table[t] += Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 4))
-            expected = oracle_polymatroid_axioms(
-                PolymatroidOracle(n, table.__getitem__, validate=False))
+            expected = oracle_polymatroid_axioms(_Unchecked(n, table.__getitem__))
             try:
                 PolymatroidOracle.from_table(n, table)
                 got = None
@@ -342,7 +352,7 @@ class TestComponentsFromOneBase:
             asked.add(t)
             return Fraction(min(len(t & {0, 1, 2}), 2) + len(t - {0, 1, 2}))
 
-        f = PolymatroidOracle(n, value, validate=False)
+        f = _Unchecked(n, value)
         assert polymatroid_components(f) == (
             (frozenset({0, 1, 2}),) + tuple(frozenset({e}) for e in range(3, n)))
         assert len(asked) <= n * (n + 1) // 2 + 1

@@ -55,3 +55,18 @@ def test_generators_import_only_errors_and_graphs():
         if isinstance(node, ast.ImportFrom) and node.level:
             modules |= {node.module} if node.module else {a.name for a in node.names}
     assert modules <= {"errors", "graphs"}, modules
+
+
+def test_graph_walks_do_not_recurse():
+    # A recursive walk would raise RecursionError on a deep graph, and the CLI
+    # would print a traceback that exits 1, which reads as "not identifying".
+    calls = []
+    for path in SOURCES:
+        if path.name not in ("graphs.py", "flows.py", "paths.py"):
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [f"{path.name}: {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", getattr(node.func, "attr", None)) == fn.name]
+    assert not calls, calls

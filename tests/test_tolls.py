@@ -414,6 +414,15 @@ class TestCounterexampleCheck:
             controlling_counterexample_check([[0, 1], [1, 0]], [0, "a"],
                                              [linear_cost([0, 0])])
 
+    def test_unhashable_id_rejected(self):
+        with pytest.raises(InvalidInstance, match="unhashable type: 'list'"):
+            controlling_counterexample_check([[0, 1], [1, 0]], [[0]],
+                                             [linear_cost([0, 0])])
+
+    def test_state_that_is_not_a_sequence_rejected(self):
+        with pytest.raises(InvalidInstance, match="'NoneType' object is not iterable"):
+            controlling_counterexample_check([None], [0], [linear_cost([0])])
+
     def test_elimination_cap(self):
         states = [(0,) * 8, (1,) * 8]
         with pytest.raises(EliminationExplosion) as exc:
