@@ -71,8 +71,8 @@ class EnumerationExplosion(CapExceeded):
 
 
 class EliminationExplosion(CapExceeded):
-    """Fourier-Motzkin elimination exceeded its variable or row budget; both
-    are library arguments only (`Caps.max_fm_vars`, `max_rows`)."""
+    """Fourier-Motzkin elimination exceeded its variable budget (the library
+    field `Caps.max_fm_vars`) or its fixed budget of 100,000 rows."""
 
 
 class NotIdentifying(IdsetsError):

@@ -409,7 +409,8 @@ def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
     tails, heads = g.tails, g.heads
     uf = UnionFind(g.node_count)
     forest: set[int] = set()
-    for aid in sorted(sorted(restrict), key=w.scaled.__getitem__, reverse=True):
+    for aid in sorted(sorted(validate_ids(g.arc_count, restrict)),
+                      key=w.scaled.__getitem__, reverse=True):
         tail, head = tails[aid], heads[aid]
         if tail != head and uf.union(tail, head):
             forest.add(aid)

@@ -18,8 +18,8 @@ from .graphs import Digraph, StPair, _integer
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    graph: Digraph | None
-    st: StPair | None
+    graph: Digraph
+    st: StPair
     metadata: dict = field(default_factory=dict)
 
 

@@ -223,11 +223,11 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     return WeightedGroundSet(weights)
 
 
-def read_id_set(raw: str) -> list[int]:
-    """Comma ids inline, or a .json file holding {"S": [ids]} or a bare list."""
+def read_id_set(raw: str, load: Callable[[str], Any]) -> list[int]:
+    """Comma ids inline, or a .json file read by `load`: {"S": [ids]} or a bare list."""
     if not raw.endswith(".json"):
         return parse_ids(raw)
-    data = load_json(raw)
+    data = load(raw)
     with _reading("id set"):
         ids = list(data["S"] if isinstance(data, dict) else data)
     _check_ints(ids)
@@ -286,10 +286,13 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     return PolymatroidOracle.from_table(size, table)
 
 
-def load_json(path: str) -> Any:
+def load_json(path: str, digest: Any) -> Any:
+    """The UTF-8 JSON in the file at `path`; its bytes also go to `digest.update`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(data)
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise InvalidInstance(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:

@@ -137,13 +137,11 @@ def _arc_masks(paths: list[frozenset[int]]) -> list[int]:
     return [sum(1 << a for a in path) for path in paths]
 
 
-def _rational_sqrt_upper(m: int, denom: int = 10**6) -> Fraction:
-    """Smallest p/denom that is >= sqrt(m); keeps the reported bound rational."""
-    target = m * denom * denom
+def _rational_sqrt_upper(m: int) -> Fraction:
+    """Smallest p / 10**6 that is >= sqrt(m); keeps the reported bound rational."""
+    target = m * 10**12
     p = isqrt(target)
-    if p * p < target:
-        p += 1
-    return Fraction(p, denom)
+    return Fraction(p + (p * p < target), 10**6)
 
 
 def approx_min_path_identifying_dag(g: Digraph, st: StPair,

@@ -89,10 +89,10 @@ class PolymatroidOracle:
                         if fte + table[t | f] < table[t | e | f] + ft:
                             raise InvalidInstance("polymatroid rank must be submodular")
 
-    def _axiom_triples_sampled(self, samples: int = 500):
+    def _axiom_triples_sampled(self):
         rng = random.Random(0)
         n = self.ground_size
-        for _ in range(samples):
+        for _ in range(500):
             t = frozenset(e for e in range(n) if rng.random() < 0.5)
             rest = [e for e in range(n) if e not in t]
             if len(rest) >= 2:

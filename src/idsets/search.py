@@ -53,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .caps import Caps
 from .errors import SubsetExplosion
 from .graphs import WeightedGroundSet
 
@@ -76,9 +77,10 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
                            max_states: int = 2**24) -> tuple[Fraction, tuple[int, ...]]:
     """Cheapest S hitting every demand mask; ties break lexicographically.
 
-    Demands must be nonzero masks over range(n). Raises SubsetExplosion
-    when the search would visit more than max_states nodes.
+    Demands must be nonzero masks over range(n). max_states, read like
+    `Caps.max_subsets`, bounds the nodes visited (SubsetExplosion past it).
     """
+    max_states = Caps(max_subsets=max_states).max_subsets
     masks = sorted(set(demands))
     if not masks:
         return Fraction(0), ()

@@ -188,16 +188,15 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     return ControllingVerdict(controlling=True)
 
 
-def fourier_motzkin_feasible(
-    rows: Sequence[tuple[tuple[Fraction, ...], Fraction]], nvars: int,
-    max_rows: int = 100_000,
-) -> tuple[bool, Fraction | None]:
+def fourier_motzkin_feasible(rows: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+                             nvars: int) -> tuple[bool, Fraction | None]:
     """Feasibility of a system of inequalities sum(coeffs * y) >= rhs.
 
     Eliminates variables left to right; after elimination, a constant row
     0 >= rhs with rhs > 0 is the contradiction. Rows are normalized and
     deduplicated to slow the quadratic blowup.
     """
+    max_rows = 100_000  # rows kept after any one elimination step
     current = [_normalize_row(as_vector(coeffs), exact(rhs)) for coeffs, rhs in rows]
     for var in range(nvars):
         positive, negative, rest = [], [], []

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -409,6 +410,39 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("invalid input: IDSETS_MAX_PATHS")
+
+    @pytest.mark.parametrize("argv, line", [
+        # Without --kind, matroid-rank once fell through to the partition kind and exited 0.
+        (["polymatroid-identify", "--family", "matroid-rank", "--blocks", "0,1",
+          "--capacities", "1"], "--kind required for --family matroid-rank"),
+        (["matroid-identify", "--kind", "graphic"], "--graph required for --kind graphic"),
+        (["polymatroid-identify", "--family", "budget-additive", "--gains", "1"],
+         "--cap and --gains required for --family budget-additive"),
+        (["gen", "--family", "bundle", "--instance", "", "--arc", "1"],
+         "--instance, --arc and --size required for --family bundle"),
+    ], ids=["matroid-rank", "graphic", "budget-additive", "bundle"])
+    def test_missing_flag_is_named(self, capsys, argv, line):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"invalid input: {line}\n"
+
+
+class TestSummaryDigest:
+    def test_digest_covers_every_file_read(self, tight_k3, tmp_path, capsys):
+        # Two --S files that differ only in whitespace: the same answer, but
+        # each digest is that of the instance bytes followed by its own file.
+        runs = []
+        for name, text in (("tight.json", '{"S": [10, 11, 12]}'),
+                           ("loose.json", '{ "S" : [10,11,12] }\n')):
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["path-verify", tight_k3, "--S", str(path)]) == 0
+            out = capsys.readouterr()
+            digest = out.err.split("digest=")[1].split()[0]
+            read = Path(tight_k3).read_bytes() + text.encode()
+            assert digest == hashlib.sha256(read).hexdigest()[:16]
+            runs.append((out.out, digest))
+        assert runs[0][0] == runs[1][0] and runs[0][1] != runs[1][1]
 
 
 class TestPayloadReVerifies:

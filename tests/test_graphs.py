@@ -522,6 +522,16 @@ class TestSpanningForest:
                            nx.maximum_spanning_edges(mg, data=True))
             assert w.total(forest) == expected
 
+    @pytest.mark.parametrize("restrict, message", [
+        ([-1], "^element id -1 out of range$"),  # once read as the last arc
+        ([99], "^element id 99 out of range$"),  # once a bare IndexError
+        (["a"], "^element ids must be integers"),  # once a bare TypeError
+    ], ids=["negative", "past-the-end", "string"])
+    def test_refuses_ids_outside_the_arcs(self, restrict, message):
+        g = Digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidInstance, match=message):
+            spanning_forest_max_weight(g, restrict, WeightedGroundSet.uniform(2))
+
 
 class TestEnumerateStPaths:
     def test_two_parallel_arcs(self):

@@ -65,6 +65,16 @@ class TestHittingSet:
         with pytest.raises(SubsetExplosion):
             min_weight_hitting_set(10, w, [1 << 9], max_states=3)
 
+    @pytest.mark.parametrize("cap, message", [
+        (0, r"^max_subsets = 0 \(IDSETS_MAX_SUBSETS / --max-subsets\): must be >= 1$"),
+        (1.5, r"^max_subsets must be an integer, got 1\.5$"),
+        ("x", r"^max_subsets must be an integer, got 'x'$"),
+    ], ids=["zero", "fraction", "string"])
+    def test_state_cap_is_read_as_a_cap(self, cap, message):
+        # 0 and 1.5 were once taken as caps, and "x" raised a bare TypeError.
+        with pytest.raises(InvalidInstance, match=message):
+            min_weight_hitting_set(2, WeightedGroundSet([1, 1]), [0b11], max_states=cap)
+
     def test_zero_weight_tie_break(self):
         # {0, 1} is not inclusion-minimal, but it ties {1} on weight and comes
         # first lexicographically.

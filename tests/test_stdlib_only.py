@@ -57,6 +57,17 @@ def test_generators_import_only_errors_and_graphs():
     assert modules <= {"errors", "graphs"}, modules
 
 
+def test_cli_reads_files_only_through_its_reader():
+    # `main` hands each subcommand one reader, which loads every input file
+    # and feeds its bytes to the run summary's digest. A second way in, such
+    # as an open() that re-reads a file, would leave bytes out of the digest.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [c for c in calls if c.split(".")[-1] in ("open", "read_bytes", "read_text")]
+    assert calls.count("io.load_json") == 1
+
+
 def test_graph_walks_do_not_recurse():
     # A recursive walk would raise RecursionError on a deep graph, and the CLI
     # would print a traceback that exits 1, which reads as "not identifying".
