@@ -5,65 +5,51 @@ matroid bases, polymatroid base polyhedra, affinely described convex sets,
 and explicit binary solution lists, plus toll synthesis that steers each
 system into a chosen target state. Brute-force oracles back every
 polynomial algorithm at desk scale.
+
+Each exported name is imported from its module on first use (PEP 562), so
+`import idsets` loads no solver and a CLI run loads only the one it calls.
 """
 
-from .caps import Caps, DEFAULT_CAPS
-from .explicit import (
-    SolutionList,
-    exact_identifying,
-    greedy_identifying,
-    verify_explicit_identifying,
-)
-from .flows import (
-    FlowIdentifyResult,
-    min_weight_flow_identifying,
-    relevant_arcs,
-    verify_flow_identifying,
-)
-from .graphs import (
-    Digraph,
-    StPair,
-    WeightedGroundSet,
-    enumerate_st_paths,
-    spanning_forest_max_weight,
-    strongly_connected_components,
-    topological_order,
-)
-from .linear import (
-    AffineBasis,
-    ax_independent,
-    min_weight_identifying_from_basis,
-    verify_identifying_from_basis,
-)
-from .matroids import (
-    MatroidOracle,
-    fundamental_circuit,
-    matroid_components,
-    min_weight_matroid_identifying,
-    verify_matroid_identifying,
-)
-from .paths import (
-    PathIdentifyResult,
-    approx_min_path_identifying_dag,
-    exact_min_path_identifying,
-    verify_path_identifying_dag,
-    verify_path_identifying_general,
-)
-from .polymatroids import (
-    PolymatroidOracle,
-    min_weight_polymatroid_identifying,
-    polymatroid_components,
-    verify_polymatroid_identifying,
-)
-from .tolls import (
-    CostOracle,
-    TollVector,
-    controlling_counterexample_check,
-    convex_tolls,
-    discrete_tolls,
-    linear_cost,
-    quadratic_cost,
-)
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "caps": ("Caps", "DEFAULT_CAPS"),
+    "errors": (),
+    "explicit": ("SolutionList", "exact_identifying", "greedy_identifying",
+                 "verify_explicit_identifying"),
+    "flows": ("FlowIdentifyResult", "min_weight_flow_identifying", "relevant_arcs",
+              "verify_flow_identifying"),
+    "graphs": ("Digraph", "StPair", "WeightedGroundSet", "enumerate_st_paths",
+               "spanning_forest_max_weight", "strongly_connected_components",
+               "topological_order"),
+    "linalg": (),
+    "linear": ("AffineBasis", "ax_independent", "min_weight_identifying_from_basis",
+               "verify_identifying_from_basis"),
+    "matroids": ("MatroidOracle", "fundamental_circuit", "matroid_components",
+                 "min_weight_matroid_identifying", "verify_matroid_identifying"),
+    "paths": ("PathIdentifyResult", "approx_min_path_identifying_dag",
+              "exact_min_path_identifying", "verify_path_identifying_dag",
+              "verify_path_identifying_general"),
+    "polymatroids": ("PolymatroidOracle", "min_weight_polymatroid_identifying",
+                     "polymatroid_components", "verify_polymatroid_identifying"),
+    "search": (),
+    "tolls": ("CostOracle", "TollVector", "controlling_counterexample_check",
+              "convex_tolls", "discrete_tolls", "linear_cost", "quadratic_cost"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

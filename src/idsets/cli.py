@@ -5,6 +5,8 @@ diagnostics including a one-line run summary go to stderr. Exit codes: 0 success
 1 infeasible-or-false, 2 usage error, 3 cap exceeded. Files and flag values
 are turned into domain objects by `idsets.io` only, each input file read once
 through the run's reader, whose bytes make up the summary's digest.
+Each handler imports its own solver module, so a run loads only the
+modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import hashlib
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import explicit as explicit_mod
-from . import flows, instances, io, linear, matroids, paths, polymatroids, tolls
+from . import io
 from .caps import Caps
 from .errors import CapExceeded, IdsetsError, InvalidInstance
 from .graphs import WeightedGroundSet
+
+if TYPE_CHECKING:
+    from . import matroids, paths, polymatroids
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -163,6 +167,7 @@ def _verdict(ok: bool, s: list[int], witness: dict) -> tuple[int, dict]:
 
 
 def _cmd_flow_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import flows
     g, st, w = io.parse_instance(read(args.instance))
     if args.verify is not None:
         s = io.read_id_set(args.verify, read)
@@ -180,6 +185,7 @@ def _cmd_flow_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _cmd_path_verify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import paths
     g, st, _ = io.parse_instance(read(args.instance))
     s = io.read_id_set(args.S, read)
     if args.general:
@@ -200,16 +206,19 @@ def _path_answer(result: paths.PathIdentifyResult) -> tuple[int, dict]:
 
 
 def _cmd_path_exact(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import paths
     g, st, w = io.parse_instance(read(args.instance))
     return _path_answer(paths.exact_min_path_identifying(g, st, w, caps))
 
 
 def _cmd_path_approx(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import paths
     g, st, w = io.parse_instance(read(args.instance))
     return _path_answer(paths.approx_min_path_identifying_dag(g, st, w))
 
 
 def _cmd_path_gap(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import paths
     g, st, _ = io.parse_instance(read(args.instance))
     unit = WeightedGroundSet.uniform(g.arc_count)
     exact = paths.exact_min_path_identifying(g, st, unit, caps)
@@ -224,6 +233,7 @@ def _cmd_path_gap(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _build_matroid(args, read: Reader) -> matroids.MatroidOracle:
+    from . import matroids
     kind = _require(args, "--kind")
     if kind == "graphic":
         return matroids.graphic_matroid(io.parse_graph(read(args.graph)))
@@ -247,11 +257,13 @@ def _components(args, read: Reader, oracle, solve) -> tuple[int, dict]:
 
 
 def _cmd_matroid_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import matroids
     return _components(args, read, _build_matroid(args, read),
                        matroids.min_weight_matroid_identifying)
 
 
 def _build_polymatroid(args, read: Reader) -> polymatroids.PolymatroidOracle:
+    from . import polymatroids
     if args.table:
         return io.parse_polymatroid_table(read(args.table))
     if args.family is None:
@@ -267,11 +279,13 @@ def _build_polymatroid(args, read: Reader) -> polymatroids.PolymatroidOracle:
 
 
 def _cmd_polymatroid_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import polymatroids
     return _components(args, read, _build_polymatroid(args, read),
                        polymatroids.min_weight_polymatroid_identifying)
 
 
 def _cmd_linear_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import linear
     basis = io.parse_affine_basis(read(args.basis))
     w = _weights(args, basis.ground_size, read)
     s = linear.min_weight_identifying_from_basis(basis, w)
@@ -283,14 +297,15 @@ def _cmd_linear_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _cmd_explicit_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import explicit
     x = io.parse_solution_list(read(args.solutions))
     w = _weights(args, x.dimension, read)
     if args.exact:
-        s, weight = explicit_mod.exact_identifying(x, w, caps)
+        s, weight = explicit.exact_identifying(x, w, caps)
         payload = {"S": sorted(s), "weight": io.fraction_to_json(weight),
                    "method": "exact"}
     else:
-        result = explicit_mod.greedy_identifying(x, w)
+        result = explicit.greedy_identifying(x, w)
         payload = {
             "S": sorted(result.identifying_set),
             "weight": io.fraction_to_json(result.total_weight),
@@ -301,6 +316,7 @@ def _cmd_explicit_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _cmd_tolls(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import tolls
     s = io.read_id_set(args.S, read)
     margin = io.fraction_from_json(args.margin)
     if _require(args, "--mode") == "discrete":
@@ -321,6 +337,7 @@ def _cmd_tolls(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _cmd_gen(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    from . import instances
     family = _require(args, "--family")
     if family == "tight-gap":
         inst = instances.gen_tight_gap_family(args.k)

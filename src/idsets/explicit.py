@@ -33,17 +33,20 @@ class SolutionList:
         if dimension < 0:
             raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
         vecs: list[tuple[int, ...]] = []
-        for vec in vectors:
-            tup = tuple(vec)
-            if len(tup) != dimension:
-                raise InvalidInstance("vector length does not match dimension")
-            # Exact ints 0/1 are kept as they are; anything else is compared
-            # by value, never truncated: int(1/2) would read as 0.
-            if not (set(map(type, tup)) <= {int} and set(tup) <= {0, 1}):
-                if any(v not in (0, 1) for v in tup):
-                    raise InvalidInstance("vectors must be binary")
-                tup = tuple(map(int, tup))
-            vecs.append(tup)
+        try:
+            for vec in vectors:
+                tup = tuple(vec)
+                if len(tup) != dimension:
+                    raise InvalidInstance("vector length does not match dimension")
+                # Exact ints 0/1 are kept as they are; anything else is compared
+                # by value, never truncated: int(1/2) would read as 0.
+                if not (set(map(type, tup)) <= {int} and set(tup) <= {0, 1}):
+                    if any(v not in (0, 1) for v in tup):
+                        raise InvalidInstance("vectors must be binary")
+                    tup = tuple(map(int, tup))
+                vecs.append(tup)
+        except TypeError as exc:
+            raise InvalidInstance(f"vectors must be iterables of 0/1: {exc}") from None
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", tuple(dict.fromkeys(vecs)))
 

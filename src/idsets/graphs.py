@@ -42,22 +42,26 @@ class Digraph:
     heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        """One walk over `arcs`: InvalidInstance for a bad node_count, else for the
-        first arc that is not a pair, has a non-`_integer` end or is out of range."""
+        """One walk over `arcs`: InvalidInstance for a bad node_count or arcs that
+        are not iterable, else for the first arc that is not a pair, has a
+        non-`_integer` end or is out of range."""
         node_count, tails, heads = _count(node_count, "node_count"), [], []
-        for aid, arc in enumerate(arcs):
-            try:
-                tail, head = arc
-            except (TypeError, ValueError):
-                raise InvalidInstance(
-                    f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
-            if type(tail) is not int or type(head) is not int:
-                tail = _integer(tail, f"arc {aid} tail")
-                head = _integer(head, f"arc {aid} head")
-            if not (0 <= tail < node_count and 0 <= head < node_count):
-                raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
-            tails.append(tail)
-            heads.append(head)
+        try:
+            for aid, arc in enumerate(arcs):
+                try:
+                    tail, head = arc
+                except (TypeError, ValueError):
+                    raise InvalidInstance(
+                        f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
+                if type(tail) is not int or type(head) is not int:
+                    tail = _integer(tail, f"arc {aid} tail")
+                    head = _integer(head, f"arc {aid} head")
+                if not (0 <= tail < node_count and 0 <= head < node_count):
+                    raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+                tails.append(tail)
+                heads.append(head)
+        except TypeError as exc:
+            raise InvalidInstance(f"arcs must be iterable: {exc}") from None
         self._file(node_count, tails, heads)
 
     @classmethod
@@ -153,14 +157,17 @@ class WeightedGroundSet:
         fractions: list[Fraction] = []
         numerators: list[int] = []
         denominators: set[int] = set()
-        for i, value in enumerate(weights):
-            w = value if type(value) is Fraction else exact(value)
-            num, den = w.as_integer_ratio()
-            if num < 0:
-                raise InvalidInstance(f"negative weight at element {i}")
-            fractions.append(w)
-            numerators.append(num)
-            denominators.add(den)
+        try:
+            for i, value in enumerate(weights):
+                w = value if type(value) is Fraction else exact(value)
+                num, den = w.as_integer_ratio()
+                if num < 0:
+                    raise InvalidInstance(f"negative weight at element {i}")
+                fractions.append(w)
+                numerators.append(num)
+                denominators.add(den)
+        except TypeError as exc:
+            raise InvalidInstance(f"weights must be iterable: {exc}") from None
         self.weights: tuple[Fraction, ...] = tuple(fractions)
         self.scale: int = lcm(*denominators)
         self.scaled: tuple[int, ...] = tuple(numerators) if self.scale == 1 else tuple(
@@ -169,7 +176,7 @@ class WeightedGroundSet:
     @classmethod
     def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
         """`size` copies of one weight, validated once."""
-        one = cls([value])
+        size, one = _count(size, "size"), cls([value])
         out = cls.__new__(cls)
         out.weights, out.scaled = one.weights * size, one.scaled * size
         out.scale = one.scale if size else 1

@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from . import tolls
 from .errors import InvalidInstance
-from .explicit import SolutionList
 from .graphs import Digraph, StPair, WeightedGroundSet
-from .linear import AffineBasis
-from .polymatroids import PolymatroidOracle
+
+if TYPE_CHECKING:
+    from .explicit import SolutionList
+    from .linear import AffineBasis
+    from .polymatroids import PolymatroidOracle
+    from .tolls import CostOracle
 
 
 @contextmanager
@@ -144,8 +146,9 @@ def parse_edges(raw: str) -> list[tuple[int, int]]:
             for a, _, b in (pair.partition("-") for pair in raw.split(","))]
 
 
-def parse_cost(spec: str, dim: int) -> tolls.CostOracle:
+def parse_cost(spec: str, dim: int) -> CostOracle:
     """zero | linear:c0,c1,... | quadratic:r0,r1,... with one rational per element."""
+    from . import tolls
     if spec == "zero":
         return tolls.linear_cost([0] * dim)
     kind, _, rest = spec.partition(":")
@@ -237,6 +240,7 @@ def read_id_set(raw: str, load: Callable[[str], Any]) -> list[int]:
 def parse_solution_list(data: dict) -> SolutionList:
     """Format: {"dim": n, "vectors": ["0101", ...]}; a vector may also be a list
     of 0/1 integers or "0"/"1" strings."""
+    from .explicit import SolutionList
     with _reading("solution list"):
         dim = int_from_json(data["dim"])
         rows = [_bits(vec) for vec in data["vectors"]]
@@ -268,6 +272,7 @@ def _bit(value: Any) -> int:
 
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
+    from .linear import AffineBasis
     with _reading("basis"):
         parse = _fraction_parser()
         points = [list(map(parse, p)) for p in data["points"]]
@@ -279,6 +284,7 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
 
     Keys are comma-joined sorted element ids; every subset must be present.
     """
+    from .polymatroids import PolymatroidOracle
     with _reading("table"):
         size = int_from_json(data["size"])
         table = {frozenset(parse_ids(key)): fraction_from_json(value)

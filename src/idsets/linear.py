@@ -29,7 +29,10 @@ class AffineBasis:
     points: tuple[Vector, ...]
 
     def __init__(self, points: Sequence[Sequence]):
-        pts = tuple(as_vector(p) for p in points)
+        try:
+            pts = tuple(as_vector(p) for p in points)
+        except TypeError as exc:
+            raise InvalidInstance(f"basis points must be iterables of rationals: {exc}") from None
         if not pts:
             raise InvalidInstance("affine basis needs at least one point")
         if len({len(p) for p in pts}) != 1:

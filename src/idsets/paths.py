@@ -58,7 +58,9 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     at v, i.e. no node acquires in-degree two within that arc set. One sweep in
     topological order decides every v: reach[w] is the bitmask of the nodes
     reaching w over those arcs, and `bad` gets each v that reaches the tails of
-    two in-arcs of one node. The least such v yields two v-w paths avoiding S,
+    two in-arcs of one node. reach[w] is kept only while w has an unswept
+    out-arc among them, so the live masks are those of one topological cut,
+    not of every node. The least v in `bad` yields two v-w paths avoiding S,
     read from its BFS tree and extended to full s-t paths that agree on S.
     """
     if g.has_self_loop():
@@ -68,14 +70,21 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     keep_arcs = st_walk_arcs(g, st)
     allowed = keep_arcs - s_set
     tails, inc = g.tails, g.in_arcs()
-    reach, bad = [0] * g.node_count, 0
+    reach, bad, out_left = [0] * g.node_count, 0, [0] * g.node_count
+    for aid in allowed:
+        out_left[tails[aid]] += 1
     for w in order:
         seen = 0
         for aid in inc[w]:
             if aid in allowed:
-                bad |= seen & reach[tails[aid]]
-                seen |= reach[tails[aid]]
-        reach[w] = seen | 1 << w
+                v = tails[aid]
+                bad |= seen & reach[v]
+                seen |= reach[v]
+                out_left[v] -= 1
+                if not out_left[v]:
+                    reach[v] = 0
+        if out_left[w]:
+            reach[w] = seen | 1 << w
     if not bad:
         return True, None
     v = (bad & -bad).bit_length() - 1

@@ -80,6 +80,20 @@ def test_digraph_rejects_arcs_that_are_not_pairs(arc):
         Digraph(3, [(0, 1), arc])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Digraph(3, None),
+    lambda: SolutionList(2, None),
+    lambda: SolutionList(2, [None]),
+    lambda: WeightedGroundSet(None),
+    lambda: AffineBasis(None),
+    lambda: AffineBasis([None]),
+], ids=["digraph", "solutions", "solution-row", "weights", "basis", "basis-point"])
+def test_constructors_refuse_what_they_cannot_iterate(call):
+    # Each once raised a bare TypeError from its loop.
+    with pytest.raises(InvalidInstance, match="must be iterable"):
+        call()
+
+
 class TestColumns:
     """A Digraph is two int columns. `Digraph(n, pairs)` and
     `Digraph._from_columns`, the entry io.parse_graph hands its int-checked
@@ -250,6 +264,14 @@ def test_weights_reject_negative():
     for size in (0, 3):
         with pytest.raises(InvalidInstance, match="^negative weight at element 0$"):
             WeightedGroundSet.uniform(size, Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("size, message", [
+    (-1, "^size must be nonnegative$"), (2.5, "^size must be an integer, got 2.5$")])
+def test_uniform_reads_size_as_a_count(size, message):
+    # -1 once gave zero weights, and 2.5 a bare TypeError.
+    with pytest.raises(InvalidInstance, match=message):
+        WeightedGroundSet.uniform(size)
 
 
 def test_weights_reject_floats():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,20 @@ class TestVerifyDag:
             verdicts.append(got[0])
         assert len(verdicts) >= 1000 and parallel >= 500
         assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
+
+    def test_sweep_keeps_only_live_ancestor_masks(self):
+        # Kept to the end, the masks of an n-node path take about n^2/16
+        # bytes: 29 MB at n = 20,000. Each is dropped once its node's last
+        # allowed out-arc is swept.
+        n = 20_000
+        g, st = Digraph(n, [(v, v + 1) for v in range(n - 1)]), StPair(0, n - 1)
+        tracemalloc.start()
+        try:
+            ok, _ = verify_path_identifying_dag(g, st, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and peak < 8 * 2**20
 
     def test_monotone_under_supersets(self):
         rng = random.Random(3)

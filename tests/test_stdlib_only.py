@@ -1,14 +1,23 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and a run
+imports only the idsets modules it needs."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "idsets").glob("*.py"))
+import idsets
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "idsets").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -81,3 +90,79 @@ def test_graph_walks_do_not_recurse():
                           if isinstance(node, ast.Call)
                           and getattr(node.func, "id", getattr(node.func, "attr", None)) == fn.name]
     assert not calls, calls
+
+
+# The exported names; each stays importable from the package.
+PUBLIC = [
+    "AffineBasis", "Caps", "CostOracle", "DEFAULT_CAPS", "Digraph", "FlowIdentifyResult",
+    "MatroidOracle", "PathIdentifyResult", "PolymatroidOracle", "SolutionList", "StPair",
+    "TollVector", "WeightedGroundSet", "approx_min_path_identifying_dag", "ax_independent",
+    "caps", "controlling_counterexample_check", "convex_tolls", "discrete_tolls",
+    "enumerate_st_paths", "errors", "exact_identifying", "exact_min_path_identifying",
+    "explicit", "flows", "fundamental_circuit", "graphs", "greedy_identifying", "linalg",
+    "linear", "linear_cost", "matroid_components", "matroids", "min_weight_flow_identifying",
+    "min_weight_identifying_from_basis", "min_weight_matroid_identifying",
+    "min_weight_polymatroid_identifying", "paths", "polymatroid_components", "polymatroids",
+    "quadratic_cost", "relevant_arcs", "search", "spanning_forest_max_weight",
+    "strongly_connected_components", "tolls", "topological_order",
+    "verify_explicit_identifying", "verify_flow_identifying", "verify_identifying_from_basis",
+    "verify_matroid_identifying", "verify_path_identifying_dag",
+    "verify_path_identifying_general", "verify_polymatroid_identifying",
+]
+
+
+def loaded_after(code: str) -> set[str]:
+    """The idsets modules a fresh interpreter holds after running `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    report = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'idsets')))")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_bare_import_loads_only_the_package():
+    assert loaded_after("import idsets") == {"idsets"}
+
+
+def test_cli_import_loads_what_every_run_needs():
+    assert loaded_after("import idsets.cli") == {
+        "idsets", "idsets.caps", "idsets.cli", "idsets.errors", "idsets.graphs",
+        "idsets.io", "idsets.linalg"}
+
+
+def test_flow_identify_loads_no_other_solver(tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "s": 0, "t": 2}))
+    loaded = loaded_after(
+        "import contextlib, io, idsets.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert idsets.cli.main(['flow-identify', {str(path)!r}, '--verify', '0,1']) == 0")
+    assert "idsets.flows" in loaded
+    assert not loaded & {f"idsets.{m}" for m in (
+        "paths", "search", "explicit", "linear", "matroids", "polymatroids", "tolls",
+        "instances")}
+
+
+def test_exported_names_are_pinned():
+    assert idsets.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(idsets))
+
+
+def test_each_name_is_its_modules_object():
+    for name in PUBLIC:
+        value = getattr(idsets, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"idsets.{name}")
+        else:  # a class, function or constant: the one where it is defined
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_and_unknown_names():
+    namespace: dict = {}
+    exec("from idsets import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        idsets.cli_main  # noqa: B018
