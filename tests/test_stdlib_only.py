@@ -165,4 +165,4 @@ def test_star_import_and_unknown_names():
     exec("from idsets import *", namespace)
     assert set(PUBLIC) <= set(namespace)
     with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
-        idsets.cli_main  # noqa: B018
+        idsets.cli_main
