@@ -7,7 +7,7 @@ system into a chosen target state. Brute-force oracles back every
 polynomial algorithm at desk scale.
 
 Each exported name is imported from its module on first use (PEP 562), so
-`import idsets` loads no solver and a CLI run loads only the one it calls.
+`import idsets` loads no solver.
 """
 
 from importlib import import_module
@@ -36,18 +36,17 @@ _EXPORTS = {
     "tolls": ("CostOracle", "TollVector", "controlling_counterexample_check",
               "convex_tolls", "discrete_tolls", "linear_cost", "quadratic_cost"),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
-__all__ = sorted([*_EXPORTS, *_HOME])
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    module = import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = module if name in _EXPORTS else getattr(module, name)
     return value
 
 

@@ -5,8 +5,8 @@ diagnostics including a one-line run summary go to stderr. Exit codes: 0 success
 1 infeasible-or-false, 2 usage error, 3 cap exceeded. Files and flag values
 are turned into domain objects by `idsets.io` only, each input file read once
 through the run's reader, whose bytes make up the summary's digest.
-Each handler imports its own solver module, so a run loads only the
-modules its subcommand needs.
+The flow, path, explicit, toll and gen handlers import their own module;
+the linear and (poly)matroid modules come with io, which parses their input.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ import hashlib
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from . import io
+from . import io, linear, matroids, polymatroids
 from .caps import Caps
 from .errors import CapExceeded, IdsetsError, InvalidInstance
 from .graphs import WeightedGroundSet
-
-if TYPE_CHECKING:
-    from . import matroids, paths, polymatroids
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -75,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--verify", help="file or comma list of arc ids to verify instead")
 
-    for name, run in (("path-verify", _cmd_path_verify), ("path-exact", _cmd_path_exact),
-                      ("path-approx", _cmd_path_approx), ("path-gap", _cmd_path_gap)):
+    for name, run in (("path-verify", _cmd_path_verify), ("path-exact", _cmd_path_minimize),
+                      ("path-approx", _cmd_path_minimize), ("path-gap", _cmd_path_gap)):
         p = command(name, run)
         p.add_argument("instance")
         if name == "path-verify":
@@ -196,25 +193,19 @@ def _cmd_path_verify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
         "path_a": sorted(witness.path_a), "path_b": sorted(witness.path_b)})
 
 
-def _path_answer(result: paths.PathIdentifyResult) -> tuple[int, dict]:
-    """A path minimizer's exit code and payload, with its bound if it has one."""
+def _cmd_path_minimize(args, caps: Caps, read: Reader) -> tuple[int, dict]:
+    """path-exact or path-approx: the set and weight, and the bound if any."""
+    from . import paths
+    g, st, w = io.parse_instance(read(args.instance))
+    if args.command == "path-exact":
+        result = paths.exact_min_path_identifying(g, st, w, caps)
+    else:
+        result = paths.approx_min_path_identifying_dag(g, st, w)
     payload = {"S": sorted(result.identifying_set), "method": result.method,
                "weight": io.fraction_to_json(result.total_weight)}
     if result.approx_bound is not None:
         payload["approx_bound"] = io.fraction_to_json(result.approx_bound)
     return EXIT_OK, payload
-
-
-def _cmd_path_exact(args, caps: Caps, read: Reader) -> tuple[int, dict]:
-    from . import paths
-    g, st, w = io.parse_instance(read(args.instance))
-    return _path_answer(paths.exact_min_path_identifying(g, st, w, caps))
-
-
-def _cmd_path_approx(args, caps: Caps, read: Reader) -> tuple[int, dict]:
-    from . import paths
-    g, st, w = io.parse_instance(read(args.instance))
-    return _path_answer(paths.approx_min_path_identifying_dag(g, st, w))
 
 
 def _cmd_path_gap(args, caps: Caps, read: Reader) -> tuple[int, dict]:
@@ -233,7 +224,6 @@ def _cmd_path_gap(args, caps: Caps, read: Reader) -> tuple[int, dict]:
 
 
 def _build_matroid(args, read: Reader) -> matroids.MatroidOracle:
-    from . import matroids
     kind = _require(args, "--kind")
     if kind == "graphic":
         return matroids.graphic_matroid(io.parse_graph(read(args.graph)))
@@ -257,13 +247,11 @@ def _components(args, read: Reader, oracle, solve) -> tuple[int, dict]:
 
 
 def _cmd_matroid_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
-    from . import matroids
     return _components(args, read, _build_matroid(args, read),
                        matroids.min_weight_matroid_identifying)
 
 
 def _build_polymatroid(args, read: Reader) -> polymatroids.PolymatroidOracle:
-    from . import polymatroids
     if args.table:
         return io.parse_polymatroid_table(read(args.table))
     if args.family is None:
@@ -279,13 +267,11 @@ def _build_polymatroid(args, read: Reader) -> polymatroids.PolymatroidOracle:
 
 
 def _cmd_polymatroid_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
-    from . import polymatroids
     return _components(args, read, _build_polymatroid(args, read),
                        polymatroids.min_weight_polymatroid_identifying)
 
 
 def _cmd_linear_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
-    from . import linear
     basis = io.parse_affine_basis(read(args.basis))
     w = _weights(args, basis.ground_size, read)
     s = linear.min_weight_identifying_from_basis(basis, w)

@@ -33,14 +33,9 @@ def gen_tight_gap_family(k: int) -> GeneratedInstance:
     k = _integer(k, "k")
     if k < 1:
         raise InvalidInstance("k must be >= 1")
-    arcs: list[tuple[int, int]] = []
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            arcs.append((2 * i, 2 * j + 1))
-    marked = []
-    for i in range(1, k + 1):
-        marked.append(len(arcs))
-        arcs.append((2 * i - 1, 2 * i))
+    arcs = [(2 * i, 2 * j + 1) for i in range(k + 1) for j in range(i, k + 1)]
+    marked = list(range(len(arcs), len(arcs) + k))
+    arcs += [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
     g = Digraph(2 * k + 2, arcs)
     st = StPair(0, 2 * k + 1)
     meta = {"construction": "tight-gap", "k": k, "marked_arcs": marked}
@@ -71,19 +66,12 @@ def gen_vertex_cover_dag(vc_vertices: int, vc_edges: Sequence[tuple[int, int]],
         return 2 + len(edges) + v * ell + (i - 1)
 
     node_count = 2 + len(edges) + vc_vertices * ell
-    arcs: list[tuple[int, int]] = []
-    e_s = []
-    for ei in range(len(edges)):
-        e_s.append(len(arcs))
-        arcs.append((s_node, u_node[ei]))
-    e_mid = []
-    mid_info = []  # (edge index, vertex, copy) per E' arc
-    for ei, (a, b) in enumerate(edges):
-        for v in (a, b):
-            for i in range(1, ell + 1):
-                e_mid.append(len(arcs))
-                mid_info.append((ei, v, i))
-                arcs.append((u_node[ei], copy_node(v, i)))
+    arcs = [(s_node, u_node[ei]) for ei in range(len(edges))]
+    e_s = list(range(len(arcs)))
+    mid_info = [(ei, v, i) for ei, edge in enumerate(edges) for v in edge
+                for i in range(1, ell + 1)]  # (edge index, vertex, copy) per E' arc
+    e_mid = list(range(len(arcs), len(arcs) + len(mid_info)))
+    arcs += [(u_node[ei], copy_node(v, i)) for ei, v, i in mid_info]
     tail_arcs = []  # (vertex, copy, arc id) per E_i arc
     for i in range(1, ell + 1):
         for v in range(vc_vertices):
@@ -140,11 +128,8 @@ def gen_random_dag(nodes: int, arc_prob: float, seed: int) -> GeneratedInstance:
     rng = random.Random(seed)
     perm = list(range(nodes))
     rng.shuffle(perm)
-    arcs = []
-    for i in range(nodes):
-        for j in range(i + 1, nodes):
-            if rng.random() < arc_prob:
-                arcs.append((perm[i], perm[j]))
+    arcs = [(perm[i], perm[j]) for i in range(nodes) for j in range(i + 1, nodes)
+            if rng.random() < arc_prob]
     meta = {"construction": "random-dag", "nodes": nodes, "arc_prob": arc_prob,
             "seed": seed}
     return GeneratedInstance(graph=Digraph(nodes, arcs),

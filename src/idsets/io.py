@@ -12,16 +12,14 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import InvalidInstance
 from .graphs import Digraph, StPair, WeightedGroundSet
-
-if TYPE_CHECKING:
-    from .explicit import SolutionList
-    from .linear import AffineBasis
-    from .polymatroids import PolymatroidOracle
-    from .tolls import CostOracle
+# At module level, not in their parsers: perfbench's tracer patches both classes'
+# __init__ after a workload's first pass, and needs their modules loaded by then.
+from .linear import AffineBasis
+from .polymatroids import PolymatroidOracle
 
 
 @contextmanager
@@ -272,7 +270,6 @@ def _bit(value: Any) -> int:
 
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
-    from .linear import AffineBasis
     with _reading("basis"):
         parse = _fraction_parser()
         points = [list(map(parse, p)) for p in data["points"]]
@@ -284,7 +281,6 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
 
     Keys are comma-joined sorted element ids; every subset must be present.
     """
-    from .polymatroids import PolymatroidOracle
     with _reading("table"):
         size = int_from_json(data["size"])
         table = {frozenset(parse_ids(key)): fraction_from_json(value)

@@ -130,7 +130,18 @@ def test_bare_import_loads_only_the_package():
 def test_cli_import_loads_what_every_run_needs():
     assert loaded_after("import idsets.cli") == {
         "idsets", "idsets.caps", "idsets.cli", "idsets.errors", "idsets.graphs",
-        "idsets.io", "idsets.linalg"}
+        "idsets.io", "idsets.linalg", "idsets.linear", "idsets.matroids",
+        "idsets.polymatroids"}
+
+
+def test_perfbench_tracer_installs_after_the_cli_import():
+    """The tracer patches AffineBasis.__init__ and PolymatroidOracle.__init__,
+    and fails when their modules are not loaded; a workload that calls no
+    linear or polymatroid solver has only what the cli import loads."""
+    perfbench = SRC.parent / "perfbench"
+    loaded_after(f"import sys; sys.path.insert(0, {str(perfbench)!r})\n"
+                 "import idsets.cli\nfrom tracing import Tracer\n"
+                 "tracer = Tracer(); tracer.install(); tracer.uninstall()")
 
 
 def test_flow_identify_loads_no_other_solver(tmp_path):
@@ -142,8 +153,7 @@ def test_flow_identify_loads_no_other_solver(tmp_path):
         f"    assert idsets.cli.main(['flow-identify', {str(path)!r}, '--verify', '0,1']) == 0")
     assert "idsets.flows" in loaded
     assert not loaded & {f"idsets.{m}" for m in (
-        "paths", "search", "explicit", "linear", "matroids", "polymatroids", "tolls",
-        "instances")}
+        "paths", "search", "explicit", "tolls", "instances")}
 
 
 def test_exported_names_are_pinned():
