@@ -11,8 +11,10 @@ branch-and-bound hitting-set search over the pair demands, at desk scale.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import byteorder
 from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
@@ -107,17 +109,31 @@ def greedy_identifying(x: SolutionList,
     cross-multiplied comparison; zero weight with positive gain counts as
     infinite), ties to the smaller id, and splits every class on it.
     Elements separating nothing are never chosen.
+
+    Each vector is packed once into an int, coordinate e in lane e of `fmt`'s
+    width, and `masks` fills its 1-lanes with ones. For a class C with packed
+    sum P, |C|*P - sum(P & mask) holds ones * (|C| - ones) in every lane, so
+    each round's gains are one int, unpacked by one cast (DECISIONS, "Greedy
+    gains from packed column sums").
     """
     w = validate_weights(x.dimension, w)
-    scaled = w.scaled
-    classes = [x.vectors] if len(x.vectors) > 1 else []
+    scaled, vectors = w.scaled, x.vectors
+    # Int arithmetic is exact, so only the lanes read must fit: those of a
+    # class sum (at most n) and of a round's gains (at most n * n / 4).
+    n = len(vectors)
+    fmt = "I" if n * n < 1 << 8 * array("I").itemsize else "Q"
+    width = 8 * array(fmt).itemsize
+    packed = [int.from_bytes(array(fmt, vec), byteorder) for vec in vectors]
+    masks = [p * ((1 << width) - 1) for p in packed]
+    classes = [list(range(n))] if n > 1 else []
     chosen: list[int] = []
     trace: list[tuple[int, int]] = []
     while classes:
-        gains = [0] * x.dimension
+        total = 0
         for members in classes:
-            for e, ones in enumerate(map(sum, zip(*members))):
-                gains[e] += ones * (len(members) - ones)
+            p = sum(map(packed.__getitem__, members))
+            total += len(members) * p - sum(map(p.__and__, map(masks.__getitem__, members)))
+        gains = memoryview(total.to_bytes(x.dimension * width // 8, byteorder)).cast(fmt)
         best_e = -1
         for e, gain in enumerate(gains):
             if gain and (best_e == -1 or _better(gain, scaled[e], gains[best_e], scaled[best_e])):
@@ -127,8 +143,8 @@ def greedy_identifying(x: SolutionList,
         refined = []
         for members in classes:
             halves: tuple[list, list] = ([], [])
-            for vec in members:
-                halves[vec[best_e]].append(vec)
+            for u in members:
+                halves[vectors[u][best_e]].append(u)
             refined.extend(half for half in halves if len(half) > 1)
         classes = refined
     s = frozenset(chosen)

@@ -4,14 +4,18 @@ A set S is identifying for the flow polytope exactly when removing S from the
 relevant arcs E' (arcs on some s-t path or directed cycle) leaves no
 undirected cycle. Minimal identifying sets are therefore complements of
 spanning forests of (V, E'), and a maximum-weight forest yields the
-minimum-weight identifying set. A failed verification pushes flow around the
-first cycle it finds, walked in the order it was found.
+minimum-weight identifying set. E' is read off reach marks from s and into t,
+with Kosaraju only on the nodes off the s-t core; Kruskal and the cycle finder
+run on one union-find. A failed verification pushes flow around the first
+cycle it finds, walked in the order it was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import and_, eq
 from typing import Iterable
 
 from .errors import InvalidInstance, NoStPath
@@ -20,10 +24,10 @@ from .graphs import (
     StPair,
     UnionFind,
     WeightedGroundSet,
+    _kosaraju,
     bfs_tree,
     reach_marks,
     spanning_forest_max_weight,
-    strongly_connected_components,
     tree_path,
     validate_ids,
     validate_weights,
@@ -70,15 +74,19 @@ def st_walk_arcs(g: Digraph, st: StPair) -> frozenset[int]:
 def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     """Arcs on some directed cycle or some s-t path (the support union of all flows).
 
-    An arc is on a directed cycle iff its endpoints share a strongly connected
-    component; any other arc on an s-t walk is on an s-t path.
+    Call the nodes that s reaches and that reach t the core. An arc on an s-t
+    walk has both ends in the core, and is on an s-t path; a directed cycle
+    through a core node has every node in the core, so all its arcs are walk
+    arcs. So E' is the arcs inside the core plus the arcs inside a strongly
+    connected component of the other nodes: Kosaraju runs on those alone,
+    and the core shares one label, so E' is the arcs whose ends' labels match.
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in flow settings")
     from_s, to_t = _st_marks(g, st)
-    comp = strongly_connected_components(g)
-    return frozenset(aid for aid, (tail, head) in enumerate(zip(g.tails, g.heads))
-                     if from_s[tail] and to_t[head] or comp[tail] == comp[head])
+    label = _kosaraju(g, bytes(map(and_, from_s, to_t))).__getitem__
+    return frozenset(compress(range(g.arc_count), map(
+        eq, map(label, g.tails), map(label, g.heads))))
 
 
 def min_weight_flow_identifying(g: Digraph, st: StPair,

@@ -229,28 +229,33 @@ def drop_heaviest_per_part(parts: Iterable[frozenset[int]],
 
 
 class UnionFind:
-    """Plain union-find with path compression and union by size."""
+    """Union-find with path halving and union by size. `union` runs both finds
+    inline, so a caller that unions once per arc makes one Python call per arc."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Merge the classes of a and b; False when they were one class already."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        size = self.size
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
         return True
 
     def parts(self) -> tuple[frozenset[int], ...]:
@@ -266,8 +271,16 @@ def strongly_connected_components(g: Digraph) -> list[int]:
     records finish order, then one walk over the in-arcs from each unassigned
     node, latest finished first, collects its component. Ids are 0..k-1 in a
     topological order of the components: comp[tail] <= comp[head] for every arc."""
+    return _kosaraju(g, bytes(g.node_count))
+
+
+def _kosaraju(g: Digraph, skip: bytes | bytearray) -> list[int]:
+    """`strongly_connected_components` over the nodes v with skip[v] == 0.
+    Both walks treat a skipped node as already seen, so none is entered and
+    every skipped node keeps the one id -1; the caller must skip whole
+    components, or a component is cut where it crosses a skipped node."""
     out, inc, tails, heads = g.out_arcs(), g.in_arcs(), g.tails, g.heads
-    seen, finished = bytearray(g.node_count), []
+    seen, finished = bytearray(skip), []
     for root in range(g.node_count):
         if seen[root]:
             continue
@@ -284,15 +297,15 @@ def strongly_connected_components(g: Digraph) -> list[int]:
             else:
                 stack.pop()
                 finished.append(v)
-    comp, k = [-1] * g.node_count, 0
+    placed, comp, k = bytearray(skip), [-1] * g.node_count, 0
     for root in reversed(finished):
-        if comp[root] == -1:
-            comp[root], stack = k, [root]
+        if not placed[root]:
+            placed[root], comp[root], stack = 1, k, [root]
             while stack:
                 for aid in inc[stack.pop()]:
                     w = tails[aid]
-                    if comp[w] == -1:
-                        comp[w] = k
+                    if not placed[w]:
+                        placed[w], comp[w] = 1, k
                         stack.append(w)
             k += 1
     return comp

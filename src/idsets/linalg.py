@@ -34,7 +34,12 @@ def exact(value: Any) -> Fraction:
 
 
 def as_vector(values: Sequence) -> Vector:
-    return tuple(exact(v) for v in values)
+    """Each value through `exact`; InvalidInstance for values it cannot iterate."""
+    try:
+        items = iter(values)
+    except TypeError as exc:
+        raise InvalidInstance(f"a vector must be iterable: {exc}") from None
+    return tuple(map(exact, items))
 
 
 def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

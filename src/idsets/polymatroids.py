@@ -41,6 +41,8 @@ class PolymatroidOracle:
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
                  name: str = "custom"):
         self.ground_size = _count(ground_size, "ground_size")
+        if not callable(value):
+            raise InvalidInstance(f"value must be callable, got {type(value).__name__}")
         self.name = name
         self._fn = value
         self._cache: dict[frozenset[int], Fraction] = {}

@@ -71,7 +71,12 @@ class TollVector:
     support: frozenset[int]
 
     def __post_init__(self):
-        assert set(self.gamma) <= set(self.support)
+        try:
+            outside = set(self.gamma) - set(self.support)
+        except TypeError as exc:
+            raise InvalidInstance(f"gamma and support must be iterable: {exc}") from None
+        if outside:
+            raise InvalidInstance(f"tolls outside the support: {sorted(outside, key=repr)}")
 
     def as_vector(self) -> Vector:
         return tuple(self.gamma.get(e, Fraction(0)) for e in range(self.size))

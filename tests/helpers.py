@@ -100,6 +100,31 @@ def oracle_directed_cycles(g: Digraph) -> list[list[int]]:
     return cycles
 
 
+def oracle_relevant_arcs(g: Digraph, st: StPair) -> set[int]:
+    """E' by definition: the arcs on some s-t path or some directed cycle."""
+    return set().union(*oracle_enumerate_paths(g, st), *oracle_directed_cycles(g))
+
+
+def oracle_st_walk_arcs(g: Digraph, st: StPair) -> set[int]:
+    """The arcs of s-t walks, from paths and cycles alone. A walk is an s-t
+    path with directed cycles hung on it, each meeting the path or an earlier
+    cycle; so start from the path arcs and add every cycle that meets a node
+    already covered, until none does."""
+    arcs = set().union(*oracle_enumerate_paths(g, st))
+    nodes = {end for aid in arcs for end in g.arcs[aid]}
+    pending = oracle_directed_cycles(g)
+    grown = True
+    while grown:
+        grown = False
+        for cycle in pending:
+            if any(g.arcs[aid][0] in nodes for aid in cycle):
+                arcs.update(cycle)
+                nodes.update(g.arcs[aid][0] for aid in cycle)
+                grown = True
+        pending = [c for c in pending if not set(c) <= arcs]
+    return arcs
+
+
 def oracle_reachable_from(g: Digraph, start: int, allowed=None) -> set[int]:
     """Reference forward reach: DFS over adjacency rebuilt from `allowed`."""
     allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)

@@ -149,6 +149,40 @@ class TestGreedy:
                 x.vectors, x.dimension, w)
 
 
+class TestGreedyMatchesThePairOracle:
+    """The packed-sum gains against the oracle that recounts every pair."""
+
+    @staticmethod
+    def weights(rng: random.Random, dim: int) -> WeightedGroundSet:
+        # Zero, integer and fractional weights, some of them tied.
+        return WeightedGroundSet([Fraction(rng.choice([0, 1, 1, 2, 3, 7]), rng.randint(1, 4))
+                                  for _ in range(dim)])
+
+    def test_seeded_lists(self):
+        rng = random.Random(61)
+        zero_weight_chosen = 0
+        for _ in range(500):
+            dim = rng.randint(0, 12)
+            rows = [tuple(rng.randint(0, 1) for _ in range(dim))
+                    for _ in range(rng.randint(1, 80))]
+            x = SolutionList(dim, rows)
+            w = self.weights(rng, dim)
+            result = greedy_identifying(x, w)
+            assert (result.identifying_set, result.trace) == oracle_greedy_pairs(
+                x.vectors, dim, w)
+            zero_weight_chosen += any(w[e] == 0 for e in result.identifying_set)
+        assert zero_weight_chosen > 100
+
+    def test_400_vectors_of_width_40(self):
+        rng = random.Random(67)
+        x = random_solution_list(rng, 40, 400)
+        w = self.weights(rng, 40)
+        result = greedy_identifying(x, w)
+        assert len(x) == 400
+        assert (result.identifying_set, result.trace) == oracle_greedy_pairs(
+            x.vectors, 40, w)
+
+
 class TestExact:
     def test_full_square(self):
         x = SolutionList.from_strings(["00", "01", "10", "11"])

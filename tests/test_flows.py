@@ -11,6 +11,7 @@ from idsets.errors import NoStPath
 from idsets.flows import (
     min_weight_flow_identifying,
     relevant_arcs,
+    st_walk_arcs,
     verify_flow_identifying,
 )
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
@@ -21,6 +22,9 @@ from .helpers import (
     all_subsets,
     flow_conservation_ok,
     has_st_path,
+    oracle_enumerate_paths,
+    oracle_relevant_arcs,
+    oracle_st_walk_arcs,
     oracle_undirected_acyclic,
     random_weights,
     seeded_multigraphs,
@@ -48,6 +52,52 @@ class TestRelevantArcs:
     def test_no_st_path_raises(self):
         with pytest.raises(NoStPath):
             relevant_arcs(Digraph(2, []), StPair(0, 1))
+
+
+def multigraphs_with_stray_cycles(count: int, seed: int):
+    """Random multigraphs with parallel arcs on s = 0 .. t = n - 1; four in
+    five get a directed cycle on 2-3 extra nodes that s reaches, that reaches
+    t, that does both or that does neither."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        arcs = []
+        for _ in range(rng.randint(1, 9)):
+            tail, head = rng.sample(range(n), 2)
+            arcs += [(tail, head)] * rng.choice([1, 1, 1, 2])
+        ring = list(range(n, n + rng.randint(2, 3)))
+        kind = rng.choice(["none", "from-s", "to-t", "both", "apart"])
+        if kind != "none":
+            arcs += list(zip(ring, ring[1:] + ring[:1]))
+        if kind in ("from-s", "both"):
+            arcs.append((rng.randrange(n - 1), rng.choice(ring)))
+        if kind in ("to-t", "both"):
+            arcs.append((rng.choice(ring), rng.randrange(1, n)))
+        rng.shuffle(arcs)
+        yield Digraph(ring[-1] + 1, arcs), StPair(0, n - 1)
+
+
+class TestArcSetsMatchPathsAndCycles:
+    """E' and the s-t walk arcs against the paths and cycles they are defined by."""
+
+    def test_seeded_multigraphs(self):
+        counts = {"st": 0, "off_core_cycle": 0, "walk_cycle": 0, "parallel": 0}
+        for g, st in multigraphs_with_stray_cycles(2_200, seed=83):
+            if not has_st_path(g, st):
+                for solver in (relevant_arcs, st_walk_arcs):
+                    with pytest.raises(NoStPath):
+                        solver(g, st)
+                continue
+            relevant, walk = relevant_arcs(g, st), st_walk_arcs(g, st)
+            assert relevant == oracle_relevant_arcs(g, st)
+            assert walk == oracle_st_walk_arcs(g, st)
+            counts["st"] += 1
+            # A cycle off the s-t core, a cycle on an s-t walk, a parallel pair.
+            counts["off_core_cycle"] += relevant != walk
+            counts["walk_cycle"] += walk != set().union(*oracle_enumerate_paths(g, st))
+            counts["parallel"] += len(set(g.arcs)) < g.arc_count
+        assert counts["st"] >= 1_000, counts
+        assert min(counts.values()) >= 100, counts
 
 
 class TestMinWeightFlowIdentifying:

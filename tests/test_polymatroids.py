@@ -218,6 +218,10 @@ class TestOracleValidation:
         with pytest.raises(InvalidInstance, match="^ground_size must be"):
             build()
 
+    def test_value_must_be_callable(self):
+        with pytest.raises(InvalidInstance, match="^value must be callable, got Fraction"):
+            PolymatroidOracle(True, Fraction(1, 2))
+
     def test_table_keys_outside_ground_rejected(self):
         table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
         with pytest.raises(InvalidInstance, match="subsets of 0..size-1"):

@@ -23,6 +23,7 @@ from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.tolls import (
     ControllingVerdict,
     CostOracle,
+    TollVector,
     controlling_counterexample_check,
     convex_tolls,
     discrete_tolls,
@@ -62,6 +63,26 @@ class TestCostOracles:
             g = as_vector(c.subgradient(x))
             assert c.evaluate(z) >= c.evaluate(x) + vec_dot(g, tuple(
                 zi - xi for zi, xi in zip(z, x)))
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: linear_cost(None), "NoneType"),
+        (lambda: quadratic_cost(-1), "int"),
+    ], ids=["linear-none", "quadratic-int"])
+    def test_refuses_values_it_cannot_iterate(self, build, kind):
+        with pytest.raises(InvalidInstance, match=(
+                f"^a vector must be iterable: '{kind}' object is not iterable$")):
+            build()
+
+
+class TestTollVector:
+    def test_refuses_a_toll_outside_the_support(self):
+        # An InvalidInstance, not an assert, so it holds under `python -O` too.
+        with pytest.raises(InvalidInstance, match=r"^tolls outside the support: \[0\]"):
+            TollVector(3, [0], [Fraction(1)])
+
+    def test_refuses_a_gamma_it_cannot_iterate(self):
+        with pytest.raises(InvalidInstance, match="^gamma and support must be iterable"):
+            TollVector(3, None, frozenset())
 
 
 class TestDiscreteTolls:
