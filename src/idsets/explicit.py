@@ -4,9 +4,10 @@ Separating every pair of distinct vectors is a set-cover problem over the
 pair universe. The weighted greedy gives the standard logarithmic guarantee
 without listing the pairs: it refines the partition of the vectors into
 classes not yet separated, and counts an element's new pairs per class as
-|ones| * |zeros|. Verification and the exact optimum pass the vectors as
-bitmask rows to idsets.search: the first collision on S, and the
-branch-and-bound hitting-set search over the pair demands, at desk scale.
+|ones| * |zeros|, for every element at once from the class's packed sum.
+Verification and the exact optimum pass the vectors as bitmask rows to
+idsets.search: the first collision on S, and the branch-and-bound
+hitting-set search over the pair demands, at desk scale.
 """
 
 from __future__ import annotations
