@@ -25,11 +25,8 @@ class Caps:
 
     max_paths      limit on enumerated simple s-t paths
     max_subsets    limit on nodes visited by the exact hitting-set search
-    max_ground     element limit for the subset loops that build a negative
-                   verdict's witness: the matroid circuit scan (the elements
-                   of the violated components) and the polymatroid average
-                   base (its largest component); no subcommand verifies
-                   either, so only library callers set it
+    max_ground     element limit for the matroid circuit scan of a negative
+                   verdict's witness; no subcommand runs it
     max_fm_vars    variable limit for Fourier-Motzkin elimination; no
                    subcommand eliminates, so only library callers set it
 

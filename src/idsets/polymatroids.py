@@ -4,9 +4,9 @@ The ground set splits uniquely into connected components (no proper nonempty
 T with f(T) + f(E \\ T) = f(E) inside a component); a set is identifying for
 the base polyhedron exactly when it misses at most one element per component,
 and a witness exchange stays inside a violated component. The components come
-from one greedy base in n(n+1)/2 oracle calls; only a negative verdict's
-witness loops over subsets, one component at a time. All arithmetic is exact:
-tightness x(T) = f(T) is an equality test.
+from one greedy base in n(n+1)/2 oracle calls, a negative verdict's witness
+from swaps in its dep order. All arithmetic is exact: tightness x(T) = f(T)
+is an equality test.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .caps import Caps, DEFAULT_CAPS
-from .errors import EnumerationExplosion, InvalidInstance
+from .errors import InvalidInstance
 from .graphs import (UnionFind, WeightedGroundSet, _count, _integer, drop_heaviest_per_part,
                      validate_ids, validate_weights)
-from .linalg import Vector, exact, integer_row
+from .linalg import Vector, as_vector, exact, integer_row
 from .matroids import MatroidOracle
 
 EXHAUSTIVE_CHECK_LIMIT = 12
@@ -107,7 +105,10 @@ class PolymatroidOracle:
     def from_table(cls, ground_size: int,
                    table: Mapping[frozenset[int], Fraction]) -> "PolymatroidOracle":
         ground_size = _integer(ground_size, "ground_size")
-        data = {frozenset(k): exact(v) for k, v in table.items()}
+        try:
+            data = {frozenset(k): exact(v) for k, v in table.items()}
+        except (AttributeError, TypeError) as exc:
+            raise InvalidInstance(f"table must map subsets to values: {exc}") from None
         if not 0 <= ground_size < 64 or len(data) != 1 << ground_size:
             raise InvalidInstance("table must define every subset")
         # 2^n distinct keys inside the ground set are exactly its subsets.
@@ -123,9 +124,12 @@ class PolymatroidOracle:
 
     @classmethod
     def coverage(cls, ground_size: int, sets: Sequence[Iterable]) -> "PolymatroidOracle":
-        if len(sets) != ground_size:
+        try:
+            covered = [frozenset(s) for s in sets]
+        except TypeError as exc:
+            raise InvalidInstance(f"covered sets must be iterables of items: {exc}") from None
+        if len(covered) != ground_size:
             raise InvalidInstance("one covered set per element required")
-        covered = [frozenset(s) for s in sets]
 
         def value(t: frozenset[int]) -> Fraction:
             union: frozenset = frozenset()
@@ -139,7 +143,7 @@ class PolymatroidOracle:
     def budget_additive(cls, cap: Fraction | int,
                         gains: Sequence[Fraction | int]) -> "PolymatroidOracle":
         cap_f = exact(cap)
-        gain_f = [exact(a) for a in gains]
+        gain_f = as_vector(gains)
         if cap_f < 0 or any(a < 0 for a in gain_f):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
         return _Unchecked(len(gain_f), name="budget-additive",
@@ -173,9 +177,15 @@ def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
     component is a separator (Bixby, Cunningham & Topkis 1985): each part P
     has f(P) + f(E - P) = f(E).
     """
+    return _greedy_deps(f)[2]
+
+
+def _greedy_deps(f: PolymatroidOracle):
+    """x, every dep(k) and the weak components, as in `polymatroid_components`."""
     n = f.ground_size
     uf = UnionFind(n)
     x: list[Fraction] = []
+    deps: list[frozenset[int]] = []
     for k in range(n):
         dep_x = f.value(range(k + 1))
         x.append(dep_x - f.value(range(k)))
@@ -186,33 +196,13 @@ def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
                 dep_x -= x[j]
         for j in dep:
             uf.union(k, j)
-    return uf.parts()
+        deps.append(frozenset(dep))
+    return x, deps, uf.parts()
 
 
-def interior_base(f: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> Vector:
-    """The average of the greedy bases over all element orderings.
-
-    Computed in closed form (ordering-count weights per prefix), this point
-    is a convex combination of vertices, hence feasible, and is strictly
-    inside every tightness constraint that crosses a connected component.
-    The average over a direct sum concatenates its parts' averages, so each
-    component is averaged alone and `caps.max_ground` bounds the largest.
-    """
-    parts = polymatroid_components(f)
-    largest = max(map(len, parts), default=0)
-    if largest > caps.max_ground:
-        raise EnumerationExplosion(caps.max_ground,
-                                   f"largest component holds {largest} elements")
-    coords = [Fraction(0)] * f.ground_size
-    for part in parts:
-        size = len(part)
-        for e in part:
-            for t_size in range(size):
-                weight = Fraction(factorial(t_size) * factorial(size - 1 - t_size),
-                                  factorial(size))
-                for t in combinations(sorted(part - {e}), t_size):
-                    coords[e] += weight * (f.value(t + (e,)) - f.value(t))
-    return tuple(coords)
+def _covers(deps: list[frozenset[int]], v: int, u: int) -> bool:
+    """v ⋖ u: v ∈ dep(u) - {u}, and no w ∈ dep(u) - {u, v} has v ∈ dep(w)."""
+    return v != u and v in deps[u] and not any(v in deps[w] for w in deps[u] - {u, v})
 
 
 def min_weight_polymatroid_identifying(
@@ -225,33 +215,44 @@ def min_weight_polymatroid_identifying(
 
 
 def verify_polymatroid_identifying(
-    f: PolymatroidOracle, s: Iterable[int], caps: Caps = DEFAULT_CAPS
+    f: PolymatroidOracle, s: Iterable[int]
 ) -> tuple[bool, PolymatroidWitness | None]:
     """Check |S ∩ E_i| >= |E_i| - 1 per component.
 
-    On a violation, builds an explicit pair of distinct base points agreeing
-    on S: the all-orderings average base shifted by a small exact exchange
-    between two missed elements e, e' of the violated component P. Strictness
-    of the exchange budget is re-verified, not assumed. The budget is the least
-    slack f(T) - x(T) over T inside P holding e' but not e: f - x is submodular,
-    nonnegative, and 0 on the separator P, so slack(T ∩ P) <= slack(T).
+    On a violation, each cover v ⋖ u on the BFS path in the cover graph from
+    e to e', the two least ids of the component outside S, swaps v and u in
+    the greedy order: a base x + α(χ_u - χ_v) with α > 0. With
+    t = 1 / Σ 1/α, base_b takes the swaps towards e' and base_a the others,
+    weighted t/α each, so base_b - base_a = t(χ_e' - χ_e) (DECISIONS,
+    "Polymatroid witnesses from greedy-base swaps").
     """
     s_set = validate_ids(f.ground_size, s)
-    for part in polymatroid_components(f):
+    x, deps, parts = _greedy_deps(f)
+    for part in parts:
         if len(part & s_set) >= len(part) - 1:
             continue
         e, e_prime = sorted(part - s_set)[:2]
-        x = interior_base(f, caps)
-        eps = x[e]
-        rest = sorted(part - {e, e_prime})
-        for size in range(len(rest) + 1):
-            for combo in combinations(rest, size):
-                t = frozenset(combo + (e_prime,))
-                eps = min(eps, f.value(t) - sum((x[g] for g in t), Fraction(0)))
-        assert eps > 0, "average base is not strictly interior on this component"
-        y = list(x)
-        y[e] -= eps
-        y[e_prime] += eps
-        return False, PolymatroidWitness(component=part, base_a=x, base_b=tuple(y),
-                                         epsilon=eps)
+        parent, queue = {e: e}, [e]
+        for a in queue:
+            for c in sorted(part - parent.keys()):
+                if _covers(deps, a, c) or _covers(deps, c, a):
+                    parent[c] = a
+                    queue.append(c)
+        moves = [[0] * len(x), [0] * len(x)]  # backward, forward: sums of χ_u - χ_v
+        inverse, b = Fraction(0), e_prime
+        while b != e:
+            a = parent[b]
+            forward = _covers(deps, a, b)
+            v, u = (a, b) if forward else (b, a)
+            alpha = f.value(deps[u] - {v}) - sum(x[g] for g in deps[u] - {v})
+            if alpha <= 0:
+                raise InvalidInstance(f"inconsistent oracle: swapping {v} and {u} in the "
+                                      f"greedy order gives a step of {alpha}")
+            inverse += 1 / alpha
+            moves[forward][u] += 1
+            moves[forward][v] -= 1
+            b = a
+        t = 1 / inverse
+        base_a, base_b = (tuple(xe + t * m for xe, m in zip(x, side)) for side in moves)
+        return False, PolymatroidWitness(part, base_a, base_b, epsilon=t)
     return True, None

@@ -33,6 +33,7 @@ from idsets.polymatroids import PolymatroidOracle, verify_polymatroid_identifyin
 
 from .helpers import (
     all_subsets,
+    base_membership,
     enumerate_circuits,
     oracle_first_violated_circuit,
     oracle_matroid_witness,
@@ -687,17 +688,28 @@ def witness_line(s: frozenset[int], ok: bool, witness) -> str:
 
 
 class TestWitnessDigest:
-    # sha256 of the verdict and witness lines below, recorded before the
-    # witness searches were restricted to the violated components.
-    DIGEST = "8da0f1f90991d9614cbbbdef7788f37a21f5037875ee7c9ede39070c720fa6f4"
+    # sha256 of the verdict and witness lines below, one digest per verifier.
+    # The matroid lines were recorded before the witness searches were
+    # restricted to the violated components. The polymatroid lines were
+    # recorded with the greedy-base swap witness; each of those witnesses is
+    # also checked against the base polyhedron here.
+    DIGESTS = {
+        verify_matroid_identifying:
+            "f4ff4685dbbe1f5a8c3914a613c1b65ae6d87ab989ca3334a39a1e3a3547077e",
+        verify_polymatroid_identifying:
+            "7153da4e7b4c196ed4e74bf82ac0df98c3f29466eebe663b70b7be8661424871",
+    }
 
     def test_matroid_and_polymatroid_witnesses_are_pinned(self):
-        digest = hashlib.sha256()
+        digests = {verify: hashlib.sha256() for verify in self.DIGESTS}
         pairs = negative = 0
         for verify, oracle, s in witness_cases():
             ok, witness = verify(oracle, s)
-            digest.update(f"{witness_line(s, ok, witness)}\n".encode())
+            digests[verify].update(f"{witness_line(s, ok, witness)}\n".encode())
             pairs += 1
             negative += not ok
+            if verify is verify_polymatroid_identifying and not ok:
+                assert base_membership(oracle, witness.base_a)[0]
+                assert base_membership(oracle, witness.base_b)[0]
         assert pairs >= 300 and negative >= 100
-        assert digest.hexdigest() == self.DIGEST
+        assert {verify: d.hexdigest() for verify, d in digests.items()} == self.DIGESTS

@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 
 from idsets.caps import Caps
-from idsets.errors import EnumerationExplosion, InvalidInstance
+from idsets.errors import EnumerationExplosion, IdsetsError, InvalidInstance
 from idsets.graphs import Digraph, UnionFind, WeightedGroundSet
 from idsets.linear import AffineBasis, verify_identifying_from_basis
 from idsets.matroids import (
@@ -24,7 +24,6 @@ from idsets.matroids import (
 from idsets.polymatroids import (
     PolymatroidOracle,
     _Unchecked,
-    interior_base,
     min_weight_polymatroid_identifying,
     polymatroid_components,
     verify_polymatroid_identifying,
@@ -81,14 +80,14 @@ def random_closed_form(rng: random.Random, n: int) -> PolymatroidOracle:
                                              gains)
 
 
-def seeded_polymatroids(count: int, seed: int):
-    """Seeded polymatroids on 1-9 elements, cycling through five kinds:
+def seeded_polymatroids(count: int, seed: int, max_size: int = 8):
+    """Seeded polymatroids on 1 to max_size + 1 elements, cycling through five kinds:
     coverage or budget-additive, the sum of two of those, a direct sum of two
     on shuffled element ids, a matroid rank (graphic multigraph, uniform or
     partition), and a table of a sum of capped modular terms."""
     rng = random.Random(seed)
     for i in range(count):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, max_size)
         kind = i % 5
         if kind == 0:
             yield random_closed_form(rng, n)
@@ -129,6 +128,21 @@ def seeded_polymatroids(count: int, seed: int):
                 t: sum((min(cap, sum((gains[e] for e in t), Fraction(0)))
                         for cap, gains in terms), Fraction(0))
                 for t in all_subsets(range(n))})
+
+
+def assert_swap_witness(f: PolymatroidOracle, s: frozenset[int], witness,
+                        is_base=lambda f, y: base_membership(f, y)[0]) -> None:
+    """Both points are bases, they agree on S and differ, and
+    base_b - base_a = epsilon * (χ_e' - χ_e) for the two least ids e < e' of
+    the witness's component outside S."""
+    assert is_base(f, witness.base_a) and is_base(f, witness.base_b), (f.name, sorted(s))
+    assert witness.base_a != witness.base_b
+    assert all(witness.base_a[g] == witness.base_b[g] for g in s)
+    e, e_prime = sorted(witness.component - s)[:2]
+    expected = [0] * f.ground_size
+    expected[e], expected[e_prime] = -witness.epsilon, witness.epsilon
+    assert [b - a for a, b in zip(witness.base_a, witness.base_b)] == expected
+    assert witness.epsilon > 0
 
 
 def polytope_vertices(f: PolymatroidOracle) -> list[tuple[Fraction, ...]]:
@@ -221,6 +235,19 @@ class TestOracleValidation:
     def test_value_must_be_callable(self):
         with pytest.raises(InvalidInstance, match="^value must be callable, got Fraction"):
             PolymatroidOracle(True, Fraction(1, 2))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PolymatroidOracle.coverage(2, [[0], 5]), "covered sets must be iterables"),
+        (lambda: PolymatroidOracle.coverage(2, None), "covered sets must be iterables"),
+        (lambda: PolymatroidOracle.budget_additive(1, None), "a vector must be iterable"),
+        (lambda: PolymatroidOracle.budget_additive(1, 5), "a vector must be iterable"),
+        (lambda: PolymatroidOracle.from_table(2, None), "table must map subsets to values"),
+        (lambda: PolymatroidOracle.from_table(1, [1, 2]), "table must map subsets to values"),
+    ], ids=["coverage-int-set", "coverage-none", "budget-none", "budget-int",
+            "table-none", "table-list"])
+    def test_families_refuse_what_they_cannot_read(self, build, message):
+        with pytest.raises(InvalidInstance, match=f"^{message}"):
+            build()
 
     def test_table_keys_outside_ground_rejected(self):
         table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
@@ -395,7 +422,11 @@ class TestDependence:
         for f in table_fixtures():
             if f.ground_size > 5:
                 continue
-            x = interior_base(f)
+            # The all-orderings average of the greedy bases: interior to
+            # every tight set that crosses a component.
+            orders = list(permutations(range(f.ground_size)))
+            x = tuple(sum(coords, Fraction(0)) / len(orders)
+                      for coords in zip(*(greedy_base(f, order) for order in orders)))
             uf = UnionFind(f.ground_size)
             for e in range(f.ground_size):
                 for e2 in dependence_function(f, x, e):
@@ -440,15 +471,16 @@ class TestVerify:
             ok, _ = verify_polymatroid_identifying(f, set(range(f.ground_size)))
             assert ok
 
-    def test_max_ground_caps_the_witness_only(self):
-        # The components decide the verdict; only a negative verdict's average
-        # base loops over subsets, of one component at a time.
+    def test_three_element_witness(self):
+        # Greedy in id order: x = (1, 3/2, 0), dep(1) = {0, 1}, dep(2) = {0, 1, 2},
+        # so 0 ⋖ 1 ⋖ 2. S = {0} misses e = 1 and e' = 2, one forward cover:
+        # α = f({0, 2}) - x(0) - x(2) = 3/2 - 1 = 1/2, and t = α.
         f = PolymatroidOracle.budget_additive(Fraction(5, 2), [1, 2, Fraction(1, 2)])
-        assert verify_polymatroid_identifying(f, {0, 1}, Caps(max_ground=1)) == (True, None)
-        with pytest.raises(EnumerationExplosion) as exc:
-            verify_polymatroid_identifying(f, {0}, Caps(max_ground=1))
-        assert str(exc.value) == ("max_ground = 1 (Caps.max_ground): "
-                                  "largest component holds 3 elements")
+        ok, witness = verify_polymatroid_identifying(f, {0})
+        assert not ok and witness.component == {0, 1, 2}
+        assert_swap_witness(f, frozenset({0}), witness)
+        assert witness.base_a == (1, Fraction(3, 2), 0)
+        assert witness.base_b == (1, 1, Fraction(1, 2)) and witness.epsilon == Fraction(1, 2)
 
     def test_max_ground_below_one_is_invalid(self):
         with pytest.raises(InvalidInstance) as exc:
@@ -456,13 +488,31 @@ class TestVerify:
         assert str(exc.value) == "max_ground = -5 (Caps.max_ground): must be >= 1"
 
     def test_witness_beyond_max_ground(self):
-        # 26 elements, largest component {0, 1}: the average base is per component.
+        # 26 elements, component {0, 1}. Greedy in id order gives
+        # x = (1, 0, 1, ...), and dep(1) = {0, 1} since f({1}) = 1 != x(1), so
+        # 0 ⋖ 1. The path from e = 0 to e' = 1 is that one forward cover, with
+        # α = f({1}) - x(1) = 1 = t: base_a = x and base_b = x + (χ_1 - χ_0).
         f = PolymatroidOracle.coverage(26, [{0}, {0}] + [{e} for e in range(1, 25)])
         assert f.ground_size > Caps().max_ground
         ok, witness = verify_polymatroid_identifying(f, set(range(2, 26)))
         assert not ok and witness.component == {0, 1}
-        assert witness.base_a[:3] == (Fraction(1, 2), Fraction(1, 2), 1)
-        assert witness.base_b[:3] == (0, 1, 1) and witness.epsilon == Fraction(1, 2)
+        assert witness.base_a[:3] == (1, 0, 1)
+        assert witness.base_b[:3] == (0, 1, 1) and witness.epsilon == 1
+
+    def test_inconsistent_oracle_raises_invalid_instance(self):
+        # Not submodular (f({0, 1}) + f({1, 2}) < f({0, 1, 2}) + f({1})), but on
+        # 13 elements the axioms are only sampled, and the samples miss it.
+        f = PolymatroidOracle(13, lambda t: Fraction(1 if t == {0, 1} else len(t)))
+        for s in (set(), set(range(2, 13)), set(range(3, 13)), {0}, {1}, {2}):
+            try:
+                ok, witness = verify_polymatroid_identifying(f, s)
+            except IdsetsError:
+                continue
+            assert ok or witness.epsilon > 0
+        # x = (1, 0, 2, 1, ...) and 1 ⋖ 2; the swap would give α = f({2}) - x(2) = -1.
+        with pytest.raises(InvalidInstance, match="^inconsistent oracle: swapping 1 and 2 "
+                                                  "in the greedy order gives a step of -1$"):
+            verify_polymatroid_identifying(f, {0})
 
     def test_rejects_out_of_range_ids(self):
         for s in ({0, 1, 99}, {-1}):
@@ -475,13 +525,50 @@ class TestVerify:
                 continue
             for s in all_subsets(range(f.ground_size)):
                 ok, witness = verify_polymatroid_identifying(f, s)
-                if ok:
-                    continue
-                member_a, _ = base_membership(f, witness.base_a)
-                member_b, _ = base_membership(f, witness.base_b)
-                assert member_a and member_b
-                assert witness.base_a != witness.base_b
-                assert all(witness.base_a[e] == witness.base_b[e] for e in s)
+                if not ok:
+                    assert_swap_witness(f, s, witness)
+
+
+class TestSwapWitness:
+    def test_valid_on_seeded_polymatroids(self):
+        # Per polymatroid: a random S, and S = all but two ids of its largest
+        # component, which is negative whenever that component has two. Over
+        # half of the seeded polymatroids have no such component.
+        rng = random.Random(2700)
+        negative = checked = 0
+        for f in seeded_polymatroids(2400, 2701, max_size=5):
+            largest = max(polymatroid_components(f), key=len)
+            ground = frozenset(range(f.ground_size))
+            for s in (frozenset(e for e in ground if rng.random() < 0.5),
+                      ground - frozenset(rng.sample(sorted(largest), min(2, len(largest))))):
+                ok, witness = verify_polymatroid_identifying(f, s)
+                if not ok:
+                    assert_swap_witness(f, s, witness)
+                    negative += 1
+            checked += len(largest) > 1
+        assert checked >= 1000 and negative >= 1200
+
+    def test_budget_additive_forty_elements(self):
+        # y is a base of min(cap, g(T)) exactly when 0 <= y <= g and
+        # y(E) = min(cap, g(E)): monotonicity gives y >= 0, and then
+        # y(T) <= y(E) <= cap. Fewer than n² oracle values stand in for a
+        # time bound: the greedy pass takes n(n+1)/2 of them, each swap one.
+        rng = random.Random(2702)
+        n = 40
+        for _ in range(5):
+            gains = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(n)]
+            cap = Fraction(n, 2)
+            f = PolymatroidOracle.budget_additive(cap, gains)
+            s = frozenset(range(n)) - frozenset(rng.sample(range(n), 2))
+            ok, witness = verify_polymatroid_identifying(f, s)
+            assert not ok and witness.component == frozenset(range(n))
+
+            def is_base(f, y):
+                return (all(0 <= y[e] <= gains[e] for e in range(n))
+                        and sum(y) == min(cap, sum(gains)))
+
+            assert_swap_witness(f, s, witness, is_base)
+            assert len(f._cache) < n * n
 
 
 class TestTheoremEquivalence:
