@@ -25,9 +25,9 @@ from .graphs import (
     UnionFind,
     WeightedGroundSet,
     _kosaraju,
+    _max_weight_forest,
     bfs_tree,
     reach_marks,
-    spanning_forest_max_weight,
     tree_path,
     validate_ids,
     validate_weights,
@@ -94,7 +94,7 @@ def min_weight_flow_identifying(g: Digraph, st: StPair,
     """Minimum-weight identifying set: E' minus a maximum-weight spanning forest."""
     w = validate_weights(g.arc_count, w)
     e_prime = relevant_arcs(g, st)
-    forest = spanning_forest_max_weight(g, e_prime, w)
+    forest = _max_weight_forest(g, e_prime, w)
     s = frozenset(e_prime - forest)
     return FlowIdentifyResult(
         identifying_set=s,

@@ -426,11 +426,15 @@ def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
     of the ascending ids; self-loops are never forest arcs. Per connected
     component the result is a spanning tree.
     """
+    return _max_weight_forest(g, validate_ids(g.arc_count, restrict), w)
+
+
+def _max_weight_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> set[int]:
+    """`spanning_forest_max_weight` on distinct in-range arc ids, unchecked."""
     tails, heads = g.tails, g.heads
     uf = UnionFind(g.node_count)
     forest: set[int] = set()
-    for aid in sorted(sorted(validate_ids(g.arc_count, restrict)),
-                      key=w.scaled.__getitem__, reverse=True):
+    for aid in sorted(sorted(ids), key=w.scaled.__getitem__, reverse=True):
         tail, head = tails[aid], heads[aid]
         if tail != head and uf.union(tail, head):
             forest.add(aid)

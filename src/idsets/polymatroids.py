@@ -33,8 +33,12 @@ class PolymatroidOracle:
     exhaustively, on one table of all 2^n values scaled to integers (via the
     local monotonicity and submodularity inequalities), and sampled beyond.
     Only `coverage` and `budget_additive` skip it, through `_Unchecked`: once
-    their inputs pass their own checks they are polymatroids by theorem.
+    their inputs pass their own checks they are polymatroids by theorem. They
+    alone set `_scaled(T)`, f(T) * `_scale` as an int, for the greedy base.
     """
+
+    _scaled: Callable[[Iterable[int]], int] | None = None
+    _scale = 1
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
                  name: str = "custom"):
@@ -131,23 +135,18 @@ class PolymatroidOracle:
         if len(covered) != ground_size:
             raise InvalidInstance("one covered set per element required")
 
-        def value(t: frozenset[int]) -> Fraction:
-            union: frozenset = frozenset()
-            for e in t:
-                union |= covered[e]
-            return Fraction(len(union))
-
-        return _Unchecked(ground_size, value, name="coverage")
+        return _trusted(ground_size, "coverage", 1,
+                        lambda t: len(frozenset().union(*map(covered.__getitem__, t))))
 
     @classmethod
     def budget_additive(cls, cap: Fraction | int,
                         gains: Sequence[Fraction | int]) -> "PolymatroidOracle":
         cap_f = exact(cap)
-        gain_f = as_vector(gains)
-        if cap_f < 0 or any(a < 0 for a in gain_f):
+        (cap_i, *gain_i), scale = integer_row((cap_f, *as_vector(gains)))
+        if cap_i < 0 or any(a < 0 for a in gain_i):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
-        return _Unchecked(len(gain_f), name="budget-additive",
-                          value=lambda t: min(cap_f, sum((gain_f[e] for e in t), Fraction(0))))
+        return _trusted(len(gain_i), "budget-additive", scale,
+                        lambda t: min(cap_i, sum(map(gain_i.__getitem__, t))))
 
 
 class _Unchecked(PolymatroidOracle):
@@ -155,6 +154,15 @@ class _Unchecked(PolymatroidOracle):
 
     def _validate(self) -> None:
         pass
+
+
+def _trusted(n: int, name: str, scale: int,
+             scaled: Callable[[Iterable[int]], int]) -> PolymatroidOracle:
+    """A closed form answering f(T) * scale in integers through `_scaled`;
+    its Fraction `value` is read from the same formula."""
+    f = _Unchecked(n, lambda t: Fraction(scaled(t), scale), name)
+    f._scaled, f._scale = scaled, scale
+    return f
 
 
 @dataclass(frozen=True)
@@ -181,17 +189,19 @@ def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
 
 
 def _greedy_deps(f: PolymatroidOracle):
-    """x, every dep(k) and the weak components, as in `polymatroid_components`."""
+    """x * f._scale, every dep(k) and the weak components, as in
+    `polymatroid_components`; ints from `_scaled` where a family sets it."""
     n = f.ground_size
+    value = f._scaled or f.value
     uf = UnionFind(n)
-    x: list[Fraction] = []
+    x: list[int | Fraction] = []
     deps: list[frozenset[int]] = []
     for k in range(n):
-        dep_x = f.value(range(k + 1))
-        x.append(dep_x - f.value(range(k)))
+        dep_x = value(range(k + 1))
+        x.append(dep_x - value(range(k)))
         dep = set(range(k + 1))
         for j in range(k - 1, -1, -1):
-            if f.value(dep - {j}) == dep_x - x[j]:
+            if value(dep - {j}) == dep_x - x[j]:
                 dep.discard(j)
                 dep_x -= x[j]
         for j in dep:
@@ -231,6 +241,7 @@ def verify_polymatroid_identifying(
     for part in parts:
         if len(part & s_set) >= len(part) - 1:
             continue
+        x = [Fraction(v, f._scale) for v in x]
         e, e_prime = sorted(part - s_set)[:2]
         parent, queue = {e: e}, [e]
         for a in queue:

@@ -214,6 +214,17 @@ class TestAffineBasis:
         with pytest.raises(InvalidInstance, match="^not an exact rational"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: linear_cost("12"),
+        lambda: quadratic_cost("12"),
+        lambda: AffineBasis(["01", "10"]),
+    ], ids=["linear", "quadratic", "basis"])
+    def test_refuses_a_string_vector(self, call):
+        # A string iterates as one value per character: "12" is not (1, 2).
+        with pytest.raises(InvalidInstance,
+                           match="^not an exact rational vector: '[0-9]+' is a string$"):
+            call()
+
     def test_rejects_float_coordinates(self):
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             as_vector([0.1])

@@ -23,6 +23,7 @@ from idsets.matroids import (
 )
 from idsets.polymatroids import (
     PolymatroidOracle,
+    _greedy_deps,
     _Unchecked,
     min_weight_polymatroid_identifying,
     polymatroid_components,
@@ -248,6 +249,12 @@ class TestOracleValidation:
     def test_families_refuse_what_they_cannot_read(self, build, message):
         with pytest.raises(InvalidInstance, match=f"^{message}"):
             build()
+
+    def test_budget_additive_refuses_string_gains(self):
+        # "12" would otherwise read as the gains 1 and 2.
+        with pytest.raises(InvalidInstance,
+                           match="^not an exact rational vector: '12' is a string$"):
+            PolymatroidOracle.budget_additive(1, "12")
 
     def test_table_keys_outside_ground_rejected(self):
         table = {frozenset(): 0, frozenset({0}): 1, frozenset({5}): 1, frozenset({0, 1}): 1}
@@ -569,6 +576,62 @@ class TestSwapWitness:
 
             assert_swap_witness(f, s, witness, is_base)
             assert len(f._cache) < n * n
+
+
+def fraction_path_twin(rng: random.Random, n: int):
+    """A trusted closed form on n elements and the same function written in
+    Fractions as a plain `_Unchecked`, which has no `_scaled` hook: coverage
+    (empty sets included) or budget-additive (zero gains, cap 0 included)."""
+    if rng.random() < 0.5:
+        covered = [frozenset(rng.sample(range(2 * n + 1), rng.randint(0, 3))) for _ in range(n)]
+        return PolymatroidOracle.coverage(n, covered), _Unchecked(
+            n, lambda t: Fraction(len(frozenset().union(*(covered[e] for e in t)))))
+    gains = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) if rng.random() < 0.8
+             else Fraction(0) for _ in range(n)]
+    cap = Fraction(rng.randint(0, 4 * n), rng.randint(1, 3)) if rng.random() < 0.9 else 0
+    return PolymatroidOracle.budget_additive(cap, gains), _Unchecked(
+        n, lambda t: min(cap, sum((gains[e] for e in t), Fraction(0))))
+
+
+class TestScaledIntegers:
+    def test_trusted_families_match_the_fraction_path(self):
+        # Same x, dep sets, components, verdicts and witnesses whether the
+        # greedy base reads the integers or the Fractions.
+        rng = random.Random(2800)
+        scaled = negative = 0
+        for _ in range(1000):
+            n = rng.randint(0, 14)
+            f, twin = fraction_path_twin(rng, n)
+            assert twin._scaled is None and f._scaled is not None
+            x, deps, parts = _greedy_deps(f)
+            assert all(type(v) is int for v in x)
+            assert ([Fraction(v, f._scale) for v in x], deps, parts) == _greedy_deps(twin)
+            largest = max(parts, key=len, default=frozenset())
+            ground = frozenset(range(n))
+            for s in (frozenset(e for e in ground if rng.random() < 0.5),
+                      ground - frozenset(rng.sample(sorted(largest), min(2, len(largest))))):
+                got = verify_polymatroid_identifying(f, s)
+                assert got == verify_polymatroid_identifying(twin, s), (f.name, n, sorted(s))
+                negative += not got[0]
+            scaled += f._scale > 1
+        assert scaled >= 300 and negative >= 500
+
+    def test_scaled_is_value_times_scale(self):
+        rng = random.Random(2801)
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            f, twin = fraction_path_twin(rng, n)
+            for t in all_subsets(range(n)):
+                got = f._scaled(t)
+                assert type(got) is int
+                assert got == f.value(t) * f._scale == twin.value(t) * f._scale
+
+    def test_trusted_components_leave_the_memo_empty(self):
+        rng = random.Random(2802)
+        for _ in range(50):
+            f, twin = fraction_path_twin(rng, rng.randint(1, 10))
+            assert polymatroid_components(f) == polymatroid_components(twin)
+            assert f._cache == {} and len(twin._cache) > 1
 
 
 class TestTheoremEquivalence:
