@@ -36,7 +36,7 @@ def exact(value: Any) -> Fraction:
 def as_vector(values: Sequence) -> Vector:
     """Each value through `exact`; InvalidInstance for values it cannot
     iterate, and for a string, which would iterate as one value per character."""
-    if isinstance(values, (str, bytes)):
+    if isinstance(values, str):
         raise InvalidInstance(f"not an exact rational vector: {values!r} is a string")
     try:
         items = iter(values)
