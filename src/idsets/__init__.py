@@ -20,13 +20,12 @@ _EXPORTS = {
     "flows": ("FlowIdentifyResult", "min_weight_flow_identifying", "relevant_arcs",
               "verify_flow_identifying"),
     "graphs": ("Digraph", "StPair", "WeightedGroundSet", "enumerate_st_paths",
-               "spanning_forest_max_weight", "strongly_connected_components",
                "topological_order"),
     "linalg": (),
-    "linear": ("AffineBasis", "ax_independent", "min_weight_identifying_from_basis",
+    "linear": ("AffineBasis", "min_weight_identifying_from_basis",
                "verify_identifying_from_basis"),
-    "matroids": ("MatroidOracle", "fundamental_circuit", "matroid_components",
-                 "min_weight_matroid_identifying", "verify_matroid_identifying"),
+    "matroids": ("MatroidOracle", "matroid_components", "min_weight_matroid_identifying",
+                 "verify_matroid_identifying"),
     "paths": ("PathIdentifyResult", "approx_min_path_identifying_dag",
               "exact_min_path_identifying", "verify_path_identifying_dag",
               "verify_path_identifying_general"),

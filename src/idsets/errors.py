@@ -98,6 +98,3 @@ class NoSubgradient(IdsetsError):
 class NotABasis(IdsetsError):
     """The given set is not a basis of the matroid."""
 
-
-class ElementInBasis(IdsetsError):
-    """A fundamental-circuit query named an element already in the basis."""

@@ -53,26 +53,6 @@ class SolutionList:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", tuple(dict.fromkeys(vecs)))
 
-    @classmethod
-    def from_strings(cls, strings: Iterable[str]) -> "SolutionList":
-        rows = []
-        for s in strings:
-            if not set(s) <= {"0", "1"}:
-                raise InvalidInstance(f"expected a 0/1 string, got {s!r}")
-            rows.append(tuple(int(ch) for ch in s))
-        if not rows:
-            raise InvalidInstance("need at least one vector")
-        return cls(len(rows[0]), rows)
-
-    @classmethod
-    def from_sets(cls, dimension: int, sets: Iterable[Iterable[int]]) -> "SolutionList":
-        dimension = _integer(dimension, "dimension")
-        rows = []
-        for s in sets:
-            s = validate_ids(dimension, s)
-            rows.append(tuple(1 if e in s else 0 for e in range(dimension)))
-        return cls(dimension, rows)
-
     def __len__(self) -> int:
         return len(self.vectors)
 

@@ -266,16 +266,13 @@ class UnionFind:
         return tuple(map(frozenset, groups.values()))
 
 
-def strongly_connected_components(g: Digraph) -> list[int]:
-    """Component id per node (Kosaraju): one depth-first walk over the out-arcs
-    records finish order, then one walk over the in-arcs from each unassigned
-    node, latest finished first, collects its component. Ids are 0..k-1 in a
-    topological order of the components: comp[tail] <= comp[head] for every arc."""
-    return _kosaraju(g, bytes(g.node_count))
-
-
 def _kosaraju(g: Digraph, skip: bytes | bytearray) -> list[int]:
-    """`strongly_connected_components` over the nodes v with skip[v] == 0.
+    """Strongly connected component id per node v with skip[v] == 0 (Kosaraju):
+    one depth-first walk over the out-arcs records finish order, then one walk
+    over the in-arcs from each unassigned node, latest finished first, collects
+    its component. Ids are 0..k-1 in a topological order of the components:
+    comp[tail] <= comp[head] for every arc between unskipped nodes.
+
     Both walks treat a skipped node as already seen, so none is entered and
     every skipped node keeps the one id -1; the caller must skip whole
     components, or a component is cut where it crosses a skipped node."""
@@ -418,19 +415,14 @@ def shortest_arc_path(g: Digraph, start: int, goal: int,
     return tree_path(g, bfs_tree(g, start, allowed), goal)
 
 
-def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
-                               w: WeightedGroundSet) -> set[int]:
-    """Maximum-weight spanning forest of the undirected multigraph on `restrict`.
+def _max_weight_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> set[int]:
+    """Maximum-weight spanning forest of the undirected multigraph on `ids`,
+    distinct in-range arc ids the caller has checked.
 
     Kruskal over arcs sorted by (weight desc, arc id asc), a reversed stable sort
     of the ascending ids; self-loops are never forest arcs. Per connected
     component the result is a spanning tree.
     """
-    return _max_weight_forest(g, validate_ids(g.arc_count, restrict), w)
-
-
-def _max_weight_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> set[int]:
-    """`spanning_forest_max_weight` on distinct in-range arc ids, unchecked."""
     tails, heads = g.tails, g.heads
     uf = UnionFind(g.node_count)
     forest: set[int] = set()

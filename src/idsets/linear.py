@@ -70,13 +70,6 @@ def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
     return [[row[e] for e in cols] for row in rows]
 
 
-def ax_independent(basis: AffineBasis, f: Iterable[int]) -> bool:
-    """F is independent in the dual matroid: D without the columns of F keeps rank k."""
-    f_set = validate_ids(basis.ground_size, f)
-    rest = [e for e in range(basis.ground_size) if e not in f_set]
-    return len(echelon(_columns(basis.integer_rows, rest))[1]) == basis.hull_dimension
-
-
 def min_weight_identifying_from_basis(basis: AffineBasis,
                                       w: WeightedGroundSet | None = None) -> frozenset[int]:
     """Minimum-weight column basis of D: the pivots of one elimination.

@@ -25,7 +25,7 @@ from itertools import compress
 from typing import Callable, Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import ElementInBasis, EnumerationExplosion, InvalidInstance, NotABasis
+from .errors import EnumerationExplosion, InvalidInstance, NotABasis
 from .graphs import (
     Digraph,
     UnionFind,
@@ -256,26 +256,6 @@ def find_basis(m: MatroidOracle) -> frozenset[int]:
     if m._basis is not None:
         return m._basis()
     return frozenset(_greedy_extend(m, (), range(m.ground_size)))
-
-
-def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> frozenset[int]:
-    """The unique circuit inside basis + e.
-
-    An element belongs to the circuit exactly when deleting it from basis + e
-    restores independence. InvalidInstance for an id outside the ground set.
-    """
-    b = validate_ids(m.ground_size, basis)
-    (e,) = validate_ids(m.ground_size, (e,))
-    if e in b:
-        raise ElementInBasis(f"element {e} already in the basis")
-    if not m.is_independent(b):
-        raise NotABasis("the given set is dependent")
-    for f in range(m.ground_size):
-        if f not in b and f != e and m.is_independent(b | {f}):
-            raise NotABasis(f"the given set is not maximal (can add {f})")
-    if m.is_independent(b | {e}):
-        raise NotABasis("basis + e is independent; not a basis")
-    return _circuit_of(m, b, e)
 
 
 def _circuit_of(m: MatroidOracle, basis: frozenset[int], e: int) -> frozenset[int]:

@@ -81,10 +81,6 @@ class TollVector:
     def as_vector(self) -> Vector:
         return tuple(self.gamma.get(e, Fraction(0)) for e in range(self.size))
 
-    def tolled_cost(self, c: CostOracle, x: Sequence) -> Fraction:
-        vec = as_vector(x)
-        return c.evaluate(vec) + vec_dot(self.as_vector(), vec)
-
 
 def discrete_tolls(x: SolutionList, s: Iterable[int], c: CostOracle,
                    target: Sequence[int], margin: Fraction | int = 0) -> TollVector:

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: path enumeration is a
 plain recursive walk over an adjacency matrix, acyclicity goes through
 networkx, and identifying checks are direct pairwise definitions. Code that
 only tests run lives here too: the vertex-cover extraction of the reduction
-DAG and the solution-list writer.
+DAG, the solution-list writer and readers, fundamental circuits, the dual
+independence test of an affine basis, the tolled cost, and the two graph
+wrappers over the private Kosaraju and Kruskal cores.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -23,14 +25,26 @@ from idsets.errors import (
     EnumerationExplosion,
     IdsetsError,
     InvalidInstance,
+    NotABasis,
     NotIdentifying,
     SubsetExplosion,
 )
 from idsets.explicit import SolutionList
 from idsets.flows import st_walk_arcs
-from idsets.graphs import Digraph, StPair, WeightedGroundSet, bfs_tree, validate_ids
+from idsets.graphs import (
+    Digraph,
+    StPair,
+    WeightedGroundSet,
+    _integer,
+    _kosaraju,
+    _max_weight_forest,
+    bfs_tree,
+    validate_ids,
+)
 from idsets.instances import GeneratedInstance
-from idsets.linalg import Vector, as_vector
+from idsets.linalg import Vector, as_vector, echelon, vec_dot
+from idsets.linear import AffineBasis, _columns
+from idsets.matroids import MatroidOracle, _circuit_of
 from idsets.paths import (
     PathWitness,
     _build_dag_witness,
@@ -39,7 +53,7 @@ from idsets.paths import (
     size_ratio,
     verify_path_identifying_dag,
 )
-from idsets.tolls import ControllingVerdict, fourier_motzkin_feasible
+from idsets.tolls import ControllingVerdict, CostOracle, TollVector, fourier_motzkin_feasible
 
 
 def oracle_enumerate_paths(g: Digraph, st: StPair) -> set[frozenset[int]]:
@@ -790,3 +804,70 @@ def extract_vertex_cover(inst: GeneratedInstance, s: Iterable[int]) -> Extracted
             assert a in cover or b in cover, "rewritten set must induce vertex covers"
         covers.append(cover)
     return ExtractedCover(normalized_set=frozenset(current), covers=tuple(covers))
+
+
+def from_strings(strings: Iterable[str]) -> SolutionList:
+    rows = []
+    for s in strings:
+        if not set(s) <= {"0", "1"}:
+            raise InvalidInstance(f"expected a 0/1 string, got {s!r}")
+        rows.append(tuple(int(ch) for ch in s))
+    if not rows:
+        raise InvalidInstance("need at least one vector")
+    return SolutionList(len(rows[0]), rows)
+
+
+def from_sets(dimension: int, sets: Iterable[Iterable[int]]) -> SolutionList:
+    dimension = _integer(dimension, "dimension")
+    rows = []
+    for s in sets:
+        s = validate_ids(dimension, s)
+        rows.append(tuple(1 if e in s else 0 for e in range(dimension)))
+    return SolutionList(dimension, rows)
+
+
+class ElementInBasis(IdsetsError):
+    """A fundamental-circuit query named an element already in the basis."""
+
+
+def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> frozenset[int]:
+    """The unique circuit inside basis + e.
+
+    An element belongs to the circuit exactly when deleting it from basis + e
+    restores independence. InvalidInstance for an id outside the ground set.
+    """
+    b = validate_ids(m.ground_size, basis)
+    (e,) = validate_ids(m.ground_size, (e,))
+    if e in b:
+        raise ElementInBasis(f"element {e} already in the basis")
+    if not m.is_independent(b):
+        raise NotABasis("the given set is dependent")
+    for f in range(m.ground_size):
+        if f not in b and f != e and m.is_independent(b | {f}):
+            raise NotABasis(f"the given set is not maximal (can add {f})")
+    if m.is_independent(b | {e}):
+        raise NotABasis("basis + e is independent; not a basis")
+    return _circuit_of(m, b, e)
+
+
+def ax_independent(basis: AffineBasis, f: Iterable[int]) -> bool:
+    """F is independent in the dual matroid: D without the columns of F keeps rank k."""
+    f_set = validate_ids(basis.ground_size, f)
+    rest = [e for e in range(basis.ground_size) if e not in f_set]
+    return len(echelon(_columns(basis.integer_rows, rest))[1]) == basis.hull_dimension
+
+
+def tolled_cost(toll: TollVector, c: CostOracle, x: Sequence) -> Fraction:
+    vec = as_vector(x)
+    return c.evaluate(vec) + vec_dot(toll.as_vector(), vec)
+
+
+def strongly_connected_components(g: Digraph) -> list[int]:
+    """Component id per node: `graphs._kosaraju` with no node skipped."""
+    return _kosaraju(g, bytes(g.node_count))
+
+
+def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],
+                               w: WeightedGroundSet) -> set[int]:
+    """`graphs._max_weight_forest` on `restrict`, its ids checked first."""
+    return _max_weight_forest(g, validate_ids(g.arc_count, restrict), w)

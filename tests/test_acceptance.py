@@ -51,6 +51,7 @@ from .helpers import (
     random_weights,
     seeded_dags,
     seeded_multigraphs,
+    tolled_cost,
 )
 from .test_linear import flow_polytope_basis
 from .test_matroids import all_bases, bases_distinct_on, fixture_matroids
@@ -271,8 +272,8 @@ def test_criterion_09_toll_soundness():
         cost = linear_cost([rng.randint(-4, 4) for _ in range(dim)])
         for target in x.vectors:
             toll = discrete_tolls(x, s, cost, target)
-            values = [toll.tolled_cost(cost, v) for v in x.vectors]
-            if toll.tolled_cost(cost, target) != min(values):
+            values = [tolled_cost(toll, cost, v) for v in x.vectors]
+            if tolled_cost(toll, cost, target) != min(values):
                 failures.append(("discrete", target))
     # convex closed form on the two-parallel-arc quadratic
     from idsets.linear import AffineBasis

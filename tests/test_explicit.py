@@ -20,7 +20,7 @@ from idsets.explicit import (
 )
 from idsets.graphs import WeightedGroundSet
 
-from .helpers import all_subsets, oracle_greedy_pairs
+from .helpers import all_subsets, from_sets, from_strings, oracle_greedy_pairs
 
 
 def random_solution_list(rng: random.Random, dim: int, count: int) -> SolutionList:
@@ -30,7 +30,7 @@ def random_solution_list(rng: random.Random, dim: int, count: int) -> SolutionLi
 
 class TestSolutionList:
     def test_dedupe(self):
-        x = SolutionList.from_strings(["01", "01", "10"])
+        x = from_strings(["01", "01", "10"])
         assert len(x) == 2
 
     def test_rejects_non_binary(self):
@@ -56,33 +56,33 @@ class TestSolutionList:
     def test_from_strings_rejects_non_binary_characters(self):
         for strings in (["0a"], ["01", "2 "], ["1.0"]):
             with pytest.raises(InvalidInstance, match="expected a 0/1 string"):
-                SolutionList.from_strings(strings)
+                from_strings(strings)
 
     def test_from_sets(self):
-        x = SolutionList.from_sets(3, [{0}, {1, 2}])
+        x = from_sets(3, [{0}, {1, 2}])
         assert x.vectors == ((1, 0, 0), (0, 1, 1))
 
     def test_from_sets_rejects_bad_ids(self):
         # An id outside the dimension was silently dropped.
         for dimension, sets in ((2, [{5}]), (2, [{-1}]), (2, [{0.0}]), (2.0, [{0}])):
             with pytest.raises(InvalidInstance):
-                SolutionList.from_sets(dimension, sets)
+                from_sets(dimension, sets)
 
 
 class TestVerify:
     def test_collision(self):
-        x = SolutionList.from_strings(["00", "01"])
+        x = from_strings(["00", "01"])
         ok, witness = verify_explicit_identifying(x, {0})
         assert not ok
         assert set(witness) == {(0, 0), (0, 1)}
 
     def test_separating_column(self):
-        x = SolutionList.from_strings(["00", "01"])
+        x = from_strings(["00", "01"])
         ok, _ = verify_explicit_identifying(x, {1})
         assert ok
 
     def test_all_columns(self):
-        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        x = from_strings(["00", "01", "10", "11"])
         ok, _ = verify_explicit_identifying(x, {0, 1})
         assert ok
 
@@ -102,22 +102,22 @@ class TestVerify:
 
 class TestGreedy:
     def test_full_square_needs_both(self):
-        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        x = from_strings(["00", "01", "10", "11"])
         result = greedy_identifying(x)
         assert result.identifying_set == {0, 1}
 
     def test_singleton_empty(self):
-        x = SolutionList.from_strings(["0101"])
+        x = from_strings(["0101"])
         result = greedy_identifying(x)
         assert result.identifying_set == frozenset()
 
     def test_heavy_column_avoided(self):
-        x = SolutionList.from_strings(["100", "010", "001"])
+        x = from_strings(["100", "010", "001"])
         result = greedy_identifying(x, WeightedGroundSet([1, 1, 100]))
         assert result.identifying_set == {0, 1}
 
     def test_zero_weight_preferred(self):
-        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        x = from_strings(["00", "01", "10", "11"])
         result = greedy_identifying(x, WeightedGroundSet([5, 0]))
         assert result.trace[0][0] == 1
 
@@ -185,23 +185,23 @@ class TestGreedyMatchesThePairOracle:
 
 class TestExact:
     def test_full_square(self):
-        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        x = from_strings(["00", "01", "10", "11"])
         s, weight = exact_identifying(x)
         assert s == {0, 1} and weight == 2
 
     def test_parity_vectors(self):
-        x = SolutionList.from_strings(["000", "011", "101", "110"])
+        x = from_strings(["000", "011", "101", "110"])
         s, _ = exact_identifying(x)
         assert len(s) == 2
 
     def test_two_vectors_min_weight_coordinate(self):
-        x = SolutionList.from_strings(["010", "001"])
+        x = from_strings(["010", "001"])
         s, weight = exact_identifying(x, WeightedGroundSet([1, 5, 2]))
         assert s == {2} and weight == 2
 
     def test_cap(self):
         # The search visits 5 nodes in all, one past a cap of 4.
-        x = SolutionList.from_strings(["00", "01", "10", "11"])
+        x = from_strings(["00", "01", "10", "11"])
         with pytest.raises(SubsetExplosion, match="visited 5 nodes"):
             exact_identifying(x, caps=Caps(max_subsets=4))
         assert exact_identifying(x, caps=Caps(max_subsets=5)) == ({0, 1}, 2)

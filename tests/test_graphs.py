@@ -25,8 +25,6 @@ from idsets.graphs import (
     enumerate_st_paths,
     reach_marks,
     shortest_arc_path,
-    spanning_forest_max_weight,
-    strongly_connected_components,
     topological_order,
     validate_ids,
 )
@@ -39,12 +37,15 @@ from idsets.paths import (approx_min_path_identifying_dag, exact_min_path_identi
 from idsets.polymatroids import PolymatroidOracle, min_weight_polymatroid_identifying
 
 from .helpers import (
+    from_strings,
     oracle_enumerate_paths,
     oracle_reachable_from,
     oracle_reverse_reachable_to,
     oracle_shortest_arc_path,
     random_weights,
     seeded_multigraphs,
+    spanning_forest_max_weight,
+    strongly_connected_components,
 )
 
 
@@ -177,9 +178,9 @@ class TestWeightsMatchTheGround:
 
     SOLVERS = [
         (2, lambda w: greedy_identifying(
-            SolutionList.from_strings(["01", "10", "11"]), w)),
+            from_strings(["01", "10", "11"]), w)),
         (2, lambda w: exact_identifying(
-            SolutionList.from_strings(["01", "10", "11"]), w)),
+            from_strings(["01", "10", "11"]), w)),
         (3, lambda w: exact_min_path_identifying(
             Digraph(3, [(0, 1), (1, 2), (0, 2)]), StPair(0, 2), w)),
         (3, lambda w: approx_min_path_identifying_dag(

@@ -11,14 +11,12 @@ from pathlib import Path
 import pytest
 
 from idsets.errors import InvalidInstance
-from idsets.explicit import SolutionList
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
 from idsets.linalg import as_vector, echelon, exact, integer_row
 from idsets.linear import (
     AffineBasis,
-    ax_independent,
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
@@ -27,7 +25,9 @@ from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost, 
 from .helpers import (
     all_simple_digraphs,
     all_subsets,
+    ax_independent,
     differences,
+    from_strings,
     has_st_path,
     oracle_convex_tolls,
     oracle_directed_cycles,
@@ -235,7 +235,7 @@ class TestAffineBasis:
             lambda: linear_cost([1, 2], 0.1),
             lambda: fourier_motzkin_feasible([((0.5,), 1)], 1),
             lambda: fourier_motzkin_feasible([((1,), 0.1)], 1),
-            lambda: discrete_tolls(SolutionList.from_strings(["10", "01"]), {0},
+            lambda: discrete_tolls(from_strings(["10", "01"]), {0},
                                    linear_cost([0, 0]), (0, 1), margin=0.5),
         ):
             with pytest.raises(InvalidInstance, match="floats are not exact"):

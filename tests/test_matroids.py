@@ -11,17 +11,16 @@ from itertools import combinations
 
 import pytest
 
-from idsets.errors import ElementInBasis, EnumerationExplosion, InvalidInstance, NotABasis
+from idsets.errors import EnumerationExplosion, InvalidInstance, NotABasis
 from idsets.caps import Caps
 from idsets.graphs import Digraph, WeightedGroundSet
-from idsets.linear import AffineBasis, ax_independent
+from idsets.linear import AffineBasis
 from idsets.matroids import (
     MatroidOracle,
     _circuit_of,
     _first_violated_circuit,
     find_basis,
     free_matroid,
-    fundamental_circuit,
     graphic_matroid,
     matroid_components,
     min_weight_matroid_identifying,
@@ -32,9 +31,12 @@ from idsets.matroids import (
 from idsets.polymatroids import PolymatroidOracle, verify_polymatroid_identifying
 
 from .helpers import (
+    ElementInBasis,
     all_subsets,
+    ax_independent,
     base_membership,
     enumerate_circuits,
+    fundamental_circuit,
     oracle_first_violated_circuit,
     oracle_matroid_witness,
     random_weights,

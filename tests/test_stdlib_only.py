@@ -92,19 +92,52 @@ def test_graph_walks_do_not_recurse():
     assert not calls, calls
 
 
+# The paper's verifiers for systems given by an oracle or a list of costs:
+# no subcommand runs them, so nothing in src calls them (DECISIONS, "The
+# public API").
+LIBRARY_ONLY = {"verify_matroid_identifying", "verify_polymatroid_identifying",
+                "controlling_counterexample_check"}
+
+
+def test_public_definitions_have_a_caller_in_src():
+    # Code that only tests call belongs in tests/helpers.py. A public function,
+    # class or method is used when a name or attribute in src refers to it
+    # outside its own definition; strings such as the _EXPORTS table do not count.
+    definitions, references = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                definitions.append((path.name, node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    definitions += [(path.name, f"{node.name}.{m.name}", m) for m in node.body
+                                    if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.append((name, path.name, node.lineno))
+
+    def used(file: str, node: ast.AST) -> bool:
+        return any(name == node.name and not (where == file
+                                              and node.lineno <= line <= node.end_lineno)
+                   for name, where, line in references)
+
+    unused = {qualname for file, qualname, node in definitions if not used(file, node)}
+    assert unused == LIBRARY_ONLY
+
+
 # The exported names; each stays importable from the package.
 PUBLIC = [
     "AffineBasis", "Caps", "CostOracle", "DEFAULT_CAPS", "Digraph", "FlowIdentifyResult",
     "MatroidOracle", "PathIdentifyResult", "PolymatroidOracle", "SolutionList", "StPair",
-    "TollVector", "WeightedGroundSet", "approx_min_path_identifying_dag", "ax_independent",
-    "caps", "controlling_counterexample_check", "convex_tolls", "discrete_tolls",
+    "TollVector", "WeightedGroundSet", "approx_min_path_identifying_dag", "caps",
+    "controlling_counterexample_check", "convex_tolls", "discrete_tolls",
     "enumerate_st_paths", "errors", "exact_identifying", "exact_min_path_identifying",
-    "explicit", "flows", "fundamental_circuit", "graphs", "greedy_identifying", "linalg",
-    "linear", "linear_cost", "matroid_components", "matroids", "min_weight_flow_identifying",
+    "explicit", "flows", "graphs", "greedy_identifying", "linalg", "linear", "linear_cost",
+    "matroid_components", "matroids", "min_weight_flow_identifying",
     "min_weight_identifying_from_basis", "min_weight_matroid_identifying",
     "min_weight_polymatroid_identifying", "paths", "polymatroid_components", "polymatroids",
-    "quadratic_cost", "relevant_arcs", "search", "spanning_forest_max_weight",
-    "strongly_connected_components", "tolls", "topological_order",
+    "quadratic_cost", "relevant_arcs", "search", "tolls", "topological_order",
     "verify_explicit_identifying", "verify_flow_identifying", "verify_identifying_from_basis",
     "verify_matroid_identifying", "verify_path_identifying_dag",
     "verify_path_identifying_general", "verify_polymatroid_identifying",

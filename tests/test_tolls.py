@@ -32,7 +32,14 @@ from idsets.tolls import (
     quadratic_cost,
 )
 
-from .helpers import differences, oracle_controlling_fm, oracle_convex_tolls
+from .helpers import (
+    differences,
+    from_sets,
+    from_strings,
+    oracle_controlling_fm,
+    oracle_convex_tolls,
+    tolled_cost,
+)
 from .test_linear import flow_polytope_basis, hull_point, seeded_bases
 
 PARALLEL = AffineBasis([[1, 0], [0, 1]])
@@ -40,7 +47,7 @@ PARALLEL = AffineBasis([[1, 0], [0, 1]])
 
 def paths_as_solutions(g: Digraph, st: StPair) -> SolutionList:
     paths = enumerate_st_paths(g, st, cap=10_000)
-    return SolutionList.from_sets(g.arc_count, [set(p) for p in paths])
+    return from_sets(g.arc_count, [set(p) for p in paths])
 
 
 class TestCostOracles:
@@ -87,11 +94,11 @@ class TestTollVector:
 
 class TestDiscreteTolls:
     def test_zero_cost_uses_unit_floor(self):
-        x = SolutionList.from_strings(["10", "01"])
+        x = from_strings(["10", "01"])
         toll = discrete_tolls(x, {0}, linear_cost([0, 0]), (0, 1))
         assert toll.gamma == {0: Fraction(1)}
         c = linear_cost([0, 0])
-        assert toll.tolled_cost(c, (0, 1)) <= toll.tolled_cost(c, (1, 0))
+        assert tolled_cost(toll, c, (0, 1)) <= tolled_cost(toll, c, (1, 0))
 
     def test_gap_family_k1_long_path_enforced(self):
         from idsets.instances import gen_tight_gap_family
@@ -102,50 +109,50 @@ class TestDiscreteTolls:
         marked = set(inst.metadata["marked_arcs"])
         long_path = max(x.vectors, key=sum)
         toll = discrete_tolls(x, marked, length, long_path)
-        values = [toll.tolled_cost(length, v) for v in x.vectors]
-        assert toll.tolled_cost(length, long_path) == min(values)
+        values = [tolled_cost(toll, length, v) for v in x.vectors]
+        assert tolled_cost(toll, length, long_path) == min(values)
 
     def test_target_already_optimal_stays_optimal(self):
-        x = SolutionList.from_strings(["10", "01"])
+        x = from_strings(["10", "01"])
         c = linear_cost([1, 5])
         toll = discrete_tolls(x, {0}, c, (1, 0))
-        assert toll.tolled_cost(c, (1, 0)) <= toll.tolled_cost(c, (0, 1))
+        assert tolled_cost(toll, c, (1, 0)) <= tolled_cost(toll, c, (0, 1))
 
     def test_not_identifying_raises(self):
-        x = SolutionList.from_strings(["00", "01"])
+        x = from_strings(["00", "01"])
         with pytest.raises(NotIdentifying):
             discrete_tolls(x, {0}, linear_cost([0, 0]), (0, 0))
 
     def test_target_not_in_x_raises(self):
-        x = SolutionList.from_strings(["00", "01"])
+        x = from_strings(["00", "01"])
         with pytest.raises(TargetNotInX):
             discrete_tolls(x, {1}, linear_cost([0, 0]), (1, 1))
 
     def test_fractional_target_rejected(self):
         # int(1/2) would read the target as 01, which is a solution.
-        x = SolutionList.from_strings(["10", "01"])
+        x = from_strings(["10", "01"])
         for target in ((Fraction(1, 2), 1), (0, "1"), (0, 2)):
             with pytest.raises(InvalidInstance):
                 discrete_tolls(x, {0}, linear_cost([0, 0]), target)
 
     def test_margin_makes_target_unique(self):
-        x = SolutionList.from_strings(["10", "01"])
+        x = from_strings(["10", "01"])
         c = linear_cost([0, 0])
         toll = discrete_tolls(x, {0}, c, (0, 1), margin=1)
-        other = toll.tolled_cost(c, (1, 0))
-        assert toll.tolled_cost(c, (0, 1)) < other
+        other = tolled_cost(toll, c, (1, 0))
+        assert tolled_cost(toll, c, (0, 1)) < other
 
     def test_negative_margin_rejected(self):
         # Under margin -5 the tolls would be {0: -4, 1: 4, 2: -4}: 001 would
         # cost -4 and the target 010 cost 4.
-        x = SolutionList.from_strings(["010", "110", "001"])
+        x = from_strings(["010", "110", "001"])
         for margin in (-5, Fraction(-1, 2)):
             with pytest.raises(InvalidInstance, match="margin must be >= 0"):
                 discrete_tolls(x, {0, 1, 2}, linear_cost([0, 0, 0]), (0, 1, 0), margin=margin)
 
     def test_ids_read_through_validate_ids(self):
         # True is the element id 1: the tolls and the support hold the int.
-        x = SolutionList.from_strings(["10", "01"])
+        x = from_strings(["10", "01"])
         toll = discrete_tolls(x, [True], linear_cost([0, 0]), (0, 1))
         assert toll.gamma == {1: Fraction(-1)} and toll.support == {1}
         assert {type(e) for e in (*toll.gamma, *toll.support)} == {int}
@@ -164,8 +171,8 @@ class TestDiscreteTolls:
             for target in x.vectors:
                 margin = rng.choice(margins)
                 toll = discrete_tolls(x, s, cost, target, margin)
-                values = [toll.tolled_cost(cost, v) for v in x.vectors if v != target]
-                value = toll.tolled_cost(cost, target)
+                values = [tolled_cost(toll, cost, v) for v in x.vectors if v != target]
+                value = tolled_cost(toll, cost, target)
                 assert all(value <= other if margin == 0 else value < other
                            for other in values)
 
@@ -225,7 +232,7 @@ class TestConvexTolls:
 
         s = min_weight_flow_identifying(g, st).identifying_set
         toll = convex_tolls(basis, s, cost, target)
-        target_value = toll.tolled_cost(cost, target)
+        target_value = tolled_cost(toll, cost, target)
         for _ in range(120):
             raw = [rng.randint(0, 6) for _ in paths]
             total = sum(raw) or 1
@@ -233,7 +240,7 @@ class TestConvexTolls:
             point = tuple(
                 sum((m if a in p else Fraction(0)) for m, p in zip(mix, paths))
                 for a in range(g.arc_count))
-            assert toll.tolled_cost(cost, point) >= target_value
+            assert tolled_cost(toll, cost, point) >= target_value
 
 
 class TestConvexTollsOnIntegerRows:
