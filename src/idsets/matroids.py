@@ -189,8 +189,11 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     of a non-basis element is the element plus the basis elements of its
     block: the element alone when the block's capacity is 0 (a loop).
     """
-    block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
-    capacities = [_integer(c, "capacity") for c in capacities]
+    try:
+        block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
+        capacities = [_integer(c, "capacity") for c in capacities]
+    except TypeError as exc:
+        raise InvalidInstance(f"blocks and capacities must be iterable: {exc}") from None
     if len(block_list) != len(capacities):
         raise InvalidInstance("one capacity per block required")
     seen: set[int] = set()

@@ -30,7 +30,7 @@ from .errors import (
     TargetOutsideAffineHull,
 )
 from .explicit import SolutionList, verify_explicit_identifying
-from .graphs import validate_ids
+from .graphs import _count, validate_ids
 from .linalg import Vector, as_vector, echelon, exact, integer_row, vec_dot
 from .linear import AffineBasis, verify_identifying_from_basis
 
@@ -43,22 +43,32 @@ class CostOracle:
     subgradient: Callable[[Vector], Vector] | None = None
 
 
+def _point(params: Vector, x: Sequence) -> Vector:
+    """`as_vector(x)`, refusing a length other than the cost's, which zip would cut."""
+    vec = as_vector(x)
+    if len(vec) != len(params):
+        raise InvalidInstance(f"cost of dimension {len(params)}, point of dimension {len(vec)}")
+    return vec
+
+
 def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOracle:
-    coeffs = as_vector(coefficients)
-    const = exact(constant)
-    return CostOracle(
-        evaluate=lambda x: vec_dot(coeffs, as_vector(x)) + const,
-        subgradient=lambda x: coeffs,
-    )
+    coeffs, const = as_vector(coefficients), exact(constant)
+
+    def subgradient(x: Sequence) -> Vector:
+        _point(coeffs, x)
+        return coeffs
+
+    return CostOracle(evaluate=lambda x: vec_dot(coeffs, _point(coeffs, x)) + const,
+                      subgradient=subgradient)
 
 
 def quadratic_cost(resistances: Sequence) -> CostOracle:
     """c(x) = 1/2 * sum r_e x_e^2, the energy form with per-element resistances."""
     r = as_vector(resistances)
     return CostOracle(
-        evaluate=lambda x: sum((re * xe * xe for re, xe in zip(r, as_vector(x))),
+        evaluate=lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))),
                                Fraction(0)) / 2,
-        subgradient=lambda x: tuple(re * xe for re, xe in zip(r, as_vector(x))),
+        subgradient=lambda x: tuple(re * xe for re, xe in zip(r, _point(r, x))),
     )
 
 
@@ -71,12 +81,14 @@ class TollVector:
     support: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _count(self.size, "size"))
         try:
             outside = set(self.gamma) - set(self.support)
         except TypeError as exc:
             raise InvalidInstance(f"gamma and support must be iterable: {exc}") from None
         if outside:
             raise InvalidInstance(f"tolls outside the support: {sorted(outside, key=repr)}")
+        object.__setattr__(self, "support", validate_ids(self.size, self.support))
 
     def as_vector(self) -> Vector:
         return tuple(self.gamma.get(e, Fraction(0)) for e in range(self.size))
@@ -125,7 +137,10 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
         raise TargetOutsideAffineHull("target is not in the affine hull of the basis")
     if c.subgradient is None:
         raise NoSubgradient("cost oracle has no subgradient map")
-    d, d_scale = integer_row(as_vector(c.subgradient(target_vec)))
+    grad = as_vector(c.subgradient(target_vec))
+    if len(grad) != basis.ground_size:
+        raise InvalidInstance(f"subgradient of length {len(grad)}, not {basis.ground_size}")
+    d, d_scale = integer_row(grad)
     cols = sorted(s_set)
     rows, pivots = echelon([[d_scale * diff[e] for e in cols] + [-sum(map(mul, d, diff))]
                             for diff in basis.integer_rows])
@@ -159,9 +174,9 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     (target, cost) pair is the verdict witness.
     """
     try:
-        vectors, s = [as_vector(state) for state in states], frozenset(s)
-    except TypeError as exc:  # a state that is not a sequence, an unhashable id
-        raise InvalidInstance(f"malformed states or S: {exc}") from None
+        vectors, s, costs = [as_vector(state) for state in states], frozenset(s), list(costs)
+    except TypeError as exc:  # a state or cost list that is not a sequence, an unhashable id
+        raise InvalidInstance(f"malformed states, S or costs: {exc}") from None
     if len(s) > caps.max_fm_vars:
         raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
                                    f"|S| = {len(s)} variables")

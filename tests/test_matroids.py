@@ -106,6 +106,13 @@ class TestBuiltins:
         with pytest.raises(InvalidInstance, match="must be an integer"):
             build(*args)
 
+    @pytest.mark.parametrize("blocks, capacities", [
+        (None, [1]), ([5], [1]), ([[0]], None),
+    ], ids=["blocks-none", "block-int", "capacities-none"])
+    def test_partition_refuses_what_it_cannot_iterate(self, blocks, capacities):
+        with pytest.raises(InvalidInstance, match="^blocks and capacities must be iterable: "):
+            partition_matroid(blocks, capacities)
+
     @pytest.mark.parametrize("ground_size, message", [
         (2.0, "must be an integer, got 2.0"), (-1, "must be nonnegative"),
     ], ids=["float", "negative"])

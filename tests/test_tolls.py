@@ -80,6 +80,18 @@ class TestCostOracles:
                 f"^a vector must be iterable: '{kind}' object is not iterable$")):
             build()
 
+    @pytest.mark.parametrize("call", [
+        lambda: linear_cost([5]).evaluate((1, 1, 1)),
+        lambda: linear_cost([5]).subgradient((1, 1, 1)),
+        lambda: quadratic_cost([2]).evaluate((1, 3)),
+        lambda: quadratic_cost([2]).subgradient((1, 3)),
+    ], ids=["linear-evaluate", "linear-subgradient", "quadratic-evaluate",
+            "quadratic-subgradient"])
+    def test_refuses_a_point_of_another_length(self, call):
+        # zip would cut the point to the cost's length: 5 and 1 came back.
+        with pytest.raises(InvalidInstance, match="^cost of dimension 1, point of dimension "):
+            call()
+
 
 class TestTollVector:
     def test_refuses_a_toll_outside_the_support(self):
@@ -90,6 +102,17 @@ class TestTollVector:
     def test_refuses_a_gamma_it_cannot_iterate(self):
         with pytest.raises(InvalidInstance, match="^gamma and support must be iterable"):
             TollVector(3, None, frozenset())
+
+    def test_refuses_a_support_id_outside_the_size(self):
+        # as_vector() dropped the toll on element 5 of a 2-element vector.
+        with pytest.raises(InvalidInstance, match="^element id 5 out of range$"):
+            TollVector(2, {5: Fraction(1)}, {5})
+
+    def test_size_is_a_count(self):
+        with pytest.raises(InvalidInstance, match="^size must be an integer, got 'a'$"):
+            TollVector("a", {}, set())
+        with pytest.raises(InvalidInstance, match="^size must be nonnegative$"):
+            TollVector(-1, {}, set())
 
 
 class TestDiscreteTolls:
@@ -127,6 +150,11 @@ class TestDiscreteTolls:
         x = from_strings(["00", "01"])
         with pytest.raises(TargetNotInX):
             discrete_tolls(x, {1}, linear_cost([0, 0]), (1, 1))
+
+    def test_cost_of_another_length_rejected(self):
+        x = from_strings(["100", "010", "001"])
+        with pytest.raises(InvalidInstance, match="^cost of dimension 1, point of dimension "):
+            discrete_tolls(x, {0, 1, 2}, linear_cost([5]), (1, 0, 0))
 
     def test_fractional_target_rejected(self):
         # int(1/2) would read the target as 01, which is a solution.
@@ -199,6 +227,17 @@ class TestConvexTolls:
     def test_not_identifying_raises(self):
         with pytest.raises(NotIdentifying):
             convex_tolls(PARALLEL, set(), quadratic_cost([1, 1]), [1, 0])
+
+    def test_cost_of_another_length_rejected(self):
+        # The subgradient ignored x, and sum(map(mul, d, diff)) cut the rows:
+        # this returned {0: -1}.
+        with pytest.raises(InvalidInstance, match="^cost of dimension 1, point of dimension "):
+            convex_tolls(PARALLEL, {0}, linear_cost([1]), [1, 0])
+
+    def test_subgradient_of_another_length_rejected(self):
+        cost = CostOracle(evaluate=lambda x: Fraction(0), subgradient=lambda x: (1,))
+        with pytest.raises(InvalidInstance, match="^subgradient of length 1, not 2$"):
+            convex_tolls(PARALLEL, {0}, cost, [1, 0])
 
     def test_ids_read_through_validate_ids(self):
         toll = convex_tolls(PARALLEL, [True], quadratic_cost([1, 1]),
@@ -450,6 +489,13 @@ class TestCounterexampleCheck:
     def test_state_that_is_not_a_sequence_rejected(self):
         with pytest.raises(InvalidInstance, match="'NoneType' object is not iterable"):
             controlling_counterexample_check([None], [0], [linear_cost([0])])
+
+    @pytest.mark.parametrize("states", [[(0,), (2,)], [(0,), (1,)]],
+                             ids=["elimination", "binary-shortcut"])
+    def test_cost_list_that_is_not_a_sequence_rejected(self, states):
+        # Read once, before the binary shortcut, so both paths refuse it.
+        with pytest.raises(InvalidInstance, match="^malformed states, S or costs: 'NoneType'"):
+            controlling_counterexample_check(states, [0], None)
 
     def test_elimination_cap(self):
         states = [(0,) * 8, (1,) * 8]
