@@ -27,8 +27,6 @@ class Caps:
     max_subsets    limit on nodes visited by the exact hitting-set search
     max_ground     element limit for the matroid circuit scan of a negative
                    verdict's witness; no subcommand runs it
-    max_fm_vars    variable limit for Fourier-Motzkin elimination; no
-                   subcommand eliminates, so only library callers set it
 
     Every cap must be at least 1; a smaller one is InvalidInstance, whether
     it comes from the environment, a flag or a library caller.
@@ -37,7 +35,6 @@ class Caps:
     max_paths: int = 100_000
     max_subsets: int = 2**24
     max_ground: int = 20
-    max_fm_vars: int = 6
 
     def __post_init__(self):
         for cap in fields(self):

@@ -34,7 +34,6 @@ CAP_KNOBS = {
     "max_paths": "IDSETS_MAX_PATHS / --max-paths",
     "max_subsets": "IDSETS_MAX_SUBSETS / --max-subsets",
     "max_ground": "Caps.max_ground",
-    "max_fm_vars": "Caps.max_fm_vars",
 }
 
 
@@ -68,11 +67,6 @@ class EnumerationExplosion(CapExceeded):
 
     def __init__(self, cap: int, reached: str):
         super().__init__("max_ground", cap, CAP_KNOBS["max_ground"], reached)
-
-
-class EliminationExplosion(CapExceeded):
-    """Fourier-Motzkin elimination exceeded its variable budget (the library
-    field `Caps.max_fm_vars`) or its fixed budget of 100,000 rows."""
 
 
 class NotIdentifying(IdsetsError):

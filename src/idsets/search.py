@@ -36,8 +36,10 @@ unhit demand lies outside the demands live at e (the OR of `cover[f]` over
 f >= e), and it is a leaf when `unhit` is 0. The bound takes the unhit bits
 from the lowest; for each packed demand i at depth e it clears the demands
 sharing one of its allowed ids (its conflict mask, the OR of `cover[f]` over
-its ids f >= e) and adds its lightest allowed weight. Both are computed the
-first time demand i is packed at depth e and kept for the rest of the call.
+its ids f >= e) and adds its lightest allowed weight. Both depend only on
+the restricted demand `masks[i] >> e << e`, so one memo keyed by it holds
+them for the rest of the call, shared by every (depth, demand) pair that
+restricts to the same mask.
 This packs the same demands in the same order as a walk over the demand
 list. The sum stops once it reaches the incumbent's weight and is skipped
 while there is no incumbent, which changes no decision, so every pruning
@@ -95,9 +97,9 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
     for e in range(n - 1, -1, -1):
         live |= cover[e]
         dead[e] = ~live
-    # packs[e][i]: (conflict, lightest) of demand i on the ids >= e, built
-    # when the bound first packs demand i at depth e.
-    packs: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    # packs[d]: (conflict, lightest) of the restricted demand d, built the
+    # first time the bound packs a demand whose ids >= its depth are d.
+    packs: dict[int, tuple[int, int]] = {}
 
     best_weight: int | None = None
     best_mask = 0
@@ -119,13 +121,12 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
         if best_weight is not None:
             # Prune when the packing bound reaches the incumbent's weight.
             budget = best_weight - weight
-            pack = packs[e]
             cand = unhit
             while cand and budget > 0:
-                i = (cand & -cand).bit_length() - 1
-                entry = pack.get(i)
+                d = masks[(cand & -cand).bit_length() - 1] >> e << e
+                entry = packs.get(d)
                 if entry is None:
-                    entry = pack[i] = _pack_entry(masks[i] >> e << e, cover, iw)
+                    entry = packs[d] = _pack_entry(d, cover, iw)
                 cand &= ~entry[0]
                 budget -= entry[1]
             if budget <= 0:

@@ -6,10 +6,9 @@ target a minimizer of any cost. Convex case: a subgradient at the target is
 cancelled exactly on the affine hull by solving a linear system supported on
 S. The controlling check decides, per cost, whether some toll vector
 supported on S enforces each target. On a binary list with an identifying S
-the big-M construction answers yes, so no elimination runs; integer or
-fractional lists, and an S that is not identifying, go through exact
-Fourier-Motzkin elimination, which can expose an identifying set that does
-not control.
+the big-M construction answers yes, so no LP runs; integer or fractional
+lists, and an S that is not identifying, get one exact LP per (cost, target),
+which can expose an identifying set that does not control.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .caps import Caps, DEFAULT_CAPS
 from .errors import (
-    CAP_KNOBS,
-    EliminationExplosion,
     InvalidInstance,
     NoSubgradient,
     NotIdentifying,
@@ -31,7 +27,7 @@ from .errors import (
 )
 from .explicit import SolutionList, verify_explicit_identifying
 from .graphs import _count, validate_ids
-from .linalg import Vector, as_vector, echelon, exact, integer_row, vec_dot
+from .linalg import Vector, _primitive, as_vector, echelon, exact, integer_row, vec_dot
 from .linear import AffineBasis, verify_identifying_from_basis
 
 
@@ -63,8 +59,13 @@ def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOra
 
 
 def quadratic_cost(resistances: Sequence) -> CostOracle:
-    """c(x) = 1/2 * sum r_e x_e^2, the energy form with per-element resistances."""
+    """c(x) = 1/2 * sum r_e x_e^2, the energy form with per-element resistances.
+
+    A negative resistance makes c concave, and a zero subgradient would then
+    certify a maximizer, so it is refused; zero is allowed."""
     r = as_vector(resistances)
+    if any(re < 0 for re in r):
+        raise InvalidInstance(f"resistances must be >= 0, got {min(r)}")
     return CostOracle(
         evaluate=lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))),
                                Fraction(0)) / 2,
@@ -89,6 +90,9 @@ class TollVector:
         if outside:
             raise InvalidInstance(f"tolls outside the support: {sorted(outside, key=repr)}")
         object.__setattr__(self, "support", validate_ids(self.size, self.support))
+        if not hasattr(self.gamma, "items"):
+            raise InvalidInstance(f"gamma must map ids to tolls, got {type(self.gamma).__name__}")
+        object.__setattr__(self, "gamma", {e: exact(v) for e, v in self.gamma.items()})
 
     def as_vector(self) -> Vector:
         return tuple(self.gamma.get(e, Fraction(0)) for e in range(self.size))
@@ -154,32 +158,31 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
 @dataclass(frozen=True)
 class ControllingVerdict:
     controlling: bool
-    # On failure: the unenforceable target, the cost index, and the derived
-    # contradiction 0 >= rhs with rhs > 0.
+    # On failure: the unenforceable target, the cost index, the gap
+    # c(target) - sum lambda c(x) > 0, and lambda as (state index, weight > 0)
+    # pairs: a convex combination of other states equal to the target on S.
     failing_target: Vector | None = None
     failing_cost: int | None = None
     contradiction_rhs: Fraction | None = None
+    certificate: tuple[tuple[int, Fraction], ...] = ()
 
 
 def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int],
-                                     costs: Sequence[CostOracle],
-                                     caps: Caps = DEFAULT_CAPS) -> ControllingVerdict:
-    """Decide, per cost and target, feasibility of the argmin inequality system.
+                                     costs: Sequence[CostOracle]) -> ControllingVerdict:
+    """Decide, per cost and target, whether tolls on S make the target a minimizer.
 
-    The system over gamma in R^S reads, for every other state x,
-    sum_e gamma_e (x_e - x*_e) >= c(x*) - c(x). When every state is 0/1 and
-    S is identifying, the big-M tolls of `discrete_tolls` solve it for any
-    cost and target, so the answer is yes without elimination. Otherwise
-    exact Fourier-Motzkin elimination decides it, and the first infeasible
-    (target, cost) pair is the verdict witness.
+    Tolls gamma on S enforce x* when sum_e gamma_e (x_e - x*_e) >= c(x*) - c(x)
+    for every other state x. When every state is 0/1 and S is identifying,
+    the big-M tolls of `discrete_tolls` do so for any cost and target. Otherwise,
+    by Farkas' lemma, x* is not enforceable exactly when a convex combination
+    lambda of the other states equals x* on S and costs less on average; one
+    LP per (cost, target) finds the cheapest such lambda, and the first pair
+    with a positive gap is the verdict witness.
     """
     try:
         vectors, s, costs = [as_vector(state) for state in states], frozenset(s), list(costs)
     except TypeError as exc:  # a state or cost list that is not a sequence, an unhashable id
         raise InvalidInstance(f"malformed states, S or costs: {exc}") from None
-    if len(s) > caps.max_fm_vars:
-        raise EliminationExplosion("max_fm_vars", caps.max_fm_vars, CAP_KNOBS["max_fm_vars"],
-                                   f"|S| = {len(s)} variables")
     dim = len(vectors[0]) if vectors else 0
     if any(len(vec) != dim for vec in vectors):
         raise InvalidInstance("states must share one dimension")
@@ -188,62 +191,48 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
             and verify_explicit_identifying(SolutionList(dim, vectors), cols)[0]):
         return ControllingVerdict(controlling=True)
     for ci, cost in enumerate(costs):
-        values = [cost.evaluate(vec) for vec in vectors]
+        values = [exact(cost.evaluate(vec)) for vec in vectors]
         for ti, target in enumerate(vectors):
-            rows = []
-            for xi, other in enumerate(vectors):
-                if xi == ti:
-                    continue
-                coeffs = tuple(other[e] - target[e] for e in cols)
-                rhs = values[ti] - values[xi]
-                rows.append((coeffs, rhs))
-            feasible, contradiction = fourier_motzkin_feasible(rows, len(cols))
-            if not feasible:
-                return ControllingVerdict(controlling=False, failing_target=target,
-                                          failing_cost=ci, contradiction_rhs=contradiction)
+            others = [xi for xi in range(len(vectors)) if xi != ti]
+            best = _cheapest_mixture([[vectors[xi][e] - target[e] for xi in others] for e in cols],
+                                     [values[xi] - values[ti] for xi in others])
+            if best is not None and best[0] < 0:
+                return ControllingVerdict(
+                    controlling=False, failing_target=target, failing_cost=ci,
+                    contradiction_rhs=-best[0],
+                    certificate=tuple((others[j], lam) for j, lam in sorted(best[1].items())))
     return ControllingVerdict(controlling=True)
 
 
-def fourier_motzkin_feasible(rows: Sequence[tuple[tuple[Fraction, ...], Fraction]],
-                             nvars: int) -> tuple[bool, Fraction | None]:
-    """Feasibility of a system of inequalities sum(coeffs * y) >= rhs.
+def _cheapest_mixture(rows: list[list[Fraction]], gains: list[Fraction]
+                      ) -> tuple[Fraction, dict[int, Fraction]] | None:
+    """min sum_j lambda_j gains[j] over lambda >= 0 with every row . lambda = 0
+    and sum lambda = 1, as (minimum, {j: lambda_j > 0}); None when infeasible.
 
-    Eliminates variables left to right; after elimination, a constant row
-    0 >= rhs with rhs > 0 is the contradiction. Rows are normalized and
-    deduplicated to slow the quadratic blowup.
+    Simplex started from one artificial per row. Each column's reduced cost
+    is a (phase I, phase II) pair compared as a tuple, so the artificials
+    leave before the cost drops, without a separate phase I; one that leaves
+    is not kept. Bland's rule (lowest improving column, ratio ties to the
+    lowest basic label) cannot cycle, and the run goes on to the optimum.
+    Rows are held as integers, each a positive multiple of its rational row
+    as in `linalg.echelon`, so a pivot builds no Fraction.
     """
-    max_rows = 100_000  # rows kept after any one elimination step
-    current = [_normalize_row(as_vector(coeffs), exact(rhs)) for coeffs, rhs in rows]
-    for var in range(nvars):
-        positive, negative, rest = [], [], []
-        for coeffs, rhs in current:
-            a = coeffs[var]
-            if a > 0:
-                positive.append((coeffs, rhs))
-            elif a < 0:
-                negative.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        combined: set[tuple[tuple[Fraction, ...], Fraction]] = set(rest)
-        for cp, rp in positive:
-            for cn, rn in negative:
-                scale_p, scale_n = -cn[var], cp[var]
-                coeffs = tuple(scale_p * p + scale_n * q for p, q in zip(cp, cn))
-                rhs = scale_p * rp + scale_n * rn
-                combined.add(_normalize_row(coeffs, rhs))
-        current = list(combined)
-        if len(current) > max_rows:
-            raise EliminationExplosion("max_rows", max_rows, "fourier_motzkin_feasible",
-                                       f"{len(current)} rows")
-    for coeffs, rhs in current:
-        if rhs > 0:
-            return False, rhs
-    return True, None
-
-
-def _normalize_row(coeffs: tuple[Fraction, ...],
-                   rhs: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-    scale = next((abs(v) for v in coeffs if v != 0), None)
-    if scale is None:
-        return coeffs, rhs
-    return tuple(v / scale for v in coeffs), rhs / scale
+    k = len(gains)
+    rows = [row + [Fraction(0)] for row in rows] + [[Fraction(1)] * (k + 1)]
+    phase1 = [-sum(col) for col in zip(*rows)]
+    *tableau, phase1, phase2 = [integer_row(row)[0]
+                                for row in rows + [phase1, gains + [Fraction(0)]]]
+    basis = list(range(k, k + len(tableau)))  # artificial labels follow the columns
+    while (j := next((c for c in range(k) if (phase1[c], phase2[c]) < (0, 0)), None)) is not None:
+        _, _, i = min((Fraction(row[-1], row[j]), basis[i], i)
+                      for i, row in enumerate(tableau) if row[j] > 0)
+        top = tableau[i]
+        for row in tableau + [phase1, phase2]:
+            q = row[j]
+            if q and row is not top:
+                row[:] = _primitive([top[j] * a - q * b for a, b in zip(row, top)])
+        basis[i] = j
+    if phase1[-1]:
+        return None
+    lam = {b: Fraction(row[-1], row[b]) for b, row in zip(basis, tableau) if b < k and row[-1]}
+    return sum(w * gains[j] for j, w in lam.items()), lam

@@ -5,8 +5,9 @@ plain recursive walk over an adjacency matrix, acyclicity goes through
 networkx, and identifying checks are direct pairwise definitions. Code that
 only tests run lives here too: the vertex-cover extraction of the reduction
 DAG, the solution-list writer and readers, fundamental circuits, the dual
-independence test of an affine basis, the tolled cost, and the two graph
-wrappers over the private Kosaraju and Kruskal cores.
+independence test of an affine basis, the tolled cost, the two graph
+wrappers over the private Kosaraju and Kruskal cores, and Fourier-Motzkin
+elimination, the oracle of the controlling check's LPs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import networkx as nx
 
 from idsets.caps import DEFAULT_CAPS, Caps
 from idsets.errors import (
+    CapExceeded,
     EnumerationExplosion,
     IdsetsError,
     InvalidInstance,
@@ -42,7 +44,7 @@ from idsets.graphs import (
     validate_ids,
 )
 from idsets.instances import GeneratedInstance
-from idsets.linalg import Vector, as_vector, echelon, vec_dot
+from idsets.linalg import Vector, as_vector, echelon, exact, vec_dot
 from idsets.linear import AffineBasis, _columns
 from idsets.matroids import MatroidOracle, _circuit_of
 from idsets.paths import (
@@ -53,7 +55,7 @@ from idsets.paths import (
     size_ratio,
     verify_path_identifying_dag,
 )
-from idsets.tolls import ControllingVerdict, CostOracle, TollVector, fourier_motzkin_feasible
+from idsets.tolls import ControllingVerdict, CostOracle, TollVector
 
 
 def oracle_enumerate_paths(g: Digraph, st: StPair) -> set[frozenset[int]]:
@@ -572,6 +574,51 @@ def oracle_matroid_witness(m, s: frozenset[int], circuits: list[frozenset[int]])
         basis_a = frozenset(base)
         return circuit, basis_a, (basis_a | {f}) - {e}
     return None
+
+
+def fourier_motzkin_feasible(rows: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+                             nvars: int) -> tuple[bool, Fraction | None]:
+    """Feasibility of a system of inequalities sum(coeffs * y) >= rhs.
+
+    Eliminates variables left to right; after elimination, a constant row
+    0 >= rhs with rhs > 0 is the contradiction. Rows are normalized and
+    deduplicated to slow the quadratic blowup.
+    """
+    max_rows = 100_000  # rows kept after any one elimination step
+    current = [_normalize_row(as_vector(coeffs), exact(rhs)) for coeffs, rhs in rows]
+    for var in range(nvars):
+        positive, negative, rest = [], [], []
+        for coeffs, rhs in current:
+            a = coeffs[var]
+            if a > 0:
+                positive.append((coeffs, rhs))
+            elif a < 0:
+                negative.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        combined: set[tuple[tuple[Fraction, ...], Fraction]] = set(rest)
+        for cp, rp in positive:
+            for cn, rn in negative:
+                scale_p, scale_n = -cn[var], cp[var]
+                coeffs = tuple(scale_p * p + scale_n * q for p, q in zip(cp, cn))
+                rhs = scale_p * rp + scale_n * rn
+                combined.add(_normalize_row(coeffs, rhs))
+        current = list(combined)
+        if len(current) > max_rows:
+            raise CapExceeded("max_rows", max_rows, "fourier_motzkin_feasible",
+                              f"{len(current)} rows")
+    for coeffs, rhs in current:
+        if rhs > 0:
+            return False, rhs
+    return True, None
+
+
+def _normalize_row(coeffs: tuple[Fraction, ...],
+                   rhs: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    scale = next((abs(v) for v in coeffs if v != 0), None)
+    if scale is None:
+        return coeffs, rhs
+    return tuple(v / scale for v in coeffs), rhs / scale
 
 
 def oracle_controlling_fm(states, s, costs):

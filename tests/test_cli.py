@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from idsets import cli
+from idsets.caps import Caps
 from idsets.cli import main
+from idsets.errors import CAP_KNOBS
 from idsets.io import dump_json
 
 from .helpers import oracle_rank
@@ -338,6 +341,10 @@ class TestCapMessages:
         assert main([arg.format(i=tight_k3) for arg in argv]) == 3
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"cap exceeded: {line}\n"
+
+    def test_every_cap_has_one_knob(self):
+        # A retired cap leaves no stale entry, and a new one needs its knob.
+        assert set(CAP_KNOBS) == {cap.name for cap in fields(Caps)}
 
     def test_summary_line_shows_only_the_caps_the_cli_reads(self, tight_k3, capsys,
                                                              monkeypatch):
@@ -827,6 +834,17 @@ class TestOtherSolvers:
                      "--cost", "quadratic:1,1"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["gamma"] == {"0": "-1/2"}
+
+    def test_tolls_convex_refuses_a_negative_resistance(self, tmp_path, capsys):
+        # A concave cost: the zero-subgradient tolls {0: 0} would certify the
+        # midpoint, which maximizes it on the segment.
+        basis = tmp_path / "basis.json"
+        dump_json(str(basis), {"points": [[1, 0], [0, 1]]})
+        code = main(["tolls", "--mode", "convex", "--basis", str(basis),
+                     "--S", "0", "--target", "1/2,1/2", "--cost", "quadratic:-1,-1"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "resistances must be >= 0, got -1" in out.err
 
     def test_tolls_nonnegative_flag(self, tmp_path, capsys):
         basis = tmp_path / "basis.json"

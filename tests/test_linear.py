@@ -20,7 +20,13 @@ from idsets.linear import (
     min_weight_identifying_from_basis,
     verify_identifying_from_basis,
 )
-from idsets.tolls import discrete_tolls, fourier_motzkin_feasible, linear_cost, quadratic_cost
+from idsets.tolls import (
+    CostOracle,
+    controlling_counterexample_check,
+    discrete_tolls,
+    linear_cost,
+    quadratic_cost,
+)
 
 from .helpers import (
     all_simple_digraphs,
@@ -233,8 +239,8 @@ class TestAffineBasis:
         # 0.1 would add 3602879701896397/36028797018963968, not 1/10.
         for call in (
             lambda: linear_cost([1, 2], 0.1),
-            lambda: fourier_motzkin_feasible([((0.5,), 1)], 1),
-            lambda: fourier_motzkin_feasible([((1,), 0.1)], 1),
+            lambda: controlling_counterexample_check([(0,), (2,)], [0],
+                                                     [CostOracle(lambda x: 0.1)]),
             lambda: discrete_tolls(from_strings(["10", "01"]), {0},
                                    linear_cost([0, 0]), (0, 1), margin=0.5),
         ):

@@ -1,4 +1,4 @@
-"""Toll synthesis: discrete big-M, convex subgradient cancellation, FM check."""
+"""Toll synthesis: discrete big-M, convex subgradient cancellation, controlling LPs."""
 
 from __future__ import annotations
 
@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
-from idsets.caps import Caps
 from idsets.errors import (
-    EliminationExplosion,
+    IdsetsError,
     InvalidInstance,
     NoSubgradient,
     NotIdentifying,
@@ -27,13 +28,13 @@ from idsets.tolls import (
     controlling_counterexample_check,
     convex_tolls,
     discrete_tolls,
-    fourier_motzkin_feasible,
     linear_cost,
     quadratic_cost,
 )
 
 from .helpers import (
     differences,
+    fourier_motzkin_feasible,
     from_sets,
     from_strings,
     oracle_controlling_fm,
@@ -93,7 +94,29 @@ class TestCostOracles:
             call()
 
 
+    def test_quadratic_refuses_a_negative_resistance(self):
+        # A concave cost, whose zero subgradient would certify a maximizer.
+        with pytest.raises(InvalidInstance, match="^resistances must be >= 0, got -1/2$"):
+            quadratic_cost([1, Fraction(-1, 2)])
+        assert quadratic_cost([0, 0]).evaluate((3, 4)) == 0
+
+
 class TestTollVector:
+    @pytest.mark.parametrize("gamma, message", [
+        ({0: "x"}, "^not an exact rational: 'x'$"),
+        ({0: 0.5}, "^floats are not exact, got 0.5"),
+        ([0], "^gamma must map ids to tolls, got list$"),
+    ], ids=["string", "float", "list"])
+    def test_refuses_a_toll_that_is_not_exact(self, gamma, message):
+        # ('x', 0) and (0.5, 0) came back from as_vector().
+        with pytest.raises(InvalidInstance, match=message):
+            TollVector(2, gamma, {0})
+
+    def test_reads_tolls_as_fractions(self):
+        toll = TollVector(2, {1: "-3/4", 0: 2}, {0, 1})
+        assert toll.gamma == {0: 2, 1: Fraction(-3, 4)}
+        assert all(type(v) is Fraction for v in toll.as_vector())
+
     def test_refuses_a_toll_outside_the_support(self):
         # An InvalidInstance, not an assert, so it holds under `python -O` too.
         with pytest.raises(InvalidInstance, match=r"^tolls outside the support: \[0\]"):
@@ -296,8 +319,10 @@ class TestConvexTollsOnIntegerRows:
             target = hull_point(basis, rng)
             if rng.random() < 0.2:
                 target = tuple(v + Fraction(1, 2) for v in target)
-            cost = (quadratic_cost if rng.random() < 0.5 else linear_cost)(
-                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
+            quadratic = rng.random() < 0.5
+            values = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            # Resistances must be >= 0; the draws stay those of a signed cost.
+            cost = quadratic_cost(list(map(abs, values))) if quadratic else linear_cost(values)
             kind, want = oracle_convex_tolls(basis, s, cost, target)
             outcomes[kind] += 1
             if kind == "not identifying":
@@ -388,6 +413,34 @@ class TestProjectedGradientVerification:
             assert abs(got - float(want)) < 1e-6
 
 
+def assert_certificate(states, s, costs, verdict: ControllingVerdict) -> None:
+    """A negative verdict's lambda, checked in exact arithmetic: positive
+    weights on states of the list summing to 1, equal to the failing target
+    on S, and cheaper than it by `contradiction_rhs` > 0."""
+    vectors = [as_vector(state) for state in states]
+    target, cost = verdict.failing_target, costs[verdict.failing_cost]
+    lam = dict(verdict.certificate)
+    assert len(lam) == len(verdict.certificate) and set(lam) <= set(range(len(vectors)))
+    assert all(w > 0 for w in lam.values()) and sum(lam.values()) == 1
+    assert all(sum(w * vectors[i][e] for i, w in lam.items()) == target[e] for e in s)
+    gap = cost.evaluate(target) - sum(w * cost.evaluate(vectors[i]) for i, w in lam.items())
+    assert gap == verdict.contradiction_rhs > 0
+
+
+def assert_matches_oracle(states, s, costs) -> ControllingVerdict:
+    """The check's verdict, failing target and failing cost are elimination's,
+    and a negative verdict carries a certificate that holds."""
+    verdict = controlling_counterexample_check(states, s, costs)
+    want = oracle_controlling_fm(states, s, costs)
+    assert (verdict.controlling, verdict.failing_target, verdict.failing_cost) == (
+        want.controlling, want.failing_target, want.failing_cost)
+    if verdict.controlling:
+        assert verdict == ControllingVerdict(controlling=True)
+    else:
+        assert_certificate(states, s, costs, verdict)
+    return verdict
+
+
 class TestCounterexampleCheck:
     def test_integer_lattice_regression(self):
         states = [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)]
@@ -413,10 +466,10 @@ class TestCounterexampleCheck:
 
     def test_verdicts_match_elimination_oracle(self):
         rng = random.Random(97)
-        seen, compared = set(), 0
-        for case in range(450):
+        seen, compared, negative = set(), 0, 0
+        for case in range(1500):
             kind = ("identifying", "not-identifying", "non-binary")[case % 3]
-            dim = rng.randint(1, 4)
+            dim = rng.randint(1, 5)
             values = (0, 1) if kind != "non-binary" else (0, 1, 2, -1, Fraction(1, 2))
             states = [tuple(rng.choice(values) for _ in range(dim))
                       for _ in range(rng.randint(1, 6))]
@@ -434,20 +487,33 @@ class TestCounterexampleCheck:
                      for _ in range(rng.randint(1, 3))]
             if rng.random() < 0.3:
                 costs.append(quadratic_cost([rng.randint(0, 3) for _ in range(dim)]))
-            verdict = controlling_counterexample_check(states, s, costs)
-            assert verdict == oracle_controlling_fm(states, s, costs)
+            verdict = assert_matches_oracle(states, s, costs)
             compared += 1
+            negative += not verdict.controlling
             seen.add((kind, verdict.controlling, not s, len(set(states)) < len(states)))
-        assert compared >= 300
+        assert compared >= 1000 and negative >= 300
         assert {k[:2] for k in seen} >= {("identifying", True), ("not-identifying", False),
                                           ("non-binary", True), ("non-binary", False)}
         assert any(k[2] for k in seen) and any(k[3] for k in seen)
 
+    @pytest.mark.parametrize("seed, controlling", [(1, True), (6, False)])
+    def test_ten_dimensions_need_no_cap(self, seed, controlling):
+        # |S| = 8 was refused by max_fm_vars, and elimination did not finish
+        # with the cap lifted.
+        rng = random.Random(seed)
+        states = [tuple(rng.randint(0, 2) for _ in range(10)) for _ in range(40)]
+        s = set(rng.sample(range(10), 8))
+        costs = [linear_cost([rng.randint(-3, 3) for _ in range(10)])]
+        verdict = controlling_counterexample_check(states, s, costs)
+        assert verdict.controlling is controlling
+        if not controlling:
+            assert_certificate(states, s, costs, verdict)
+
     def test_binary_identifying_skips_elimination(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("Fourier-Motzkin ran")
+            raise AssertionError("an LP ran")
 
-        monkeypatch.setattr("idsets.tolls.fourier_motzkin_feasible", fail)
+        monkeypatch.setattr("idsets.tolls._cheapest_mixture", fail)
         states = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)]
         verdict = controlling_counterexample_check(states, {0, 1},
                                                    [linear_cost([4, -7, 2])])
@@ -455,11 +521,10 @@ class TestCounterexampleCheck:
 
     def test_half_is_not_read_as_zero(self):
         # int() would turn (1/2, 1) into (0, 1), a duplicate, and S = {} would
-        # look identifying; elimination decides the fractional list instead.
+        # look identifying; an LP decides the fractional list instead.
         states = [(Fraction(1, 2), 1), (0, 1)]
         costs = [linear_cost([-1, 0])]
-        verdict = controlling_counterexample_check(states, set(), costs)
-        assert verdict == oracle_controlling_fm(states, set(), costs)
+        verdict = assert_matches_oracle(states, set(), costs)
         assert not verdict.controlling
 
     @pytest.mark.parametrize("states, s, message", [
@@ -497,16 +562,9 @@ class TestCounterexampleCheck:
         with pytest.raises(InvalidInstance, match="^malformed states, S or costs: 'NoneType'"):
             controlling_counterexample_check(states, [0], None)
 
-    def test_elimination_cap(self):
-        states = [(0,) * 8, (1,) * 8]
-        with pytest.raises(EliminationExplosion) as exc:
-            controlling_counterexample_check(states, set(range(8)),
-                                             [linear_cost([0] * 8)],
-                                             caps=Caps(max_fm_vars=3))
-        assert str(exc.value) == "max_fm_vars = 3 (Caps.max_fm_vars): |S| = 8 variables"
-
 
 class TestFourierMotzkin:
+    # The elimination in tests/helpers.py, the oracle of the controlling LPs.
     def test_feasible_box(self):
         rows = [((Fraction(1),), Fraction(0)), ((Fraction(-1),), Fraction(-5))]
         feasible, _ = fourier_motzkin_feasible(rows, 1)
@@ -528,3 +586,83 @@ class TestFourierMotzkin:
         rows.append(((Fraction(1), Fraction(1)), Fraction(3)))
         feasible, _ = fourier_motzkin_feasible(rows, 2)
         assert not feasible
+
+
+# ---------------------------------------------------------------- fuzzing
+
+SCALARS = st_.one_of(st_.integers(-2, 3), st_.floats(), st_.booleans(), st_.text(max_size=3),
+                     st_.none(), st_.fractions(-2, 2, max_denominator=3))
+VALUES = st_.recursive(SCALARS, lambda inner: st_.lists(inner, max_size=3), max_leaves=5)
+
+
+def mostly(valid):
+    """Mostly the valid draw; otherwise malformed entries, a wrong length or
+    any value at all."""
+    malformed = st_.one_of(st_.lists(SCALARS, max_size=4), VALUES)
+    return st_.integers(0, 7).flatmap(lambda k: valid if k else malformed)
+
+
+def vectors(n: int, values=(0, 1, 2)):
+    return mostly(st_.lists(st_.sampled_from(values), min_size=n, max_size=n))
+
+
+def supports(n: int):
+    return mostly(st_.one_of(st_.just(list(range(n))), st_.lists(st_.integers(0, n - 1))))
+
+
+def draw_cost(data, n: int) -> CostOracle:
+    if data.draw(st_.booleans()):
+        return quadratic_cost(data.draw(vectors(n)))
+    return linear_cost(data.draw(vectors(n)), data.draw(mostly(st_.just(0))))
+
+
+def draw_target(data, rows, vector):
+    """A member of the drawn rows half the time, when there are any."""
+    if isinstance(rows, list) and rows and data.draw(st_.booleans()):
+        return data.draw(st_.sampled_from(rows))
+    return data.draw(vector)
+
+
+def fuzz_cost(data, n):
+    cost, point = draw_cost(data, n), data.draw(vectors(n))
+    cost.evaluate(point)
+    cost.subgradient(point)
+
+
+def fuzz_toll_vector(data, n):
+    gamma = st_.dictionaries(st_.integers(0, n - 1), mostly(st_.integers(-2, 2)), max_size=n)
+    TollVector(data.draw(mostly(st_.just(n))), data.draw(mostly(gamma)),
+               data.draw(supports(n))).as_vector()
+
+
+def fuzz_discrete_tolls(data, n):
+    rows = data.draw(mostly(st_.lists(vectors(n, (0, 1)), min_size=1, max_size=4)))
+    x = SolutionList(data.draw(mostly(st_.just(n))), rows)
+    discrete_tolls(x, data.draw(supports(n)), draw_cost(data, n),
+                   draw_target(data, rows, vectors(n, (0, 1))), data.draw(mostly(st_.just(0))))
+
+
+def fuzz_convex_tolls(data, n):
+    points = data.draw(mostly(st_.lists(vectors(n), min_size=1, max_size=3)))
+    convex_tolls(AffineBasis(points), data.draw(supports(n)), draw_cost(data, n),
+                 draw_target(data, points, vectors(n)))
+
+
+def fuzz_controlling_check(data, n):
+    controlling_counterexample_check(
+        data.draw(mostly(st_.lists(vectors(n), max_size=5))), data.draw(supports(n)),
+        [draw_cost(data, n) for _ in range(data.draw(st_.integers(0, 2)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st_.data())
+def test_toll_callables_raise_only_library_errors(data):
+    # The documented classes (cost oracles, SolutionList, AffineBasis, toll
+    # vectors) built from malformed values, and malformed values passed
+    # beside them: every refusal is an IdsetsError.
+    call = data.draw(st_.sampled_from([fuzz_cost, fuzz_toll_vector, fuzz_discrete_tolls,
+                                       fuzz_convex_tolls, fuzz_controlling_check]))
+    try:
+        call(data, data.draw(st_.integers(1, 3)))
+    except IdsetsError:
+        pass
