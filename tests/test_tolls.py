@@ -93,7 +93,6 @@ class TestCostOracles:
         with pytest.raises(InvalidInstance, match="^cost of dimension 1, point of dimension "):
             call()
 
-
     def test_quadratic_refuses_a_negative_resistance(self):
         # A concave cost, whose zero subgradient would certify a maximizer.
         with pytest.raises(InvalidInstance, match="^resistances must be >= 0, got -1/2$"):
