@@ -497,8 +497,7 @@ class TestCounterexampleCheck:
 
     @pytest.mark.parametrize("seed, controlling", [(1, True), (6, False)])
     def test_ten_dimensions_need_no_cap(self, seed, controlling):
-        # |S| = 8 was refused by max_fm_vars, and elimination did not finish
-        # with the cap lifted.
+        # Elimination refused |S| = 8: its variable cap was 6.
         rng = random.Random(seed)
         states = [tuple(rng.randint(0, 2) for _ in range(10)) for _ in range(40)]
         s = set(rng.sample(range(10), 8))
