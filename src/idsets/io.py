@@ -299,6 +299,8 @@ def load_json(path: str, digest: Any) -> Any:
         raise InvalidInstance(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise InvalidInstance(f"{path} is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInstance(f"{path} nests too deeply to read") from exc
 
 
 def to_json(value: Any) -> str:

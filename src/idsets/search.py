@@ -28,18 +28,20 @@ Demands are deduplicated and taken in numeric order; supersets of other
 demands stay in, because the quadratic scan that dropped them cost more than
 the whole search on the tight-gap family (2.4 s of 5.7 s at k = 8).
 
-The walk runs on the transpose of the demand list. Demand i (in that order)
-is bit i, `cover[e]` holds the demands that contain id e, and a node's unhit
-demands are one int: including e leaves `unhit & ~cover[e]`, some unhit
-demand holds e when `unhit & cover[e]` is nonzero, the node is dead when an
-unhit demand lies outside the demands live at e (the OR of `cover[f]` over
-f >= e), and it is a leaf when `unhit` is 0. The bound takes the unhit bits
-from the lowest; for each packed demand i at depth e it clears the demands
-sharing one of its allowed ids (its conflict mask, the OR of `cover[f]` over
-its ids f >= e) and adds its lightest allowed weight. Both depend only on
-the restricted demand `masks[i] >> e << e`, so one memo keyed by it holds
-them for the rest of the call, shared by every (depth, demand) pair that
-restricts to the same mask.
+The walk runs on the transpose of the demand list, numbered in reverse:
+demand i of m (in that order) is bit m - 1 - i; `_cover_masks` reads id e's
+column as every n-th digit of the demands written as one binary string.
+`cover[e]` holds the demands that contain id e, and a node's unhit demands
+are one int: including e leaves `unhit & uncover[e]`, some unhit demand holds
+e when `unhit & cover[e]` is nonzero, the node is dead when an unhit demand
+lies outside the demands live at e (the OR of `cover[f]` over f >= e), and it
+is a leaf when `unhit` is 0. The bound packs the lowest unhit demand i first,
+read off the top bit as `masks[-cand.bit_length()]`. At depth e it keeps the
+demands sharing none of i's allowed ids and adds its lightest allowed weight;
+both depend only on the restricted demand `masks[i] & ~0 << e`, so one memo
+keyed by it holds them for the rest of the call. Complements are taken within
+the m bits (`full ^ x`) once, so no node negates an m-bit int or ANDs with a
+negative one, which CPython would copy.
 This packs the same demands in the same order as a walk over the demand
 list. The sum stops once it reaches the incumbent's weight and is skipped
 while there is no incumbent, which changes no decision, so every pruning
@@ -53,6 +55,7 @@ and divides by its `scale` once, for the reported weight.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .caps import Caps
@@ -90,24 +93,26 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
         raise ValueError("demands must be nonzero masks over range(n)")
     iw = w.scaled
     cover = _cover_masks(masks, n)
+    full = (1 << len(masks)) - 1
+    uncover = [full ^ c for c in cover]
     # dead[e]: the demands holding no id >= e (all of them at e = n).
-    dead = [0] * (n + 1)
-    dead[n] = ~0
+    dead = [full] * (n + 1)
     live = 0
     for e in range(n - 1, -1, -1):
         live |= cover[e]
-        dead[e] = ~live
-    # packs[d]: (conflict, lightest) of the restricted demand d, built the
-    # first time the bound packs a demand whose ids >= its depth are d.
+        dead[e] = full ^ live
+    # packs[d]: (full ^ conflict, lightest) of the restricted demand d, built
+    # the first time the bound packs a demand whose ids >= its depth are d.
     packs: dict[int, tuple[int, int]] = {}
 
     best_weight: int | None = None
     best_mask = 0
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
-    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, (1 << len(masks)) - 1)]
+    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, full)]
+    pop, push, packed = stack.pop, stack.append, packs.get
     visited = 0
     while stack:
-        e, chosen, weight, unhit = stack.pop()
+        e, chosen, weight, unhit = pop()
         visited += 1
         if visited > max_states:
             raise SubsetExplosion(
@@ -123,37 +128,38 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
             budget = best_weight - weight
             cand = unhit
             while cand and budget > 0:
-                d = masks[(cand & -cand).bit_length() - 1] >> e << e
-                entry = packs.get(d)
+                d = masks[-cand.bit_length()] & ~0 << e
+                entry = packed(d)
                 if entry is None:
-                    entry = packs[d] = _pack_entry(d, cover, iw)
-                cand &= ~entry[0]
+                    entry = packs[d] = _pack_entry(d, cover, iw, full)
+                cand &= entry[0]
                 budget -= entry[1]
             if budget <= 0:
                 continue
         # Pushed exclude first, so that include is explored first.
-        if iw[e]:
-            stack.append((e + 1, chosen, weight, unhit))
-        if not iw[e] or unhit & cover[e]:
-            stack.append((e + 1, chosen | 1 << e, weight + iw[e], unhit & ~cover[e]))
+        we = iw[e]
+        if we:
+            push((e + 1, chosen, weight, unhit))
+            if not unhit & cover[e]:
+                continue
+        push((e + 1, chosen | 1 << e, weight + we, unhit & uncover[e]))
     elems = tuple(e for e in range(n) if best_mask >> e & 1)
     return Fraction(best_weight, w.scale), elems
 
 
 def _cover_masks(masks: list[int], n: int) -> list[int]:
-    """cover[e]: the int with bit i set when demand i holds id e.
+    """cover[e]: the int with bit m - 1 - i set when demand i of m holds id e.
 
-    The demands, last first, are written as n-digit binary strings and
-    transposed by zip: column j holds id n - 1 - j of every demand.
+    The demands are written in order as one string of n-digit binary numbers;
+    every n-th digit from j is id n - 1 - j of each demand, demand 0 leading.
     """
-    width = f"0{n}b"
-    columns = zip(*[format(d, width) for d in reversed(masks)])
-    return [int("".join(column), 2) for column in columns][::-1]
+    text = "".join(map(format, masks, repeat(f"0{n}b")))
+    return [int(text[j::n], 2) for j in range(n - 1, -1, -1)]
 
 
-def _pack_entry(d: int, cover: list[int], iw: Sequence[int]) -> tuple[int, int]:
-    """(conflict, lightest) for a demand restricted to its allowed ids `d`:
-    the demands sharing one of those ids, and the least weight among them."""
+def _pack_entry(d: int, cover: list[int], iw: Sequence[int], full: int) -> tuple[int, int]:
+    """(full ^ conflict, lightest) for a demand restricted to its allowed ids
+    `d`: the demands sharing none of those ids, and the least weight of one."""
     conflict = 0
     lightest = None
     while d:
@@ -163,4 +169,4 @@ def _pack_entry(d: int, cover: list[int], iw: Sequence[int]) -> tuple[int, int]:
         if lightest is None or iw[f] < lightest:
             lightest = iw[f]
         d ^= low
-    return conflict, lightest
+    return full ^ conflict, lightest

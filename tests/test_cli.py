@@ -376,6 +376,20 @@ class TestUsageErrors:
         bad.write_text("{not json")
         assert main(["flow-identify", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["path-verify", "{deep}", "--S", "0"],
+        ["flow-identify", "{deep}"],
+        ["path-verify", "{instance}", "--S", "{deep}"],
+    ], ids=["path-verify", "flow-identify", "S-file"])
+    def test_deeply_nested_json_is_usage_error(self, tight_k3, tmp_path, capsys, argv):
+        # The decoder's RecursionError once escaped as a traceback, exit 1.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([arg.format(deep=deep, instance=tight_k3) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"invalid input: {deep} nests too deeply to read\n"
+
     @pytest.mark.parametrize("instance", [
         {"nodes": 2, "arcs": 5, "s": 0, "t": 1},
         {"nodes": 2, "arcs": [[0]], "s": 0, "t": 1},

@@ -29,7 +29,7 @@ from idsets.io import (
     to_json,
 )
 from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
-from idsets.search import min_weight_hitting_set, pair_demands
+from idsets.search import _cover_masks, min_weight_hitting_set, pair_demands
 
 from .helpers import (
     oracle_min_weight_hitting_set,
@@ -177,6 +177,48 @@ class TestEngineMatchesListWalk:
     def test_path_families(self, inst):
         n = inst.graph.arc_count
         self.assert_same_walk(n, WeightedGroundSet.uniform(n), _path_demands(inst))
+
+    def test_explicit_lists_of_the_workload_shape(self):
+        # 40 distinct rows of width 16, as `explicit-identify --exact` gets
+        # them in the benchmark: about 777 pair demands each.
+        rng = random.Random(4016)
+        for _ in range(4):
+            rows: set[int] = set()
+            while len(rows) < 40:
+                rows.add(rng.getrandbits(16))
+            demands = pair_demands(sorted(rows))
+            assert len(demands) > 700
+            self.assert_same_walk(16, WeightedGroundSet.uniform(16), demands)
+
+    def test_weighted_vc_dag_path4(self):
+        inst = gen_vertex_cover_dag(4, [(0, 1), (1, 2), (2, 3)], 1)
+        n = inst.graph.arc_count
+        demands = _path_demands(inst)
+        rng = random.Random(413)
+        for _ in range(20):
+            self.assert_same_walk(n, WeightedGroundSet([rng.randint(1, 3) for _ in range(n)]),
+                                  demands)
+
+
+class TestCoverMasks:
+    """`_cover_masks` numbers the demands in reverse: bit m - 1 - j of
+    cover[e] is set when demand j of the m sorted demands holds id e."""
+
+    def test_matches_bit_by_bit_reference(self):
+        rng = random.Random(3117)
+        cases = [(1, [1])]
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            m = rng.randint(1, min(40, (1 << n) - 1))
+            cases.append((n, sorted(rng.sample(range(1, 1 << n), m))))
+        for n, masks in cases:
+            m = len(masks)
+            want = [sum(1 << m - 1 - j for j, d in enumerate(masks) if d >> e & 1)
+                    for e in range(n)]
+            assert _cover_masks(masks, n) == want, (n, masks)
+        assert sum(len(masks) == 1 for _, masks in cases) > 10
+        assert sum(n == 1 for n, _ in cases) > 10
+        assert sum(masks[-1] >> n - 1 for n, masks in cases) > 500
 
 
 class TestRationalJson:
