@@ -159,7 +159,7 @@ def _cover_masks(masks: list[int], n: int) -> list[int]:
 
 def _pack_entry(d: int, cover: list[int], iw: Sequence[int], full: int) -> tuple[int, int]:
     """(full ^ conflict, lightest) for a demand restricted to its allowed ids
-    `d`: the demands sharing none of those ids, and the least weight of one."""
+    `d`: the demands sharing none of those ids, and the least weight of those ids."""
     conflict = 0
     lightest = None
     while d:
