@@ -87,8 +87,3 @@ class TargetOutsideAffineHull(IdsetsError):
 
 class NoSubgradient(IdsetsError):
     """The cost oracle cannot produce a subgradient at the target."""
-
-
-class NotABasis(IdsetsError):
-    """The given set is not a basis of the matroid."""
-

@@ -2,14 +2,12 @@
 
 A set S is identifying for the bases exactly when every circuit C satisfies
 |S ∩ C| >= |C| - 1, equivalently S misses at most one element per connected
-component. The components come from the fundamental graph of one basis in
-polynomial time, so they decide verification and give the minimum-weight
+component. The components decide verification and give the minimum-weight
 identifying set (drop the heaviest element of each non-singleton component).
-A fundamental circuit costs |B| + 1 independence queries in general; a
-graphic matroid reads it from its spanning forest instead (the arc plus the
-forest path between its ends), a partition matroid from its blocks (the
-element plus its block's basis elements) and a uniform matroid as basis + e.
-A graphic matroid finds its first basis by one Kruskal pass in arc order.
+The built-in matroids name them by theorem (uniform and partition matroids
+in closed form, a graphic matroid as the blocks of its graph); any other
+oracle gets them from the fundamental graph of one basis, each fundamental
+circuit in |B| + 1 independence queries.
 
 Only a negative verdict looks for the first violated circuit of the witness,
 and only inside the violated components. A uniform matroid picks it in
@@ -21,11 +19,11 @@ path, so whether a call raises depends only on sizes and caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
 from typing import Callable, Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import EnumerationExplosion, InvalidInstance, NotABasis
+from .errors import EnumerationExplosion, InvalidInstance
 from .graphs import (
     Digraph,
     UnionFind,
@@ -44,23 +42,19 @@ class MatroidOracle:
     The built-in constructors below are matroids by construction and ask
     the oracle nothing; a user-supplied callable is trusted modulo the
     cheap sanity checks of `matroid_components` (empty set independent)
-    and `verify_matroid_identifying` (its bases agree with its circuits),
-    and its circuits come from independence queries. Three hooks are set
-    only by the built-in constructors: `circuit(basis, e)`, the fundamental
-    circuit of e over a basis without independence queries;
-    `_first_circuit(s_set, elements)`, the circuit that the scan of
-    `_first_violated_circuit` would find; and `_basis()`, the
-    lexicographically first basis.
+    and `verify_matroid_identifying` (its bases agree with its circuits).
+    Only the built-in constructors set the private hooks `_components()`,
+    the components by theorem, and `_first_circuit(s_set, elements)`, the
+    circuit that the scan of `_first_violated_circuit` would find.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
                  name: str = "custom"):
         self.ground_size = _count(ground_size, "ground_size")
         self.name = name
-        self.circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None
+        self._components: Callable[[], Iterable[frozenset[int]]] | None = None
         self._first_circuit: Callable[[frozenset[int], list[int]],
                                       frozenset[int] | None] | None = None
-        self._basis: Callable[[], frozenset[int]] | None = None
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -85,18 +79,18 @@ def _greedy_extend(m: MatroidOracle, start: Iterable[int],
     return current
 
 
+def _singletons(elements: Iterable[int]) -> list[frozenset[int]]:
+    return [frozenset({e}) for e in elements]
+
+
 def uniform_matroid(k: int, n: int) -> MatroidOracle:
+    """U(k, n) is connected when 0 < k < n; otherwise every element is a
+    loop (k = 0) or a coloop (k = n)."""
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
-
-    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
-        if len(basis) < k:
-            raise NotABasis(f"basis + {e} is independent; not a basis")
-        return basis | {e}
-
     m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
-    m.circuit = circuit
+    m._components = lambda: [frozenset(range(n))] if 0 < k < n else _singletons(range(n))
     # The circuits are exactly the (k+1)-subsets.
     m._first_circuit = lambda s_set, elements: _first_violating_subset(s_set, elements, k + 1)
     return m
@@ -107,16 +101,9 @@ def free_matroid(n: int) -> MatroidOracle:
 
 
 def graphic_matroid(g: Digraph) -> MatroidOracle:
-    """Edges independent iff they form a forest (directions ignored).
-
-    The first basis is Kruskal's forest over the arcs in ascending id: an arc
-    joins it when it links two trees (a self-loop never does), which is the
-    decision the greedy independence scan makes. The fundamental circuit of a
-    non-forest arc is the arc plus the forest path between its ends (the arc
-    alone for a self-loop). The basis forest is rooted once, with a parent
-    arc and a depth per node, and rooted again only when a different basis
-    is passed; each path climbs from both ends to their meeting node.
-    """
+    """Edges independent iff they form a forest (directions ignored). Two
+    arcs share a circuit exactly when they share a block (Whitney 1932), so
+    the components are the blocks; a self-loop or a bridge is a singleton."""
 
     def independent(subset: frozenset[int]) -> bool:
         uf = UnionFind(g.node_count)
@@ -126,68 +113,58 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
                 return False
         return True
 
-    def first_basis() -> frozenset[int]:
-        uf = UnionFind(g.node_count)
-        return frozenset(compress(range(g.arc_count), map(uf.union, g.tails, g.heads)))
-
-    rooted_basis: frozenset[int] | None = None
-    parent: list[int] = []
-    depth: list[int] = []
-
-    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
-        nonlocal rooted_basis, parent, depth
-        tail, head = g.tails[e], g.heads[e]
-        if tail == head:
-            return frozenset({e})
-        if basis is not rooted_basis and basis != rooted_basis:
-            rooted_basis = basis
-            parent, depth = _rooted_forest(g, basis)
-        out = {e}
-        while tail != head:
-            if depth[tail] < depth[head]:
-                tail, head = head, tail
-            aid = parent[tail]
-            if aid == -1:
-                raise NotABasis(f"basis + {e} is independent; not a basis")
-            out.add(aid)
-            tail = g.tails[aid] if g.heads[aid] == tail else g.heads[aid]
-        return frozenset(out)
-
     m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})")
-    m.circuit, m._basis = circuit, first_basis
+    m._components = lambda: _blocks(g)
     return m
 
 
-def _rooted_forest(g: Digraph, forest: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Parent arc (-1 at a root) and depth per node in the undirected forest
-    on the given arcs, each tree rooted at its least node."""
-    tails, heads = g.tails, g.heads
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for aid in forest:
-        incident[tails[aid]].append(aid)
-        incident[heads[aid]].append(aid)
-    parent, depth = [-1] * g.node_count, [-1] * g.node_count
+def _blocks(g: Digraph) -> list[frozenset[int]]:
+    """The arc sets of the blocks, and each self-loop alone, from one
+    Hopcroft–Tarjan search (CACM 16, 1973) with an explicit stack. Tree and
+    back arcs go on `arcs` as they are met; when the search returns from w
+    to v with low[w] >= disc[v], the arcs since w's tree arc are one block.
+    The tree arc is skipped by id, so a parallel arc is a back arc."""
+    tails, heads, out, inc = g.tails, g.heads, g.out_arcs(), g.in_arcs()
+    parts = _singletons(aid for aid, (t, h) in enumerate(zip(tails, heads)) if t == h)
+    disc, low = [0] * g.node_count, [0] * g.node_count
+    clock = 0
+    arcs: list[int] = []
     for root in range(g.node_count):
-        if depth[root] != -1:
+        if disc[root]:
             continue
-        depth[root] = 0
-        queue = [root]
-        for v in queue:
-            for aid in incident[v]:
+        disc[root] = low[root] = clock = clock + 1
+        # (node, its tree arc, where that arc sits on `arcs`, unread incident arcs)
+        work = [(root, -1, 0, chain(out[root], inc[root]))]
+        while work:
+            v, via, start, unread = work[-1]
+            for aid in unread:
                 w = heads[aid] if tails[aid] == v else tails[aid]
-                if depth[w] == -1:
-                    depth[w], parent[w] = depth[v] + 1, aid
-                    queue.append(w)
-    return parent, depth
+                if not disc[w]:
+                    disc[w] = low[w] = clock = clock + 1
+                    work.append((w, aid, len(arcs), chain(out[w], inc[w])))
+                    arcs.append(aid)
+                    break
+                if disc[w] < disc[v] and aid != via:
+                    arcs.append(aid)
+                    low[v] = min(low[v], disc[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        parts.append(frozenset(arcs[start:]))
+                        del arcs[start:]
+    return parts
 
 
 def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> MatroidOracle:
     """A set is independent when it holds at most capacities[k] elements of
     each block k.
 
-    A basis fills every block up to its capacity, so the fundamental circuit
-    of a non-basis element is the element plus the basis elements of its
-    block: the element alone when the block's capacity is 0 (a loop).
+    The matroid is the direct sum of U(c, |block|) over the blocks, so a
+    block with 0 < c < |block| is one component and every other element a
+    singleton: a loop at c = 0, a coloop at c = |block|.
     """
     try:
         block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
@@ -207,17 +184,9 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     def independent(subset: frozenset[int]) -> bool:
         return all(len(subset & b) <= c for b, c in zip(block_list, capacities))
 
-    block_of = {e: k for k, b in enumerate(block_list) for e in b}
-
-    def circuit(basis: frozenset[int], e: int) -> frozenset[int]:
-        k = block_of[e]
-        members = block_list[k] & basis
-        if len(members) < capacities[k]:
-            raise NotABasis(f"basis + {e} is independent; not a basis")
-        return members | {e}
-
     m = MatroidOracle(len(seen), independent, name="partition")
-    m.circuit = circuit
+    m._components = lambda: [part for b, c in zip(block_list, capacities)
+                             for part in ([b] if 0 < c < len(b) else _singletons(b))]
     return m
 
 
@@ -254,29 +223,26 @@ class MatroidWitness:
 
 
 def find_basis(m: MatroidOracle) -> frozenset[int]:
-    """Lexicographically first basis (greedy over ascending element ids), from
-    the oracle's basis hook when it has one."""
-    if m._basis is not None:
-        return m._basis()
+    """Lexicographically first basis (greedy over ascending element ids)."""
     return frozenset(_greedy_extend(m, (), range(m.ground_size)))
 
 
 def _circuit_of(m: MatroidOracle, basis: frozenset[int], e: int) -> frozenset[int]:
-    """The circuit in basis + e: from the oracle's circuit hook when it has
-    one, else the elements whose deletion restores independence."""
-    if m.circuit is not None:
-        return m.circuit(basis, e)
+    """The circuit in basis + e: the elements whose deletion restores independence."""
     extended = basis | {e}
     return frozenset(f for f in extended if m.is_independent(extended - {f}))
 
 
 def matroid_components(m: MatroidOracle) -> tuple[frozenset[int], ...]:
-    """Connected components via the fundamental graph of an arbitrary basis.
+    """Connected components, sorted by least element.
 
-    Elements i in the basis and j outside are joined when i lies on the
-    fundamental circuit of j; loops and coloops end up as singletons. The
-    parts come sorted by least element.
+    A built-in matroid names them by theorem through `_components`. Any
+    other oracle gets them from the fundamental graph of its first basis:
+    elements i in the basis and j outside are joined when i lies on the
+    fundamental circuit of j; loops and coloops end up as singletons.
     """
+    if m._components is not None:
+        return tuple(sorted(m._components(), key=min))
     if not m.is_independent(frozenset()):
         raise InvalidInstance("inconsistent oracle: empty set dependent")
     basis = find_basis(m)

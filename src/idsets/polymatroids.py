@@ -3,10 +3,11 @@
 The ground set splits uniquely into connected components (no proper nonempty
 T with f(T) + f(E \\ T) = f(E) inside a component); a set is identifying for
 the base polyhedron exactly when it misses at most one element per component,
-and a witness exchange stays inside a violated component. The components come
-from one greedy base in n(n+1)/2 oracle calls, a negative verdict's witness
-from swaps in its dep order. All arithmetic is exact: tightness x(T) = f(T)
-is an equality test.
+and a witness exchange stays inside a violated component. Coverage and
+budget-additive functions name their components by theorem; any other oracle
+gets them from one greedy base in n(n+1)/2 oracle calls. A negative verdict's
+witness comes from swaps in that base's dep order. All arithmetic is exact:
+tightness x(T) = f(T) is an equality test.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInstance
 from .graphs import (UnionFind, WeightedGroundSet, _count, _integer, drop_heaviest_per_part,
                      validate_ids, validate_weights)
 from .linalg import Vector, as_vector, exact, integer_row
-from .matroids import MatroidOracle
+from .matroids import MatroidOracle, _singletons
 
 EXHAUSTIVE_CHECK_LIMIT = 12
 
@@ -34,11 +35,13 @@ class PolymatroidOracle:
     local monotonicity and submodularity inequalities), and sampled beyond.
     Only `coverage` and `budget_additive` skip it, through `_Unchecked`: once
     their inputs pass their own checks they are polymatroids by theorem. They
-    alone set `_scaled(T)`, f(T) * `_scale` as an int, for the greedy base.
+    alone set `_scaled(T)`, f(T) * `_scale` as an int, for the greedy base,
+    and `_components()`, the connected components by theorem.
     """
 
     _scaled: Callable[[Iterable[int]], int] | None = None
     _scale = 1
+    _components: Callable[[], Iterable[frozenset[int]]] | None = None
 
     def __init__(self, ground_size: int, value: Callable[[frozenset[int]], Fraction],
                  name: str = "custom"):
@@ -135,8 +138,17 @@ class PolymatroidOracle:
         if len(covered) != ground_size:
             raise InvalidInstance("one covered set per element required")
 
+        def components() -> tuple[frozenset[int], ...]:
+            # Elements covering a common item share a part; covering none is a loop.
+            uf, first = UnionFind(ground_size), {}
+            for e, items in enumerate(covered):
+                for item in items:
+                    uf.union(e, first.setdefault(item, e))
+            return uf.parts()
+
         return _trusted(ground_size, "coverage", 1,
-                        lambda t: len(frozenset().union(*map(covered.__getitem__, t))))
+                        lambda t: len(frozenset().union(*map(covered.__getitem__, t))),
+                        components)
 
     @classmethod
     def budget_additive(cls, cap: Fraction | int,
@@ -145,8 +157,17 @@ class PolymatroidOracle:
         (cap_i, *gain_i), scale = integer_row((cap_f, *as_vector(gains)))
         if cap_i < 0 or any(a < 0 for a in gain_i):
             raise InvalidInstance("budget-additive needs nonnegative parameters")
+
+        def components() -> list[frozenset[int]]:
+            # With 0 < cap < Σ gains no split of the positive gains is a
+            # separator; otherwise f is modular. A zero gain is a loop.
+            if not 0 < cap_i < sum(gain_i):
+                return _singletons(range(len(gain_i)))
+            return [frozenset(compress(range(len(gain_i)), gain_i)),
+                    *_singletons(e for e, a in enumerate(gain_i) if not a)]
+
         return _trusted(len(gain_i), "budget-additive", scale,
-                        lambda t: min(cap_i, sum(map(gain_i.__getitem__, t))))
+                        lambda t: min(cap_i, sum(map(gain_i.__getitem__, t))), components)
 
 
 class _Unchecked(PolymatroidOracle):
@@ -156,12 +177,13 @@ class _Unchecked(PolymatroidOracle):
         pass
 
 
-def _trusted(n: int, name: str, scale: int,
-             scaled: Callable[[Iterable[int]], int]) -> PolymatroidOracle:
-    """A closed form answering f(T) * scale in integers through `_scaled`;
-    its Fraction `value` is read from the same formula."""
+def _trusted(n: int, name: str, scale: int, scaled: Callable[[Iterable[int]], int],
+             components: Callable[[], Iterable[frozenset[int]]]) -> PolymatroidOracle:
+    """A closed form answering f(T) * scale in integers through `_scaled` and
+    its components through `_components`; its Fraction `value` is read from
+    the same formula."""
     f = _Unchecked(n, lambda t: Fraction(scaled(t), scale), name)
-    f._scaled, f._scale = scaled, scale
+    f._scaled, f._scale, f._components = scaled, scale, components
     return f
 
 
@@ -176,7 +198,9 @@ class PolymatroidWitness:
 
 
 def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
-    """Components as the weak components of k -> dep(k) at one greedy base.
+    """Components sorted by least element: by theorem for `coverage` and
+    `budget_additive` (`_components`), else as the weak components of
+    k -> dep(k) at one greedy base.
 
     x is the greedy base for the order 0..n-1, so every prefix P_k = {0..k}
     is tight, and dep(k), the least x-tight set holding k, lies in P_k: from
@@ -185,6 +209,8 @@ def polymatroid_components(f: PolymatroidOracle) -> tuple[frozenset[int], ...]:
     component is a separator (Bixby, Cunningham & Topkis 1985): each part P
     has f(P) + f(E - P) = f(E).
     """
+    if f._components is not None:
+        return tuple(sorted(f._components(), key=min))
     return _greedy_deps(f)[2]
 
 

@@ -27,7 +27,6 @@ from idsets.errors import (
     EnumerationExplosion,
     IdsetsError,
     InvalidInstance,
-    NotABasis,
     NotIdentifying,
     SubsetExplosion,
 )
@@ -875,6 +874,10 @@ def from_sets(dimension: int, sets: Iterable[Iterable[int]]) -> SolutionList:
 
 class ElementInBasis(IdsetsError):
     """A fundamental-circuit query named an element already in the basis."""
+
+
+class NotABasis(IdsetsError):
+    """The given set is not a basis of the matroid."""
 
 
 def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> frozenset[int]:

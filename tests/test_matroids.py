@@ -5,15 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from idsets.errors import EnumerationExplosion, InvalidInstance, NotABasis
+from idsets.errors import EnumerationExplosion, InvalidInstance
 from idsets.caps import Caps
-from idsets.graphs import Digraph, WeightedGroundSet
+from idsets.graphs import Digraph, UnionFind, WeightedGroundSet
 from idsets.linear import AffineBasis
 from idsets.matroids import (
     MatroidOracle,
@@ -32,6 +33,7 @@ from idsets.polymatroids import PolymatroidOracle, verify_polymatroid_identifyin
 
 from .helpers import (
     ElementInBasis,
+    NotABasis,
     all_subsets,
     ax_independent,
     base_membership,
@@ -222,33 +224,42 @@ def _greedy_basis(m: MatroidOracle, order) -> set[int]:
 
 
 class TestGraphicCircuitHook:
+    """Graphic components by theorem, the blocks of the multigraph, against
+    the fundamental circuits of a plain oracle over the same independence
+    callable. The circuit hook these tests once checked is gone; the blocks
+    replaced it."""
+
     def test_hook_equals_delete_one_circuits(self):
+        loops = parallel = 0
         for m in seeded_graphic_matroids(300, 61):
-            assert m.circuit is not None
+            assert m._components is not None
             plain = MatroidOracle(m.ground_size, m.is_independent)
-            assert plain.circuit is None
-            basis = find_basis(plain)
-            for e in set(range(m.ground_size)) - basis:
-                assert fundamental_circuit(m, basis, e) == fundamental_circuit(plain, basis, e)
+            assert plain._components is None
             assert matroid_components(m) == matroid_components(plain), m.name
+            ground = set(range(m.ground_size))
+            loops += any(not m.is_independent({e}) for e in ground)
+            parallel += any(not m.is_independent({e, f}) and m.is_independent({e})
+                            for e, f in combinations(ground, 2))
+        assert loops >= 100 and parallel >= 100
 
     def test_alternating_bases(self):
-        # The hook roots one forest per basis; a call with another basis,
-        # equal or not, must not read the forest of the previous one.
+        # Components do not depend on the basis: the fundamental graph of
+        # the first basis and that of the last one both give the blocks.
         for m in seeded_graphic_matroids(200, 67):
             plain = MatroidOracle(m.ground_size, m.is_independent)
             first = find_basis(plain)
             last = frozenset(_greedy_basis(plain, reversed(range(m.ground_size))))
-            for e in range(m.ground_size):
-                for basis in (first, last, set(first), set(last)):
-                    if e not in basis:
-                        assert (fundamental_circuit(m, basis, e)
-                                == fundamental_circuit(plain, basis, e)), (m.name, e)
+            blocks = matroid_components(m)
+            for basis in (first, last):
+                uf = UnionFind(m.ground_size)
+                for e in set(range(m.ground_size)) - basis:
+                    for f in fundamental_circuit(plain, basis, e):
+                        uf.union(e, f)
+                assert uf.parts() == blocks, (m.name, sorted(basis))
 
     def test_self_loop_and_parallel_arc(self):
         m = graphic_matroid(Digraph(3, [(0, 1), (1, 1), (1, 0), (1, 2)]))
-        assert m.circuit(frozenset({0, 3}), 1) == {1}
-        assert m.circuit(frozenset({0, 3}), 2) == {0, 2}
+        assert matroid_components(m) == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
 
 
 def seeded_partition_matroids(count: int, seed: int):
@@ -271,58 +282,71 @@ def _witness_bytes(witness) -> bytes:
 
 
 class TestUniformCircuitHook:
+    """U(k, n) is one component when 0 < k < n and singletons otherwise,
+    against a plain oracle, whose fundamental circuits are basis + e."""
+
     def test_hook_equals_delete_one_circuits(self):
         cases = 0
         for n in range(8):
             for k in range(n + 1):
                 m = uniform_matroid(k, n)
-                assert m.circuit is not None
+                assert m._components is not None
                 plain = MatroidOracle(n, m._fn)
                 for basis in map(frozenset, combinations(range(n), k)):
                     for e in set(range(n)) - basis:
-                        assert _circuit_of(m, basis, e) == _circuit_of(plain, basis, e)
+                        assert _circuit_of(plain, basis, e) == basis | {e}
                         cases += 1
-                assert matroid_components(m) == matroid_components(plain)
+                assert matroid_components(m) == matroid_components(plain), m.name
         assert cases == sum(n * 2 ** (n - 1) for n in range(8))
 
     def test_short_set_is_not_a_basis(self):
         with pytest.raises(NotABasis):
-            uniform_matroid(2, 4).circuit(frozenset({0}), 1)
+            fundamental_circuit(uniform_matroid(2, 4), {0}, 1)
 
 
 class TestPartitionCircuitHook:
+    """A block with 0 < c < |block| is one component and every other
+    element a singleton, against a plain oracle, whose fundamental circuits
+    are the element plus its block's basis elements."""
+
     def test_hook_equals_delete_one_circuits(self):
         rng = random.Random(73)
+        zero = full = 0
         for m in seeded_partition_matroids(300, 71):
-            assert m.circuit is not None
+            assert m._components is not None
             plain = MatroidOracle(m.ground_size, m.is_independent)
             first = find_basis(plain)
             last = frozenset(_greedy_basis(plain, reversed(range(m.ground_size))))
+            parts = matroid_components(m)
+            assert parts == matroid_components(plain)
+            part_of = {e: part for part in parts for e in part}
             for basis in (first, last):
                 for e in set(range(m.ground_size)) - basis:
-                    assert _circuit_of(m, basis, e) == _circuit_of(plain, basis, e)
-            assert matroid_components(m) == matroid_components(plain)
+                    assert _circuit_of(plain, basis, e) == (part_of[e] & basis) | {e}
             for _ in range(8):
                 s = frozenset(e for e in range(m.ground_size) if rng.random() < 0.5)
                 got = verify_matroid_identifying(m, s)
                 want = verify_matroid_identifying(plain, s)
                 assert got[0] == want[0]
                 assert _witness_bytes(got[1]) == _witness_bytes(want[1])
+            ground = set(range(m.ground_size))
+            zero += any(not m.is_independent({e}) for e in ground)
+            full += any(plain.rank(ground - {e}) < len(first) for e in ground)
+        assert zero >= 50 and full >= 50
 
     def test_loop_and_non_basis(self):
         m = partition_matroid([[0, 1], [2, 3]], [0, 1])
-        assert m.circuit(frozenset({2}), 0) == {0}
-        assert m.circuit(frozenset({2}), 3) == {2, 3}
+        assert matroid_components(m) == (frozenset({0}), frozenset({1}), frozenset({2, 3}))
+        assert fundamental_circuit(m, {2}, 0) == {0}
+        assert fundamental_circuit(m, {2}, 3) == {2, 3}
         with pytest.raises(NotABasis):
-            m.circuit(frozenset(), 3)
+            fundamental_circuit(m, set(), 3)
 
     def test_components_ask_no_delete_one_queries(self):
-        # One query per element finds the basis; the blocks give the circuits.
+        # The blocks and capacities name the components; nothing is asked.
         m = partition_matroid([range(0, 8), range(8, 16)], [3, 5])
-        m._cache.clear()
-        assert matroid_components(m) == (frozenset(range(8)),
-                                                   frozenset(range(8, 16)))
-        assert len(m._cache) <= m.ground_size + 1
+        assert matroid_components(m) == (frozenset(range(8)), frozenset(range(8, 16)))
+        assert m._cache == {}
 
 
 class TestMinWeight:
@@ -576,15 +600,20 @@ class TestFirstCircuitHook:
 
 
 class TestGraphicBasisHook:
+    """The greedy first basis of a graphic matroid is Kruskal's forest over
+    the arcs in ascending id. The Kruskal `_basis` hook is gone; the
+    independence queries give the same forest."""
+
     def test_kruskal_basis_equals_greedy(self):
         rng = random.Random(1703)
         loops = parallel = 0
         for _ in range(400):
             n = rng.randint(1, 7)
             arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
-            m = graphic_matroid(Digraph(n + rng.randint(0, 2), arcs))
-            assert m._basis is not None
-            assert find_basis(m) == find_basis(MatroidOracle(m.ground_size, m._fn)), arcs
+            nodes = n + rng.randint(0, 2)
+            uf = UnionFind(nodes)
+            kruskal = {aid for aid, (a, b) in enumerate(arcs) if uf.union(a, b)}
+            assert find_basis(graphic_matroid(Digraph(nodes, arcs))) == kruskal, arcs
             loops += sum(a == b for a, b in arcs)
             parallel += len(arcs) - len({frozenset(a) for a in arcs})
         assert loops >= 100 and parallel >= 100
@@ -604,19 +633,44 @@ class TestOracleQueryCounts:
         assert not ok and witness.circuit == frozenset(range(9))
         assert len(m._cache) < 200
 
-    def test_uniform_components_ask_only_the_greedy_basis(self):
-        # 9 growing prefixes and 8 one-too-many sets find the basis; the
-        # circuit hook asks nothing more, and the witness adds 8 queries.
+    def test_uniform_components_ask_nothing(self):
+        # The components are one part by theorem; the witness asks 7 greedy
+        # extensions of its circuit and the exchange check.
         m = uniform_matroid(8, 16)
         matroid_components(m)
-        assert len(m._cache) == 17
+        assert m._cache == {}
         verify_matroid_identifying(m, set(range(2, 16)))
-        assert len(m._cache) == 25
+        assert len(m._cache) == 8
 
-    def test_graphic_components_ask_only_the_empty_set(self):
+    def test_graphic_components_ask_nothing(self):
         for m in seeded_graphic_matroids(50, 1707):
             matroid_components(m)
-            assert m._cache == {frozenset(): True}, m.name
+            assert m._cache == {}, m.name
+
+
+class TestComponentsByTheorem:
+    def test_only_builtins_set_the_hook(self):
+        g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        for m in (uniform_matroid(2, 4), free_matroid(3), graphic_matroid(g),
+                  partition_matroid([[0, 1], [2]], [1, 1])):
+            assert m._components is not None, m.name
+        assert MatroidOracle(3, lambda t: len(t) <= 1)._components is None
+
+    def test_graphic_2000_cycle_is_one_part(self):
+        # The block search keeps its own stack, so a cycle twice the
+        # default recursion limit is one part.
+        n = 2000
+        assert n > sys.getrecursionlimit()
+        m = graphic_matroid(Digraph(n, [(v, (v + 1) % n) for v in range(n)]))
+        assert matroid_components(m) == (frozenset(range(n)),)
+        assert m._cache == {}
+
+    def test_blocks_of_a_bridged_pair_of_cycles(self):
+        # Two triangles joined by a bridge, a self-loop and a parallel arc.
+        arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (4, 4), (5, 4)]
+        m = graphic_matroid(Digraph(6, arcs))
+        assert matroid_components(m) == (frozenset({0, 1, 2}), frozenset({3}),
+                                         frozenset({4, 5, 6, 8}), frozenset({7}))
 
 
 class TestTheoremEquivalence:

@@ -634,6 +634,44 @@ class TestScaledIntegers:
             assert f._cache == {} and len(twin._cache) > 1
 
 
+class TestComponentsByTheorem:
+    """Coverage and budget-additive components by theorem against the dep
+    sets of the greedy base, which the hook bypasses."""
+
+    def test_closed_forms_equal_the_greedy(self):
+        rng = random.Random(3200)
+        loops = connected = cap_zero = 0
+        for _ in range(1000):
+            n = rng.randint(0, 14)
+            f, twin = fraction_path_twin(rng, n)
+            parts = polymatroid_components(f)
+            assert parts == _greedy_deps(f)[2] == _greedy_deps(twin)[2], f.name
+            loops += any(f.value({e}) == 0 for e in range(n))
+            connected += any(len(part) > 1 for part in parts)
+            cap_zero += n > 0 and f.value(range(n)) == 0
+        assert loops >= 300 and connected >= 500 and cap_zero >= 30
+
+    def test_components_ask_nothing(self):
+        def refuse(t):
+            raise AssertionError(f"_scaled({sorted(t)}) asked")
+
+        rng = random.Random(3201)
+        for _ in range(100):
+            f, _ = fraction_path_twin(rng, rng.randint(1, 10))
+            f._scaled = refuse
+            polymatroid_components(f)
+            assert f._cache == {}, f.name
+
+    def test_only_closed_forms_set_the_hook(self):
+        assert PolymatroidOracle.coverage(2, [{0}, {0}])._components is not None
+        assert PolymatroidOracle.budget_additive(1, [1, 1])._components is not None
+        for f in (truncation(3, 2),
+                  PolymatroidOracle.from_table(1, {frozenset(): 0, frozenset({0}): 1}),
+                  PolymatroidOracle.from_matroid(uniform_matroid(1, 2)),
+                  PolymatroidOracle.from_matroid(graphic_matroid(Digraph(2, [(0, 1)] * 2)))):
+            assert f._components is None, f.name
+
+
 class TestTheoremEquivalence:
     def test_condition_iff_identifying(self):
         # identifying for the convex polytope == complement independent in the
