@@ -2,9 +2,10 @@
 
 Results go to stdout as JSON (deterministic: sorted keys, no timestamps);
 diagnostics including a one-line run summary go to stderr. Exit codes: 0 success,
-1 infeasible-or-false, 2 usage error, 3 cap exceeded. Files and flag values
-are turned into domain objects by `idsets.io` only, each input file read once
-through the run's reader, whose bytes make up the summary's digest.
+1 infeasible-or-false, 2 usage error, 3 cap exceeded, 4 internal error (any
+exception that is not an `IdsetsError`, its traceback kept on stderr). Files
+and flag values are turned into domain objects by `idsets.io` only, each input
+file read once through the run's reader, whose bytes make up the summary's digest.
 The flow, path, explicit, toll and gen handlers import their own module;
 the linear and (poly)matroid modules come with io, which parses their input.
 """
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAPS = 3
+EXIT_INTERNAL = 4
 
 Reader = Callable[[str], Any]
 
@@ -369,6 +371,11 @@ def main(argv: list[str] | None = None) -> int:
     except IdsetsError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FALSE
+    except Exception as exc:
+        import traceback  # a bug, not a verdict: exit 1 would read as "not identifying"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.monotonic() - started
     digest = inputs.hexdigest() if read_paths else ""
     print(io.to_json(payload))

@@ -448,6 +448,27 @@ class TestUsageErrors:
         assert out.out == "" and out.err == f"invalid input: {line}\n"
 
 
+class TestInternalError:
+    @pytest.mark.parametrize("target, argv", [
+        ("idsets.paths.verify_path_identifying_dag", ["path-verify", "{i}", "--S", "0"]),
+        ("idsets.matroids.min_weight_matroid_identifying",
+         ["matroid-identify", "--kind", "free", "--n", "2"]),
+    ], ids=["path-verify", "matroid-identify"])
+    def test_non_library_exception_exits_4(self, tight_k3, capsys, monkeypatch, target, argv):
+        # Such an exception once escaped main, and its exit 1 read as
+        # "not identifying".
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(target, broken)
+        assert main([arg.format(i=tight_k3) for arg in argv]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("Traceback (most recent call last):\n")
+        assert out.err.endswith("RuntimeError: solver bug\n"
+                                "internal error: RuntimeError: solver bug\n")
+
+
 class TestSummaryDigest:
     def test_digest_covers_every_file_read(self, tight_k3, tmp_path, capsys):
         # Two --S files that differ only in whitespace: the same answer, but
