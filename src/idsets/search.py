@@ -30,7 +30,7 @@ the whole search on the tight-gap family (2.4 s of 5.7 s at k = 8).
 
 The walk runs on the transpose of the demand list, numbered in reverse:
 demand i of m (in that order) is bit m - 1 - i; `_cover_masks` reads id e's
-column as every n-th digit of the demands written as one binary string.
+column as every (n + 3)-th character of the demands written as one string.
 `cover[e]` holds the demands that contain id e, and a node's unhit demands
 are one int: including e leaves `unhit & uncover[e]`, some unhit demand holds
 e when `unhit & cover[e]` is nonzero, the node is dead when an unhit demand
@@ -55,7 +55,6 @@ and divides by its `scale` once, for the reported weight.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .caps import Caps
@@ -150,11 +149,13 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
 def _cover_masks(masks: list[int], n: int) -> list[int]:
     """cover[e]: the int with bit m - 1 - i set when demand i of m holds id e.
 
-    The demands are written in order as one string of n-digit binary numbers;
-    every n-th digit from j is id n - 1 - j of each demand, demand 0 leading.
+    The demands are written in order as one string, each as `bin` of the
+    demand with bit n set: "0b1" and then n digits. Id e is the digit at
+    3 + n - 1 - e of each (n + 3)-character chunk, demand 0 leading.
     """
-    text = "".join(map(format, masks, repeat(f"0{n}b")))
-    return [int(text[j::n], 2) for j in range(n - 1, -1, -1)]
+    top = 1 << n
+    text = "".join([bin(d | top) for d in masks])
+    return [int(text[j::n + 3], 2) for j in range(n + 2, 2, -1)]
 
 
 def _pack_entry(d: int, cover: list[int], iw: Sequence[int], full: int) -> tuple[int, int]:
