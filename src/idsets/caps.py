@@ -1,4 +1,5 @@
-"""Brute-force budgets, overridable via environment variables or CLI flags."""
+"""Budgets for the two exponential searches, s-t path enumeration and the
+exact hitting-set search, each set by an environment variable or a CLI flag."""
 
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ class Caps:
 
     max_paths      limit on enumerated simple s-t paths
     max_subsets    limit on nodes visited by the exact hitting-set search
-    max_ground     element limit for the matroid circuit scan of a negative
-                   verdict's witness; no subcommand runs it
 
     Every cap must be at least 1; a smaller one is InvalidInstance, whether
     it comes from the environment, a flag or a library caller.
@@ -34,7 +33,6 @@ class Caps:
 
     max_paths: int = 100_000
     max_subsets: int = 2**24
-    max_ground: int = 20
 
     def __post_init__(self):
         for cap in fields(self):

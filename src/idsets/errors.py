@@ -1,8 +1,9 @@
 """Exceptions shared across the solver modules.
 
-Enumeration-style solvers distinguish "the instance is infeasible or the
+The two exponential searches distinguish "the instance is infeasible or the
 answer is no" (a regular return value) from "the instance is too large for
-brute force" (a *Explosion error below).
+brute force": PathExplosion past `Caps.max_paths` and SubsetExplosion past
+`Caps.max_subsets`. No other solver has a cap.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ class NotAcyclic(IdsetsError):
         self.cycle = cycle
 
 
-# Where each cap is set: its environment variable and flag, or, for a cap no
-# subcommand uses, the library field.
+# Where each cap is set: its environment variable and flag.
 CAP_KNOBS = {
     "max_paths": "IDSETS_MAX_PATHS / --max-paths",
     "max_subsets": "IDSETS_MAX_SUBSETS / --max-subsets",
-    "max_ground": "Caps.max_ground",
 }
 
 
@@ -60,13 +59,6 @@ class SubsetExplosion(CapExceeded):
 
     def __init__(self, cap: int, reached: str):
         super().__init__("max_subsets", cap, CAP_KNOBS["max_subsets"], reached)
-
-
-class EnumerationExplosion(CapExceeded):
-    """Too many elements for the max_ground cap on a witness's subset loop."""
-
-    def __init__(self, cap: int, reached: str):
-        super().__init__("max_ground", cap, CAP_KNOBS["max_ground"], reached)
 
 
 class NotIdentifying(IdsetsError):

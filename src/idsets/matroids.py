@@ -9,11 +9,9 @@ in closed form, a graphic matroid as the blocks of its graph); any other
 oracle gets them from the fundamental graph of one basis, each fundamental
 circuit in |B| + 1 independence queries.
 
-Only a negative verdict looks for the first violated circuit of the witness,
-and only inside the violated components. A uniform matroid picks it in
-closed form (its circuits are the (k+1)-subsets); partition, graphic and
-custom oracles scan subsets. `Caps.max_ground` is checked before either
-path, so whether a call raises depends only on sizes and caps.
+Only a negative verdict builds a witness: one shortest exchange path between
+two elements of the first violated component, then one fundamental circuit,
+in polynomially many independence queries and with no cap.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .caps import Caps, DEFAULT_CAPS
-from .errors import EnumerationExplosion, InvalidInstance
+from .errors import InvalidInstance
 from .graphs import (
     Digraph,
     UnionFind,
@@ -42,10 +39,9 @@ class MatroidOracle:
     The built-in constructors below are matroids by construction and ask
     the oracle nothing; a user-supplied callable is trusted modulo the
     cheap sanity checks of `matroid_components` (empty set independent)
-    and `verify_matroid_identifying` (its bases agree with its circuits).
-    Only the built-in constructors set the private hooks `_components()`,
-    the components by theorem, and `_first_circuit(s_set, elements)`, the
-    circuit that the scan of `_first_violated_circuit` would find.
+    and `verify_matroid_identifying` (its witness passes its checks). Only
+    the built-in constructors set the private hook `_components()`, the
+    components by theorem.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
@@ -53,8 +49,6 @@ class MatroidOracle:
         self.ground_size = _count(ground_size, "ground_size")
         self.name = name
         self._components: Callable[[], Iterable[frozenset[int]]] | None = None
-        self._first_circuit: Callable[[frozenset[int], list[int]],
-                                      frozenset[int] | None] | None = None
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -66,17 +60,16 @@ class MatroidOracle:
 
     def rank(self, subset: Iterable[int]) -> int:
         """Greedy rank computation; exact for matroids."""
-        return len(_greedy_extend(self, (), sorted(set(subset))))
+        return len(_greedy(self, sorted(set(subset))))
 
 
-def _greedy_extend(m: MatroidOracle, start: Iterable[int],
-                   candidates: Iterable[int]) -> set[int]:
-    """`start` plus each candidate, in order, that keeps the set independent."""
-    current = set(start)
-    for e in candidates:
+def _greedy(m: MatroidOracle, order: Iterable[int]) -> frozenset[int]:
+    """Each element of `order`, in turn, that keeps the set independent."""
+    current: set[int] = set()
+    for e in order:
         if e not in current and m.is_independent(current | {e}):
             current.add(e)
-    return current
+    return frozenset(current)
 
 
 def _singletons(elements: Iterable[int]) -> list[frozenset[int]]:
@@ -91,8 +84,6 @@ def uniform_matroid(k: int, n: int) -> MatroidOracle:
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
     m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
     m._components = lambda: [frozenset(range(n))] if 0 < k < n else _singletons(range(n))
-    # The circuits are exactly the (k+1)-subsets.
-    m._first_circuit = lambda s_set, elements: _first_violating_subset(s_set, elements, k + 1)
     return m
 
 
@@ -190,29 +181,6 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     return m
 
 
-def _first_violating_subset(s_set: frozenset[int], elements: list[int],
-                            size: int) -> frozenset[int] | None:
-    """The lexicographically first `size`-subset of the ascending `elements`
-    with two or more elements outside S, or None.
-
-    One greedy pass takes each element unless the slots left after it could
-    not hold the elements outside S still needed. While some such subset
-    extends the chosen prefix, that is the only way taking an element can
-    fail, and skipping it then keeps one; a pass that fills every slot has
-    met the test at its last element, so it holds two outside S.
-    """
-    chosen: list[int] = []
-    out = 0
-    for e in elements:
-        e_out = e not in s_set
-        if 2 - out - e_out <= size - len(chosen) - 1:
-            chosen.append(e)
-            out += e_out
-            if len(chosen) == size:
-                return frozenset(chosen)
-    return None
-
-
 @dataclass(frozen=True)
 class MatroidWitness:
     """A violated circuit and two bases that agree on the queried set."""
@@ -224,7 +192,7 @@ class MatroidWitness:
 
 def find_basis(m: MatroidOracle) -> frozenset[int]:
     """Lexicographically first basis (greedy over ascending element ids)."""
-    return frozenset(_greedy_extend(m, (), range(m.ground_size)))
+    return _greedy(m, range(m.ground_size))
 
 
 def _circuit_of(m: MatroidOracle, basis: frozenset[int], e: int) -> frozenset[int]:
@@ -265,89 +233,61 @@ def min_weight_matroid_identifying(
 
 
 def verify_matroid_identifying(
-    m: MatroidOracle, s: Iterable[int], caps: Caps = DEFAULT_CAPS
+    m: MatroidOracle, s: Iterable[int]
 ) -> tuple[bool, MatroidWitness | None]:
     """Check that S misses at most one element of every component.
 
-    The components decide the verdict in polynomial time. When S fails, the
-    oracle's `_first_circuit` hook or a subset scan of the violated components
-    finds the first violated circuit C (|S ∩ C| < |C| - 1); two bases
-    exchanging two of its non-S elements are indistinguishable on S.
-    `caps.max_ground` bounds only that witness search, hook or scan.
-    An oracle that is not a matroid can contradict its own components or
-    bases there, which raises InvalidInstance.
+    The components decide the verdict in polynomial time. When S fails, let
+    e < f be the two least ids outside S in the first violated component and
+    B the greedy basis over e, then S, then every id. A shortest path from e
+    to f in B's exchange graph has no chords, so exchanging along it keeps a
+    basis (Krogdahl, Discrete Math. 19, 1977): basis_a holds e but not f,
+    and its fundamental circuit of f holds e, so basis_b = basis_a - e + f
+    is a basis too, equal to basis_a on S. Independence queries check the
+    circuit and both bases before they are returned; an oracle that is not
+    a matroid can fail them, which raises InvalidInstance.
     """
     s_set = validate_ids(m.ground_size, s)
-    violated = [e for part in matroid_components(m)
-                if len(part - s_set) >= 2 for e in part]
-    if not violated:
+    part = next((p for p in matroid_components(m) if len(p - s_set) >= 2), None)
+    if part is None:
         return True, None
-    circuit = _first_violated_circuit(m, s_set, sorted(violated), caps)
-    if circuit is None:
-        raise InvalidInstance("inconsistent oracle: a component holds two elements "
-                              "outside S but no circuit does")
-    e, f = sorted(circuit - s_set)[:2]
-    basis_a = frozenset(_greedy_extend(m, circuit - {f},
-                                       (g for g in range(m.ground_size) if g != f)))
+    e, f = sorted(part - s_set)[:2]
+    basis = _greedy(m, chain((e,), sorted(s_set), range(m.ground_size)))
+    path = _exchange_path(m, basis, e, f)
+    if path is None:
+        raise InvalidInstance(f"inconsistent oracle: {e} and {f} share a component "
+                              "but no exchange path")
+    basis_a = ((basis ^ path) | {e}) - {f}
+    circuit = _circuit_of(m, basis_a, f)
     basis_b = (basis_a | {f}) - {e}
-    if not m.is_independent(basis_b):
-        raise InvalidInstance(f"inconsistent oracle: basis exchange {sorted(basis_b)} "
-                              "is dependent")
+    if not (e in circuit and not m.is_independent(circuit)
+            and all(m.is_independent(circuit - {x}) for x in circuit)
+            and m.is_independent(basis_a) and m.is_independent(basis_b)):
+        raise InvalidInstance(f"inconsistent oracle: exchanging {e} for {f} in "
+                              f"{sorted(basis_a)} does not give a basis through "
+                              f"the circuit {sorted(circuit)}")
     return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
 
 
-def _first_violated_circuit(m: MatroidOracle, s_set: frozenset[int],
-                            elements: list[int], caps: Caps) -> frozenset[int] | None:
-    """The first circuit with two or more elements outside S, scanning subsets
-    of the ascending violated-component `elements` by size, then
-    lexicographically. Such a circuit lies in one violated component, so the
-    scan meets the circuit that a scan of the whole ground set meets first.
-    The cap is checked first; then an oracle with a `_first_circuit` hook
-    answers from its structure instead of the scan.
-
-    Each size is a depth-first walk over positions in `combinations` order
-    that only enters a branch which can still take two elements outside S:
-    `left[j]` counts them from position j on, so once a position cannot, no
-    later one can either. Every subset it tests is tested in the same order
-    by a scan of all combinations that skips those with fewer than two.
-    """
-    n = len(elements)
-    if n > caps.max_ground:
-        raise EnumerationExplosion(caps.max_ground, f"violated components hold {n} elements")
-    if m._first_circuit is not None:
-        return m._first_circuit(s_set, elements)
-    outside = [e not in s_set for e in elements]
-    left = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        left[j] = left[j + 1] + outside[j]
-    for size in range(2, n + 1):
-        found = _circuit_walk(m, elements, outside, left, [], 0, size, 0)
-        if found is not None:
-            return found
-    return None
-
-
-def _circuit_walk(m: MatroidOracle, elements: list[int], outside: list[bool],
-                  left: list[int], chosen: list[int], start: int, slots: int,
-                  out: int) -> frozenset[int] | None:
-    """The first circuit that adds `slots` elements from position `start` on
-    to `chosen`, which holds `out` elements outside S, and ends with two or
-    more outside S. Positions go in `combinations` order."""
-    need = 2 - out
-    if slots < need:
-        return None
-    for j in range(start, len(elements) - slots + 1):
-        if left[j] < need:
-            break
-        if slots > 1:
-            chosen.append(elements[j])
-            found = _circuit_walk(m, elements, outside, left, chosen, j + 1, slots - 1,
-                                  out + outside[j])
-            chosen.pop()
-            if found is not None:
-                return found
-        elif outside[j] >= need:
-            t = frozenset((*chosen, elements[j]))
-            if not m.is_independent(t) and all(m.is_independent(t - {x}) for x in t):
-                return t
+def _exchange_path(m: MatroidOracle, basis: frozenset[int], e: int,
+                   f: int) -> frozenset[int] | None:
+    """The elements of the first shortest path from e to f found by a BFS
+    in the exchange graph of `basis`, where a in B and y outside B are
+    adjacent when B - a + y is independent; each node tries its neighbours
+    in ascending id order, and the search stops when it takes f off the
+    queue. None when f is out of reach."""
+    parent = {e: e}
+    queue = [e]
+    for u in queue:
+        if u == f:
+            path = {u}
+            while u != e:
+                u = parent[u]
+                path.add(u)
+            return frozenset(path)
+        side = u in basis
+        for v in range(m.ground_size):
+            if v not in parent and (v in basis) != side and m.is_independent(basis ^ {u, v}):
+                parent[v] = u
+                queue.append(v)
     return None

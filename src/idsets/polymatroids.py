@@ -4,10 +4,11 @@ The ground set splits uniquely into connected components (no proper nonempty
 T with f(T) + f(E \\ T) = f(E) inside a component); a set is identifying for
 the base polyhedron exactly when it misses at most one element per component,
 and a witness exchange stays inside a violated component. Coverage and
-budget-additive functions name their components by theorem; any other oracle
-gets them from one greedy base in n(n+1)/2 oracle calls. A negative verdict's
-witness comes from swaps in that base's dep order. All arithmetic is exact:
-tightness x(T) = f(T) is an equality test.
+budget-additive functions and the ranks of built-in matroids name their
+components by theorem; any other oracle gets them from one greedy base in
+n(n+1)/2 oracle calls. Only a negative verdict runs that greedy base for a
+trusted family: its witness comes from swaps in the base's dep order. All
+arithmetic is exact: tightness x(T) = f(T) is an equality test.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ class PolymatroidOracle:
     The three axioms are verified on construction: up to ground size 12
     exhaustively, on one table of all 2^n values scaled to integers (via the
     local monotonicity and submodularity inequalities), and sampled beyond.
-    Only `coverage` and `budget_additive` skip it, through `_Unchecked`: once
-    their inputs pass their own checks they are polymatroids by theorem. They
-    alone set `_scaled(T)`, f(T) * `_scale` as an int, for the greedy base,
-    and `_components()`, the connected components by theorem.
+    Only `coverage`, `budget_additive` and `from_matroid` of a built-in
+    matroid skip it, through `_Unchecked`: once their inputs pass their own
+    checks they are polymatroids by theorem. They alone set `_scaled(T)`,
+    f(T) * `_scale` as an int, for the greedy base, and `_components()`, the
+    connected components by theorem.
     """
 
     _scaled: Callable[[Iterable[int]], int] | None = None
@@ -126,8 +128,12 @@ class PolymatroidOracle:
 
     @classmethod
     def from_matroid(cls, m: MatroidOracle) -> "PolymatroidOracle":
-        return cls(m.ground_size, lambda t: Fraction(m.rank(t)),
-                   name=f"rank({m.name})")
+        """The rank function; a built-in matroid's is trusted and shares its
+        components, a custom oracle's gets the axiom sweep."""
+        name = f"rank({m.name})"
+        if m._components is not None:
+            return _trusted(m.ground_size, name, 1, m.rank, m._components)
+        return cls(m.ground_size, lambda t: Fraction(m.rank(t)), name=name)
 
     @classmethod
     def coverage(cls, ground_size: int, sets: Sequence[Iterable]) -> "PolymatroidOracle":
@@ -255,7 +261,9 @@ def verify_polymatroid_identifying(
 ) -> tuple[bool, PolymatroidWitness | None]:
     """Check |S ∩ E_i| >= |E_i| - 1 per component.
 
-    On a violation, each cover v ⋖ u on the BFS path in the cover graph from
+    The components decide the verdict; only a violation runs the greedy
+    base and its dep sets, for the witness of the first violated component.
+    There, each cover v ⋖ u on the BFS path in the cover graph from
     e to e', the two least ids of the component outside S, swaps v and u in
     the greedy order: a base x + α(χ_u - χ_v) with α > 0. With
     t = 1 / Σ 1/α, base_b takes the swaps towards e' and base_a the others,
@@ -263,33 +271,32 @@ def verify_polymatroid_identifying(
     "Polymatroid witnesses from greedy-base swaps").
     """
     s_set = validate_ids(f.ground_size, s)
-    x, deps, parts = _greedy_deps(f)
-    for part in parts:
-        if len(part & s_set) >= len(part) - 1:
-            continue
-        x = [Fraction(v, f._scale) for v in x]
-        e, e_prime = sorted(part - s_set)[:2]
-        parent, queue = {e: e}, [e]
-        for a in queue:
-            for c in sorted(part - parent.keys()):
-                if _covers(deps, a, c) or _covers(deps, c, a):
-                    parent[c] = a
-                    queue.append(c)
-        moves = [[0] * len(x), [0] * len(x)]  # backward, forward: sums of χ_u - χ_v
-        inverse, b = Fraction(0), e_prime
-        while b != e:
-            a = parent[b]
-            forward = _covers(deps, a, b)
-            v, u = (a, b) if forward else (b, a)
-            alpha = f.value(deps[u] - {v}) - sum(x[g] for g in deps[u] - {v})
-            if alpha <= 0:
-                raise InvalidInstance(f"inconsistent oracle: swapping {v} and {u} in the "
-                                      f"greedy order gives a step of {alpha}")
-            inverse += 1 / alpha
-            moves[forward][u] += 1
-            moves[forward][v] -= 1
-            b = a
-        t = 1 / inverse
-        base_a, base_b = (tuple(xe + t * m for xe, m in zip(x, side)) for side in moves)
-        return False, PolymatroidWitness(part, base_a, base_b, epsilon=t)
-    return True, None
+    part = next((p for p in polymatroid_components(f) if len(p - s_set) >= 2), None)
+    if part is None:
+        return True, None
+    x, deps, _ = _greedy_deps(f)
+    x = [Fraction(v, f._scale) for v in x]
+    e, e_prime = sorted(part - s_set)[:2]
+    parent, queue = {e: e}, [e]
+    for a in queue:
+        for c in sorted(part - parent.keys()):
+            if _covers(deps, a, c) or _covers(deps, c, a):
+                parent[c] = a
+                queue.append(c)
+    moves = [[0] * len(x), [0] * len(x)]  # backward, forward: sums of χ_u - χ_v
+    inverse, b = Fraction(0), e_prime
+    while b != e:
+        a = parent[b]
+        forward = _covers(deps, a, b)
+        v, u = (a, b) if forward else (b, a)
+        alpha = f.value(deps[u] - {v}) - sum(x[g] for g in deps[u] - {v})
+        if alpha <= 0:
+            raise InvalidInstance(f"inconsistent oracle: swapping {v} and {u} in the "
+                                  f"greedy order gives a step of {alpha}")
+        inverse += 1 / alpha
+        moves[forward][u] += 1
+        moves[forward][v] -= 1
+        b = a
+    t = 1 / inverse
+    base_a, base_b = (tuple(xe + t * m for xe, m in zip(x, side)) for side in moves)
+    return False, PolymatroidWitness(part, base_a, base_b, epsilon=t)

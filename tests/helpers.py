@@ -24,7 +24,6 @@ import networkx as nx
 from idsets.caps import DEFAULT_CAPS, Caps
 from idsets.errors import (
     CapExceeded,
-    EnumerationExplosion,
     IdsetsError,
     InvalidInstance,
     NotIdentifying,
@@ -541,40 +540,6 @@ def enumerate_circuits(m) -> list[frozenset[int]]:
     return circuits
 
 
-def oracle_first_violated_circuit(m, s_set: frozenset[int],
-                                  elements: list[int]) -> frozenset[int] | None:
-    """Reference witness scan: every combination of the ascending `elements`
-    by size, then lexicographically, skipping those with fewer than two
-    elements outside S; the first circuit among the rest."""
-    n = len(elements)
-    for size in range(2, n + 1):
-        for combo in combinations(elements, size):
-            if sum(e not in s_set for e in combo) < 2:
-                continue
-            t = frozenset(combo)
-            if not m.is_independent(t) and all(m.is_independent(t - {x}) for x in t):
-                return t
-    return None
-
-
-def oracle_matroid_witness(m, s: frozenset[int], circuits: list[frozenset[int]]):
-    """Circuit-by-circuit verification: None when every circuit C has
-    |S ∩ C| >= |C| - 1, else (C, A, B) for the first violated C, where A
-    extends C minus its second non-S element f greedily to a basis and
-    B = A + f - e for its first non-S element e."""
-    for circuit in circuits:
-        if len(circuit & s) >= len(circuit) - 1:
-            continue
-        e, f = sorted(circuit - s)[:2]
-        base = set(circuit - {f})
-        for g in range(m.ground_size):
-            if g not in base and g != f and m.is_independent(base | {g}):
-                base.add(g)
-        basis_a = frozenset(base)
-        return circuit, basis_a, (basis_a | {f}) - {e}
-    return None
-
-
 def fourier_motzkin_feasible(rows: Sequence[tuple[tuple[Fraction, ...], Fraction]],
                              nvars: int) -> tuple[bool, Fraction | None]:
     """Feasibility of a system of inequalities sum(coeffs * y) >= rhs.
@@ -714,19 +679,20 @@ class NotABase(IdsetsError):
     """The given vector is not a point of the base polyhedron."""
 
 
-def _check_ground(f, caps: Caps) -> None:
-    if f.ground_size > caps.max_ground:
-        raise EnumerationExplosion(caps.max_ground, f"ground size {f.ground_size}")
+def _check_ground(f, max_elements: int, caller: str) -> None:
+    if f.ground_size > max_elements:
+        raise CapExceeded("max_elements", max_elements, caller, f"ground size {f.ground_size}")
 
 
-def base_membership(f, x, caps: Caps = DEFAULT_CAPS) -> tuple[bool, frozenset[int] | None]:
+def base_membership(f, x, max_elements: int = 20) -> tuple[bool, frozenset[int] | None]:
     """Exhaustive membership test for the base polyhedron.
 
     Returns (True, None) or (False, violated set): the subset maximizing
     x(T) - f(T) when one is positive, a negative coordinate as a singleton,
-    or the full ground set when only the total-value equality fails.
+    or the full ground set when only the total-value equality fails. More
+    than `max_elements` elements raise CapExceeded before any subset loop.
     """
-    _check_ground(f, caps)
+    _check_ground(f, max_elements, "base_membership")
     vec = as_vector(x)
     if len(vec) != f.ground_size:
         raise InvalidInstance("vector has the wrong dimension")
@@ -759,14 +725,14 @@ def greedy_base(f, ordering) -> Vector:
     return tuple(coords)
 
 
-def dependence_function(f, x, e: int, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
+def dependence_function(f, x, e: int, max_elements: int = 20) -> frozenset[int]:
     """Elements e' admitting a feasible shift x + eps*(chi_e - chi_{e'}).
 
     Exactly: e' = e, or x_{e'} > 0 and every x-tight set containing e also
     contains e', decided by checking all subsets.
     """
-    _check_ground(f, caps)
-    ok, violated = base_membership(f, x, caps)
+    _check_ground(f, max_elements, "dependence_function")
+    ok, violated = base_membership(f, x, max_elements)
     if not ok:
         raise NotABase(f"vector violates the base polyhedron on {sorted(violated or ())}")
     vec = as_vector(x)

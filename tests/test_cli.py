@@ -24,7 +24,7 @@ from hypothesis import strategies as st_
 from idsets import cli
 from idsets.caps import Caps
 from idsets.cli import main
-from idsets.errors import CAP_KNOBS
+from idsets.errors import CAP_KNOBS, CapExceeded
 from idsets.io import dump_json
 
 from .helpers import oracle_rank
@@ -345,6 +345,17 @@ class TestCapMessages:
     def test_every_cap_has_one_knob(self):
         # A retired cap leaves no stale entry, and a new one needs its knob.
         assert set(CAP_KNOBS) == {cap.name for cap in fields(Caps)}
+
+    def test_every_cap_error_names_a_live_cap(self):
+        # A retired cap leaves no error class behind naming its knob.
+        assert {cap.name for cap in fields(Caps)} == set(CAP_KNOBS)
+        subclasses = CapExceeded.__subclasses__()
+        assert subclasses
+        for error in subclasses:
+            message = str(error(7, "reached"))
+            name = message.split(" = ")[0]
+            assert name in CAP_KNOBS, error.__name__
+            assert message == f"{name} = 7 ({CAP_KNOBS[name]}): reached"
 
     def test_summary_line_shows_only_the_caps_the_cli_reads(self, tight_k3, capsys,
                                                              monkeypatch):
@@ -810,8 +821,8 @@ class TestOtherSolvers:
         capsys.readouterr()
 
     def test_coverage_of_25_elements(self, capsys):
-        # More elements than Caps().max_ground: the components are the
-        # overlap classes of the sets, found without a subset loop.
+        # 25 elements: the components are the overlap classes of the sets,
+        # found without a subset loop.
         rng = random.Random(25)
         sets = [rng.sample(range(40), rng.randint(0, 3)) for _ in range(25)]
         code = main(["polymatroid-identify", "--family", "coverage",

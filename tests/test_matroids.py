@@ -6,20 +6,19 @@ import hashlib
 import json
 import random
 import sys
+import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from idsets.errors import EnumerationExplosion, InvalidInstance
-from idsets.caps import Caps
+from idsets.errors import InvalidInstance
 from idsets.graphs import Digraph, UnionFind, WeightedGroundSet
 from idsets.linear import AffineBasis
 from idsets.matroids import (
     MatroidOracle,
     _circuit_of,
-    _first_violated_circuit,
     find_basis,
     free_matroid,
     graphic_matroid,
@@ -39,8 +38,6 @@ from .helpers import (
     base_membership,
     enumerate_circuits,
     fundamental_circuit,
-    oracle_first_violated_circuit,
-    oracle_matroid_witness,
     random_weights,
 )
 
@@ -58,6 +55,35 @@ def all_bases(m: MatroidOracle) -> list[frozenset[int]]:
 def bases_distinct_on(bases: list[frozenset[int]], s: frozenset[int]) -> bool:
     traces = {b & s for b in bases}
     return len(traces) == len(bases)
+
+
+class BruteForceMatroid:
+    """Circuits, bases and components of an independence callable from an
+    exhaustive subset scan, to check verdicts and witnesses against."""
+
+    def __init__(self, n: int, independent):
+        plain = MatroidOracle(n, independent)
+        self.circuits = set(enumerate_circuits(plain))
+        self.bases = set(all_bases(plain))
+        uf = UnionFind(n)
+        for c in self.circuits:
+            for e in c:
+                uf.union(min(c), e)
+        self.parts = uf.parts()
+
+    def identifying(self, s: frozenset[int]) -> bool:
+        return all(len(s & c) >= len(c) - 1 for c in self.circuits)
+
+    def assert_witness(self, s: frozenset[int], witness) -> None:
+        """The circuit is a circuit through the two least ids outside S of
+        the first violated component; both bases are bases, they differ,
+        and they agree on S."""
+        part = next(p for p in self.parts if len(p - s) >= 2)
+        assert witness.circuit in self.circuits, sorted(s)
+        assert set(sorted(part - s)[:2]) <= witness.circuit, sorted(s)
+        assert witness.basis_a in self.bases and witness.basis_b in self.bases, sorted(s)
+        assert witness.basis_a != witness.basis_b
+        assert witness.basis_a & s == witness.basis_b & s
 
 
 def fixture_matroids() -> list[MatroidOracle]:
@@ -385,24 +411,35 @@ class TestVerify:
             with pytest.raises(InvalidInstance):
                 verify_matroid_identifying(uniform_matroid(1, 3), s)
 
-    def test_enumeration_cap(self):
-        with pytest.raises(EnumerationExplosion):
-            verify_matroid_identifying(uniform_matroid(2, 5), set(),
-                                       caps=Caps(max_ground=4))
-
     def test_components_decide_beyond_enumeration_cap(self):
+        # 24 elements and a 21-element circuit: the witness scans no subsets.
         m = uniform_matroid(20, 24)
-        assert m.ground_size > Caps().max_ground
         assert verify_matroid_identifying(m, set(range(1, 24))) == (True, None)
-        with pytest.raises(EnumerationExplosion):
-            verify_matroid_identifying(m, set(range(2, 24)))
+        ok, witness = verify_matroid_identifying(m, set(range(2, 24)))
+        assert not ok and witness.circuit == frozenset(range(21))
+        assert witness.basis_a == frozenset(range(21)) - {1}
+        assert witness.basis_b == frozenset(range(1, 21))
+
+    def test_cycle_of_200_arcs(self):
+        # The only circuit with two arcs outside S is the whole cycle; the
+        # best of three fresh oracles takes under 100 ms.
+        n = 200
+        times = []
+        for _ in range(3):
+            m = graphic_matroid(Digraph(n, [(v, (v + 1) % n) for v in range(n)]))
+            start = time.perf_counter()
+            ok, witness = verify_matroid_identifying(m, set(range(n)) - {3, 117})
+            times.append(time.perf_counter() - start)
+            assert not ok and witness.circuit == frozenset(range(n))
+            assert witness.basis_a == frozenset(range(n)) - {117}
+            assert witness.basis_b == frozenset(range(n)) - {3}
+        assert min(times) < 0.1
 
     def test_witness_scan_covers_only_violated_components(self):
-        # n = 26 exceeds max_ground, but S misses two elements of one
-        # 5-element block, so the scan runs over that block alone.
+        # 26 elements, and S misses two elements of one 5-element block:
+        # the witness stays inside that block.
         blocks = [range(0, 5), range(5, 10), range(10, 15), range(15, 20), range(20, 26)]
         m = partition_matroid(blocks, [2] * 5)
-        assert m.ground_size > Caps().max_ground
         ok, witness = verify_matroid_identifying(m, set(range(26)) - {1, 3})
         assert not ok
         assert witness.circuit == {0, 1, 3}
@@ -410,6 +447,7 @@ class TestVerify:
         assert witness.basis_b == {0, 3, 5, 6, 10, 11, 15, 16, 20, 21}
 
     def test_witness_matches_circuit_oracle(self):
+        # The verdict is the circuit condition, and every witness is valid.
         rng = random.Random(2024)
         matroids = fixture_matroids()
         for _ in range(24):
@@ -418,14 +456,12 @@ class TestVerify:
             arcs = [rng.choice(pairs) for _ in range(rng.randint(3, 8))]
             matroids.append(graphic_matroid(Digraph(n, arcs)))
         for m in matroids:
-            circuits = enumerate_circuits(m)
+            brute = BruteForceMatroid(m.ground_size, m.is_independent)
             for s in all_subsets(range(m.ground_size)):
                 ok, witness = verify_matroid_identifying(m, s)
-                expected = oracle_matroid_witness(m, s, circuits)
-                assert ok == (expected is None), (m.name, sorted(s))
+                assert ok == brute.identifying(s), (m.name, sorted(s))
                 if not ok:
-                    got = (witness.circuit, witness.basis_a, witness.basis_b)
-                    assert got == expected, (m.name, sorted(s))
+                    brute.assert_witness(s, witness)
 
     def test_witness_bases_valid(self):
         for m in fixture_matroids()[:60]:
@@ -473,130 +509,55 @@ def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
     return rank
 
 
-def scan_oracles():
-    """Seeded (independence callable, ground size) pairs: uniform, partition,
-    graphic, GF(q)-linear and the dual matroid of an affine basis."""
-    rng = random.Random(7100)
-    for _ in range(55):
-        n = rng.randint(2, 9)
-        yield uniform_matroid(rng.randint(0, n - 1), n).is_independent, n
-    for _ in range(55):
-        n = rng.randint(2, 10)
-        ids = rng.sample(range(n), n)
-        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3))))
-        blocks = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-        m = partition_matroid(blocks, [rng.randint(0, len(b)) for b in blocks])
-        yield m.is_independent, n
-    for m in seeded_graphic_matroids(55, 7101):
-        yield m.is_independent, m.ground_size
-    for _ in range(55):
-        q, n, dim = rng.choice([2, 3, 5]), rng.randint(2, 8), rng.randint(1, 4)
+def exchange_cases():
+    """Seeded (kind, matroid) pairs: built-in graphic multigraphs with loops
+    and parallel arcs, uniform and partition matroids, then opaque callables
+    with no components by theorem: graphic, binary (GF(2)), GF(3) and GF(5)
+    vector matroids and the dual matroid of an affine basis."""
+    rng = random.Random(3300)
+    for m in seeded_graphic_matroids(150, 3301):
+        yield "graphic", m
+        yield "opaque graphic", MatroidOracle(m.ground_size, m._fn)
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        yield "uniform", uniform_matroid(rng.randint(0, n), n)
+    for m in seeded_partition_matroids(150, 3302):
+        yield "partition", m
+    for _ in range(200):
+        q = 2 if rng.random() < 0.6 else rng.choice([3, 5])
+        n, dim = rng.randint(1, 9), rng.randint(1, 5)
         columns = [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(n)]
-        yield (lambda t, columns=columns, q=q:
-               gf_rank([columns[e] for e in t], q) == len(t)), n
+        yield ("binary" if q == 2 else "GF(3), GF(5)"), MatroidOracle(
+            n, lambda t, columns=columns, q=q: gf_rank([columns[e] for e in t], q) == len(t))
     for _ in range(40):
         n, k = rng.randint(2, 7), rng.randint(1, 3)
         try:
             basis = AffineBasis([[rng.randint(-2, 2) for _ in range(n)] for _ in range(k + 1)])
         except InvalidInstance:
             continue
-        yield (lambda t, basis=basis: ax_independent(basis, t)), n
+        yield "affine dual", MatroidOracle(n, lambda t, basis=basis: ax_independent(basis, t))
 
 
-def recorded_scan(scan, independent, n: int, s: frozenset[int], elements: list[int]):
-    """The scan's result and the distinct subsets it asked the oracle about."""
-    queried: set[frozenset[int]] = set()
+class TestExchangeWitness:
+    """Every negative verdict's witness against brute force (`BruteForceMatroid`)."""
 
-    def recording(t: frozenset[int]) -> bool:
-        queried.add(t)
-        return independent(t)
-
-    return scan(MatroidOracle(n, recording), s, elements), queried
-
-
-class TestFirstViolatedCircuit:
-    """The pruned scan against the scan of every combination: the same
-    circuit from the same distinct oracle queries."""
-
-    @staticmethod
-    def pruned(m: MatroidOracle, s: frozenset[int], elements: list[int]):
-        return _first_violated_circuit(m, s, elements, Caps())
-
-    def test_same_circuit_and_queries_as_every_combination(self):
-        rng = random.Random(7102)
-        pairs = found = 0
-        for independent, n in scan_oracles():
-            parts = matroid_components(MatroidOracle(n, independent))
-            for _ in range(5):
-                s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.3, 0.7]))
-                elements = sorted(e for part in parts if len(part - s) >= 2 for e in part)
-                elements = elements or list(range(n))
-                got = recorded_scan(self.pruned, independent, n, s, elements)
-                want = recorded_scan(oracle_first_violated_circuit, independent, n, s, elements)
-                assert got == want, (n, sorted(s), elements)
-                pairs += 1
-                found += got[0] is not None
-        assert pairs >= 1000 and found >= 300
-
-    def test_uniform_8_16_with_two_elements_outside_s(self):
-        s = frozenset(range(2, 16))
-        got = recorded_scan(self.pruned, lambda t: len(t) <= 8, 16, s, list(range(16)))
-        want = recorded_scan(oracle_first_violated_circuit, lambda t: len(t) <= 8, 16, s,
-                             list(range(16)))
-        assert got[0] == frozenset(range(9))
-        assert got == want and len(got[1]) > 6000
-
-
-class TestFirstCircuitHook:
-    """The closed-form first circuit of uniform matroids against the scan of
-    the same oracle without hooks."""
-
-    @staticmethod
-    def seeded_cases(count: int, seed: int):
-        """(matroid, S, elements) for uniform(k, n) with every 0 <= k <= n;
-        elements are the violated components' elements or, one time in
-        four, any ascending subset of the ground set."""
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, 11)
-            m = uniform_matroid(rng.randint(0, n), n)
-            s = frozenset(e for e in range(n) if rng.random() < rng.choice([0.2, 0.5, 0.8]))
-            if rng.random() < 0.25:
-                elements = sorted(rng.sample(range(n), rng.randint(0, n)))
-            else:
-                elements = sorted(e for part in matroid_components(m)
-                                  if len(part - s) >= 2 for e in part)
-            yield m, s, elements
-
-    def test_hook_equals_scan(self):
-        # k = 0 makes every element a loop and k = n every element a coloop.
-        cases = found = loops = coloops = 0
-        for m, s, elements in self.seeded_cases(1200, 1701):
-            assert m._first_circuit is not None
-            plain = MatroidOracle(m.ground_size, m._fn)
-            got = _first_violated_circuit(m, s, elements, Caps())
-            assert got == _first_violated_circuit(plain, s, elements, Caps()), \
-                (m.name, sorted(s), elements)
-            cases += 1
-            found += got is not None
-            ground = set(range(m.ground_size))
-            loops += any(not plain.is_independent({e}) for e in ground)
-            coloops += any(plain.rank(ground - {e}) < plain.rank(ground) for e in ground)
-        assert cases >= 1000 and found >= 300 and loops >= 100 and coloops >= 100
-
-    def test_ranks_at_the_edges(self):
-        # Rank 0 has only one-element circuits and full rank none, so
-        # neither has a violated circuit.
-        assert uniform_matroid(0, 4)._first_circuit(frozenset(), [0, 1, 2, 3]) is None
-        assert uniform_matroid(4, 4)._first_circuit(frozenset(), [0, 1, 2, 3]) is None
-        m = uniform_matroid(2, 5)
-        assert m._first_circuit(frozenset({0, 1}), list(range(5))) == {0, 2, 3}
-
-    def test_cap_is_checked_before_the_hook(self):
-        m = uniform_matroid(2, 5)
-        with pytest.raises(EnumerationExplosion):
-            _first_violated_circuit(m, frozenset(), list(range(5)), Caps(max_ground=4))
-        assert m._cache == {}
+    def test_witnesses_pass_brute_force(self):
+        rng = random.Random(3303)
+        brute: dict = {}
+        negative: dict[str, int] = {}
+        for kind, m in exchange_cases():
+            if m._fn not in brute:
+                brute[m._fn] = BruteForceMatroid(m.ground_size, m._fn)
+            for _ in range(6):
+                p = rng.choice([0.4, 0.7])
+                s = frozenset(e for e in range(m.ground_size) if rng.random() < p)
+                ok, witness = verify_matroid_identifying(m, s)
+                assert ok == brute[m._fn].identifying(s), (kind, m.name, sorted(s))
+                if not ok:
+                    brute[m._fn].assert_witness(s, witness)
+                    negative[kind] = negative.get(kind, 0) + 1
+        assert sum(negative.values()) >= 1000
+        assert min(negative.values()) >= 50 and len(negative) == 7, negative
 
 
 class TestGraphicBasisHook:
@@ -634,13 +595,14 @@ class TestOracleQueryCounts:
         assert len(m._cache) < 200
 
     def test_uniform_components_ask_nothing(self):
-        # The components are one part by theorem; the witness asks 7 greedy
-        # extensions of its circuit and the exchange check.
+        # The components are one part by theorem; the witness asks 16 queries
+        # for the greedy basis over 0, then S, then every id, 8 exchanges
+        # from e = 0, whose first neighbour is f = 1, and 7 for the circuit.
         m = uniform_matroid(8, 16)
         matroid_components(m)
         assert m._cache == {}
         verify_matroid_identifying(m, set(range(2, 16)))
-        assert len(m._cache) == 8
+        assert len(m._cache) == 31
 
     def test_graphic_components_ask_nothing(self):
         for m in seeded_graphic_matroids(50, 1707):
@@ -752,19 +714,20 @@ def witness_line(s: frozenset[int], ok: bool, witness) -> str:
 
 class TestWitnessDigest:
     # sha256 of the verdict and witness lines below, one digest per verifier.
-    # The matroid lines were recorded before the witness searches were
-    # restricted to the violated components. The polymatroid lines were
-    # recorded with the greedy-base swap witness; each of those witnesses is
-    # also checked against the base polyhedron here.
+    # The matroid lines were recorded with the exchange-path witness, and
+    # each of those witnesses is also checked by brute force here. The
+    # polymatroid lines were recorded with the greedy-base swap witness; each
+    # of those witnesses is also checked against the base polyhedron.
     DIGESTS = {
         verify_matroid_identifying:
-            "f4ff4685dbbe1f5a8c3914a613c1b65ae6d87ab989ca3334a39a1e3a3547077e",
+            "8b2c63c4cda8c25b262bdef629afd2334ea963bc28f3cc7bf2ae1c139673af75",
         verify_polymatroid_identifying:
             "7153da4e7b4c196ed4e74bf82ac0df98c3f29466eebe663b70b7be8661424871",
     }
 
     def test_matroid_and_polymatroid_witnesses_are_pinned(self):
         digests = {verify: hashlib.sha256() for verify in self.DIGESTS}
+        brute: dict[MatroidOracle, BruteForceMatroid] = {}
         pairs = negative = 0
         for verify, oracle, s in witness_cases():
             ok, witness = verify(oracle, s)
@@ -774,5 +737,9 @@ class TestWitnessDigest:
             if verify is verify_polymatroid_identifying and not ok:
                 assert base_membership(oracle, witness.base_a)[0]
                 assert base_membership(oracle, witness.base_b)[0]
+            elif not ok:
+                if oracle not in brute:
+                    brute[oracle] = BruteForceMatroid(oracle.ground_size, oracle._fn)
+                brute[oracle].assert_witness(s, witness)
         assert pairs >= 300 and negative >= 100
         assert {verify: d.hexdigest() for verify, d in digests.items()} == self.DIGESTS

@@ -10,11 +10,11 @@ from itertools import permutations
 
 import pytest
 
-from idsets.caps import Caps
-from idsets.errors import EnumerationExplosion, IdsetsError, InvalidInstance
+from idsets.errors import CapExceeded, IdsetsError, InvalidInstance
 from idsets.graphs import Digraph, UnionFind, WeightedGroundSet
 from idsets.linear import AffineBasis, verify_identifying_from_basis
 from idsets.matroids import (
+    MatroidOracle,
     free_matroid,
     graphic_matroid,
     matroid_components,
@@ -287,8 +287,9 @@ class TestBaseMembership:
         assert violated == {1}
 
     def test_cap(self):
-        with pytest.raises(EnumerationExplosion):
-            base_membership(truncation(3, 2), [1, 1, 0], caps=Caps(max_ground=2))
+        with pytest.raises(CapExceeded, match=r"^max_elements = 2 \(base_membership\): "
+                                              "ground size 3$"):
+            base_membership(truncation(3, 2), [1, 1, 0], max_elements=2)
 
 
 class TestComponents:
@@ -359,7 +360,8 @@ class TestComponents:
             free_matroid(4),
         ]
         for m in matroid_list:
-            f = PolymatroidOracle.from_matroid(m)
+            # The generic path: from_matroid would read m's components.
+            f = PolymatroidOracle(m.ground_size, lambda t, m=m: Fraction(m.rank(t)))
             assert polymatroid_components(f) == matroid_components(m)
 
 
@@ -489,18 +491,12 @@ class TestVerify:
         assert witness.base_a == (1, Fraction(3, 2), 0)
         assert witness.base_b == (1, 1, Fraction(1, 2)) and witness.epsilon == Fraction(1, 2)
 
-    def test_max_ground_below_one_is_invalid(self):
-        with pytest.raises(InvalidInstance) as exc:
-            Caps(max_ground=-5)
-        assert str(exc.value) == "max_ground = -5 (Caps.max_ground): must be >= 1"
-
     def test_witness_beyond_max_ground(self):
         # 26 elements, component {0, 1}. Greedy in id order gives
         # x = (1, 0, 1, ...), and dep(1) = {0, 1} since f({1}) = 1 != x(1), so
         # 0 ⋖ 1. The path from e = 0 to e' = 1 is that one forward cover, with
         # α = f({1}) - x(1) = 1 = t: base_a = x and base_b = x + (χ_1 - χ_0).
         f = PolymatroidOracle.coverage(26, [{0}, {0}] + [{e} for e in range(1, 25)])
-        assert f.ground_size > Caps().max_ground
         ok, witness = verify_polymatroid_identifying(f, set(range(2, 26)))
         assert not ok and witness.component == {0, 1}
         assert witness.base_a[:3] == (1, 0, 1)
@@ -662,14 +658,89 @@ class TestComponentsByTheorem:
             polymatroid_components(f)
             assert f._cache == {}, f.name
 
+    def test_positive_verdict_asks_nothing(self):
+        # The components decide the verdict; only a witness runs the greedy.
+        def refuse(t):
+            raise AssertionError(f"_scaled({sorted(t)}) asked")
+
+        rng = random.Random(3202)
+        for _ in range(100):
+            f, _ = fraction_path_twin(rng, rng.randint(1, 10))
+            f._scaled = refuse
+            s = set(range(f.ground_size)) - {min(p) for p in polymatroid_components(f)}
+            assert verify_polymatroid_identifying(f, s) == (True, None), f.name
+            assert f._cache == {}, f.name
+
+    def test_custom_oracle_asks_no_new_value(self):
+        # The verdict's greedy and the witness's share the memo: n(n+1)/2 + 1
+        # values, plus one per swap of the witness.
+        def value(t):
+            return Fraction(min(len(t & {0, 1, 2, 3, 4}), 2) + min(len(t & {7, 9, 11}), 1)
+                            + len(t - {0, 1, 2, 3, 4, 7, 9, 11}))
+
+        for s, verdict, asked in [(set(), False, 211), ({0, 1, 2, 3}, False, 212),
+                                  (set(range(20)) - {9, 11}, False, 213),
+                                  (set(range(20)) - {3}, True, 211)]:
+            f = _Unchecked(20, value)
+            assert verify_polymatroid_identifying(f, s)[0] == verdict
+            assert len(f._cache) == asked, sorted(s)
+
     def test_only_closed_forms_set_the_hook(self):
         assert PolymatroidOracle.coverage(2, [{0}, {0}])._components is not None
         assert PolymatroidOracle.budget_additive(1, [1, 1])._components is not None
         for f in (truncation(3, 2),
                   PolymatroidOracle.from_table(1, {frozenset(): 0, frozenset({0}): 1}),
-                  PolymatroidOracle.from_matroid(uniform_matroid(1, 2)),
-                  PolymatroidOracle.from_matroid(graphic_matroid(Digraph(2, [(0, 1)] * 2)))):
+                  *(PolymatroidOracle(m.ground_size, lambda t, m=m: Fraction(m.rank(t)))
+                    for m in (uniform_matroid(1, 2),
+                              graphic_matroid(Digraph(2, [(0, 1)] * 2))))):
             assert f._components is None, f.name
+
+
+class TestRankOfBuiltinMatroid:
+    """`from_matroid` of a built-in matroid is trusted: no axiom sweep, the
+    matroid's components and its integer rank as `_scaled`, with every
+    answer of the generic rank oracle."""
+
+    @staticmethod
+    def builtin_matroids(count: int, seed: int):
+        """Graphic multigraphs with self-loops, uniform matroids and partition
+        matroids with zero and full capacities, on 1 to 8 elements."""
+        rng = random.Random(seed)
+        for i in range(count):
+            n = rng.randint(1, 8)
+            if i % 3 == 0:
+                nodes = rng.randint(1, 5)
+                yield graphic_matroid(Digraph(nodes, [(rng.randrange(nodes), rng.randrange(nodes))
+                                                      for _ in range(n)]))
+            elif i % 3 == 1:
+                yield uniform_matroid(rng.randint(0, n), n)
+            else:
+                ids = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+                blocks = [ids[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+                yield partition_matroid(blocks, [rng.randint(0, len(b)) for b in blocks])
+
+    def test_matches_the_generic_rank_oracle(self):
+        rng = random.Random(3400)
+        negative = 0
+        for m in self.builtin_matroids(300, 3401):
+            f = PolymatroidOracle.from_matroid(m)
+            generic = PolymatroidOracle(m.ground_size, lambda t, m=m: Fraction(m.rank(t)))
+            assert f._components is not None and f._scale == 1 and f._cache == {}
+            assert f.name == f"rank({m.name})"
+            parts = polymatroid_components(f)
+            assert parts == polymatroid_components(generic) == matroid_components(m)
+            for _ in range(3):
+                s = frozenset(e for e in range(m.ground_size) if rng.random() < 0.5)
+                got = verify_polymatroid_identifying(f, s)
+                assert got == verify_polymatroid_identifying(generic, s), (f.name, sorted(s))
+                negative += not got[0]
+        assert negative >= 200
+
+    def test_custom_matroid_keeps_the_sweep(self):
+        f = PolymatroidOracle.from_matroid(MatroidOracle(3, lambda t: len(t) <= 1))
+        assert f._components is None and f._scaled is None
+        assert len(f._cache) == 8  # the exhaustive sweep asked every subset
 
 
 class TestTheoremEquivalence:
