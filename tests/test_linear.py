@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,6 +25,7 @@ from idsets.linear import (
 from idsets.tolls import (
     CostOracle,
     controlling_counterexample_check,
+    convex_tolls,
     discrete_tolls,
     linear_cost,
     quadratic_cost,
@@ -397,3 +400,50 @@ class TestFlowConsistency:
             s = min_weight_identifying_from_basis(basis, w)
             assert w.total(s) == flow_result.total_weight
             assert basis.hull_dimension == len(flow_result.identifying_set)
+
+
+def digest_lines(count: int, seed: int):
+    """One JSON line per answer on `count` seeded bases: the min-weight set
+    under random weights, hull membership of an inside and a shifted point,
+    then for one random S of every size 0..n the verdict and witness and, for
+    about a third of the identifying S, the convex tolls of a linear or
+    quadratic cost."""
+    for basis, rng in seeded_bases(count, seed):
+        n = basis.ground_size
+        w = WeightedGroundSet([rng.randint(0, 4) for _ in range(n)])
+        yield json.dumps(["min", sorted(min_weight_identifying_from_basis(basis, w))])
+        target = hull_point(basis, rng)
+        shifted = tuple(v + (e == 0) for e, v in enumerate(target))
+        yield json.dumps(["contains", basis.contains(target), basis.contains(shifted)])
+        for size in range(n + 1):
+            s = sorted(rng.sample(range(n), size))
+            ok, delta = verify_identifying_from_basis(basis, s)
+            yield json.dumps(["verify", s, ok, None if ok else [str(v) for v in delta]])
+            if ok and rng.random() < 0.3:
+                cost = (linear_cost if rng.random() < 0.5 else quadratic_cost)(
+                    [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)])
+                gamma = convex_tolls(basis, s, cost, target).gamma
+                yield json.dumps(["tolls", [[e, str(v)] for e, v in sorted(gamma.items())]])
+
+
+class TestLinearDigest:
+    # sha256 of `digest_lines(1200, 83)`, recorded with Gauss-Jordan in every
+    # caller of `echelon`; the forward-only elimination must not move it.
+    DIGEST = "5cf8e2b7a613275d08d4316e86d77e30e62ad386fbc31ad5768fb2a2be1db3f6"
+
+    def test_pivots_witnesses_and_tolls_are_pinned(self):
+        digest = hashlib.sha256()
+        verdicts = {True: 0, False: 0}
+        sizes = set()
+        tolls = 0
+        for line in digest_lines(1200, 83):
+            digest.update(f"{line}\n".encode())
+            kind, *rest = json.loads(line)
+            if kind == "verify":
+                verdicts[rest[1]] += 1
+                sizes.add(len(rest[0]))
+            tolls += kind == "tolls"
+        assert verdicts[True] >= 1000 and verdicts[False] >= 1000 and tolls >= 1000, \
+            (verdicts, tolls)
+        assert sizes == set(range(9))
+        assert digest.hexdigest() == self.DIGEST
