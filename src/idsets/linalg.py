@@ -3,8 +3,9 @@
 Independence of rational vectors is an exact property; everything here avoids
 floating point so downstream equality tests (tightness, rank counts) never
 need tolerances. `echelon` is the only elimination: callers scale rational
-rows to integers with `integer_row` and read rank, pivots, hull membership
-and null vectors off its reduced rows.
+rows to integers with `integer_row`, read rank, pivots and hull membership
+off its forward echelon form, and read tolls and null vectors off its
+reduced rows.
 """
 
 from __future__ import annotations
@@ -45,11 +46,17 @@ def as_vector(values: Sequence) -> Vector:
     return tuple(map(exact, items))
 
 
-def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows: Sequence[Sequence[int]], reduced: bool = True
+            ) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination over the integers, in a copy: the nonzero
     rows of the reduced form, each divided by the gcd of its entries, and
     their pivot columns. Rows combine by integer cross-multiplication, so no
-    Fraction is built; each row divided by its pivot is a row of the RREF."""
+    Fraction is built; each row divided by its pivot is a row of the RREF.
+
+    With reduced=False the upward pass is skipped: each pivot clears only
+    the rows below it, from its column on, since those rows are zero before
+    it. The rows come back in echelon form, still primitive, with the same
+    pivot columns; callers that read only the rank or the pivots take it."""
     m = [_primitive(list(row)) for row in rows]
     count = len(m)
     pivots: list[int] = []
@@ -61,12 +68,15 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         p = top[c]
-        for i in range(count):
-            q = m[i][c]
+        lead = 0 if reduced else c
+        tail = top[lead:]
+        for i in range(0 if reduced else r + 1, count):
+            row = m[i]
+            q = row[c]
             if i != r and q:
                 g = gcd(p, q)
                 a, b = p // g, q // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], top)])
+                row[lead:] = _primitive([a * x - b * y for x, y in zip(row[lead:], tail)])
         pivots.append(c)
         r += 1
         if r == count:

@@ -24,7 +24,7 @@ from .linalg import Vector, as_vector, echelon, integer_row
 class AffineBasis:
     """Affinely independent points x0..xk spanning the affine hull of X. Rank,
     pivots and hull membership use `integer_rows`: each row of D times a
-    positive integer."""
+    positive integer, from x0's integer row and the scale of each point."""
 
     points: tuple[Vector, ...]
 
@@ -38,10 +38,13 @@ class AffineBasis:
         if len({len(p) for p in pts}) != 1:
             raise InvalidInstance("basis points must share one dimension")
         object.__setattr__(self, "points", pts)
-        (x0, s0), *others = [integer_row(p) for p in pts]
+        ints = [integer_row(p) for p in pts]
+        (x0, s0), *others = ints
         rows = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
         object.__setattr__(self, "integer_rows", rows)
-        object.__setattr__(self, "_echelon", echelon(rows)[0])
+        object.__setattr__(self, "_x0", x0)
+        object.__setattr__(self, "_scales", tuple(s for _, s in ints))
+        object.__setattr__(self, "_echelon", echelon(rows, reduced=False)[0])
         if len(self._echelon) != self.hull_dimension:
             raise InvalidInstance("basis points are not affinely independent")
 
@@ -60,9 +63,9 @@ class AffineBasis:
         tgt = as_vector(target)
         if len(tgt) != self.ground_size:
             raise InvalidInstance("target has the wrong dimension")
-        (t, t_scale), (x0, x0_scale) = integer_row(tgt), integer_row(self.points[0])
-        shift = [a * x0_scale - b * t_scale for a, b in zip(t, x0)]
-        return len(echelon([*self._echelon, shift])[1]) == self.hull_dimension
+        t, t_scale = integer_row(tgt)
+        shift = [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
+        return len(echelon([*self._echelon, shift], reduced=False)[1]) == self.hull_dimension
 
 
 def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
@@ -81,7 +84,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     n = basis.ground_size
     w = validate_weights(n, w)
     order = sorted(range(n), key=lambda e: (w.scaled[e], -e))
-    _, pivots = echelon(_columns(basis.integer_rows, order))
+    _, pivots = echelon(_columns(basis.integer_rows, order), reduced=False)
     return frozenset(order[c] for c in pivots)
 
 
@@ -95,7 +98,7 @@ def verify_identifying_from_basis(basis: AffineBasis,
     """
     s_set = validate_ids(basis.ground_size, s)
     cols = sorted(s_set)
-    if len(echelon(_columns(basis.integer_rows, cols))[1]) == basis.hull_dimension:
+    if len(echelon(_columns(basis.integer_rows, cols), reduced=False)[1]) == basis.hull_dimension:
         return True, None
     # Integer row i is D_i times c_i = s_i * s_0, the scales of x_i and x_0,
     # so a null vector y of the transposed integer columns with y_j = 1 is
@@ -105,7 +108,7 @@ def verify_identifying_from_basis(basis: AffineBasis,
     j = next(i for i in range(basis.hull_dimension) if i not in pivots)
     y = {j: Fraction(1)}
     y.update((p, Fraction(-row[j], row[p])) for row, p in zip(rows, pivots))
-    c_j = integer_row(basis.points[j + 1])[1] * integer_row(basis.points[0])[1]
+    c_j = basis._scales[j + 1] * basis._scales[0]
     delta = tuple(sum(v * ints[i][e] for i, v in y.items()) / c_j
                   for e in range(basis.ground_size))
     assert any(value != 0 for value in delta)

@@ -157,6 +157,25 @@ class TestEchelon:
             count += bool(matrix)
         assert count >= 1000
 
+    def test_forward_mode_keeps_the_pivots(self):
+        """reduced=False returns primitive rows in echelon form with the
+        Fraction elimination's pivots; reducing them gives the default output,
+        so they span the same rows."""
+        count = 0
+        for matrix in seeded_matrices(1200, 43):
+            ints = [integer_row(row)[0] for row in matrix]
+            copy = [row[:] for row in ints]
+            rows, pivots = echelon(ints, reduced=False)
+            assert ints == copy
+            assert pivots == oracle_rref(matrix)[1]
+            assert len(rows) == len(pivots)
+            for row, c in zip(rows, pivots):
+                assert math.gcd(*row) == 1
+                assert not any(row[:c]) and row[c]
+            assert echelon(rows) == echelon(ints)
+            count += bool(matrix)
+        assert count >= 1000
+
 
 class TestIntegerRows:
     def test_rows_are_a_positive_multiple_of_d(self):
