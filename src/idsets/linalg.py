@@ -86,8 +86,9 @@ def echelon(rows: Sequence[Sequence[int]], reduced: bool = True
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, scale) with row[i] == ints[i] / scale, scale the lcm of the denominators."""
-    scale = lcm(*(v.denominator for v in row))
-    return [v.numerator * (scale // v.denominator) for v in row], scale
+    ratios = [v.as_integer_ratio() for v in row]
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
