@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -1023,3 +1024,77 @@ def test_main_returns_a_documented_exit_code(data):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code in (2, 3):
         assert out.getvalue() == "", argv
+
+
+RATIONAL_TOKENS = ["0", "1", "-1", "2", "1/2", "-3/4", "5/3"]
+# What the input boundary refuses in place of a rational: a zero
+# denominator, a string that is no number, a float, null, a bool, a list.
+BAD_TOKENS = ["1/0", "x", "", 0.5, None, True, [1]]
+
+
+@st_.composite
+def linear_argv(draw, path) -> list[str]:
+    """argv for `linear-identify` or `tolls --mode convex` on k + 1 points of
+    Q^n, each input (basis, weights, S, target, cost) drawn well formed or
+    spoilt: a bad token, a wrong length, an id out of range or a bad file."""
+    n = draw(st_.integers(0, 4), label="n")
+    k = draw(st_.integers(0, n if draw(st_.integers(0, 9)) else 4), label="k")
+
+    def values(length: int, tokens=RATIONAL_TOKENS) -> list:
+        how = draw(st_.integers(0, 19))
+        out = [draw(st_.sampled_from(tokens)) for _ in range(length + (how == 0))]
+        if out and how == 1:
+            out[draw(st_.integers(0, len(out) - 1))] = draw(st_.sampled_from(BAD_TOKENS))
+        return out
+
+    def spoilt(valid: dict) -> str:
+        return path(("file", valid) if draw(st_.integers(0, 9)) else draw(files(valid)))
+
+    points = [values(n) for _ in range(k + 1)]
+    argv = ["--basis", spoilt({"points": points})]
+    if draw(st_.booleans(), label="linear-identify"):
+        if draw(st_.booleans(), label="has weights"):
+            weights = values(n, ["0", "1", "2", "1/2", "3", "-1"])
+            argv += ["--weights", spoilt({"weights": weights})]
+        return ["linear-identify", *argv]
+    ids = sorted(draw(st_.sets(st_.integers(0, n - 1) if n and draw(st_.integers(0, 5))
+                               else st_.integers(-1, n), max_size=n + 1), label="S"))
+    argv += ["--S", ",".join(map(str, ids)) if draw(st_.integers(0, 3)) else spoilt({"S": ids})]
+    target = draw(st_.sampled_from(points), label="target") if draw(st_.booleans()) else values(n)
+    argv += ["--target=" + ",".join(map(str, target))]
+    if draw(st_.integers(0, 3)):
+        kind = draw(st_.sampled_from(["linear", "quadratic", "quadratic", "cubic"]), label="cost")
+        argv += ["--cost", f"{kind}:" + ",".join(map(str, values(n)))]
+    return ["tolls", "--mode", "convex", *argv]
+
+
+def test_linear_and_convex_tolls_fuzz_exits_documented_codes_quickly():
+    """Malformed bases, weights, S, targets and costs through the two CLI
+    paths that run `echelon`: every exit is 0, 1 or 2, none is a traceback
+    (4), and the whole fuzz takes under 3 s."""
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st_.data())
+    def run(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            def path(value):
+                if isinstance(value, tuple):
+                    name = os.path.join(tmp, f"input{len(os.listdir(tmp))}.json")
+                    dump_json(name, value[1])
+                    return name
+                return os.path.join(tmp, value)
+
+            argv = data.draw(linear_argv(path), label="argv")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
+        seen.add((argv[0], code))
+
+    start = time.perf_counter()
+    run()
+    assert time.perf_counter() - start < 3
+    assert {code for _, code in seen} >= {0, 1, 2}, seen
