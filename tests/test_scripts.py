@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +25,48 @@ def test_script_exits_zero(script, args):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(pair: int, side: str, pass_s: float, tail_ms: float, failed: int = 0) -> dict:
+    metrics = {"pass_s": {"value": pass_s, "unit": "s"},
+               "req_tail_ms": {"value": tail_ms, "unit": "ms"}}
+    return {"pair": pair, "side": side,
+            "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
+                       "metrics": metrics}}
+
+
+class TestBenchPairsSummary:
+    summarize = staticmethod(load_script("bench_pairs").summarize)
+
+    def test_medians_quartiles_and_lower_counts(self):
+        runs = [canned_run(0, "parent", 0.010, 2.0), canned_run(0, "change", 0.008, 2.0),
+                canned_run(1, "change", 0.009, 1.5), canned_run(1, "parent", 0.012, 1.8),
+                canned_run(2, "parent", 0.011, 1.6), canned_run(2, "change", 0.013, 1.4),
+                canned_run(3, "parent", 0.014, 1.9), canned_run(3, "change", 0.007, 1.7)]
+        summary = self.summarize(runs)
+        assert summary["pass_s"] == {
+            "parent_median": 0.0115, "change_median": 0.0085,
+            "parent_iqr": 0.00175, "change_iqr": 0.00225,
+            "change_lower_in_pairs": "3/4",
+        }
+        # Pair 0 ties at 2.0 ms and counts for neither side.
+        assert summary["req_tail_ms"]["change_lower_in_pairs"] == "3/4"
+        assert summary["req_tail_ms"]["parent_median"] == 1.85
+        assert summary["correct_all"] is True and summary["failed_total"] == 0
+        assert list(summary) == ["pass_s", "req_tail_ms", "correct_all", "failed_total"]
+
+    def test_a_run_without_result_drops_its_pair(self):
+        crashed = {"pair": 1, "side": "change", "result": None}
+        runs = [canned_run(0, "parent", 0.010, 2.0), canned_run(0, "change", 0.009, 1.0, 2),
+                crashed, canned_run(1, "parent", 0.001, 0.1)]
+        summary = self.summarize(runs)
+        assert summary["pass_s"]["change_lower_in_pairs"] == "1/1"
+        assert summary["pass_s"]["parent_iqr"] == 0.0
+        assert summary["correct_all"] is False and summary["failed_total"] == 2
