@@ -52,11 +52,9 @@ def echelon(rows: Sequence[Sequence[int]], reduced: bool = True
     rows of the reduced form, each divided by the gcd of its entries, and
     their pivot columns. Rows combine by integer cross-multiplication, so no
     Fraction is built; each row divided by its pivot is a row of the RREF.
-
-    With reduced=False the upward pass is skipped: each pivot clears only
-    the rows below it, from its column on, since those rows are zero before
-    it. The rows come back in echelon form, still primitive, with the same
-    pivot columns; callers that read only the rank or the pivots take it."""
+    reduced=False skips the upward pass: each pivot clears only the rows
+    below it, from its column on, and the rows come back in echelon form,
+    still primitive, with the same pivots, for callers that read only those."""
     m = [_primitive(list(row)) for row in rows]
     count = len(m)
     pivots: list[int] = []
