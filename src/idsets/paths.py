@@ -37,7 +37,7 @@ from .search import first_collision, min_weight_hitting_set, pair_demands
 class PathIdentifyResult:
     identifying_set: frozenset[int]
     total_weight: Fraction
-    method: str  # exact-bruteforce | flow-approx | verified-input
+    method: str  # exact-bruteforce | flow-approx
     approx_bound: Fraction | None = None
 
 

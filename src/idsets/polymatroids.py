@@ -13,7 +13,6 @@ arithmetic is exact: tightness x(T) = f(T) is an equality test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -31,14 +30,16 @@ EXHAUSTIVE_CHECK_LIMIT = 12
 class PolymatroidOracle:
     """Memoized value oracle for a normalized monotone submodular function.
 
-    The three axioms are verified on construction: up to ground size 12
-    exhaustively, on one table of all 2^n values scaled to integers (via the
-    local monotonicity and submodularity inequalities), and sampled beyond.
-    Only `coverage`, `budget_additive` and `from_matroid` of a built-in
-    matroid skip it, through `_Unchecked`: once their inputs pass their own
-    checks they are polymatroids by theorem. They alone set `_scaled(T)`,
-    f(T) * `_scale` as an int, for the greedy base, and `_components()`, the
-    connected components by theorem.
+    The axioms are checked by one exhaustive sweep over all 2^n values scaled
+    to integers (the local monotonicity and submodularity inequalities): a
+    table (`from_table`) at every size, a custom callable or the rank of a
+    custom matroid up to ground size 12. Beyond 12 a callable is checked
+    only for f({}) = 0 and otherwise trusted, as a custom `MatroidOracle`
+    is. `coverage`, `budget_additive` and `from_matroid` of a built-in
+    matroid skip the sweep, through `_Unchecked`: once their inputs pass
+    their own checks they are polymatroids by theorem. They alone set
+    `_scaled(T)`, f(T) * `_scale` as an int, for the greedy base, and
+    `_components()`, the connected components by theorem.
     """
 
     _scaled: Callable[[Iterable[int]], int] | None = None
@@ -62,53 +63,10 @@ class PolymatroidOracle:
         return self._cache[key]
 
     def _validate(self) -> None:
-        if self.value(frozenset()) != 0:
-            raise InvalidInstance("polymatroid rank must be normalized: f({}) = 0")
-        if self.ground_size <= EXHAUSTIVE_CHECK_LIMIT:
-            self._check_axioms_exhaustive()
-            return
-        for t, e, f in self._axiom_triples_sampled():
-            te = t | {e}
-            if self.value(te) < self.value(t):
-                raise InvalidInstance("polymatroid rank must be monotone")
-            if f is None:
-                continue
-            tf, tef = t | {f}, te | {f}
-            if self.value(te) + self.value(tf) < self.value(tef) + self.value(t):
-                raise InvalidInstance("polymatroid rank must be submodular")
-
-    def _check_axioms_exhaustive(self) -> None:
-        """f(T+e) >= f(T) and f(T+e) + f(T+f) >= f(T+e+f) + f(T) for every T
-        (by size, then lexicographically) and e < f outside T, on the values
-        scaled by the lcm of their denominators and indexed by bitmask."""
+        """f({}) = 0 at every size, and the axiom sweep up to the limit; a
+        larger custom callable is trusted beyond f({}) = 0."""
         n = self.ground_size
-        values = [self.value(frozenset(e for e in range(n) if mask >> e & 1))
-                  for mask in range(1 << n)]
-        table = integer_row(values)[0]
-        for size in range(n):
-            for combo in combinations(range(n), size):
-                t = sum(1 << e for e in combo)
-                ft = table[t]
-                rest = [1 << e for e in range(n) if not t >> e & 1]
-                for i, e in enumerate(rest):
-                    fte = table[t | e]
-                    if fte < ft:
-                        raise InvalidInstance("polymatroid rank must be monotone")
-                    for f in rest[i + 1:]:
-                        if fte + table[t | f] < table[t | e | f] + ft:
-                            raise InvalidInstance("polymatroid rank must be submodular")
-
-    def _axiom_triples_sampled(self):
-        rng = random.Random(0)
-        n = self.ground_size
-        for _ in range(500):
-            t = frozenset(e for e in range(n) if rng.random() < 0.5)
-            rest = [e for e in range(n) if e not in t]
-            if len(rest) >= 2:
-                e, f = rng.sample(rest, 2)
-                yield t, e, f
-            elif rest:
-                yield t, rest[0], None
+        _check_axioms(n if n <= EXHAUSTIVE_CHECK_LIMIT else 0, self.value)
 
     @classmethod
     def from_table(cls, ground_size: int,
@@ -124,12 +82,13 @@ class PolymatroidOracle:
         ground = frozenset(range(ground_size))
         if not all(key <= ground for key in data):
             raise InvalidInstance("table keys must be subsets of 0..size-1")
-        return cls(ground_size, lambda t: data[t], name="table")
+        _check_axioms(ground_size, data.__getitem__)  # every value is in hand
+        return _Unchecked(ground_size, data.__getitem__, "table")
 
     @classmethod
     def from_matroid(cls, m: MatroidOracle) -> "PolymatroidOracle":
         """The rank function; a built-in matroid's is trusted and shares its
-        components, a custom oracle's gets the axiom sweep."""
+        components, a custom oracle's gets a custom callable's check."""
         name = f"rank({m.name})"
         if m._components is not None:
             return _trusted(m.ground_size, name, 1, m.rank, m._components)
@@ -177,10 +136,34 @@ class PolymatroidOracle:
 
 
 class _Unchecked(PolymatroidOracle):
-    """An oracle built without the axiom sweep: the closed forms only."""
+    """An oracle built without the constructor's check: the closed forms,
+    and a table, which `from_table` has already swept."""
 
     def _validate(self) -> None:
         pass
+
+
+def _check_axioms(n: int, value: Callable[[frozenset[int]], Fraction]) -> None:
+    """f({}) = 0, then f(T+e) >= f(T) and f(T+e) + f(T+f) >= f(T+e+f) + f(T)
+    for every T of 0..n-1 (by size, then lexicographically) and e < f outside
+    T, on the values scaled by the lcm of their denominators and indexed by
+    bitmask. n = 0 checks f({}) = 0 alone."""
+    if value(frozenset()) != 0:
+        raise InvalidInstance("polymatroid rank must be normalized: f({}) = 0")
+    table = integer_row([value(frozenset(e for e in range(n) if mask >> e & 1))
+                         for mask in range(1 << n)])[0]
+    for size in range(n):
+        for combo in combinations(range(n), size):
+            t = sum(1 << e for e in combo)
+            ft = table[t]
+            rest = [1 << e for e in range(n) if not t >> e & 1]
+            for i, e in enumerate(rest):
+                fte = table[t | e]
+                if fte < ft:
+                    raise InvalidInstance("polymatroid rank must be monotone")
+                for f in rest[i + 1:]:
+                    if fte + table[t | f] < table[t | e | f] + ft:
+                        raise InvalidInstance("polymatroid rank must be submodular")
 
 
 def _trusted(n: int, name: str, scale: int, scaled: Callable[[Iterable[int]], int],
