@@ -14,6 +14,7 @@ import tempfile
 import time
 from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -814,6 +815,19 @@ class TestOtherSolvers:
         code = main(["polymatroid-identify", "--table", str(table)])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and len(out["S"]) == 1
+
+    def test_non_submodular_table_over_13_elements(self, tmp_path, capsys):
+        # f({0, 1}) = 1 and f(T) = |T| otherwise: at T = {0}, f(T+1) + f(T+2)
+        # = 3 < 4 = f(T+1+2) + f(T). A table is swept at every size, so 13
+        # elements are refused as 12 are.
+        values = {",".join(map(str, t)): str(1 if t == (0, 1) else len(t))
+                  for k in range(14) for t in combinations(range(13), k)}
+        table = tmp_path / "f.json"
+        dump_json(str(table), {"size": 13, "values": values})
+        code = main(["polymatroid-identify", "--table", str(table)])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == "invalid input: polymatroid rank must be submodular\n"
 
     def test_polymatroid_family(self, capsys):
         code = main(["polymatroid-identify", "--family", "budget-additive",

@@ -259,6 +259,13 @@ class TestApprox:
         assert approx.approx_bound is not None
         assert approx.approx_bound ** 2 >= m
 
+    def test_bound_is_exact_on_a_square_arc_count(self):
+        # sqrt(9) = 3 and sqrt(16) = 4 are rational: the bound is rounded up
+        # only when m is not a perfect square.
+        for m, root in ((9, 3), (16, 4)):
+            g = Digraph(m + 1, [(v, v + 1) for v in range(m)])
+            assert approx_min_path_identifying_dag(g, StPair(0, m)).approx_bound == root
+
     def test_output_identifies_paths_on_seeded_dags(self):
         for g, st in seeded_dags(120, seed=83):
             if not has_st_path(g, st):

@@ -205,6 +205,36 @@ class TestOracleValidation:
             outcomes[expected] = outcomes.get(expected, 0) + 1
         assert len(outcomes) == 4, outcomes
 
+    def test_tables_beyond_the_limit_match_axiom_oracle(self):
+        # A table is swept at every size. min(cap, Σ gains) is a polymatroid
+        # by theorem and builds; after one value moves, the sweep reports the
+        # first violation the Fraction oracle meets, as it does up to 12.
+        rng = random.Random(1313)
+        for n in (13, 14):
+            gains = [rng.randint(0, 6) for _ in range(n)]
+            cap = rng.randint(10, 30)
+            table = {t: min(cap, sum(gains[e] for e in t)) for t in all_subsets(range(n))}
+            PolymatroidOracle.from_table(n, table)
+            table[rng.choice(list(table))] += Fraction(rng.choice([-2, -1, 1, 2]), 3)
+            expected = oracle_polymatroid_axioms(_Unchecked(n, table.__getitem__))
+            assert expected is not None
+            with pytest.raises(InvalidInstance) as refused:
+                PolymatroidOracle.from_table(n, table)
+            assert str(refused.value) == expected
+
+    def test_callables_beyond_the_limit_are_trusted_but_normalized(self):
+        # Not submodular: refused on 12 elements, built on 13, where a
+        # callable is checked only for f({}) = 0.
+        with pytest.raises(InvalidInstance, match="must be submodular"):
+            PolymatroidOracle(12, lambda t: Fraction(len(t) ** 2))
+        PolymatroidOracle(13, lambda t: Fraction(len(t) ** 2))
+        with pytest.raises(InvalidInstance, match="must be normalized"):
+            PolymatroidOracle(13, lambda t: Fraction(1))
+
+    def test_table_over_no_elements(self):
+        f = PolymatroidOracle.from_table(0, {frozenset(): 0})
+        assert f.ground_size == 0 and polymatroid_components(f) == ()
+
     def test_table_roundtrip(self):
         table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1),
                  frozenset({1}): Fraction(1), frozenset({0, 1}): Fraction(1)}
@@ -503,8 +533,8 @@ class TestVerify:
         assert witness.base_b[:3] == (0, 1, 1) and witness.epsilon == 1
 
     def test_inconsistent_oracle_raises_invalid_instance(self):
-        # Not submodular (f({0, 1}) + f({1, 2}) < f({0, 1, 2}) + f({1})), but on
-        # 13 elements the axioms are only sampled, and the samples miss it.
+        # Not submodular (f({0, 1}) + f({1, 2}) < f({0, 1, 2}) + f({1})), but a
+        # callable over 13 elements is trusted beyond f({}) = 0.
         f = PolymatroidOracle(13, lambda t: Fraction(1 if t == {0, 1} else len(t)))
         for s in (set(), set(range(2, 13)), set(range(3, 13)), {0}, {1}, {2}):
             try:
@@ -515,6 +545,17 @@ class TestVerify:
         # x = (1, 0, 2, 1, ...) and 1 ⋖ 2; the swap would give α = f({2}) - x(2) = -1.
         with pytest.raises(InvalidInstance, match="^inconsistent oracle: swapping 1 and 2 "
                                                   "in the greedy order gives a step of -1$"):
+            verify_polymatroid_identifying(f, {0})
+
+    def test_zero_swap_step_raises_invalid_instance(self):
+        # Not submodular (f({0}) + f({1}) < f({0, 1})); with S = {0} the
+        # swap of 1 and 2 in the greedy order moves nothing.
+        values = {(): 0, (0,): 2, (1,): 0, (2,): 1, (3,): 0, (0, 1): 3, (0, 2): 1,
+                  (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 2, (0, 1, 2): 4, (0, 1, 3): 4,
+                  (0, 2, 3): 2, (1, 2, 3): 2, (0, 1, 2, 3): 5}
+        f = _Unchecked(4, {frozenset(t): Fraction(v) for t, v in values.items()}.__getitem__)
+        with pytest.raises(InvalidInstance, match="^inconsistent oracle: swapping 1 and 2 "
+                                                  "in the greedy order gives a step of 0$"):
             verify_polymatroid_identifying(f, {0})
 
     def test_rejects_out_of_range_ids(self):

@@ -20,17 +20,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "idsets").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
-def test_imports_are_relative_or_stdlib(path):
-    outside = []
+def absolute_imports(path: Path) -> list[str]:
+    """The modules a source file imports by absolute name."""
+    names = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+            names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_are_relative_or_stdlib(path):
+    outside = [n for n in absolute_imports(path) if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
 
 
@@ -64,6 +67,14 @@ def test_generators_import_only_errors_and_graphs():
         if isinstance(node, ast.ImportFrom) and node.level:
             modules |= {node.module} if node.module else {a.name for a in node.names}
     assert modules <= {"errors", "graphs"}, modules
+
+
+def test_only_the_generators_draw_random_numbers():
+    # The seeded instance generators are the one use of `random` in src, so
+    # no verdict depends on a random draw.
+    users = [path.name for path in SOURCES
+             if any(n.split(".")[0] == "random" for n in absolute_imports(path))]
+    assert users == ["instances.py"]
 
 
 def test_cli_reads_files_only_through_its_reader():
