@@ -7,7 +7,8 @@ exception that is not an `IdsetsError`, its traceback kept on stderr). Files
 and flag values are turned into domain objects by `idsets.io` only, each input
 file read once through the run's reader, whose bytes make up the summary's digest.
 The flow, path, explicit, toll and gen handlers import their own module;
-the linear and (poly)matroid modules come with io, which parses their input.
+the linear and (poly)matroid modules are registered at import, as io
+registers its own, and execute on their first use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import io, linear, matroids, polymatroids
+from . import _lazy, io
 from .caps import Caps
 from .errors import CapExceeded, IdsetsError, InvalidInstance
 from .graphs import WeightedGroundSet
@@ -33,6 +34,8 @@ EXIT_CAPS = 3
 EXIT_INTERNAL = 4
 
 Reader = Callable[[str], Any]
+
+linear, matroids, polymatroids = map(_lazy, ("linear", "matroids", "polymatroids"))
 
 # The flags each --kind, --family and --mode value needs beyond argparse's own.
 _NEEDS = {

@@ -24,6 +24,13 @@ from .graphs import WeightedGroundSet, _integer, validate_ids, validate_weights
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
 
+def _dimension(value: int) -> int:
+    dimension = _integer(value, "dimension")
+    if dimension < 0:
+        raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
+    return dimension
+
+
 @dataclass(frozen=True)
 class SolutionList:
     """Deduplicated binary vectors of one common dimension."""
@@ -32,9 +39,7 @@ class SolutionList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
-        dimension = _integer(dimension, "dimension")
-        if dimension < 0:
-            raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
+        dimension = _dimension(dimension)
         vecs: list[tuple[int, ...]] = []
         try:
             for vec in vectors:
@@ -50,8 +55,23 @@ class SolutionList:
                 vecs.append(tup)
         except TypeError as exc:
             raise InvalidInstance(f"vectors must be iterables of 0/1: {exc}") from None
+        self._keep(dimension, vecs)
+
+    @classmethod
+    def _from_rows(cls, dimension: int, rows: list[tuple[int, ...]]) -> SolutionList:
+        """`SolutionList(dimension, rows)` for io.parse_solution_list's rows,
+        each already a tuple of exact 0/1 ints: the dimension check, one length
+        check over the rows, and the dedupe, without a per-coordinate check."""
+        dimension = _dimension(dimension)
+        if not set(map(len, rows)) <= {dimension}:
+            raise InvalidInstance("vector length does not match dimension")
+        return cls.__new__(cls)._keep(dimension, rows)
+
+    def _keep(self, dimension: int, vecs: list[tuple[int, ...]]) -> SolutionList:
+        """Store the checked fields, each vector once, in first-seen order."""
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vectors", tuple(dict.fromkeys(vecs)))
+        return self
 
     def __len__(self) -> int:
         return len(self.vectors)

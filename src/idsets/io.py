@@ -14,12 +14,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
+from . import _lazy
 from .errors import InvalidInstance
 from .graphs import Digraph, StPair, WeightedGroundSet
-# At module level, not in their parsers: perfbench's tracer patches both classes'
-# __init__ after a workload's first pass, and needs their modules loaded by then.
-from .linear import AffineBasis
-from .polymatroids import PolymatroidOracle
+
+# Registered here, executed by their parsers: perfbench's tracer patches
+# AffineBasis.__init__ and PolymatroidOracle.__init__ after a workload's first
+# pass, and needs both modules in sys.modules by then.
+linear = _lazy("linear")
+polymatroids = _lazy("polymatroids")
 
 
 @contextmanager
@@ -242,7 +245,7 @@ def parse_solution_list(data: dict) -> SolutionList:
     with _reading("solution list"):
         dim = int_from_json(data["dim"])
         rows = [_bits(vec) for vec in data["vectors"]]
-    return SolutionList(dim, rows)
+    return SolutionList._from_rows(dim, rows)
 
 
 _BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
@@ -273,7 +276,7 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     with _reading("basis"):
         parse = _fraction_parser()
         points = [list(map(parse, p)) for p in data["points"]]
-    return AffineBasis(points)
+    return linear.AffineBasis(points)
 
 
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
@@ -285,7 +288,7 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
         size = int_from_json(data["size"])
         table = {frozenset(parse_ids(key)): fraction_from_json(value)
                  for key, value in data["values"].items()}
-    return PolymatroidOracle.from_table(size, table)
+    return polymatroids.PolymatroidOracle.from_table(size, table)
 
 
 def load_json(path: str, digest: Any) -> Any:

@@ -65,8 +65,9 @@ class PolymatroidOracle:
     def _validate(self) -> None:
         """f({}) = 0 at every size, and the axiom sweep up to the limit; a
         larger custom callable is trusted beyond f({}) = 0."""
-        n = self.ground_size
-        _check_axioms(n if n <= EXHAUSTIVE_CHECK_LIMIT else 0, self.value)
+        n = self.ground_size if self.ground_size <= EXHAUSTIVE_CHECK_LIMIT else 0
+        _check_axioms(n, (self.value(frozenset(e for e in range(n) if mask >> e & 1))
+                          for mask in range(1 << n)))
 
     @classmethod
     def from_table(cls, ground_size: int,
@@ -82,7 +83,10 @@ class PolymatroidOracle:
         ground = frozenset(range(ground_size))
         if not all(key <= ground for key in data):
             raise InvalidInstance("table keys must be subsets of 0..size-1")
-        _check_axioms(ground_size, data.__getitem__)  # every value is in hand
+        by_mask: list = [None] * (1 << ground_size)
+        for key, v in data.items():
+            by_mask[sum(1 << e for e in key)] = v
+        _check_axioms(ground_size, by_mask)
         return _Unchecked(ground_size, data.__getitem__, "table")
 
     @classmethod
@@ -143,15 +147,17 @@ class _Unchecked(PolymatroidOracle):
         pass
 
 
-def _check_axioms(n: int, value: Callable[[frozenset[int]], Fraction]) -> None:
+def _check_axioms(n: int, values: Iterable[Fraction]) -> None:
     """f({}) = 0, then f(T+e) >= f(T) and f(T+e) + f(T+f) >= f(T+e+f) + f(T)
     for every T of 0..n-1 (by size, then lexicographically) and e < f outside
-    T, on the values scaled by the lcm of their denominators and indexed by
-    bitmask. n = 0 checks f({}) = 0 alone."""
-    if value(frozenset()) != 0:
+    T, on the values scaled by the lcm of their denominators. `values` holds
+    f(T) for every T by bitmask, read in order, so f({}) is checked before
+    any other value is read. n = 0 checks f({}) = 0 alone."""
+    values = iter(values)
+    empty = next(values)
+    if empty != 0:
         raise InvalidInstance("polymatroid rank must be normalized: f({}) = 0")
-    table = integer_row([value(frozenset(e for e in range(n) if mask >> e & 1))
-                         for mask in range(1 << n)])[0]
+    table = integer_row([empty, *values])[0]
     for size in range(n):
         for combo in combinations(range(n), size):
             t = sum(1 << e for e in combo)

@@ -53,6 +53,31 @@ class TestSolutionList:
                 SolutionList(dimension, [(0, 1)] if dimension != -1 else [])
         assert SolutionList(0, [()]).vectors == ((),)
 
+    def test_from_rows_matches_the_constructor(self):
+        # The parser's path skips the per-coordinate checks of rows that are
+        # already 0/1 ints; its result and its errors are the constructor's.
+        rng = random.Random(37)
+        for trial in range(300):
+            dim = rng.randint(-2, 6)
+            width = max(dim, 0)
+            rows = [tuple(rng.randint(0, 1) for _ in range(width))
+                    for _ in range(rng.randint(0, 8))]
+            rows += rng.sample(rows, min(len(rows), rng.randint(0, 3)))  # duplicates
+            if rows and rng.random() < 0.3:
+                i = rng.randrange(len(rows))
+                rows[i] = rows[i][:-1] if rows[i] and rng.random() < 0.5 else rows[i] + (1,)
+            rng.shuffle(rows)
+            try:
+                want = SolutionList(dim, rows)
+            except InvalidInstance as exc:
+                with pytest.raises(InvalidInstance) as got:
+                    SolutionList._from_rows(dim, rows)
+                assert str(got.value) == str(exc), trial
+                continue
+            got = SolutionList._from_rows(dim, rows)
+            assert (got.dimension, got.vectors) == (want.dimension, want.vectors), trial
+            assert got == want
+
     def test_from_strings_rejects_non_binary_characters(self):
         for strings in (["0a"], ["01", "2 "], ["1.0"]):
             with pytest.raises(InvalidInstance, match="expected a 0/1 string"):

@@ -155,16 +155,36 @@ PUBLIC = [
 ]
 
 
-def loaded_after(code: str) -> set[str]:
-    """The idsets modules a fresh interpreter holds after running `code`."""
+def fresh(code: str) -> list:
+    """Run `code` in a fresh interpreter importing idsets from src; the JSON
+    value its last line of stdout holds."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    report = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
-              "if m.split('.')[0] == 'idsets')))")
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str) -> set[str]:
+    """The idsets modules a fresh interpreter holds after running `code`."""
+    return set(fresh(f"{code}\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'idsets')))"))
+
+
+def executed_by(code: str) -> set[str]:
+    """The idsets modules whose bodies a fresh interpreter executes while it
+    runs `code`, read from the `exec` audit event each module body raises.
+    `sys.modules` cannot tell: it holds the lazily loaded modules before they
+    run. Nor can `-X importtime`, which lists no module that a LazyLoader
+    executes."""
+    ran = map(Path, fresh(
+        "import json, sys\nran = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec'"
+        " and ran.append(getattr(args[0], 'co_filename', '')))\n"
+        f"{code}\nprint(json.dumps(ran))"))
+    return {"idsets" if path.stem == "__init__" else f"idsets.{path.stem}"
+            for path in ran if path.parent == SRC / "idsets"}
 
 
 def test_bare_import_loads_only_the_package():
@@ -198,6 +218,41 @@ def test_flow_identify_loads_no_other_solver(tmp_path):
     assert "idsets.flows" in loaded
     assert not loaded & {f"idsets.{m}" for m in (
         "paths", "search", "explicit", "tolls", "instances")}
+
+
+LAZY = {"idsets.linear", "idsets.matroids", "idsets.polymatroids"}
+
+
+def test_cli_import_executes_the_modules_every_run_uses():
+    # The linear and (poly)matroid modules are registered but not executed.
+    assert executed_by("import idsets.cli") == {
+        "idsets", "idsets.caps", "idsets.cli", "idsets.errors", "idsets.graphs",
+        "idsets.io", "idsets.linalg"}
+
+
+@pytest.mark.parametrize("command, uses", [
+    ("flow-identify", set()),
+    ("path-exact", set()),
+    ("linear-identify", {"idsets.linear"}),
+    ("polymatroid-identify", {"idsets.matroids", "idsets.polymatroids"}),
+])
+def test_a_run_executes_the_lazy_modules_it_uses(tmp_path, command, uses):
+    triangle, basis = tmp_path / "triangle.json", tmp_path / "basis.json"
+    triangle.write_text(json.dumps({"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]],
+                                    "s": 0, "t": 2}))
+    basis.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 1], [0, 1, 1]]}))
+    argv = {
+        "flow-identify": ["flow-identify", str(triangle), "--verify", "0,1"],
+        "path-exact": ["path-exact", str(triangle)],
+        "linear-identify": ["linear-identify", "--basis", str(basis)],
+        "polymatroid-identify": ["polymatroid-identify", "--family", "coverage",
+                                 "--sets", "0,1;1;2"],
+    }[command]
+    executed = executed_by(
+        "import contextlib, io, idsets.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert idsets.cli.main({argv!r}) == 0")
+    assert executed & LAZY == uses
 
 
 def test_exported_names_are_pinned():
