@@ -52,19 +52,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-def _lazy(name: str):
-    """`idsets.<name>`, registered in `sys.modules` but compiled and executed
-    on its first attribute read (`importlib.util.LazyLoader`). A registered
-    module is returned as it is: `find_spec` would read its `__spec__`, and
-    that read executes a lazy module."""
-    import importlib.util
-    import sys
-    fullname = f"{__name__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module

@@ -7,8 +7,8 @@ exception that is not an `IdsetsError`, its traceback kept on stderr). Files
 and flag values are turned into domain objects by `idsets.io` only, each input
 file read once through the run's reader, whose bytes make up the summary's digest.
 The flow, path, explicit, toll and gen handlers import their own module;
-the linear and (poly)matroid modules are registered at import, as io
-registers its own, and execute on their first use.
+the linear and (poly)matroid modules are registered at import and execute
+on their first use.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import sys
 import time
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import _lazy, io
+from . import io
 from .caps import Caps
 from .errors import CapExceeded, IdsetsError, InvalidInstance
 from .graphs import WeightedGroundSet
@@ -35,6 +36,23 @@ EXIT_INTERNAL = 4
 
 Reader = Callable[[str], Any]
 
+
+def _lazy(name: str):
+    """`idsets.<name>`, registered in `sys.modules` but compiled and executed
+    on its first attribute read (`importlib.util.LazyLoader`). A registered
+    module is returned as it is: `find_spec` would read its `__spec__`, and
+    that read executes a lazy module."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Registered now, executed on first use: perfbench's tracer patches their classes.
 linear, matroids, polymatroids = map(_lazy, ("linear", "matroids", "polymatroids"))
 
 # The flags each --kind, --family and --mode value needs beyond argparse's own.

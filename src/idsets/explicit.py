@@ -20,15 +20,8 @@ from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance
-from .graphs import WeightedGroundSet, _integer, validate_ids, validate_weights
+from .graphs import WeightedGroundSet, _count, validate_ids, validate_weights
 from .search import first_collision, min_weight_hitting_set, pair_demands
-
-
-def _dimension(value: int) -> int:
-    dimension = _integer(value, "dimension")
-    if dimension < 0:
-        raise InvalidInstance(f"dimension must be >= 0, got {dimension}")
-    return dimension
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,7 @@ class SolutionList:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
-        dimension = _dimension(dimension)
+        dimension = _count(dimension, "dimension")
         vecs: list[tuple[int, ...]] = []
         try:
             for vec in vectors:
@@ -62,7 +55,7 @@ class SolutionList:
         """`SolutionList(dimension, rows)` for io.parse_solution_list's rows,
         each already a tuple of exact 0/1 ints: the dimension check, one length
         check over the rows, and the dedupe, without a per-coordinate check."""
-        dimension = _dimension(dimension)
+        dimension = _count(dimension, "dimension")
         if not set(map(len, rows)) <= {dimension}:
             raise InvalidInstance("vector length does not match dimension")
         return cls.__new__(cls)._keep(dimension, rows)

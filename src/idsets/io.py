@@ -14,15 +14,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from . import _lazy
 from .errors import InvalidInstance
 from .graphs import Digraph, StPair, WeightedGroundSet
-
-# Registered here, executed by their parsers: perfbench's tracer patches
-# AffineBasis.__init__ and PolymatroidOracle.__init__ after a workload's first
-# pass, and needs both modules in sys.modules by then.
-linear = _lazy("linear")
-polymatroids = _lazy("polymatroids")
 
 
 @contextmanager
@@ -201,17 +194,13 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     return g, st, WeightedGroundSet(weights)
 
 
-def instance_to_json(g: Digraph, st: StPair,
-                     w: WeightedGroundSet | None = None,
-                     metadata: dict | None = None) -> dict:
+def instance_to_json(g: Digraph, st: StPair, metadata: dict | None = None) -> dict:
     data: dict[str, Any] = {
         "nodes": g.node_count,
         "arcs": list(map(list, g.arcs)),
         "s": st.source,
         "t": st.sink,
     }
-    if w is not None:
-        data["weights"] = [fraction_to_json(w[e]) for e in range(w.size)]
     if metadata:
         data["metadata"] = metadata
     return data
@@ -273,10 +262,11 @@ def _bit(value: Any) -> int:
 
 def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
+    from .linear import AffineBasis
     with _reading("basis"):
         parse = _fraction_parser()
         points = [list(map(parse, p)) for p in data["points"]]
-    return linear.AffineBasis(points)
+    return AffineBasis(points)
 
 
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
@@ -284,11 +274,13 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
 
     Keys are comma-joined sorted element ids; every subset must be present.
     """
+    from .polymatroids import PolymatroidOracle
     with _reading("table"):
         size = int_from_json(data["size"])
-        table = {frozenset(parse_ids(key)): fraction_from_json(value)
+        parse = _fraction_parser()
+        table = {frozenset(parse_ids(key)): parse(value)
                  for key, value in data["values"].items()}
-    return polymatroids.PolymatroidOracle.from_table(size, table)
+    return PolymatroidOracle.from_table(size, table)
 
 
 def load_json(path: str, digest: Any) -> Any:

@@ -87,6 +87,9 @@ MALFORMED = [
      "expected a 0/1 string of length 2, got '011'"),
     ("target-digits", {"x": X2}, DISCRETE + ["--target", "012"],
      "expected a 0/1 string of length 2, got '012'"),
+    # The dimension is a count, refused with the message every count has.
+    ("solutions-negative-dim", {"x": {"dim": -1, "vectors": []}},
+     ["explicit-identify", "--solutions", "{x}"], "invalid input: dimension must be nonnegative"),
     ("solutions-half", {"x": {"dim": 2, "vectors": [[0.5, 1], [1, 0]]}},
      ["explicit-identify", "--solutions", "{x}"],
      "solution coordinates must be 0 or 1, got 0.5"),

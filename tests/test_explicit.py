@@ -53,6 +53,12 @@ class TestSolutionList:
                 SolutionList(dimension, [(0, 1)] if dimension != -1 else [])
         assert SolutionList(0, [()]).vectors == ((),)
 
+    def test_negative_dimension_is_refused_as_a_count(self):
+        # The rule and message of every count (node_count, size, ground_size).
+        for build in (SolutionList, SolutionList._from_rows):
+            with pytest.raises(InvalidInstance, match="^dimension must be nonnegative$"):
+                build(-1, [])
+
     def test_from_rows_matches_the_constructor(self):
         # The parser's path skips the per-coordinate checks of rows that are
         # already 0/1 ints; its result and its errors are the constructor's.

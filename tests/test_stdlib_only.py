@@ -7,6 +7,7 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -206,6 +207,51 @@ def test_perfbench_tracer_installs_after_the_cli_import():
     loaded_after(f"import sys; sys.path.insert(0, {str(perfbench)!r})\n"
                  "import idsets.cli\nfrom tracing import Tracer\n"
                  "tracer = Tracer(); tracer.install(); tracer.uninstall()")
+
+
+def test_io_import_loads_no_solver():
+    # The parsers import the linear and polymatroid modules in their bodies.
+    assert loaded_after("import idsets.io") == {
+        "idsets", "idsets.errors", "idsets.graphs", "idsets.io", "idsets.linalg"}
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name a source file defines, imports or reads, attributes included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_only_cli_registers_lazy_modules():
+    # The tracer's lazy registration lives in one module, so replacing the
+    # tracer (ROADMAP item 16) touches cli alone.
+    users = [path.name for path in SOURCES if identifiers(path) & {"_lazy", "LazyLoader"}]
+    assert users == ["cli.py"]
+
+
+@pytest.mark.parametrize("workload", ["search", "polytime"])
+def test_traced_benchmark_run_is_correct(tmp_path, workload):
+    # The registration exists for this run: its requests call no linear or
+    # polymatroid solver, and the tracer patches their classes after the
+    # first pass. A copy keeps the benchmark's output out of the checkout.
+    ignore = shutil.ignore_patterns("__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(SRC.parent / part, tmp_path / part, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
 
 
 def test_flow_identify_loads_no_other_solver(tmp_path):
