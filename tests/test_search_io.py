@@ -340,9 +340,10 @@ class TestInstanceRoundTrip:
     def test_full_cycle(self):
         g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         st = StPair(0, 2)
-        w = WeightedGroundSet(["1/2", 3, "7/3"])
+        raw = ["1/2", 3, "7/3"]
+        w = WeightedGroundSet(raw)
         data = json.loads(json.dumps(instance_to_json(g, st)))
-        data["weights"] = ["1/2", 3, "7/3"]
+        data["weights"] = raw
         g2, st2, w2 = parse_instance(data)
         assert g2.arcs == g.arcs and st2 == st
         assert [w2[i] for i in range(3)] == [w[i] for i in range(3)]
