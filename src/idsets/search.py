@@ -33,20 +33,26 @@ demand i of m (in that order) is bit m - 1 - i; `_cover_masks` reads id e's
 column as every (n + 3)-th character of the demands written as one string.
 `cover[e]` holds the demands that contain id e, and a node's unhit demands
 are one int: including e leaves `unhit & uncover[e]`, some unhit demand holds
-e when `unhit & cover[e]` is nonzero, the node is dead when an unhit demand
-lies outside the demands live at e (the OR of `cover[f]` over f >= e), and it
-is a leaf when `unhit` is 0. The bound packs the lowest unhit demand i first,
-read off the top bit as `masks[-cand.bit_length()]`. At depth e it keeps the
-demands sharing none of i's allowed ids and adds its lightest allowed weight;
-both depend only on the restricted demand `masks[i] & ~0 << e`, so one memo
-keyed by it holds them for the rest of the call. Complements are taken within
-the m bits (`full ^ x`) once, so no node negates an m-bit int or ANDs with a
-negative one, which CPython would copy.
-This packs the same demands in the same order as a walk over the demand
-list. The sum stops once it reaches the incumbent's weight and is skipped
-while there is no incumbent, which changes no decision, so every pruning
-decision and the nodes visited, counted against `max_states`, are those of
-that walk node for node.
+e when `unhit & cover[e]` is nonzero, and it is a leaf when `unhit` is 0. The
+demands holding no id >= e are those below 2^e, the top bits, so the node is
+dead when `unhit >= dead_from[e]`, one comparison. The bound packs the lowest
+unhit demand i first, read off the top bit as `masks[-cand.bit_length()]`. At
+depth e it keeps the demands sharing none of i's allowed ids and adds its
+lightest allowed weight; both depend only on the restricted demand
+`masks[i] & -1 << e`, so one memo keyed by it holds them for the rest of the
+call. Complements are taken within the m bits (`full ^ x`) once, so no node
+negates an m-bit int or ANDs with a negative one, which CPython would copy.
+
+Before the walk, the weight G of the greedy cover (every zero-weight id, then
+repeatedly the id in the most unhit demands per unit weight, ties to the
+smaller id) starts it as an incumbent of weight G + 1 with no set behind it:
+a node is pruned once its weight plus its bound exceeds G, and the first leaf
+replaces it. G >= OPT, so the answer is unchanged, and the walk prunes all
+that a walk with no starting incumbent would, so the nodes visited, counted
+against `max_states`, can only be fewer. The sum stops once it reaches the
+incumbent's weight, which changes no decision, so the walk packs the same
+demands in the same order as the walk over the demand list in the tests and
+visits its nodes node for node.
 
 The search adds and compares the integer weights `WeightedGroundSet.scaled`
 and divides by its `scale` once, for the reported weight.
@@ -54,6 +60,7 @@ and divides by its `scale` once, for the reported weight.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -92,19 +99,19 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
         raise ValueError("demands must be nonzero masks over range(n)")
     iw = w.scaled
     cover = _cover_masks(masks, n)
-    full = (1 << len(masks)) - 1
+    m = len(masks)
+    full = (1 << m) - 1
     uncover = [full ^ c for c in cover]
-    # dead[e]: the demands holding no id >= e (all of them at e = n).
-    dead = [full] * (n + 1)
-    live = 0
-    for e in range(n - 1, -1, -1):
-        live |= cover[e]
-        dead[e] = full ^ live
+    # The demands holding no id >= e are those below 2^e, the top bits: a
+    # node at e is dead when unhit >= dead_from[e] (1 << m when there are none).
+    dead_from = [1 << m - bisect_left(masks, 1 << e) for e in range(n + 1)]
     # packs[d]: (full ^ conflict, lightest) of the restricted demand d, built
     # the first time the bound packs a demand whose ids >= its depth are d.
     packs: dict[int, tuple[int, int]] = {}
 
-    best_weight: int | None = None
+    # The greedy cover's weight G bounds OPT, so G + 1 serves as an incumbent
+    # with no set behind it until the first leaf replaces it.
+    best_weight = _greedy_weight(cover, uncover, iw, full) + 1
     best_mask = 0
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
     stack: list[tuple[int, int, int, int]] = [(0, 0, 0, full)]
@@ -117,24 +124,24 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
             raise SubsetExplosion(
                 max_states, f"the exact hitting-set search visited {visited} nodes")
         if not unhit:
-            if best_weight is None or weight < best_weight:
+            if weight < best_weight:
                 best_weight, best_mask = weight, chosen
             continue
-        if unhit & dead[e]:
+        if unhit >= dead_from[e]:
             continue
-        if best_weight is not None:
-            # Prune when the packing bound reaches the incumbent's weight.
-            budget = best_weight - weight
-            cand = unhit
-            while cand and budget > 0:
-                d = masks[-cand.bit_length()] & ~0 << e
-                entry = packed(d)
-                if entry is None:
-                    entry = packs[d] = _pack_entry(d, cover, iw, full)
-                cand &= entry[0]
-                budget -= entry[1]
-            if budget <= 0:
-                continue
+        # Prune when the packing bound reaches the incumbent's weight.
+        budget = best_weight - weight
+        cand = unhit
+        allowed = -1 << e
+        while cand and budget > 0:
+            d = masks[-cand.bit_length()] & allowed
+            entry = packed(d)
+            if entry is None:
+                entry = packs[d] = _pack_entry(d, cover, iw, full)
+            cand &= entry[0]
+            budget -= entry[1]
+        if budget <= 0:
+            continue
         # Pushed exclude first, so that include is explored first.
         we = iw[e]
         if we:
@@ -144,6 +151,25 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
         push((e + 1, chosen | 1 << e, weight + we, unhit & uncover[e]))
     elems = tuple(e for e in range(n) if best_mask >> e & 1)
     return Fraction(best_weight, w.scale), elems
+
+
+def _greedy_weight(cover: list[int], uncover: list[int], iw: Sequence[int], full: int) -> int:
+    """Weight of the greedy cover: every zero-weight id, then repeatedly the id
+    hitting the most unhit demands per unit weight, ties to the smaller id."""
+    unhit = full
+    for e, we in enumerate(iw):
+        if not we:
+            unhit &= uncover[e]
+    total = 0
+    while unhit:
+        best, gain, cost = 0, 0, 1
+        for e, we in enumerate(iw):
+            g = (unhit & cover[e]).bit_count()
+            if g * cost > gain * we:
+                best, gain, cost = e, g, we
+        total += cost
+        unhit &= uncover[best]
+    return total
 
 
 def _cover_masks(masks: list[int], n: int) -> list[int]:

@@ -320,12 +320,15 @@ def subsets_in_weight_order(n: int, w: WeightedGroundSet, max_states: int = 2**2
 
 
 def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
-                                  max_states: int = 2**24) -> tuple[Fraction, tuple[int, ...]]:
+                                  max_states: int = 2**24, *, greedy_start: bool = True
+                                  ) -> tuple[Fraction, tuple[int, ...]]:
     """Cheapest S hitting every demand mask; ties break lexicographically.
 
     Reference walk for `idsets.search.min_weight_hitting_set`: each node
     filters and packs a list of demand masks, where the engine works on cover
     masks. Both must give the same answer after the same visited nodes.
+    The walk starts from the greedy cover's weight G, as if an incumbent of
+    weight G + 1 were known; `greedy_start=False` starts it with none.
 
     Demands must be nonzero masks over range(n). Raises SubsetExplosion
     when the search would visit more than max_states nodes.
@@ -344,7 +347,7 @@ def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterabl
         classes[we] = classes.get(we, 0) | (1 << e)
     by_weight = sorted(classes.items())
 
-    best_weight: int | None = None
+    best_weight = _greedy_cover_weight(n, iw, masks) + 1 if greedy_start else None
     best_mask = 0
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, masks)]
@@ -371,6 +374,24 @@ def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterabl
                           [d for d in unhit if not d & bit]))
     elems = tuple(e for e in range(n) if best_mask >> e & 1)
     return Fraction(best_weight, w.scale), elems
+
+
+def _greedy_cover_weight(n: int, iw: Sequence[int], masks: list[int]) -> int:
+    """Weight of the greedy cover of the demand list: every zero-weight id,
+    then repeatedly the id in the most unhit demands per unit weight, compared
+    by cross-multiplication, ties to the smaller id."""
+    zero = sum(1 << e for e in range(n) if not iw[e])
+    unhit = [d for d in masks if not d & zero]
+    total = 0
+    while unhit:
+        best = None
+        for e in range(n):
+            gain = sum(1 for d in unhit if d >> e & 1)
+            if gain and (best is None or gain * iw[best] > best_gain * iw[e]):
+                best, best_gain = e, gain
+        total += iw[best]
+        unhit = [d for d in unhit if not d >> best & 1]
+    return total
 
 
 def _packing_bound(unhit: list[int], allowed: int,

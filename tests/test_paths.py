@@ -229,6 +229,15 @@ class TestExactMinimum:
             exact_min_path_identifying(inst.graph, inst.st,
                                        caps=Caps(max_subsets=5))
 
+    def test_greedy_start_fits_under_a_smaller_cap(self):
+        # Started from the greedy cover's weight, the search visits 122 nodes
+        # at k = 8; with no starting incumbent it visited 2,225.
+        inst = gen_tight_gap_family(8)
+        capped = exact_min_path_identifying(inst.graph, inst.st, caps=Caps(max_subsets=200))
+        result = exact_min_path_identifying(inst.graph, inst.st)
+        assert capped.identifying_set == result.identifying_set
+        assert len(result.identifying_set) == 8
+
 
 class TestApprox:
     def test_gap_family_k3_ratio_two(self):

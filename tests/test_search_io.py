@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import random
 from fractions import Fraction
@@ -198,6 +199,18 @@ class TestEngineMatchesListWalk:
         for _ in range(20):
             self.assert_same_walk(n, WeightedGroundSet([rng.randint(1, 3) for _ in range(n)]),
                                   demands)
+
+
+class TestGreedyStartOnlyPrunes(TestEngineMatchesListWalk):
+    """Starting the list walk from the greedy cover's weight keeps every
+    `(weight, elems)` and visits no more nodes than starting it with no
+    incumbent, on each input of the engine's comparison above."""
+
+    def assert_same_walk(self, n, w, demands):
+        plain = functools.partial(oracle_min_weight_hitting_set, greedy_start=False)
+        visited = visited_nodes(plain, n, w, demands)
+        assert (oracle_min_weight_hitting_set(n, w, demands, visited)
+                == plain(n, w, demands)), (w.weights, demands)
 
 
 class TestCoverMasks:
