@@ -154,13 +154,10 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
 
 
 def _greedy_weight(cover: list[int], uncover: list[int], iw: Sequence[int], full: int) -> int:
-    """Weight of the greedy cover: every zero-weight id, then repeatedly the id
-    hitting the most unhit demands per unit weight, ties to the smaller id."""
-    unhit = full
-    for e, we in enumerate(iw):
-        if not we:
-            unhit &= uncover[e]
-    total = 0
+    """Weight of the greedy cover: repeatedly the id hitting the most unhit
+    demands per unit weight, ties to the smaller id. The ratios are compared
+    cross-multiplied, so a zero-weight id that hits any beats every other."""
+    unhit, total = full, 0
     while unhit:
         best, gain, cost = 0, 0, 1
         for e, we in enumerate(iw):
