@@ -10,8 +10,11 @@ order in a file defines the arc ids.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import InvalidInstance
@@ -46,23 +49,27 @@ def fraction_from_json(value: Any) -> Fraction:
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
-def _fraction_parser() -> Callable[[Any], Fraction]:
-    """`fraction_from_json` that parses each distinct token once per parser.
-    The memo key holds the token's type, so a JSON true never reuses the
-    Fraction of 1; an unhashable token goes straight to the refusal."""
-    parsed: dict[tuple[type, Any], Fraction] = {}
-
-    def parse(value: Any) -> Fraction:
-        key = (type(value), value)
-        try:
-            fraction = parsed.get(key)
-        except TypeError:
-            return fraction_from_json(value)
-        if fraction is None:
-            fraction = parsed[key] = fraction_from_json(value)
-        return fraction
-
-    return parse
+def _fraction_lookup(tokens: Iterable) -> Callable[[Any], Fraction]:
+    """How a reader of rationals parses `tokens`. When every token is exactly
+    a str or int, the lookup in a table holding `fraction_from_json` of each
+    distinct token, parsed once in first-seen order; the caller maps its
+    tokens through it in C. Any other token can only be refused, so then,
+    and when the table meets a refusal or the tokens cannot be listed, it is
+    `fraction_from_json` itself: the caller reads token by token and meets
+    the first refusal, with its message, where it always did."""
+    try:
+        tokens = list(tokens)
+    except TypeError:
+        return fraction_from_json
+    if not set(map(type, tokens)) <= {str, int}:
+        return fraction_from_json
+    table = dict.fromkeys(tokens)
+    try:
+        for token in table:
+            table[token] = fraction_from_json(token)
+    except InvalidInstance:
+        return fraction_from_json
+    return table.__getitem__
 
 
 def int_from_json(value: Any) -> int:
@@ -102,7 +109,8 @@ def fractions_to_json(values: Iterable[Fraction]) -> list[str]:
 
 def parse_rationals(raw: str) -> list[Fraction]:
     """Comma rationals, e.g. "3/4,1/4"."""
-    return list(map(_fraction_parser(), raw.split(",")))
+    tokens = raw.split(",")
+    return list(map(_fraction_lookup(tokens), tokens))
 
 
 def parse_ids(raw: str) -> list[int]:
@@ -184,7 +192,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     with _reading("instance"):
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
-        weights = None if raw is None else list(map(_fraction_parser(), raw))
+        weights = None if raw is None else list(map(_fraction_lookup(raw), raw))
     st = StPair(source, sink)
     st.validate(g)
     if weights is None:
@@ -210,7 +218,7 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = data["weights"] if isinstance(data, dict) else data
-        weights = list(map(_fraction_parser(), raw))
+        weights = list(map(_fraction_lookup(raw), raw))
     if len(weights) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(weights)}")
     return WeightedGroundSet(weights)
@@ -264,8 +272,9 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
     from .linear import AffineBasis
     with _reading("basis"):
-        parse = _fraction_parser()
-        points = [list(map(parse, p)) for p in data["points"]]
+        raw = data["points"]
+        parse = _fraction_lookup(chain.from_iterable(raw))
+        points = [list(map(parse, p)) for p in raw]
     return AffineBasis(points)
 
 
@@ -273,14 +282,20 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     """Format: {"size": n, "values": {"": "0", "0": ..., "0,2": ...}}.
 
     Keys are comma-joined sorted element ids; every subset must be present.
+    A key of ASCII digits and commas alone skips `parse_ids`.
     """
     from .polymatroids import PolymatroidOracle
     with _reading("table"):
         size = int_from_json(data["size"])
-        parse = _fraction_parser()
-        table = {frozenset(parse_ids(key)): parse(value)
-                 for key, value in data["values"].items()}
+        entries = data["values"].items()
+        parse = _fraction_lookup(map(itemgetter(1), entries))
+        table = {frozenset(map(int, key.split(",")) if type(key) is str and _ID_KEY(key)
+                           else parse_ids(key)): parse(value)
+                 for key, value in entries}
     return PolymatroidOracle.from_table(size, table)
+
+
+_ID_KEY = re.compile(r"\d+(?:,\d+)*", re.ASCII).fullmatch
 
 
 def load_json(path: str, digest: Any) -> Any:

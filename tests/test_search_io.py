@@ -342,6 +342,58 @@ class TestBoundaryParsers:
             text = [str(v) for v in raw]
             assert parse_rationals(",".join(text)) == [fraction_from_json(v) for v in text]
 
+    def test_each_reader_parses_each_distinct_token_once(self, monkeypatch):
+        # One fraction_from_json per distinct token, in first-seen order:
+        # one table across all the points of a basis, and across the values
+        # of a polymatroid table.
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return fraction_from_json(value)
+
+        monkeypatch.setattr("idsets.io.fraction_from_json", counted)
+        raw = ["1/2", 3, "1/2", "0", 3, "0", "7/3"]
+        instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1, "weights": raw}
+        points = [["1/2", 3], [3, "1/2"], ["0", "1/2"]]
+        table = {"": "0", "0": "1/2", "1": "1/2", "0,1": 1}
+        readers = [(lambda: parse_rationals("1/2,3,1/2,0,3"), ["1/2", "3", "0"]),
+                   (lambda: parse_weights(raw, len(raw)), ["1/2", 3, "0", "7/3"]),
+                   (lambda: parse_instance(instance), ["1/2", 3, "0", "7/3"]),
+                   (lambda: parse_affine_basis({"points": points}), ["1/2", 3, "0"]),
+                   (lambda: parse_polymatroid_table({"size": 2, "values": table}),
+                    ["0", "1/2", 1])]
+        for read, distinct in readers:
+            calls.clear()
+            read()
+            assert calls == distinct
+
+    def test_the_first_of_two_malformed_tokens_is_named(self):
+        for raw, first in ((["1", "x", "2", "y"], "x"), (["y", "1", "x", "y"], "y")):
+            instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1,
+                        "weights": raw}
+            values = dict(zip(["", "0", "1", "0,1"], raw))
+            for read in (lambda: parse_rationals(",".join(raw)),
+                         lambda: parse_weights(raw, len(raw)),
+                         lambda: parse_instance(instance),
+                         lambda: parse_affine_basis({"points": [raw[:2], raw[2:]]}),
+                         lambda: parse_polymatroid_table({"size": 2, "values": values})):
+                with pytest.raises(InvalidInstance) as got:
+                    read()
+                assert str(got.value) == f"cannot parse rational from {first!r}"
+
+    def test_table_keys_read_as_ids(self):
+        # Digits and commas alone skip parse_ids; every other spelling still
+        # goes through it, with its refusals.
+        values = {"": "0", "1": "1", "0,1": "2"}
+        for key in ("0", "00", " 0", "0 "):
+            oracle = parse_polymatroid_table({"size": 2, "values": {key: "1", **values}})
+            assert oracle.value(frozenset({0, 1})) == 2
+        for key, bad in (("0,,1", "''"), ("-1", "'-1'"), ("0,x", "'x'"), ("\uff10", "'\uff10'")):
+            with pytest.raises(InvalidInstance) as got:
+                parse_polymatroid_table({"size": 2, "values": {key: "1", **values}})
+            assert str(got.value) == f"malformed id list {key!r}: {bad} is not a decimal id"
+
     def test_flow_texts_once_per_object(self):
         shared = [Fraction(k, 7) for k in range(4)]
         values = [shared[k % 4] for k in range(50)] + [Fraction(2, 7), Fraction(3)]
