@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstance
@@ -44,8 +45,9 @@ class AffineBasis:
         object.__setattr__(self, "integer_rows", rows)
         object.__setattr__(self, "_x0", x0)
         object.__setattr__(self, "_scales", tuple(s for _, s in ints))
-        object.__setattr__(self, "_echelon", echelon(rows, reduced=False)[0])
-        if len(self._echelon) != self.hull_dimension:
+        stored, pivots = echelon(rows, reduced=False)
+        object.__setattr__(self, "_echelon", tuple(zip(stored, pivots)))
+        if len(pivots) != self.hull_dimension:
             raise InvalidInstance("basis points are not affinely independent")
 
     @property
@@ -59,13 +61,21 @@ class AffineBasis:
 
     def contains(self, target: Sequence) -> bool:
         """True iff the target lies in the affine hull: target - x0, scaled to
-        integers, adds no pivot to the stored echelon rows of D."""
+        integers, reduces to zero against the stored echelon rows of D, one
+        cross-multiplication from each pivot column where it is nonzero."""
         tgt = as_vector(target)
         if len(tgt) != self.ground_size:
             raise InvalidInstance("target has the wrong dimension")
         t, t_scale = integer_row(tgt)
         shift = [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
-        return len(echelon([*self._echelon, shift], reduced=False)[1]) == self.hull_dimension
+        for row, c in self._echelon:
+            q = shift[c]
+            if q:
+                p = row[c]
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                shift[c:] = [a * x - b * y for x, y in zip(shift[c:], row[c:])]
+        return not any(shift)
 
 
 def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
@@ -83,7 +93,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     """
     n = basis.ground_size
     w = validate_weights(n, w)
-    order = sorted(range(n), key=lambda e: (w.scaled[e], -e))
+    order = sorted(range(n - 1, -1, -1), key=w.scaled.__getitem__)
     _, pivots = echelon(_columns(basis.integer_rows, order), reduced=False)
     return frozenset(order[c] for c in pivots)
 
