@@ -168,9 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args: argparse.Namespace) -> Caps:
-    flags = {name: getattr(args, name, None) for name in ("max_paths", "max_subsets")}
-    return dataclasses.replace(Caps.from_env(),
-                               **{name: v for name, v in flags.items() if v is not None})
+    """The environment's caps, with each cap flag given in its place."""
+    caps = Caps.from_env()
+    flags = {name: v for name in ("max_paths", "max_subsets")
+             if (v := getattr(args, name, None)) is not None}
+    return dataclasses.replace(caps, **flags) if flags else caps
 
 
 def _weights(args, size: int, read: Reader) -> WeightedGroundSet:
