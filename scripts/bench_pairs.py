@@ -10,9 +10,13 @@ no run sees another's `__pycache__` or `.perfbench`. Pair i runs the parent
 first when i is even and the change first when it is odd. Progress goes to
 stderr. stdout gets one JSON object: `runs`, one record per run holding the
 two final lines the harness prints (`context` and `result`), and `summary`,
-per metric each side's median and interquartile range (inclusive quartiles)
-and the number of pairs in which the change read lower (ties count for
-neither side).
+per metric each side's median and interquartile range (inclusive quartiles),
+the number of pairs in which the change read lower (ties count for neither
+side), `claim_met` (lower in at least 9 of 10 pairs, and the change median
+below the parent's by more than the parent IQR) and `regressed` (the change
+median worse than the parent's by more than the metric's relative `bound`
+in BENCHMARK.json, which the script only reads; false for a metric without
+one).
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Medians, IQRs and change-lower counts per metric over the complete
-    pairs of `runs`, plus whether every run was correct and its failures."""
+    """Medians, IQRs, change-lower counts, `claim_met` and `regressed` per
+    metric over the complete pairs of `runs`, plus whether every run was
+    correct and its failures."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     sides: dict[int, dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
@@ -41,12 +48,19 @@ def summarize(runs: list[dict]) -> dict:
     for name in pairs[0]["parent"] if pairs else ():
         parent = [p["parent"][name]["value"] for p in pairs]
         change = [p["change"][name]["value"] for p in pairs]
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        lower = sum(c < p for p, c in zip(parent, change))
+        better, bound = bounds.get(name, ("lower", None))
+        worse = change_median - parent_median if better == "lower" else parent_median - change_median
         summary[name] = {
-            "parent_median": round(statistics.median(parent), 5),
-            "change_median": round(statistics.median(change), 5),
+            "parent_median": round(parent_median, 5),
+            "change_median": round(change_median, 5),
             "parent_iqr": _iqr(parent),
             "change_iqr": _iqr(change),
-            "change_lower_in_pairs": f"{sum(c < p for p, c in zip(parent, change))}/{len(pairs)}",
+            "change_lower_in_pairs": f"{lower}/{len(pairs)}",
+            "claim_met": 10 * lower >= 9 * len(pairs)
+            and parent_median - change_median > _iqr(parent),
+            "regressed": bound is not None and worse > bound * abs(parent_median),
         }
     summary["correct_all"] = all(r["result"] is not None and r["result"]["correct"]
                                  for r in runs)

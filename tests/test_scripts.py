@@ -54,7 +54,7 @@ class TestBenchPairsSummary:
         assert summary["pass_s"] == {
             "parent_median": 0.0115, "change_median": 0.0085,
             "parent_iqr": 0.00175, "change_iqr": 0.00225,
-            "change_lower_in_pairs": "3/4",
+            "change_lower_in_pairs": "3/4", "claim_met": False, "regressed": False,
         }
         # Pair 0 ties at 2.0 ms and counts for neither side.
         assert summary["req_tail_ms"]["change_lower_in_pairs"] == "3/4"
@@ -70,3 +70,22 @@ class TestBenchPairsSummary:
         assert summary["pass_s"]["change_lower_in_pairs"] == "1/1"
         assert summary["pass_s"]["parent_iqr"] == 0.0
         assert summary["correct_all"] is False and summary["failed_total"] == 2
+
+    def test_claim_met_and_regressed(self):
+        # pass_s: lower in 10/10 pairs, medians 0.002 apart against a parent
+        # IQR of 0.001. req_tail_ms: a median of 1.3 against 1.0 is worse by
+        # more than its relative bound of 0.2 in BENCHMARK.json.
+        runs = [run for pair in range(10)
+                for run in (canned_run(pair, "parent", 0.010 + pair % 2 * 0.001, 1.0),
+                            canned_run(pair, "change", 0.008 + pair % 2 * 0.001, 1.3))]
+        summary = self.summarize(runs)
+        assert summary["pass_s"] == {
+            "parent_median": 0.0105, "change_median": 0.0085,
+            "parent_iqr": 0.001, "change_iqr": 0.001,
+            "change_lower_in_pairs": "10/10", "claim_met": True, "regressed": False,
+        }
+        assert summary["req_tail_ms"]["claim_met"] is False
+        assert summary["req_tail_ms"]["regressed"] is True
+        assert list(summary["req_tail_ms"]) == [
+            "parent_median", "change_median", "parent_iqr", "change_iqr",
+            "change_lower_in_pairs", "claim_met", "regressed"]
