@@ -278,6 +278,9 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     return AffineBasis(points)
 
 
+_ID_KEY = re.compile(r"\d+(?:,\d+)*", re.ASCII).fullmatch
+
+
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     """Format: {"size": n, "values": {"": "0", "0": ..., "0,2": ...}}.
 
@@ -293,9 +296,6 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
                            else parse_ids(key)): parse(value)
                  for key, value in entries}
     return PolymatroidOracle.from_table(size, table)
-
-
-_ID_KEY = re.compile(r"\d+(?:,\d+)*", re.ASCII).fullmatch
 
 
 def load_json(path: str, digest: Any) -> Any:
