@@ -274,7 +274,7 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     with _reading("basis"):
         raw = data["points"]
         parse = _fraction_lookup(chain.from_iterable(raw))
-        points = [list(map(parse, p)) for p in raw]
+        points = [tuple(map(parse, p)) for p in raw]
     return AffineBasis(points)
 
 

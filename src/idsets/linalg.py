@@ -37,9 +37,9 @@ def exact(value: Any) -> Fraction:
 def as_vector(values: Sequence) -> Vector:
     """Each value through `exact`; InvalidInstance for values it cannot
     iterate, and for a string, which would iterate as one value per character.
-    A tuple or list of values that are all exactly Fraction skips `exact`."""
-    if type(values) in (tuple, list) and set(map(type, values)) <= {Fraction}:
-        return tuple(values)
+    A tuple whose items are all exactly Fraction is returned as it is."""
+    if type(values) is tuple and set(map(type, values)) <= {Fraction}:
+        return values
     if isinstance(values, str):
         raise InvalidInstance(f"not an exact rational vector: {values!r} is a string")
     try:
