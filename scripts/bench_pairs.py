@@ -51,7 +51,7 @@ def summarize(runs: list[dict]) -> dict:
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         lower = sum(c < p for p, c in zip(parent, change))
         better, bound = bounds.get(name, ("lower", None))
-        worse = change_median - parent_median if better == "lower" else parent_median - change_median
+        worse = (change_median - parent_median) * (1 if better == "lower" else -1)
         summary[name] = {
             "parent_median": round(parent_median, 5),
             "change_median": round(change_median, 5),

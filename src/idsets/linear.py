@@ -68,6 +68,7 @@ class AffineBasis:
             raise InvalidInstance("target has the wrong dimension")
         t, t_scale = integer_row(tgt)
         shift = [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
+        # Entries left of c are not rescaled: only whether they are zero is read.
         for row, c in self._echelon:
             q = shift[c]
             if q:
@@ -93,6 +94,7 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     """
     n = basis.ground_size
     w = validate_weights(n, w)
+    # The sort is stable, so ids of equal weight keep this descending order.
     order = sorted(range(n - 1, -1, -1), key=w.scaled.__getitem__)
     _, pivots = echelon(_columns(basis.integer_rows, order), reduced=False)
     return frozenset(order[c] for c in pivots)
