@@ -384,14 +384,15 @@ class TestBoundaryParsers:
 
     def test_table_keys_read_as_ids(self):
         # Digits and commas alone skip parse_ids; every other spelling still
-        # goes through it, with its refusals.
+        # goes through it, with its refusals, which come before that of a
+        # malformed value in a later entry.
         values = {"": "0", "1": "1", "0,1": "2"}
         for key in ("0", "00", " 0", "0 "):
             oracle = parse_polymatroid_table({"size": 2, "values": {key: "1", **values}})
             assert oracle.value(frozenset({0, 1})) == 2
         for key, bad in (("0,,1", "''"), ("-1", "'-1'"), ("0,x", "'x'"), ("\uff10", "'\uff10'")):
             with pytest.raises(InvalidInstance) as got:
-                parse_polymatroid_table({"size": 2, "values": {key: "1", **values}})
+                parse_polymatroid_table({"size": 2, "values": {key: "1", **values, "1": "x"}})
             assert str(got.value) == f"malformed id list {key!r}: {bad} is not a decimal id"
 
     def test_flow_texts_once_per_object(self):
