@@ -53,26 +53,10 @@ class FlowWitness:
     flow_b: FlowVector
 
 
-def _st_marks(g: Digraph, st: StPair) -> tuple[bytearray, bytearray]:
-    """`reach_marks` from s and into t; NoStPath when s does not reach t."""
-    st.validate(g)
-    from_s = reach_marks(g, st.source)
-    if not from_s[st.sink]:
-        raise NoStPath(f"no path from {st.source} to {st.sink}")
-    return from_s, reach_marks(g, st.sink, follow="in")
-
-
-def st_walk_arcs(g: Digraph, st: StPair) -> frozenset[int]:
-    """Arcs (v, w) with v reachable from s and t reachable from w: the arcs
-    of s-t walks. In a DAG every walk is a path, so these are exactly the
-    arcs on some s-t path. Raises NoStPath when s does not reach t."""
-    from_s, to_t = _st_marks(g, st)
-    return frozenset(aid for aid, (tail, head) in enumerate(zip(g.tails, g.heads))
-                     if from_s[tail] and to_t[head])
-
-
 def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
-    """Arcs on some directed cycle or some s-t path (the support union of all flows).
+    """E': arcs on some directed cycle or some s-t path (the support union of
+    all flows). The DAG path verifier prunes to E', the arcs of s-t paths on
+    a DAG.
 
     Call the nodes that s reaches and that reach t the core. An arc on an s-t
     walk has both ends in the core, and is on an s-t path; a directed cycle
@@ -80,10 +64,15 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     arcs. So E' is the arcs inside the core plus the arcs inside a strongly
     connected component of the other nodes: Kosaraju runs on those alone,
     and the core shares one label, so E' is the arcs whose ends' labels match.
+    Raises NoStPath when s does not reach t.
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in flow settings")
-    from_s, to_t = _st_marks(g, st)
+    st.validate(g)
+    from_s = reach_marks(g, st.source)
+    if not from_s[st.sink]:
+        raise NoStPath(f"no path from {st.source} to {st.sink}")
+    to_t = reach_marks(g, st.sink, follow="in")
     label = _kosaraju(g, bytes(map(and_, from_s, to_t))).__getitem__
     return frozenset(compress(range(g.arc_count), map(
         eq, map(label, g.tails), map(label, g.heads))))

@@ -13,7 +13,6 @@ the membership-only reachability of the s-t solvers with one flat mark per node.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -368,7 +367,7 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for aid in out[v] if follow == "out" else heapq.merge(out[v], inc[v]):
+        for aid in out[v] if follow == "out" else sorted((*out[v], *inc[v])):
             if allowed is not None and aid not in allowed:
                 continue
             w = heads[aid] if tails[aid] == v else tails[aid]

@@ -47,6 +47,9 @@ class MatroidOracle:
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
                  name: str = "custom"):
         self.ground_size = _count(ground_size, "ground_size")
+        if not callable(is_independent):
+            raise InvalidInstance("is_independent must be callable, "
+                                  f"got {type(is_independent).__name__}")
         self.name = name
         self._components: Callable[[], Iterable[frozenset[int]]] | None = None
         self._fn = is_independent

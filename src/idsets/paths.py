@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import InvalidInstance
-from .flows import min_weight_flow_identifying, st_walk_arcs
+from .flows import min_weight_flow_identifying, relevant_arcs
 from .graphs import (
     Digraph,
     StPair,
@@ -53,9 +53,10 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
                                 s: Iterable[int]) -> tuple[bool, PathWitness | None]:
     """DAG-only polynomial verification.
 
-    After pruning to arcs on s-t paths, S is identifying iff for every node v
-    the non-S arcs whose tail is reachable from v form an arborescence rooted
-    at v, i.e. no node acquires in-degree two within that arc set. One sweep in
+    Prunes to E', the arcs of s-t paths on a DAG (`relevant_arcs`); then S
+    is identifying iff for every node v the non-S arcs whose tail is
+    reachable from v form an arborescence rooted at v, i.e. no node acquires
+    in-degree two within that arc set. One sweep in
     topological order decides every v: reach[w] is the bitmask of the nodes
     reaching w over those arcs, and `bad` gets each v that reaches the tails of
     two in-arcs of one node. reach[w] is kept only while w has an unswept
@@ -67,7 +68,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
         raise InvalidInstance("self-loops are not allowed in path settings")
     order = topological_order(g)
     s_set = validate_ids(g.arc_count, s)
-    keep_arcs = st_walk_arcs(g, st)
+    keep_arcs = relevant_arcs(g, st)
     allowed = keep_arcs - s_set
     tails, inc = g.tails, g.in_arcs()
     reach, bad, out_left = [0] * g.node_count, 0, [0] * g.node_count

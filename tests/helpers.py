@@ -30,7 +30,6 @@ from idsets.errors import (
     SubsetExplosion,
 )
 from idsets.explicit import SolutionList
-from idsets.flows import st_walk_arcs
 from idsets.graphs import (
     Digraph,
     StPair,
@@ -119,26 +118,6 @@ def oracle_relevant_arcs(g: Digraph, st: StPair) -> set[int]:
     return set().union(*oracle_enumerate_paths(g, st), *oracle_directed_cycles(g))
 
 
-def oracle_st_walk_arcs(g: Digraph, st: StPair) -> set[int]:
-    """The arcs of s-t walks, from paths and cycles alone. A walk is an s-t
-    path with directed cycles hung on it, each meeting the path or an earlier
-    cycle; so start from the path arcs and add every cycle that meets a node
-    already covered, until none does."""
-    arcs = set().union(*oracle_enumerate_paths(g, st))
-    nodes = {end for aid in arcs for end in g.arcs[aid]}
-    pending = oracle_directed_cycles(g)
-    grown = True
-    while grown:
-        grown = False
-        for cycle in pending:
-            if any(g.arcs[aid][0] in nodes for aid in cycle):
-                arcs.update(cycle)
-                nodes.update(g.arcs[aid][0] for aid in cycle)
-                grown = True
-        pending = [c for c in pending if not set(c) <= arcs]
-    return arcs
-
-
 def oracle_reachable_from(g: Digraph, start: int, allowed=None) -> set[int]:
     """Reference forward reach: DFS over adjacency rebuilt from `allowed`."""
     allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
@@ -210,8 +189,9 @@ def oracle_verify_path_dag(g: Digraph, st: StPair, s) -> tuple[bool, PathWitness
     """The DAG path verifier in its per-tail form: for each tail v of an
     allowed arc (an s-t path arc outside S), ascending, one BFS tree of v over
     the allowed arcs and one scan of them in id order; the first arc into a
-    node already entered from the tree gives the witness. O(n*m)."""
-    keep_arcs = st_walk_arcs(g, st)
+    node already entered from the tree gives the witness. O(n*m). The arcs
+    of s-t paths come from the reference enumerator."""
+    keep_arcs = frozenset().union(*oracle_enumerate_paths(g, st))
     allowed = sorted(keep_arcs - set(s))
     allowed_set = frozenset(allowed)
     for v in sorted({g.tails[aid] for aid in allowed}):

@@ -11,7 +11,6 @@ from idsets.errors import NoStPath
 from idsets.flows import (
     min_weight_flow_identifying,
     relevant_arcs,
-    st_walk_arcs,
     verify_flow_identifying,
 )
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
@@ -24,9 +23,11 @@ from .helpers import (
     has_st_path,
     oracle_enumerate_paths,
     oracle_relevant_arcs,
-    oracle_st_walk_arcs,
+    oracle_reachable_from,
+    oracle_reverse_reachable_to,
     oracle_undirected_acyclic,
     random_weights,
+    seeded_dags,
     seeded_multigraphs,
 )
 
@@ -78,26 +79,45 @@ def multigraphs_with_stray_cycles(count: int, seed: int):
 
 
 class TestArcSetsMatchPathsAndCycles:
-    """E' and the s-t walk arcs against the paths and cycles they are defined by."""
+    """E' against the paths and cycles it is defined by."""
 
     def test_seeded_multigraphs(self):
-        counts = {"st": 0, "off_core_cycle": 0, "walk_cycle": 0, "parallel": 0}
+        counts = {"st": 0, "off_core_cycle": 0, "parallel": 0}
         for g, st in multigraphs_with_stray_cycles(2_200, seed=83):
             if not has_st_path(g, st):
-                for solver in (relevant_arcs, st_walk_arcs):
-                    with pytest.raises(NoStPath):
-                        solver(g, st)
+                with pytest.raises(NoStPath):
+                    relevant_arcs(g, st)
                 continue
-            relevant, walk = relevant_arcs(g, st), st_walk_arcs(g, st)
+            relevant = relevant_arcs(g, st)
             assert relevant == oracle_relevant_arcs(g, st)
-            assert walk == oracle_st_walk_arcs(g, st)
             counts["st"] += 1
-            # A cycle off the s-t core, a cycle on an s-t walk, a parallel pair.
-            counts["off_core_cycle"] += relevant != walk
-            counts["walk_cycle"] += walk != set().union(*oracle_enumerate_paths(g, st))
+            # A cycle off the s-t core (an E' arc whose tail s does not
+            # reach or that does not reach t), a parallel pair.
+            core = oracle_reachable_from(g, st.source) & oracle_reverse_reachable_to(g, st.sink)
+            counts["off_core_cycle"] += any(g.tails[a] not in core for a in relevant)
             counts["parallel"] += len(set(g.arcs)) < g.arc_count
         assert counts["st"] >= 1_000, counts
         assert min(counts.values()) >= 100, counts
+
+
+class TestDagArcSetIsThePathArcs:
+    """On a DAG, E' is the arcs of s-t paths: the set the DAG path verifier
+    prunes to."""
+
+    def test_seeded_dags(self):
+        rng = random.Random(11)
+        count = parallel = dangling = 0
+        for g, st in seeded_dags(900, seed=97, max_nodes=8):
+            if not has_st_path(g, st):
+                continue
+            arcs = list(g.arcs) + [a for a in g.arcs if rng.random() < 0.25]
+            g = Digraph(g.node_count, rng.sample(arcs, len(arcs)))
+            path_arcs = set().union(*oracle_enumerate_paths(g, st))
+            assert relevant_arcs(g, st) == path_arcs
+            count += 1
+            parallel += len(set(g.arcs)) < g.arc_count
+            dangling += len(path_arcs) < g.arc_count
+        assert count >= 500 and parallel >= 500 and dangling >= 500, (count, parallel, dangling)
 
 
 class TestMinWeightFlowIdentifying:

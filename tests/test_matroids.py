@@ -148,6 +148,10 @@ class TestBuiltins:
         with pytest.raises(InvalidInstance, match=f"^ground_size {message}$"):
             MatroidOracle(ground_size, lambda t: True)
 
+    def test_is_independent_must_be_callable(self):
+        with pytest.raises(InvalidInstance, match="^is_independent must be callable, got int$"):
+            matroid_components(MatroidOracle(3, 5))
+
     def test_construction_asks_the_oracle_nothing(self):
         # Built-in matroids are exact by construction: no axiom sampling.
         g = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
