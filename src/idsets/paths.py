@@ -56,8 +56,8 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     Prunes to E', the arcs of s-t paths on a DAG (`relevant_arcs`); then S
     is identifying iff for every node v the non-S arcs whose tail is
     reachable from v form an arborescence rooted at v, i.e. no node acquires
-    in-degree two within that arc set. One sweep in
-    topological order decides every v: reach[w] is the bitmask of the nodes
+    in-degree two within that arc set. One sweep in topological order
+    decides every v: reach[w] is the bitmask of the nodes
     reaching w over those arcs, and `bad` gets each v that reaches the tails of
     two in-arcs of one node. reach[w] is kept only while w has an unswept
     out-arc among them, so the live masks are those of one topological cut,
