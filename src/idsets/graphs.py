@@ -144,49 +144,43 @@ class StPair:
 
 
 class WeightedGroundSet:
-    """Nonnegative rational weight per element id, kept twice: `weights`
-    holds the Fractions as given, and `scaled` one int per element, the
-    weight times `scale`, the lcm of the denominators. Solvers compare and
-    add the ints; a Fraction is built again only for a reported total.
-    """
+    """Nonnegative rational weight per element id, kept once: `scaled` holds
+    the weight times `scale`, the lcm of the denominators, one int per
+    element. Solvers compare and add the ints; `w[e]` and `total` build a
+    Fraction for a reported weight. A string is refused, not read per digit."""
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         # One pass converts, sign-checks and splits each weight. A Fraction,
         # all that the parsers hand over, skips the call to `exact`.
-        fractions: list[Fraction] = []
-        numerators: list[int] = []
-        denominators: set[int] = set()
+        if isinstance(weights, str):
+            raise InvalidInstance(f"weights must be a sequence, not the string {weights!r}")
+        numerators, denominators = [], []
         try:
             for i, value in enumerate(weights):
-                w = value if type(value) is Fraction else exact(value)
-                num, den = w.as_integer_ratio()
+                num, den = (value if type(value) is Fraction else exact(value)).as_integer_ratio()
                 if num < 0:
                     raise InvalidInstance(f"negative weight at element {i}")
-                fractions.append(w)
                 numerators.append(num)
-                denominators.add(den)
+                denominators.append(den)
         except TypeError as exc:
             raise InvalidInstance(f"weights must be iterable: {exc}") from None
-        self.weights: tuple[Fraction, ...] = tuple(fractions)
-        self.scale: int = lcm(*denominators)
+        self.scale: int = lcm(*set(denominators))
         self.scaled: tuple[int, ...] = tuple(numerators) if self.scale == 1 else tuple(
-            num * (self.scale // w.denominator) for num, w in zip(numerators, fractions))
+            num * (self.scale // den) for num, den in zip(numerators, denominators))
 
     @classmethod
-    def uniform(cls, size: int, value: Fraction | int = 1) -> "WeightedGroundSet":
-        """`size` copies of one weight, validated once."""
-        size, one = _count(size, "size"), cls([value])
+    def uniform(cls, size: int) -> "WeightedGroundSet":
+        """Unit weights on `size` elements."""
         out = cls.__new__(cls)
-        out.weights, out.scaled = one.weights * size, one.scaled * size
-        out.scale = one.scale if size else 1
+        out.scale, out.scaled = 1, (1,) * _count(size, "size")
         return out
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return len(self.scaled)
 
     def __getitem__(self, element: int) -> Fraction:
-        return self.weights[element]
+        return Fraction(self.scaled[element], self.scale)
 
     def total(self, elements: Iterable[int]) -> Fraction:
         scaled = self.scaled

@@ -32,6 +32,14 @@ def _reading(what: str):
         raise InvalidInstance(f"malformed {what}: {exc}") from exc
 
 
+def _array(value: Any, what: str) -> list:
+    """`value` if it is a JSON array; a string or object in its place would
+    be read one character or key per item."""
+    if not isinstance(value, list):
+        raise InvalidInstance(f"malformed {what}: expected an array, got {type(value).__name__}")
+    return value
+
+
 def fraction_from_json(value: Any) -> Fraction:
     """A rational from an integer or a "p/q" string; never a bool or float.
     An ASCII "n" or "n/d" (digits, n may lead with "-") skips Fraction's
@@ -50,17 +58,14 @@ def fraction_from_json(value: Any) -> Fraction:
 
 
 def _fraction_lookup(tokens: Iterable) -> Callable[[Any], Fraction]:
-    """How a reader of rationals parses `tokens`. When every token is exactly
-    a str or int, the lookup in a table holding `fraction_from_json` of each
-    distinct token, parsed once in first-seen order; the caller maps its
-    tokens through it in C. Any other token can only be refused, so then,
-    and when the table meets a refusal or the tokens cannot be listed, it is
+    """How a reader of rationals parses `tokens`, which it can list. When
+    every token is exactly a str or int, the lookup in a table holding
+    `fraction_from_json` of each distinct token, parsed once in first-seen
+    order; the caller maps its tokens through it in C. Any other token can
+    only be refused, so then, and when the table meets a refusal, it is
     `fraction_from_json` itself: the caller reads token by token and meets
     the first refusal, with its message, where it always did."""
-    try:
-        tokens = list(tokens)
-    except TypeError:
-        return fraction_from_json
+    tokens = list(tokens)
     if not set(map(type, tokens)) <= {str, int}:
         return fraction_from_json
     table = dict.fromkeys(tokens)
@@ -192,7 +197,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     with _reading("instance"):
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
-        weights = None if raw is None else list(map(_fraction_lookup(raw), raw))
+        weights = None if raw is None else list(map(_fraction_lookup(_array(raw, "weights")), raw))
     st = StPair(source, sink)
     st.validate(g)
     if weights is None:
@@ -217,7 +222,7 @@ def instance_to_json(g: Digraph, st: StPair, metadata: dict | None = None) -> di
 def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
-        raw = data["weights"] if isinstance(data, dict) else data
+        raw = _array(data["weights"] if isinstance(data, dict) else data, "weights")
         weights = list(map(_fraction_lookup(raw), raw))
     if len(weights) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(weights)}")
@@ -241,7 +246,7 @@ def parse_solution_list(data: dict) -> SolutionList:
     from .explicit import SolutionList
     with _reading("solution list"):
         dim = int_from_json(data["dim"])
-        rows = [_bits(vec) for vec in data["vectors"]]
+        rows = [_bits(vec) for vec in _array(data["vectors"], "solution list")]
     return SolutionList._from_rows(dim, rows)
 
 
@@ -249,11 +254,11 @@ _BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
 
 
 def _bits(vec: Any) -> tuple[int, ...]:
-    """A 0/1 vector from a string, or from a list of 0/1 integers and "0"/"1"
+    """A 0/1 vector from a string, or from an array of 0/1 integers and "0"/"1"
     strings. One dict lookup per coordinate checks and converts it; a bool
     or float would hash like the int it equals, so a list of other types,
     or a failed lookup, goes through `_bit`, which names the bad coordinate."""
-    if type(vec) is str or set(map(type, vec)) <= {int, str}:
+    if type(vec) is str or set(map(type, _array(vec, "solution list"))) <= {int, str}:
         try:
             return tuple(map(_BITS.__getitem__, vec))
         except KeyError:
@@ -272,8 +277,8 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     """Format: {"points": [["p/q", ...], ...]}."""
     from .linear import AffineBasis
     with _reading("basis"):
-        raw = data["points"]
-        parse = _fraction_lookup(chain.from_iterable(raw))
+        raw = _array(data["points"], "basis")
+        parse = _fraction_lookup(chain.from_iterable(_array(p, "basis") for p in raw))
         points = [tuple(map(parse, p)) for p in raw]
     return AffineBasis(points)
 

@@ -179,7 +179,7 @@ def test_criterion_05_matroid_theorem_equivalence():
             s, _ = min_weight_matroid_identifying(m, w)
             best = min(w.total(c) for c in subsets if bases_distinct_on(bases, c))
             if w.total(s) != best:
-                mismatch.append((m.name, "weight", str(w.weights)))
+                mismatch.append((m.name, "weight", str([w[e] for e in range(w.size)])))
     ok = len(fixtures) >= 30 and not mismatch
     report(5, ok, f"{len(fixtures)} fixtures; mismatches: {mismatch or 'none'}")
     assert ok

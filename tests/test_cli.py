@@ -62,6 +62,26 @@ MALFORMED = [
     ("weights-one-then-float-one", {"w": {"weights": [1, 1.0]}},
      ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
      "cannot parse rational from 1.0"),
+    # A string or object where an array belongs was read one character or
+    # one key per value, and the run exited 0.
+    ("instance-weights-string", {"i": {**TRIANGLE, "weights": "123"}},
+     ["flow-identify", "{i}"], "malformed weights: expected an array, got str"),
+    ("instance-weights-object",
+     {"i": {"nodes": 2, "arcs": [[0, 1], [0, 1]], "s": 0, "t": 1, "weights": {"0": 1, "1": 2}}},
+     ["flow-identify", "{i}"], "malformed weights: expected an array, got dict"),
+    ("weights-string", {"w": {"weights": "12"}},
+     ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
+     "malformed weights: expected an array, got str"),
+    ("basis-point-string", {"b": {"points": ["00", "10", "01"]}},
+     ["linear-identify", "--basis", "{b}"], "malformed basis: expected an array, got str"),
+    ("basis-points-object", {"b": {"points": {"00": 1, "10": 1, "01": 1}}},
+     ["linear-identify", "--basis", "{b}"], "malformed basis: expected an array, got dict"),
+    ("solutions-vectors-string", {"x": {"dim": 1, "vectors": "01"}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "malformed solution list: expected an array, got str"),
+    ("solutions-vector-object", {"x": {"dim": 2, "vectors": [{"0": 5, "1": 7}]}},
+     ["explicit-identify", "--solutions", "{x}"],
+     "malformed solution list: expected an array, got dict"),
     ("verify-file", {"i": TRIANGLE, "s": {"S": 5}},
      ["flow-identify", "{i}", "--verify", "{s}"], "malformed id set"),
     ("cap-rational", {},

@@ -261,10 +261,13 @@ def test_st_pair_rejects_non_integer_endpoints():
 def test_weights_reject_negative():
     with pytest.raises(InvalidInstance, match="^negative weight at element 2$"):
         WeightedGroundSet([1, 0, "-1/2", Fraction(1, 7)])
-    # uniform checks its one value, even when it makes no copy of it.
-    for size in (0, 3):
-        with pytest.raises(InvalidInstance, match="^negative weight at element 0$"):
-            WeightedGroundSet.uniform(size, Fraction(-1, 3))
+
+
+def test_weights_reject_a_string():
+    # A string iterates one weight per character: "123" once gave 1, 2, 3.
+    for raw in ("123", ""):
+        with pytest.raises(InvalidInstance, match="^weights must be a sequence, not the string"):
+            WeightedGroundSet(raw)
 
 
 @pytest.mark.parametrize("size, message", [
@@ -279,26 +282,25 @@ def test_weights_reject_floats():
     # Fraction(0.1) is a binary rational, not 1/10; no float enters an answer.
     with pytest.raises(InvalidInstance, match="floats are not exact"):
         WeightedGroundSet([0.1, 1])
-    for size in (0, 3):
-        with pytest.raises(InvalidInstance, match="floats are not exact"):
-            WeightedGroundSet.uniform(size, 0.5)
 
 
 class TestWeightRepresentation:
-    """`weights` keeps the Fractions; `scaled` is one int per element over
-    `scale`, the lcm of the denominators, and sums and compares exactly."""
+    """`scaled` is one int per element over `scale`, the lcm of the
+    denominators, and sums and compares exactly; `w[e]` is the Fraction."""
+
+    def test_only_the_ints_are_kept(self):
+        assert set(vars(WeightedGroundSet([1, "1/2"]))) == {"scaled", "scale"}
+        assert set(vars(WeightedGroundSet.uniform(3))) == {"scaled", "scale"}
 
     def test_scale_and_scaled_on_mixed_input(self):
         w = WeightedGroundSet([2, "3/4", Fraction(5, 6), "0", "007", "2/4"])
-        assert w.weights == (2, Fraction(3, 4), Fraction(5, 6), 0, 7, Fraction(1, 2))
-        assert all(type(v) is Fraction for v in w.weights)
+        assert w.size == 6
+        assert [w[e] for e in range(w.size)] == [2, Fraction(3, 4), Fraction(5, 6), 0, 7,
+                                                 Fraction(1, 2)]
+        assert all(type(w[e]) is Fraction for e in range(w.size))
         assert w.scale == 12
         assert w.scaled == (24, 9, 10, 0, 84, 6)
         assert all(type(v) is int for v in w.scaled)
-
-    def test_fraction_input_is_kept_as_is(self):
-        half = Fraction(1, 2)
-        assert WeightedGroundSet([half]).weights[0] is half
 
     def test_integer_weights_keep_their_numerators(self):
         w = WeightedGroundSet(iter([3, Fraction(0), "5", Fraction(8, 4)]))
@@ -310,22 +312,38 @@ class TestWeightRepresentation:
         with pytest.raises(InvalidInstance, match="^negative weight at element 1$"):
             WeightedGroundSet([Fraction(1, 3), Fraction(-1), "-2/3", 0.5])
 
-    def test_total_is_the_fraction_sum(self):
+    @staticmethod
+    def seeded_inputs():
+        """200 seeded weight lists, each with a random subset of its ids."""
         rng = random.Random(12)
         for _ in range(200):
             size = rng.randint(0, 12)
             values = random_weights(rng, size, max_num=20, max_den=7)
-            w = WeightedGroundSet(values)
-            subset = [e for e in range(size) if rng.random() < 0.5]
-            total = w.total(subset)
+            yield values, [e for e in range(size) if rng.random() < 0.5]
+
+    def test_total_is_the_fraction_sum(self):
+        for values, subset in self.seeded_inputs():
+            total = WeightedGroundSet(values).total(subset)
             assert type(total) is Fraction
             assert total == sum((values[e] for e in subset), Fraction(0))
+
+    def test_each_weight_reads_back_as_given(self):
+        for values, _ in self.seeded_inputs():
+            w = WeightedGroundSet(values)
+            assert w.size == len(values)
+            assert [w[e] for e in range(w.size)] == values
+            assert all(type(w[e]) is Fraction for e in range(w.size))
 
     @pytest.mark.parametrize("value", [0, 1, "007", "3/7", Fraction(5, 2), "4/6"])
     @pytest.mark.parametrize("size", [0, 1, 5])
     def test_uniform_equals_repeated_list(self, size, value):
-        u, w = WeightedGroundSet.uniform(size, value), WeightedGroundSet([value] * size)
-        assert (u.weights, u.scale, u.scaled) == (w.weights, w.scale, w.scaled)
+        # uniform(size) is `size` ones; `size` copies of another value are
+        # its ints times the value's numerator, over its denominator.
+        u, ones = WeightedGroundSet.uniform(size), WeightedGroundSet([1] * size)
+        assert (u.scale, u.scaled) == (ones.scale, ones.scaled)
+        num, den = Fraction(value).as_integer_ratio()
+        w = WeightedGroundSet([value] * size)
+        assert (w.scale, w.scaled) == (den if size else 1, tuple(num * v for v in u.scaled))
 
 
 class TestStronglyConnectedComponents:

@@ -101,7 +101,7 @@ class TestHittingSet:
             want = next((weight, elems) for weight, elems in subsets_in_weight_order(n, w)
                         if all(d.intersection(elems) for d in demands))
             masks = [sum(1 << e for e in d) for d in demands]
-            assert min_weight_hitting_set(n, w, masks) == want, (w.weights, demands)
+            assert min_weight_hitting_set(n, w, masks) == want, (w.scaled, demands)
 
     @pytest.mark.parametrize("demands", [[0b01, 0], [0b100]], ids=["zero-mask", "bit-n"])
     def test_rejects_masks_outside_range(self, demands):
@@ -147,7 +147,7 @@ class TestEngineMatchesListWalk:
 
     def assert_same_walk(self, n, w, demands):
         assert (min_weight_hitting_set(n, w, demands)
-                == oracle_min_weight_hitting_set(n, w, demands)), (w.weights, demands)
+                == oracle_min_weight_hitting_set(n, w, demands)), (w.scaled, demands)
         visited = visited_nodes(oracle_min_weight_hitting_set, n, w, demands)
         min_weight_hitting_set(n, w, demands, visited)
         if visited > 1:
@@ -210,7 +210,7 @@ class TestGreedyStartOnlyPrunes(TestEngineMatchesListWalk):
         plain = functools.partial(oracle_min_weight_hitting_set, greedy_start=False)
         visited = visited_nodes(plain, n, w, demands)
         assert (oracle_min_weight_hitting_set(n, w, demands, visited)
-                == plain(n, w, demands)), (w.weights, demands)
+                == plain(n, w, demands)), (w.scaled, demands)
 
 
 class TestCoverMasks:
@@ -319,6 +319,9 @@ class TestBoundaryParsers:
         # first refusal with its message, are those of one
         # fraction_from_json per token: a bool or float never reuses the
         # Fraction of the int it equals.
+        def weights_of(w):
+            return tuple(w[e] for e in range(w.size))
+
         for seed in range(200):
             rng = random.Random(seed)
             raw = [rng.choice(self.GOOD) for _ in range(rng.randint(1, 30))]
@@ -326,8 +329,8 @@ class TestBoundaryParsers:
                 raw.insert(rng.randint(0, len(raw)), rng.choice(self.BAD))
             instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1,
                         "weights": raw}
-            parsers = [lambda: parse_weights(raw, len(raw)).weights,
-                       lambda: parse_instance(instance)[2].weights,
+            parsers = [lambda: weights_of(parse_weights(raw, len(raw))),
+                       lambda: weights_of(parse_instance(instance)[2]),
                        lambda: parse_affine_basis({"points": [raw]}).points[0]]
             try:
                 expected = tuple(fraction_from_json(v) for v in raw)
