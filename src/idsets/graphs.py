@@ -147,7 +147,7 @@ class WeightedGroundSet:
     """Nonnegative rational weight per element id, kept once: `scaled` holds
     the weight times `scale`, the lcm of the denominators, one int per
     element. Solvers compare and add the ints; `w[e]` and `total` build a
-    Fraction for a reported weight. A string is refused, not read per digit."""
+    Fraction for a reported weight. A string is refused, not read per character."""
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         # One pass converts, sign-checks and splits each weight. A Fraction,

@@ -62,8 +62,8 @@ MALFORMED = [
     ("weights-one-then-float-one", {"w": {"weights": [1, 1.0]}},
      ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
      "cannot parse rational from 1.0"),
-    # A string or object where an array belongs was read one character or
-    # one key per value, and the run exited 0.
+    # A string or object where an array belongs would be read one character
+    # or one key per value.
     ("instance-weights-string", {"i": {**TRIANGLE, "weights": "123"}},
      ["flow-identify", "{i}"], "malformed weights: expected an array, got str"),
     ("instance-weights-object",

@@ -264,7 +264,7 @@ def test_weights_reject_negative():
 
 
 def test_weights_reject_a_string():
-    # A string iterates one weight per character: "123" once gave 1, 2, 3.
+    # A string would iterate one weight per character: "123" as 1, 2, 3.
     for raw in ("123", ""):
         with pytest.raises(InvalidInstance, match="^weights must be a sequence, not the string"):
             WeightedGroundSet(raw)
