@@ -3,7 +3,7 @@
 
 The path optimum comes from the exact branch-and-bound search over the 2^k
 s-t paths; with Python 3.11 on one core of a 2-core Xeon host, k = 8 takes
-about 0.1 s and k = 10 about 2 s, and each further k multiplies the time
+about 0.03 s and k = 10 about 0.4 s, and each further k multiplies the time
 several-fold, since the pair demands grow as 4^k. The flow optimum
 comes from the spanning-forest characterization and is printed for larger k
 as well, where it follows the k(k+1)/2 formula.

@@ -4,9 +4,15 @@ The two exponential searches distinguish "the instance is infeasible or the
 answer is no" (a regular return value) from "the instance is too large for
 brute force": PathExplosion past `Caps.max_paths` and SubsetExplosion past
 `Caps.max_subsets`. No other solver has a cap.
+
+`non_vector_kind` names the inputs that InvalidInstance refuses where a
+weight or rational vector belongs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from typing import Any
 
 
 class IdsetsError(Exception):
@@ -15,6 +21,17 @@ class IdsetsError(Exception):
 
 class InvalidInstance(IdsetsError):
     """Malformed input: bad node/arc ids, self-loops where forbidden, ..."""
+
+
+def non_vector_kind(values: Any) -> str | None:
+    """"string", "byte string" or "mapping" for a value that iterates one
+    character, byte or key per item, which the weight and vector constructors
+    refuse with InvalidInstance; None for anything else."""
+    if isinstance(values, str):
+        return "string"
+    if isinstance(values, (bytes, bytearray)):
+        return "byte string"
+    return "mapping" if isinstance(values, Mapping) else None
 
 
 class NoStPath(IdsetsError):

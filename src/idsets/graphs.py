@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion
+from .errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion, non_vector_kind
 from .linalg import exact
 
 Adjacency = tuple[tuple[int, ...], ...]
@@ -147,13 +147,15 @@ class WeightedGroundSet:
     """Nonnegative rational weight per element id, kept once: `scaled` holds
     the weight times `scale`, the lcm of the denominators, one int per
     element. Solvers compare and add the ints; `w[e]` and `total` build a
-    Fraction for a reported weight. A string is refused, not read per character."""
+    Fraction for a reported weight. A string, byte string or mapping is
+    refused, not read one character, byte or key per weight."""
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         # One pass converts, sign-checks and splits each weight. A Fraction,
         # all that the parsers hand over, skips the call to `exact`.
-        if isinstance(weights, str):
-            raise InvalidInstance(f"weights must be a sequence, not the string {weights!r}")
+        kind = non_vector_kind(weights)
+        if kind:
+            raise InvalidInstance(f"weights must be a sequence, not the {kind} {weights!r}")
         numerators, denominators = [], []
         try:
             for i, value in enumerate(weights):

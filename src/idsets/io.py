@@ -172,7 +172,7 @@ def parse_graph(data: dict) -> Digraph:
     with more or fewer than two entries is refused, not truncated."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
-        arcs = data["arcs"]
+        arcs = _array(data["arcs"], "graph")
         # One pass over the lengths. An arc without one (5) fails in len();
         # a two-character string fails further down, at its first end.
         bad = None
@@ -235,7 +235,7 @@ def read_id_set(raw: str, load: Callable[[str], Any]) -> list[int]:
         return parse_ids(raw)
     data = load(raw)
     with _reading("id set"):
-        ids = list(data["S"] if isinstance(data, dict) else data)
+        ids = _array(data["S"] if isinstance(data, dict) else data, "id set")
     _check_ints(ids)
     return ids
 

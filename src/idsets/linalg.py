@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Sequence
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, non_vector_kind
 
 Vector = tuple[Fraction, ...]
 
@@ -36,12 +36,13 @@ def exact(value: Any) -> Fraction:
 
 def as_vector(values: Sequence) -> Vector:
     """Each value through `exact`; InvalidInstance for values it cannot
-    iterate, and for a string, which would iterate as one value per character.
+    iterate, and for a string, byte string or mapping (`non_vector_kind`).
     A tuple whose items are all exactly Fraction is returned as it is."""
     if type(values) is tuple and set(map(type, values)) <= {Fraction}:
         return values
-    if isinstance(values, str):
-        raise InvalidInstance(f"not an exact rational vector: {values!r} is a string")
+    kind = non_vector_kind(values)
+    if kind:
+        raise InvalidInstance(f"not an exact rational vector: {values!r} is a {kind}")
     try:
         items = iter(values)
     except TypeError as exc:

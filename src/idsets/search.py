@@ -54,6 +54,16 @@ incumbent's weight, which changes no decision, so the walk packs the same
 demands in the same order as the walk over the demand list in the tests and
 visits its nodes node for node.
 
+A state met again at a shallow depth is skipped. The subtree below a node
+depends only on its depth e and unhit mask, so for e < n.bit_length() the
+walk keeps the least weight at which each mask survived the bound, and a
+later node there with the same mask and no lower weight is counted but not
+expanded: the earlier subtree was searched first, from no higher weight, so
+no leaf below the later node can replace the incumbent. Answers and
+tie-breaks stay the same and visited counts only fall. Depth e holds at most
+2^e masks, so the memo holds at most 2n - 1; deeper, a memo would grow with
+the nodes visited.
+
 The search adds and compares the integer weights `WeightedGroundSet.scaled`
 and divides by its `scale` once, for the reported weight.
 """
@@ -113,6 +123,10 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
     # with no set behind it until the first leaf replaces it.
     best_weight = _greedy_weight(cover, uncover, iw, full) + 1
     best_mask = 0
+    # seen[e]: unhit mask -> least weight of a node at depth e that survived
+    # the bound, for e < n.bit_length(): at most 2^e masks each, 2n - 1 in all.
+    seen: list[dict[int, int]] = [{} for _ in range(n.bit_length())]
+    shallow = len(seen)
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
     stack: list[tuple[int, int, int, int]] = [(0, 0, 0, full)]
     pop, push, packed = stack.pop, stack.append, packs.get
@@ -129,6 +143,8 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
             continue
         if unhit >= dead_from[e]:
             continue
+        if e < shallow and seen[e].get(unhit, weight + 1) <= weight:
+            continue
         # Prune when the packing bound reaches the incumbent's weight.
         budget = best_weight - weight
         cand = unhit
@@ -142,6 +158,8 @@ def min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
             budget -= entry[1]
         if budget <= 0:
             continue
+        if e < shallow:
+            seen[e][unhit] = weight
         # Pushed exclude first, so that include is explored first.
         we = iw[e]
         if we:

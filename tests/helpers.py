@@ -300,15 +300,18 @@ def subsets_in_weight_order(n: int, w: WeightedGroundSet, max_states: int = 2**2
 
 
 def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterable[int],
-                                  max_states: int = 2**24, *, greedy_start: bool = True
-                                  ) -> tuple[Fraction, tuple[int, ...]]:
+                                  max_states: int = 2**24, *, greedy_start: bool = True,
+                                  memo: bool = True) -> tuple[Fraction, tuple[int, ...]]:
     """Cheapest S hitting every demand mask; ties break lexicographically.
 
     Reference walk for `idsets.search.min_weight_hitting_set`: each node
     filters and packs a list of demand masks, where the engine works on cover
     masks. Both must give the same answer after the same visited nodes.
     The walk starts from the greedy cover's weight G, as if an incumbent of
-    weight G + 1 were known; `greedy_start=False` starts it with none.
+    weight G + 1 were known; `greedy_start=False` starts it with none. A node
+    at depth e < n.bit_length() whose tuple of unhit demands a node at that
+    depth already reached at no higher weight, and expanded, is counted but
+    not expanded; `memo=False` expands it.
 
     Demands must be nonzero masks over range(n). Raises SubsetExplosion
     when the search would visit more than max_states nodes.
@@ -329,6 +332,7 @@ def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterabl
 
     best_weight = _greedy_cover_weight(n, iw, masks) + 1 if greedy_start else None
     best_mask = 0
+    seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(n.bit_length() if memo else 0)]
     # Nodes: (next id e, chosen mask, its weight, demands it leaves unhit).
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, masks)]
     visited = 0
@@ -342,9 +346,14 @@ def oracle_min_weight_hitting_set(n: int, w: WeightedGroundSet, demands: Iterabl
             if best_weight is None or weight < best_weight:
                 best_weight, best_mask = weight, chosen
             continue
+        shallow = seen[e] if e < len(seen) else None
+        if shallow is not None and shallow.get(tuple(unhit), weight + 1) <= weight:
+            continue
         bound = _packing_bound(unhit, full >> e << e, by_weight)
         if bound is None or best_weight is not None and weight + bound >= best_weight:
             continue
+        if shallow is not None:
+            shallow[tuple(unhit)] = weight
         bit = 1 << e
         # Pushed exclude first, so that include is explored first.
         if iw[e]:

@@ -84,6 +84,14 @@ MALFORMED = [
      "malformed solution list: expected an array, got dict"),
     ("verify-file", {"i": TRIANGLE, "s": {"S": 5}},
      ["flow-identify", "{i}", "--verify", "{s}"], "malformed id set"),
+    ("graph-arcs-object", {"i": {"nodes": 3, "arcs": {"01": 1, "12": 1}, "s": 0, "t": 2}},
+     ["flow-identify", "{i}"], "malformed graph: expected an array, got dict"),
+    ("graph-arcs-string", {"i": {"nodes": 3, "arcs": "0112", "s": 0, "t": 2}},
+     ["flow-identify", "{i}"], "malformed graph: expected an array, got str"),
+    ("verify-file-string", {"i": TRIANGLE, "s": {"S": "01"}},
+     ["flow-identify", "{i}", "--verify", "{s}"], "malformed id set: expected an array, got str"),
+    ("path-verify-S-object", {"i": TRIANGLE, "s": {"S": {"0": 1}}},
+     ["path-verify", "{i}", "--S", "{s}"], "malformed id set: expected an array, got dict"),
     ("cap-rational", {},
      ["polymatroid-identify", "--family", "budget-additive", "--cap", "1/0", "--gains", "1,2"],
      "'1/0'"),

@@ -270,6 +270,15 @@ def test_weights_reject_a_string():
             WeightedGroundSet(raw)
 
 
+@pytest.mark.parametrize("raw, kind", [
+    (b"12", "byte string"), (bytearray(b"12"), "byte string"), ({"0": 1, "1": 2}, "mapping"),
+], ids=["bytes", "bytearray", "mapping"])
+def test_weights_reject_bytes_and_mappings(raw, kind):
+    # Bytes iterate as their codes (49, 50) and a mapping as its keys.
+    with pytest.raises(InvalidInstance, match=f"^weights must be a sequence, not the {kind} "):
+        WeightedGroundSet(raw)
+
+
 @pytest.mark.parametrize("size, message", [
     (-1, "^size must be nonnegative$"), (2.5, "^size must be an integer, got 2.5$")])
 def test_uniform_reads_size_as_a_count(size, message):

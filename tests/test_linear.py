@@ -11,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
-from idsets.errors import InvalidInstance
+from idsets.errors import IdsetsError, InvalidInstance
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
@@ -253,6 +255,19 @@ class TestAffineBasis:
                            match="^not an exact rational vector: '[0-9]+' is a string$"):
             call()
 
+    @pytest.mark.parametrize("call, kind", [
+        (lambda: as_vector(b"12"), "byte string"),
+        (lambda: as_vector(bytearray(b"12")), "byte string"),
+        (lambda: as_vector({"0": 1, "1": 2}), "mapping"),
+        (lambda: AffineBasis([b"01", b"10"]), "byte string"),
+        (lambda: AffineBasis([{"0": 0}, {"0": 1}]), "mapping"),
+    ], ids=["bytes", "bytearray", "mapping", "basis-bytes", "basis-mapping"])
+    def test_refuses_bytes_and_mappings(self, call, kind):
+        # Bytes iterate as their codes (49, 50) and a mapping as its keys.
+        with pytest.raises(InvalidInstance,
+                           match=f"^not an exact rational vector: .* is a {kind}$"):
+            call()
+
     def test_rejects_float_coordinates(self):
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             as_vector([0.1])
@@ -466,3 +481,42 @@ class TestLinearDigest:
             (verdicts, tolls)
         assert sizes == set(range(9))
         assert digest.hexdigest() == self.DIGEST
+
+
+# ---------------------------------------------------------------- fuzzing
+
+JUNK = st_.one_of(st_.integers(-2, 3), st_.floats(), st_.booleans(), st_.text(max_size=3),
+                  st_.binary(max_size=3), st_.binary(max_size=3).map(bytearray),
+                  st_.dictionaries(st_.text(max_size=2), st_.integers(0, 2), max_size=2),
+                  st_.none(), st_.fractions(-2, 2, max_denominator=3))
+NESTED = st_.recursive(JUNK, lambda inner: st_.lists(inner, max_size=4), max_leaves=8)
+RATIONALS = st_.one_of(st_.integers(0, 3), st_.fractions(0, 2, max_denominator=3),
+                       st_.sampled_from(["1/2", "3", "-1"]))
+
+
+def half_valid(valid):
+    """The valid draw half the time; otherwise one malformed value or a list
+    of them, of any length."""
+    return st_.one_of(valid, st_.lists(JUNK, max_size=4), NESTED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st_.data())
+def test_weight_and_point_arguments_raise_only_library_errors(data):
+    # Weights and rational vectors as ints, floats, bools, strings, bytes,
+    # mappings, None, nested lists and wrong lengths: every refusal of the
+    # three constructors, and of a built basis's membership test, is an
+    # IdsetsError, and a string, byte string or mapping is always refused.
+    n = data.draw(st_.integers(0, 3))
+    vector = half_valid(st_.lists(RATIONALS, min_size=n, max_size=n))
+    build, arg = data.draw(st_.sampled_from([
+        (WeightedGroundSet, vector), (as_vector, vector),
+        (AffineBasis, half_valid(st_.lists(vector, min_size=1, max_size=3)))]))
+    value = data.draw(arg)
+    try:
+        built = build(value)
+        if build is AffineBasis:
+            built.contains(data.draw(vector))
+    except IdsetsError:
+        return
+    assert not isinstance(value, (str, bytes, bytearray, dict)), value

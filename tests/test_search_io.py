@@ -213,6 +213,57 @@ class TestGreedyStartOnlyPrunes(TestEngineMatchesListWalk):
                 == plain(n, w, demands)), (w.scaled, demands)
 
 
+class TestShallowMemoOnlyPrunes(TestEngineMatchesListWalk):
+    """Skipping a node whose (depth, unhit demands) the list walk already
+    expanded at no higher weight keeps every `(weight, elems)` and visits no
+    more nodes than expanding it, on each input of the engine's comparison."""
+
+    def assert_same_walk(self, n, w, demands):
+        plain = functools.partial(oracle_min_weight_hitting_set, memo=False)
+        visited = visited_nodes(plain, n, w, demands)
+        assert (oracle_min_weight_hitting_set(n, w, demands, visited)
+                == plain(n, w, demands)), (w.scaled, demands)
+
+
+def _workload_list_demands(i: int) -> set[int]:
+    """The pair demands of `explicit-exact/i` in a seed-1 `search` pass: 40
+    distinct rows of width 16 drawn as the benchmark draws them."""
+    rng = random.Random(f"1/explicit-exact-{i}")
+    vectors: dict[str, None] = {}
+    while len(vectors) < 40:
+        vectors["".join(rng.choice("01") for _ in range(16))] = None
+    x = parse_solution_list({"dim": 16, "vectors": list(vectors)})
+    return pair_demands(x.rows())
+
+
+class TestShallowMemoCounts:
+    """The nodes the engine visits on the seed-1 `search` inputs, against the
+    list walk without the shallow memo: the vc-dag walks fall, and the walks
+    where no state repeats keep their counts."""
+
+    @pytest.mark.parametrize("inst,plain,memo", [
+        (gen_vertex_cover_dag(3, [(0, 1), (1, 2), (0, 2)], 2), 2269, 1387),
+        (gen_vertex_cover_dag(3, [(0, 1), (1, 2)], 2), 301, 222),
+        (gen_vertex_cover_dag(3, [(0, 1), (1, 2), (0, 2)], 1), 147, 119),
+        (gen_tight_gap_family(4), 46, 46),
+        (gen_tight_gap_family(5), 62, 62),
+    ], ids=["vc-dag-triangle-ell2", "vc-dag-path3-ell2", "vc-dag-triangle-ell1",
+            "tight-gap-k4", "tight-gap-k5"])
+    def test_path_families(self, inst, plain, memo):
+        n = inst.graph.arc_count
+        self.assert_counts(n, WeightedGroundSet.uniform(n), _path_demands(inst), plain, memo)
+
+    @pytest.mark.parametrize("i,count", [(0, 447), (1, 286), (2, 295)])
+    def test_explicit_lists_keep_their_counts(self, i, count):
+        self.assert_counts(16, WeightedGroundSet.uniform(16), _workload_list_demands(i),
+                           count, count)
+
+    def assert_counts(self, n, w, demands, plain, memo):
+        walk = functools.partial(oracle_min_weight_hitting_set, memo=False)
+        assert visited_nodes(walk, n, w, demands) == plain
+        assert visited_nodes(min_weight_hitting_set, n, w, demands) == memo
+
+
 class TestCoverMasks:
     """`_cover_masks` numbers the demands in reverse: bit m - 1 - j of
     cover[e] is set when demand j of the m sorted demands holds id e."""
