@@ -26,7 +26,10 @@ class InvalidInstance(IdsetsError):
 def non_vector_kind(values: Any) -> str | None:
     """"string", "byte string" or "mapping" for a value that iterates one
     character, byte or key per item, which the weight and vector constructors
-    refuse with InvalidInstance; None for anything else."""
+    refuse with InvalidInstance; None for anything else. A list or tuple,
+    what the parsers and solvers pass, skips the slower Mapping check."""
+    if isinstance(values, (list, tuple)):
+        return None
     if isinstance(values, str):
         return "string"
     if isinstance(values, (bytes, bytearray)):
