@@ -13,10 +13,13 @@ two final lines the harness prints (`context` and `result`), and `summary`,
 per metric each side's median and interquartile range (inclusive quartiles),
 the number of pairs in which the change read lower (ties count for neither
 side), `claim_met` (lower in at least 9 of 10 pairs, and the change median
-below the parent's by more than the parent IQR) and `regressed` (the change
+below the parent's by more than the parent IQR), `regressed` (the change
 median worse than the parent's by more than the metric's relative `bound`
-in BENCHMARK.json, which the script only reads; false for a metric without
-one).
+in BENCHMARK.json, which the script only reads) and `unresolved` (the
+parent IQR wider than that bound times the parent median, so the runs
+spread too widely to show the change within its bound, unless every change
+run reads better than every parent run); the last two are false for a
+metric without a bound.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Medians, IQRs, change-lower counts, `claim_met` and `regressed` per
-    metric over the complete pairs of `runs`, plus whether every run was
-    correct and its failures."""
+    """Medians, IQRs, change-lower counts, `claim_met`, `regressed` and
+    `unresolved` per metric over the complete pairs of `runs`, plus whether
+    every run was correct and its failures."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     sides: dict[int, dict[str, dict]] = {}
@@ -51,16 +54,20 @@ def summarize(runs: list[dict]) -> dict:
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         lower = sum(c < p for p, c in zip(parent, change))
         better, bound = bounds.get(name, ("lower", None))
-        worse = (change_median - parent_median) * (1 if better == "lower" else -1)
+        sign = 1 if better == "lower" else -1
+        worse = (change_median - parent_median) * sign
+        parent_iqr = _iqr(parent)
         summary[name] = {
             "parent_median": round(parent_median, 5),
             "change_median": round(change_median, 5),
-            "parent_iqr": _iqr(parent),
+            "parent_iqr": parent_iqr,
             "change_iqr": _iqr(change),
             "change_lower_in_pairs": f"{lower}/{len(pairs)}",
             "claim_met": 10 * lower >= 9 * len(pairs)
-            and parent_median - change_median > _iqr(parent),
+            and parent_median - change_median > parent_iqr,
             "regressed": bound is not None and worse > bound * abs(parent_median),
+            "unresolved": bound is not None and parent_iqr > bound * abs(parent_median)
+            and max(sign * c for c in change) >= min(sign * p for p in parent),
         }
     summary["correct_all"] = all(r["result"] is not None and r["result"]["correct"]
                                  for r in runs)

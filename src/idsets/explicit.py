@@ -19,7 +19,7 @@ from sys import byteorder
 from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance
+from .errors import InvalidInstance, non_vector_kind
 from .graphs import WeightedGroundSet, _count, validate_ids, validate_weights
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
@@ -33,6 +33,9 @@ class SolutionList:
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
         dimension = _count(dimension, "dimension")
+        kind = non_vector_kind(vectors)
+        if kind:
+            raise InvalidInstance(f"vectors must be a sequence, not the {kind} {vectors!r}")
         vecs: list[tuple[int, ...]] = []
         try:
             for vec in vectors:

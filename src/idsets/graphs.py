@@ -5,10 +5,12 @@ join key across all modules, so every operation reports arcs by id. All
 tie-breaking is by smallest arc id to keep outputs deterministic.
 
 A `Digraph` is two int columns, `tails` and `heads`, indexed by arc id, plus
-out- and in-arc lists and a self-loop flag built once, at construction; `arcs`
-is a view of the pairs made on first use, for output and tests. `bfs_tree`
-walks the lists for shortest arc paths and forest paths; `reach_marks` answers
-the membership-only reachability of the s-t solvers with one flat mark per node.
+out- and in-arc lists and a self-loop flag, all built by one filing walk over
+the pairs and checked in C after it; a checked walk runs only to name a
+failure. `arcs` is a view of the pairs made on first use, for output and
+tests. `bfs_tree` walks the lists for shortest arc paths and forest paths;
+`reach_marks` answers the membership-only reachability of the s-t solvers
+with one flat mark per node.
 """
 
 from __future__ import annotations
@@ -41,10 +43,20 @@ class Digraph:
     heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        """One walk over `arcs`: InvalidInstance for a bad node_count or arcs that
-        are not iterable, else for the first arc that is not a pair, has a
-        non-`_integer` end or is out of range."""
-        node_count, tails, heads = _count(node_count, "node_count"), [], []
+        """`_file` first when `arcs` is a list or tuple of lists and tuples,
+        which a refused walk leaves as they were. When it refuses, or for
+        other arcs, one checked walk names the failure: InvalidInstance for
+        a bad node_count, a string, byte string or mapping of arcs, or arcs
+        that are not iterable, else for the first arc that is not a pair,
+        has a non-`_integer` end or is out of range."""
+        node_count = _count(node_count, "node_count")
+        kind = non_vector_kind(arcs)
+        if kind:
+            raise InvalidInstance(f"arcs must be a sequence, not the {kind} {arcs!r}")
+        if (type(arcs) in (list, tuple) and set(map(type, arcs)) <= {list, tuple}
+                and self._file(node_count, arcs)):
+            return
+        tails, heads = [], []
         try:
             for aid, arc in enumerate(arcs):
                 try:
@@ -61,31 +73,38 @@ class Digraph:
                 heads.append(head)
         except TypeError as exc:
             raise InvalidInstance(f"arcs must be iterable: {exc}") from None
-        self._file(node_count, tails, heads)
+        self._file(node_count, zip(tails, heads))
 
-    @classmethod
-    def _from_columns(cls, node_count: int, tails: list[int], heads: list[int]) -> Digraph:
-        """`Digraph(node_count, zip(tails, heads))` for io.parse_graph's int columns:
-        one min/max range check, and the walk only when it fails."""
-        if not (type(node_count) is int
-                and min(min(tails, default=0), min(heads, default=0)) >= 0
-                and max(max(tails, default=-1), max(heads, default=-1)) < node_count):
-            return cls(node_count, zip(tails, heads))
-        return cls.__new__(cls)._file(node_count, tails, heads)
+    def _file(self, node_count: int, pairs: Iterable) -> bool:
+        """File each arc id under its tail and its head and append its ends to
+        the two columns, in one walk; store them and return True only if every
+        arc is a pair of exact ints in 0..node_count-1 (node_count >= 0).
 
-    def _file(self, node_count: int, tails: list[int], heads: list[int]) -> Digraph:
-        """Store the checked columns and file each arc id under its two ends."""
+        The walk stops at a pair that does not unpack, a non-int end (a list
+        index refuses it) or an end >= node_count; a bool or a negative end
+        still indexes a list, so a type and a `min` check per column follow,
+        in C. A refusal stores nothing: the caller's checked route then
+        names the failure."""
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
-        for aid, tail in enumerate(tails):
-            out[tail].append(aid)
-        for aid, head in enumerate(heads):
-            inc[head].append(aid)
+        tails: list[int] = []
+        heads: list[int] = []
+        try:
+            for aid, (tail, head) in enumerate(pairs):
+                out[tail].append(aid)
+                inc[head].append(aid)
+                tails.append(tail)
+                heads.append(head)
+        except (IndexError, TypeError, ValueError):
+            return False
+        if tails and not (set(map(type, tails)) | set(map(type, heads)) <= {int}
+                          and min(tails) >= 0 and min(heads) >= 0):
+            return False
         self.__dict__.update(  # frozen: set once, here; eq and repr read the three fields
             node_count=node_count, tails=tuple(tails), heads=tuple(heads),
             _out=tuple(map(tuple, out)), _in=tuple(map(tuple, inc)),
             _self_loop=any(map(operator.eq, tails, heads)))
-        return self
+        return True
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:

@@ -169,10 +169,17 @@ def parse_cost(spec: str, dim: int) -> CostOracle:
 
 def parse_graph(data: dict) -> Digraph:
     """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored); an arc
-    with more or fewer than two entries is refused, not truncated."""
+    with more or fewer than two entries is refused, not truncated.
+
+    The arcs go straight to the filing walk, `Digraph._file`; only when it
+    refuses do the checks below run, which name the failure."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
         arcs = _array(data["arcs"], "graph")
+    g = Digraph.__new__(Digraph)
+    if nodes >= 0 and g._file(nodes, arcs):
+        return g
+    with _reading("graph"):
         # One pass over the lengths. An arc without one (5) fails in len();
         # a two-character string fails further down, at its first end.
         bad = None
@@ -187,7 +194,7 @@ def parse_graph(data: dict) -> Digraph:
             raise InvalidInstance(
                 f"malformed graph: arc {bad} is not a [tail, head] pair: {arcs[bad]!r}")
     _check_ints(tails, heads)
-    return Digraph._from_columns(nodes, tails, heads)
+    return Digraph(nodes, zip(tails, heads))
 
 
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:

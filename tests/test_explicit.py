@@ -53,6 +53,15 @@ class TestSolutionList:
                 SolutionList(dimension, [(0, 1)] if dimension != -1 else [])
         assert SolutionList(0, [()]).vectors == ((),)
 
+    @pytest.mark.parametrize("vectors, kind", [
+        ("01", "string"), (b"01", "byte string"), ({(0, 1): "a", (1, 0): "b"}, "mapping"),
+    ], ids=["string", "bytes", "mapping"])
+    def test_refuses_strings_bytes_and_mappings(self, vectors, kind):
+        # A mapping was read as the list of its keys, the rows (0, 1) and (1, 0).
+        with pytest.raises(InvalidInstance,
+                           match=f"^vectors must be a sequence, not the {kind} "):
+            SolutionList(2, vectors)
+
     def test_negative_dimension_is_refused_as_a_count(self):
         # The rule and message of every count (node_count, size, ground_size).
         for build in (SolutionList, SolutionList._from_rows):

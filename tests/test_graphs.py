@@ -95,11 +95,23 @@ def test_constructors_refuse_what_they_cannot_iterate(call):
         call()
 
 
+@pytest.mark.parametrize("arcs, kind", [
+    ("01", "string"), (b"01", "byte string"), (bytearray(b"01"), "byte string"),
+    ({(0, 1): 1}, "mapping"),
+], ids=["string", "bytes", "bytearray", "mapping"])
+def test_digraph_refuses_strings_bytes_and_mappings(arcs, kind):
+    # A mapping was read as the list of its keys: {(0, 1): 1} built the arc (0, 1).
+    with pytest.raises(InvalidInstance, match=f"^arcs must be a sequence, not the {kind} "):
+        Digraph(3, arcs)
+
+
 class TestColumns:
-    """A Digraph is two int columns. `Digraph(n, pairs)` and
-    `Digraph._from_columns`, the entry io.parse_graph hands its int-checked
-    columns to, share one check: they build equal graphs and name the same
-    first bad arc. Types are checked by the pairs path and by io alone."""
+    """A Digraph is two int columns, filed by one walk. `Digraph(n, pairs)` on
+    a list of pairs and io.parse_graph both try that walk first, and only
+    when it refuses run their checked routes: the constructor's per-arc walk
+    (all that `Digraph(n, iter(pairs))` runs) and io's shape and type checks.
+    Every entry builds equal graphs and names the checked route's first bad
+    arc. Types are checked by the pairs path and by io alone."""
 
     def test_pairs_json_and_columns_build_equal_graphs(self):
         for g, _ in seeded_multigraphs(200, seed=31, allow_self_loops=True):
@@ -107,8 +119,9 @@ class TestColumns:
             assert g.arcs == tuple(zip(g.tails, g.heads))
             assert g.has_self_loop() == any(t == h for t, h in g.arcs)
             from_json = parse_graph({"nodes": g.node_count, "arcs": [list(a) for a in g.arcs]})
-            from_lists = Digraph._from_columns(g.node_count, list(g.tails), list(g.heads))
-            for other in (from_json, from_lists):
+            from_lists = Digraph(g.node_count, [list(a) for a in g.arcs])
+            checked = Digraph(g.node_count, iter(g.arcs))
+            for other in (from_json, from_lists, checked):
                 assert other == g and other.arcs == g.arcs
                 assert other.has_self_loop() == g.has_self_loop()
                 assert (other.out_arcs(), other.in_arcs()) == (g.out_arcs(), g.in_arcs())
@@ -128,9 +141,9 @@ class TestColumns:
             Digraph(3, arcs)
         with pytest.raises(InvalidInstance, match=message):
             Digraph(3, [list(a) for a in arcs])
+        with pytest.raises(InvalidInstance, match=message):
+            Digraph(3, iter(arcs))
         if all(type(v) is int for arc in arcs for v in arc):
-            with pytest.raises(InvalidInstance, match=message):
-                Digraph._from_columns(3, [t for t, _ in arcs], [h for _, h in arcs])
             with pytest.raises(InvalidInstance, match=message):
                 parse_graph({"nodes": 3, "arcs": [list(a) for a in arcs]})
 
@@ -140,6 +153,11 @@ class TestColumns:
             Digraph(3, [(0, 3), (0, 1, 2)])
         with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
             Digraph(3, [(0, 1), (0, 1, 2), (0, 3)])
+
+    def test_a_one_shot_arc_before_a_bad_arc(self):
+        # An arc the filing walk would use up is left to the checked walk.
+        with pytest.raises(InvalidInstance, match=r"^arc 1 = \(0,3\) out of range$"):
+            Digraph(3, [iter((1, 2)), (0, 3)])
 
     def test_bools_read_as_ints(self):
         for g in (Digraph(3, [(0, 1), (True, 2)]), Digraph(True, [[0, False]])):
@@ -164,12 +182,78 @@ class TestColumns:
 
     def test_node_count_is_checked_first(self):
         for build in (lambda n, arcs: Digraph(n, arcs),
-                      lambda n, arcs: Digraph._from_columns(n, *map(list, zip(*arcs)))):
+                      lambda n, arcs: Digraph(n, iter(arcs))):
             with pytest.raises(InvalidInstance, match="^node_count must be an integer"):
                 build(2.0, [(0, 5)])
             with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
                 build(-1, [(0, 5)])
-        assert Digraph._from_columns(0, [], []) == Digraph(0, [])
+        with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
+            parse_graph({"nodes": -1, "arcs": []})
+        assert parse_graph({"nodes": 0, "arcs": []}) == Digraph(0, []) == Digraph(0, iter(()))
+
+    # One bad value at a random arc. For each spoil, the message of io's
+    # checked route and of the constructor's, with {aid}, {end} ("tail" or
+    # "head"), {value} (the bad value's repr), {arc} (the spoiled arc's repr)
+    # and {pair} ("t,h" of the spoiled arc) filled in; None where the
+    # library reads the value.
+    SPOILS = {
+        "bool": (lambda arc, end, n: _with(arc, end, True),
+                 "expected an integer, got {value}", None),
+        "float": (lambda arc, end, n: _with(arc, end, 1.5),
+                  "expected an integer, got {value}",
+                  "arc {aid} {end} must be an integer, got {value}"),
+        "str": (lambda arc, end, n: _with(arc, end, "1"),
+                "expected an integer, got {value}",
+                "arc {aid} {end} must be an integer, got {value}"),
+        "none": (lambda arc, end, n: _with(arc, end, None),
+                 "expected an integer, got {value}",
+                 "arc {aid} {end} must be an integer, got {value}"),
+        "negative": (lambda arc, end, n: _with(arc, end, -1),
+                     "arc {aid} = ({pair}) out of range", "arc {aid} = ({pair}) out of range"),
+        "past-end": (lambda arc, end, n: _with(arc, end, n),
+                     "arc {aid} = ({pair}) out of range", "arc {aid} = ({pair}) out of range"),
+        "single": (lambda arc, end, n: arc[:1],
+                   "malformed graph: arc {aid} is not a [tail, head] pair: {arc}",
+                   "arc {aid} must be a (tail, head) pair, got {arc}"),
+        "triple": (lambda arc, end, n: arc + arc[:1],
+                   "malformed graph: arc {aid} is not a [tail, head] pair: {arc}",
+                   "arc {aid} must be a (tail, head) pair, got {arc}"),
+        "object": (lambda arc, end, n: {"t": arc[0], "h": arc[1]},
+                   "malformed graph: arc {aid} is not a [tail, head] pair: {arc}",
+                   "arc {aid} tail must be an integer, got 't'"),
+        "two-chars": (lambda arc, end, n: "01",
+                      "expected an integer, got '0'",
+                      "arc {aid} tail must be an integer, got '0'"),
+    }
+
+    @pytest.mark.parametrize("spoil", list(SPOILS))
+    def test_a_spoiled_arc_gets_the_checked_routes_message(self, spoil):
+        make, io_message, library_message = self.SPOILS[spoil]
+        rng = random.Random(f"45/{spoil}")
+        for g, _ in seeded_multigraphs(60, seed=45, allow_self_loops=True):
+            n, arcs = g.node_count, [list(a) for a in g.arcs]
+            aid, end = rng.randrange(len(arcs)), rng.randrange(2)
+            arcs[aid] = bad = make(arcs[aid], end, n)
+            fields = {"aid": aid, "end": ("tail", "head")[end], "arc": repr(bad),
+                      "value": repr(bad[end]) if type(bad) is list and len(bad) == 2 else "",
+                      "pair": ",".join(map(str, bad)) if type(bad) is list else ""}
+            with pytest.raises(InvalidInstance,
+                               match=f"^{re.escape(io_message.format(**fields))}$"):
+                parse_graph({"nodes": n, "arcs": arcs})
+            for pairs in (arcs, iter(arcs)):
+                if library_message is None:
+                    assert Digraph(n, pairs).arcs == tuple(map(tuple, arcs))
+                    continue
+                with pytest.raises(InvalidInstance,
+                                   match=f"^{re.escape(library_message.format(**fields))}$"):
+                    Digraph(n, pairs)
+
+
+def _with(arc: list, end: int, value) -> list:
+    """`arc` with its tail (end 0) or head (end 1) replaced by `value`."""
+    arc = list(arc)
+    arc[end] = value
+    return arc
 
 
 class TestWeightsMatchTheGround:

@@ -268,6 +268,15 @@ class TestAffineBasis:
                            match=f"^not an exact rational vector: .* is a {kind}$"):
             call()
 
+    @pytest.mark.parametrize("points, kind", [
+        ("01", "string"), (b"01", "byte string"), ({(0, 0): 1, (1, 0): 1}, "mapping"),
+    ], ids=["string", "bytes", "mapping"])
+    def test_refuses_a_string_bytes_or_mapping_of_points(self, points, kind):
+        # A mapping was read as the list of its keys, the points (0, 0) and (1, 0).
+        with pytest.raises(InvalidInstance,
+                           match=f"^basis points must be a sequence, not the {kind} "):
+            AffineBasis(points)
+
     def test_rejects_float_coordinates(self):
         with pytest.raises(InvalidInstance, match="floats are not exact"):
             as_vector([0.1])

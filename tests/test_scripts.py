@@ -55,6 +55,7 @@ class TestBenchPairsSummary:
             "parent_median": 0.0115, "change_median": 0.0085,
             "parent_iqr": 0.00175, "change_iqr": 0.00225,
             "change_lower_in_pairs": "3/4", "claim_met": False, "regressed": False,
+            "unresolved": False,
         }
         # Pair 0 ties at 2.0 ms and counts for neither side.
         assert summary["req_tail_ms"]["change_lower_in_pairs"] == "3/4"
@@ -83,9 +84,28 @@ class TestBenchPairsSummary:
             "parent_median": 0.0105, "change_median": 0.0085,
             "parent_iqr": 0.001, "change_iqr": 0.001,
             "change_lower_in_pairs": "10/10", "claim_met": True, "regressed": False,
+            "unresolved": False,
         }
         assert summary["req_tail_ms"]["claim_met"] is False
         assert summary["req_tail_ms"]["regressed"] is True
         assert list(summary["req_tail_ms"]) == [
             "parent_median", "change_median", "parent_iqr", "change_iqr",
-            "change_lower_in_pairs", "claim_met", "regressed"]
+            "change_lower_in_pairs", "claim_met", "regressed", "unresolved"]
+
+    def test_unresolved_when_the_parent_spreads_wider_than_the_bound(self):
+        # The parent's pass_s alternates 0.010 and 0.020 s: an IQR of 0.01 s
+        # against a bound of 0.2 x 0.015 s. A change that reads 0.016 s is
+        # unresolved; one that beats every parent run, at 0.009 s, is not.
+        # req_tail_ms has the same spread over a median of 100 ms, well
+        # within its bound.
+        def runs(change_s: float) -> list[dict]:
+            return [run for pair in range(10)
+                    for run in (canned_run(pair, "parent", 0.010 + pair % 2 * 0.010,
+                                           100 + pair % 2 * 0.010),
+                                canned_run(pair, "change", change_s, 100.0))]
+        spread = self.summarize(runs(0.016))
+        assert spread["pass_s"]["parent_iqr"] == 0.01
+        assert spread["pass_s"]["unresolved"] is True
+        assert spread["pass_s"]["regressed"] is False
+        assert spread["req_tail_ms"]["unresolved"] is False
+        assert self.summarize(runs(0.009))["pass_s"]["unresolved"] is False
