@@ -169,8 +169,8 @@ class TestColumns:
                                       lambda: range(1, 3), lambda: iter((1, 2))],
                              ids=["dict", "string", "range", "iterator"])
     def test_other_two_element_arcs_unpack_as_before(self, make):
-        # Only tuples and lists of exact ints take the unzip; the walk unpacks
-        # any other arc as `tail, head = arc` did.
+        # Only list and tuple arcs take the filing walk; the checked walk
+        # unpacks any other arc as `tail, head = arc` did.
         arc = make()
         try:
             expected = Digraph(3, [(0, 1), tuple(make())])
