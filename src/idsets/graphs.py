@@ -6,11 +6,12 @@ tie-breaking is by smallest arc id to keep outputs deterministic.
 
 A `Digraph` is two int columns, `tails` and `heads`, indexed by arc id, plus
 out- and in-arc lists and a self-loop flag, all built by one filing walk over
-the pairs and checked in C after it; a checked walk runs only to name a
-failure. `arcs` is a view of the pairs made on first use, for output and
-tests. `bfs_tree` walks the lists for shortest arc paths and forest paths;
-`reach_marks` answers the membership-only reachability of the s-t solvers
-with one flat mark per node.
+the pairs and checked in C after it. `io.parse_graph` tries the walk on the
+JSON arcs first and runs its checks only to name a failure; the constructor
+checks each arc, then files the checked columns. `arcs` is a view of the
+pairs made on first use, for output and tests. `bfs_tree` walks the lists
+for shortest arc paths and forest paths; `reach_marks` answers the
+membership-only reachability of the s-t solvers with one flat mark per node.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ class Digraph:
     heads: tuple[int, ...]
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
-        """`_file` first when `arcs` is a list or tuple of lists and tuples,
-        which a refused walk leaves as they were. When it refuses, or for
-        other arcs, one checked walk names the failure: InvalidInstance for
+        """One checked walk, then `_file` on its columns. InvalidInstance for
         a bad node_count, a string, byte string or mapping of arcs, or arcs
         that are not iterable, else for the first arc that is not a pair,
         has a non-`_integer` end or is out of range."""
@@ -53,9 +52,6 @@ class Digraph:
         kind = non_vector_kind(arcs)
         if kind:
             raise InvalidInstance(f"arcs must be a sequence, not the {kind} {arcs!r}")
-        if (type(arcs) in (list, tuple) and set(map(type, arcs)) <= {list, tuple}
-                and self._file(node_count, arcs)):
-            return
         tails, heads = [], []
         try:
             for aid, arc in enumerate(arcs):
@@ -73,7 +69,20 @@ class Digraph:
                 heads.append(head)
         except TypeError as exc:
             raise InvalidInstance(f"arcs must be iterable: {exc}") from None
-        self._file(node_count, zip(tails, heads))
+        if not self._file(node_count, zip(tails, heads)):
+            raise AssertionError("the filing walk refused checked arcs")
+
+    @classmethod
+    def _filed(cls, node_count: int, arcs: list) -> Digraph | None:
+        """The Digraph `_file` builds from `arcs`, or None when it refuses or
+        is not tried: for a negative node_count, or one above 2 * len(arcs) + 2
+        (more nodes than the arcs can touch, besides s and t), so the lists a
+        refused walk allocates stay in proportion to the arcs. The caller's
+        checked route then names the failure or builds the graph."""
+        if not 0 <= node_count <= 2 * len(arcs) + 2:
+            return None
+        g = cls.__new__(cls)
+        return g if g._file(node_count, arcs) else None
 
     def _file(self, node_count: int, pairs: Iterable) -> bool:
         """File each arc id under its tail and its head and append its ends to
@@ -83,8 +92,7 @@ class Digraph:
         The walk stops at a pair that does not unpack, a non-int end (a list
         index refuses it) or an end >= node_count; a bool or a negative end
         still indexes a list, so a type and a `min` check per column follow,
-        in C. A refusal stores nothing: the caller's checked route then
-        names the failure."""
+        in C. A refusal stores nothing."""
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
         tails: list[int] = []

@@ -171,13 +171,14 @@ def parse_graph(data: dict) -> Digraph:
     """Format: {"nodes": n, "arcs": [[t,h],...]} (other keys ignored); an arc
     with more or fewer than two entries is refused, not truncated.
 
-    The arcs go straight to the filing walk, `Digraph._file`; only when it
-    refuses do the checks below run, which name the failure."""
+    The arcs go straight to the filing walk, `Digraph._filed`; only when it
+    refuses or is not tried (a negative or outsized node count) do the checks
+    below run, which name the failure or pass the graph to `Digraph`."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
         arcs = _array(data["arcs"], "graph")
-    g = Digraph.__new__(Digraph)
-    if nodes >= 0 and g._file(nodes, arcs):
+    g = Digraph._filed(nodes, arcs)
+    if g is not None:
         return g
     with _reading("graph"):
         # One pass over the lengths. An arc without one (5) fails in len();

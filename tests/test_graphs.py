@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -106,12 +107,11 @@ def test_digraph_refuses_strings_bytes_and_mappings(arcs, kind):
 
 
 class TestColumns:
-    """A Digraph is two int columns, filed by one walk. `Digraph(n, pairs)` on
-    a list of pairs and io.parse_graph both try that walk first, and only
-    when it refuses run their checked routes: the constructor's per-arc walk
-    (all that `Digraph(n, iter(pairs))` runs) and io's shape and type checks.
-    Every entry builds equal graphs and names the checked route's first bad
-    arc. Types are checked by the pairs path and by io alone."""
+    """A Digraph is two int columns, filed by one walk. io.parse_graph tries
+    that walk first, and only when it refuses runs its shape and type checks;
+    `Digraph(n, pairs)` checks each arc, then files the checked columns.
+    Both build equal graphs and name the checked route's first bad arc.
+    Types are checked by the pairs path and by io alone."""
 
     def test_pairs_json_and_columns_build_equal_graphs(self):
         for g, _ in seeded_multigraphs(200, seed=31, allow_self_loops=True):
@@ -120,8 +120,7 @@ class TestColumns:
             assert g.has_self_loop() == any(t == h for t, h in g.arcs)
             from_json = parse_graph({"nodes": g.node_count, "arcs": [list(a) for a in g.arcs]})
             from_lists = Digraph(g.node_count, [list(a) for a in g.arcs])
-            checked = Digraph(g.node_count, iter(g.arcs))
-            for other in (from_json, from_lists, checked):
+            for other in (from_json, from_lists):
                 assert other == g and other.arcs == g.arcs
                 assert other.has_self_loop() == g.has_self_loop()
                 assert (other.out_arcs(), other.in_arcs()) == (g.out_arcs(), g.in_arcs())
@@ -141,8 +140,6 @@ class TestColumns:
             Digraph(3, arcs)
         with pytest.raises(InvalidInstance, match=message):
             Digraph(3, [list(a) for a in arcs])
-        with pytest.raises(InvalidInstance, match=message):
-            Digraph(3, iter(arcs))
         if all(type(v) is int for arc in arcs for v in arc):
             with pytest.raises(InvalidInstance, match=message):
                 parse_graph({"nodes": 3, "arcs": [list(a) for a in arcs]})
@@ -154,11 +151,6 @@ class TestColumns:
         with pytest.raises(InvalidInstance, match=r"^arc 1 must be a \(tail, head\) pair"):
             Digraph(3, [(0, 1), (0, 1, 2), (0, 3)])
 
-    def test_a_one_shot_arc_before_a_bad_arc(self):
-        # An arc the filing walk would use up is left to the checked walk.
-        with pytest.raises(InvalidInstance, match=r"^arc 1 = \(0,3\) out of range$"):
-            Digraph(3, [iter((1, 2)), (0, 3)])
-
     def test_bools_read_as_ints(self):
         for g in (Digraph(3, [(0, 1), (True, 2)]), Digraph(True, [[0, False]])):
             assert [type(v) for v in (g.node_count, *g.tails, *g.heads)] == [int] * (
@@ -169,8 +161,7 @@ class TestColumns:
                                       lambda: range(1, 3), lambda: iter((1, 2))],
                              ids=["dict", "string", "range", "iterator"])
     def test_other_two_element_arcs_unpack_as_before(self, make):
-        # Only list and tuple arcs take the filing walk; the checked walk
-        # unpacks any other arc as `tail, head = arc` did.
+        # The checked walk unpacks any arc as `tail, head = arc` does.
         arc = make()
         try:
             expected = Digraph(3, [(0, 1), tuple(make())])
@@ -181,15 +172,13 @@ class TestColumns:
             assert Digraph(3, [(0, 1), arc]) == expected
 
     def test_node_count_is_checked_first(self):
-        for build in (lambda n, arcs: Digraph(n, arcs),
-                      lambda n, arcs: Digraph(n, iter(arcs))):
-            with pytest.raises(InvalidInstance, match="^node_count must be an integer"):
-                build(2.0, [(0, 5)])
-            with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
-                build(-1, [(0, 5)])
+        with pytest.raises(InvalidInstance, match="^node_count must be an integer"):
+            Digraph(2.0, [(0, 5)])
+        with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
+            Digraph(-1, [(0, 5)])
         with pytest.raises(InvalidInstance, match="^node_count must be nonnegative$"):
             parse_graph({"nodes": -1, "arcs": []})
-        assert parse_graph({"nodes": 0, "arcs": []}) == Digraph(0, []) == Digraph(0, iter(()))
+        assert parse_graph({"nodes": 0, "arcs": []}) == Digraph(0, [])
 
     # One bad value at a random arc. For each spoil, the message of io's
     # checked route and of the constructor's, with {aid}, {end} ("tail" or
@@ -240,13 +229,38 @@ class TestColumns:
             with pytest.raises(InvalidInstance,
                                match=f"^{re.escape(io_message.format(**fields))}$"):
                 parse_graph({"nodes": n, "arcs": arcs})
-            for pairs in (arcs, iter(arcs)):
-                if library_message is None:
-                    assert Digraph(n, pairs).arcs == tuple(map(tuple, arcs))
-                    continue
-                with pytest.raises(InvalidInstance,
-                                   match=f"^{re.escape(library_message.format(**fields))}$"):
-                    Digraph(n, pairs)
+            if library_message is None:
+                assert Digraph(n, arcs).arcs == tuple(map(tuple, arcs))
+                continue
+            with pytest.raises(InvalidInstance,
+                               match=f"^{re.escape(library_message.format(**fields))}$"):
+                Digraph(n, arcs)
+
+    @pytest.mark.parametrize("bad, io_message, library_message", [
+        ([0, -1], r"^arc 0 = \(0,-1\) out of range$", r"^arc 0 = \(0,-1\) out of range$"),
+        ([0, "x"], r"^expected an integer, got 'x'$", r"^arc 0 head must be an integer, got 'x'$"),
+    ], ids=["negative", "str"])
+    def test_a_huge_node_count_with_a_bad_arc_is_refused_before_any_lists(
+            self, bad, io_message, library_message):
+        # The arc is refused before a list per node is made: 400,000 nodes
+        # would take tens of MB of adjacency lists.
+        nodes = 400_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInstance, match=io_message):
+                parse_graph({"nodes": nodes, "arcs": [bad]})
+            with pytest.raises(InvalidInstance, match=library_message):
+                Digraph(nodes, [bad])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_an_outsized_node_count_still_builds(self):
+        g = parse_graph({"nodes": 9, "arcs": [[0, 8], [8, 3]]})
+        assert g == Digraph(9, [(0, 8), (8, 3)])
+        assert (g.out_arcs(), g.in_arcs()) == (((0,), (), (), (), (), (), (), (), (1,)),
+                                               ((), (), (), (1,), (), (), (), (), (0,)))
 
 
 def _with(arc: list, end: int, value) -> list:
