@@ -12,14 +12,16 @@ stderr. stdout gets one JSON object: `runs`, one record per run holding the
 two final lines the harness prints (`context` and `result`), and `summary`,
 per metric each side's median and interquartile range (inclusive quartiles),
 the number of pairs in which the change read lower (ties count for neither
-side), `claim_met` (lower in at least 9 of 10 pairs, and the change median
-below the parent's by more than the parent IQR), `regressed` (the change
-median worse than the parent's by more than the metric's relative `bound`
-in BENCHMARK.json, which the script only reads) and `unresolved` (the
-parent IQR wider than that bound times the parent median, so the runs
-spread too widely to show the change within its bound, unless every change
-run reads better than every parent run); the last two are false for a
-metric without a bound.
+side), `claim_met` (better in at least 9 of 10 pairs, and the change median
+better than the parent's by more than the parent IQR), `regressed` (the
+change median worse than the parent's by more than the metric's relative
+`bound`) and `unresolved` (the parent IQR wider than that bound times the
+parent median, so the runs spread too widely to show the change within its
+bound, unless every change run reads better than every parent run); the
+last two are false for a metric without a bound. Better is lower unless the
+metric's `better` in BENCHMARK.json, which the script only reads, is
+"higher" (an end-to-end or a per-layer metric). The summary also holds
+`attempted` and `failed`, the harness's request counts summed per side.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 def summarize(runs: list[dict]) -> dict:
     """Medians, IQRs, change-lower counts, `claim_met`, `regressed` and
     `unresolved` per metric over the complete pairs of `runs`, plus whether
-    every run was correct and its failures."""
+    every run was correct and the requests attempted and failed, in all and
+    per side."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    bounds = {m["name"]: (m["better"], m.get("bound"))
+              for m in spec["end_to_end"] + spec["per_layer"]}
     sides: dict[int, dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
@@ -55,6 +59,7 @@ def summarize(runs: list[dict]) -> dict:
         lower = sum(c < p for p, c in zip(parent, change))
         better, bound = bounds.get(name, ("lower", None))
         sign = 1 if better == "lower" else -1
+        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
         worse = (change_median - parent_median) * sign
         parent_iqr = _iqr(parent)
         summary[name] = {
@@ -63,8 +68,7 @@ def summarize(runs: list[dict]) -> dict:
             "parent_iqr": parent_iqr,
             "change_iqr": _iqr(change),
             "change_lower_in_pairs": f"{lower}/{len(pairs)}",
-            "claim_met": 10 * lower >= 9 * len(pairs)
-            and parent_median - change_median > parent_iqr,
+            "claim_met": 10 * wins >= 9 * len(pairs) and -worse > parent_iqr,
             "regressed": bound is not None and worse > bound * abs(parent_median),
             "unresolved": bound is not None and parent_iqr > bound * abs(parent_median)
             and max(sign * c for c in change) >= min(sign * p for p in parent),
@@ -72,6 +76,10 @@ def summarize(runs: list[dict]) -> dict:
     summary["correct_all"] = all(r["result"] is not None and r["result"]["correct"]
                                  for r in runs)
     summary["failed_total"] = sum(r["result"]["failed"] for r in runs if r["result"] is not None)
+    for key in ("attempted", "failed"):
+        summary[key] = {side: sum(r["result"][key] for r in runs
+                                  if r["result"] is not None and r["side"] == side)
+                        for side in ("parent", "change")}
     return summary
 
 

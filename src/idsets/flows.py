@@ -4,9 +4,10 @@ A set S is identifying for the flow polytope exactly when removing S from the
 relevant arcs E' (arcs on some s-t path or directed cycle) leaves no
 undirected cycle. Minimal identifying sets are therefore complements of
 spanning forests of (V, E'), and a maximum-weight forest yields the
-minimum-weight identifying set. E' is read off reach marks from s and into t,
-with Kosaraju only on the nodes off the s-t core; Kruskal and the cycle finder
-run on one union-find. A failed verification pushes flow around the first
+minimum-weight identifying set. E' is collected by the walks that find it:
+the walk into t keeps the arcs of the s-t core, and Kosaraju, run only on
+the nodes off the core, keeps the arcs inside its components; Kruskal and
+the cycle finder run on one union-find. A failed verification pushes flow around the first
 cycle it finds, walked in the order it was found.
 """
 
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import and_, eq
+from operator import and_
 from typing import Iterable
 
 from .errors import InvalidInstance, NoStPath
@@ -61,10 +61,10 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     Call the nodes that s reaches and that reach t the core. An arc on an s-t
     walk has both ends in the core, and is on an s-t path; a directed cycle
     through a core node has every node in the core, so all its arcs are walk
-    arcs. So E' is the arcs inside the core plus the arcs inside a strongly
-    connected component of the other nodes: Kosaraju runs on those alone,
-    and the core shares one label, so E' is the arcs whose ends' labels match.
-    Raises NoStPath when s does not reach t.
+    arcs. So E' is the arcs inside the core, which the walk into t keeps as
+    the in-arcs of its nodes whose tail s reaches, plus the arcs inside a
+    strongly connected component of the other nodes, which Kosaraju, run on
+    those alone, keeps. Raises NoStPath when s does not reach t.
     """
     if g.has_self_loop():
         raise InvalidInstance("self-loops are not allowed in flow settings")
@@ -72,10 +72,18 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     from_s = reach_marks(g, st.source)
     if not from_s[st.sink]:
         raise NoStPath(f"no path from {st.source} to {st.sink}")
-    to_t = reach_marks(g, st.sink, follow="in")
-    label = _kosaraju(g, bytes(map(and_, from_s, to_t))).__getitem__
-    return frozenset(compress(range(g.arc_count), map(
-        eq, map(label, g.tails), map(label, g.heads))))
+    inc, tails = g.in_arcs(), g.tails
+    to_t, stack, core = bytearray(g.node_count), [st.sink], []
+    to_t[st.sink] = 1
+    while stack:
+        for aid in inc[stack.pop()]:
+            u = tails[aid]
+            if from_s[u]:
+                core.append(aid)
+            if not to_t[u]:
+                to_t[u] = 1
+                stack.append(u)
+    return frozenset(core + _kosaraju(g, bytes(map(and_, from_s, to_t)))[1])
 
 
 def min_weight_flow_identifying(g: Digraph, st: StPair,
@@ -123,7 +131,7 @@ def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
         if tail == head:
             return [aid]
         if not uf.union(tail, head):
-            return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both"), tail)
+            return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both", goal=tail), tail)
         added.append(aid)
     return None
 
@@ -135,13 +143,14 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
     the directed cycle it closes; any other relevant arc lies on the s-t path
     through the shortest paths s -> tail and head -> t. All paths are BFS
     paths, so the flows are integer arc counts divided by the cycle length,
-    one Fraction per distinct count.
+    one Fraction per distinct count. The tree from each arc's head stops at
+    its tail, and is full only when it never reaches it.
     """
     from_s = bfs_tree(g, st.source)
     counts = [0] * g.arc_count
     for arc in cycle:
         tail, head = g.tails[arc], g.heads[arc]
-        from_head = bfs_tree(g, head)
+        from_head = bfs_tree(g, head, goal=tail)
         if tail in from_head:
             walk = tree_path(g, from_s, st.sink) + tree_path(g, from_head, tail)
         else:

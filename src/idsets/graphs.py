@@ -20,6 +20,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -91,8 +92,11 @@ class Digraph:
 
         The walk stops at a pair that does not unpack, a non-int end (a list
         index refuses it) or an end >= node_count; a bool or a negative end
-        still indexes a list, so a type and a `min` check per column follow,
-        in C. A refusal stores nothing."""
+        still indexes a list, so a `min` check per column and a type check
+        follow, in C. Of the values this receives (JSON values, or the
+        constructor's checked ints) a bool is the only non-int an index
+        accepts, and it equals 0 or 1, so the type check reads only the ends
+        filed under nodes 0 and 1. A refusal stores nothing."""
         out: list[list[int]] = [[] for _ in range(node_count)]
         inc: list[list[int]] = [[] for _ in range(node_count)]
         tails: list[int] = []
@@ -105,8 +109,10 @@ class Digraph:
                 heads.append(head)
         except (IndexError, TypeError, ValueError):
             return False
-        if tails and not (set(map(type, tails)) | set(map(type, heads)) <= {int}
-                          and min(tails) >= 0 and min(heads) >= 0):
+        low_ends = chain(map(tails.__getitem__, chain(*out[:2])),
+                         map(heads.__getitem__, chain(*inc[:2])))
+        if tails and not (min(tails) >= 0 and min(heads) >= 0
+                          and set(map(type, low_ends)) <= {int}):
             return False
         self.__dict__.update(  # frozen: set once, here; eq and repr read the three fields
             node_count=node_count, tails=tuple(tails), heads=tuple(heads),
@@ -288,12 +294,14 @@ class UnionFind:
         return tuple(map(frozenset, groups.values()))
 
 
-def _kosaraju(g: Digraph, skip: bytes | bytearray) -> list[int]:
-    """Strongly connected component id per node v with skip[v] == 0 (Kosaraju):
-    one depth-first walk over the out-arcs records finish order, then one walk
-    over the in-arcs from each unassigned node, latest finished first, collects
-    its component. Ids are 0..k-1 in a topological order of the components:
-    comp[tail] <= comp[head] for every arc between unskipped nodes.
+def _kosaraju(g: Digraph, skip: bytes | bytearray) -> tuple[list[int], list[int]]:
+    """Strongly connected component id per node v with skip[v] == 0, and the
+    arcs inside a component (Kosaraju): one depth-first walk over the
+    out-arcs records finish order, then one walk over the in-arcs from each
+    unassigned node, latest finished first, collects its component, keeping
+    each in-arc whose tail lands in it. Ids are 0..k-1 in a topological order
+    of the components: comp[tail] <= comp[head] for every arc between
+    unskipped nodes.
 
     Both walks treat a skipped node as already seen, so none is entered and
     every skipped node keeps the one id -1; the caller must skip whole
@@ -316,7 +324,7 @@ def _kosaraju(g: Digraph, skip: bytes | bytearray) -> list[int]:
             else:
                 stack.pop()
                 finished.append(v)
-    placed, comp, k = bytearray(skip), [-1] * g.node_count, 0
+    placed, comp, inside, k = bytearray(skip), [-1] * g.node_count, [], 0
     for root in reversed(finished):
         if not placed[root]:
             placed[root], comp[root], stack = 1, k, [root]
@@ -326,8 +334,10 @@ def _kosaraju(g: Digraph, skip: bytes | bytearray) -> list[int]:
                     if not placed[w]:
                         placed[w], comp[w] = 1, k
                         stack.append(w)
+                    if comp[w] == k:
+                        inside.append(aid)
             k += 1
-    return comp
+    return comp, inside
 
 
 def topological_order(g: Digraph) -> tuple[int, ...]:
@@ -373,13 +383,15 @@ def _find_directed_cycle(g: Digraph, indeg: list[int]) -> list[int]:
 
 
 def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
-             follow: str = "out") -> dict[int, int]:
+             follow: str = "out", *, goal: int | None = None) -> dict[int, int]:
     """Breadth-first tree from `start` over the allowed arc ids (all when None).
 
     `follow` is "out" (tail to head) or "both" (either way). Each
     node's arcs are tried in ascending id order, so a node's tree arc is the
     smallest-id arc from the first-queued node that reaches it. Returns
-    node -> tree arc for every node reached, with start -> -1.
+    node -> tree arc for every node reached, with start -> -1. A `goal` ends
+    the walk the moment it is reached: a node's tree path is fixed then, so
+    `tree_path` to any node in the returned tree is that of the full tree.
     """
     if follow not in ("out", "both"):
         raise ValueError(f"follow must be 'out' or 'both', got {follow!r}")
@@ -387,6 +399,8 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
         allowed = frozenset(allowed)
     out, inc, tails, heads = g.out_arcs(), g.in_arcs(), g.tails, g.heads
     tree = {start: -1}
+    if start == goal:
+        return tree
     queue = deque([start])
     while queue:
         v = queue.popleft()
@@ -396,6 +410,8 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
             w = heads[aid] if tails[aid] == v else tails[aid]
             if w not in tree:
                 tree[w] = aid
+                if w == goal:
+                    return tree
                 queue.append(w)
     return tree
 
@@ -434,7 +450,7 @@ def reach_marks(g: Digraph, start: int, follow: str = "out") -> bytearray:
 def shortest_arc_path(g: Digraph, start: int, goal: int,
                       allowed: Iterable[int] | None = None) -> list[int] | None:
     """BFS path start->goal as an arc-id list, or None. Prefers smaller arc ids."""
-    return tree_path(g, bfs_tree(g, start, allowed), goal)
+    return tree_path(g, bfs_tree(g, start, allowed, goal=goal), goal)
 
 
 def _max_weight_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> set[int]:

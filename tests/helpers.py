@@ -890,7 +890,7 @@ def tolled_cost(toll: TollVector, c: CostOracle, x: Sequence) -> Fraction:
 
 def strongly_connected_components(g: Digraph) -> list[int]:
     """Component id per node: `graphs._kosaraju` with no node skipped."""
-    return _kosaraju(g, bytes(g.node_count))
+    return _kosaraju(g, bytes(g.node_count))[0]
 
 
 def spanning_forest_max_weight(g: Digraph, restrict: Iterable[int],

@@ -13,7 +13,7 @@ from idsets.flows import (
     relevant_arcs,
     verify_flow_identifying,
 )
-from idsets.graphs import Digraph, StPair, WeightedGroundSet
+from idsets.graphs import Digraph, StPair, WeightedGroundSet, _kosaraju
 from idsets.instances import gen_tight_gap_family
 
 from .helpers import (
@@ -97,6 +97,32 @@ class TestArcSetsMatchPathsAndCycles:
             counts["off_core_cycle"] += any(g.tails[a] not in core for a in relevant)
             counts["parallel"] += len(set(g.arcs)) < g.arc_count
         assert counts["st"] >= 1_000, counts
+        assert min(counts.values()) >= 100, counts
+
+
+class TestKosarajuInsideArcs:
+    """`_kosaraju`'s inside arcs against its labels, under a skip mask that
+    is the core of a random node pair: a union of whole components, as the
+    walks require."""
+
+    def test_inside_arcs_are_the_arcs_within_one_label(self):
+        rng = random.Random(17)
+        counts = {"skipped": 0, "inside": 0, "parallel": 0, "self_loop": 0}
+        for g, _ in multigraphs_with_stray_cycles(600, seed=41):
+            if rng.random() < 0.3:
+                v = rng.randrange(g.node_count)
+                g = Digraph(g.node_count, [*g.arcs, (v, v)])
+            s, t = rng.sample(range(g.node_count), 2)
+            core = oracle_reachable_from(g, s) & oracle_reverse_reachable_to(g, t)
+            skip = bytes(v in core for v in range(g.node_count))
+            label, inside = _kosaraju(g, skip)
+            assert sorted(inside) == [a for a, (tail, head) in enumerate(g.arcs)
+                                      if label[tail] == label[head] != -1]
+            assert [v for v in range(g.node_count) if label[v] == -1] == sorted(core)
+            counts["skipped"] += bool(core)
+            counts["inside"] += bool(inside)
+            counts["parallel"] += len(set(g.arcs)) < g.arc_count
+            counts["self_loop"] += g.has_self_loop()
         assert min(counts.values()) >= 100, counts
 
 

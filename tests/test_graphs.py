@@ -27,6 +27,7 @@ from idsets.graphs import (
     reach_marks,
     shortest_arc_path,
     topological_order,
+    tree_path,
     validate_ids,
 )
 from idsets.instances import gen_tight_gap_family
@@ -608,6 +609,28 @@ class TestTraversalOracles:
                         == oracle_reachable_from(g, start, allowed))
                 assert (shortest_arc_path(g, start, goal, allowed)
                         == oracle_shortest_arc_path(g, start, goal, allowed))
+
+    def test_goal_tree_paths_match_the_full_tree(self):
+        # A tree that stops at its goal holds the goal's full-tree path, and
+        # each node it holds has its full-tree arc; a goal never reached
+        # leaves the full tree.
+        rng = random.Random(23)
+        graphs = seeded_multigraphs(600, seed=19, min_nodes=2, max_nodes=7, max_arcs=14,
+                                    allow_self_loops=True)
+        assert sum(len(set(g.arcs)) < g.arc_count for g, _ in graphs) > 200
+        stopped = 0
+        for g, _ in graphs:
+            allowed = (None if rng.random() < 0.4 else
+                       {a for a in range(g.arc_count) if rng.random() < 0.6})
+            start, goal = rng.randrange(g.node_count), rng.randrange(g.node_count)
+            for follow in ("out", "both"):
+                full = bfs_tree(g, start, allowed, follow)
+                part = bfs_tree(g, start, allowed, follow, goal=goal)
+                assert tree_path(g, part, goal) == tree_path(g, full, goal)
+                assert part.items() <= full.items()
+                assert part == full or goal in part
+                stopped += len(part) < len(full)
+        assert stopped >= 100, stopped
 
     def test_reach_marks_match_the_oracles(self):
         for g, _ in self.GRAPHS:

@@ -61,7 +61,8 @@ class TestBenchPairsSummary:
         assert summary["req_tail_ms"]["change_lower_in_pairs"] == "3/4"
         assert summary["req_tail_ms"]["parent_median"] == 1.85
         assert summary["correct_all"] is True and summary["failed_total"] == 0
-        assert list(summary) == ["pass_s", "req_tail_ms", "correct_all", "failed_total"]
+        assert list(summary) == ["pass_s", "req_tail_ms", "correct_all", "failed_total",
+                                 "attempted", "failed"]
 
     def test_a_run_without_result_drops_its_pair(self):
         crashed = {"pair": 1, "side": "change", "result": None}
@@ -91,6 +92,37 @@ class TestBenchPairsSummary:
         assert list(summary["req_tail_ms"]) == [
             "parent_median", "change_median", "parent_iqr", "change_iqr",
             "change_lower_in_pairs", "claim_met", "regressed", "unresolved"]
+
+    def test_failures_and_attempts_per_side(self):
+        # A run without a result counts for neither side; one whose pair is
+        # incomplete still counts for its own.
+        runs = [canned_run(0, "parent", 0.010, 2.0), canned_run(0, "change", 0.009, 1.0, 2),
+                {"pair": 1, "side": "parent", "result": None},
+                canned_run(1, "change", 0.001, 0.1, 3), canned_run(2, "parent", 0.01, 1.0, 1)]
+        summary = self.summarize(runs)
+        assert summary["attempted"] == {"parent": 20, "change": 20}
+        assert summary["failed"] == {"parent": 1, "change": 5}
+        assert summary["failed_total"] == 6
+
+    def test_a_higher_is_better_metric_claims_a_rise(self):
+        # BENCHMARK.json lists matroids.oracle.hit_ratio as better higher: a
+        # ratio that rises 0.5 -> 0.9 in 10 of 10 pairs meets the claim, and
+        # one that falls does not.
+        def runs(before: float, after: float) -> list[dict]:
+            out = []
+            for pair in range(10):
+                for side, ratio in (("parent", before), ("change", after)):
+                    run = canned_run(pair, side, 0.01, 1.0)
+                    run["result"]["metrics"]["matroids.oracle.hit_ratio"] = {
+                        "value": ratio + pair % 2 * 0.01, "unit": "ratio"}
+                    out.append(run)
+            return out
+        rise = self.summarize(runs(0.5, 0.9))["matroids.oracle.hit_ratio"]
+        assert rise["change_lower_in_pairs"] == "0/10"
+        assert rise["claim_met"] is True and rise["regressed"] is False
+        fall = self.summarize(runs(0.9, 0.5))["matroids.oracle.hit_ratio"]
+        assert fall["change_lower_in_pairs"] == "10/10"
+        assert fall["claim_met"] is False
 
     def test_unresolved_when_the_parent_spreads_wider_than_the_bound(self):
         # The parent's pass_s alternates 0.010 and 0.020 s: an IQR of 0.01 s
