@@ -7,8 +7,8 @@ spanning forests of (V, E'), and a maximum-weight forest yields the
 minimum-weight identifying set. E' is collected by the walks that find it:
 the walk into t keeps the arcs of the s-t core, and Kosaraju, run only on
 the nodes off the core, keeps the arcs inside its components; Kruskal and
-the cycle finder run on one union-find. A failed verification pushes flow around the first
-cycle it finds, walked in the order it was found.
+the cycle finder run on one union-find. A failed verification pushes flow
+around the first cycle it finds, walked in the order it was found.
 """
 
 from __future__ import annotations

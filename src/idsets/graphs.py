@@ -6,12 +6,15 @@ tie-breaking is by smallest arc id to keep outputs deterministic.
 
 A `Digraph` is two int columns, `tails` and `heads`, indexed by arc id, plus
 out- and in-arc lists and a self-loop flag, all built by one filing walk over
-the pairs and checked in C after it. `io.parse_graph` tries the walk on the
-JSON arcs first and runs its checks only to name a failure; the constructor
-checks each arc, then files the checked columns. `arcs` is a view of the
-pairs made on first use, for output and tests. `bfs_tree` walks the lists
-for shortest arc paths and forest paths; `reach_marks` answers the
-membership-only reachability of the s-t solvers with one flat mark per node.
+the pairs and checked in C after it: the signs of every end, the types of
+the ends filed under nodes 0 and 1, where a bool lands. `io.parse_graph`
+tries the walk on the JSON arcs first and runs its checks only to name a
+failure; the constructor checks each arc, then files the checked columns.
+`arcs` is a view of the pairs made on first use, for output and tests.
+`bfs_tree` walks the lists for shortest arc paths and forest paths, and
+stops at a goal when given one; `reach_marks` answers the membership-only
+reachability of the s-t solvers with one flat mark per node, and
+`_kosaraju` returns the arcs inside its components with their labels.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
