@@ -39,6 +39,10 @@ class SolutionList:
         vecs: list[tuple[int, ...]] = []
         try:
             for vec in vectors:
+                kind = non_vector_kind(vec)
+                if kind:
+                    raise InvalidInstance(
+                        f"each vector must be a sequence, not the {kind} {vec!r}")
                 tup = tuple(vec)
                 if len(tup) != dimension:
                     raise InvalidInstance("vector length does not match dimension")

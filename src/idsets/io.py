@@ -84,14 +84,12 @@ def int_from_json(value: Any) -> int:
     raise InvalidInstance(f"expected an integer, got {value!r}")
 
 
-def _check_ints(*columns: list) -> None:
-    """`int_from_json` on every value of the equal-length columns, as one pass
-    over their types; only a failure walks them, row by row, to name the
-    first offender."""
-    if not set().union(*(map(type, column) for column in columns)) <= {int}:
-        for row in zip(*columns):
-            for value in row:
-                int_from_json(value)
+def _check_ints(values: list) -> None:
+    """`int_from_json` on every value, as one pass over their types; only a
+    failure walks them to name the first offender."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            int_from_json(value)
 
 
 def fraction_to_json(value: Fraction) -> str:
@@ -172,30 +170,23 @@ def parse_graph(data: dict) -> Digraph:
     with more or fewer than two entries is refused, not truncated.
 
     The arcs go straight to the filing walk, `Digraph._filed`; only when it
-    refuses or is not tried (a negative or outsized node count) do the checks
-    below run, which name the failure or pass the graph to `Digraph`."""
+    refuses or is not tried (a negative or outsized node count) does one
+    plain walk, in arc order, name the first arc that is not a pair of JSON
+    integers, before `Digraph` checks the count and the range."""
     with _reading("graph"):
         nodes = int_from_json(data["nodes"])
         arcs = _array(data["arcs"], "graph")
     g = Digraph._filed(nodes, arcs)
     if g is not None:
         return g
-    with _reading("graph"):
-        # One pass over the lengths. An arc without one (5) fails in len();
-        # a two-character string fails further down, at its first end.
-        bad = None
-        if not set(map(len, arcs)) <= {2}:
-            bad = next(aid for aid, arc in enumerate(arcs) if len(arc) != 2)
-        else:
-            try:
-                tails, heads = [a[0] for a in arcs], [a[1] for a in arcs]
-            except KeyError:  # a two-key object: JSON keys are strings, never 0
-                bad = next(aid for aid, arc in enumerate(arcs) if type(arc) is dict)
-        if bad is not None:
-            raise InvalidInstance(
-                f"malformed graph: arc {bad} is not a [tail, head] pair: {arcs[bad]!r}")
-    _check_ints(tails, heads)
-    return Digraph(nodes, zip(tails, heads))
+    with _reading("graph"):  # an arc without a len (5) fails in len()
+        for aid, arc in enumerate(arcs):
+            if isinstance(arc, dict) or len(arc) != 2:
+                raise InvalidInstance(
+                    f"malformed graph: arc {aid} is not a [tail, head] pair: {arc!r}")
+            int_from_json(arc[0])
+            int_from_json(arc[1])
+    return Digraph(nodes, arcs)
 
 
 def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, non_vector_kind
 from .graphs import (
     Digraph,
     UnionFind,
@@ -160,6 +160,9 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     block with 0 < c < |block| is one component and every other element a
     singleton: a loop at c = 0, a coloop at c = |block|.
     """
+    kind = non_vector_kind(capacities)
+    if kind:
+        raise InvalidInstance(f"capacities must be a sequence, not the {kind} {capacities!r}")
     try:
         block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
         capacities = [_integer(c, "capacity") for c in capacities]

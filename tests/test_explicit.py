@@ -62,6 +62,15 @@ class TestSolutionList:
                            match=f"^vectors must be a sequence, not the {kind} "):
             SolutionList(2, vectors)
 
+    @pytest.mark.parametrize("vector, kind", [
+        ({0: "a", 1: "b"}, "mapping"), (bytes([0, 1]), "byte string"),
+    ], ids=["mapping", "bytes"])
+    def test_refuses_a_mapping_or_bytes_vector(self, vector, kind):
+        # Each was read as its keys or bytes, the row (0, 1).
+        with pytest.raises(InvalidInstance,
+                           match=f"^each vector must be a sequence, not the {kind} "):
+            SolutionList(2, [vector])
+
     def test_negative_dimension_is_refused_as_a_count(self):
         # The rule and message of every count (node_count, size, ground_size).
         for build in (SolutionList, SolutionList._from_rows):

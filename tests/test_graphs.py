@@ -263,6 +263,38 @@ class TestColumns:
         assert (g.out_arcs(), g.in_arcs()) == (((0,), (), (), (), (), (), (), (), (1,)),
                                                ((), (), (), (1,), (), (), (), (), (0,)))
 
+    @pytest.mark.parametrize("arcs, message", [
+        ([[0, 1.5], [0]], "expected an integer, got 1.5"),
+        ([[0, 1.5], 5], "expected an integer, got 1.5"),
+        ([["x", 0], [0, 1, 2]], "expected an integer, got 'x'"),
+    ], ids=["float-then-single", "float-then-scalar", "str-then-triple"])
+    def test_of_two_faults_io_names_the_earlier_arc(self, arcs, message):
+        # io's refusal route reads each arc's shape, then its ends, in arc order.
+        with pytest.raises(InvalidInstance, match=f"^{re.escape(message)}$"):
+            parse_graph({"nodes": 3, "arcs": arcs})
+
+    @pytest.mark.parametrize("spoil", list(SPOILS))
+    def test_an_outsized_node_count_names_a_spoil_as_in_bounds(self, spoil):
+        # Above 2m + 2 nodes the filing walk is not tried, so io's refusal
+        # route names every spoil, with the message the walk's refusal gets.
+        make, io_message, _ = self.SPOILS[spoil]
+        rng = random.Random(f"49/{spoil}")
+        for g, _ in seeded_multigraphs(60, seed=49, allow_self_loops=True):
+            arcs = [list(a) for a in g.arcs]
+            n = max(g.node_count, 2 * len(arcs) + rng.randint(3, 10))
+            assert Digraph._filed(n, arcs) is None
+            built, want = parse_graph({"nodes": n, "arcs": arcs}), Digraph(n, g.arcs)
+            assert built == want
+            assert (built.out_arcs(), built.in_arcs()) == (want.out_arcs(), want.in_arcs())
+            aid, end = rng.randrange(len(arcs)), rng.randrange(2)
+            arcs[aid] = bad = make(arcs[aid], end, n)
+            fields = {"aid": aid, "arc": repr(bad),
+                      "value": repr(bad[end]) if type(bad) is list and len(bad) == 2 else "",
+                      "pair": ",".join(map(str, bad)) if type(bad) is list else ""}
+            with pytest.raises(InvalidInstance,
+                               match=f"^{re.escape(io_message.format(**fields))}$"):
+                parse_graph({"nodes": n, "arcs": arcs})
+
 
 def _with(arc: list, end: int, value) -> list:
     """`arc` with its tail (end 0) or head (end 1) replaced by `value`."""

@@ -141,6 +141,12 @@ class TestBuiltins:
         with pytest.raises(InvalidInstance, match="^blocks and capacities must be iterable: "):
             partition_matroid(blocks, capacities)
 
+    def test_partition_refuses_mapping_capacities(self):
+        # {1: "x"} was read as its keys, a block of capacity 1.
+        with pytest.raises(InvalidInstance,
+                           match="^capacities must be a sequence, not the mapping "):
+            partition_matroid([[0, 1]], {1: "x"})
+
     @pytest.mark.parametrize("ground_size, message", [
         (2.0, "must be an integer, got 2.0"), (-1, "must be nonnegative"),
     ], ids=["float", "negative"])

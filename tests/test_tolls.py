@@ -173,6 +173,13 @@ class TestDiscreteTolls:
         with pytest.raises(TargetNotInX):
             discrete_tolls(x, {1}, linear_cost([0, 0]), (1, 1))
 
+    def test_a_mapping_target_is_refused(self):
+        # It was read as its keys, and the target (0, 1) was tolled.
+        x = SolutionList(2, [(1, 0), (0, 1)])
+        with pytest.raises(InvalidInstance,
+                           match="^each vector must be a sequence, not the mapping "):
+            discrete_tolls(x, {0, 1}, linear_cost([0, 0]), {0: "a", 1: "b"})
+
     def test_cost_of_another_length_rejected(self):
         x = from_strings(["100", "010", "001"])
         with pytest.raises(InvalidInstance, match="^cost of dimension 1, point of dimension "):
