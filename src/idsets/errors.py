@@ -5,8 +5,10 @@ answer is no" (a regular return value) from "the instance is too large for
 brute force": PathExplosion past `Caps.max_paths` and SubsetExplosion past
 `Caps.max_subsets`. No other solver has a cap.
 
-`non_vector_kind` names the inputs that InvalidInstance refuses where a
-weight or rational vector belongs.
+Every sequence argument of the library, an arc list, a weight vector, a 0/1
+vector or a rational point, is indexed by the ground set, so `as_sequence`
+reads it in its own order and refuses with InvalidInstance the kinds that
+`non_vector_kind` names, which iterate in some other order.
 """
 
 from __future__ import annotations
@@ -24,17 +26,34 @@ class InvalidInstance(IdsetsError):
 
 
 def non_vector_kind(values: Any) -> str | None:
-    """"string", "byte string" or "mapping" for a value that iterates one
-    character, byte or key per item, which the weight and vector constructors
-    refuse with InvalidInstance; None for anything else. A list or tuple,
-    what the parsers and solvers pass, skips the slower Mapping check."""
+    """"string", "byte string", "mapping" or "set" for a value that iterates
+    one character, byte or key per item, or in hash order; None for anything
+    else. A list or tuple, what the parsers and solvers pass, skips the
+    slower Mapping check."""
     if isinstance(values, (list, tuple)):
         return None
     if isinstance(values, str):
         return "string"
     if isinstance(values, (bytes, bytearray)):
         return "byte string"
+    if isinstance(values, (set, frozenset)):
+        return "set"
     return "mapping" if isinstance(values, Mapping) else None
+
+
+def as_sequence(values: Any, what: str) -> list | tuple:
+    """A list or tuple as it is, any other iterable as the list of its items.
+    InvalidInstance naming `what` for a kind `non_vector_kind` names, and
+    for a value that cannot be iterated."""
+    if isinstance(values, (list, tuple)):
+        return values
+    kind = non_vector_kind(values)
+    if kind:
+        raise InvalidInstance(f"{what} must be a sequence, not the {kind} {values!r}")
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise InvalidInstance(f"{what} must be iterable: {exc}") from None
 
 
 class NoStPath(IdsetsError):

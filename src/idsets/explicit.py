@@ -19,7 +19,7 @@ from sys import byteorder
 from typing import Iterable, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance, non_vector_kind
+from .errors import InvalidInstance, as_sequence
 from .graphs import WeightedGroundSet, _count, validate_ids, validate_weights
 from .search import first_collision, min_weight_hitting_set, pair_demands
 
@@ -33,17 +33,10 @@ class SolutionList:
 
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
         dimension = _count(dimension, "dimension")
-        kind = non_vector_kind(vectors)
-        if kind:
-            raise InvalidInstance(f"vectors must be a sequence, not the {kind} {vectors!r}")
         vecs: list[tuple[int, ...]] = []
         try:
-            for vec in vectors:
-                kind = non_vector_kind(vec)
-                if kind:
-                    raise InvalidInstance(
-                        f"each vector must be a sequence, not the {kind} {vec!r}")
-                tup = tuple(vec)
+            for vec in as_sequence(vectors, "vectors"):
+                tup = tuple(as_sequence(vec, "each vector"))
                 if len(tup) != dimension:
                     raise InvalidInstance("vector length does not match dimension")
                 # Exact ints 0/1 are kept as they are; anything else is compared
@@ -53,7 +46,7 @@ class SolutionList:
                         raise InvalidInstance("vectors must be binary")
                     tup = tuple(map(int, tup))
                 vecs.append(tup)
-        except TypeError as exc:
+        except TypeError as exc:  # from int() of a value equal to 0 or 1, such as 1+0j
             raise InvalidInstance(f"vectors must be iterables of 0/1: {exc}") from None
         self._keep(dimension, vecs)
 
@@ -137,7 +130,7 @@ def greedy_identifying(x: SolutionList,
         gains = memoryview(total.to_bytes(x.dimension * width // 8, byteorder)).cast(fmt)
         best_e = -1
         for e, gain in enumerate(gains):
-            if gain and (best_e == -1 or _better(gain, scaled[e], gains[best_e], scaled[best_e])):
+            if gain and (best_e == -1 or gain * scaled[best_e] > gains[best_e] * scaled[e]):
                 best_e = e
         chosen.append(best_e)
         trace.append((best_e, gains[best_e]))
@@ -151,14 +144,6 @@ def greedy_identifying(x: SolutionList,
     s = frozenset(chosen)
     return GreedyCoverResult(identifying_set=s, total_weight=w.total(s),
                              trace=tuple(trace))
-
-
-def _better(gain_a: int, w_a: int, gain_b: int, w_b: int) -> bool:
-    """True when ratio gain_a/w_a beats gain_b/w_b (0-weight = infinite);
-    the weights are scaled by one common factor, which cancels."""
-    if w_a == 0 and w_b == 0:
-        return False  # both infinite: a tie, resolved by id order
-    return gain_a * w_b > gain_b * w_a
 
 
 def exact_identifying(x: SolutionList, w: WeightedGroundSet | None = None,

@@ -28,7 +28,7 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion, non_vector_kind
+from .errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion, as_sequence
 from .linalg import exact
 
 Adjacency = tuple[tuple[int, ...], ...]
@@ -49,30 +49,23 @@ class Digraph:
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
         """One checked walk, then `_file` on its columns. InvalidInstance for
-        a bad node_count, a string, byte string or mapping of arcs, or arcs
-        that are not iterable, else for the first arc that is not a pair,
-        has a non-`_integer` end or is out of range."""
+        a bad node_count, arcs that `as_sequence` refuses, else for the first
+        arc that is not a pair, has a non-`_integer` end or is out of range."""
         node_count = _count(node_count, "node_count")
-        kind = non_vector_kind(arcs)
-        if kind:
-            raise InvalidInstance(f"arcs must be a sequence, not the {kind} {arcs!r}")
         tails, heads = [], []
-        try:
-            for aid, arc in enumerate(arcs):
-                try:
-                    tail, head = arc
-                except (TypeError, ValueError):
-                    raise InvalidInstance(
-                        f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
-                if type(tail) is not int or type(head) is not int:
-                    tail = _integer(tail, f"arc {aid} tail")
-                    head = _integer(head, f"arc {aid} head")
-                if not (0 <= tail < node_count and 0 <= head < node_count):
-                    raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
-                tails.append(tail)
-                heads.append(head)
-        except TypeError as exc:
-            raise InvalidInstance(f"arcs must be iterable: {exc}") from None
+        for aid, arc in enumerate(as_sequence(arcs, "arcs")):
+            try:
+                tail, head = arc
+            except (TypeError, ValueError):
+                raise InvalidInstance(
+                    f"arc {aid} must be a (tail, head) pair, got {arc!r}") from None
+            if type(tail) is not int or type(head) is not int:
+                tail = _integer(tail, f"arc {aid} tail")
+                head = _integer(head, f"arc {aid} head")
+            if not (0 <= tail < node_count and 0 <= head < node_count):
+                raise InvalidInstance(f"arc {aid} = ({tail},{head}) out of range")
+            tails.append(tail)
+            heads.append(head)
         if not self._file(node_count, zip(tails, heads)):
             raise AssertionError("the filing walk refused checked arcs")
 
@@ -183,25 +176,19 @@ class WeightedGroundSet:
     """Nonnegative rational weight per element id, kept once: `scaled` holds
     the weight times `scale`, the lcm of the denominators, one int per
     element. Solvers compare and add the ints; `w[e]` and `total` build a
-    Fraction for a reported weight. A string, byte string or mapping is
-    refused, not read one character, byte or key per weight."""
+    Fraction for a reported weight. A string, byte string, mapping or set is
+    refused by `errors.as_sequence`: none iterates in element order."""
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         # One pass converts, sign-checks and splits each weight. A Fraction,
         # all that the parsers hand over, skips the call to `exact`.
-        kind = non_vector_kind(weights)
-        if kind:
-            raise InvalidInstance(f"weights must be a sequence, not the {kind} {weights!r}")
         numerators, denominators = [], []
-        try:
-            for i, value in enumerate(weights):
-                num, den = (value if type(value) is Fraction else exact(value)).as_integer_ratio()
-                if num < 0:
-                    raise InvalidInstance(f"negative weight at element {i}")
-                numerators.append(num)
-                denominators.append(den)
-        except TypeError as exc:
-            raise InvalidInstance(f"weights must be iterable: {exc}") from None
+        for i, value in enumerate(as_sequence(weights, "weights")):
+            num, den = (value if type(value) is Fraction else exact(value)).as_integer_ratio()
+            if num < 0:
+                raise InvalidInstance(f"negative weight at element {i}")
+            numerators.append(num)
+            denominators.append(den)
         self.scale: int = lcm(*set(denominators))
         self.scaled: tuple[int, ...] = tuple(numerators) if self.scale == 1 else tuple(
             num * (self.scale // den) for num, den in zip(numerators, denominators))

@@ -10,7 +10,6 @@ order in a file defines the arc ids.
 from __future__ import annotations
 
 import json
-import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
@@ -282,23 +281,17 @@ def parse_affine_basis(data: dict) -> AffineBasis:
     return AffineBasis(points)
 
 
-_ID_KEY = re.compile(r"\d+(?:,\d+)*", re.ASCII).fullmatch
-
-
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     """Format: {"size": n, "values": {"": "0", "0": ..., "0,2": ...}}.
 
     Keys are comma-joined sorted element ids; every subset must be present.
-    A key of ASCII digits and commas alone skips `parse_ids`.
     """
     from .polymatroids import PolymatroidOracle
     with _reading("table"):
         size = int_from_json(data["size"])
         entries = data["values"].items()
         parse = _fraction_lookup(map(itemgetter(1), entries))
-        table = {frozenset(map(int, key.split(",")) if type(key) is str and _ID_KEY(key)
-                           else parse_ids(key)): parse(value)
-                 for key, value in entries}
+        table = {frozenset(parse_ids(key)): parse(value) for key, value in entries}
     return PolymatroidOracle.from_table(size, table)
 
 

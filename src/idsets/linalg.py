@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Sequence
 
-from .errors import InvalidInstance, non_vector_kind
+from .errors import InvalidInstance, as_sequence, non_vector_kind
 
 Vector = tuple[Fraction, ...]
 
@@ -35,19 +35,15 @@ def exact(value: Any) -> Fraction:
 
 
 def as_vector(values: Sequence) -> Vector:
-    """Each value through `exact`; InvalidInstance for values it cannot
-    iterate, and for a string, byte string or mapping (`non_vector_kind`).
-    A tuple whose items are all exactly Fraction is returned as it is."""
+    """Each value through `exact`; InvalidInstance for a string, byte string,
+    mapping or set (`non_vector_kind`) and for values `as_sequence` cannot
+    list. A tuple whose items are all exactly Fraction is returned as it is."""
     if type(values) is tuple and set(map(type, values)) <= {Fraction}:
         return values
     kind = non_vector_kind(values)
     if kind:
         raise InvalidInstance(f"not an exact rational vector: {values!r} is a {kind}")
-    try:
-        items = iter(values)
-    except TypeError as exc:
-        raise InvalidInstance(f"a vector must be iterable: {exc}") from None
-    return tuple(map(exact, items))
+    return tuple(map(exact, as_sequence(values, "a vector")))
 
 
 def echelon(rows: Sequence[Sequence[int]], reduced: bool = True

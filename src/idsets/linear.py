@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstance, non_vector_kind
+from .errors import InvalidInstance, as_sequence
 from .graphs import WeightedGroundSet, validate_ids, validate_weights
 from .linalg import Vector, as_vector, echelon, integer_row
 
@@ -30,13 +30,7 @@ class AffineBasis:
     points: tuple[Vector, ...]
 
     def __init__(self, points: Sequence[Sequence]):
-        kind = non_vector_kind(points)
-        if kind:
-            raise InvalidInstance(f"basis points must be a sequence, not the {kind} {points!r}")
-        try:
-            pts = tuple(as_vector(p) for p in points)
-        except TypeError as exc:
-            raise InvalidInstance(f"basis points must be iterables of rationals: {exc}") from None
+        pts = tuple(map(as_vector, as_sequence(points, "basis points")))
         if not pts:
             raise InvalidInstance("affine basis needs at least one point")
         if len({len(p) for p in pts}) != 1:

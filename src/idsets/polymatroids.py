@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, non_vector_kind
 from .graphs import (UnionFind, WeightedGroundSet, _count, _integer, drop_heaviest_per_part,
                      validate_ids, validate_weights)
 from .linalg import Vector, as_vector, exact, integer_row
@@ -100,6 +100,9 @@ class PolymatroidOracle:
 
     @classmethod
     def coverage(cls, ground_size: int, sets: Sequence[Iterable]) -> "PolymatroidOracle":
+        kind = non_vector_kind(sets)
+        if kind:
+            raise InvalidInstance(f"covered sets must be a sequence, not the {kind} {sets!r}")
         try:
             covered = [frozenset(s) for s in sets]
         except TypeError as exc:

@@ -71,6 +71,11 @@ class TestSolutionList:
                            match=f"^each vector must be a sequence, not the {kind} "):
             SolutionList(2, [vector])
 
+    def test_refuses_a_coordinate_that_int_refuses(self):
+        # 1+0j equals 1, so it passes the 0/1 check, but int() refuses it.
+        with pytest.raises(InvalidInstance, match="^vectors must be iterables of 0/1: "):
+            SolutionList(1, [(1 + 0j,)])
+
     def test_negative_dimension_is_refused_as_a_count(self):
         # The rule and message of every count (node_count, size, ground_size).
         for build in (SolutionList, SolutionList._from_rows):

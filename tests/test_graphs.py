@@ -33,10 +33,11 @@ from idsets.graphs import (
 from idsets.instances import gen_tight_gap_family
 from idsets.io import parse_graph
 from idsets.linear import AffineBasis, min_weight_identifying_from_basis
-from idsets.matroids import min_weight_matroid_identifying, uniform_matroid
+from idsets.matroids import min_weight_matroid_identifying, partition_matroid, uniform_matroid
 from idsets.paths import (approx_min_path_identifying_dag, exact_min_path_identifying,
                           verify_path_identifying_dag)
 from idsets.polymatroids import PolymatroidOracle, min_weight_polymatroid_identifying
+from idsets.tolls import linear_cost, quadratic_cost
 
 from .helpers import (
     from_strings,
@@ -95,6 +96,40 @@ def test_constructors_refuse_what_they_cannot_iterate(call):
     # Each once raised a bare TypeError from its loop.
     with pytest.raises(InvalidInstance, match="must be iterable"):
         call()
+
+
+NOT_A_VECTOR = r"^not an exact rational vector: .* is a set$"
+
+
+@pytest.mark.parametrize("container", [set, frozenset])
+@pytest.mark.parametrize("build, message", [
+    (lambda c: Digraph(3, c({(0, 1), (1, 2), (2, 0)})), "^arcs must be a sequence, not the set "),
+    (lambda c: WeightedGroundSet(c({3, 1, 2})), "^weights must be a sequence, not the set "),
+    (lambda c: SolutionList(2, c({(0, 1), (1, 0)})), "^vectors must be a sequence, not the set "),
+    (lambda c: SolutionList(2, [c({1, 0})]), "^each vector must be a sequence, not the set "),
+    (lambda c: AffineBasis(c({(0, 0), (1, 0)})), "^basis points must be a sequence, not the set "),
+    (lambda c: AffineBasis([(0, 0), c({1, 2})]), NOT_A_VECTOR),
+    (lambda c: linear_cost(c({1, 2})), NOT_A_VECTOR),
+    (lambda c: quadratic_cost(c({1, 2})), NOT_A_VECTOR),
+    (lambda c: PolymatroidOracle.budget_additive(1, c({1, 2})), NOT_A_VECTOR),
+    (lambda c: partition_matroid([[0], [1]], c({1, 2})),
+     "^capacities must be a sequence, not the set "),
+], ids=["arcs", "weights", "solutions", "solution-row", "basis", "basis-point",
+        "linear-cost", "quadratic-cost", "budget-gains", "capacities"])
+def test_constructors_refuse_a_set(build, container, message):
+    # A set iterates in hash order, not element order: {3, 1, 2} held the
+    # weights (1, 2, 3), and the row {1, 0} was read as (0, 1).
+    with pytest.raises(InvalidInstance, match=message):
+        build(container)
+
+
+@pytest.mark.parametrize("build", [
+    lambda it: Digraph(3, it([(0, 1), (1, 2), (0, 1)])),
+    lambda it: SolutionList(2, it([(0, 1), it([1, 0]), (0, 1)])),
+    lambda it: AffineBasis(it([(0, 0), it([1, 0]), ("1/2", 1)])),
+], ids=["digraph", "solutions", "basis"])
+def test_constructors_read_a_one_shot_iterator_as_its_list(build):
+    assert build(iter) == build(list)
 
 
 @pytest.mark.parametrize("arcs, kind", [

@@ -270,11 +270,22 @@ class TestOracleValidation:
     @pytest.mark.parametrize("build, message", [
         (lambda: PolymatroidOracle.coverage(2, [[0], 5]), "covered sets must be iterables"),
         (lambda: PolymatroidOracle.coverage(2, None), "covered sets must be iterables"),
+        # A string, mapping or set was read one item per element: "ab" built
+        # two elements of value 1.
+        (lambda: PolymatroidOracle.coverage(2, "ab"),
+         "covered sets must be a sequence, not the string 'ab'$"),
+        (lambda: PolymatroidOracle.coverage(2, b"ab"),
+         "covered sets must be a sequence, not the byte string b'ab'$"),
+        (lambda: PolymatroidOracle.coverage(2, {"x": 1, "y": 2}),
+         "covered sets must be a sequence, not the mapping "),
+        (lambda: PolymatroidOracle.coverage(2, {frozenset({0}), frozenset({1})}),
+         "covered sets must be a sequence, not the set "),
         (lambda: PolymatroidOracle.budget_additive(1, None), "a vector must be iterable"),
         (lambda: PolymatroidOracle.budget_additive(1, 5), "a vector must be iterable"),
         (lambda: PolymatroidOracle.from_table(2, None), "table must map subsets to values"),
         (lambda: PolymatroidOracle.from_table(1, [1, 2]), "table must map subsets to values"),
-    ], ids=["coverage-int-set", "coverage-none", "budget-none", "budget-int",
+    ], ids=["coverage-int-set", "coverage-none", "coverage-string", "coverage-bytes",
+            "coverage-mapping", "coverage-set", "budget-none", "budget-int",
             "table-none", "table-list"])
     def test_families_refuse_what_they_cannot_read(self, build, message):
         with pytest.raises(InvalidInstance, match=f"^{message}"):
