@@ -34,20 +34,21 @@ class SolutionList:
     def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
         dimension = _count(dimension, "dimension")
         vecs: list[tuple[int, ...]] = []
-        try:
-            for vec in as_sequence(vectors, "vectors"):
-                tup = tuple(as_sequence(vec, "each vector"))
-                if len(tup) != dimension:
-                    raise InvalidInstance("vector length does not match dimension")
-                # Exact ints 0/1 are kept as they are; anything else is compared
-                # by value, never truncated: int(1/2) would read as 0.
-                if not (set(map(type, tup)) <= {int} and set(tup) <= {0, 1}):
-                    if any(v not in (0, 1) for v in tup):
-                        raise InvalidInstance("vectors must be binary")
+        for vec in as_sequence(vectors, "vectors"):
+            tup = tuple(as_sequence(vec, "each vector"))
+            if len(tup) != dimension:
+                raise InvalidInstance("vector length does not match dimension")
+            # Exact ints 0/1 are kept as they are; anything else is compared
+            # by value, never truncated: int(1/2) would read as 0.
+            if not (set(map(type, tup)) <= {int} and set(tup) <= {0, 1}):
+                if any(v not in (0, 1) for v in tup):
+                    raise InvalidInstance("vectors must be binary")
+                try:
                     tup = tuple(map(int, tup))
-                vecs.append(tup)
-        except TypeError as exc:  # from int() of a value equal to 0 or 1, such as 1+0j
-            raise InvalidInstance(f"vectors must be iterables of 0/1: {exc}") from None
+                except TypeError as exc:  # a value equal to 0 or 1, such as 1+0j
+                    raise InvalidInstance(
+                        f"vector coordinate must be an integer 0 or 1: {exc}") from None
+            vecs.append(tup)
         self._keep(dimension, vecs)
 
     @classmethod

@@ -6,9 +6,9 @@ undirected cycle. Minimal identifying sets are therefore complements of
 spanning forests of (V, E'), and a maximum-weight forest yields the
 minimum-weight identifying set. E' is collected by the walks that find it:
 the walk into t keeps the arcs of the s-t core, and Kosaraju, run only on
-the nodes off the core, keeps the arcs inside its components; Kruskal and
-the cycle finder run on one union-find. A failed verification pushes flow
-around the first cycle it finds, walked in the order it was found.
+the nodes off the core, keeps the arcs inside its components. Kruskal and
+the cycle finder each build their own union-find. A failed verification
+pushes flow around the first cycle it finds, walked in the order it was found.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import and_
 from typing import Iterable
 
-from .errors import InvalidInstance, NoStPath
+from .errors import NoStPath
 from .graphs import (
     Digraph,
     StPair,
@@ -66,8 +66,6 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     strongly connected component of the other nodes, which Kosaraju, run on
     those alone, keeps. Raises NoStPath when s does not reach t.
     """
-    if g.has_self_loop():
-        raise InvalidInstance("self-loops are not allowed in flow settings")
     st.validate(g)
     from_s = reach_marks(g, st.source)
     if not from_s[st.sink]:
@@ -128,8 +126,6 @@ def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
     added: list[int] = []
     for aid in arcs:
         tail, head = g.tails[aid], g.heads[aid]
-        if tail == head:
-            return [aid]
         if not uf.union(tail, head):
             return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both", goal=tail), tail)
         added.append(aid)

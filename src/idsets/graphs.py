@@ -38,9 +38,9 @@ Adjacency = tuple[tuple[int, ...], ...]
 class Digraph:
     """Immutable directed multigraph: arc id a runs from tails[a] to heads[a].
 
-    Parallel arcs and self-loops are representable; path/flow entry points
-    reject self-loops at ingestion (a self-loop is never on a simple path
-    and creates degenerate flow cycles).
+    Parallel arcs and self-loops are representable; `StPair.validate`
+    refuses self-loops in every s-t setting (a self-loop is never on a
+    simple path and creates degenerate flow cycles).
     """
 
     node_count: int
@@ -167,6 +167,10 @@ class StPair:
             raise InvalidInstance("source and sink must differ")
 
     def validate(self, g: Digraph) -> None:
+        """The one check of an s-t setting: InvalidInstance for a self-loop
+        in `g`, then for an end out of range."""
+        if g.has_self_loop():
+            raise InvalidInstance("self-loops are not allowed in s-t settings")
         for v in (self.source, self.sink):
             if not (0 <= v < g.node_count):
                 raise InvalidInstance(f"node id {v} out of range")
@@ -471,8 +475,6 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     if cap < 1:
         raise InvalidInstance("cap must be >= 1")
     st.validate(g)
-    if g.has_self_loop():
-        raise InvalidInstance("self-loops are not allowed in path settings")
     out, heads = g.out_arcs(), g.heads
     # Prune to nodes that can still reach t; cuts hopeless branches early.
     can_reach_t = reach_marks(g, st.sink, follow="in")

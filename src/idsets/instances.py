@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, as_sequence
 from .graphs import Digraph, StPair, _integer
 
 
@@ -51,7 +51,7 @@ def gen_vertex_cover_dag(vc_vertices: int, vc_edges: Sequence[tuple[int, int]],
     """
     vc_vertices, ell = _integer(vc_vertices, "vc_vertices"), _integer(ell, "ell")
     edges = [tuple(sorted((_integer(a, "edge endpoint"), _integer(b, "edge endpoint"))))
-             for a, b in vc_edges]
+             for a, b in as_sequence(vc_edges, "vc_edges")]
     if not edges:
         raise InvalidInstance("the vertex-cover graph needs at least one edge")
     if ell < 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .errors import InvalidInstance, non_vector_kind
+from .errors import InvalidInstance, as_sequence
 from .graphs import (
     Digraph,
     UnionFind,
@@ -160,14 +160,14 @@ def partition_matroid(blocks: list[Iterable[int]], capacities: list[int]) -> Mat
     block with 0 < c < |block| is one component and every other element a
     singleton: a loop at c = 0, a coloop at c = |block|.
     """
-    kind = non_vector_kind(capacities)
-    if kind:
-        raise InvalidInstance(f"capacities must be a sequence, not the {kind} {capacities!r}")
-    try:
-        block_list = [frozenset(_integer(e, "block element") for e in b) for b in blocks]
-        capacities = [_integer(c, "capacity") for c in capacities]
-    except TypeError as exc:
-        raise InvalidInstance(f"blocks and capacities must be iterable: {exc}") from None
+    block_list = []
+    for b in as_sequence(blocks, "blocks"):
+        try:  # a block may be a set
+            items = iter(b)
+        except TypeError as exc:
+            raise InvalidInstance(f"each block must be iterable: {exc}") from None
+        block_list.append(frozenset(_integer(e, "block element") for e in items))
+    capacities = [_integer(c, "capacity") for c in as_sequence(capacities, "capacities")]
     if len(block_list) != len(capacities):
         raise InvalidInstance("one capacity per block required")
     seen: set[int] = set()

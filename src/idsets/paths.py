@@ -16,7 +16,6 @@ from math import isqrt
 from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InvalidInstance
 from .flows import min_weight_flow_identifying, relevant_arcs
 from .graphs import (
     Digraph,
@@ -64,8 +63,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     not of every node. The least v in `bad` yields two v-w paths avoiding S,
     read from its BFS tree and extended to full s-t paths that agree on S.
     """
-    if g.has_self_loop():
-        raise InvalidInstance("self-loops are not allowed in path settings")
+    st.validate(g)
     order = topological_order(g)
     s_set = validate_ids(g.arc_count, s)
     keep_arcs = relevant_arcs(g, st)
@@ -162,6 +160,7 @@ def approx_min_path_identifying_dag(g: Digraph, st: StPair,
     objective; with weights the set is still identifying and weight-minimal
     for flows, but carries no weighted path guarantee.
     """
+    st.validate(g)
     topological_order(g)  # NotAcyclic on a cycle
     result = min_weight_flow_identifying(g, st, w)  # checks w (validate_weights)
     return PathIdentifyResult(

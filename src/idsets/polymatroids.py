@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidInstance, non_vector_kind
+from .errors import InvalidInstance, as_sequence
 from .graphs import (UnionFind, WeightedGroundSet, _count, _integer, drop_heaviest_per_part,
                      validate_ids, validate_weights)
 from .linalg import Vector, as_vector, exact, integer_row
@@ -100,13 +100,12 @@ class PolymatroidOracle:
 
     @classmethod
     def coverage(cls, ground_size: int, sets: Sequence[Iterable]) -> "PolymatroidOracle":
-        kind = non_vector_kind(sets)
-        if kind:
-            raise InvalidInstance(f"covered sets must be a sequence, not the {kind} {sets!r}")
-        try:
-            covered = [frozenset(s) for s in sets]
-        except TypeError as exc:
-            raise InvalidInstance(f"covered sets must be iterables of items: {exc}") from None
+        covered = []
+        for s in as_sequence(sets, "covered sets"):
+            try:  # a covered set may be a set
+                covered.append(frozenset(s))
+            except TypeError as exc:
+                raise InvalidInstance(f"covered sets must be iterables of items: {exc}") from None
         if len(covered) != ground_size:
             raise InvalidInstance("one covered set per element required")
 

@@ -24,6 +24,7 @@ from .errors import (
     NotIdentifying,
     TargetNotInX,
     TargetOutsideAffineHull,
+    as_sequence,
 )
 from .explicit import SolutionList, verify_explicit_identifying
 from .graphs import _count, validate_ids
@@ -179,10 +180,8 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     LP per (cost, target) finds the cheapest such lambda, and the first pair
     with a positive gap is the verdict witness.
     """
-    try:
-        vectors, s, costs = [as_vector(state) for state in states], frozenset(s), list(costs)
-    except TypeError as exc:  # a state or cost list that is not a sequence, an unhashable id
-        raise InvalidInstance(f"malformed states, S or costs: {exc}") from None
+    vectors = [as_vector(state) for state in as_sequence(states, "states")]
+    costs = as_sequence(costs, "costs")
     dim = len(vectors[0]) if vectors else 0
     if any(len(vec) != dim for vec in vectors):
         raise InvalidInstance("states must share one dimension")

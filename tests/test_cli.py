@@ -185,6 +185,21 @@ MALFORMED = [
     ("vc-edges-sign-underscore", {},
      ["gen", "--family", "vc-dag", "--vc-vertices", "3", "--vc-edges", "+0-1,0_1-2"],
      "'+0' is not a decimal id"),
+    ("cost-count", {"b": BASIS}, CONVEX + ["--target", "1,0", "--cost", "linear:1"],
+     "cost needs 2 coefficients"),
+    ("weights-length", {"w": {"weights": ["1", "2", "3"]}},
+     ["matroid-identify", "--kind", "free", "--n", "2", "--weights", "{w}"],
+     "expected 2 weights, got 3"),
+]
+# Every subcommand that reads an s-t instance, with {i} for its path.
+ST_COMMANDS = [
+    ["flow-identify", "{i}"],
+    ["path-verify", "{i}", "--S", "0"],
+    ["path-verify", "{i}", "--S", "0", "--general"],
+    ["path-exact", "{i}"],
+    ["path-approx", "{i}"],
+    ["path-gap", "{i}"],
+    ["gen", "--family", "bundle", "--instance", "{i}", "--arc", "0", "--size", "2"],
 ]
 # (id, environment, argv with {i} for an instance path, stderr line)
 CAPS_BELOW_ONE = [
@@ -468,6 +483,18 @@ class TestUsageErrors:
         assert main([arg.format(i=tight_k3) for arg in argv]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"invalid input: {line}\n"
+
+    @pytest.mark.parametrize("argv", ST_COMMANDS, ids=[
+        "flow-identify", "path-verify", "path-verify-general", "path-exact", "path-approx",
+        "path-gap", "gen-bundle"])
+    def test_self_loop_is_usage_error(self, tmp_path, capsys, argv):
+        # path-approx once sorted the graph first and exited 1 on the loop's cycle.
+        path = tmp_path / "loop.json"
+        dump_json(str(path), {"nodes": 3, "arcs": [[0, 1], [1, 2], [1, 1]], "s": 0, "t": 2})
+        assert main([arg.format(i=path) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "invalid input: self-loops are not allowed in s-t settings\n"
 
     def test_malformed_cap_variable_is_usage_error(self, tight_k3, capsys, monkeypatch):
         monkeypatch.setenv("IDSETS_MAX_PATHS", "abc")
@@ -820,6 +847,13 @@ class TestGenOut:
         assert json.loads(shown)["arcs"]
         assert out.read_bytes() == shown.encode()
 
+    def test_out_under_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["gen", "--family", "tight-gap", "--k", "1", "--out", str(out)]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and not out.parent.exists()
+        assert shown.err == f"invalid input: cannot write {out}: No such file or directory\n"
+
 
 class TestOtherSolvers:
     def test_matroid_graphic(self, tmp_path, capsys):
@@ -859,6 +893,13 @@ class TestOtherSolvers:
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert out.err == "invalid input: polymatroid rank must be submodular\n"
+
+    def test_polymatroid_matroid_rank(self, capsys):
+        code = main(["polymatroid-identify", "--family", "matroid-rank", "--kind", "uniform",
+                     "--k", "2", "--n", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out == {"S": [1, 2, 3], "components": [[0, 1, 2, 3]], "weight": "3"}
 
     def test_polymatroid_family(self, capsys):
         code = main(["polymatroid-identify", "--family", "budget-additive",

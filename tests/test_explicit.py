@@ -73,7 +73,8 @@ class TestSolutionList:
 
     def test_refuses_a_coordinate_that_int_refuses(self):
         # 1+0j equals 1, so it passes the 0/1 check, but int() refuses it.
-        with pytest.raises(InvalidInstance, match="^vectors must be iterables of 0/1: "):
+        with pytest.raises(InvalidInstance, match=(
+                "^vector coordinate must be an integer 0 or 1: .*not 'complex'$")):
             SolutionList(1, [(1 + 0j,)])
 
     def test_negative_dimension_is_refused_as_a_count(self):

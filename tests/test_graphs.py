@@ -16,7 +16,7 @@ from hypothesis import strategies as st_
 from idsets.caps import Caps
 from idsets.errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion
 from idsets.explicit import SolutionList, exact_identifying, greedy_identifying
-from idsets.flows import min_weight_flow_identifying, relevant_arcs
+from idsets.flows import min_weight_flow_identifying, relevant_arcs, verify_flow_identifying
 from idsets.graphs import (
     Digraph,
     StPair,
@@ -35,7 +35,7 @@ from idsets.io import parse_graph
 from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.matroids import min_weight_matroid_identifying, partition_matroid, uniform_matroid
 from idsets.paths import (approx_min_path_identifying_dag, exact_min_path_identifying,
-                          verify_path_identifying_dag)
+                          verify_path_identifying_dag, verify_path_identifying_general)
 from idsets.polymatroids import PolymatroidOracle, min_weight_polymatroid_identifying
 from idsets.tolls import linear_cost, quadratic_cost
 
@@ -854,3 +854,29 @@ class TestEnumerateStPaths:
             assert len(heads) == len(path) and len(tails) == len(path)
             nodes = tails | heads
             assert len(nodes) == len(path) + 1
+
+
+class TestStPairValidate:
+    def test_end_out_of_range(self):
+        with pytest.raises(InvalidInstance, match="^node id 3 out of range$"):
+            StPair(0, 3).validate(Digraph(3, [(0, 1), (1, 2)]))
+
+    def test_self_loop_is_refused_before_the_range(self):
+        with pytest.raises(InvalidInstance, match="^self-loops are not allowed in s-t settings$"):
+            StPair(0, 3).validate(Digraph(2, [(0, 1), (1, 1)]))
+
+    @pytest.mark.parametrize("solve", [
+        relevant_arcs,
+        enumerate_st_paths,
+        min_weight_flow_identifying,
+        lambda g, st: verify_flow_identifying(g, st, []),
+        lambda g, st: verify_path_identifying_dag(g, st, []),
+        lambda g, st: verify_path_identifying_general(g, st, []),
+        exact_min_path_identifying,
+        approx_min_path_identifying_dag,
+    ], ids=["relevant-arcs", "enumerate", "flow-identify", "flow-verify", "path-verify-dag",
+            "path-verify-general", "path-exact", "path-approx"])
+    def test_every_st_solver_refuses_a_self_loop(self, solve):
+        g = Digraph(3, [(0, 1), (1, 2), (2, 2)])
+        with pytest.raises(InvalidInstance, match="^self-loops are not allowed in s-t settings$"):
+            solve(g, StPair(0, 2))

@@ -67,6 +67,22 @@ class TestVertexCoverDag:
         with pytest.raises(InvalidInstance):
             gen_vertex_cover_dag(3, [], 1)
 
+    def test_set_of_edges_rejected(self):
+        # A set would number the edges, and so the arcs, in hash order.
+        with pytest.raises(InvalidInstance, match="^vc_edges must be a sequence, not the set "):
+            gen_vertex_cover_dag(3, {(0, 1), (1, 2)}, 1)
+
+    def test_ell_below_one_rejected(self):
+        with pytest.raises(InvalidInstance, match="^ell must be >= 1$"):
+            gen_vertex_cover_dag(3, [(0, 1)], 0)
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 1), (1, 1)],
+                             ids=["past-the-end", "negative", "loop"])
+    def test_bad_edge_rejected(self, edge):
+        a, b = sorted(edge)
+        with pytest.raises(InvalidInstance, match=rf"^bad edge \({a},{b}\)$"):
+            gen_vertex_cover_dag(3, [(0, 1), edge], 1)
+
     def test_is_dag_with_expected_paths(self):
         inst = gen_vertex_cover_dag(4, [(0, 1), (1, 2), (2, 3)], 2)
         topological_order(inst.graph)  # NotAcyclic on a cycle
@@ -150,6 +166,12 @@ class TestBundle:
         from idsets.graphs import Digraph
 
         return Digraph(4, [(0, 1), (1, 2), (2, 3)]), StPair(0, 3)
+
+    @pytest.mark.parametrize("arc", [3, -1])
+    def test_arc_out_of_range_rejected(self, arc):
+        g, st = self.base()
+        with pytest.raises(InvalidInstance, match=f"^arc id {arc} out of range$"):
+            gen_bundle_instance(g, st, arc, 2)
 
     def test_bundle_on_unique_path(self):
         g, st = self.base()

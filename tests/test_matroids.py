@@ -134,12 +134,43 @@ class TestBuiltins:
         with pytest.raises(InvalidInstance, match="must be an integer"):
             build(*args)
 
-    @pytest.mark.parametrize("blocks, capacities", [
-        (None, [1]), ([5], [1]), ([[0]], None),
+    @pytest.mark.parametrize("blocks, capacities, message", [
+        (None, [1], "blocks must be iterable: "),
+        ([5], [1], "each block must be iterable: 'int' "),
+        ([[0]], None, "capacities must be iterable: "),
     ], ids=["blocks-none", "block-int", "capacities-none"])
-    def test_partition_refuses_what_it_cannot_iterate(self, blocks, capacities):
-        with pytest.raises(InvalidInstance, match="^blocks and capacities must be iterable: "):
+    def test_partition_refuses_what_it_cannot_iterate(self, blocks, capacities, message):
+        with pytest.raises(InvalidInstance, match=f"^{message}"):
             partition_matroid(blocks, capacities)
+
+    @pytest.mark.parametrize("blocks, kind", [
+        ({(0, 1): "x", (2,): "y"}, "mapping"),
+        ({frozenset({0, 1}), frozenset({2})}, "set"),
+    ], ids=["mapping", "set"])
+    def test_partition_refuses_blocks_out_of_capacity_order(self, blocks, kind):
+        # Blocks pair with capacities by position; a mapping read as its
+        # keys built a 3-element matroid, and a set pairs them in hash order.
+        with pytest.raises(InvalidInstance, match=f"^blocks must be a sequence, not the {kind} "):
+            partition_matroid(blocks, [1, 0])
+
+    @pytest.mark.parametrize("blocks, capacities, message", [
+        ([[0, 1]], [1, 1], "one capacity per block required"),
+        ([[0, 1], {1, 2}], [1, 1], "blocks must be disjoint"),
+        ([[0], [2]], [1, 1], "blocks must partition 0..n-1, capacities >= 0"),
+        ([[0], [1]], [1, -1], "blocks must partition 0..n-1, capacities >= 0"),
+    ], ids=["capacity-count", "overlap", "gap", "negative-capacity"])
+    def test_partition_refuses_what_is_not_a_partition(self, blocks, capacities, message):
+        with pytest.raises(InvalidInstance, match=f"^{message}$"):
+            partition_matroid(blocks, capacities)
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (-1, 2)], ids=["k-above-n", "negative-k"])
+    def test_uniform_refuses_k_outside_0_to_n(self, k, n):
+        with pytest.raises(InvalidInstance, match=r"^uniform matroid needs 0 <= k <= n$"):
+            uniform_matroid(k, n)
+
+    def test_custom_oracle_with_a_dependent_empty_set_is_refused(self):
+        with pytest.raises(InvalidInstance, match="^inconsistent oracle: empty set dependent$"):
+            matroid_components(MatroidOracle(2, lambda subset: False))
 
     def test_partition_refuses_mapping_capacities(self):
         # {1: "x"} was read as its keys, a block of capacity 1.

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from idsets.caps import Caps
-from idsets.errors import NotAcyclic, PathExplosion, SubsetExplosion
+from idsets.errors import InvalidInstance, NoStPath, NotAcyclic, PathExplosion, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet
 from idsets.instances import (
     gen_bundle_instance,
@@ -56,6 +56,18 @@ class TestVerifyDag:
         g = Digraph(3, [(0, 1), (1, 2), (1, 0)])
         with pytest.raises(NotAcyclic):
             verify_path_identifying_dag(g, StPair(0, 2), set())
+
+    @pytest.mark.parametrize("arcs, st, s, error, message", [
+        ([(1, 2), (2, 1), (1, 1)], StPair(0, 5), [9], InvalidInstance, "^self-loops"),
+        ([(1, 2), (2, 1)], StPair(0, 5), [9], InvalidInstance, "^node id 5 out of range$"),
+        ([(1, 2), (2, 1)], StPair(0, 1), [9], NotAcyclic, "directed cycle"),
+        ([(1, 0)], StPair(0, 1), [9], InvalidInstance, "^element id 9 out of range$"),
+        ([(1, 0)], StPair(0, 1), [0], NoStPath, "^no path from 0 to 1$"),
+    ], ids=["self-loop", "node-range", "cycle", "ids", "no-path"])
+    def test_errors_come_in_the_documented_order(self, arcs, st, s, error, message):
+        # Each input also holds every fault of the rows below it.
+        with pytest.raises(error, match=message):
+            verify_path_identifying_dag(Digraph(3, arcs), st, s)
 
     def test_witness_paths_are_real_and_agree_on_s(self):
         rng = random.Random(1)
@@ -260,6 +272,12 @@ class TestApprox:
         g = Digraph(2, [(0, 1), (1, 0)])
         with pytest.raises(NotAcyclic):
             approx_min_path_identifying_dag(g, StPair(0, 1))
+
+    def test_self_loop_refused_before_the_sort(self):
+        # The loop is also a directed cycle; NotAcyclic was raised for it.
+        g = Digraph(3, [(0, 1), (1, 2), (1, 1)])
+        with pytest.raises(InvalidInstance, match="^self-loops are not allowed in s-t settings$"):
+            approx_min_path_identifying_dag(g, StPair(0, 2))
 
     def test_bound_field_is_at_least_sqrt_m(self):
         inst = gen_tight_gap_family(2)

@@ -269,7 +269,7 @@ class TestOracleValidation:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: PolymatroidOracle.coverage(2, [[0], 5]), "covered sets must be iterables"),
-        (lambda: PolymatroidOracle.coverage(2, None), "covered sets must be iterables"),
+        (lambda: PolymatroidOracle.coverage(2, None), "covered sets must be iterable: "),
         # A string, mapping or set was read one item per element: "ab" built
         # two elements of value 1.
         (lambda: PolymatroidOracle.coverage(2, "ab"),
@@ -290,6 +290,17 @@ class TestOracleValidation:
     def test_families_refuse_what_they_cannot_read(self, build, message):
         with pytest.raises(InvalidInstance, match=f"^{message}"):
             build()
+
+    def test_coverage_needs_one_set_per_element(self):
+        with pytest.raises(InvalidInstance, match="^one covered set per element required$"):
+            PolymatroidOracle.coverage(3, [[0], [1]])
+
+    @pytest.mark.parametrize("cap, gains", [(-1, [1, 2]), (1, [1, -2])],
+                             ids=["negative-cap", "negative-gain"])
+    def test_budget_additive_refuses_negative_parameters(self, cap, gains):
+        with pytest.raises(InvalidInstance,
+                           match="^budget-additive needs nonnegative parameters$"):
+            PolymatroidOracle.budget_additive(cap, gains)
 
     def test_budget_additive_refuses_string_gains(self):
         # "12" would otherwise read as the gains 1 and 2.

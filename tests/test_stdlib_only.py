@@ -238,6 +238,18 @@ def test_only_cli_registers_lazy_modules():
     assert users == ["cli.py"]
 
 
+def test_each_input_rule_has_one_owner():
+    # errors.as_sequence reads every positional sequence (as_vector keeps
+    # its own kind text), and StPair.validate checks every s-t setting.
+    kind_users = [path.name for path in SOURCES if "non_vector_kind" in identifiers(path)]
+    assert kind_users == ["errors.py", "linalg.py"]
+    loop_users = [path.name for path in SOURCES if "has_self_loop" in identifiers(path)]
+    assert loop_users == ["graphs.py"]
+    texts = sum(path.read_text(encoding="utf-8").count("self-loops are not allowed")
+                for path in SOURCES)
+    assert texts == 1
+
+
 @pytest.mark.parametrize("workload", ["search", "polytime"])
 def test_traced_benchmark_run_is_correct(tmp_path, workload):
     # The registration exists for this run: its requests call no linear or

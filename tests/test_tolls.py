@@ -552,7 +552,7 @@ class TestCounterexampleCheck:
                                              [linear_cost([0, 0])])
 
     def test_unhashable_id_rejected(self):
-        with pytest.raises(InvalidInstance, match="unhashable type: 'list'"):
+        with pytest.raises(InvalidInstance, match="^element ids must be integers: 'list' "):
             controlling_counterexample_check([[0, 1], [1, 0]], [[0]],
                                              [linear_cost([0, 0])])
 
@@ -560,11 +560,21 @@ class TestCounterexampleCheck:
         with pytest.raises(InvalidInstance, match="'NoneType' object is not iterable"):
             controlling_counterexample_check([None], [0], [linear_cost([0])])
 
+    def test_set_of_states_rejected(self):
+        # A set would number the states, and so the certificate, in hash order.
+        with pytest.raises(InvalidInstance, match="^states must be a sequence, not the set "):
+            controlling_counterexample_check({(0,), (1,)}, [0], [linear_cost([0])])
+
+    def test_set_of_costs_rejected(self):
+        # A set would number the costs, and so failing_cost, in hash order.
+        with pytest.raises(InvalidInstance, match="^costs must be a sequence, not the set "):
+            controlling_counterexample_check([(0,), (2,)], [0], {linear_cost([1])})
+
     @pytest.mark.parametrize("states", [[(0,), (2,)], [(0,), (1,)]],
                              ids=["elimination", "binary-shortcut"])
     def test_cost_list_that_is_not_a_sequence_rejected(self, states):
         # Read once, before the binary shortcut, so both paths refuse it.
-        with pytest.raises(InvalidInstance, match="^malformed states, S or costs: 'NoneType'"):
+        with pytest.raises(InvalidInstance, match="^costs must be iterable: 'NoneType'"):
             controlling_counterexample_check(states, [0], None)
 
 
