@@ -53,9 +53,10 @@ class SolutionList:
 
     @classmethod
     def _from_rows(cls, dimension: int, rows: list[tuple[int, ...]]) -> SolutionList:
-        """`SolutionList(dimension, rows)` for io.parse_solution_list's rows,
-        each already a tuple of exact 0/1 ints: the dimension check, one length
-        check over the rows, and the dedupe, without a per-coordinate check."""
+        """`SolutionList(dimension, rows)` for rows that are each already a
+        tuple of exact 0/1 ints (io.parse_solution_list's, the controlling
+        check's): the dimension check, one length check over the rows, and
+        the dedupe, without a per-coordinate check."""
         dimension = _count(dimension, "dimension")
         if not set(map(len, rows)) <= {dimension}:
             raise InvalidInstance("vector length does not match dimension")

@@ -469,11 +469,11 @@ def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[froze
     """All simple directed s-t paths as arc-id sets, lexicographic by arc-id tuple.
 
     Raises PathExplosion when more than `cap` paths exist: the instance is too
-    large for brute force.
+    large for brute force. `cap` is read like `Caps.max_paths`.
     """
-    cap = _integer(cap, "cap")
-    if cap < 1:
-        raise InvalidInstance("cap must be >= 1")
+    from .caps import Caps  # caps imports this module
+
+    cap = Caps(max_paths=cap).max_paths
     st.validate(g)
     out, heads = g.out_arcs(), g.heads
     # Prune to nodes that can still reach t; cuts hopeless branches early.

@@ -50,8 +50,13 @@ def gen_vertex_cover_dag(vc_vertices: int, vc_edges: Sequence[tuple[int, int]],
     per copy), then for each copy i the block E_i (one arc per vertex).
     """
     vc_vertices, ell = _integer(vc_vertices, "vc_vertices"), _integer(ell, "ell")
-    edges = [tuple(sorted((_integer(a, "edge endpoint"), _integer(b, "edge endpoint"))))
-             for a, b in as_sequence(vc_edges, "vc_edges")]
+    edges = []
+    for edge in as_sequence(vc_edges, "vc_edges"):
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise InvalidInstance(f"each edge must be a pair of vertices, got {edge!r}") from None
+        edges.append(tuple(sorted((_integer(a, "edge endpoint"), _integer(b, "edge endpoint")))))
     if not edges:
         raise InvalidInstance("the vertex-cover graph needs at least one edge")
     if ell < 1:

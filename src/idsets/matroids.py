@@ -11,13 +11,16 @@ circuit in |B| + 1 independence queries.
 
 Only a negative verdict builds a witness: one shortest exchange path between
 two elements of the first violated component, then one fundamental circuit,
-in polynomially many independence queries and with no cap.
+with no cap. Uniform and graphic matroids read both off their structure (the
+first k ids of the order; tree paths and cuts of a Kruskal forest) and ask
+the oracle nothing; any other oracle answers polynomially many independence
+queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable
 
 from .errors import InvalidInstance, as_sequence
@@ -27,7 +30,9 @@ from .graphs import (
     WeightedGroundSet,
     _count,
     _integer,
+    bfs_tree,
     drop_heaviest_per_part,
+    tree_path,
     validate_ids,
     validate_weights,
 )
@@ -41,7 +46,8 @@ class MatroidOracle:
     cheap sanity checks of `matroid_components` (empty set independent)
     and `verify_matroid_identifying` (its witness passes its checks). Only
     the built-in constructors set the private hook `_components()`, the
-    components by theorem.
+    components by theorem, and only uniform and graphic matroids set
+    `_witness(e, f, s_set)`, the verifier's witness read off their structure.
     """
 
     def __init__(self, ground_size: int, is_independent: Callable[[frozenset[int]], bool],
@@ -52,6 +58,7 @@ class MatroidOracle:
                                   f"got {type(is_independent).__name__}")
         self.name = name
         self._components: Callable[[], Iterable[frozenset[int]]] | None = None
+        self._witness: Callable[[int, int, frozenset[int]], MatroidWitness] | None = None
         self._fn = is_independent
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -79,14 +86,31 @@ def _singletons(elements: Iterable[int]) -> list[frozenset[int]]:
     return [frozenset({e}) for e in elements]
 
 
+def _order(e: int, s_set: frozenset[int], n: int) -> Iterable[int]:
+    """The witness's greedy order: e, then S ascending, then every id."""
+    return chain((e,), sorted(s_set), range(n))
+
+
 def uniform_matroid(k: int, n: int) -> MatroidOracle:
     """U(k, n) is connected when 0 < k < n; otherwise every element is a
-    loop (k = 0) or a coloop (k = n)."""
+    loop (k = 0) or a coloop (k = n).
+
+    Every B - a + y is a basis, so the exchange path from e to f is {e, f},
+    or {e, v, f} through the least id v outside B when f is in B; every
+    k + 1 elements are a circuit."""
     k, n = _integer(k, "k"), _integer(n, "n")
     if not (0 <= k <= n):
         raise InvalidInstance("uniform matroid needs 0 <= k <= n")
+
+    def witness(e: int, f: int, s_set: frozenset[int]) -> MatroidWitness:
+        basis = frozenset(islice(dict.fromkeys(_order(e, s_set, n)), k))
+        if f in basis:
+            basis = basis - {f} | {next(v for v in range(n) if v not in basis)}
+        return MatroidWitness(circuit=basis | {f}, basis_a=basis, basis_b=basis - {e} | {f})
+
     m = MatroidOracle(n, lambda t: len(t) <= k, name=f"uniform({k},{n})")
     m._components = lambda: [frozenset(range(n))] if 0 < k < n else _singletons(range(n))
+    m._witness = witness
     return m
 
 
@@ -109,7 +133,40 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
 
     m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})")
     m._components = lambda: _blocks(g)
+    m._witness = lambda e, f, s_set: _graphic_witness(g, e, f, s_set)
     return m
+
+
+def _graphic_witness(g: Digraph, e: int, f: int, s_set: frozenset[int]) -> MatroidWitness:
+    """The exchange-path witness of a graphic matroid, read off forests.
+
+    B is Kruskal's forest over the witness order, the greedy basis. B - a + y
+    is a forest exactly when y is not a loop and a lies on y's tree path, so
+    a non-tree arc's exchange neighbours are its tree path and a tree arc's
+    are the non-tree arcs that cross the cut of B - a. The circuit of f is f
+    plus its tree path in basis_a."""
+    tails, heads, out, inc = g.tails, g.heads, g.out_arcs(), g.in_arcs()
+    uf = UnionFind(g.node_count)
+    basis = frozenset(a for a in _order(e, s_set, g.arc_count) if uf.union(tails[a], heads[a]))
+    # B's tree through e: node -> tree arc and node -> parent, each node after its parent.
+    tree = bfs_tree(g, tails[e], basis, follow="both")
+    up = {x: tails[a] if heads[a] == x else heads[a] for x, a in tree.items() if a != -1}
+
+    def neighbours(u: int, seen: dict[int, int]) -> list[int]:
+        if u not in basis:
+            return sorted(set(tree_path(g, tree, tails[u])) ^ set(tree_path(g, tree, heads[u])))
+        below = {heads[u] if tree[heads[u]] == u else tails[u]}
+        for x, parent in up.items():
+            if parent in below:
+                below.add(x)
+        return sorted({a for x in below for a in chain(out[x], inc[x])
+                       if a not in basis and (tails[a] in below) != (heads[a] in below)})
+
+    path = _exchange_path(e, f, neighbours)
+    basis_a = ((basis ^ path) | {e}) - {f}
+    forest = bfs_tree(g, tails[f], basis_a, follow="both", goal=heads[f])
+    circuit = frozenset(tree_path(g, forest, heads[f])) | {f}
+    return MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=(basis_a | {f}) - {e})
 
 
 def _blocks(g: Digraph) -> list[frozenset[int]]:
@@ -249,17 +306,23 @@ def verify_matroid_identifying(
     to f in B's exchange graph has no chords, so exchanging along it keeps a
     basis (Krogdahl, Discrete Math. 19, 1977): basis_a holds e but not f,
     and its fundamental circuit of f holds e, so basis_b = basis_a - e + f
-    is a basis too, equal to basis_a on S. Independence queries check the
-    circuit and both bases before they are returned; an oracle that is not
-    a matroid can fail them, which raises InvalidInstance.
+    is a basis too, equal to basis_a on S. Uniform and graphic matroids
+    read the witness off their structure (`_witness`), exact by theorem.
+    For any other oracle, independence queries check the circuit and both
+    bases before they are returned; an oracle that is not a matroid can
+    fail them, which raises InvalidInstance.
     """
     s_set = validate_ids(m.ground_size, s)
     part = next((p for p in matroid_components(m) if len(p - s_set) >= 2), None)
     if part is None:
         return True, None
     e, f = sorted(part - s_set)[:2]
-    basis = _greedy(m, chain((e,), sorted(s_set), range(m.ground_size)))
-    path = _exchange_path(m, basis, e, f)
+    if m._witness is not None:
+        return False, m._witness(e, f, s_set)
+    basis = _greedy(m, _order(e, s_set, m.ground_size))
+    path = _exchange_path(e, f, lambda u, seen: (
+        v for v in range(m.ground_size)
+        if v not in seen and (v in basis) != (u in basis) and m.is_independent(basis ^ {u, v})))
     if path is None:
         raise InvalidInstance(f"inconsistent oracle: {e} and {f} share a component "
                               "but no exchange path")
@@ -275,25 +338,26 @@ def verify_matroid_identifying(
     return False, MatroidWitness(circuit=circuit, basis_a=basis_a, basis_b=basis_b)
 
 
-def _exchange_path(m: MatroidOracle, basis: frozenset[int], e: int,
-                   f: int) -> frozenset[int] | None:
+def _exchange_path(e: int, f: int, neighbours: Callable[[int, dict[int, int]], Iterable[int]]
+                   ) -> frozenset[int] | None:
     """The elements of the first shortest path from e to f found by a BFS
-    in the exchange graph of `basis`, where a in B and y outside B are
-    adjacent when B - a + y is independent; each node tries its neighbours
-    in ascending id order, and the search stops when it takes f off the
-    queue. None when f is out of reach."""
+    in the exchange graph of a basis B, where a in B and y outside B are
+    adjacent when B - a + y is independent. `neighbours(u, seen)` yields
+    u's neighbours in ascending id order, and may skip those in `seen`, the
+    BFS parents so far; the search stops when it reaches f, whose parent
+    is then fixed. None when f is out of reach."""
     parent = {e: e}
     queue = [e]
     for u in queue:
-        if u == f:
-            path = {u}
-            while u != e:
-                u = parent[u]
-                path.add(u)
-            return frozenset(path)
-        side = u in basis
-        for v in range(m.ground_size):
-            if v not in parent and (v in basis) != side and m.is_independent(basis ^ {u, v}):
-                parent[v] = u
-                queue.append(v)
+        for v in neighbours(u, parent):
+            if v in parent:
+                continue
+            parent[v] = u
+            if v == f:
+                path = {v}
+                while v != e:
+                    v = parent[v]
+                    path.add(v)
+                return frozenset(path)
+            queue.append(v)
     return None

@@ -84,10 +84,13 @@ class TollVector:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _count(self.size, "size"))
-        try:
-            outside = set(self.gamma) - set(self.support)
-        except TypeError as exc:
-            raise InvalidInstance(f"gamma and support must be iterable: {exc}") from None
+        keys = []
+        for name in ("gamma", "support"):
+            try:
+                keys.append(set(getattr(self, name)))
+            except TypeError as exc:
+                raise InvalidInstance(f"{name} must be iterable: {exc}") from None
+        outside = keys[0] - keys[1]
         if outside:
             raise InvalidInstance(f"tolls outside the support: {sorted(outside, key=repr)}")
         object.__setattr__(self, "support", validate_ids(self.size, self.support))
@@ -180,15 +183,26 @@ def controlling_counterexample_check(states: Sequence[Sequence], s: Iterable[int
     LP per (cost, target) finds the cheapest such lambda, and the first pair
     with a positive gap is the verdict witness.
     """
-    vectors = [as_vector(state) for state in as_sequence(states, "states")]
+    states = as_sequence(states, "states")
     costs = as_sequence(costs, "costs")
+    # Rows of exact 0/1 ints reach the shortcut as they are; the LPs need Fractions.
+    ints = all(type(state) in (list, tuple) and set(map(type, state)) <= {int}
+               and set(state) <= {0, 1} for state in states)
+    vectors = list(map(tuple, states)) if ints else [as_vector(state) for state in states]
     dim = len(vectors[0]) if vectors else 0
     if any(len(vec) != dim for vec in vectors):
         raise InvalidInstance("states must share one dimension")
     cols = sorted(validate_ids(dim, s))
-    if (all(v in (0, 1) for vec in vectors for v in vec)
-            and verify_explicit_identifying(SolutionList(dim, vectors), cols)[0]):
+    if ints:
+        binary = SolutionList._from_rows(dim, vectors)
+    elif all(v in (0, 1) for vec in vectors for v in vec):
+        binary = SolutionList(dim, vectors)
+    else:
+        binary = None
+    if binary is not None and verify_explicit_identifying(binary, cols)[0]:
         return ControllingVerdict(controlling=True)
+    if ints:
+        vectors = [as_vector(state) for state in states]
     for ci, cost in enumerate(costs):
         values = [exact(cost.evaluate(vec)) for vec in vectors]
         for ti, target in enumerate(vectors):

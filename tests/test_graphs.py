@@ -395,9 +395,10 @@ class TestIntegerCaps:
 
     def test_enumerate_refuses_a_fractional_cap(self):
         g = Digraph(2, [(0, 1), (0, 1), (0, 1)])
-        with pytest.raises(InvalidInstance, match=r"^cap must be an integer, got 2\.5$"):
+        with pytest.raises(InvalidInstance, match=r"^max_paths must be an integer, got 2\.5$"):
             enumerate_st_paths(g, StPair(0, 1), 2.5)
-        with pytest.raises(InvalidInstance, match="^cap must be >= 1$"):
+        with pytest.raises(InvalidInstance, match=r"^max_paths = 0 \(IDSETS_MAX_PATHS / "
+                                                  r"--max-paths\): must be >= 1$"):
             enumerate_st_paths(g, StPair(0, 1), 0)
         with pytest.raises(PathExplosion):
             enumerate_st_paths(g, StPair(0, 1), 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,14 @@ class TestVertexCoverDag:
     def test_bad_edge_rejected(self, edge):
         a, b = sorted(edge)
         with pytest.raises(InvalidInstance, match=rf"^bad edge \({a},{b}\)$"):
+            gen_vertex_cover_dag(3, [(0, 1), edge], 1)
+
+    @pytest.mark.parametrize("edge", [5, (0, 1, 2), (0,)],
+                             ids=["an-int", "a-triple", "a-single"])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        # Unpacked by hand, it raised a bare TypeError or ValueError.
+        with pytest.raises(InvalidInstance,
+                           match=rf"^each edge must be a pair of vertices, got {re.escape(repr(edge))}$"):
             gen_vertex_cover_dag(3, [(0, 1), edge], 1)
 
     def test_is_dag_with_expected_paths(self):

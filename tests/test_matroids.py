@@ -636,14 +636,13 @@ class TestOracleQueryCounts:
         assert len(m._cache) < 200
 
     def test_uniform_components_ask_nothing(self):
-        # The components are one part by theorem; the witness asks 16 queries
-        # for the greedy basis over 0, then S, then every id, 8 exchanges
-        # from e = 0, whose first neighbour is f = 1, and 7 for the circuit.
+        # The components are one part by theorem, and the witness is read
+        # off the first k ids of its order: neither asks the oracle.
         m = uniform_matroid(8, 16)
         matroid_components(m)
         assert m._cache == {}
         verify_matroid_identifying(m, set(range(2, 16)))
-        assert len(m._cache) == 31
+        assert m._cache == {}
 
     def test_graphic_components_ask_nothing(self):
         for m in seeded_graphic_matroids(50, 1707):
@@ -654,10 +653,14 @@ class TestOracleQueryCounts:
 class TestComponentsByTheorem:
     def test_only_builtins_set_the_hook(self):
         g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
-        for m in (uniform_matroid(2, 4), free_matroid(3), graphic_matroid(g),
-                  partition_matroid([[0, 1], [2]], [1, 1])):
+        partition = partition_matroid([[0, 1], [2]], [1, 1])
+        for m in (uniform_matroid(2, 4), free_matroid(3), graphic_matroid(g), partition):
             assert m._components is not None, m.name
-        assert MatroidOracle(3, lambda t: len(t) <= 1)._components is None
+        for m in (uniform_matroid(2, 4), free_matroid(3), graphic_matroid(g)):
+            assert m._witness is not None, m.name
+        custom = MatroidOracle(3, lambda t: len(t) <= 1)
+        assert custom._components is None
+        assert partition._witness is None and custom._witness is None
 
     def test_graphic_2000_cycle_is_one_part(self):
         # The block search keeps its own stack, so a cycle twice the
@@ -674,6 +677,64 @@ class TestComponentsByTheorem:
         m = graphic_matroid(Digraph(6, arcs))
         assert matroid_components(m) == (frozenset({0, 1, 2}), frozenset({3}),
                                          frozenset({4, 5, 6, 8}), frozenset({7}))
+
+
+class TestWitnessByStructure:
+    """The uniform and graphic `_witness` hooks against the generic exchange
+    path, a plain oracle over the same independence callable: the same
+    verdict and the same witness, with nothing asked of the built-in's memo."""
+
+    @staticmethod
+    def assert_same_as_generic(m: MatroidOracle, s) -> bool:
+        plain = MatroidOracle(m.ground_size, m._fn)
+        got = verify_matroid_identifying(m, s)
+        assert got == verify_matroid_identifying(plain, s), (m.name, sorted(s))
+        assert m._cache == {}, m.name
+        return not got[0]
+
+    def test_graphic_witness_equals_the_generic_path(self):
+        rng = random.Random(5301)
+        graphs = negative = loops = parallel = 0
+        for m in seeded_graphic_matroids(1200, 5300):
+            graphs += 1
+            for _ in range(3):
+                p = rng.choice([0.3, 0.6, 0.8])
+                s = frozenset(e for e in range(m.ground_size) if rng.random() < p)
+                negative += self.assert_same_as_generic(m, s)
+            ground = range(m.ground_size)
+            loops += any(not m._fn({e}) for e in ground)
+            parallel += any(not m._fn({e, f}) and m._fn({e}) and m._fn({f})
+                            for e, f in combinations(ground, 2))
+        assert graphs >= 1000 and negative >= 1000
+        assert loops >= 300 and parallel >= 300
+
+    def test_uniform_witness_equals_the_generic_path(self):
+        negative = 0
+        for n in range(9):
+            for k in range(n + 1):
+                for size in range(n + 1):
+                    for s in combinations(range(n), size):
+                        negative += self.assert_same_as_generic(uniform_matroid(k, n), s)
+        assert negative == 2880
+
+    def test_f_inside_the_uniform_basis(self):
+        # {0} ∪ S fills only 3 of k = 4, so B = {0, 1, 4, 5} holds f = 1 and
+        # the path runs 0 -> 2 -> 1 through the least id outside B.
+        ok, witness = verify_matroid_identifying(uniform_matroid(4, 6), {4, 5})
+        assert not ok
+        assert witness.basis_a == {0, 2, 4, 5} and witness.basis_b == {1, 2, 4, 5}
+        assert witness.circuit == {0, 1, 2, 4, 5}
+
+    def test_2000_arc_cycle_leaves_the_memo_empty(self):
+        # The whole cycle is the circuit, read off the forest with no query;
+        # the memo of the generic path held about 4,000 sets of 2,000 arcs.
+        n = 2000
+        m = graphic_matroid(Digraph(n, [(v, (v + 1) % n) for v in range(n)]))
+        ok, witness = verify_matroid_identifying(m, set(range(n)) - {3, 117})
+        assert not ok and witness.circuit == frozenset(range(n))
+        assert witness.basis_a == frozenset(range(n)) - {117}
+        assert witness.basis_b == frozenset(range(n)) - {3}
+        assert m._cache == {}
 
 
 class TestTheoremEquivalence:

@@ -122,8 +122,16 @@ class TestTollVector:
             TollVector(3, [0], [Fraction(1)])
 
     def test_refuses_a_gamma_it_cannot_iterate(self):
-        with pytest.raises(InvalidInstance, match="^gamma and support must be iterable"):
+        with pytest.raises(InvalidInstance, match="^gamma must be iterable: 'NoneType' "):
             TollVector(3, None, frozenset())
+
+    def test_refuses_a_support_it_cannot_iterate(self):
+        with pytest.raises(InvalidInstance, match="^support must be iterable: 'NoneType' "):
+            TollVector(2, {0: 1}, None)
+
+    def test_names_gamma_first_when_neither_iterates(self):
+        with pytest.raises(InvalidInstance, match="^gamma must be iterable: 'int' "):
+            TollVector(2, 0, None)
 
     def test_refuses_a_support_id_outside_the_size(self):
         # as_vector() dropped the toll on element 5 of a 2-element vector.
@@ -523,6 +531,42 @@ class TestCounterexampleCheck:
         verdict = controlling_counterexample_check(states, {0, 1},
                                                    [linear_cost([4, -7, 2])])
         assert verdict == ControllingVerdict(controlling=True)
+
+    def test_binary_int_states_build_no_fraction(self, monkeypatch):
+        # Exact 0/1 ints reach the shortcut as they are, with no as_vector call.
+        def fail(*args):
+            raise AssertionError("as_vector ran")
+
+        costs = [linear_cost([4, -7, 2])]
+        monkeypatch.setattr("idsets.tolls.as_vector", fail)
+        states = [[0, 1, 1], (1, 0, 1), [1, 1, 0], (0, 1, 1)]
+        verdict = controlling_counterexample_check(states, {0, 1}, costs)
+        assert verdict == ControllingVerdict(controlling=True)
+
+    @pytest.mark.parametrize("odd", [Fraction(1), True], ids=["fraction", "bool"])
+    def test_other_binary_values_go_through_as_vector(self, monkeypatch, odd):
+        # A Fraction or a bool equal to 0 or 1 is read by as_vector, then
+        # takes the shortcut as before.
+        read = []
+
+        def spy(values):
+            read.append(values)
+            return as_vector(values)
+
+        costs = [linear_cost([4, -7, 2])]
+        monkeypatch.setattr("idsets.tolls.as_vector", spy)
+        states = [(0, odd, 1), (1, 0, 1), (1, 1, 0)]
+        verdict = controlling_counterexample_check(states, {0, 1}, costs)
+        assert verdict == ControllingVerdict(controlling=True)
+        assert states[0] in read
+
+    def test_binary_ints_that_do_not_identify_run_the_lps(self):
+        # S = {0} leaves (0, 1) and (0, 0) together: the LPs decide, on Fractions.
+        states = [[0, 1], [0, 0], [1, 0]]
+        verdict = assert_matches_oracle(states, {0}, [linear_cost([0, -1])])
+        assert not verdict.controlling
+        assert verdict.failing_target == (0, 0)
+        assert all(type(v) is Fraction for v in verdict.failing_target)
 
     def test_half_is_not_read_as_zero(self):
         # int() would turn (1/2, 1) into (0, 1), a duplicate, and S = {} would
