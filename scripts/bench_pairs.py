@@ -21,7 +21,10 @@ bound, unless every change run reads better than every parent run); the
 last two are false for a metric without a bound. Better is lower unless the
 metric's `better` in BENCHMARK.json, which the script only reads, is
 "higher" (an end-to-end or a per-layer metric). The summary also holds
-`attempted` and `failed`, the harness's request counts summed per side.
+`attempted` and `failed`, the harness's request counts summed per side,
+and, when the runs carry the harness's context line, `per_command_s`: per
+request kind the workload ran, each side's median of the per-command
+seconds that line reports, so a summary shows which kinds moved.
 """
 
 from __future__ import annotations
@@ -80,7 +83,23 @@ def summarize(runs: list[dict]) -> dict:
         summary[key] = {side: sum(r["result"][key] for r in runs
                                   if r["result"] is not None and r["side"] == side)
                         for side in ("parent", "change")}
+    per_command = _per_command(runs)
+    if per_command:
+        summary["per_command_s"] = per_command
     return summary
+
+
+def _per_command(runs: list[dict]) -> dict:
+    """Per request kind with a nonzero time in some run, each side's median
+    of the `per_command_s` on the runs' context lines (runs without one are
+    left out)."""
+    times = {side: [r["context"]["per_command_s"] for r in runs
+                    if r["side"] == side and (r.get("context") or {}).get("per_command_s")]
+             for side in ("parent", "change")}
+    kinds = {kind for rows in times.values() for row in rows for kind, t in row.items() if t}
+    return {kind: {f"{side}_median": round(statistics.median(row.get(kind, 0) for row in rows), 7)
+                   for side, rows in times.items() if rows}
+            for kind in sorted(kinds)}
 
 
 def _iqr(values: list[float]) -> float:

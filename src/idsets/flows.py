@@ -7,7 +7,7 @@ spanning forests of (V, E'), and a maximum-weight forest yields the
 minimum-weight identifying set. E' is collected by the walks that find it:
 the walk into t keeps the arcs of the s-t core, and Kosaraju, run only on
 the nodes off the core, keeps the arcs inside its components. Kruskal and
-the cycle finder each build their own union-find. A failed verification
+the cycle finder each run one batch of union-find joins. A failed verification
 pushes flow around the first cycle it finds, walked in the order it was found.
 """
 
@@ -55,8 +55,7 @@ class FlowWitness:
 
 def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     """E': arcs on some directed cycle or some s-t path (the support union of
-    all flows). The DAG path verifier prunes to E', the arcs of s-t paths on
-    a DAG.
+    all flows).
 
     Call the nodes that s reaches and that reach t the core. An arc on an s-t
     walk has both ends in the core, and is on an s-t path; a directed cycle
@@ -67,6 +66,13 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
     those alone, keeps. Raises NoStPath when s does not reach t.
     """
     st.validate(g)
+    core, marks = _core_arcs(g, st)
+    return frozenset(core + _kosaraju(g, marks)[1])
+
+
+def _core_arcs(g: Digraph, st: StPair) -> tuple[list[int], bytes]:
+    """The arcs inside the s-t core, E' on a DAG, and the core marks: the walk
+    into t keeps each in-arc whose tail s reaches. NoStPath if s misses t."""
     from_s = reach_marks(g, st.source)
     if not from_s[st.sink]:
         raise NoStPath(f"no path from {st.source} to {st.sink}")
@@ -81,7 +87,7 @@ def relevant_arcs(g: Digraph, st: StPair) -> frozenset[int]:
             if not to_t[u]:
                 to_t[u] = 1
                 stack.append(u)
-    return frozenset(core + _kosaraju(g, bytes(map(and_, from_s, to_t)))[1])
+    return core, bytes(map(and_, from_s, to_t))
 
 
 def min_weight_flow_identifying(g: Digraph, st: StPair,
@@ -121,15 +127,14 @@ def verify_flow_identifying(g: Digraph, st: StPair,
 
 def _find_undirected_cycle(g: Digraph, arcs: list[int]) -> list[int] | None:
     """First undirected cycle formed while adding arcs in ascending id order:
-    the closing arc, then the forest path from its head back to its tail."""
-    uf = UnionFind(g.node_count)
-    added: list[int] = []
-    for aid in arcs:
-        tail, head = g.tails[aid], g.heads[aid]
-        if not uf.union(tail, head):
-            return [aid] + tree_path(g, bfs_tree(g, head, added, follow="both", goal=tail), tail)
-        added.append(aid)
-    return None
+    the closing arc, the first that joins no two classes, then the path back
+    from its head to its tail in the forest of the arcs before it."""
+    joined = UnionFind(g.node_count).joins(arcs, g.tails, g.heads)
+    if len(joined) == len(arcs):
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(arcs, joined)) if a != b), len(joined))
+    tail, head = g.tails[arcs[i]], g.heads[arcs[i]]
+    return [arcs[i]] + tree_path(g, bfs_tree(g, head, joined[:i], follow="both", goal=tail), tail)
 
 
 def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVector:

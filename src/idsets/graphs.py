@@ -20,7 +20,6 @@ reachability of the s-t solvers with one flat mark per node, and
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -82,9 +81,9 @@ class Digraph:
         return g if g._file(node_count, arcs) else None
 
     def _file(self, node_count: int, pairs: Iterable) -> bool:
-        """File each arc id under its tail and its head and append its ends to
-        the two columns, in one walk; store them and return True only if every
-        arc is a pair of exact ints in 0..node_count-1 (node_count >= 0).
+        """File each arc id under its tail and its head, append its ends to the
+        two columns and note a self-loop, in one walk; store them and return True
+        only if every arc is a pair of exact ints in 0..node_count-1 (node_count >= 0).
 
         The walk stops at a pair that does not unpack, a non-int end (a list
         index refuses it) or an end >= node_count; a bool or a negative end
@@ -97,12 +96,15 @@ class Digraph:
         inc: list[list[int]] = [[] for _ in range(node_count)]
         tails: list[int] = []
         heads: list[int] = []
+        self_loop = False
         try:
             for aid, (tail, head) in enumerate(pairs):
                 out[tail].append(aid)
                 inc[head].append(aid)
                 tails.append(tail)
                 heads.append(head)
+                if tail == head:
+                    self_loop = True
         except (IndexError, TypeError, ValueError):
             return False
         low_ends = chain(map(tails.__getitem__, chain(*out[:2])),
@@ -113,7 +115,7 @@ class Digraph:
         self.__dict__.update(  # frozen: set once, here; eq and repr read the three fields
             node_count=node_count, tails=tuple(tails), heads=tuple(heads),
             _out=tuple(map(tuple, out)), _in=tuple(map(tuple, inc)),
-            _self_loop=any(map(operator.eq, tails, heads)))
+            _self_loop=self_loop)
         return True
 
     @cached_property
@@ -186,16 +188,31 @@ class WeightedGroundSet:
     def __init__(self, weights: Sequence[Fraction | int | str]):
         # One pass converts, sign-checks and splits each weight. A Fraction,
         # all that the parsers hand over, skips the call to `exact`.
-        numerators, denominators = [], []
+        ratios = []
         for i, value in enumerate(as_sequence(weights, "weights")):
-            num, den = (value if type(value) is Fraction else exact(value)).as_integer_ratio()
-            if num < 0:
+            ratio = (value if type(value) is Fraction else exact(value)).as_integer_ratio()
+            if ratio[0] < 0:
                 raise InvalidInstance(f"negative weight at element {i}")
-            numerators.append(num)
-            denominators.append(den)
-        self.scale: int = lcm(*set(denominators))
-        self.scaled: tuple[int, ...] = tuple(numerators) if self.scale == 1 else tuple(
-            num * (self.scale // den) for num, den in zip(numerators, denominators))
+            ratios.append(ratio)
+        self._scale(ratios, dict(zip(ratios, ratios)))
+
+    @classmethod
+    def _by_token(cls, tokens: list, table: dict) -> "WeightedGroundSet":
+        """The weights table[t], Fractions, along `tokens`, split once per
+        distinct token; a negative one goes to the constructor, which names it."""
+        ratios = {token: value.as_integer_ratio() for token, value in table.items()}
+        if any(num < 0 for num, _ in ratios.values()):
+            return cls(list(map(table.__getitem__, tokens)))
+        out = cls.__new__(cls)
+        out._scale(tokens, ratios)
+        return out
+
+    def _scale(self, keys: Sequence, ratios: dict) -> None:
+        """The one scaling rule: `scale`, the lcm of the denominators of `ratios`
+        (key -> (num, den)), and num * (scale // den) per key of `keys`, in C."""
+        self.scale = scale = lcm(*{den for _, den in ratios.values()})
+        scaled = {key: num * (scale // den) for key, (num, den) in ratios.items()}
+        self.scaled: tuple[int, ...] = tuple(map(scaled.__getitem__, keys))
 
     @classmethod
     def uniform(cls, size: int) -> "WeightedGroundSet":
@@ -251,8 +268,8 @@ def drop_heaviest_per_part(parts: Iterable[frozenset[int]],
 
 
 class UnionFind:
-    """Union-find with path halving and union by size. `union` runs both finds
-    inline, so a caller that unions once per arc makes one Python call per arc."""
+    """Union-find with path halving and union by size. `joins` runs both finds
+    inline over a batch of arcs: one Python call for all of Kruskal's arcs."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -266,19 +283,26 @@ class UnionFind:
 
     def union(self, a: int, b: int) -> bool:
         """Merge the classes of a and b; False when they were one class already."""
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            return False
-        size = self.size
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        return True
+        return bool(self.joins((0,), (a,), (b,)))
+
+    def joins(self, arcs: Iterable[int], tails: Sequence[int], heads: Sequence[int]) -> list[int]:
+        """The arcs, in the order given, whose ends tails[a] and heads[a] are
+        in two classes when the arc is reached; each merges them. A self-loop
+        never joins."""
+        parent, size, joined = self.parent, self.size, []
+        for aid in arcs:
+            a, b = tails[aid], heads[aid]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                joined.append(aid)
+        return joined
 
     def parts(self) -> tuple[frozenset[int], ...]:
         """The classes, sorted by least element (the order they are first met)."""
@@ -395,10 +419,19 @@ def bfs_tree(g: Digraph, start: int, allowed: Iterable[int] | None = None,
     tree = {start: -1}
     if start == goal:
         return tree
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for aid in out[v] if follow == "out" else sorted((*out[v], *inc[v])):
+    queue = [start]  # read front to back as it grows
+    if follow == "out":
+        for v in queue:
+            for aid in out[v] if allowed is None else filter(allowed.__contains__, out[v]):
+                w = heads[aid]
+                if w not in tree:
+                    tree[w] = aid
+                    if w == goal:
+                        return tree
+                    queue.append(w)
+        return tree
+    for v in queue:
+        for aid in sorted((*out[v], *inc[v])):
             if allowed is not None and aid not in allowed:
                 continue
             w = heads[aid] if tails[aid] == v else tails[aid]
@@ -455,14 +488,8 @@ def _max_weight_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> 
     of the ascending ids; self-loops are never forest arcs. Per connected
     component the result is a spanning tree.
     """
-    tails, heads = g.tails, g.heads
-    uf = UnionFind(g.node_count)
-    forest: set[int] = set()
-    for aid in sorted(sorted(ids), key=w.scaled.__getitem__, reverse=True):
-        tail, head = tails[aid], heads[aid]
-        if tail != head and uf.union(tail, head):
-            forest.add(aid)
-    return forest
+    order = sorted(sorted(ids), key=w.scaled.__getitem__, reverse=True)
+    return set(UnionFind(g.node_count).joins(order, g.tails, g.heads))
 
 
 def enumerate_st_paths(g: Digraph, st: StPair, cap: int = 100_000) -> list[frozenset[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
@@ -96,16 +96,17 @@ def fraction_to_json(value: Fraction) -> str:
 
 
 def fractions_to_json(values: Iterable[Fraction]) -> list[str]:
-    """`fraction_to_json` of each value, once per distinct object. Keyed by
-    id, since hashing a Fraction costs more than printing it; a flow witness
-    shares one Fraction per arc count, so its few objects print once."""
-    texts: dict[int, str] = {}
-    out = []
-    for value in values:
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = fraction_to_json(value)
-        out.append(text)
+    """`fraction_to_json` of each value, once per run of one object and once
+    per distinct object: a flow witness is mostly runs of one Fraction(0).
+    Keyed by id, since hashing a Fraction costs more than printing it; the
+    cache keeps each object it keys alive, so no id is reused under it."""
+    texts: dict[int, tuple[Fraction, str]] = {}
+    out: list[str] = []
+    for key, run in groupby(values, id):
+        run = list(run)
+        if key not in texts:
+            texts[key] = (run[0], fraction_to_json(run[0]))
+        out.extend(repeat(texts[key][1], len(run)))
     return out
 
 
@@ -195,14 +196,15 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
     with _reading("instance"):
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
-        weights = None if raw is None else list(map(_fraction_lookup(_array(raw, "weights")), raw))
+        if raw is not None:
+            table = dict(zip(raw, map(_fraction_lookup(_array(raw, "weights")), raw)))
     st = StPair(source, sink)
     st.validate(g)
-    if weights is None:
+    if raw is None:
         return g, st, WeightedGroundSet.uniform(g.arc_count)
-    if len(weights) != g.arc_count:
+    if len(raw) != g.arc_count:
         raise InvalidInstance("one weight per arc required")
-    return g, st, WeightedGroundSet(weights)
+    return g, st, WeightedGroundSet._by_token(raw, table)
 
 
 def instance_to_json(g: Digraph, st: StPair, metadata: dict | None = None) -> dict:
@@ -221,10 +223,10 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = _array(data["weights"] if isinstance(data, dict) else data, "weights")
-        weights = list(map(_fraction_lookup(raw), raw))
-    if len(weights) != size:
-        raise InvalidInstance(f"expected {size} weights, got {len(weights)}")
-    return WeightedGroundSet(weights)
+        table = dict(zip(raw, map(_fraction_lookup(raw), raw)))
+    if len(raw) != size:
+        raise InvalidInstance(f"expected {size} weights, got {len(raw)}")
+    return WeightedGroundSet._by_token(raw, table)
 
 
 def read_id_set(raw: str, load: Callable[[str], Any]) -> list[int]:

@@ -124,12 +124,7 @@ def graphic_matroid(g: Digraph) -> MatroidOracle:
     the components are the blocks; a self-loop or a bridge is a singleton."""
 
     def independent(subset: frozenset[int]) -> bool:
-        uf = UnionFind(g.node_count)
-        for aid in subset:
-            tail, head = g.tails[aid], g.heads[aid]
-            if tail == head or not uf.union(tail, head):
-                return False
-        return True
+        return len(UnionFind(g.node_count).joins(subset, g.tails, g.heads)) == len(subset)
 
     m = MatroidOracle(g.arc_count, independent, name=f"graphic(n={g.node_count})")
     m._components = lambda: _blocks(g)
@@ -146,8 +141,7 @@ def _graphic_witness(g: Digraph, e: int, f: int, s_set: frozenset[int]) -> Matro
     are the non-tree arcs that cross the cut of B - a. The circuit of f is f
     plus its tree path in basis_a."""
     tails, heads, out, inc = g.tails, g.heads, g.out_arcs(), g.in_arcs()
-    uf = UnionFind(g.node_count)
-    basis = frozenset(a for a in _order(e, s_set, g.arc_count) if uf.union(tails[a], heads[a]))
+    basis = frozenset(UnionFind(g.node_count).joins(_order(e, s_set, g.arc_count), tails, heads))
     # B's tree through e: node -> tree arc and node -> parent, each node after its parent.
     tree = bfs_tree(g, tails[e], basis, follow="both")
     up = {x: tails[a] if heads[a] == x else heads[a] for x, a in tree.items() if a != -1}

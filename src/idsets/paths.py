@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Iterable
 
 from .caps import Caps, DEFAULT_CAPS
-from .flows import min_weight_flow_identifying, relevant_arcs
+from .flows import _core_arcs, min_weight_flow_identifying
 from .graphs import (
     Digraph,
     StPair,
@@ -52,7 +52,8 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
                                 s: Iterable[int]) -> tuple[bool, PathWitness | None]:
     """DAG-only polynomial verification.
 
-    Prunes to E', the arcs of s-t paths on a DAG (`relevant_arcs`); then S
+    Prunes to E', the arcs of s-t paths, which on a DAG are the arcs inside
+    the s-t core (`flows._core_arcs`, no component walk); then S
     is identifying iff for every node v the non-S arcs whose tail is
     reachable from v form an arborescence rooted at v, i.e. no node acquires
     in-degree two within that arc set. One sweep in topological order
@@ -66,7 +67,7 @@ def verify_path_identifying_dag(g: Digraph, st: StPair,
     st.validate(g)
     order = topological_order(g)
     s_set = validate_ids(g.arc_count, s)
-    keep_arcs = relevant_arcs(g, st)
+    keep_arcs = frozenset(_core_arcs(g, st)[0])
     allowed = keep_arcs - s_set
     tails, inc = g.tails, g.in_arcs()
     reach, bad, out_left = [0] * g.node_count, 0, [0] * g.node_count

@@ -84,16 +84,17 @@ class TollVector:
 
     def __post_init__(self):
         object.__setattr__(self, "size", _count(self.size, "size"))
-        keys = []
+        items, keys = [], []  # each argument read once, so a one-shot support is too
         for name in ("gamma", "support"):
             try:
-                keys.append(set(getattr(self, name)))
+                items.append(list(getattr(self, name)))
+                keys.append(set(items[-1]))
             except TypeError as exc:
                 raise InvalidInstance(f"{name} must be iterable: {exc}") from None
         outside = keys[0] - keys[1]
         if outside:
             raise InvalidInstance(f"tolls outside the support: {sorted(outside, key=repr)}")
-        object.__setattr__(self, "support", validate_ids(self.size, self.support))
+        object.__setattr__(self, "support", validate_ids(self.size, items[1]))
         if not hasattr(self.gamma, "items"):
             raise InvalidInstance(f"gamma must map ids to tolls, got {type(self.gamma).__name__}")
         object.__setattr__(self, "gamma", {e: exact(v) for e, v in self.gamma.items()})

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -33,6 +34,7 @@ from idsets.explicit import SolutionList
 from idsets.graphs import (
     Digraph,
     StPair,
+    UnionFind,
     WeightedGroundSet,
     _integer,
     _kosaraju,
@@ -183,6 +185,43 @@ def oracle_shortest_arc_path(g: Digraph, start: int, goal: int, allowed=None):
         v = g.tails[aid]
     path.reverse()
     return path
+
+
+def oracle_bfs_out_tree(g: Digraph, start: int, allowed=None,
+                        goal: int | None = None) -> dict[int, int]:
+    """Reference out-walk BFS tree: node -> tree arc (start -> -1) over the
+    allowed arcs, each node's out-arcs rebuilt from `g.arcs` in ascending
+    id order, a deque for the queue; it stops when it first reaches `goal`."""
+    allowed_set = set(range(g.arc_count)) if allowed is None else set(allowed)
+    out: list[list[int]] = [[] for _ in range(g.node_count)]
+    for aid, (tail, _) in enumerate(g.arcs):
+        if aid in allowed_set:
+            out[tail].append(aid)
+    tree = {start: -1}
+    queue = deque([start])
+    while queue and goal not in tree:
+        v = queue.popleft()
+        for aid in out[v]:
+            w = g.arcs[aid][1]
+            if w not in tree:
+                tree[w] = aid
+                if w == goal:
+                    break
+                queue.append(w)
+    return tree
+
+
+def oracle_kruskal_forest(g: Digraph, ids: Iterable[int], w: WeightedGroundSet) -> set[int]:
+    """Reference maximum-weight forest: Kruskal over (weight desc, id asc)
+    with `UnionFind.find` on both ends of each arc and a plain merge."""
+    uf = UnionFind(g.node_count)
+    forest = set()
+    for aid in sorted(ids, key=lambda a: (-w[a], a)):
+        a, b = uf.find(g.tails[aid]), uf.find(g.heads[aid])
+        if a != b:
+            uf.parent[a] = b
+            forest.add(aid)
+    return forest
 
 
 def oracle_verify_path_dag(g: Digraph, st: StPair, s) -> tuple[bool, PathWitness | None]:

@@ -9,6 +9,7 @@ import pytest
 
 from idsets.errors import NoStPath
 from idsets.flows import (
+    _core_arcs,
     min_weight_flow_identifying,
     relevant_arcs,
     verify_flow_identifying,
@@ -144,6 +145,29 @@ class TestDagArcSetIsThePathArcs:
             parallel += len(set(g.arcs)) < g.arc_count
             dangling += len(path_arcs) < g.arc_count
         assert count >= 500 and parallel >= 500 and dangling >= 500, (count, parallel, dangling)
+
+
+class TestDagCoreWalk:
+    """The DAG path verifier reads E' from the core walk alone; on a DAG it
+    equals `relevant_arcs`, which adds Kosaraju's arcs off the core."""
+
+    def test_core_arcs_are_relevant_arcs_on_seeded_dags(self):
+        rng = random.Random(54)
+        count = parallel = 0
+        for g, st in seeded_dags(900, seed=154, max_nodes=8):
+            arcs = list(g.arcs) + [a for a in g.arcs if rng.random() < 0.25]
+            g = Digraph(g.node_count, rng.sample(arcs, len(arcs)))
+            if not has_st_path(g, st):
+                for solve in (relevant_arcs, _core_arcs):
+                    with pytest.raises(NoStPath):
+                        solve(g, st)
+                continue
+            core, _ = _core_arcs(g, st)
+            assert len(core) == len(set(core))
+            assert frozenset(core) == relevant_arcs(g, st)
+            count += 1
+            parallel += len(set(g.arcs)) < g.arc_count
+        assert count >= 500 and parallel >= 400, (count, parallel)
 
 
 class TestMinWeightFlowIdentifying:

@@ -41,7 +41,9 @@ from idsets.tolls import linear_cost, quadratic_cost
 
 from .helpers import (
     from_strings,
+    oracle_bfs_out_tree,
     oracle_enumerate_paths,
+    oracle_kruskal_forest,
     oracle_reachable_from,
     oracle_reverse_reachable_to,
     oracle_shortest_arc_path,
@@ -770,6 +772,50 @@ class TestSpanningForest:
         g = Digraph(3, [(0, 1), (1, 2)])
         with pytest.raises(InvalidInstance, match=message):
             spanning_forest_max_weight(g, restrict, WeightedGroundSet.uniform(2))
+
+
+class TestLeanWalksMatchReferences:
+    """The out-walk of `bfs_tree` and Kruskal's batch of joins against plain
+    references, on seeded multigraphs with self-loops and parallel arcs."""
+
+    GRAPHS = seeded_multigraphs(500, seed=54, min_nodes=2, max_nodes=8, max_arcs=16,
+                                allow_self_loops=True)
+
+    def test_family_has_parallel_arcs_and_self_loops(self):
+        assert sum(len(set(g.arcs)) < g.arc_count for g, _ in self.GRAPHS) > 200
+        assert sum(g.has_self_loop() for g, _ in self.GRAPHS) > 200
+
+    def test_out_tree_matches_a_plain_bfs(self):
+        rng = random.Random(541)
+        stopped = 0
+        for g, _ in self.GRAPHS:
+            for allowed in (None, {a for a in range(g.arc_count) if rng.random() < 0.6},
+                            [a for a in range(g.arc_count) if rng.random() < 0.6]):
+                start = rng.randrange(g.node_count)
+                for goal in (None, rng.randrange(g.node_count)):
+                    tree = bfs_tree(g, start, allowed, goal=goal)
+                    assert list(tree.items()) == list(
+                        oracle_bfs_out_tree(g, start, allowed, goal).items())
+                    stopped += goal is not None and len(tree) < len(bfs_tree(g, start, allowed))
+        assert stopped >= 100, stopped
+
+    def test_forest_matches_a_union_find_kruskal(self):
+        rng = random.Random(542)
+        zeros = 0
+        for g, _ in self.GRAPHS:
+            w = WeightedGroundSet([Fraction(rng.randint(0, 3), rng.randint(1, 3))
+                                   for _ in range(g.arc_count)])
+            restrict = {a for a in range(g.arc_count) if rng.random() < 0.8}
+            assert (spanning_forest_max_weight(g, restrict, w)
+                    == oracle_kruskal_forest(g, restrict, w))
+            zeros += 0 in w.scaled
+        assert zeros >= 300, zeros
+
+    def test_union_is_a_join_of_one_arc(self):
+        uf = UnionFind(4)
+        assert [uf.union(0, 1), uf.union(1, 0), uf.union(2, 2), uf.union(1, 2)] == [
+            True, False, False, True]
+        assert uf.joins([0, 1, 2], (0, 3, 3), (3, 2, 3)) == [0]
 
 
 class TestEnumerateStPaths:

@@ -124,6 +124,27 @@ class TestBenchPairsSummary:
         assert fall["change_lower_in_pairs"] == "10/10"
         assert fall["claim_met"] is False
 
+    def test_per_command_medians_per_side(self):
+        # Each run's context line holds per_command_s; the summary keeps each
+        # side's median per request kind that ran, and no key without contexts.
+        def run(pair, side, flow, path):
+            out = canned_run(pair, side, 0.1, 15.0)
+            out["context"] = {"per_command_s": {"flow_identify": flow, "path_verify": path,
+                                                "path_exact": 0}}
+            return out
+        runs = [run(0, "parent", 0.0040, 0.0030), run(0, "change", 0.0036, 0.0027),
+                run(1, "change", 0.0034, 0.0029), run(1, "parent", 0.0044, 0.0031),
+                run(2, "parent", 0.0042, 0.0032), run(2, "change", 0.0038, 0.0028)]
+        summary = self.summarize(runs)
+        assert summary["per_command_s"] == {
+            "flow_identify": {"parent_median": 0.0042, "change_median": 0.0036},
+            "path_verify": {"parent_median": 0.0031, "change_median": 0.0028},
+        }
+        assert list(summary)[-1] == "per_command_s"
+        for r in runs:
+            del r["context"]
+        assert "per_command_s" not in self.summarize(runs)
+
     def test_unresolved_when_the_parent_spreads_wider_than_the_bound(self):
         # The parent's pass_s alternates 0.010 and 0.020 s: an IQR of 0.01 s
         # against a bound of 0.2 x 0.015 s. A change that reads 0.016 s is

@@ -456,6 +456,90 @@ class TestBoundaryParsers:
         assert fractions_to_json(()) == []
 
 
+def _weights_or_error(read):
+    """(scale, scaled) of the weights `read` returns, or its refusal's text."""
+    try:
+        w = read()
+    except InvalidInstance as exc:
+        return str(exc)
+    return w.scale, w.scaled
+
+
+class TestWeightsByToken:
+    """The weights of a file or instance, split once per distinct token,
+    against one `fraction_from_json` and one split per element."""
+
+    @staticmethod
+    def reference(raw):
+        return _weights_or_error(lambda: WeightedGroundSet(list(map(fraction_from_json, raw))))
+
+    @staticmethod
+    def both_readers(raw):
+        instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1, "weights": raw}
+        return (_weights_or_error(lambda: parse_weights({"weights": raw}, len(raw))),
+                _weights_or_error(lambda: parse_instance(instance)[2]))
+
+    @pytest.mark.parametrize("raw, expected", [
+        (["2/4", "1/2", 1, "1"], (2, (1, 1, 2, 2))),
+        (["0", 0, "0/3", "5"], (1, (0, 0, 0, 5))),
+        ([3, "3", "6/2", "-0"], (1, (3, 3, 3, 0))),
+        ([], (1, ())),
+        (["1/3", "-1/6", "1/3", "-2"], "negative weight at element 1"),
+        ([1, "-2/4", "x"], "cannot parse rational from 'x'"),
+        (["1", 2.5, "-1"], "cannot parse rational from 2.5"),
+        ([True, "1"], "cannot parse rational from True"),
+    ], ids=["unreduced", "zeros", "mixed", "empty", "negative", "unparseable", "float",
+            "bool"])
+    def test_cases_match_the_reference(self, raw, expected):
+        assert self.reference(raw) == expected
+        assert self.both_readers(raw) == (expected, expected)
+
+    def test_seeded_token_lists_match_the_reference(self):
+        rng = random.Random(54)
+        refused = negative = 0
+        pool = ["0", "1", "2/4", "1/2", "3/6", "-1/3", "7", 0, 2, 5, "5", "x", None, "1/0"]
+        for _ in range(400):
+            raw = [rng.choice(pool[:rng.choice((7, 10, 14))]) for _ in range(rng.randint(0, 12))]
+            expected = self.reference(raw)
+            assert self.both_readers(raw) == (expected, expected)
+            refused += isinstance(expected, str) and "parse" in expected
+            negative += isinstance(expected, str) and "negative" in expected
+        assert refused >= 50 and negative >= 50, (refused, negative)
+
+    def test_a_count_mismatch_comes_after_a_refusal_and_before_a_sign(self):
+        with pytest.raises(InvalidInstance, match="^cannot parse rational from 'x'$"):
+            parse_weights(["x"], 2)
+        with pytest.raises(InvalidInstance, match="^expected 2 weights, got 1$"):
+            parse_weights(["-1"], 2)
+        instance = {"nodes": 2, "arcs": [[0, 1]] * 2, "s": 0, "t": 1, "weights": ["-1"]}
+        with pytest.raises(InvalidInstance, match="^one weight per arc required$"):
+            parse_instance(instance)
+
+
+class TestFlowText:
+    """`fractions_to_json`, once per run of one object, against `str` of
+    each value, on shared and distinct objects and on one-shot iterables."""
+
+    def test_seeded_runs_of_shared_and_equal_objects(self):
+        rng = random.Random(54)
+        for _ in range(300):
+            shared = [Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(4)]
+            values = []
+            for _ in range(rng.randint(0, 12)):
+                item = (rng.choice(shared) if rng.random() < 0.7
+                        else Fraction(rng.randint(0, 9), rng.randint(1, 4)))
+                values += [item] * rng.randint(1, 5)
+            assert fractions_to_json(values) == [str(v) for v in values]
+            assert fractions_to_json(tuple(values)) == [str(v) for v in values]
+
+    def test_one_shot_iterables_keep_each_text(self):
+        # Each Fraction here is freed once read, so its id can come back on
+        # the next one: a text cached by id alone repeated '0' and '1/3'.
+        expected = [str(Fraction(i, 3)) for i in range(8)]
+        assert fractions_to_json(Fraction(i, 3) for i in range(8)) == expected
+        assert fractions_to_json(map(Fraction, range(8), [3] * 8)) == expected
+
+
 class TestInstanceRoundTrip:
     def test_full_cycle(self):
         g = Digraph(3, [(0, 1), (1, 2), (0, 2)])

@@ -138,6 +138,21 @@ class TestTollVector:
         with pytest.raises(InvalidInstance, match="^element id 5 out of range$"):
             TollVector(2, {5: Fraction(1)}, {5})
 
+    def test_a_one_shot_support_is_read_once(self):
+        # The support was read twice: the second read of an iterator found
+        # it empty, and the toll on 0 was kept outside the stored support.
+        toll = TollVector(size=3, gamma={0: 1}, support=iter([0, 1]))
+        assert toll == TollVector(size=3, gamma={0: 1}, support=[0, 1])
+        assert toll.support == frozenset({0, 1})
+
+    def test_a_toll_outside_a_one_shot_support_is_refused(self):
+        with pytest.raises(InvalidInstance, match=r"^tolls outside the support: \[2\]$"):
+            TollVector(size=3, gamma={2: 1}, support=iter([0, 1]))
+
+    def test_a_one_shot_support_id_outside_the_size_is_refused(self):
+        with pytest.raises(InvalidInstance, match="^element id 5 out of range$"):
+            TollVector(size=3, gamma={}, support=(e for e in [0, 5]))
+
     def test_size_is_a_count(self):
         with pytest.raises(InvalidInstance, match="^size must be an integer, got 'a'$"):
             TollVector("a", {}, set())
