@@ -534,7 +534,7 @@ class TestFlowText:
 
     def test_one_shot_iterables_keep_each_text(self):
         # Each Fraction here is freed once read, so its id can come back on
-        # the next one: a text cached by id alone repeated '0' and '1/3'.
+        # the next one: a text cached by id alone would repeat '0' and '1/3'.
         expected = [str(Fraction(i, 3)) for i in range(8)]
         assert fractions_to_json(Fraction(i, 3) for i in range(8)) == expected
         assert fractions_to_json(map(Fraction, range(8), [3] * 8)) == expected

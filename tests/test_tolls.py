@@ -139,8 +139,8 @@ class TestTollVector:
             TollVector(2, {5: Fraction(1)}, {5})
 
     def test_a_one_shot_support_is_read_once(self):
-        # The support was read twice: the second read of an iterator found
-        # it empty, and the toll on 0 was kept outside the stored support.
+        # An iterator is listed once: a second read would find it empty and
+        # keep the toll on 0 outside the stored support.
         toll = TollVector(size=3, gamma={0: 1}, support=iter([0, 1]))
         assert toll == TollVector(size=3, gamma={0: 1}, support=[0, 1])
         assert toll.support == frozenset({0, 1})
