@@ -194,9 +194,15 @@ def _cmd_flow_identify(args, caps: Caps, read: Reader) -> tuple[int, dict]:
     if args.verify is not None:
         s = io.read_id_set(args.verify, read)
         ok, witness = flows.verify_flow_identifying(g, st, s)
-        return _verdict(ok, s, {} if witness is None else {
-            "cycle": sorted(witness.cycle), "flow_a": io.fractions_to_json(witness.flow_a),
-            "flow_b": io.fractions_to_json(witness.flow_b)})
+        if witness is None:
+            return _verdict(ok, s, {})
+        # flow_b is flow_a with only the cycle arcs changed.
+        flow_a = io.fractions_to_json(witness.flow_a)
+        flow_b = flow_a.copy()
+        for a in witness.cycle:
+            flow_b[a] = io.fraction_to_json(witness.flow_b[a])
+        return _verdict(ok, s, {"cycle": sorted(witness.cycle), "flow_a": flow_a,
+                                "flow_b": flow_b})
     result = flows.min_weight_flow_identifying(g, st, w)
     return EXIT_OK, {
         "S": sorted(result.identifying_set),

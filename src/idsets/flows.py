@@ -145,13 +145,20 @@ def _uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> FlowVect
     through the shortest paths s -> tail and head -> t. All paths are BFS
     paths, so the flows are integer arc counts divided by the cycle length,
     one Fraction per distinct count. The tree from each arc's head stops at
-    its tail, and is full only when it never reaches it.
+    its tail, or at t when no arc enters the tail. A tree that never reached
+    its goal is full and serves every later cycle arc into the same head.
     """
     from_s = bfs_tree(g, st.source)
+    inc, full = g.in_arcs(), {}
     counts = [0] * g.arc_count
     for arc in cycle:
         tail, head = g.tails[arc], g.heads[arc]
-        from_head = bfs_tree(g, head, goal=tail)
+        from_head = full.get(head)
+        if from_head is None:
+            goal = tail if inc[tail] else st.sink
+            from_head = bfs_tree(g, head, goal=goal)
+            if goal not in from_head:
+                full[head] = from_head
         if tail in from_head:
             walk = tree_path(g, from_s, st.sink) + tree_path(g, from_head, tail)
         else:

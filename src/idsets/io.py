@@ -318,9 +318,11 @@ def to_json(value: Any) -> str:
 
     json takes its pure-Python encoder whenever it indents, one call per
     item. Here dicts (keys sorted) and lists or tuples of containers are
-    walked in Python, but a list whose items are all exactly str or int
-    goes to the C encoder in one call, with the newline and indent as its
-    item separator; its brackets are then re-wrapped. Every other scalar
+    walked in Python, but a list of strings that need no escapes is joined
+    with quotes, newline and indent between items, and any other list whose
+    items are all exactly str or int goes to the C encoder in one call, with
+    the newline and indent as its item separator; its brackets are then
+    re-wrapped. Every other scalar
     goes through `json.dumps`, so escapes and number formats are json's
     own. A dict key that is not a str raises TypeError: json would print
     the number or constant quoted, and no payload has one.
@@ -349,6 +351,8 @@ def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out("[]")
+        elif isinstance(value[0], str) and _plain_strings(value):
+            out("[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]")
         elif set(map(type, value)) <= {str, int}:
             text = json.dumps(value, separators=("," + inner, ": "))
             out("[" + inner + text[1:-1] + newline + "]")
@@ -361,6 +365,16 @@ def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
             out(newline + "]")
     else:
         out(json.dumps(value))
+
+
+def _plain_strings(value: list | tuple) -> bool:
+    """True when every item is a str and json would print each unescaped:
+    their joined text is ASCII, printable, and has no quote or backslash."""
+    try:
+        text = "".join(value)
+    except TypeError:
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def dump_json(path: str, data: dict) -> None:

@@ -27,10 +27,12 @@ from idsets.errors import (
     CapExceeded,
     IdsetsError,
     InvalidInstance,
+    NoStPath,
     NotIdentifying,
     SubsetExplosion,
 )
 from idsets.explicit import SolutionList
+from idsets.flows import FlowWitness, verify_flow_identifying
 from idsets.graphs import (
     Digraph,
     StPair,
@@ -40,6 +42,7 @@ from idsets.graphs import (
     _kosaraju,
     _max_weight_forest,
     bfs_tree,
+    tree_path,
     validate_ids,
 )
 from idsets.instances import GeneratedInstance
@@ -247,6 +250,26 @@ def oracle_verify_path_dag(g: Digraph, st: StPair, s) -> tuple[bool, PathWitness
     return True, None
 
 
+def oracle_uniform_cycle_mixture(g: Digraph, st: StPair, cycle: list[int]) -> tuple:
+    """The flow verifier's mixture in its per-arc form: one BFS tree from
+    each cycle arc's head with its tail as the goal, none reused. A tail the
+    head reaches closes a directed cycle, ridden after the shortest s-t path;
+    otherwise the flow takes s -> tail, the arc and head -> t. Each arc's
+    count over the cycle length is its share."""
+    from_s = bfs_tree(g, st.source)
+    counts = [0] * g.arc_count
+    for arc in cycle:
+        tail, head = g.tails[arc], g.heads[arc]
+        from_head = bfs_tree(g, head, goal=tail)
+        if tail in from_head:
+            walk = tree_path(g, from_s, st.sink) + tree_path(g, from_head, tail)
+        else:
+            walk = tree_path(g, from_s, tail) + tree_path(g, from_head, st.sink)
+        for a in walk + [arc]:
+            counts[a] += 1
+    return tuple(Fraction(c, len(cycle)) for c in counts)
+
+
 def all_simple_digraphs(n: int):
     """Every simple digraph on n labeled nodes (no self-loops)."""
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -289,6 +312,36 @@ def seeded_dags(count: int, seed: int, min_nodes: int = 3, max_nodes: int = 7,
                 if rng.random() < arc_prob:
                     arcs.append((perm[i], perm[j]))
         out.append((Digraph(n, arcs), StPair(perm[0], perm[-1])))
+    return out
+
+
+def seeded_negative_flow_verdicts(count: int, seed: int):
+    """(g, st, S, witness) for `count` seeded sets that are not flow
+    identifying: DAGs and other digraphs on 3-8 nodes, a parallel copy of
+    about one arc in six, a random s != t that reaches t, and each arc in S
+    with probability 1/4."""
+    rng = random.Random(seed)
+    out: list[tuple[Digraph, StPair, list[int], FlowWitness]] = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        dag = rng.random() < 0.5
+        order = rng.sample(range(n), n)
+        arcs = []
+        for _ in range(rng.randint(2, 14)):
+            i, j = rng.sample(range(n), 2)
+            if dag and i > j:
+                i, j = j, i
+            arcs.append((order[i], order[j]))
+            if rng.random() < 1 / 6:
+                arcs.append(arcs[-1])
+        g, st = Digraph(n, arcs), StPair(*rng.sample(range(n), 2))
+        s = [a for a in range(g.arc_count) if rng.random() < 0.25]
+        try:
+            ok, witness = verify_flow_identifying(g, st, s)
+        except NoStPath:
+            continue
+        if not ok:
+            out.append((g, st, s, witness))
     return out
 
 

@@ -27,9 +27,9 @@ from idsets import cli
 from idsets.caps import Caps
 from idsets.cli import main
 from idsets.errors import CAP_KNOBS, CapExceeded
-from idsets.io import dump_json
+from idsets.io import dump_json, fractions_to_json, instance_to_json
 
-from .helpers import oracle_rank
+from .helpers import oracle_rank, seeded_negative_flow_verdicts
 
 
 TRIANGLE = {"nodes": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "s": 0, "t": 2}
@@ -250,6 +250,23 @@ class TestFlowIdentify:
     def test_verify_out_of_range_is_usage_error(self, tight_k3, capsys, ids):
         assert main(["flow-identify", tight_k3, "--verify", ids]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestFlowWitnessText:
+    def test_flow_b_text_is_flow_a_text_with_the_cycle_reprinted(self, tmp_path, capsys):
+        # The CLI copies flow_a's text and reprints the cycle arcs alone, so
+        # flow_b may differ from flow_a, object for object, on those arcs only.
+        instance, ids = tmp_path / "g.json", tmp_path / "s.json"
+        for g, st, s, witness in seeded_negative_flow_verdicts(150, seed=67):
+            changed = {i for i, (a, b) in enumerate(zip(witness.flow_a, witness.flow_b))
+                       if a is not b}
+            assert changed <= set(witness.cycle)
+            dump_json(str(instance), instance_to_json(g, st))
+            dump_json(str(ids), {"S": s})
+            assert main(["flow-identify", str(instance), "--verify", str(ids)]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["flow_a"] == fractions_to_json(witness.flow_a)
+            assert out["flow_b"] == fractions_to_json(witness.flow_b)
 
 
 class TestEchoedSet:

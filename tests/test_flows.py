@@ -9,6 +9,7 @@ import pytest
 
 from idsets.errors import NoStPath
 from idsets.flows import (
+    _augment_along_cycle,
     _core_arcs,
     min_weight_flow_identifying,
     relevant_arcs,
@@ -24,12 +25,14 @@ from .helpers import (
     has_st_path,
     oracle_enumerate_paths,
     oracle_relevant_arcs,
+    oracle_uniform_cycle_mixture,
     oracle_reachable_from,
     oracle_reverse_reachable_to,
     oracle_undirected_acyclic,
     random_weights,
     seeded_dags,
     seeded_multigraphs,
+    seeded_negative_flow_verdicts,
 )
 
 
@@ -270,6 +273,26 @@ def _assert_witness_valid(g, st, subset, witness):
     assert flow_conservation_ok(g, st, witness.flow_b)
     for e in subset:
         assert witness.flow_a[e] == witness.flow_b[e]
+
+
+class TestCycleMixtureMatchesPerArcTrees:
+    """The mixture reads a head's full tree for every cycle arc into that
+    head, and walks from a tail that no arc enters only as far as t; the
+    per-arc form in tests/helpers.py walks one tree per arc to its tail."""
+
+    def test_seeded_negative_verdicts(self):
+        shared_head = source_tail = 0
+        for g, st, _, witness in seeded_negative_flow_verdicts(1000, seed=61):
+            cycle = list(witness.cycle)
+            flow = oracle_uniform_cycle_mixture(g, st, cycle)
+            assert witness.flow_a == flow
+            assert witness.flow_b == _augment_along_cycle(g, flow, cycle)
+            heads = [g.heads[a] for a in cycle]
+            shared_head += len(set(heads)) < len(heads)
+            source_tail += any(not g.in_arcs()[g.tails[a]] for a in cycle)
+        # Both shortcuts are taken often enough to be tested.
+        assert shared_head >= 100
+        assert source_tail >= 20
 
 
 class TestWeightOptimality:

@@ -162,3 +162,21 @@ class TestBenchPairsSummary:
         assert spread["pass_s"]["regressed"] is False
         assert spread["req_tail_ms"]["unresolved"] is False
         assert self.summarize(runs(0.009))["pass_s"]["unresolved"] is False
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="git archive needs a git checkout")
+def test_interleave_head_against_head():
+    # Both sides are the same commit, so the outputs match and one line of
+    # timings comes out for the one request kept.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "interleave.py"), "--parent", "HEAD",
+         "--change", "HEAD", "--workload", "search", "--rounds", "3",
+         "--request", "path-exact/tight-gap-k4"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    header, line = proc.stdout.splitlines()
+    assert header.split() == ["request", "parent_ms", "change_ms", "change", "change_won"]
+    rid, parent_ms, change_ms, _, won = line.split()
+    assert rid == "path-exact/tight-gap-k4"
+    assert float(parent_ms) > 0 and float(change_ms) > 0
+    assert won.endswith("/3")

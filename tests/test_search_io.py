@@ -635,6 +635,8 @@ class TestJsonWriter:
         [1, True], [True, 1], [0, False, "x"], ["a", None], [1, 2.0], [[], {}], ([], ()),
         {"b": [], "a": {}, "": [{}]}, [[1, True]], {"k": [2**64, -2**100]}, (), {},
         "", 'q"\\\n\x00é\U0001f600', 2**80, -0.0, float("nan"), None, True,
+        ["a", 'q"'], ["\\"], ["a", "\n"], ["\x7f"], ["é"], ["a", "\u2028"],
+        ["", ""], ["a", 1], [1, "a"], ("a", "b c"), ["a"],
     ], ids=repr)
     def test_edge_values(self, value):
         self.assert_same(value)
