@@ -322,10 +322,10 @@ def to_json(value: Any) -> str:
     with quotes, newline and indent between items, and any other list whose
     items are all exactly str or int goes to the C encoder in one call, with
     the newline and indent as its item separator; its brackets are then
-    re-wrapped. Every other scalar
-    goes through `json.dumps`, so escapes and number formats are json's
-    own. A dict key that is not a str raises TypeError: json would print
-    the number or constant quoted, and no payload has one.
+    re-wrapped. Every other scalar goes through `json.dumps`, so escapes and
+    number formats are json's own. A dict key that is not a str raises
+    TypeError: json would print the number or constant quoted, and no
+    payload has one.
     """
     parts: list[str] = []
     _write(value, "\n", parts.append)
