@@ -3,9 +3,9 @@
 Independence of rational vectors is an exact property; everything here avoids
 floating point so downstream equality tests (tightness, rank counts) never
 need tolerances. `echelon` is the only elimination: callers scale rational
-rows to integers with `integer_row`, read rank, pivots and hull membership
-off its forward echelon form, and read tolls and null vectors off its
-reduced rows.
+rows to integers with `integer_row`, read rank, pivots, hull membership and
+tolls off its forward echelon form, and read null vectors off its reduced
+rows.
 """
 
 from __future__ import annotations

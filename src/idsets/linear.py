@@ -6,13 +6,14 @@ S have rank k, so a minimum-weight identifying set is a minimum-weight column
 basis of D: the pivot columns of one exact elimination with the columns in
 ascending weight order. When S falls short, a left-null combination y of the
 rows of D[:, S], read off `echelon` of the transposed integer columns, gives
-the witness direction y^T D.
+the witness direction y^T D. Each request's own elimination checks independence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -20,12 +21,15 @@ from .errors import InvalidInstance, as_sequence
 from .graphs import WeightedGroundSet, validate_ids, validate_weights
 from .linalg import Vector, as_vector, echelon, integer_row
 
+_DEPENDENT = "basis points are not affinely independent"
+
 
 @dataclass(frozen=True)
 class AffineBasis:
     """Affinely independent points x0..xk spanning the affine hull of X. Rank,
     pivots and hull membership use `integer_rows`: each row of D times a
-    positive integer, from x0's integer row and the scale of each point."""
+    positive integer, from x0's integer row and the scale of each point. The
+    first elimination that needs independence checks it."""
 
     points: tuple[Vector, ...]
 
@@ -42,10 +46,13 @@ class AffineBasis:
         object.__setattr__(self, "integer_rows", rows)
         object.__setattr__(self, "_x0", x0)
         object.__setattr__(self, "_scales", tuple(s for _, s in ints))
-        stored, pivots = echelon(rows, reduced=False)
-        object.__setattr__(self, "_echelon", tuple(zip(stored, pivots)))
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple[list[int], int], ...]:
+        stored, pivots = echelon(self.integer_rows, reduced=False)
         if len(pivots) != self.hull_dimension:
-            raise InvalidInstance("basis points are not affinely independent")
+            raise InvalidInstance(_DEPENDENT)
+        return tuple(zip(stored, pivots))
 
     @property
     def ground_size(self) -> int:
@@ -58,22 +65,32 @@ class AffineBasis:
 
     def contains(self, target: Sequence) -> bool:
         """True iff the target lies in the affine hull: target - x0, scaled to
-        integers, reduces to zero against the stored echelon rows of D, one
-        cross-multiplication from each pivot column where it is nonzero."""
+        integers, reduces to zero against the cached echelon rows of D (`_reduce`);
+        a dependent basis is refused before the target is read."""
+        stored = self._echelon
+        shift = self._shift(target)
+        _reduce(shift, stored)
+        return not any(shift)
+
+    def _shift(self, target: Sequence) -> list[int]:
         tgt = as_vector(target)
         if len(tgt) != self.ground_size:
             raise InvalidInstance("target has the wrong dimension")
         t, t_scale = integer_row(tgt)
-        shift = [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
-        # Entries left of c are not rescaled: only whether they are zero is read.
-        for row, c in self._echelon:
-            q = shift[c]
-            if q:
-                p = row[c]
-                g = gcd(p, q)
-                a, b = p // g, q // g
-                shift[c:] = [a * x - b * y for x, y in zip(shift[c:], row[c:])]
-        return not any(shift)
+        return [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
+
+
+def _reduce(vec: list[int], stored: Iterable[tuple[list[int], int]]) -> None:
+    """Reduce vec in place to zero on each pivot c of the forward echelon rows:
+    one cross-multiplication from c on where it is nonzero. Entries left of c
+    are not rescaled: only whether they are zero is read."""
+    for row, c in stored:
+        q = vec[c]
+        if q:
+            p = row[c]
+            g = gcd(p, q)
+            a, b = p // g, q // g
+            vec[c:] = [a * x - b * y for x, y in zip(vec[c:], row[c:])]
 
 
 def _columns(rows: Sequence[Sequence], cols: Sequence[int]) -> list[list]:
@@ -94,6 +111,8 @@ def min_weight_identifying_from_basis(basis: AffineBasis,
     # The sort is stable, so ids of equal weight keep this descending order.
     order = sorted(range(n - 1, -1, -1), key=w.scaled.__getitem__)
     _, pivots = echelon(_columns(basis.integer_rows, order), reduced=False)
+    if len(pivots) != basis.hull_dimension:
+        raise InvalidInstance(_DEPENDENT)
     return frozenset(order[c] for c in pivots)
 
 
@@ -109,6 +128,7 @@ def verify_identifying_from_basis(basis: AffineBasis,
     cols = sorted(s_set)
     if len(echelon(_columns(basis.integer_rows, cols), reduced=False)[1]) == basis.hull_dimension:
         return True, None
+    basis._echelon  # read for its refusal: a short S of a dependent basis stops here
     # Integer row i is D_i times c_i = s_i * s_0, the scales of x_i and x_0,
     # so a null vector y of the transposed integer columns with y_j = 1 is
     # the Fraction one of D[:, S] with each y_i scaled by c_i / c_j.

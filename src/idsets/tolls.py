@@ -29,7 +29,7 @@ from .errors import (
 from .explicit import SolutionList, verify_explicit_identifying
 from .graphs import _count, validate_ids
 from .linalg import Vector, _primitive, as_vector, echelon, exact, integer_row, vec_dot
-from .linear import AffineBasis, verify_identifying_from_basis
+from .linear import AffineBasis, _reduce, verify_identifying_from_basis
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,23 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     d is a subgradient of c at the target; the system is solvable because the
     complement of S is independent in the basis matroid, and the resulting
     zero subgradient of the tolled cost certifies the target as a minimizer.
-    The system is solved on integer rows, positive multiples of the rational ones.
+    One forward `echelon` of the integer rows [D[:, S] | I_k] gives rows
+    [U_i | L_i], L_i D[:, S] = U_i: the rank test, the hull test (reducing
+    [(target - x0)_S | 0 | 1] against them leaves [0 on the pivots | -y | s],
+    and the target is in the hull iff y^T D = s (target - x0)) and the tolls.
     """
     s_set = validate_ids(basis.ground_size, s)
-    ok, delta = verify_identifying_from_basis(basis, s_set)
-    if not ok:
-        raise NotIdentifying(delta)
+    cols = sorted(s_set)
+    width, k, ints = len(cols), basis.hull_dimension, basis.integer_rows
+    rows, pivots = echelon([[row[e] for e in cols] + [int(i == j) for j in range(k)]
+                            for i, row in enumerate(ints)], reduced=False)
+    if any(p >= width for p in pivots):
+        raise NotIdentifying(verify_identifying_from_basis(basis, s_set)[1])
     target_vec = as_vector(target)
-    if not basis.contains(target_vec):
+    shift = basis._shift(target_vec)
+    y = [shift[e] for e in cols] + [0] * k + [1]
+    _reduce(y, ((row + [0], p) for row, p in zip(rows, pivots)))
+    if any(sum(map(mul, y[width:], column)) for column in zip(*ints, shift)):
         raise TargetOutsideAffineHull("target is not in the affine hull of the basis")
     if c.subgradient is None:
         raise NoSubgradient("cost oracle has no subgradient map")
@@ -150,13 +159,14 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     if len(grad) != basis.ground_size:
         raise InvalidInstance(f"subgradient of length {len(grad)}, not {basis.ground_size}")
     d, d_scale = integer_row(grad)
-    cols = sorted(s_set)
-    rows, pivots = echelon([[d_scale * diff[e] for e in cols] + [-sum(map(mul, d, diff))]
-                            for diff in basis.integer_rows])
-    assert len(cols) not in pivots, "system must be solvable for an identifying S"
-    gamma = dict.fromkeys(cols if basis.hull_dimension else (), Fraction(0))
-    for row, p in zip(rows, pivots):
-        gamma[cols[p]] = Fraction(row[-1], row[p])
+    rhs = [-sum(map(mul, d, row)) for row in ints]  # -D d, times d_scale and the row scales
+    num, den = [0] * k, 1  # gamma on the pivots is num / (den * d_scale)
+    for i in reversed(range(k)):
+        row, h = rows[i], rows[i][pivots[i]]
+        top = sum(map(mul, row[width:], rhs)) * den - sum(row[p] * v for p, v in zip(pivots, num))
+        num, den = [top if j == i else v * h for j, v in enumerate(num)], den * h
+    gamma = dict.fromkeys(cols if k else (), Fraction(0))
+    gamma.update((cols[p], Fraction(v, den * d_scale)) for p, v in zip(pivots, num))
     return TollVector(size=basis.ground_size, gamma=gamma, support=s_set)
 
 

@@ -6,8 +6,9 @@ networkx, and identifying checks are direct pairwise definitions. Code that
 only tests run lives here too: the vertex-cover extraction of the reduction
 DAG, the solution-list writer and readers, fundamental circuits, the dual
 independence test of an affine basis, the tolled cost, the two graph
-wrappers over the private Kosaraju and Kruskal cores, and Fourier-Motzkin
-elimination, the oracle of the controlling check's LPs.
+wrappers over the private Kosaraju and Kruskal cores, Fourier-Motzkin
+elimination, the oracle of the controlling check's LPs, and the affine basis
+that eliminates when it is built, with its identify, verify and toll solve.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -28,8 +31,11 @@ from idsets.errors import (
     IdsetsError,
     InvalidInstance,
     NoStPath,
+    NoSubgradient,
     NotIdentifying,
     SubsetExplosion,
+    TargetOutsideAffineHull,
+    as_sequence,
 )
 from idsets.explicit import SolutionList
 from idsets.flows import FlowWitness, verify_flow_identifying
@@ -44,9 +50,10 @@ from idsets.graphs import (
     bfs_tree,
     tree_path,
     validate_ids,
+    validate_weights,
 )
 from idsets.instances import GeneratedInstance
-from idsets.linalg import Vector, as_vector, echelon, exact, vec_dot
+from idsets.linalg import Vector, as_vector, echelon, exact, integer_row, vec_dot
 from idsets.linear import AffineBasis, _columns
 from idsets.matroids import MatroidOracle, _circuit_of
 from idsets.paths import (
@@ -966,6 +973,140 @@ def fundamental_circuit(m: MatroidOracle, basis: Iterable[int], e: int) -> froze
     if m.is_independent(b | {e}):
         raise NotABasis("basis + e is independent; not a basis")
     return _circuit_of(m, b, e)
+
+
+@dataclass(frozen=True)
+class EagerAffineBasis:
+    """The affine basis that eliminates D when it is built: its forward
+    echelon refuses dependent points in the constructor and serves
+    `contains`. With `eager_min_weight_identifying`, `eager_verify_identifying`
+    and `eager_convex_tolls`, the reference for the one-elimination requests:
+    a toll request here runs the verify rank test, the hull test against the
+    stored rows and a reduced `echelon` of [D[:, S] | rhs]."""
+
+    points: tuple[Vector, ...]
+
+    def __init__(self, points: Sequence[Sequence]):
+        pts = tuple(map(as_vector, as_sequence(points, "basis points")))
+        if not pts:
+            raise InvalidInstance("affine basis needs at least one point")
+        if len({len(p) for p in pts}) != 1:
+            raise InvalidInstance("basis points must share one dimension")
+        object.__setattr__(self, "points", pts)
+        ints = [integer_row(p) for p in pts]
+        (x0, s0), *others = ints
+        rows = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
+        object.__setattr__(self, "integer_rows", rows)
+        object.__setattr__(self, "_x0", x0)
+        object.__setattr__(self, "_scales", tuple(s for _, s in ints))
+        stored, pivots = echelon(rows, reduced=False)
+        object.__setattr__(self, "_echelon", tuple(zip(stored, pivots)))
+        if len(pivots) != self.hull_dimension:
+            raise InvalidInstance("basis points are not affinely independent")
+
+    @property
+    def ground_size(self) -> int:
+        return len(self.points[0])
+
+    @property
+    def hull_dimension(self) -> int:
+        """Dimension k of the affine hull."""
+        return len(self.points) - 1
+
+    def contains(self, target: Sequence) -> bool:
+        """True iff the target lies in the affine hull: target - x0, scaled to
+        integers, reduces to zero against the stored echelon rows of D, one
+        cross-multiplication from each pivot column where it is nonzero."""
+        tgt = as_vector(target)
+        if len(tgt) != self.ground_size:
+            raise InvalidInstance("target has the wrong dimension")
+        t, t_scale = integer_row(tgt)
+        shift = [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
+        # Entries left of c are not rescaled: only whether they are zero is read.
+        for row, c in self._echelon:
+            q = shift[c]
+            if q:
+                p = row[c]
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                shift[c:] = [a * x - b * y for x, y in zip(shift[c:], row[c:])]
+        return not any(shift)
+
+
+def eager_min_weight_identifying(basis: EagerAffineBasis,
+                                 w: WeightedGroundSet | None = None) -> frozenset[int]:
+    """Minimum-weight column basis of D: the pivots of one elimination.
+
+    Columns go lightest first, ties to the larger id: the exact reverse of
+    the heaviest-first (ties: smaller id) greedy over the dual matroid, so S
+    is the complement of that greedy's independent set and has size k.
+    """
+    n = basis.ground_size
+    w = validate_weights(n, w)
+    # The sort is stable, so ids of equal weight keep this descending order.
+    order = sorted(range(n - 1, -1, -1), key=w.scaled.__getitem__)
+    _, pivots = echelon(_columns(basis.integer_rows, order), reduced=False)
+    return frozenset(order[c] for c in pivots)
+
+
+def eager_verify_identifying(basis: EagerAffineBasis,
+                             s: Iterable[int]) -> tuple[bool, Vector | None]:
+    """True iff the columns of D indexed by S have rank k.
+
+    On failure returns a nonzero direction in the span of the difference
+    vectors that vanishes on S: moving inside X along it changes no
+    coordinate of S, so two points of X agree on S.
+    """
+    s_set = validate_ids(basis.ground_size, s)
+    cols = sorted(s_set)
+    if len(echelon(_columns(basis.integer_rows, cols), reduced=False)[1]) == basis.hull_dimension:
+        return True, None
+    # Integer row i is D_i times c_i = s_i * s_0, the scales of x_i and x_0,
+    # so a null vector y of the transposed integer columns with y_j = 1 is
+    # the Fraction one of D[:, S] with each y_i scaled by c_i / c_j.
+    ints = basis.integer_rows
+    rows, pivots = echelon([[row[e] for row in ints] for e in cols])
+    j = next(i for i in range(basis.hull_dimension) if i not in pivots)
+    y = {j: Fraction(1)}
+    y.update((p, Fraction(-row[j], row[p])) for row, p in zip(rows, pivots))
+    c_j = basis._scales[j + 1] * basis._scales[0]
+    delta = tuple(sum(v * ints[i][e] for i, v in y.items()) / c_j
+                  for e in range(basis.ground_size))
+    assert any(value != 0 for value in delta)
+    assert all(delta[e] == 0 for e in s_set)
+    return False, delta
+
+
+def eager_convex_tolls(basis: EagerAffineBasis, s: Iterable[int], c: CostOracle,
+                       target: Sequence) -> TollVector:
+    """Solve (x_i - x_0)^T gamma = -d^T (x_i - x_0) with gamma zero off S.
+
+    d is a subgradient of c at the target; the system is solvable because the
+    complement of S is independent in the basis matroid, and the resulting
+    zero subgradient of the tolled cost certifies the target as a minimizer.
+    The system is solved on integer rows, positive multiples of the rational ones.
+    """
+    s_set = validate_ids(basis.ground_size, s)
+    ok, delta = eager_verify_identifying(basis, s_set)
+    if not ok:
+        raise NotIdentifying(delta)
+    target_vec = as_vector(target)
+    if not basis.contains(target_vec):
+        raise TargetOutsideAffineHull("target is not in the affine hull of the basis")
+    if c.subgradient is None:
+        raise NoSubgradient("cost oracle has no subgradient map")
+    grad = as_vector(c.subgradient(target_vec))
+    if len(grad) != basis.ground_size:
+        raise InvalidInstance(f"subgradient of length {len(grad)}, not {basis.ground_size}")
+    d, d_scale = integer_row(grad)
+    cols = sorted(s_set)
+    rows, pivots = echelon([[d_scale * diff[e] for e in cols] + [-sum(map(mul, d, diff))]
+                            for diff in basis.integer_rows])
+    assert len(cols) not in pivots, "system must be solvable for an identifying S"
+    gamma = dict.fromkeys(cols if basis.hull_dimension else (), Fraction(0))
+    for row, p in zip(rows, pivots):
+        gamma[cols[p]] = Fraction(row[-1], row[p])
+    return TollVector(size=basis.ground_size, gamma=gamma, support=s_set)
 
 
 def ax_independent(basis: AffineBasis, f: Iterable[int]) -> bool:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from idsets.cli import main
 from idsets.errors import IdsetsError, InvalidInstance
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
@@ -26,6 +27,7 @@ from idsets.linear import (
 )
 from idsets.tolls import (
     CostOracle,
+    TollVector,
     controlling_counterexample_check,
     convex_tolls,
     discrete_tolls,
@@ -37,7 +39,11 @@ from .helpers import (
     all_simple_digraphs,
     all_subsets,
     ax_independent,
+    EagerAffineBasis,
     differences,
+    eager_convex_tolls,
+    eager_min_weight_identifying,
+    eager_verify_identifying,
     from_strings,
     has_st_path,
     oracle_convex_tolls,
@@ -226,9 +232,29 @@ class TestIntegerRows:
 
 
 class TestAffineBasis:
-    def test_rejects_dependent_points(self):
-        with pytest.raises(InvalidInstance):
-            AffineBasis([[0, 0], [1, 1], [2, 2]])
+    def test_rejects_dependent_points(self, tmp_path, capsys):
+        # The basis builds; every entry point refuses it with one text.
+        points = [[0, 0], [1, 1], [2, 2]]
+        basis = AffineBasis(points)
+        dependent = "^basis points are not affinely independent$"
+        for call in (
+            lambda: min_weight_identifying_from_basis(basis),
+            lambda: verify_identifying_from_basis(basis, {0, 1}),
+            lambda: verify_identifying_from_basis(basis, set()),
+            lambda: basis.contains((3, 3)),
+            lambda: convex_tolls(basis, {0, 1}, linear_cost([1, 1]), (3, 3)),
+        ):
+            with pytest.raises(InvalidInstance, match=dependent):
+                call()
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"points": points}))
+        for argv in (["linear-identify", "--basis", str(path)],
+                     ["tolls", "--mode", "convex", "--basis", str(path), "--S", "0,1",
+                      "--target", "3,3", "--cost", "linear:1,1"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("invalid input: basis points are not affinely independent\n")
 
     def test_single_point_dimension_zero(self):
         assert AffineBasis([[3, 4, 5]]).hull_dimension == 0
@@ -490,6 +516,129 @@ class TestLinearDigest:
             (verdicts, tolls)
         assert sizes == set(range(9))
         assert digest.hexdigest() == self.DIGEST
+
+
+def seeded_mixed_bases(count: int, seed: int):
+    """(points, rng) for count bases of Q^n, n <= 6, about a third of them
+    dependent: a repeated point, an affine combination of two others, or
+    more than n + 1 points; the rest are drawn like `seeded_bases`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, min(n, 4))
+        points = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                  for _ in range(k + 1)]
+        kind = rng.random()
+        if kind < 0.12 and k:
+            points[rng.randint(1, k)] = list(rng.choice(points))
+        elif kind < 0.26 and k >= 2:
+            a, b = rng.sample(points[:k], 2)
+            lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            points[k] = [x + lam * (y - x) for x, y in zip(a, b)]
+        elif kind < 0.33:
+            points += [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                       for _ in range(n + 1 - k)]
+        yield points, rng
+
+
+def outcome(call):
+    """The value a call returns, a toll vector as (size, gamma items in
+    order, support), or the (type, text, witness) of the library error it
+    raises."""
+    try:
+        value = call()
+    except IdsetsError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    if isinstance(value, TollVector):
+        return value.size, list(value.gamma.items()), value.support
+    return value
+
+
+class TestOneElimination:
+    """The basis checks independence on first use and a toll request
+    eliminates once; every answer and refusal is that of the basis that
+    eliminates when it is built (`EagerAffineBasis`)."""
+
+    def test_answers_and_refusals_match_the_eager_basis(self):
+        seen: dict[str, int] = {}
+        for points, rng in seeded_mixed_bases(600, 5601):
+            basis = AffineBasis(points)
+            try:
+                eager = EagerAffineBasis(points)
+            except InvalidInstance as exc:
+                eager, refusal = None, ("InvalidInstance", str(exc), None)
+            seen["dependent" if eager is None else "independent"] = \
+                seen.get("dependent" if eager is None else "independent", 0) + 1
+
+            def check(label, new, old):
+                got = outcome(new)
+                assert got == (refusal if eager is None else outcome(old)), (label, points)
+                # An error's type name, a verdict, or the type of an answer.
+                kind = got[0] if isinstance(got, tuple) and isinstance(got[0], (str, bool)) \
+                    else type(got).__name__
+                key = f"{label} {kind}"
+                seen[key] = seen.get(key, 0) + 1
+
+            n = len(points[0])
+            w = WeightedGroundSet(random_weights(rng, n))
+            check("identify", lambda: min_weight_identifying_from_basis(basis, w),
+                  lambda: eager_min_weight_identifying(eager, w))
+            inside = hull_point(basis, rng)
+            outside = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+            for target in (inside, outside):
+                check("contains", lambda: basis.contains(target),
+                      lambda: eager.contains(target))
+            supports = [sorted(rng.sample(range(n), size)) for size in range(n + 1)]
+            if eager is not None:
+                supports.append(sorted(eager_min_weight_identifying(eager, w)))
+            for s in supports:
+                check("verify", lambda: verify_identifying_from_basis(basis, s),
+                      lambda: eager_verify_identifying(eager, s))
+            for s in supports[-3:]:
+                for make in (linear_cost, quadratic_cost):
+                    cost = make([Fraction(rng.randint(0, 5), rng.randint(1, 3))
+                                 for _ in range(n)])
+                    for target in (inside, outside):
+                        check("tolls", lambda: convex_tolls(basis, s, cost, target),
+                              lambda: eager_convex_tolls(eager, s, cost, target))
+        assert seen["dependent"] >= 100 and seen["independent"] >= 300, seen
+        for key in ("identify frozenset", "contains bool", "verify True", "verify False",
+                    "tolls tuple", "tolls NotIdentifying", "tolls TargetOutsideAffineHull"):
+            assert seen.get(key, 0) >= 50, (key, seen)
+        for label in ("identify", "contains", "verify", "tolls"):
+            assert seen[f"{label} InvalidInstance"] >= 100, (label, seen)
+
+    def test_one_echelon_per_request(self, tmp_path, monkeypatch, capsys):
+        # One elimination for a CLI linear-identify, a positive verify and a
+        # CLI convex toll request; the basis itself eliminates nothing.
+        import idsets.linear
+        import idsets.tolls
+        calls = []
+
+        def counting(rows, reduced=True):
+            calls.append(reduced)
+            return echelon(rows, reduced)
+
+        for module in (idsets.linear, idsets.tolls):
+            monkeypatch.setattr(module, "echelon", counting)
+        for index, (basis, rng) in enumerate(seeded_bases(40, 5602)):
+            n = basis.ground_size
+            path = tmp_path / f"basis{index}.json"
+            path.write_text(json.dumps({"points": [[str(v) for v in p] for p in basis.points]}))
+            calls.clear()
+            assert main(["linear-identify", "--basis", str(path)]) == 0
+            s = json.loads(capsys.readouterr().out)["S"]
+            assert len(calls) == 1
+            calls.clear()
+            assert verify_identifying_from_basis(basis, s) == (True, None)
+            assert len(calls) == 1
+            target = ",".join(map(str, hull_point(basis, rng)))
+            calls.clear()
+            assert main(["tolls", "--mode", "convex", "--basis", str(path), "--S",
+                         ",".join(map(str, s)) or "", f"--target={target}", "--cost",
+                         "quadratic:" + ",".join(str(rng.randint(0, 3)) for _ in range(n))]) == 0
+            capsys.readouterr()
+            assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -106,9 +106,12 @@ def test_graph_walks_do_not_recurse():
 
 # The paper's verifiers for systems given by an oracle or a list of costs:
 # no subcommand runs them, so nothing in src calls them (DECISIONS, "The
-# public API"). `TollVector.as_vector` is how the README prices a toll.
+# public API"). `TollVector.as_vector` is how the README prices a toll, and
+# `AffineBasis.contains` is the hull test a library caller runs before asking
+# for convex tolls, which test the hull on the rows of their own elimination.
 LIBRARY_ONLY = {"verify_matroid_identifying", "verify_polymatroid_identifying",
-                "controlling_counterexample_check", "TollVector.as_vector"}
+                "controlling_counterexample_check", "TollVector.as_vector",
+                "AffineBasis.contains"}
 
 
 def test_public_definitions_have_a_caller_in_src():
