@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -560,15 +561,14 @@ class TestOneElimination:
     eliminates when it is built (`EagerAffineBasis`)."""
 
     def test_answers_and_refusals_match_the_eager_basis(self):
-        seen: dict[str, int] = {}
+        seen: Counter[str] = Counter()
         for points, rng in seeded_mixed_bases(600, 5601):
-            basis = AffineBasis(points)
+            basis, refusal = AffineBasis(points), None
             try:
                 eager = EagerAffineBasis(points)
             except InvalidInstance as exc:
                 eager, refusal = None, ("InvalidInstance", str(exc), None)
-            seen["dependent" if eager is None else "independent"] = \
-                seen.get("dependent" if eager is None else "independent", 0) + 1
+            seen["dependent" if eager is None else "independent"] += 1
 
             def check(label, new, old):
                 got = outcome(new)
@@ -576,8 +576,7 @@ class TestOneElimination:
                 # An error's type name, a verdict, or the type of an answer.
                 kind = got[0] if isinstance(got, tuple) and isinstance(got[0], (str, bool)) \
                     else type(got).__name__
-                key = f"{label} {kind}"
-                seen[key] = seen.get(key, 0) + 1
+                seen[f"{label} {kind}"] += 1
 
             n = len(points[0])
             w = WeightedGroundSet(random_weights(rng, n))
@@ -604,23 +603,21 @@ class TestOneElimination:
         assert seen["dependent"] >= 100 and seen["independent"] >= 300, seen
         for key in ("identify frozenset", "contains bool", "verify True", "verify False",
                     "tolls tuple", "tolls NotIdentifying", "tolls TargetOutsideAffineHull"):
-            assert seen.get(key, 0) >= 50, (key, seen)
+            assert seen[key] >= 50, (key, seen)
         for label in ("identify", "contains", "verify", "tolls"):
             assert seen[f"{label} InvalidInstance"] >= 100, (label, seen)
 
     def test_one_echelon_per_request(self, tmp_path, monkeypatch, capsys):
         # One elimination for a CLI linear-identify, a positive verify and a
         # CLI convex toll request; the basis itself eliminates nothing.
-        import idsets.linear
-        import idsets.tolls
         calls = []
 
         def counting(rows, reduced=True):
             calls.append(reduced)
             return echelon(rows, reduced)
 
-        for module in (idsets.linear, idsets.tolls):
-            monkeypatch.setattr(module, "echelon", counting)
+        for module in ("idsets.linear", "idsets.tolls"):
+            monkeypatch.setattr(f"{module}.echelon", counting)
         for index, (basis, rng) in enumerate(seeded_bases(40, 5602)):
             n = basis.ground_size
             path = tmp_path / f"basis{index}.json"
@@ -635,7 +632,7 @@ class TestOneElimination:
             target = ",".join(map(str, hull_point(basis, rng)))
             calls.clear()
             assert main(["tolls", "--mode", "convex", "--basis", str(path), "--S",
-                         ",".join(map(str, s)) or "", f"--target={target}", "--cost",
+                         ",".join(map(str, s)), f"--target={target}", "--cost",
                          "quadratic:" + ",".join(str(rng.randint(0, 3)) for _ in range(n))]) == 0
             capsys.readouterr()
             assert len(calls) == 1
