@@ -3,8 +3,10 @@
 Each parser reads one format and raises InvalidInstance for any shape it
 does not expect; only the raw access runs under `_reading`, so the domain
 constructors it then calls keep their own errors. Rationals travel as
-strings "p/q" (plain "n" for integers) so exactness survives the wire; arc
-order in a file defines the arc ids.
+strings "p/q" (plain "n" for integers) so exactness survives the wire, and
+one grammar, `_ratio`, reads each token: the basis and cost coefficients go
+from its pairs straight to integer rows, every other rational to a Fraction.
+Arc order in a file defines the arc ids.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, groupby, repeat
+from math import gcd
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .errors import InvalidInstance
 from .graphs import Digraph, StPair, WeightedGroundSet
+from .linalg import ratio_row
 
 
 @contextmanager
@@ -39,40 +43,52 @@ def _array(value: Any, what: str) -> list:
     return value
 
 
-def fraction_from_json(value: Any) -> Fraction:
-    """A rational from an integer or a "p/q" string; never a bool or float.
-    An ASCII "n" or "n/d" (digits, n may lead with "-") skips Fraction's
+def _ratio(value: Any) -> tuple[int, int]:
+    """The one rational grammar: (numerator, denominator > 0) in lowest
+    terms from an integer or a "p/q" string; never a bool or float. An
+    ASCII "n" or "n/d" (digits, n may lead with "-") skips Fraction's
     pattern match: each part goes through int(), which keeps its limit on
     the number of digits. Any other string goes through Fraction(str)."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             if isinstance(value, str) and value.isascii():
                 num, slash, den = value.partition("/")
                 if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(value)
+                    n, d = int(num), int(den or 1)
+                    if d:
+                        g = gcd(n, d)
+                        return n // g, d // g
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 
-def _fraction_lookup(tokens: Iterable) -> Callable[[Any], Fraction]:
-    """How a reader of rationals parses `tokens`, which it can list. When
-    every token is exactly a str or int, the lookup in a table holding
-    `fraction_from_json` of each distinct token, parsed once in first-seen
-    order; the caller maps its tokens through it in C. Any other token can
-    only be refused, so then, and when the table meets a refusal, it is
-    `fraction_from_json` itself: the caller reads token by token and meets
-    the first refusal, with its message, where it always did."""
+def fraction_from_json(value: Any) -> Fraction:
+    """A rational from an integer or a "p/q" string, by `_ratio`."""
+    return Fraction(*_ratio(value))
+
+
+def _token_lookup(tokens: Iterable, parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """How a reader of rationals parses `tokens`, which it can list, with
+    `parse` (`_ratio` or `fraction_from_json`). When every token is exactly
+    a str or int, the lookup in a table holding `parse` of each distinct
+    token, parsed once in first-seen order; the caller maps its tokens
+    through it in C. Any other token can only be refused, so then, and when
+    the table meets a refusal, it is `parse` itself: the caller reads token
+    by token and meets the first refusal, with its message, where it
+    always did."""
     tokens = list(tokens)
     if not set(map(type, tokens)) <= {str, int}:
-        return fraction_from_json
+        return parse
     table = dict.fromkeys(tokens)
     try:
         for token in table:
-            table[token] = fraction_from_json(token)
+            table[token] = parse(token)
     except InvalidInstance:
-        return fraction_from_json
+        return parse
     return table.__getitem__
 
 
@@ -113,7 +129,7 @@ def fractions_to_json(values: Iterable[Fraction]) -> list[str]:
 def parse_rationals(raw: str) -> list[Fraction]:
     """Comma rationals, e.g. "3/4,1/4"."""
     tokens = raw.split(",")
-    return list(map(_fraction_lookup(tokens), tokens))
+    return list(map(_token_lookup(tokens, fraction_from_json), tokens))
 
 
 def parse_ids(raw: str) -> list[int]:
@@ -159,7 +175,10 @@ def parse_cost(spec: str, dim: int) -> CostOracle:
     kind, _, rest = spec.partition(":")
     if kind not in ("linear", "quadratic"):
         raise InvalidInstance(f"unknown cost spec {spec!r}")
-    values = parse_rationals(rest) if rest else []
+    tokens = rest.split(",") if rest else []
+    # A whole coefficient stays an int, which a built-in cost takes as it is.
+    values = [n if d == 1 else Fraction(n, d)
+              for n, d in map(_token_lookup(tokens, _ratio), tokens)]
     if len(values) != dim:
         raise InvalidInstance(f"cost needs {dim} coefficients")
     return tolls.linear_cost(values) if kind == "linear" else tolls.quadratic_cost(values)
@@ -197,7 +216,8 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
         if raw is not None:
-            table = dict(zip(raw, map(_fraction_lookup(_array(raw, "weights")), raw)))
+            table = dict(zip(raw, map(_token_lookup(_array(raw, "weights"), fraction_from_json),
+                                         raw)))
     st = StPair(source, sink)
     st.validate(g)
     if raw is None:
@@ -223,7 +243,7 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = _array(data["weights"] if isinstance(data, dict) else data, "weights")
-        table = dict(zip(raw, map(_fraction_lookup(raw), raw)))
+        table = dict(zip(raw, map(_token_lookup(raw, fraction_from_json), raw)))
     if len(raw) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(raw)}")
     return WeightedGroundSet._by_token(raw, table)
@@ -274,13 +294,15 @@ def _bit(value: Any) -> int:
 
 
 def parse_affine_basis(data: dict) -> AffineBasis:
-    """Format: {"points": [["p/q", ...], ...]}."""
+    """Format: {"points": [["p/q", ...], ...]}. Each point goes from its
+    tokens' (numerator, denominator) pairs to its integer row, with no
+    Fraction built."""
     from .linear import AffineBasis
     with _reading("basis"):
         raw = _array(data["points"], "basis")
-        parse = _fraction_lookup(chain.from_iterable(_array(p, "basis") for p in raw))
-        points = [tuple(map(parse, p)) for p in raw]
-    return AffineBasis(points)
+        ratio = _token_lookup(chain.from_iterable(_array(p, "basis") for p in raw), _ratio)
+        rows = [ratio_row(list(map(ratio, p))) for p in raw]
+    return AffineBasis._from_rows(rows)
 
 
 def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
@@ -292,7 +314,7 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     with _reading("table"):
         size = int_from_json(data["size"])
         entries = data["values"].items()
-        parse = _fraction_lookup(map(itemgetter(1), entries))
+        parse = _token_lookup(map(itemgetter(1), entries), fraction_from_json)
         table = {frozenset(parse_ids(key)): parse(value) for key, value in entries}
     return PolymatroidOracle.from_table(size, table)
 

@@ -3,9 +3,9 @@
 Independence of rational vectors is an exact property; everything here avoids
 floating point so downstream equality tests (tightness, rank counts) never
 need tolerances. `echelon` is the only elimination: callers scale rational
-rows to integers with `integer_row`, read rank, pivots, hull membership and
-tolls off its forward echelon form, and read null vectors off its reduced
-rows.
+rows to integers with `integer_row`, or parsed (numerator, denominator)
+pairs with `ratio_row`, read rank, pivots, hull membership and tolls off its
+forward echelon form, and read null vectors off its reduced rows.
 """
 
 from __future__ import annotations
@@ -84,7 +84,11 @@ def echelon(rows: Sequence[Sequence[int]], reduced: bool = True
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, scale) with row[i] == ints[i] / scale, scale the lcm of the denominators."""
-    ratios = [v.as_integer_ratio() for v in row]
+    return ratio_row([v.as_integer_ratio() for v in row])
+
+
+def ratio_row(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """`integer_row` of the rationals n / d given as reduced pairs (n, d), d > 0."""
     scale = lcm(*[d for _, d in ratios])
     return [n * (scale // d) for n, d in ratios], scale
 

@@ -7,6 +7,8 @@ basis of D: the pivot columns of one exact elimination with the columns in
 ascending weight order. When S falls short, a left-null combination y of the
 rows of D[:, S], read off `echelon` of the transposed integer columns, gives
 the witness direction y^T D. Each request's own elimination checks independence.
+The basis holds its points as integer rows; `io` builds them from the parsed
+tokens without a Fraction, and the Fraction points are made only when read.
 """
 
 from __future__ import annotations
@@ -24,28 +26,48 @@ from .linalg import Vector, as_vector, echelon, integer_row
 _DEPENDENT = "basis points are not affinely independent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AffineBasis:
-    """Affinely independent points x0..xk spanning the affine hull of X. Rank,
-    pivots and hull membership use `integer_rows`: each row of D times a
-    positive integer, from x0's integer row and the scale of each point. The
-    first elimination that needs independence checks it."""
+    """Affinely independent points x0..xk spanning the affine hull of X, each
+    held as its canonical integer row (ints over the lcm of its reduced
+    denominators); equality and hash compare that form. Rank, pivots and
+    hull membership use `integer_rows`: each row of D times a positive
+    integer, from x0's integer row and the scale of each point. The first
+    elimination that needs independence checks it. The Fraction `points`
+    are built when first read."""
 
-    points: tuple[Vector, ...]
+    _rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, points: Sequence[Sequence]):
         pts = tuple(map(as_vector, as_sequence(points, "basis points")))
-        if not pts:
-            raise InvalidInstance("affine basis needs at least one point")
-        if len({len(p) for p in pts}) != 1:
-            raise InvalidInstance("basis points must share one dimension")
+        self._store([integer_row(p) for p in pts])
         object.__setattr__(self, "points", pts)
-        ints = [integer_row(p) for p in pts]
-        (x0, s0), *others = ints
-        rows = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
-        object.__setattr__(self, "integer_rows", rows)
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[tuple[Sequence[int], int]]) -> AffineBasis:
+        """The basis of the points given as canonical integer rows (ints, scale)."""
+        basis = cls.__new__(cls)
+        basis._store(rows)
+        return basis
+
+    def _store(self, rows: Sequence[tuple[Sequence[int], int]]) -> None:
+        if not rows:
+            raise InvalidInstance("affine basis needs at least one point")
+        if len({len(p) for p, _ in rows}) != 1:
+            raise InvalidInstance("basis points must share one dimension")
+        (x0, s0), *others = rows
+        diffs = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
+        object.__setattr__(self, "_rows", tuple((tuple(p), s) for p, s in rows))
+        object.__setattr__(self, "integer_rows", diffs)
         object.__setattr__(self, "_x0", x0)
-        object.__setattr__(self, "_scales", tuple(s for _, s in ints))
+        object.__setattr__(self, "_scales", tuple(s for _, s in rows))
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(a, s) for a in p) for p, s in self._rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(points={self.points!r})"
 
     @cached_property
     def _echelon(self) -> tuple[tuple[list[int], int], ...]:
@@ -56,28 +78,30 @@ class AffineBasis:
 
     @property
     def ground_size(self) -> int:
-        return len(self.points[0])
+        return len(self._x0)
 
     @property
     def hull_dimension(self) -> int:
         """Dimension k of the affine hull."""
-        return len(self.points) - 1
+        return len(self.integer_rows)
 
     def contains(self, target: Sequence) -> bool:
         """True iff the target lies in the affine hull: target - x0, scaled to
         integers, reduces to zero against the cached echelon rows of D (`_reduce`);
         a dependent basis is refused before the target is read."""
         stored = self._echelon
-        shift = self._shift(target)
+        shift = self._shift(target)[0]
         _reduce(shift, stored)
         return not any(shift)
 
-    def _shift(self, target: Sequence) -> list[int]:
+    def _shift(self, target: Sequence) -> tuple[list[int], tuple[list[int], int]]:
+        """(target - x0) times s0 and the target's scale, as ints, and the
+        target's own integer row (ints, scale)."""
         tgt = as_vector(target)
         if len(tgt) != self.ground_size:
             raise InvalidInstance("target has the wrong dimension")
         t, t_scale = integer_row(tgt)
-        return [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)]
+        return [a * self._scales[0] - b * t_scale for a, b in zip(t, self._x0)], (t, t_scale)
 
 
 def _reduce(vec: list[int], stored: Iterable[tuple[list[int], int]]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -34,29 +35,54 @@ from .linear import AffineBasis, _reduce, verify_identifying_from_basis
 
 @dataclass(frozen=True)
 class CostOracle:
-    """Cost evaluation plus an optional subgradient map."""
+    """Cost evaluation plus an optional subgradient map. The built-in costs
+    alone set `_scaled(t, t_scale)`: the subgradient at the point t / t_scale,
+    as ints over a positive scale."""
 
     evaluate: Callable[[Vector], Fraction]
     subgradient: Callable[[Vector], Vector] | None = None
+    _scaled = None
 
 
-def _point(params: Vector, x: Sequence) -> Vector:
-    """`as_vector(x)`, refusing a length other than the cost's, which zip would cut."""
-    vec = as_vector(x)
+def _built_in(evaluate, subgradient, scaled) -> CostOracle:
+    cost = CostOracle(evaluate, subgradient)
+    object.__setattr__(cost, "_scaled", scaled)
+    return cost
+
+
+def _point(params: Sequence, x: Sequence, read=as_vector) -> Sequence:
+    """`read(x)`, refusing a length other than the cost's, which zip would cut."""
+    vec = read(x)
     if len(vec) != len(params):
         raise InvalidInstance(f"cost of dimension {len(params)}, point of dimension {len(vec)}")
     return vec
 
 
+def _int_row(values: Sequence) -> tuple[list[int], int]:
+    """`integer_row(as_vector(values))`; a list or tuple of exact ints is its
+    own row over scale 1, read without a Fraction per value."""
+    if type(values) in (list, tuple) and set(map(type, values)) <= {int}:
+        return list(values), 1
+    return integer_row(as_vector(values))
+
+
 def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOracle:
-    coeffs, const = as_vector(coefficients), exact(constant)
+    """c(x) = coefficients . x + constant, held as the coefficients' integer
+    row; the subgradient's Fraction tuple is built on its first call."""
+    c, scale = _int_row(coefficients)
+    const = exact(constant)
+    coeffs = cache(lambda: tuple(Fraction(a, scale) for a in c))
 
     def subgradient(x: Sequence) -> Vector:
-        _point(coeffs, x)
-        return coeffs
+        _point(c, x)
+        return coeffs()
 
-    return CostOracle(evaluate=lambda x: vec_dot(coeffs, _point(coeffs, x)) + const,
-                      subgradient=subgradient)
+    def scaled(t: Sequence[int], t_scale: int) -> tuple[list[int], int]:
+        _point(c, t, list)
+        return c, scale
+
+    return _built_in(lambda x: vec_dot(c, _point(c, x)) / scale + const,
+                     subgradient, scaled)
 
 
 def quadratic_cost(resistances: Sequence) -> CostOracle:
@@ -64,14 +90,15 @@ def quadratic_cost(resistances: Sequence) -> CostOracle:
 
     A negative resistance makes c concave, and a zero subgradient would then
     certify a maximizer, so it is refused; zero is allowed."""
-    r = as_vector(resistances)
+    r, scale = _int_row(resistances)
     if any(re < 0 for re in r):
-        raise InvalidInstance(f"resistances must be >= 0, got {min(r)}")
-    return CostOracle(
-        evaluate=lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))),
-                               Fraction(0)) / 2,
-        subgradient=lambda x: tuple(re * xe for re, xe in zip(r, _point(r, x))),
-    )
+        raise InvalidInstance(f"resistances must be >= 0, got {Fraction(min(r), scale)}")
+    return _built_in(
+        lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))), Fraction(0))
+        / (2 * scale),
+        lambda x: tuple(re * xe / scale for re, xe in zip(r, _point(r, x))),
+        lambda t, t_scale: ([re * te for re, te in zip(r, _point(r, t, list))],
+                            scale * t_scale))
 
 
 @dataclass(frozen=True)
@@ -148,17 +175,20 @@ def convex_tolls(basis: AffineBasis, s: Iterable[int], c: CostOracle,
     if any(p >= width for p in pivots):
         raise NotIdentifying(verify_identifying_from_basis(basis, s_set)[1])
     target_vec = as_vector(target)
-    shift = basis._shift(target_vec)
+    shift, target_row = basis._shift(target_vec)
     y = [shift[e] for e in cols] + [0] * k + [1]
     _reduce(y, ((row + [0], p) for row, p in zip(rows, pivots)))
     if any(sum(map(mul, y[width:], column)) for column in zip(*ints, shift)):
         raise TargetOutsideAffineHull("target is not in the affine hull of the basis")
     if c.subgradient is None:
         raise NoSubgradient("cost oracle has no subgradient map")
-    grad = as_vector(c.subgradient(target_vec))
-    if len(grad) != basis.ground_size:
-        raise InvalidInstance(f"subgradient of length {len(grad)}, not {basis.ground_size}")
-    d, d_scale = integer_row(grad)
+    if c._scaled is not None:
+        d, d_scale = c._scaled(*target_row)
+    else:
+        grad = as_vector(c.subgradient(target_vec))
+        if len(grad) != basis.ground_size:
+            raise InvalidInstance(f"subgradient of length {len(grad)}, not {basis.ground_size}")
+        d, d_scale = integer_row(grad)
     rhs = [-sum(map(mul, d, row)) for row in ints]  # -D d, times d_scale and the row scales
     num, den = [0] * k, 1  # gamma on the pivots is num / (den * d_scale)
     for i in reversed(range(k)):

@@ -229,7 +229,7 @@ class TestIntegerRows:
         for module, names in defined.items():
             assert not names & {"rref", "solve_linear", "dependency", "matrix_rank"}, module
         assert defined["linalg"] == {"exact", "as_vector", "echelon", "integer_row",
-                                     "_primitive", "vec_dot"}
+                                     "ratio_row", "_primitive", "vec_dot"}
 
 
 class TestAffineBasis:

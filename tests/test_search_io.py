@@ -15,6 +15,7 @@ from idsets.caps import Caps
 from idsets.errors import InvalidInstance, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.io import (
+    _ratio,
     fraction_from_json,
     fraction_to_json,
     fractions_to_json,
@@ -397,16 +398,18 @@ class TestBoundaryParsers:
             assert parse_rationals(",".join(text)) == [fraction_from_json(v) for v in text]
 
     def test_each_reader_parses_each_distinct_token_once(self, monkeypatch):
-        # One fraction_from_json per distinct token, in first-seen order:
-        # one table across all the points of a basis, and across the values
-        # of a polymatroid table.
+        # One call of the token grammar `_ratio` per distinct token, in
+        # first-seen order, whether the reader makes Fractions of its tokens
+        # (fraction_from_json) or integer rows (the basis): one table across
+        # all the points of a basis, and across the values of a polymatroid
+        # table.
         calls = []
 
         def counted(value):
             calls.append(value)
-            return fraction_from_json(value)
+            return _ratio(value)
 
-        monkeypatch.setattr("idsets.io.fraction_from_json", counted)
+        monkeypatch.setattr("idsets.io._ratio", counted)
         raw = ["1/2", 3, "1/2", "0", 3, "0", "7/3"]
         instance = {"nodes": 2, "arcs": [[0, 1]] * len(raw), "s": 0, "t": 1, "weights": raw}
         points = [["1/2", 3], [3, "1/2"], ["0", "1/2"]]
