@@ -51,18 +51,18 @@ def _ratio(value: Any) -> tuple[int, int]:
     the number of digits. Any other string goes through Fraction(str)."""
     if type(value) is int:
         return value, 1
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            if isinstance(value, str) and value.isascii():
-                num, slash, den = value.partition("/")
-                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                    n, d = int(num), int(den or 1)
-                    if d:
-                        g = gcd(n, d)
-                        return n // g, d // g
+    try:
+        if type(value) is str and value.isascii():
+            num, slash, den = value.partition("/")
+            if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                n, d = int(num), int(den or 1)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
             return Fraction(value).as_integer_ratio()
-        except (ValueError, ZeroDivisionError):
-            pass
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InvalidInstance(f"cannot parse rational from {value!r}")
 
 

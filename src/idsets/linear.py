@@ -56,7 +56,7 @@ class AffineBasis:
         if len({len(p) for p, _ in rows}) != 1:
             raise InvalidInstance("basis points must share one dimension")
         (x0, s0), *others = rows
-        diffs = tuple(tuple(a * s0 - b * s for a, b in zip(p, x0)) for p, s in others)
+        diffs = tuple(tuple([a * s0 - b * s for a, b in zip(p, x0)]) for p, s in others)
         object.__setattr__(self, "_rows", tuple((tuple(p), s) for p, s in rows))
         object.__setattr__(self, "integer_rows", diffs)
         object.__setattr__(self, "_x0", x0)
