@@ -15,7 +15,11 @@ Every request first runs once on each side: its exit code and stdout must be
 identical, or the script prints both exit codes and where the stdouts first
 part, and exits 1. Then each round calls every request on both sides, the
 parent first in even rounds and the change first in odd ones, after a
-`gc.collect()`, timing each call with `perf_counter`. Per request stdout
+`gc.collect()`, timing each call with `perf_counter`. A full collection
+empties the interpreter's free lists, so the first call after it ran about
+half again as long as the next and lost its round whichever side made it;
+each round therefore starts with one untimed call of the first request on
+each side. Per request stdout
 gets one line: the parent's and the change's median in ms, the change in
 %, and the rounds in which the change was faster.
 """
@@ -108,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         for rnd in range(args.rounds):
             order = SIDES if rnd % 2 == 0 else SIDES[::-1]
             gc.collect()
+            for side in order:  # refill the free lists that a full collection empties
+                _answer(clis[side], reqs[0].argv)
             for req in reqs:
                 for side in order:
                     start = time.perf_counter()

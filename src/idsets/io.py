@@ -3,10 +3,8 @@
 Each parser reads one format and raises InvalidInstance for any shape it
 does not expect; only the raw access runs under `_reading`, so the domain
 constructors it then calls keep their own errors. Rationals travel as
-strings "p/q" (plain "n" for integers) so exactness survives the wire, and
-one grammar, `_ratio`, reads each token: the basis and cost coefficients go
-from its pairs straight to integer rows, every other rational to a Fraction.
-Arc order in a file defines the arc ids.
+strings "p/q" (plain "n" for integers) so exactness survives the wire; one
+grammar, `_ratio`, reads them all. Arc order in a file defines the arc ids.
 """
 
 from __future__ import annotations
@@ -57,8 +55,7 @@ def _ratio(value: Any) -> tuple[int, int]:
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 n, d = int(num), int(den or 1)
                 if d:
-                    g = gcd(n, d)
-                    return n // g, d // g
+                    return n // (g := gcd(n, d)), d // g
         if isinstance(value, (int, str)) and not isinstance(value, bool):
             return Fraction(value).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
@@ -71,15 +68,14 @@ def fraction_from_json(value: Any) -> Fraction:
     return Fraction(*_ratio(value))
 
 
-def _token_lookup(tokens: Iterable, parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """How a reader of rationals parses `tokens`, which it can list, with
-    `parse` (`_ratio` or `fraction_from_json`). When every token is exactly
-    a str or int, the lookup in a table holding `parse` of each distinct
-    token, parsed once in first-seen order; the caller maps its tokens
-    through it in C. Any other token can only be refused, so then, and when
-    the table meets a refusal, it is `parse` itself: the caller reads token
-    by token and meets the first refusal, with its message, where it
-    always did."""
+def _token_lookup(tokens: Iterable, parse: Callable = fraction_from_json) -> Callable:
+    """How a reader of rationals parses `tokens`, which it can list. When
+    every token is exactly a str or int, the lookup in a table holding
+    `parse` of each distinct token, parsed once in first-seen order; the
+    caller maps its tokens through it in C. Any other token can only be
+    refused, so then, and when the table meets a refusal, it is `parse`
+    itself: the caller reads token by token and meets the first refusal,
+    with its message, where it always did."""
     tokens = list(tokens)
     if not set(map(type, tokens)) <= {str, int}:
         return parse
@@ -129,7 +125,7 @@ def fractions_to_json(values: Iterable[Fraction]) -> list[str]:
 def parse_rationals(raw: str) -> list[Fraction]:
     """Comma rationals, e.g. "3/4,1/4"."""
     tokens = raw.split(",")
-    return list(map(_token_lookup(tokens, fraction_from_json), tokens))
+    return list(map(_token_lookup(tokens), tokens))
 
 
 def parse_ids(raw: str) -> list[int]:
@@ -176,9 +172,8 @@ def parse_cost(spec: str, dim: int) -> CostOracle:
     if kind not in ("linear", "quadratic"):
         raise InvalidInstance(f"unknown cost spec {spec!r}")
     tokens = rest.split(",") if rest else []
-    # A whole coefficient stays an int, which a built-in cost takes as it is.
-    values = [n if d == 1 else Fraction(n, d)
-              for n, d in map(_token_lookup(tokens, _ratio), tokens)]
+    ratios = map(_token_lookup(tokens, _ratio), tokens)  # a whole coefficient stays an int
+    values = [n if d == 1 else Fraction(n, d) for n, d in ratios]
     if len(values) != dim:
         raise InvalidInstance(f"cost needs {dim} coefficients")
     return tolls.linear_cost(values) if kind == "linear" else tolls.quadratic_cost(values)
@@ -216,8 +211,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
         if raw is not None:
-            table = dict(zip(raw, map(_token_lookup(_array(raw, "weights"), fraction_from_json),
-                                         raw)))
+            table = dict(zip(raw, map(_token_lookup(_array(raw, "weights")), raw)))
     st = StPair(source, sink)
     st.validate(g)
     if raw is None:
@@ -243,7 +237,7 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = _array(data["weights"] if isinstance(data, dict) else data, "weights")
-        table = dict(zip(raw, map(_token_lookup(raw, fraction_from_json), raw)))
+        table = dict(zip(raw, map(_token_lookup(raw), raw)))
     if len(raw) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(raw)}")
     return WeightedGroundSet._by_token(raw, table)
@@ -294,9 +288,7 @@ def _bit(value: Any) -> int:
 
 
 def parse_affine_basis(data: dict) -> AffineBasis:
-    """Format: {"points": [["p/q", ...], ...]}. Each point goes from its
-    tokens' (numerator, denominator) pairs to its integer row, with no
-    Fraction built."""
+    """Format: {"points": [["p/q", ...], ...]}, read to integer rows, no Fraction."""
     from .linear import AffineBasis
     with _reading("basis"):
         raw = _array(data["points"], "basis")
@@ -314,7 +306,7 @@ def parse_polymatroid_table(data: dict) -> PolymatroidOracle:
     with _reading("table"):
         size = int_from_json(data["size"])
         entries = data["values"].items()
-        parse = _token_lookup(map(itemgetter(1), entries), fraction_from_json)
+        parse = _token_lookup(map(itemgetter(1), entries))
         table = {frozenset(parse_ids(key)): parse(value) for key, value in entries}
     return PolymatroidOracle.from_table(size, table)
 

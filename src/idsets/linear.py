@@ -7,8 +7,7 @@ basis of D: the pivot columns of one exact elimination with the columns in
 ascending weight order. When S falls short, a left-null combination y of the
 rows of D[:, S], read off `echelon` of the transposed integer columns, gives
 the witness direction y^T D. Each request's own elimination checks independence.
-The basis holds its points as integer rows; `io` builds them from the parsed
-tokens without a Fraction, and the Fraction points are made only when read.
+`io` builds the basis from integer rows, with no Fraction until `points` is read.
 """
 
 from __future__ import annotations
@@ -29,41 +28,34 @@ _DEPENDENT = "basis points are not affinely independent"
 @dataclass(frozen=True, repr=False)
 class AffineBasis:
     """Affinely independent points x0..xk spanning the affine hull of X, each
-    held as its canonical integer row (ints over the lcm of its reduced
-    denominators); equality and hash compare that form. Rank, pivots and
-    hull membership use `integer_rows`: each row of D times a positive
-    integer, from x0's integer row and the scale of each point. The first
-    elimination that needs independence checks it. The Fraction `points`
-    are built when first read."""
+    held as its canonical integer row (`integer_row`), which equality and
+    hash compare. Rank, pivots and hull membership use `integer_rows`: each
+    row of D times a positive integer, from x0's integer row and the scale
+    of each point. The first elimination that needs independence checks it."""
 
     _rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, points: Sequence[Sequence]):
         pts = tuple(map(as_vector, as_sequence(points, "basis points")))
-        self._store([integer_row(p) for p in pts])
-        object.__setattr__(self, "points", pts)
+        vars(self).update(vars(self._from_rows([integer_row(p) for p in pts])), points=pts)
 
     @classmethod
     def _from_rows(cls, rows: Sequence[tuple[Sequence[int], int]]) -> AffineBasis:
         """The basis of the points given as canonical integer rows (ints, scale)."""
-        basis = cls.__new__(cls)
-        basis._store(rows)
-        return basis
-
-    def _store(self, rows: Sequence[tuple[Sequence[int], int]]) -> None:
         if not rows:
             raise InvalidInstance("affine basis needs at least one point")
         if len({len(p) for p, _ in rows}) != 1:
             raise InvalidInstance("basis points must share one dimension")
         (x0, s0), *others = rows
-        diffs = tuple(tuple([a * s0 - b * s for a, b in zip(p, x0)]) for p, s in others)
-        object.__setattr__(self, "_rows", tuple((tuple(p), s) for p, s in rows))
-        object.__setattr__(self, "integer_rows", diffs)
-        object.__setattr__(self, "_x0", x0)
-        object.__setattr__(self, "_scales", tuple(s for _, s in rows))
+        basis = cls.__new__(cls)
+        vars(basis).update(
+            _rows=tuple((tuple(p), s) for p, s in rows), _x0=x0, _scales=tuple(s for _, s in rows),
+            integer_rows=tuple(tuple([a * s0 - b * s for a, b in zip(p, x0)]) for p, s in others))
+        return basis
 
     @cached_property
     def points(self) -> tuple[Vector, ...]:
+        """The points as Fractions, built when first read."""
         return tuple(tuple(Fraction(a, s) for a in p) for p, s in self._rows)
 
     def __repr__(self) -> str:
@@ -95,8 +87,7 @@ class AffineBasis:
         return not any(shift)
 
     def _shift(self, target: Sequence) -> tuple[list[int], tuple[list[int], int]]:
-        """(target - x0) times s0 and the target's scale, as ints, and the
-        target's own integer row (ints, scale)."""
+        """Integer target - x0, and the target's integer row."""
         tgt = as_vector(target)
         if len(tgt) != self.ground_size:
             raise InvalidInstance("target has the wrong dimension")

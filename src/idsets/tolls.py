@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -35,22 +34,26 @@ from .linear import AffineBasis, _reduce, verify_identifying_from_basis
 
 @dataclass(frozen=True)
 class CostOracle:
-    """Cost evaluation plus an optional subgradient map. The built-in costs
-    alone set `_scaled(t, t_scale)`: the subgradient at the point t / t_scale,
-    as ints over a positive scale."""
+    """Cost evaluation plus an optional subgradient map. The built-in costs alone set
+    `_scaled(t, t_scale)`: the subgradient at t / t_scale as ints over a positive scale."""
 
     evaluate: Callable[[Vector], Fraction]
     subgradient: Callable[[Vector], Vector] | None = None
     _scaled = None
 
 
-def _built_in(evaluate, subgradient, scaled) -> CostOracle:
+def _built_in(evaluate: Callable, scaled: Callable) -> CostOracle:
+    """A cost whose Fraction subgradient is `scaled` of the point's integer row."""
+    def subgradient(x: Sequence) -> Vector:
+        d, scale = scaled(*integer_row(as_vector(x)))
+        return tuple(Fraction(v, scale) for v in d)
+
     cost = CostOracle(evaluate, subgradient)
     object.__setattr__(cost, "_scaled", scaled)
     return cost
 
 
-def _point(params: Sequence, x: Sequence, read=as_vector) -> Sequence:
+def _point(params: Sequence, x: Sequence, read: Callable = as_vector) -> Sequence:
     """`read(x)`, refusing a length other than the cost's, which zip would cut."""
     vec = read(x)
     if len(vec) != len(params):
@@ -59,30 +62,17 @@ def _point(params: Sequence, x: Sequence, read=as_vector) -> Sequence:
 
 
 def _int_row(values: Sequence) -> tuple[list[int], int]:
-    """`integer_row(as_vector(values))`; a list or tuple of exact ints is its
-    own row over scale 1, read without a Fraction per value."""
+    """`integer_row(as_vector(values))`; exact ints are their own row, with no Fraction."""
     if type(values) in (list, tuple) and set(map(type, values)) <= {int}:
         return list(values), 1
     return integer_row(as_vector(values))
 
 
 def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOracle:
-    """c(x) = coefficients . x + constant, held as the coefficients' integer
-    row; the subgradient's Fraction tuple is built on its first call."""
     c, scale = _int_row(coefficients)
-    const = exact(constant)
-    coeffs = cache(lambda: tuple(Fraction(a, scale) for a in c))
-
-    def subgradient(x: Sequence) -> Vector:
-        _point(c, x)
-        return coeffs()
-
-    def scaled(t: Sequence[int], t_scale: int) -> tuple[list[int], int]:
-        _point(c, t, list)
-        return c, scale
-
+    const = constant if type(constant) is int else exact(constant)
     return _built_in(lambda x: vec_dot(c, _point(c, x)) / scale + const,
-                     subgradient, scaled)
+                     lambda t, _: (_point(c, t, list) and c, scale))
 
 
 def quadratic_cost(resistances: Sequence) -> CostOracle:
@@ -94,11 +84,8 @@ def quadratic_cost(resistances: Sequence) -> CostOracle:
     if any(re < 0 for re in r):
         raise InvalidInstance(f"resistances must be >= 0, got {Fraction(min(r), scale)}")
     return _built_in(
-        lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))), Fraction(0))
-        / (2 * scale),
-        lambda x: tuple(re * xe / scale for re, xe in zip(r, _point(r, x))),
-        lambda t, t_scale: ([re * te for re, te in zip(r, _point(r, t, list))],
-                            scale * t_scale))
+        lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))), Fraction(0)) / 2 / scale,
+        lambda t, t_scale: ([re * te for re, te in zip(r, _point(r, t, list))], scale * t_scale))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from idsets.errors import IdsetsError, InvalidInstance
 from idsets.flows import min_weight_flow_identifying
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.instances import gen_tight_gap_family
+from idsets.io import parse_affine_basis
 from idsets.linalg import as_vector, echelon, exact, integer_row
 from idsets.linear import (
     AffineBasis,
@@ -256,6 +257,23 @@ class TestAffineBasis:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("invalid input: basis points are not affinely independent\n")
+
+    def test_equality_hash_and_repr(self):
+        # Equal points as Fractions, however written or read, make equal
+        # bases with one hash; the repr shows the Fraction points.
+        basis = AffineBasis([[1, Fraction(1, 2)], [0, 3]])
+        same = [AffineBasis([[Fraction(2, 2), "1/2"], [(0), Fraction(6, 2)]]),
+                parse_affine_basis({"points": [["1", "2/4"], [0, "3"]]})]
+        for other in same:
+            assert other == basis and hash(other) == hash(basis)
+            assert repr(other) == repr(basis) == (
+                "AffineBasis(points=((Fraction(1, 1), Fraction(1, 2)), "
+                "(Fraction(0, 1), Fraction(3, 1))))")
+        for points in ([[1, Fraction(1, 3)], [0, 3]], [[2, 1], [0, 6]], [[1, Fraction(1, 2)]]):
+            assert AffineBasis(points) != basis
+        assert len({basis, *same}) == 1
+        with pytest.raises(AttributeError):
+            basis.points = ()
 
     def test_single_point_dimension_zero(self):
         assert AffineBasis([[3, 4, 5]]).hull_dimension == 0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from idsets.caps import Caps
+from idsets.cli import main
 from idsets.errors import InvalidInstance, SubsetExplosion
 from idsets.graphs import Digraph, StPair, WeightedGroundSet, enumerate_st_paths
 from idsets.io import (
@@ -22,6 +23,7 @@ from idsets.io import (
     instance_to_json,
     int_from_json,
     parse_affine_basis,
+    parse_cost,
     parse_graph,
     parse_instance,
     parse_polymatroid_table,
@@ -31,6 +33,9 @@ from idsets.io import (
     to_json,
 )
 from idsets.instances import gen_tight_gap_family, gen_vertex_cover_dag
+from idsets.linalg import integer_row
+from idsets.linear import AffineBasis
+from idsets.tolls import linear_cost, quadratic_cost
 from idsets.search import _cover_masks, min_weight_hitting_set, pair_demands
 
 from .helpers import (
@@ -438,6 +443,85 @@ class TestBoundaryParsers:
                 with pytest.raises(InvalidInstance) as got:
                     read()
                 assert str(got.value) == f"cannot parse rational from {first!r}"
+
+    WIDE = ["-0", "-2/4", "10/4", -3, 12, 10**30, -(10**29) + 7,
+            "123456789012345678901234567890",
+            "-987654321098765432109876543210/123456789012345678901234567890"]
+
+    def test_linear_tokens_match_the_fraction_route(self):
+        # The basis goes from its tokens to integer rows and the cost keeps
+        # whole coefficients as ints; rows, scales, points, equality and
+        # hash are those of the Fraction of each token.
+        tokens = self.GOOD + self.WIDE
+        for seed in range(1000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            raw = [[rng.choice(tokens) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            parsed = parse_affine_basis(json.loads(json.dumps({"points": raw})))
+            built = AffineBasis([[fraction_from_json(v) for v in p] for p in raw])
+            assert "points" not in vars(parsed)
+            assert parsed.integer_rows == built.integer_rows
+            assert list(parsed._x0) == list(built._x0) and parsed._scales == built._scales
+            assert parsed.points == built.points
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            target = [str(rng.choice(tokens)) for _ in range(n)]
+            assert parse_rationals(",".join(target)) == [fraction_from_json(v) for v in target]
+            resist = [str(rng.choice(tokens)).lstrip("-") for _ in range(n)]
+            values = [fraction_from_json(v) for v in resist]
+            for kind, build in (("quadratic", quadratic_cost), ("linear", linear_cost)):
+                cost, want = parse_cost(f"{kind}:{','.join(resist)}", n), build(values)
+                point = built.points[-1]
+                assert cost.subgradient(point) == want.subgradient(point)
+                assert cost.evaluate(point) == want.evaluate(point)
+                ints, scale = cost._scaled(*integer_row(point))
+                assert [Fraction(v, scale) for v in ints] == list(want.subgradient(point))
+
+    def test_linear_readers_refuse_the_first_bad_token(self, tmp_path, capsys):
+        # Basis, target and cost: each refusal names the first bad token in
+        # reading order, as one fraction_from_json per token does, and the
+        # CLI exits 2 with that text.
+        bad_text = [v for v in self.BAD if isinstance(v, str)] + ["5" * 5000, "3/-4"]
+        for bad in self.BAD + ["5" * 5000, "3/-4"]:
+            for at in range(3):
+                raw = ["1", "1/2", "3"]
+                raw.insert(at, bad)
+                raw.append("y")
+                want = f"cannot parse rational from {bad!r}"
+                with pytest.raises(InvalidInstance) as got:
+                    fraction_from_json(bad)
+                assert str(got.value) == want
+                points = [raw[:2], raw[2:4], ["0", "y"]]
+                with pytest.raises(InvalidInstance) as got:
+                    parse_affine_basis(json.loads(json.dumps({"points": points})))
+                assert str(got.value) == want
+                if bad not in bad_text:
+                    continue
+                for read in (lambda: parse_rationals(",".join(raw)),
+                             lambda: parse_cost("quadratic:" + ",".join(raw), len(raw)),
+                             lambda: parse_cost("linear:" + ",".join(raw), len(raw))):
+                    with pytest.raises(InvalidInstance) as got:
+                        read()
+                    assert str(got.value) == want
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps({"points": [["0", "0"], ["1", "0"], ["0", "1"]]}))
+        for bad in bad_text:
+            good = ["--basis", str(basis), "--target=1/3,1/3", "--cost", "quadratic:1,1"]
+            for flag, value in (("--basis", None), ("--target", f"{bad},1/3"),
+                                ("--cost", f"quadratic:1,{bad}")):
+                argv = ["tolls", "--mode", "convex", "--S", "0,1", *good]
+                if value is None:
+                    tokens = tmp_path / "bad.json"
+                    tokens.write_text(json.dumps({"points": [["0", bad], ["1", "x"], ["0", "1"]]}))
+                    argv[argv.index("--basis") + 1] = str(tokens)
+                elif flag == "--target":
+                    argv[argv.index("--target=1/3,1/3")] = f"--target={value}"
+                else:
+                    argv[argv.index("quadratic:1,1")] = value
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == f"invalid input: cannot parse rational from {bad!r}\n"
 
     def test_table_keys_read_as_ids(self):
         # Digits and commas alone skip parse_ids; every other spelling still

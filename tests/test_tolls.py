@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from idsets.errors import (
 )
 from idsets.explicit import SolutionList, exact_identifying, verify_explicit_identifying
 from idsets.graphs import Digraph, StPair, enumerate_st_paths
-from idsets.linalg import as_vector, vec_dot
+from idsets.io import parse_affine_basis, parse_cost, parse_ids, parse_rationals
+from idsets.linalg import as_vector, integer_row, vec_dot
 from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.tolls import (
     ControllingVerdict,
@@ -98,6 +101,111 @@ class TestCostOracles:
         with pytest.raises(InvalidInstance, match="^resistances must be >= 0, got -1/2$"):
             quadratic_cost([1, Fraction(-1, 2)])
         assert quadratic_cost([0, 0]).evaluate((3, 4)) == 0
+
+
+class TestBuiltInCostRows:
+    """The built-in costs hold an integer row, and their private `_scaled`
+    hook maps a point's integer row to the subgradient's."""
+
+    def test_scaled_hook_is_the_integer_subgradient(self):
+        rng = random.Random(97)
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            values = [rng.choice([rng.randint(0, 9), Fraction(rng.randint(0, 9), rng.randint(1, 6))])
+                      for _ in range(n)]
+            signed = [rng.randint(-9, 9) for _ in range(n)]
+            point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+            for cost in (quadratic_cost(values), linear_cost(values), linear_cost(signed, 3),
+                         quadratic_cost(tuple(map(abs, signed)))):
+                ints, scale = cost._scaled(*integer_row(point))
+                want, want_scale = integer_row(as_vector(cost.subgradient(point)))
+                assert scale > 0 and len(ints) == n
+                assert [Fraction(v, scale) for v in ints] == [Fraction(v, want_scale) for v in want]
+                with pytest.raises(InvalidInstance,
+                                   match=f"^cost of dimension {n}, point of dimension {n + 1}$"):
+                    cost._scaled(*integer_row(point + (Fraction(1),)))
+
+    def test_values_match_the_fraction_costs(self):
+        # evaluate and subgradient give the values of the Fraction formulas,
+        # as Fractions, for int, Fraction and mixed coefficients.
+        rng = random.Random(101)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            values = [rng.choice([rng.randint(0, 6), Fraction(rng.randint(0, 6), rng.randint(1, 4))])
+                      for _ in range(n)]
+            point = as_vector([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)])
+            coeffs = as_vector(values)
+            linear, quadratic = linear_cost(values, Fraction(1, 3)), quadratic_cost(values)
+            assert linear.evaluate(point) == vec_dot(coeffs, point) + Fraction(1, 3)
+            assert linear.subgradient(point) == coeffs
+            assert quadratic.evaluate(point) == sum(r * x * x for r, x in zip(coeffs, point)) / 2
+            assert quadratic.subgradient(point) == tuple(r * x for r, x in zip(coeffs, point))
+            for value in (linear.evaluate(point), quadratic.evaluate(point),
+                          *linear.subgradient(point), *quadratic.subgradient(point)):
+                assert type(value) is Fraction
+
+    def test_a_custom_cost_keeps_the_subgradient_path(self):
+        assert CostOracle(evaluate=lambda x: Fraction(0))._scaled is None
+        built = quadratic_cost([1, 1])
+        custom = CostOracle(evaluate=built.evaluate, subgradient=built.subgradient)
+        assert custom._scaled is None and custom == CostOracle(built.evaluate, built.subgradient)
+        target = [Fraction(3, 4), Fraction(1, 4)]
+        assert convex_tolls(PARALLEL, {0}, custom, target) == convex_tolls(PARALLEL, {0}, built,
+                                                                           target)
+
+
+class TestFractionsBuilt:
+    """`Fraction.__new__` counted: the linear readers and the built-in costs
+    build a Fraction only for a value handed out as one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        return calls
+
+    @pytest.fixture
+    def linear_a(self, tmp_path, monkeypatch):
+        """The argv of the seed-1 `algebra` request `tolls-convex/linear-a`."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        reqs = workloads.build("algebra", 1, str(tmp_path))
+        return next(r.argv for r in reqs if r.rid == "tolls-convex/linear-a")
+
+    def test_integer_costs_build_none_until_a_subgradient(self, built):
+        linear, quadratic = linear_cost([3, -1, 0, 2]), quadratic_cost([1, 0, 5, 2])
+        assert linear._scaled([1, 2, 3, 4], 5) == ([3, -1, 0, 2], 1)
+        assert quadratic._scaled([1, 2, 3, 4], 5) == ([1, 0, 15, 8], 5)
+        assert built == []
+        # A subgradient call builds the point's 4 Fractions and its own 4.
+        assert linear.subgradient((1, 2, 3, 4)) == (3, -1, 0, 2) and len(built) == 8
+
+    def test_a_toll_request_builds_only_its_target_and_tolls(self, built, linear_a):
+        def flag(name):
+            return next(a.split("=", 1)[1] if "=" in a else linear_a[i + 1]
+                        for i, a in enumerate(linear_a) if a.split("=")[0] == name)
+
+        data = json.loads(Path(flag("--basis")).read_text())
+        built.clear()  # the workload's own Fractions
+        basis = parse_affine_basis(data)
+        cost = parse_cost(flag("--cost"), basis.ground_size)
+        assert built == []
+        target = parse_rationals(flag("--target"))
+        assert len(built) == len(set(flag("--target").split(",")))
+        built.clear()
+        toll = convex_tolls(basis, parse_ids(flag("--S")), cost, target)
+        # One Fraction(0) for the ids of S, then one toll per pivot.
+        assert len(built) == 1 + basis.hull_dimension == 1 + len(toll.gamma)
+        built.clear()
+        points = basis.points
+        assert len(built) == sum(map(len, points))
+        assert basis == AffineBasis(points)
 
 
 class TestTollVector:
