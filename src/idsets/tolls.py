@@ -71,8 +71,12 @@ def _int_row(values: Sequence) -> tuple[list[int], int]:
 def linear_cost(coefficients: Sequence, constant: Fraction | int = 0) -> CostOracle:
     c, scale = _int_row(coefficients)
     const = constant if type(constant) is int else exact(constant)
-    return _built_in(lambda x: vec_dot(c, _point(c, x)) / scale + const,
-                     lambda t, _: (_point(c, t, list) and c, scale))
+
+    def scaled(t: Sequence[int], t_scale: int) -> tuple[list[int], int]:
+        _point(c, t, list)
+        return c, scale
+
+    return _built_in(lambda x: vec_dot(c, _point(c, x)) / scale + const, scaled)
 
 
 def quadratic_cost(resistances: Sequence) -> CostOracle:
@@ -84,7 +88,7 @@ def quadratic_cost(resistances: Sequence) -> CostOracle:
     if any(re < 0 for re in r):
         raise InvalidInstance(f"resistances must be >= 0, got {Fraction(min(r), scale)}")
     return _built_in(
-        lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))), Fraction(0)) / 2 / scale,
+        lambda x: sum((re * xe * xe for re, xe in zip(r, _point(r, x))), Fraction(0)) / (2 * scale),
         lambda t, t_scale: ([re * te for re, te in zip(r, _point(r, t, list))], scale * t_scale))
 
 
