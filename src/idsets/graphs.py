@@ -197,12 +197,11 @@ class WeightedGroundSet:
         self._scale(ratios, dict(zip(ratios, ratios)))
 
     @classmethod
-    def _by_token(cls, tokens: list, table: dict) -> "WeightedGroundSet":
-        """The weights table[t], Fractions, along `tokens`, split once per
-        distinct token; a negative one goes to the constructor, which names it."""
-        ratios = {token: value.as_integer_ratio() for token, value in table.items()}
+    def _by_token(cls, tokens: list, ratios: dict) -> "WeightedGroundSet":
+        """The weights ratios[t], reduced (num, den) pairs, along `tokens`; a
+        negative one goes to the constructor, which names it."""
         if any(num < 0 for num, _ in ratios.values()):
-            return cls(list(map(table.__getitem__, tokens)))
+            return cls([Fraction(*ratios[token]) for token in tokens])
         out = cls.__new__(cls)
         out._scale(tokens, ratios)
         return out

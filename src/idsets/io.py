@@ -211,7 +211,7 @@ def parse_instance(data: dict) -> tuple[Digraph, StPair, WeightedGroundSet]:
         source, sink = int_from_json(data["s"]), int_from_json(data["t"])
         raw = data.get("weights")
         if raw is not None:
-            table = dict(zip(raw, map(_token_lookup(_array(raw, "weights")), raw)))
+            table = dict(zip(raw, map(_token_lookup(_array(raw, "weights"), _ratio), raw)))
     st = StPair(source, sink)
     st.validate(g)
     if raw is None:
@@ -237,7 +237,7 @@ def parse_weights(data: dict | list, size: int) -> WeightedGroundSet:
     """Either a bare list of rationals or {"weights": [...]}."""
     with _reading("weights"):
         raw = _array(data["weights"] if isinstance(data, dict) else data, "weights")
-        table = dict(zip(raw, map(_token_lookup(raw), raw)))
+        table = dict(zip(raw, map(_token_lookup(raw, _ratio), raw)))
     if len(raw) != size:
         raise InvalidInstance(f"expected {size} weights, got {len(raw)}")
     return WeightedGroundSet._by_token(raw, table)
