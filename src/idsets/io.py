@@ -55,7 +55,8 @@ def _ratio(value: Any) -> tuple[int, int]:
             if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 n, d = int(num), int(den or 1)
                 if d:
-                    return n // (g := gcd(n, d)), d // g
+                    g = gcd(n, d)
+                    return n // g, d // g
         if isinstance(value, (int, str)) and not isinstance(value, bool):
             return Fraction(value).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
@@ -172,7 +173,8 @@ def parse_cost(spec: str, dim: int) -> CostOracle:
     if kind not in ("linear", "quadratic"):
         raise InvalidInstance(f"unknown cost spec {spec!r}")
     tokens = rest.split(",") if rest else []
-    ratios = map(_token_lookup(tokens, _ratio), tokens)  # a whole coefficient stays an int
+    ratios = map(_token_lookup(tokens, _ratio), tokens)
+    # A whole coefficient stays an int, which the costs read with no Fraction.
     values = [n if d == 1 else Fraction(n, d) for n, d in ratios]
     if len(values) != dim:
         raise InvalidInstance(f"cost needs {dim} coefficients")
