@@ -21,7 +21,13 @@ from idsets.errors import (
 )
 from idsets.explicit import SolutionList, exact_identifying, verify_explicit_identifying
 from idsets.graphs import Digraph, StPair, enumerate_st_paths
-from idsets.io import parse_affine_basis, parse_cost, parse_ids, parse_rationals
+from idsets.io import (
+    parse_affine_basis,
+    parse_cost,
+    parse_ids,
+    parse_rationals,
+    parse_weights,
+)
 from idsets.linalg import as_vector, integer_row, vec_dot
 from idsets.linear import AffineBasis, min_weight_identifying_from_basis
 from idsets.tolls import (
@@ -185,6 +191,15 @@ class TestFractionsBuilt:
         assert built == []
         # A subgradient call builds the point's 4 Fractions and its own 4.
         assert linear.subgradient((1, 2, 3, 4)) == (3, -1, 0, 2) and len(built) == 8
+
+    def test_readers_build_none_for_ints_and_strings(self, built):
+        basis = parse_affine_basis({"points": [[0, "1/2", -3], ["2/4", 7, 1]]})
+        weights = parse_weights([1, "3/6", 2, "-0"], 4)
+        assert built == [] and "points" not in vars(basis)
+        assert weights.scaled == (2, 1, 4, 0) and weights.scale == 2
+        points = basis.points
+        assert len(built) == 6
+        assert points == ((0, Fraction(1, 2), -3), (Fraction(1, 2), 7, 1))
 
     def test_a_toll_request_builds_only_its_target_and_tolls(self, built, linear_a):
         def flag(name):
